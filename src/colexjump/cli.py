@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -249,6 +250,7 @@ def cmd_simulate(args) -> int:
                 lambda lo, n: run_collapse_trials(
                     ctx, spec, n, trial_offset=lo, trace_fh=trace_fh
                 ),
+                trace_fh,
             )
         finally:
             if trace_fh:
@@ -282,10 +284,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_partitioned(args, runner):
-    """Split trials across workers; merging is associative and trial-keyed."""
+def _run_partitioned(args, runner, trace_fh=None):
+    """Split trials across workers; merging is associative and trial-keyed.
+
+    Each worker returns its statistics and the trace text of its span; the
+    spans are written to `trace_fh` in trial order, so the trace is the same
+    bytes as a one-worker run's.
+    """
     trials = args.trials
-    workers = max(1, args.workers)
+    workers = max(1, min(args.workers, trials))
     if workers == 1:
         return runner(0, trials)
     from concurrent.futures import ProcessPoolExecutor
@@ -296,13 +303,17 @@ def _run_partitioned(args, runner):
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_worker_entry, [(args, lo, n) for lo, n in spans]))
-    stats = parts[0]
-    for part in parts[1:]:
+    stats = parts[0][0]
+    for part, _ in parts[1:]:
         stats = stats.merge(part)
+    if trace_fh is not None:
+        for _, text in parts:
+            trace_fh.write(text)
     return stats
 
 
 def _worker_entry(packed):
+    """Run one span of trials; returns (stats, trace text of the span)."""
     args, lo, n = packed
     from .jump import make_context
     from .montecarlo import run_collapse_trials, run_single_shot_trials
@@ -312,7 +323,9 @@ def _worker_entry(packed):
     spec = NoiseSpec(args.p, args.q, args.seed)
     if args.action == "collapse":
         ctx = make_context(cx, args.facet)
-        return run_collapse_trials(ctx, spec, n, trial_offset=lo)
+        trace = io.StringIO() if args.trace else None
+        stats = run_collapse_trials(ctx, spec, n, trial_offset=lo, trace_fh=trace)
+        return stats, trace.getvalue() if trace is not None else ""
     from .codes import build_3d, build_inner
     from .split import split_colex
 
@@ -320,7 +333,7 @@ def _worker_entry(packed):
         code = build_inner(split_colex(cx, args.facet))
     else:
         code = build_3d(cx)
-    return run_single_shot_trials(code, spec, n, trial_offset=lo)
+    return run_single_shot_trials(code, spec, n, trial_offset=lo), ""
 
 
 # -- schedule ------------------------------------------------------------------------

@@ -60,6 +60,7 @@ class JumpContext:
     pairs: tuple[str, ...]
     _decode_tables: dict = field(default_factory=dict)
     _string_cache: dict = field(default_factory=dict)
+    _collapse_plan: object = None  # montecarlo.CollapsePlan, built on first use
 
     @property
     def n3(self) -> int:
@@ -71,6 +72,12 @@ class JumpContext:
 
     def outer_qubit(self, parent_vertex: int) -> int:
         return self.split.outer_index[parent_vertex]
+
+    def decode_table(self) -> dict:
+        """The outer code's 2D decode table, built on first use."""
+        if "2d" not in self._decode_tables:
+            self._decode_tables["2d"] = decode_table_2d(self.code2)
+        return self._decode_tables["2d"]
 
     def cached_string_correction(self, syndrome, pair, basis) -> PauliOperator:
         key = (tuple(sorted(syndrome)), pair, basis)
@@ -240,6 +247,18 @@ def _syndrome_fn(check_supports: list[tuple]):
     return fn
 
 
+def checks_table(n: int, checks) -> dict:
+    """`min_weight_table` of a check set, cached per (n, checks) in the process."""
+    key = (n, tuple(map(tuple, checks)))
+    table = _CHECK_TABLES.get(key)
+    if table is None:
+        table = _CHECK_TABLES[key] = min_weight_table(n, _syndrome_fn(checks))
+    return table
+
+
+_CHECK_TABLES: dict = {}
+
+
 def decode_table_2d(code2: CodeTriple) -> dict:
     """Plaquette syndrome -> minimum-weight correction support (per type)."""
     checks = [tuple(vs) for vs, _ in code2.colex.plaquettes]
@@ -248,13 +267,10 @@ def decode_table_2d(code2: CodeTriple) -> dict:
 
 def ideal_decode_2d(ctx_or_code, state2: Tableau) -> tuple[PauliOperator, PauliOperator]:
     """Noiseless syndrome readout + exact minimum-weight correction, both types."""
-    code2 = ctx_or_code.code2 if isinstance(ctx_or_code, JumpContext) else ctx_or_code
     if isinstance(ctx_or_code, JumpContext):
-        if "2d" not in ctx_or_code._decode_tables:
-            ctx_or_code._decode_tables["2d"] = decode_table_2d(code2)
-        table = ctx_or_code._decode_tables["2d"]
+        code2, table = ctx_or_code.code2, ctx_or_code.decode_table()
     else:
-        table = decode_table_2d(code2)
+        code2, table = ctx_or_code, decode_table_2d(ctx_or_code)
     checks = [tuple(vs) for vs, _ in code2.colex.plaquettes]
     corrections = []
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
@@ -283,9 +299,6 @@ class CollapseOutcome:
     measurement_record: dict  # (pair, basis) -> {plaquette id: +-1} (as observed)
     repair_record: dict  # (pair, basis) -> (delta0 ids, gamma_eff ids, true flux ids)
     logical_flip_flags: dict[str, int | None]
-
-    def logical_expectations(self) -> dict[str, int | None]:
-        return self.logical_flip_flags
 
 
 def _collapse_common(
@@ -548,12 +561,7 @@ def single_shot_ec(
 
     syndrome = tuple(0 if v == 1 else 1 for v in syndrome_bits)
     corr_type = "X" if basis == "Z" else "Z"
-    cache_key = ("ss-table", code.kind, basis, tuple(map(tuple, checks)))
-    table = _SS_TABLES.get(cache_key)
-    if table is None:
-        table = min_weight_table(code.n, _syndrome_fn(checks))
-        _SS_TABLES[cache_key] = table
-    support = table.get(syndrome)
+    support = checks_table(code.n, checks).get(syndrome)
     if support is None:
         raise ValueError("no correction matches the repaired syndrome")
     correction = PauliOperator.from_support(code.n, corr_type, support)
@@ -561,9 +569,6 @@ def single_shot_ec(
     return state, SingleShotReport(
         outcomes, cell_syndrome, delta0_sizes, correction, syndrome
     )
-
-
-_SS_TABLES: dict = {}
 
 
 def _match_cells_to_edges(entries, mismatched):
@@ -686,9 +691,7 @@ def blow_up(
 def ideal_decode_2d_embedded(ctx: JumpContext, state3: Tableau):
     """Outer-code minimum-weight decode acting inside the 3D tableau."""
     code2 = ctx.code2
-    if "2d" not in ctx._decode_tables:
-        ctx._decode_tables["2d"] = decode_table_2d(code2)
-    table = ctx._decode_tables["2d"]
+    table = ctx.decode_table()
     checks = [tuple(vs) for vs, _ in code2.colex.plaquettes]
     out = []
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):

@@ -6,11 +6,17 @@ statistics. Residual errors are tracked exactly: the harness knows the
 injected noise, the true flux, and the applied corrections, so the residual
 class (syndrome plus logical action) is computed algebraically and reduced
 to its minimum-weight representative for the histograms.
+
+Collapse trials run on a `CollapsePlan`, compiled once per context and
+cached on it: the inner plaquette parity matrix, the outer residual-coset
+parity matrix, each coset's lightest member, and the final 2D decode
+reduced to a per-coset logical flip. A trial's residual accounting, for
+the sign-linear fast engine and the tableau engine alike, is one matrix
+product and one lookup memoised per pair of coset keys.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -18,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flux import FluxConfiguration, repair_flux
 from .jump import (
     JumpContext,
+    checks_table,
     collapse,
-    decode_table_2d,
     encoded_3d,
     encoded_state,
     ideal_decode_2d,
@@ -79,22 +86,104 @@ def wilson_interval(k: int, n: int, z: float = 3.0) -> tuple[float, float]:
     return max(0.0, mid - half), min(1.0, mid + half)
 
 
-# -- residual accounting -----------------------------------------------------------
+# -- compiled collapse plan -------------------------------------------------------
 
 
-def _class_min_table(ctx: JumpContext):
-    """(side syndrome, logical parity) -> minimum weight over the coset."""
-    code2 = ctx.code2
-    checks = [tuple(vs) for vs, _ in code2.colex.plaquettes]
-    syndrome_of = _syndrome_fn(checks)
-    table: dict = {}
-    for bits in itertools.product((0, 1), repeat=code2.n):
-        vec = np.array(bits, dtype=np.uint8)
-        w = int(vec.sum())
-        key = (syndrome_of(np.flatnonzero(vec)), w % 2)
-        if key not in table or w < table[key]:
-            table[key] = w
-    return table
+class CollapsePlan:
+    """Static tables of one context's collapse trials, compiled once.
+
+    Everything a trial derives from the lattice alone lives here; trials only
+    index into it. `collapse_plan` builds the plan on first use and caches it
+    on the context, so both engines and every `run_collapse_trials` call on
+    that context share one copy.
+
+    A residual on one CSS side is an outer error vector modulo the plaquette
+    stabilizers. Its coset is named by a key: the plaquette syndrome bits,
+    then the weight parity (which separates the two logical classes, since
+    every plaquette has even weight and the logical odd weight). Keys pack
+    into integers, the X side in the low bits and the Z side above it.
+    """
+
+    def __init__(self, ctx: JumpContext):
+        n2, n3 = ctx.n2, ctx.n3
+        checks = [tuple(vs) for vs, _ in ctx.code2.colex.plaquettes]
+        m = len(checks)
+        outer = list(ctx.split.outer_vertices)
+        # inner plaquettes, one column per (basis, pair, dual) in measurement
+        # order; rows are the 3D X error then the 3D Z error (X errors flip
+        # Z-type plaquettes)
+        self.slots = []  # (basis, pair, first column, duals)
+        supports = []
+        for basis, offset in (("Z", 0), ("X", n3)):
+            for pair in ctx.pairs:
+                duals = ctx.duals[pair]
+                self.slots.append((basis, pair, len(supports), duals))
+                for dual in duals:
+                    vs = ctx.colex3.plaquette_vertices(dual.plaquette)
+                    supports.append([offset + v for v in vs])
+        self.inner_parity = _incidence(2 * n3, supports)
+        # residual coset keys of (3D X error, 3D Z error, applied X, applied Z):
+        # column j < m + 1 is key bit j of the X side, m + 1 + j of the Z side
+        key_supports = []
+        for err_offset, applied_offset in ((0, 2 * n3), (n3, 2 * n3 + n2)):
+            for chk in checks + [tuple(range(n2))]:
+                key_supports.append(
+                    [err_offset + outer[q] for q in chk]
+                    + [applied_offset + q for q in chk]
+                )
+        self.residual_parity = _incidence(2 * n3 + 2 * n2, key_supports)
+        self.key_weights = 1 << np.arange(2 * (m + 1))
+        self.side_bits = m + 1
+        # (syndrome, parity) -> lexicographically first minimum-weight member:
+        # the (weight, lex) order of min_weight_table is the tie-break
+        syndrome_of = _syndrome_fn(checks)
+        cosets = min_weight_table(n2, lambda s: syndrome_of(s) + (len(s) % 2,))
+        self.coset_min = {_pack(key): support for key, support in cosets.items()}
+        # the final noiseless 2D decode, reduced to whether it leaves the
+        # logical flipped on each coset
+        decode = ctx.decode_table()
+        self.decoded_flip = {
+            _pack(key): (key[m] + len(decode[key[:m]])) % 2 == 1 for key in cosets
+        }
+        self.adjacency = _outer_adjacency(ctx)
+        self._residuals: dict = {}
+
+    def residual_key(self, ex, ez, applied) -> int:
+        """Packed coset keys of the outer residual on both sides."""
+        vec = np.concatenate((ex, ez, applied["X"], applied["Z"]))
+        return int(((vec @ self.residual_parity) & 1) @ self.key_weights)
+
+    def split_key(self, key: int) -> tuple[int, int]:
+        """(X-side key, Z-side key) of a packed residual key."""
+        return key & ((1 << self.side_bits) - 1), key >> self.side_bits
+
+    def residual(self, key: int) -> tuple[int, int]:
+        """(weight, largest connected component) of the lightest residual."""
+        got = self._residuals.get(key)
+        if got is None:
+            sx, sz = (self.coset_min[k] for k in self.split_key(key))
+            got = (len(sx) + len(sz), _max_component(set(sx) | set(sz), self.adjacency))
+            self._residuals[key] = got
+        return got
+
+
+def collapse_plan(ctx: JumpContext) -> CollapsePlan:
+    """The context's collapse plan, compiled on first use."""
+    if ctx._collapse_plan is None:
+        ctx._collapse_plan = CollapsePlan(ctx)
+    return ctx._collapse_plan
+
+
+def _incidence(n: int, supports) -> np.ndarray:
+    """(n, len(supports)) 0/1 matrix; column j marks supports[j]."""
+    out = np.zeros((n, len(supports)), dtype=np.uint8)
+    for j, support in enumerate(supports):
+        out[list(support), j] = 1
+    return out
+
+
+def _pack(bits) -> int:
+    return sum(bit << i for i, bit in enumerate(bits))
 
 
 def _outer_adjacency(ctx: JumpContext):
@@ -129,28 +218,6 @@ def _max_component(support, adj) -> int:
     return best
 
 
-def _class_min_support(ctx: JumpContext, vec: np.ndarray) -> np.ndarray:
-    """Minimum-weight member of vec * stabilizer-span (one CSS side)."""
-    stabs = [
-        np.array(
-            [1 if q in set(vs) else 0 for q in range(ctx.n2)], dtype=np.uint8
-        )
-        for vs, _ in ctx.code2.colex.plaquettes
-    ]
-    best = vec
-    for r in range(len(stabs) + 1):
-        for combo in itertools.combinations(stabs, r):
-            cand = vec.copy()
-            for s in combo:
-                cand = cand ^ s
-            if cand.sum() < best.sum() or (
-                cand.sum() == best.sum()
-                and tuple(np.flatnonzero(cand)) < tuple(np.flatnonzero(best))
-            ):
-                best = cand
-    return best
-
-
 # -- collapse trials ----------------------------------------------------------------
 
 
@@ -175,110 +242,65 @@ class CollapseEngine:
     the parity of the injected error on its support; the outer plaquette
     value after discarding equals the parity on its own support; logical
     flips are support parities of the accumulated error. The engine runs
-    that arithmetic directly, drawing random numbers in exactly the same
-    order as the tableau pipeline so both produce identical trials (asserted
-    in the test suite).
+    that arithmetic on the context's compiled `CollapsePlan`: one matrix
+    product gives every inner plaquette reading, one `rng.random` call every
+    measurement flip, and one product the residual coset keys, whose table
+    entry says whether the final decode leaves the logical flipped. Random
+    numbers are drawn in exactly the same order as the tableau pipeline (a
+    vector draw from Philox equals the same number of scalar draws), so both
+    produce identical trials (asserted in the test suite). Flux repair and
+    string correction still run once per (pair, basis).
     """
 
     def __init__(self, ctx: JumpContext):
         self.ctx = ctx
-        n2 = ctx.n2
-        colex2 = ctx.code2.colex
-        self.plaq_masks = [
-            _mask(n2, vs) for vs, _ in colex2.plaquettes
-        ]
-        self.inner_masks = {}
-        for pair in ctx.pairs:
-            masks = []
-            for dual in ctx.duals[pair]:
-                masks.append(_mask(ctx.n3, ctx.colex3.plaquette_vertices(dual.plaquette)))
-            self.inner_masks[pair] = masks
-        if "2d" not in ctx._decode_tables:
-            ctx._decode_tables["2d"] = decode_table_2d(ctx.code2)
-        self.decode_table = ctx._decode_tables["2d"]
-        self.outer_qubits = np.array(ctx.split.outer_vertices)
+        self.plan = collapse_plan(ctx)
 
     def run_trial(self, noise: NoiseSpec, t: int) -> _TrialResult:
-        from .flux import FluxConfiguration, repair_flux
-
         ctx = self.ctx
+        plan = self.plan
         rng = trial_rng(noise.seed, t)
         logical = "zero" if t % 2 == 0 else "plus"
         ex, ez = sample_qubit_noise(noise.p_qubit, ctx.n3, rng)
+        true = (np.concatenate((ex, ez)) @ plan.inner_parity) & 1
+        seen = true
+        if noise.q_meas > 0:
+            seen = true ^ (rng.random(len(true)) < noise.q_meas)
+        true, seen = true.tolist(), seen.tolist()
         records = {}
         repairs = {}
         applied = {
             "X": np.zeros(ctx.n2, dtype=np.uint8),
             "Z": np.zeros(ctx.n2, dtype=np.uint8),
         }
-        fluxes = {}
-        for basis in ("Z", "X"):
-            err = ex if basis == "Z" else ez
-            for pair in ctx.pairs:
-                hot = {
-                    i
-                    for i, m in enumerate(self.inner_masks[pair])
-                    if int(err @ m) % 2 == 1
-                }
-                fluxes[(pair, basis)] = FluxConfiguration(
-                    pair, basis, frozenset(hot), ctx.duals[pair]
-                )
-        for (pair, basis), flux in fluxes.items():
-            observed = flux
-            if noise.q_meas > 0:
-                flips = {
-                    i
-                    for i in range(len(flux.duals))
-                    if rng.random() < noise.q_meas
-                }
-                observed = flux ^ flips
+        for basis, pair, lo, duals in plan.slots:
+            span = range(len(duals))
+            observed = FluxConfiguration(
+                pair, basis, frozenset(i for i in span if seen[lo + i]), duals
+            )
             records[(pair, basis)] = {
-                flux.duals[i].plaquette: (-1 if i in observed.edges else 1)
-                for i in range(len(flux.duals))
+                duals[i].plaquette: (-1 if seen[lo + i] else 1) for i in span
             }
             delta0, gamma_eff = repair_flux(observed)
             repairs[(pair, basis)] = (
                 tuple(sorted(delta0)),
                 tuple(sorted(gamma_eff.edges)),
-                tuple(sorted(flux.edges)),
+                tuple(i for i in span if true[lo + i]),
             )
             corr_type = "X" if basis == "Z" else "Z"
             corr = ctx.cached_string_correction(
                 gamma_eff.outer_endpoints(), pair, corr_type
             )
             applied[corr_type] ^= corr.x if corr_type == "X" else corr.z
-        # residual error on the outer code, then final ideal decode
-        total = {
-            "X": ex[self.outer_qubits] ^ applied["X"],
-            "Z": ez[self.outer_qubits] ^ applied["Z"],
-        }
-        flags = self._flags(logical, total)
-        for corr_type in ("X", "Z"):
-            syn = tuple(int(total[corr_type] @ m) % 2 for m in self.plaq_masks)
-            total[corr_type] = total[corr_type] ^ _mask(
-                self.ctx.n2, self.decode_table[syn]
-            )
-        kind = "Z" if logical == "zero" else "X"
-        err_side = total["X"] if kind == "Z" else total["Z"]
-        failed = bool(int(err_side.sum()) % 2 == 1)
-        return _TrialResult(logical, ex, ez, records, repairs, applied, flags, failed)
-
-    def _flags(self, logical: str, total: dict) -> dict:
-        flags = {}
-        for kind, side in (("Z", "X"), ("X", "Z")):
-            observable = (kind == "Z") == (logical == "zero")
-            if observable:
-                flags[kind] = -1 if int(total[side].sum()) % 2 else 1
-            else:
-                flags[kind] = None
-        return flags
-
-
-def _mask(n: int, support) -> np.ndarray:
-    out = np.zeros(n, dtype=np.uint8)
-    for q in support:
-        out[q] ^= 1
-    return out
+        # the observable logical reads the parity of the residual on the
+        # opposite side; the final ideal decode is a lookup on its coset
+        key_x, key_z = plan.split_key(plan.residual_key(ex, ez, applied))
+        kind, key = ("Z", key_x) if logical == "zero" else ("X", key_z)
+        flags = {"Z": None, "X": None}
+        flags[kind] = -1 if key >> (plan.side_bits - 1) else 1
+        return _TrialResult(
+            logical, ex, ez, records, repairs, applied, flags, plan.decoded_flip[key]
+        )
 
 
 def run_collapse_trials(
@@ -298,9 +320,8 @@ def run_collapse_trials(
     bit-identical trials.
     """
     stats = TrialStats()
-    adj = _outer_adjacency(ctx)
-    outer_qubits = np.array(ctx.split.outer_vertices)
     fast = CollapseEngine(ctx) if engine == "fast" else None
+    plan = collapse_plan(ctx)
     base = (
         None
         if fast
@@ -311,22 +332,17 @@ def run_collapse_trials(
             result = fast.run_trial(noise, t)
         else:
             result = _tableau_trial(ctx, base, noise, t)
-        for (pair, basis), (delta0, _, _) in result.repairs.items():
+        for delta0, _, _ in result.repairs.values():
             stats.delta0_hist[len(delta0)] += 1
         # Residual class: trials start from a fresh state with trivial flux,
         # so after discarding, the outer deviation from the reference encoded
         # state is exactly the injected outer error times the applied
         # correction (a pure inner error never reaches the outer block).
-        res = {}
-        for corr_type in ("X", "Z"):
-            injected = result.ex if corr_type == "X" else result.ez
-            vec = injected[outer_qubits] ^ result.applied[corr_type]
-            res[corr_type] = _class_min_support(ctx, vec)
-        combined = np.flatnonzero(res["X"] | res["Z"])
-        stats.residual_weight_hist[int(res["X"].sum() + res["Z"].sum())] += 1
-        stats.max_residual_component = max(
-            stats.max_residual_component, _max_component(combined.tolist(), adj)
+        weight, component = plan.residual(
+            plan.residual_key(result.ex, result.ez, result.applied)
         )
+        stats.residual_weight_hist[weight] += 1
+        stats.max_residual_component = max(stats.max_residual_component, component)
         stats.trials += 1
         if result.failed:
             kind = "Z" if result.logical == "zero" else "X"
@@ -434,11 +450,7 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
 def _decode_3d_cells(code, state, logical_kind):
     """Final noiseless cell-syndrome decode + logical readout for 3D codes."""
     checks = [tuple(vs) for vs, _ in code.colex.cells]
-    table_key = ("3d-decode", code.kind)
-    table = _SS_DECODE_TABLES.get(table_key)
-    if table is None:
-        table = min_weight_table(code.n, _syndrome_fn(checks))
-        _SS_DECODE_TABLES[table_key] = table
+    table = checks_table(code.n, checks)
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
         syn = []
         for chk in checks:
@@ -449,9 +461,6 @@ def _decode_3d_cells(code, state, logical_kind):
         support = table[tuple(syn)]
         state.apply(PauliOperator.from_support(code.n, corr_basis, support))
     return state.expect(logical_operator(code, logical_kind))
-
-
-_SS_DECODE_TABLES: dict = {}
 
 
 def run_single_shot_trials(

@@ -176,6 +176,29 @@ def test_simulate_workers_merge_identically(tmp_path, capsys):
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
 
 
+def test_simulate_trace_identical_across_workers(tmp_path, capsys):
+    base = [
+        "simulate", "collapse", "--builtin", "tetra15", "--p", "0.05", "--q", "0.05",
+        "--trials", "50", "--seed", "17", "--trace", "--out-dir", str(tmp_path),
+    ]
+    for workers in ("1", "2"):
+        run(base + ["--workers", workers, "--label", "w" + workers], capsys)
+    one = (tmp_path / "w1.trace.jsonl").read_bytes()
+    assert one.count(b"\n") == 50
+    assert (tmp_path / "w2.trace.jsonl").read_bytes() == one
+
+
+def test_simulate_zero_trials_with_workers(tmp_path, capsys):
+    code, out, _ = run(
+        [
+            "simulate", "collapse", "--builtin", "tetra15", "--trials", "0",
+            "--workers", "2", "--label", "none", "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0 and "0 trials" in out
+
+
 def test_simulate_singleshot_inner(tmp_path, capsys):
     code, out, _ = run(
         [

@@ -1,12 +1,20 @@
 """Monte Carlo harness: engine equivalence, determinism, statistics."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from colexjump import jump, montecarlo
+from colexjump.codes import build_3d
+from colexjump.colex import Colex
+from colexjump.jump import encoded_state, make_context
 from colexjump.montecarlo import (
     TrialStats,
+    _decode_3d_cells,
+    collapse_plan,
     exhaustive_weight1_collapse,
     run_collapse_trials,
     run_single_shot_trials,
@@ -14,6 +22,31 @@ from colexjump.montecarlo import (
     wilson_interval,
 )
 from colexjump.noise import NoiseSpec
+from colexjump.pauli import PauliOperator
+
+
+def _class_min_support(ctx, vec: np.ndarray) -> np.ndarray:
+    """Reference oracle: minimum-weight member of vec * stabilizer-span (one
+    CSS side), ties broken by the lexicographically first support, found by
+    enumerating every product of outer plaquettes."""
+    stabs = [
+        np.array(
+            [1 if q in set(vs) else 0 for q in range(ctx.n2)], dtype=np.uint8
+        )
+        for vs, _ in ctx.code2.colex.plaquettes
+    ]
+    best = vec
+    for r in range(len(stabs) + 1):
+        for combo in itertools.combinations(stabs, r):
+            cand = vec.copy()
+            for s in combo:
+                cand = cand ^ s
+            if cand.sum() < best.sum() or (
+                cand.sum() == best.sum()
+                and tuple(np.flatnonzero(cand)) < tuple(np.flatnonzero(best))
+            ):
+                best = cand
+    return best
 
 
 @pytest.mark.parametrize("p,q", [(0.0, 0.0), (0.06, 0.0), (0.0, 0.06), (0.1, 0.1)])
@@ -26,6 +59,91 @@ def test_fast_engine_matches_tableau(ctx, p, q):
     tab = run_collapse_trials(ctx, spec, 60, engine="tableau", trace_fh=tr_tab)
     assert tr_fast.getvalue() == tr_tab.getvalue()
     assert fast.as_dict() == tab.as_dict()
+
+
+_RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    offset=st.integers(0, 10**9),
+    p=_RATES,
+    q=_RATES,
+)
+def test_fast_engine_matches_tableau_fuzzed(ctx, seed, offset, p, q):
+    spec = NoiseSpec(p, q, seed=seed)
+    tr_fast, tr_tab = io.StringIO(), io.StringIO()
+    fast = run_collapse_trials(
+        ctx, spec, 5, trial_offset=offset, engine="fast", trace_fh=tr_fast
+    )
+    tab = run_collapse_trials(
+        ctx, spec, 5, trial_offset=offset, engine="tableau", trace_fh=tr_tab
+    )
+    assert tr_fast.getvalue() == tr_tab.getvalue()
+    assert fast.as_dict() == tab.as_dict()
+
+
+def test_plan_residual_table_matches_exhaustive_oracle(ctx):
+    """Every outer vector, as an injected error or as an applied correction
+    on either side, keys the oracle's lightest coset member."""
+    plan = collapse_plan(ctx)
+    zero3 = np.zeros(ctx.n3, dtype=np.uint8)
+    zero2 = np.zeros(ctx.n2, dtype=np.uint8)
+    outer = list(ctx.split.outer_vertices)
+    for bits in itertools.product((0, 1), repeat=ctx.n2):
+        vec = np.array(bits, dtype=np.uint8)
+        want = tuple(np.flatnonzero(_class_min_support(ctx, vec)).tolist())
+        err = zero3.copy()
+        err[outer] = vec
+        keys = plan.split_key(plan.residual_key(err, zero3, {"X": zero2, "Z": vec}))
+        keys += plan.split_key(plan.residual_key(zero3, err, {"X": vec, "Z": zero2}))
+        assert [plan.coset_min[k] for k in keys] == [want] * 4
+
+
+def test_plan_tables_built_once_per_context(tetra15, monkeypatch):
+    built = []
+    real = jump.min_weight_table
+
+    def counting(n, syndrome_of):
+        built.append(n)
+        return real(n, syndrome_of)
+
+    monkeypatch.setattr(jump, "min_weight_table", counting)
+    monkeypatch.setattr(montecarlo, "min_weight_table", counting)
+    ctx = make_context(tetra15, "rgb")
+    spec = NoiseSpec(0.05, 0.05, seed=3)
+    run_collapse_trials(ctx, spec, 10)
+    assert built == [ctx.n2, ctx.n2]  # residual cosets, 2D decode
+    for engine in ("fast", "tableau"):
+        run_collapse_trials(ctx, spec, 10, trial_offset=10, engine=engine)
+    assert len(built) == 2
+
+
+def _relabelled(colex, perm):
+    return Colex(
+        colex.dimension,
+        colex.n_vertices,
+        [(perm[a], perm[b], c) for a, b, c in colex.edges],
+        [([perm[v] for v in vs], cs) for vs, cs in colex.plaquettes],
+        [([perm[v] for v in vs], cs) for vs, cs in colex.cells],
+        name="relabelled",
+    )
+
+
+def test_single_shot_decode_tables_are_per_lattice(tetra15):
+    """Two tetrahedral codes of one kind, differing only in vertex labels,
+    each correct every single-qubit error with their own cell table."""
+    perm = list(range(1, tetra15.n_vertices)) + [0]
+    for code in (build_3d(tetra15), build_3d(_relabelled(tetra15, perm))):
+        cells = [
+            PauliOperator.from_support(code.n, "Z", vs) for vs, _ in code.colex.cells
+        ]
+        for q in range(code.n):
+            state = encoded_state(code, "zero")
+            state.apply(PauliOperator.from_support(code.n, "X", [q]))
+            assert _decode_3d_cells(code, state, "Z") == 1
+            assert all(state.expect(c) == 1 for c in cells)
 
 
 def test_noiseless_trials_never_fail(ctx):
