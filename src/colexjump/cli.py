@@ -136,43 +136,45 @@ def cmd_code_build(args) -> int:
 
 
 def cmd_jump(args) -> int:
-    from .jump import blow_up, collapse, encoded_3d, encoded_state, ideal_decode_2d, logical_operator, make_context
-    from .noise import NoiseSpec, trial_rng
+    from .jump import make_context
+    from .montecarlo import run_collapse_trials
+    from .noise import NoiseSpec
 
     cx = _load_colex(args)
     ctx = make_context(cx, args.facet)
     print(f"seed {args.seed}")
-    failures = 0
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        logical = "zero" if t % 2 == 0 else "plus"
-        kind = "Z" if logical == "zero" else "X"
-        if args.action == "collapse":
-            state = encoded_3d(ctx, logical)
-            _apply_noise(state, args.p, ctx.n3, rng)
-            out = collapse(ctx, state, args.q, rng)
-            ideal_decode_2d(ctx, out.residual_state)
-            value = out.residual_state.expect(logical_operator(ctx.code2, kind))
-        elif args.action == "blowup":
-            state2 = encoded_state(ctx.code2, logical)
-            _apply_noise(state2, args.p, ctx.n2, rng)
-            state3, _ = blow_up(ctx, state2, args.q, rng)
-            value = state3.expect(
-                _embedded_logical(ctx, kind)
-            )
-        elif args.action == "roundtrip":
-            state2 = encoded_state(ctx.code2, logical)
-            state3, _ = blow_up(ctx, state2, args.q, rng)
-            _apply_noise(state3, args.p, ctx.n3, rng)
-            out = collapse(ctx, state3, args.q, rng)
-            ideal_decode_2d(ctx, out.residual_state)
-            value = out.residual_state.expect(logical_operator(ctx.code2, kind))
-        else:
-            raise SystemExit2(f"unknown jump action {args.action}")
-        if value != 1:
-            failures += 1
+    if args.action == "collapse":
+        # the Monte Carlo trial, on the tableau engine: a collapse of the state
+        spec = NoiseSpec(args.p, args.q, args.seed)
+        stats = run_collapse_trials(ctx, spec, args.trials, engine="tableau")
+        failures = stats.total_failures
+    else:
+        failures = sum(_jump_trial(ctx, args, t) != 1 for t in range(args.trials))
     print(f"{args.action}: {args.trials} trials, {failures} logical failures")
     return 0
+
+
+def _jump_trial(ctx, args, t):
+    """One blow-up or round-trip trial; returns the tracked logical's value."""
+    from .jump import blow_up, collapse, encoded_state, ideal_decode_2d, logical_operator
+    from .noise import trial_rng
+
+    rng = trial_rng(args.seed, t)
+    logical = "zero" if t % 2 == 0 else "plus"
+    kind = "Z" if logical == "zero" else "X"
+    if args.action == "blowup":
+        state2 = encoded_state(ctx.code2, logical)
+        _apply_noise(state2, args.p, ctx.n2, rng)
+        state3, _ = blow_up(ctx, state2, args.q, rng)
+        return state3.expect(_embedded_logical(ctx, kind))
+    if args.action == "roundtrip":
+        state2 = encoded_state(ctx.code2, logical)
+        state3, _ = blow_up(ctx, state2, args.q, rng)
+        _apply_noise(state3, args.p, ctx.n3, rng)
+        out = collapse(ctx, state3, args.q, rng)
+        ideal_decode_2d(ctx, out.residual_state)
+        return out.residual_state.expect(logical_operator(ctx.code2, kind))
+    raise SystemExit2(f"unknown jump action {args.action}")
 
 
 def _apply_noise(state, p, n, rng):
@@ -206,6 +208,14 @@ def cmd_simulate(args) -> int:
     )
     from .noise import NoiseSpec, measure_K
 
+    if args.trace and args.action != "collapse":
+        raise SystemExit2(
+            f"--trace is only written by simulate collapse, not {args.action}"
+        )
+    if args.exhaustive_weight1 and args.action != "collapse":
+        raise SystemExit2(
+            f"--exhaustive-weight1 applies to simulate collapse, not {args.action}"
+        )
     cx = _load_colex(args)
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)

@@ -7,24 +7,27 @@ paired up: the repair picks a minimum-cardinality edge set with the same
 inner endpoints (a minimum T-join, computed as a perfect matching over
 shortest dual paths with a shared boundary sink). Ties between equal-size
 candidates prefer the edges actually observed, then lowest edge ids, making
-replay deterministic.
+replay deterministic. `t_join` is that search on any graph of cells and a
+sink; single-shot error correction uses it on the cell graph of a
+standalone code.
 
 String corrections translate repaired outer syndromes back into qubit
 flips: a syndrome on kk'-plaquettes is cleared by a product of edges of the
-third color, chosen with minimal support by exact search.
+third color, the lightest one read off the `gf2.checks_table` of the
+plaquette parities over those edges.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .colex import Colex, color_set
 from .codes import CodeTriple
+from .gf2 import checks_table
 from .pauli import PauliOperator
-from .split import FACET, INNER_CELL, OUTER_PLAQUETTE, DualEdge, SplitResult, dual_edges
+from .split import INNER_CELL, SplitResult, dual_edges
 from .tableau import Tableau
 
 
@@ -84,28 +87,32 @@ def extract_flux(
 
 # -- dual graph and repair -------------------------------------------------------
 
-_SINK = "sink"
+SINK = "sink"  # the boundary node: one shared partner for every endpoint
 
 
-def _dual_adjacency(duals, include_facet: bool):
-    """Node -> list of (edge index, neighbor node); boundary merges into sink."""
+def t_join(ends, endpoints, observed=frozenset()) -> frozenset:
+    """Minimum-cardinality edge set whose odd cells are exactly `endpoints`.
+
+    `ends[i]` is the pair of nodes edge i joins, each ("cell", c) or SINK;
+    the sink may end any number of chosen edges. The set is the symmetric
+    difference of the shortest paths of the cheapest pairing of endpoints
+    with each other or the sink. Ties between equal-size sets prefer more
+    `observed` edges, then the lowest sorted edge ids.
+    """
+    paths = _shortest_paths(ends, endpoints, observed)
+    if len(endpoints) > 10:
+        return _blossom_t_join(endpoints, paths)
+    return _exact_t_join(endpoints, paths, observed)
+
+
+def _shortest_paths(ends, endpoints, observed):
+    """Endpoint -> its `_best_paths` on the graph of `ends`."""
     adj: dict = {}
-    for i, dual in enumerate(duals):
-        nodes = []
-        for end in dual.endpoints:
-            if end.kind == INNER_CELL:
-                nodes.append(("cell", end.index))
-            elif end.kind == OUTER_PLAQUETTE:
-                nodes.append(_SINK)
-            elif include_facet:
-                nodes.append(_SINK)
-            else:
-                nodes.append(None)
-        a, b = nodes
+    for i, (a, b) in enumerate(ends):
         for u, v in ((a, b), (b, a)):
-            if u is not None and u != _SINK:
+            if u != SINK:
                 adj.setdefault(u, []).append((i, v))
-    return adj
+    return {c: _best_paths(adj, c, observed) for c in endpoints}
 
 
 def _best_paths(adj, source, observed):
@@ -119,11 +126,11 @@ def _best_paths(adj, source, observed):
     frontier = [start]
     while frontier:
         node = frontier.pop(0)
-        if node == _SINK:
+        if node == SINK:
             continue
         d, o, path = best[node]
         for edge, nbr in sorted(adj.get(node, [])):
-            if nbr is None or edge in path:
+            if edge in path:
                 continue
             cand = (
                 d + 1,
@@ -136,61 +143,43 @@ def _best_paths(adj, source, observed):
     return best
 
 
-def repair_flux(observed: FluxConfiguration, include_facet: bool = True):
-    """Minimum-cardinality dual-edge set with the observed inner endpoints.
-
-    Returns (delta0, gamma_eff) with gamma_eff = observed ^ delta0, which by
-    construction has no inner endpoints.
-    """
-    endpoints = observed.inner_endpoints()
-    if not endpoints:
-        return frozenset(), observed
-    duals = observed.duals
-    adj = _dual_adjacency(duals, include_facet)
-    paths = {c: _best_paths(adj, c, observed.edges) for c in endpoints}
-
-    if len(endpoints) > 10:
-        return _repair_large(observed, endpoints, paths)
-
+def _exact_t_join(endpoints, paths, observed) -> frozenset:
+    """Exact search over every pairing of the endpoints (and the sink)."""
     best_total = None
 
-    def explore(remaining, acc_cost, acc_edges):
+    def explore(remaining, acc_edges):
         nonlocal best_total
         if not remaining:
             edges = frozenset()
             for path in acc_edges:
                 edges ^= frozenset(path)
-            overlap = len(edges & observed.edges)
+            overlap = len(edges & observed)
             cand = (len(edges), -overlap, tuple(sorted(edges)))
             if best_total is None or cand < best_total:
                 best_total = cand
             return
         first, rest = remaining[0], remaining[1:]
         options = []
-        if _SINK in paths[first]:
-            options.append((paths[first][_SINK], rest))
+        if SINK in paths[first]:
+            options.append((paths[first][SINK], rest))
         for i, other in enumerate(rest):
             key = ("cell", other)
             if key in paths[first]:
                 options.append((paths[first][key], rest[:i] + rest[i + 1 :]))
         if not options:
-            raise ValueError(
-                f"inner endpoint {first} cannot be matched "
-                f"(facet sink disabled?)"
-            )
-        for (cost, overlap, path), new_rest in options:
-            explore(new_rest, acc_cost + cost, acc_edges + [path])
+            raise ValueError(f"endpoint {first} cannot be matched to any partner")
+        for (_, _, path), new_rest in options:
+            explore(new_rest, acc_edges + [path])
 
-    explore(list(endpoints), 0, [])
-    delta0 = frozenset(best_total[2])
-    gamma_eff = observed ^ delta0
-    if gamma_eff.inner_endpoints():
-        raise AssertionError("repair left inner endpoints behind")
-    return delta0, gamma_eff
+    explore(list(endpoints), [])
+    return frozenset(best_total[2])
 
 
-def _repair_large(observed, endpoints, paths):
-    """Blossom matching for many endpoints (beyond bundled-instance scale)."""
+def _blossom_t_join(endpoints, paths) -> frozenset:
+    """Blossom matching for many endpoints (beyond bundled-instance scale).
+
+    The size is minimal, but ties do not prefer observed edges.
+    """
     import networkx as nx
 
     g = nx.Graph()
@@ -200,8 +189,8 @@ def _repair_large(observed, endpoints, paths):
             if key in paths[a]:
                 cost, _, path = paths[a][key]
                 g.add_edge(("e", a), ("e", b), weight=cost, path=path)
-        if _SINK in paths[a]:
-            cost, _, path = paths[a][_SINK]
+        if SINK in paths[a]:
+            cost, _, path = paths[a][SINK]
             g.add_edge(("e", a), ("s", a), weight=cost, path=path)
         for b in endpoints:
             if b != a:
@@ -210,10 +199,30 @@ def _repair_large(observed, endpoints, paths):
     edges = frozenset()
     for u, v in matching:
         edges ^= frozenset(g.edges[u, v]["path"])
-    delta0 = edges
+    return edges
+
+
+def _dual_ends(duals) -> list[tuple]:
+    """Node pair of each dual edge; outer plaquettes and the facet are the sink."""
+    return [
+        tuple(("cell", e.index) if e.kind == INNER_CELL else SINK for e in d.endpoints)
+        for d in duals
+    ]
+
+
+def repair_flux(observed: FluxConfiguration):
+    """Minimum-cardinality dual-edge set with the observed inner endpoints.
+
+    Returns (delta0, gamma_eff) with gamma_eff = observed ^ delta0, which by
+    construction has no inner endpoints.
+    """
+    endpoints = observed.inner_endpoints()
+    if not endpoints:
+        return frozenset(), observed
+    delta0 = t_join(_dual_ends(observed.duals), endpoints, observed.edges)
     gamma_eff = observed ^ delta0
     if gamma_eff.inner_endpoints():
-        raise AssertionError("matching repair left inner endpoints behind")
+        raise AssertionError("repair left inner endpoints behind")
     return delta0, gamma_eff
 
 
@@ -244,32 +253,19 @@ def string_correction(
         raise ValueError(f"syndrome plaquettes {sorted(bad)} are not {pair}-plaquettes")
     col = string_color(pair)
     edge_ids = [i for i, (a, b, c) in enumerate(colex.edges) if c == col]
-    # incidence of each candidate edge on the pair's plaquettes
-    rows = []
-    for ei in edge_ids:
-        a, b, _ = colex.edges[ei]
-        rows.append(
-            [len({a, b} & set(colex.plaquette_vertices(pi))) % 2 for pi in target_ids]
-        )
-    target = np.array([1 if pi in set(syndrome_plaquettes) else 0 for pi in target_ids])
-    best = None
-    for r in range(len(edge_ids) + 1):
-        if best is not None:
-            break
-        for combo in itertools.combinations(range(len(edge_ids)), r):
-            acc = np.zeros(len(target_ids), dtype=np.uint8)
-            for i in combo:
-                acc ^= np.array(rows[i], dtype=np.uint8)
-            if np.array_equal(acc, target):
-                chosen = tuple(sorted(edge_ids[i] for i in combo))
-                if best is None or chosen < best:
-                    best = chosen
-        if best is not None:
-            break
+    # check j: the candidate edges with one end on target plaquette j
+    edge_ends = [set(colex.edges[ei][:2]) for ei in edge_ids]
+    checks = []
+    for pi in target_ids:
+        vs = set(colex.plaquette_vertices(pi))
+        checks.append([k for k, ends in enumerate(edge_ends) if len(ends & vs) % 2])
+    hot = set(syndrome_plaquettes)
+    syndrome = tuple(int(pi in hot) for pi in target_ids)
+    best = checks_table(len(edge_ids), checks).get(syndrome)
     if best is None:
         raise ValueError("no string operator realizes the requested syndrome")
     support = []
-    for ei in best:
-        a, b, _ = colex.edges[ei]
+    for k in best:
+        a, b, _ = colex.edges[edge_ids[k]]
         support.extend((a, b))
     return PauliOperator.from_support(code2.n, basis, support)

@@ -1,12 +1,20 @@
-"""Dense GF(2) linear algebra on bit-packed row matrices.
+"""Dense GF(2) linear algebra on bit-packed row matrices, and exact
+minimum-weight decoding tables.
 
 Rows are packed into uint64 words, so elimination works word-parallel:
 row operations cost O(ncols / 64) instead of O(ncols). Everything else in
 the package (rank, membership, centralizers, syndrome solving) reduces to
 the primitives here.
+
+Every "lightest support with this syndrome" search of the package (2D and
+3D decoders, string corrections, residual cosets, restricted gauge
+corrections) is one `min_weight_table`, cached per check set by
+`checks_table`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -247,3 +255,49 @@ def intersection(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         else:
             ech.add(b.row(i), np.zeros_like(b.row(i)))
     return members.basis_matrix()
+
+
+# -- minimum-weight tables --------------------------------------------------
+
+
+def min_weight_table(n: int, checks) -> dict:
+    """Map syndrome tuple -> lexicographically first minimum-weight support.
+
+    `checks` are supports over range(n); the syndrome of a support is the
+    parity of its overlap with each check. Supports are visited in (weight,
+    lex) order, weight by weight, so the first support to reach a syndrome
+    wins; the walk stops once all 2^rank reachable syndromes are filled.
+    """
+    checks = [set(chk) for chk in checks]
+    incidence = np.zeros((len(checks), n), dtype=np.uint8)
+    for j, chk in enumerate(checks):
+        incidence[j, list(chk)] = 1
+    reachable = 1 << rank(pack_rows(incidence, n))
+    columns = [sum(1 << j for j, chk in enumerate(checks) if q in chk) for q in range(n)]
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(n), w) for w in range(n + 1)
+    )
+    found: dict[int, tuple] = {}
+    for support in supports:
+        syndrome = 0
+        for q in support:
+            syndrome ^= columns[q]
+        found.setdefault(syndrome, support)
+        if len(found) == reachable:
+            break
+    return {
+        tuple(s >> j & 1 for j in range(len(checks))): support
+        for s, support in found.items()
+    }
+
+
+def checks_table(n: int, checks) -> dict:
+    """`min_weight_table` of a check set, cached per (n, checks) in the process."""
+    key = (n, tuple(map(tuple, checks)))
+    table = _CHECK_TABLES.get(key)
+    if table is None:
+        table = _CHECK_TABLES[key] = min_weight_table(n, checks)
+    return table
+
+
+_CHECK_TABLES: dict = {}

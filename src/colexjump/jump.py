@@ -18,13 +18,17 @@ re-extracts and clears the outer syndrome.
 
 Single-shot EC on a standalone code measures one type of gauge plaquettes,
 reconciles the redundant per-pair cell estimates by majority, repairs each
-pair's flux against the reconciled estimate, and applies an exact
-minimum-weight correction for the resulting stabilizer syndrome.
+pair's flux against the reconciled estimate with the same T-join as the
+collapse repair (`flux.t_join`), and applies an exact minimum-weight
+correction for the resulting stabilizer syndrome.
+
+Every noiseless "measure the checks, look the syndrome up, correct" step
+(the final 2D decode, the outer reconciliation of blow-up, the final cell
+decode of single-shot trials) is one `ideal_decode` on a `gf2.checks_table`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +37,17 @@ from .boundary import boundary_structure
 from .codes import CodeTriple, build_2d, build_3d, build_inner
 from .colex import Colex, color_set, color_pairs
 from .flux import (
+    SINK,
     FluxConfiguration,
     extract_flux,
     plaquette_operator,
     repair_flux,
     string_correction,
+    t_join,
 )
+# min_weight_table is re-exported: `jump.min_weight_table` is the name the
+# benchmark's tracer wraps
+from .gf2 import checks_table, min_weight_table  # noqa: F401
 from .pauli import PauliOperator
 from .split import SplitResult, dual_edges, split_colex
 from .tableau import Tableau, from_stabilizers
@@ -58,7 +67,6 @@ class JumpContext:
     inner_code: CodeTriple
     duals: dict[str, tuple]
     pairs: tuple[str, ...]
-    _decode_tables: dict = field(default_factory=dict)
     _string_cache: dict = field(default_factory=dict)
     _collapse_plan: object = None  # montecarlo.CollapsePlan, built on first use
 
@@ -72,12 +80,6 @@ class JumpContext:
 
     def outer_qubit(self, parent_vertex: int) -> int:
         return self.split.outer_index[parent_vertex]
-
-    def decode_table(self) -> dict:
-        """The outer code's 2D decode table, built on first use."""
-        if "2d" not in self._decode_tables:
-            self._decode_tables["2d"] = decode_table_2d(self.code2)
-        return self._decode_tables["2d"]
 
     def cached_string_correction(self, syndrome, pair, basis) -> PauliOperator:
         key = (tuple(sorted(syndrome)), pair, basis)
@@ -218,75 +220,52 @@ def embed_operator(op: PauliOperator, n_total: int, positions: list[int]) -> Pau
     return PauliOperator(n_total, x, z, op.sign)
 
 
-# -- minimum-weight decoding tables -------------------------------------------------
+# -- ideal decoding -----------------------------------------------------------------
 
 
-def min_weight_table(n: int, syndrome_of) -> dict:
-    """Map syndrome tuple -> lexicographically first minimum-weight support.
+def _read_syndrome(state: Tableau, n: int, checks, basis: str, positions=None) -> tuple:
+    """Noiseless parities of the `basis`-type checks (1 where a check reads -1)."""
+    syndrome = []
+    for chk in checks:
+        op = PauliOperator.from_support(n, basis, chk)
+        if positions is not None:
+            op = embed_operator(op, state.n, positions)
+        value = state.expect(op)
+        if value is None:
+            raise ValueError(f"{basis} check {tuple(chk)} has no definite value")
+        syndrome.append(0 if value == 1 else 1)
+    return tuple(syndrome)
 
-    `syndrome_of(support) -> tuple` defines the syndrome map; all 2^n
-    supports are enumerated in (weight, lex) order, so the first hit wins.
+
+def ideal_decode(
+    state: Tableau, n: int, checks, positions=None
+) -> tuple[PauliOperator, PauliOperator]:
+    """Noiseless check readout + exact minimum-weight correction, both types.
+
+    Measures the Z then the X type of every check, looks each syndrome up in
+    the check set's `checks_table` and applies the correction. `checks` and
+    the returned (X, Z) corrections live on n qubits; `positions` places
+    those qubits inside a larger `state`.
     """
-    table: dict = {}
-    supports = sorted(
-        (tuple(c) for w in range(n + 1) for c in itertools.combinations(range(n), w)),
-        key=lambda s: (len(s), s),
-    )
-    for sup in supports:
-        syn = syndrome_of(sup)
-        if syn not in table:
-            table[syn] = sup
-    return table
+    table = checks_table(n, checks)
+    corrections = []
+    for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
+        support = table[_read_syndrome(state, n, checks, meas_basis, positions)]
+        op = PauliOperator.from_support(n, corr_basis, support)
+        state.apply(op if positions is None else embed_operator(op, state.n, positions))
+        corrections.append(op)
+    return corrections[0], corrections[1]
 
 
-def _syndrome_fn(check_supports: list[tuple]):
-    def fn(support):
-        s = set(support)
-        return tuple(len(s & set(chk)) % 2 for chk in check_supports)
-
-    return fn
-
-
-def checks_table(n: int, checks) -> dict:
-    """`min_weight_table` of a check set, cached per (n, checks) in the process."""
-    key = (n, tuple(map(tuple, checks)))
-    table = _CHECK_TABLES.get(key)
-    if table is None:
-        table = _CHECK_TABLES[key] = min_weight_table(n, _syndrome_fn(checks))
-    return table
-
-
-_CHECK_TABLES: dict = {}
-
-
-def decode_table_2d(code2: CodeTriple) -> dict:
-    """Plaquette syndrome -> minimum-weight correction support (per type)."""
-    checks = [tuple(vs) for vs, _ in code2.colex.plaquettes]
-    return min_weight_table(code2.n, _syndrome_fn(checks))
+def plaquette_checks(code: CodeTriple) -> list[tuple]:
+    """The plaquette supports of a code's colex, the checks of its 2D decode."""
+    return [tuple(vs) for vs, _ in code.colex.plaquettes]
 
 
 def ideal_decode_2d(ctx_or_code, state2: Tableau) -> tuple[PauliOperator, PauliOperator]:
-    """Noiseless syndrome readout + exact minimum-weight correction, both types."""
-    if isinstance(ctx_or_code, JumpContext):
-        code2, table = ctx_or_code.code2, ctx_or_code.decode_table()
-    else:
-        code2, table = ctx_or_code, decode_table_2d(ctx_or_code)
-    checks = [tuple(vs) for vs, _ in code2.colex.plaquettes]
-    corrections = []
-    for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        syn = []
-        for chk in checks:
-            val = state2.expect(
-                PauliOperator.from_support(code2.n, meas_basis, chk)
-            )
-            if val is None:
-                raise ValueError("outer state is not in a plaquette eigenstate")
-            syn.append(0 if val == 1 else 1)
-        support = table[tuple(syn)]
-        op = PauliOperator.from_support(code2.n, corr_basis, support)
-        state2.apply(op)
-        corrections.append(op)
-    return corrections[0], corrections[1]
+    """`ideal_decode` of a 2D code state on its plaquettes."""
+    code2 = ctx_or_code.code2 if isinstance(ctx_or_code, JumpContext) else ctx_or_code
+    return ideal_decode(state2, code2.n, plaquette_checks(code2))
 
 
 # -- collapse -----------------------------------------------------------------------
@@ -391,54 +370,31 @@ def ideal_collapse(
         ctx, state3, 0.0, rng, use_flux_repair=False
     )
     corrections = {}
-    colex2 = ctx.code2.colex
-    checks = [tuple(vs) for vs, _ in colex2.plaquettes]
-    edge_supports = [tuple((a, b)) for a, b, _ in colex2.edges]
-    table_key = "ideal-edges"
-    if table_key not in ctx._decode_tables:
-        syndrome_of = _syndrome_fn(checks)
-
-        def edge_syndrome(edge_subset):
-            acc = [0] * len(checks)
-            for ei in edge_subset:
-                for j, bit in enumerate(syndrome_of(edge_supports[ei])):
-                    acc[j] ^= bit
-            return tuple(acc)
-
-        table: dict = {}
-        combos = sorted(
-            (
-                tuple(c)
-                for w in range(len(edge_supports) + 1)
-                for c in itertools.combinations(range(len(edge_supports)), w)
-            ),
-            key=lambda s: (sum(len(edge_supports[i]) for i in s), s),
-        )
-        for combo in combos:
-            syn = edge_syndrome(combo)
-            if syn not in table:
-                sup = []
-                for ei in combo:
-                    for v in edge_supports[ei]:
-                        sup.append(v)
-                table[syn] = tuple(sup)
-        ctx._decode_tables[table_key] = table
-    table = ctx._decode_tables[table_key]
+    checks = plaquette_checks(ctx.code2)
+    table = _edge_table(ctx.code2)
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        syn = []
-        for chk in checks:
-            val = outer_state.expect(
-                PauliOperator.from_support(ctx.n2, meas_basis, chk)
-            )
-            if val is None:
-                raise ValueError("outer syndrome is indeterminate after collapse")
-            syn.append(0 if val == 1 else 1)
-        if tuple(syn) not in table:
+        support = table.get(_read_syndrome(outer_state, ctx.n2, checks, meas_basis))
+        if support is None:
             raise ValueError("no restricted gauge operator matches the syndrome")
-        corrections[corr_basis] = PauliOperator.from_support(
-            ctx.n2, corr_basis, table[tuple(syn)]
-        )
+        corrections[corr_basis] = PauliOperator.from_support(ctx.n2, corr_basis, support)
     return _finish_collapse(ctx, outer_state, corrections, record, {})
+
+
+def _edge_table(code2: CodeTriple) -> dict:
+    """Plaquette syndrome -> qubit support of the lightest product of edges.
+
+    The checks of the table are the plaquette parities over the edge indices;
+    each chosen edge contributes its two qubits, in edge order.
+    """
+    edges = code2.colex.edges
+    checks = [
+        [ei for ei, (a, b, _) in enumerate(edges) if len({a, b} & set(chk)) % 2]
+        for chk in plaquette_checks(code2)
+    ]
+    return {
+        syndrome: tuple(v for ei in combo for v in edges[ei][:2])
+        for syndrome, combo in checks_table(len(edges), checks).items()
+    }
 
 
 # -- single-shot error correction ---------------------------------------------------
@@ -454,23 +410,19 @@ class SingleShotReport:
 
 
 def _code_dual_structure(code: CodeTriple):
-    """Per-pair dual edges of a standalone code: plaquette -> adjacent cells.
+    """Per-pair dual edges of a standalone code: (plaquette, its two ends).
 
-    Boundary plaquettes get a region endpoint, which acts as a matching sink
-    and carries the region syndrome for frozen geometries.
+    A plaquette joins its adjacent cells; a boundary plaquette, with fewer
+    than two cells, ends at the sink. Entries rise with plaquette id.
     """
     colex = code.colex
     colex._build_indexes()
     structure = boundary_structure(colex)
-    region_of_plaquette = {}
-    for ri, region in enumerate(structure.regions):
-        for pi in region.plaquettes:
-            region_of_plaquette[pi] = ri
     by_pair: dict[str, list] = {}
     for pi in range(len(colex.plaquettes)):
         pair = colex.plaquette_colors(pi)
-        cells = list(colex.plaquette_cells[pi])
-        by_pair.setdefault(pair, []).append((pi, cells, region_of_plaquette.get(pi)))
+        ends = tuple(("cell", c) for c in colex.plaquette_cells[pi])
+        by_pair.setdefault(pair, []).append((pi, ends + (SINK,) * (2 - len(ends))))
     return structure, by_pair
 
 
@@ -494,7 +446,7 @@ def single_shot_ec(
 
     outcomes: dict[int, int] = {}
     for pair in sorted(by_pair):
-        for pi, _, _ in by_pair[pair]:
+        for pi, _ in by_pair[pair]:
             op = embed_operator(
                 plaquette_operator(colex, pi, basis), state.n, positions
             )
@@ -532,17 +484,20 @@ def single_shot_ec(
             if not set(pair) <= set(colex.cell_colors(ci)):
                 continue
             prod = 1
-            for pi, cells, _ in entries:
-                if ci in cells:
+            for pi, ends in entries:
+                if ("cell", ci) in ends:
                     prod *= outcomes[pi]
             if prod != cell_syndrome[ci]:
                 mismatched.append(ci)
         if not mismatched:
             delta0_sizes[pair] = 0
             continue
-        flips = _match_cells_to_edges(entries, mismatched)
+        # edges are entry indices, which rise with plaquette id like the
+        # ids themselves, so the T-join's lowest-id tie-break is unchanged
+        flips = t_join([ends for _, ends in entries], mismatched)
         delta0_sizes[pair] = len(flips)
-        for pi in flips:
+        for i in flips:
+            pi = entries[i][0]
             repaired[pi] = -repaired[pi]
 
     # stabilizer syndrome: cells, plus region products for frozen geometries
@@ -569,70 +524,6 @@ def single_shot_ec(
     return state, SingleShotReport(
         outcomes, cell_syndrome, delta0_sizes, correction, syndrome
     )
-
-
-def _match_cells_to_edges(entries, mismatched):
-    """Minimum set of plaquette flips whose cell endpoints are `mismatched`.
-
-    Each plaquette is a dual edge between its adjacent cells (or a region
-    sink); exact search over pairings as in the collapse repair.
-    """
-    adj: dict = {}
-    for pi, cells, _region in entries:
-        ends = [("cell", c) for c in cells]
-        while len(ends) < 2:
-            ends.append("sink")
-        a, b = ends
-        for u, v in ((a, b), (b, a)):
-            if u != "sink":
-                adj.setdefault(u, []).append((pi, v))
-    best_paths = {}
-    for c in mismatched:
-        start = ("cell", c)
-        best = {start: (0, ())}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop(0)
-            if node == "sink":
-                continue
-            d, path = best[node]
-            for edge, nbr in sorted(adj.get(node, [])):
-                if edge in path:
-                    continue
-                cand = (d + 1, tuple(sorted(path + (edge,))))
-                if nbr not in best or cand < best[nbr]:
-                    best[nbr] = cand
-                    frontier.append(nbr)
-        best_paths[c] = best
-    best_total = None
-
-    def explore(remaining, acc):
-        nonlocal best_total
-        if not remaining:
-            edges = frozenset()
-            for p in acc:
-                edges ^= frozenset(p)
-            cand = (len(edges), tuple(sorted(edges)))
-            if best_total is None or cand < best_total:
-                best_total = cand
-            return
-        first, rest = remaining[0], remaining[1:]
-        options = []
-        if "sink" in best_paths[first]:
-            options.append((best_paths[first]["sink"][1], rest))
-        for i, other in enumerate(rest):
-            key = ("cell", other)
-            if key in best_paths[first]:
-                options.append(
-                    (best_paths[first][key][1], rest[:i] + rest[i + 1 :])
-                )
-        if not options:
-            raise ValueError(f"cell {first} cannot be matched to any partner")
-        for path, new_rest in options:
-            explore(new_rest, acc + [path])
-
-    explore(list(mismatched), [])
-    return best_total[1]
 
 
 # -- blow-up ------------------------------------------------------------------------
@@ -676,7 +567,9 @@ def blow_up(
         inner_reports[basis] = report
 
     # outer reconciliation: noiseless syndrome readout + exact correction
-    corr_x, corr_z = ideal_decode_2d_embedded(ctx, state3)
+    corr_x, corr_z = ideal_decode(
+        state3, ctx.n2, plaquette_checks(ctx.code2), ctx.split.outer_vertices
+    )
 
     cell_exp = {}
     for ci in range(len(ctx.colex3.cells)):
@@ -686,28 +579,3 @@ def blow_up(
             )
             cell_exp[(ci, basis)] = state3.expect(op)
     return state3, BlowUpReport(inner_reports, (corr_x, corr_z), cell_exp)
-
-
-def ideal_decode_2d_embedded(ctx: JumpContext, state3: Tableau):
-    """Outer-code minimum-weight decode acting inside the 3D tableau."""
-    code2 = ctx.code2
-    table = ctx.decode_table()
-    checks = [tuple(vs) for vs, _ in code2.colex.plaquettes]
-    out = []
-    for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        syn = []
-        for chk in checks:
-            op = embed_operator(
-                PauliOperator.from_support(code2.n, meas_basis, chk),
-                state3.n,
-                ctx.split.outer_vertices,
-            )
-            val = state3.expect(op)
-            if val is None:
-                raise ValueError("outer plaquette indeterminate during reconciliation")
-            syn.append(0 if val == 1 else 1)
-        support = table[tuple(syn)]
-        corr = PauliOperator.from_support(code2.n, corr_basis, support)
-        state3.apply(embed_operator(corr, state3.n, ctx.split.outer_vertices))
-        out.append(corr)
-    return tuple(out)

@@ -25,17 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flux import FluxConfiguration, repair_flux
+from .gf2 import checks_table
 from .jump import (
     JumpContext,
-    checks_table,
     collapse,
     encoded_3d,
     encoded_state,
+    ideal_decode,
     ideal_decode_2d,
     logical_operator,
-    min_weight_table,
+    plaquette_checks,
     single_shot_ec,
-    _syndrome_fn,
 )
 from .noise import NoiseSpec, sample_qubit_noise, trial_rng
 from .pauli import PauliOperator
@@ -106,7 +106,7 @@ class CollapsePlan:
 
     def __init__(self, ctx: JumpContext):
         n2, n3 = ctx.n2, ctx.n3
-        checks = [tuple(vs) for vs, _ in ctx.code2.colex.plaquettes]
+        checks = plaquette_checks(ctx.code2)
         m = len(checks)
         outer = list(ctx.split.outer_vertices)
         # inner plaquettes, one column per (basis, pair, dual) in measurement
@@ -136,12 +136,11 @@ class CollapsePlan:
         self.side_bits = m + 1
         # (syndrome, parity) -> lexicographically first minimum-weight member:
         # the (weight, lex) order of min_weight_table is the tie-break
-        syndrome_of = _syndrome_fn(checks)
-        cosets = min_weight_table(n2, lambda s: syndrome_of(s) + (len(s) % 2,))
+        cosets = checks_table(n2, checks + [tuple(range(n2))])
         self.coset_min = {_pack(key): support for key, support in cosets.items()}
         # the final noiseless 2D decode, reduced to whether it leaves the
         # logical flipped on each coset
-        decode = ctx.decode_table()
+        decode = checks_table(n2, checks)
         self.decoded_flip = {
             _pack(key): (key[m] + len(decode[key[:m]])) % 2 == 1 for key in cosets
         }
@@ -231,6 +230,7 @@ class _TrialResult:
     applied: dict
     flags: dict
     failed: bool
+    key: int  # packed residual coset key (CollapsePlan.residual_key)
 
 
 class CollapseEngine:
@@ -294,12 +294,21 @@ class CollapseEngine:
             applied[corr_type] ^= corr.x if corr_type == "X" else corr.z
         # the observable logical reads the parity of the residual on the
         # opposite side; the final ideal decode is a lookup on its coset
-        key_x, key_z = plan.split_key(plan.residual_key(ex, ez, applied))
+        residual = plan.residual_key(ex, ez, applied)
+        key_x, key_z = plan.split_key(residual)
         kind, key = ("Z", key_x) if logical == "zero" else ("X", key_z)
         flags = {"Z": None, "X": None}
         flags[kind] = -1 if key >> (plan.side_bits - 1) else 1
         return _TrialResult(
-            logical, ex, ez, records, repairs, applied, flags, plan.decoded_flip[key]
+            logical,
+            ex,
+            ez,
+            records,
+            repairs,
+            applied,
+            flags,
+            plan.decoded_flip[key],
+            residual,
         )
 
 
@@ -338,9 +347,7 @@ def run_collapse_trials(
         # so after discarding, the outer deviation from the reference encoded
         # state is exactly the injected outer error times the applied
         # correction (a pure inner error never reaches the outer block).
-        weight, component = plan.residual(
-            plan.residual_key(result.ex, result.ez, result.applied)
-        )
+        weight, component = plan.residual(result.key)
         stats.residual_weight_hist[weight] += 1
         stats.max_residual_component = max(stats.max_residual_component, component)
         stats.trials += 1
@@ -376,6 +383,7 @@ def _tableau_trial(ctx, base, noise, t) -> _TrialResult:
         applied,
         out.logical_flip_flags,
         bool(value != 1),
+        collapse_plan(ctx).residual_key(ex, ez, applied),
     )
 
 
@@ -447,22 +455,6 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
 # -- single-shot trials --------------------------------------------------------------
 
 
-def _decode_3d_cells(code, state, logical_kind):
-    """Final noiseless cell-syndrome decode + logical readout for 3D codes."""
-    checks = [tuple(vs) for vs, _ in code.colex.cells]
-    table = checks_table(code.n, checks)
-    for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        syn = []
-        for chk in checks:
-            val = state.expect(PauliOperator.from_support(code.n, meas_basis, chk))
-            if val is None:
-                raise ValueError("cell syndrome indeterminate")
-            syn.append(0 if val == 1 else 1)
-        support = table[tuple(syn)]
-        state.apply(PauliOperator.from_support(code.n, corr_basis, support))
-    return state.expect(logical_operator(code, logical_kind))
-
-
 def run_single_shot_trials(
     code,
     noise: NoiseSpec,
@@ -475,6 +467,7 @@ def run_single_shot_trials(
     after a final ideal decode."""
     stats = TrialStats()
     has_logical = bool(code.L.generators)
+    cells = [tuple(vs) for vs, _ in code.colex.cells]
     bases = {}
     if has_logical:
         bases["zero"] = encoded_state(code, "zero", gauge_priority)
@@ -497,8 +490,8 @@ def run_single_shot_trials(
         stats.trials += 1
         if has_logical:
             kind = "Z" if logical == "zero" else "X"
-            value = _decode_3d_cells(code, state, kind)
-            if value != 1:
+            ideal_decode(state, code.n, cells)
+            if state.expect(logical_operator(code, kind)) != 1:
                 stats.failures[kind] += 1
         else:
             violated = any(state.expect(g) != 1 for g in code.S.generators)

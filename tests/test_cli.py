@@ -210,3 +210,43 @@ def test_simulate_singleshot_inner(tmp_path, capsys):
     )
     assert code == 0
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize(
+    "action,flag",
+    [
+        ("singleshot", "--trace"),
+        ("measure-k", "--trace"),
+        ("singleshot", "--exhaustive-weight1"),
+        ("measure-k", "--exhaustive-weight1"),
+    ],
+)
+def test_simulate_flag_without_effect_is_a_usage_error(tmp_path, capsys, action, flag):
+    """A flag the action would ignore exits 2 before any work or output."""
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "simulate", action, "--builtin", "tetra15", "--trials", "2", flag,
+                "--label", "x", "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("p,q,seed", [(0.1, 0.1, 5), (0.15, 0.0, 7), (0.0, 0.2, 11)])
+def test_jump_collapse_counts_monte_carlo_failures(ctx, capsys, p, q, seed):
+    from colexjump.montecarlo import run_collapse_trials
+    from colexjump.noise import NoiseSpec
+
+    code, out, _ = run(
+        [
+            "jump", "collapse", "--builtin", "tetra15", "--p", str(p), "--q", str(q),
+            "--trials", "40", "--seed", str(seed),
+        ],
+        capsys,
+    )
+    failures = run_collapse_trials(ctx, NoiseSpec(p, q, seed), 40).total_failures
+    assert code == 0
+    assert out.splitlines()[-1] == f"collapse: 40 trials, {failures} logical failures"

@@ -226,7 +226,7 @@ def test_single_shot_inner_measurement_flip_bounded(ctx, inner_code):
 
     _, by_pair = _code_dual_structure(inner_code)
     for pair, entries in by_pair.items():
-        for pi, _, _ in entries:
+        for pi, _ in entries:
             state = encoded_state(inner_code, None)
             state, report = _ec_with_flip(state, inner_code, pi)
             violated = [
@@ -255,22 +255,16 @@ def _ec_with_flip(state, code, flip_pi):
 
 def _single_shot_with_flip(state, code, basis, flip_pi):
     """Copy of the single_shot_ec flow with one outcome inverted."""
-    from colexjump.boundary import boundary_structure
     from colexjump.colex import color_set
-    from colexjump.flux import plaquette_operator
-    from colexjump.jump import (
-        SingleShotReport,
-        _code_dual_structure,
-        _match_cells_to_edges,
-        _syndrome_fn,
-        min_weight_table,
-    )
+    from colexjump.flux import plaquette_operator, t_join
+    from colexjump.gf2 import checks_table
+    from colexjump.jump import SingleShotReport, _code_dual_structure
 
     structure, by_pair = _code_dual_structure(code)
     colex = code.colex
     outcomes = {}
     for pair in sorted(by_pair):
-        for pi, _, _ in by_pair[pair]:
+        for pi, _ in by_pair[pair]:
             op = plaquette_operator(colex, pi, basis)
             value = state.measure(op, trial_rng(9, pi))
             if pi == flip_pi:
@@ -300,13 +294,14 @@ def _single_shot_with_flip(state, code, basis, flip_pi):
             if not set(pair) <= set(colex.cell_colors(ci)):
                 continue
             prod = 1
-            for pi, cells, _ in entries:
-                if ci in cells:
+            for pi, ends in entries:
+                if ("cell", ci) in ends:
                     prod *= outcomes[pi]
             if prod != cell_syndrome[ci]:
                 mismatched.append(ci)
         if mismatched:
-            for pi in _match_cells_to_edges(entries, mismatched):
+            for i in t_join([ends for _, ends in entries], mismatched):
+                pi = entries[i][0]
                 repaired[pi] = -repaired[pi]
     syndrome_bits = [cell_syndrome[ci] for ci in range(len(colex.cells))]
     checks = [tuple(vs) for vs, _ in colex.cells]
@@ -320,8 +315,7 @@ def _single_shot_with_flip(state, code, basis, flip_pi):
         syndrome_bits.append(prod)
         checks.append(tuple(sorted(region.vertices)))
     syndrome = tuple(0 if v == 1 else 1 for v in syndrome_bits)
-    table = min_weight_table(code.n, _syndrome_fn(checks))
-    support = table[syndrome]
+    support = checks_table(code.n, checks)[syndrome]
     correction = PauliOperator.from_support(code.n, "X", support)
     state.apply(correction)
     return state, SingleShotReport(outcomes, cell_syndrome, {}, correction, syndrome)

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexjump import jump, montecarlo
+from colexjump import gf2
 from colexjump.codes import build_3d
 from colexjump.colex import Colex
-from colexjump.jump import encoded_state, make_context
+from colexjump.jump import encoded_state, ideal_decode, logical_operator, make_context
 from colexjump.montecarlo import (
     TrialStats,
-    _decode_3d_cells,
     collapse_plan,
     exhaustive_weight1_collapse,
     run_collapse_trials,
@@ -103,21 +102,24 @@ def test_plan_residual_table_matches_exhaustive_oracle(ctx):
 
 def test_plan_tables_built_once_per_context(tetra15, monkeypatch):
     built = []
-    real = jump.min_weight_table
+    real = gf2.min_weight_table
 
-    def counting(n, syndrome_of):
-        built.append(n)
-        return real(n, syndrome_of)
+    def counting(n, checks):
+        built.append((n, len(checks)))
+        return real(n, checks)
 
-    monkeypatch.setattr(jump, "min_weight_table", counting)
-    monkeypatch.setattr(montecarlo, "min_weight_table", counting)
+    # the table cache is process-wide: start from an empty one
+    monkeypatch.setattr(gf2, "_CHECK_TABLES", {})
+    monkeypatch.setattr(gf2, "min_weight_table", counting)
     ctx = make_context(tetra15, "rgb")
+    m = len(ctx.code2.colex.plaquettes)
     spec = NoiseSpec(0.05, 0.05, seed=3)
     run_collapse_trials(ctx, spec, 10)
-    assert built == [ctx.n2, ctx.n2]  # residual cosets, 2D decode
+    assert built[:2] == [(ctx.n2, m + 1), (ctx.n2, m)]  # residual cosets, 2D decode
+    first = list(built)  # the plan's tables, then string corrections
     for engine in ("fast", "tableau"):
         run_collapse_trials(ctx, spec, 10, trial_offset=10, engine=engine)
-    assert len(built) == 2
+    assert built == first
 
 
 def _relabelled(colex, perm):
@@ -142,7 +144,8 @@ def test_single_shot_decode_tables_are_per_lattice(tetra15):
         for q in range(code.n):
             state = encoded_state(code, "zero")
             state.apply(PauliOperator.from_support(code.n, "X", [q]))
-            assert _decode_3d_cells(code, state, "Z") == 1
+            ideal_decode(state, code.n, [vs for vs, _ in code.colex.cells])
+            assert state.expect(logical_operator(code, "Z")) == 1
             assert all(state.expect(c) == 1 for c in cells)
 
 
