@@ -1,7 +1,7 @@
 """Color-code lattices, dimensional jumps, and constant-depth stack scheduling.
 
 Submodules:
-    gf2         bit-packed GF(2) linear algebra
+    gf2         GF(2) elimination on int rows, minimum-weight tables
     pauli       symplectic Pauli operators, groups, centralizers, distances
     tableau     stabilizer simulator with destabilizer bookkeeping
     colex       colored cell complexes, validation, canonical file format

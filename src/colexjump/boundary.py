@@ -62,23 +62,16 @@ class BoundaryStructure:
         want = color_set(colors)
         return [i for i, r in enumerate(self.regions) if r.colors == want]
 
-    def corner_at(self, vertex: int) -> Corner | None:
-        for c in self.corners:
-            if c.vertex == vertex:
-                return c
-        return None
-
 
 class BoundaryError(ValueError):
     pass
 
 
-def boundary_structure(colex: Colex, check: bool = True) -> BoundaryStructure:
+def boundary_structure(colex: Colex) -> BoundaryStructure:
     """Compute the full boundary stratification. Raises on invalid colexes."""
-    if check:
-        report = validate(colex)
-        if not report.ok:
-            raise BoundaryError(f"colex fails validation: {report!r}")
+    report = validate(colex)
+    if not report.ok:
+        raise BoundaryError(f"colex fails validation: {report!r}")
     colex._build_indexes()
     if colex.dimension == 3:
         return _boundary_3d(colex)

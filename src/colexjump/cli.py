@@ -140,41 +140,43 @@ def cmd_jump(args) -> int:
     from .montecarlo import run_collapse_trials
     from .noise import NoiseSpec
 
+    spec = NoiseSpec(args.p, args.q, args.seed)
     cx = _load_colex(args)
     ctx = make_context(cx, args.facet)
     print(f"seed {args.seed}")
     if args.action == "collapse":
         # the Monte Carlo trial, on the tableau engine: a collapse of the state
-        spec = NoiseSpec(args.p, args.q, args.seed)
         stats = run_collapse_trials(ctx, spec, args.trials, engine="tableau")
         failures = stats.total_failures
     else:
-        failures = sum(_jump_trial(ctx, args, t) != 1 for t in range(args.trials))
+        failures = sum(
+            _jump_trial(ctx, spec, args.action, t) != 1 for t in range(args.trials)
+        )
     print(f"{args.action}: {args.trials} trials, {failures} logical failures")
     return 0
 
 
-def _jump_trial(ctx, args, t):
+def _jump_trial(ctx, spec, action, t):
     """One blow-up or round-trip trial; returns the tracked logical's value."""
     from .jump import blow_up, collapse, encoded_state, ideal_decode_2d, logical_operator
     from .noise import trial_rng
 
-    rng = trial_rng(args.seed, t)
+    rng = trial_rng(spec.seed, t)
     logical = "zero" if t % 2 == 0 else "plus"
     kind = "Z" if logical == "zero" else "X"
-    if args.action == "blowup":
+    if action == "blowup":
         state2 = encoded_state(ctx.code2, logical)
-        _apply_noise(state2, args.p, ctx.n2, rng)
-        state3, _ = blow_up(ctx, state2, args.q, rng)
+        _apply_noise(state2, spec.p_qubit, ctx.n2, rng)
+        state3, _ = blow_up(ctx, state2, spec.q_meas, rng)
         return state3.expect(_embedded_logical(ctx, kind))
-    if args.action == "roundtrip":
+    if action == "roundtrip":
         state2 = encoded_state(ctx.code2, logical)
-        state3, _ = blow_up(ctx, state2, args.q, rng)
-        _apply_noise(state3, args.p, ctx.n3, rng)
-        out = collapse(ctx, state3, args.q, rng)
+        state3, _ = blow_up(ctx, state2, spec.q_meas, rng)
+        _apply_noise(state3, spec.p_qubit, ctx.n3, rng)
+        out = collapse(ctx, state3, spec.q_meas, rng)
         ideal_decode_2d(ctx, out.residual_state)
         return out.residual_state.expect(logical_operator(ctx.code2, kind))
-    raise SystemExit2(f"unknown jump action {args.action}")
+    raise SystemExit2(f"unknown jump action {action}")
 
 
 def _apply_noise(state, p, n, rng):
@@ -428,6 +430,21 @@ def _read_schedule(path):
 # -- parser --------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than `low` (else a usage error)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colexjump",
@@ -461,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--facet", default="rgb")
     p.add_argument("--p", type=float, default=0.0, help="qubit error rate")
     p.add_argument("--q", type=float, default=0.0, help="measurement flip rate")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_at_least(0), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_jump)
 
@@ -472,14 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["3d", "inner"], default="3d")
     p.add_argument("--p", type=float, default=0.0)
     p.add_argument("--q", type=float, default=0.0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pair", help="color pair for measure-k (default: all)")
     p.add_argument("--cap", type=int, default=4, help="flux length cap for measure-k")
     p.add_argument("--label", default="results", help="output file stem")
     p.add_argument("--out-dir", help="output directory (or COLEXJUMP_OUTDIR)")
     p.add_argument("--trace", action="store_true", help="write per-trial trace")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument("--exhaustive-weight1", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

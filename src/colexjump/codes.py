@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
 from .boundary import BoundaryStructure, Region, boundary_structure
 from .colex import Colex, color_set
 from .pauli import (

@@ -299,16 +299,16 @@ def save(colex: Colex, path) -> None:
         fh.write("\n")
 
 
-def load(path, validate_on_load: bool = True) -> Colex:
+def load(path) -> Colex:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return from_json_dict(data, origin=str(path), validate_on_load=validate_on_load)
+    return from_json_dict(data, origin=str(path))
 
 
-def from_json_dict(data: dict, origin: str = "<dict>", validate_on_load: bool = True) -> Colex:
+def from_json_dict(data: dict, origin: str = "<dict>") -> Colex:
     for key in ("dimension", "vertices", "edges", "plaquettes"):
         if key not in data:
             raise ValueError(f"{origin}: missing field {key!r}")
@@ -338,8 +338,7 @@ def from_json_dict(data: dict, origin: str = "<dict>", validate_on_load: bool = 
                 raise ValueError(f"{origin}: cell {i} references missing vertex {v}")
         cells.append((vs, c["colors"]))
     colex = Colex(int(data["dimension"]), nv, edges, plaquettes, cells, data.get("name", ""))
-    if validate_on_load:
-        report = validate(colex)
-        if not report.ok:
-            raise ValueError(f"{origin}: colex fails validation: {report!r}")
+    report = validate(colex)
+    if not report.ok:
+        raise ValueError(f"{origin}: colex fails validation: {report!r}")
     return colex

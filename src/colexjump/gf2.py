@@ -1,10 +1,10 @@
-"""Dense GF(2) linear algebra on bit-packed row matrices, and exact
-minimum-weight decoding tables.
+"""Dense GF(2) linear algebra on Python-int rows, and exact minimum-weight
+decoding tables.
 
-Rows are packed into uint64 words, so elimination works word-parallel:
-row operations cost O(ncols / 64) instead of O(ncols). Everything else in
-the package (rank, membership, centralizers, syndrome solving) reduces to
-the primitives here.
+A row is a Python int with bit j holding column j, so a row operation is
+one `^` and the lowest set bit is `(row & -row).bit_length() - 1`. Every
+elimination in the package (rank, membership, centralizers, syndrome
+solving, distances) goes through `Echelon`.
 
 Every "lightest support with this syndrome" search of the package (2D and
 3D decoders, string corrections, residual cosets, restricted gauge
@@ -18,172 +18,105 @@ import itertools
 
 import numpy as np
 
-_WORD = 64
-
-
-def _nwords(ncols: int) -> int:
-    return max(1, (ncols + _WORD - 1) // _WORD)
-
 
 def pack_rows(dense: np.ndarray, ncols: int | None = None) -> "BitMatrix":
     """Pack a dense 0/1 array of shape (m, n) into a BitMatrix."""
     dense = np.asarray(dense, dtype=np.uint8) & 1
     if dense.ndim == 1:
         dense = dense[None, :]
-    if dense.size == 0 and ncols is not None:
-        return BitMatrix.zeros(dense.shape[0], ncols)
-    m, n = dense.shape
-    if ncols is None:
-        ncols = n
-    words = np.zeros((m, _nwords(ncols)), dtype=np.uint64)
-    for j in range(n):
-        col = dense[:, j].astype(np.uint64)
-        words[:, j // _WORD] |= col << np.uint64(j % _WORD)
-    return BitMatrix(words, ncols)
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return BitMatrix(rows, dense.shape[1] if ncols is None else ncols)
 
 
 class BitMatrix:
-    """A (possibly empty) matrix over GF(2) with bit-packed rows."""
+    """A (possibly empty) matrix over GF(2), one int per row."""
 
-    def __init__(self, words: np.ndarray, ncols: int):
-        words = np.atleast_2d(np.asarray(words, dtype=np.uint64))
-        assert words.shape[1] == _nwords(ncols)
-        self.words = words
+    def __init__(self, rows: list[int], ncols: int):
+        self.rows = list(rows)
         self.ncols = ncols
-
-    # -- construction helpers -------------------------------------------------
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls(np.zeros((nrows, _nwords(ncols)), dtype=np.uint64), ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        out = cls.zeros(n, n)
-        for i in range(n):
-            out.set(i, i, 1)
-        return out
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.words.copy(), self.ncols)
+        return cls([0] * nrows, ncols)
 
     @property
     def nrows(self) -> int:
-        return self.words.shape[0]
+        return len(self.rows)
 
-    def get(self, i: int, j: int) -> int:
-        return int((self.words[i, j // _WORD] >> np.uint64(j % _WORD)) & np.uint64(1))
-
-    def set(self, i: int, j: int, value: int) -> None:
-        mask = np.uint64(1) << np.uint64(j % _WORD)
-        if value:
-            self.words[i, j // _WORD] |= mask
-        else:
-            self.words[i, j // _WORD] &= ~mask
-
-    def row(self, i: int) -> np.ndarray:
-        return self.words[i].copy()
+    def row(self, i: int) -> int:
+        return self.rows[i]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols), dtype=np.uint8)
-        for j in range(self.ncols):
-            out[:, j] = (self.words[:, j // _WORD] >> np.uint64(j % _WORD)) & np.uint64(1)
-        return out
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        assert self.ncols == other.ncols
-        return BitMatrix(np.vstack([self.words, other.words]), self.ncols)
+        nbytes = (self.ncols + 7) // 8
+        buf = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.nrows, nbytes)
+        return np.unpackbits(packed, axis=1, count=self.ncols, bitorder="little")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return self.ncols == other.ncols and np.array_equal(self.words, other.words)
+        return self.ncols == other.ncols and self.rows == other.rows
 
     def __repr__(self) -> str:
         rows = ["".join(str(b) for b in r) for r in self.to_dense()]
         return "BitMatrix[\n  " + "\n  ".join(rows) + "\n]"
 
 
-def row_is_zero(row: np.ndarray) -> bool:
-    return not row.any()
-
-
-def row_bit(row: np.ndarray, j: int) -> int:
-    return int((row[j // _WORD] >> np.uint64(j % _WORD)) & np.uint64(1))
-
-
-def _lowest_set_bit(row: np.ndarray, ncols: int) -> int:
-    """Index of the lowest set bit, or -1 if the row is zero."""
-    for w, word in enumerate(row):
-        iw = int(word)
-        if iw:
-            j = w * _WORD + (iw & -iw).bit_length() - 1
-            return j if j < ncols else -1
-    return -1
-
-
 class Echelon:
     """Incrementally built row-echelon basis over GF(2).
 
-    Rows can carry an auxiliary packed payload (e.g. sign bits or a
-    combination-tracking identity block) that is XORed along with them.
+    A row's pivot is its lowest set bit. Rows can carry an int payload
+    (e.g. a combination-tracking identity block) that is XORed along with
+    them.
     """
 
-    def __init__(self, ncols: int, aux_cols: int = 0):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.aux_cols = aux_cols
         self.pivots: list[int] = []
-        self.rows: list[np.ndarray] = []
-        self.aux: list[np.ndarray] = []
+        self.rows: list[int] = []
+        self.aux: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: np.ndarray, aux: np.ndarray | None = None):
+    def reduce(self, row: int, aux: int = 0) -> tuple[int, int]:
         """Reduce `row` against the basis; returns (residual, residual_aux)."""
-        row = row.copy()
-        if aux is None:
-            aux = np.zeros(_nwords(max(self.aux_cols, 1)), dtype=np.uint64)
-        else:
-            aux = aux.copy()
         for p, r, a in zip(self.pivots, self.rows, self.aux):
-            if row_bit(row, p):
+            if row >> p & 1:
                 row ^= r
                 aux ^= a
         return row, aux
 
-    def add(self, row: np.ndarray, aux: np.ndarray | None = None) -> bool:
+    def add(self, row: int, aux: int = 0) -> bool:
         """Insert a row; returns True if it enlarged the span."""
         row, aux = self.reduce(row, aux)
-        p = _lowest_set_bit(row, self.ncols)
-        if p < 0:
+        if not row:
             return False
+        p = (row & -row).bit_length() - 1
         # back-substitute so stored rows stay fully reduced
-        for i in range(len(self.rows)):
-            if row_bit(self.rows[i], p):
-                self.rows[i] ^= row
+        for i, r in enumerate(self.rows):
+            if r >> p & 1:
+                self.rows[i] = r ^ row
                 self.aux[i] ^= aux
         self.pivots.append(p)
         self.rows.append(row)
         self.aux.append(aux)
         return True
 
-    def contains(self, row: np.ndarray) -> bool:
-        residual, _ = self.reduce(row)
-        return row_is_zero(residual)
+    def contains(self, row: int) -> bool:
+        return not self.reduce(row)[0]
 
     def basis_matrix(self) -> BitMatrix:
-        if not self.rows:
-            return BitMatrix.zeros(0, self.ncols)
-        order = np.argsort(self.pivots)
-        return BitMatrix(np.array([self.rows[i] for i in order]), self.ncols)
+        """The basis rows in increasing pivot order."""
+        return BitMatrix([r for _, r in sorted(zip(self.pivots, self.rows))], self.ncols)
 
 
-def echelon_from(mat: BitMatrix, aux: BitMatrix | None = None) -> Echelon:
-    ech = Echelon(mat.ncols, aux.ncols if aux is not None else 0)
-    for i in range(mat.nrows):
-        ech.add(mat.row(i), aux.row(i) if aux is not None else None)
+def echelon_from(mat: BitMatrix) -> Echelon:
+    ech = Echelon(mat.ncols)
+    for row in mat.rows:
+        ech.add(row)
     return ech
 
 
@@ -191,50 +124,46 @@ def rank(mat: BitMatrix) -> int:
     return echelon_from(mat).rank
 
 
-def in_span(mat: BitMatrix, row: np.ndarray) -> bool:
+def in_span(mat: BitMatrix, row: int) -> bool:
     return echelon_from(mat).contains(row)
 
 
 def is_subspace(sub: BitMatrix, sup: BitMatrix) -> bool:
     """True iff rowspace(sub) is contained in rowspace(sup)."""
     ech = echelon_from(sup)
-    return all(ech.contains(sub.row(i)) for i in range(sub.nrows))
+    return all(ech.contains(row) for row in sub.rows)
 
 
 def nullspace(mat: BitMatrix) -> BitMatrix:
-    """Basis of {x : mat @ x = 0} over GF(2), one solution per row."""
-    n = mat.ncols
+    """Basis of {x : mat @ x = 0} over GF(2), one solution per free column.
+
+    The solution of free column f sets f and every pivot whose (fully
+    reduced) basis row has bit f.
+    """
     ech = echelon_from(mat)
-    pivots = sorted(ech.pivots)
-    # re-run to get fully reduced rows aligned with sorted pivots
-    basis = ech.basis_matrix()
-    pivot_of_row = {p: i for i, p in enumerate(sorted(ech.pivots))}
-    free = [j for j in range(n) if j not in pivot_of_row]
-    out = BitMatrix.zeros(len(free), n)
-    for k, f in enumerate(free):
-        out.set(k, f, 1)
-        for p in pivots:
-            i = pivot_of_row[p]
-            if basis.get(i, f):
-                out.set(k, p, 1)
-    return out
+    pivots = set(ech.pivots)
+    out = []
+    for f in range(mat.ncols):
+        if f in pivots:
+            continue
+        x = 1 << f
+        for p, r in zip(ech.pivots, ech.rows):
+            if r >> f & 1:
+                x |= 1 << p
+        out.append(x)
+    return BitMatrix(out, mat.ncols)
 
 
-def solve(mat: BitMatrix, target: np.ndarray):
+def solve(mat: BitMatrix, target: int):
     """One x with x @ mat == target, or None. x is returned as a dense array
     of combination coefficients over mat's rows."""
-    m = mat.nrows
-    ech = Echelon(mat.ncols, aux_cols=max(m, 1))
-    ident = BitMatrix.identity(max(m, 1))
-    for i in range(m):
-        ech.add(mat.row(i), ident.row(i))
+    ech = Echelon(mat.ncols)
+    for i, row in enumerate(mat.rows):
+        ech.add(row, 1 << i)
     residual, aux = ech.reduce(target)
-    if not row_is_zero(residual):
+    if residual:
         return None
-    coeffs = np.zeros(m, dtype=np.uint8)
-    for j in range(m):
-        coeffs[j] = row_bit(aux, j)
-    return coeffs
+    return np.array([aux >> j & 1 for j in range(mat.nrows)], dtype=np.uint8)
 
 
 def intersection(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -243,17 +172,16 @@ def intersection(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         return BitMatrix.zeros(0, a.ncols)
     # Zassenhaus: eliminate on [a|a; b|0]; rows whose left block vanished
     # carry intersection elements in the right block.
-    n = a.ncols
-    ech = Echelon(n, aux_cols=n)
-    for i in range(a.nrows):
-        ech.add(a.row(i), a.row(i))
-    members = Echelon(n)
-    for i in range(b.nrows):
-        residual, aux = ech.reduce(b.row(i))
-        if row_is_zero(residual):
-            members.add(aux)
+    ech = Echelon(a.ncols)
+    for row in a.rows:
+        ech.add(row, row)
+    members = Echelon(a.ncols)
+    for row in b.rows:
+        residual, aux = ech.reduce(row)
+        if residual:
+            ech.add(row)
         else:
-            ech.add(b.row(i), np.zeros_like(b.row(i)))
+            members.add(aux)
     return members.basis_matrix()
 
 
@@ -269,10 +197,8 @@ def min_weight_table(n: int, checks) -> dict:
     wins; the walk stops once all 2^rank reachable syndromes are filled.
     """
     checks = [set(chk) for chk in checks]
-    incidence = np.zeros((len(checks), n), dtype=np.uint8)
-    for j, chk in enumerate(checks):
-        incidence[j, list(chk)] = 1
-    reachable = 1 << rank(pack_rows(incidence, n))
+    incidence = BitMatrix([sum(1 << q for q in chk) for chk in checks], n)
+    reachable = 1 << rank(incidence)
     columns = [sum(1 << j for j, chk in enumerate(checks) if q in chk) for q in range(n)]
     supports = itertools.chain.from_iterable(
         itertools.combinations(range(n), w) for w in range(n + 1)

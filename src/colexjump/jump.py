@@ -30,9 +30,11 @@ decode of single-shot trials) is one `ideal_decode` on a `gf2.checks_table`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
+from . import gf2
 from .boundary import boundary_structure
 from .codes import CodeTriple, build_2d, build_3d, build_inner
 from .colex import Colex, color_set, color_pairs
@@ -77,9 +79,6 @@ class JumpContext:
     @property
     def n2(self) -> int:
         return self.code2.n
-
-    def outer_qubit(self, parent_vertex: int) -> int:
-        return self.split.outer_index[parent_vertex]
 
     def cached_string_correction(self, syndrome, pair, basis) -> PauliOperator:
         key = (tuple(sorted(syndrome)), pair, basis)
@@ -128,21 +127,20 @@ def encoded_state(
     elif logical is not None and code.L.generators:
         raise ValueError(f"unknown logical state {logical!r}")
     candidates = list(gauge_priority or []) + list(code.G.generators)
-
-    from . import gf2
+    packed = gf2.pack_rows([op.symplectic() for op in rows + candidates], 2 * code.n)
 
     kept: list[PauliOperator] = []
     ech = gf2.Echelon(2 * code.n)
-    for op in rows:
-        if not ech.add(gf2.pack_rows(op.symplectic(), 2 * code.n).row(0)):
+    for op, row in zip(rows, packed.rows):
+        if not ech.add(row):
             raise ValueError("stabilizer/logical rows are dependent")
         kept.append(op)
-    for op in candidates:
+    for op, row in zip(candidates, packed.rows[len(rows) :]):
         if len(kept) == code.n:
             break
         if any(not op.commutes_with(r) for r in kept):
             continue
-        if ech.add(gf2.pack_rows(op.symplectic(), 2 * code.n).row(0)):
+        if ech.add(row):
             kept.append(op)
     if len(kept) != code.n:
         raise ValueError(
@@ -262,10 +260,9 @@ def plaquette_checks(code: CodeTriple) -> list[tuple]:
     return [tuple(vs) for vs, _ in code.colex.plaquettes]
 
 
-def ideal_decode_2d(ctx_or_code, state2: Tableau) -> tuple[PauliOperator, PauliOperator]:
-    """`ideal_decode` of a 2D code state on its plaquettes."""
-    code2 = ctx_or_code.code2 if isinstance(ctx_or_code, JumpContext) else ctx_or_code
-    return ideal_decode(state2, code2.n, plaquette_checks(code2))
+def ideal_decode_2d(ctx: JumpContext, state2: Tableau) -> tuple[PauliOperator, PauliOperator]:
+    """`ideal_decode` of the context's 2D code state on its plaquettes."""
+    return ideal_decode(state2, ctx.n2, plaquette_checks(ctx.code2))
 
 
 # -- collapse -----------------------------------------------------------------------
@@ -440,55 +437,59 @@ def single_shot_ec(
     dual Pauli kind (X errors flip Z plaquettes, so measuring Z yields an X
     correction).
     """
-    structure, by_pair = _code_dual_structure(code)
-    colex = code.colex
+    dual = _code_dual_structure(code)
+    _, by_pair = dual
     positions = embed if embed is not None else list(range(code.n))
-
     outcomes: dict[int, int] = {}
     for pair in sorted(by_pair):
         for pi, _ in by_pair[pair]:
             op = embed_operator(
-                plaquette_operator(colex, pi, basis), state.n, positions
+                plaquette_operator(code.colex, pi, basis), state.n, positions
             )
             value = state.measure(op, rng)
             if meas_flip_prob > 0 and rng.random() < meas_flip_prob:
                 value = -value
             outcomes[pi] = value
+    report = single_shot_decode(code, dual, outcomes, basis)
+    state.apply(embed_operator(report.correction, state.n, positions))
+    return state, report
 
-    # per-cell estimates from each pair family, then majority
-    estimates: dict[int, list[int]] = {ci: [] for ci in range(len(colex.cells))}
-    for ci, (vs, cs) in enumerate(colex.cells):
-        for i, a in enumerate(cs):
-            for b in cs[i + 1 :]:
-                pair = color_set((a, b))
-                prod = 1
-                for pi in range(len(colex.plaquettes)):
-                    if colex.plaquette_colors(pi) == pair and set(
-                        colex.plaquette_vertices(pi)
-                    ) <= set(vs):
-                        prod *= outcomes[pi]
-                estimates[ci].append(prod)
-    cell_syndrome = {
-        ci: (1 if sum(1 for v in vals if v == -1) <= len(vals) // 2 else -1)
-        for ci, vals in estimates.items()
-    }
+
+def single_shot_decode(code: CodeTriple, dual, outcomes: dict, basis: str) -> SingleShotReport:
+    """The decode half of `single_shot_ec`, from the recorded outcomes.
+
+    `dual` is `_code_dual_structure(code)` and `outcomes` maps every
+    plaquette id to its recorded +-1. Each cell is estimated once per color
+    pair in its triple (the product of that pair's plaquettes on the cell),
+    the estimates are reconciled by majority, each pair's flux is repaired
+    against the majority, and the correction (not applied) is the lightest
+    support with the resulting stabilizer syndrome.
+    """
+    structure, by_pair = dual
+    colex = code.colex
+    # product of each pair's recorded plaquettes on each cell, read once
+    parity: dict[tuple, int] = {}
+    for pair, entries in by_pair.items():
+        for pi, ends in entries:
+            for end in ends:
+                if end != SINK:
+                    parity[pair, end[1]] = parity.get((pair, end[1]), 1) * outcomes[pi]
+    cell_syndrome = {}
+    for ci, (_, cs) in enumerate(colex.cells):
+        votes = [parity.get((color_set(p), ci), 1) for p in combinations(cs, 2)]
+        cell_syndrome[ci] = 1 if votes.count(-1) <= len(votes) // 2 else -1
 
     # per-pair flux repair against the reconciled cell estimates
     repaired = dict(outcomes)
     delta0_sizes = {}
-    frozen = all(r.classification == "frozen" for r in structure.regions)
     for pair in sorted(by_pair):
         entries = by_pair[pair]
-        mismatched = []
-        for ci in range(len(colex.cells)):
-            if not set(pair) <= set(colex.cell_colors(ci)):
-                continue
-            prod = 1
-            for pi, ends in entries:
-                if ("cell", ci) in ends:
-                    prod *= outcomes[pi]
-            if prod != cell_syndrome[ci]:
-                mismatched.append(ci)
+        mismatched = [
+            ci
+            for ci in range(len(colex.cells))
+            if set(pair) <= set(colex.cell_colors(ci))
+            and parity.get((pair, ci), 1) != cell_syndrome[ci]
+        ]
         if not mismatched:
             delta0_sizes[pair] = 0
             continue
@@ -503,7 +504,7 @@ def single_shot_ec(
     # stabilizer syndrome: cells, plus region products for frozen geometries
     syndrome_bits = [cell_syndrome[ci] for ci in range(len(colex.cells))]
     checks: list[tuple] = [tuple(vs) for vs, _ in colex.cells]
-    if frozen:
+    if all(r.classification == "frozen" for r in structure.regions):
         y = next(iter({c.color for c in structure.corners}))
         for region in structure.regions:
             pair = color_set(set(region.colors) - {y})
@@ -515,15 +516,12 @@ def single_shot_ec(
             checks.append(tuple(sorted(region.vertices)))
 
     syndrome = tuple(0 if v == 1 else 1 for v in syndrome_bits)
-    corr_type = "X" if basis == "Z" else "Z"
     support = checks_table(code.n, checks).get(syndrome)
     if support is None:
         raise ValueError("no correction matches the repaired syndrome")
+    corr_type = "X" if basis == "Z" else "Z"
     correction = PauliOperator.from_support(code.n, corr_type, support)
-    state.apply(embed_operator(correction, state.n, positions))
-    return state, SingleShotReport(
-        outcomes, cell_syndrome, delta0_sizes, correction, syndrome
-    )
+    return SingleShotReport(outcomes, cell_syndrome, delta0_sizes, correction, syndrome)
 
 
 # -- blow-up ------------------------------------------------------------------------

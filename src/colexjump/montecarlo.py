@@ -460,7 +460,6 @@ def run_single_shot_trials(
     noise: NoiseSpec,
     trials: int,
     trial_offset: int = 0,
-    gauge_priority=None,
 ) -> TrialStats:
     """Single-shot harness: inner codes count stabilizer violations as
     failure (verified noiselessly); tetrahedral codes count logical flips
@@ -470,10 +469,10 @@ def run_single_shot_trials(
     cells = [tuple(vs) for vs, _ in code.colex.cells]
     bases = {}
     if has_logical:
-        bases["zero"] = encoded_state(code, "zero", gauge_priority)
-        bases["plus"] = encoded_state(code, "plus", gauge_priority)
+        bases["zero"] = encoded_state(code, "zero")
+        bases["plus"] = encoded_state(code, "plus")
     else:
-        bases[None] = encoded_state(code, None, gauge_priority)
+        bases[None] = encoded_state(code, None)
     for t in range(trial_offset, trial_offset + trials):
         rng = trial_rng(noise.seed, t)
         logical = (

@@ -34,13 +34,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
-def sample_measurement_noise(q: float, edge_count: int, rng: np.random.Generator) -> set[int]:
-    """Each dual edge flipped independently with probability q."""
-    if q <= 0:
-        return set()
-    return set(np.flatnonzero(rng.random(edge_count) < q).tolist())
-
-
 def sample_qubit_noise(p: float, n: int, rng: np.random.Generator):
     """(x flips, z flips) as 0/1 vectors, each site independent at rate p."""
     if p <= 0:

@@ -7,8 +7,8 @@ product rule picks up (-1)^(z1.x2):
     (s1, x1, z1) * (s2, x2, z2) = (s1*s2*(-1)^(z1.x2), x1^x2, z1^z2)
 
 Groups are generator lists; rank/membership/subgroup questions reduce to
-bit-packed row elimination (see gf2), with signs tracked through every row
-operation so membership can be checked sign-exactly.
+row elimination in `gf2`, and sign-exact membership multiplies out the
+generators of the combination that elimination finds.
 """
 
 from __future__ import annotations
@@ -173,25 +173,20 @@ class PauliGroup:
 
     def minus_identity_in_group(self) -> bool:
         """True iff -1 is generated (sign inconsistency of the generators)."""
-        m = len(self.generators)
-        if m == 0:
-            return False
-        ech = gf2.Echelon(2 * self.n, aux_cols=m)
-        ident = gf2.BitMatrix.identity(m)
-        packed = self.packed()
-        for i in range(m):
-            residual, aux = ech.reduce(packed.row(i), ident.row(i))
-            if gf2.row_is_zero(residual):
-                # dependent generator: the dependency product must be +identity
-                prod = PauliOperator.identity(self.n)
-                for j in range(m):
-                    if gf2.row_bit(aux, j):
-                        prod = prod * self.generators[j]
-                prod = prod * self.generators[i]
-                if prod.sign == -1:
-                    return True
-            else:
-                ech.add(packed.row(i), ident.row(i))
+        ech = gf2.Echelon(2 * self.n)
+        for i, row in enumerate(self.packed().rows):
+            residual, combo = ech.reduce(row, 1 << i)
+            if residual:
+                ech.add(row, 1 << i)
+                continue
+            # dependent generator: the product of the dependency (generator
+            # i and the earlier ones it reduces against) must be +identity
+            prod = PauliOperator.identity(self.n)
+            for j in range(i + 1):
+                if combo >> j & 1:
+                    prod = prod * self.generators[j]
+            if prod.sign == -1:
+                return True
         return False
 
     def centralizer(self) -> "PauliGroup":
@@ -246,115 +241,69 @@ def logical_qubit_count(S: PauliGroup, G: PauliGroup) -> int:
     return diff // 2
 
 
-def _dense_rref(rows: np.ndarray):
-    """(rref rows, pivot columns) of a dense 0/1 matrix."""
-    rows = (np.array(rows, dtype=np.uint8) & 1).copy()
-    pivots = []
-    r = 0
-    for c in range(rows.shape[1] if rows.size else 0):
-        hit = None
-        for i in range(r, rows.shape[0]):
-            if rows[i, c]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        rows[[r, hit]] = rows[[hit, r]]
-        mask = rows[:, c].astype(bool).copy()
-        mask[r] = False
-        rows[mask] ^= rows[r]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+def _parity(v: np.ndarray) -> np.ndarray:
+    """Bit parity of each entry of a non-negative int64 array."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
 
 
-def _reduce_batch(cands: np.ndarray, rref: np.ndarray, pivots) -> np.ndarray:
-    """Reduce candidate rows against an RREF basis (vectorized)."""
-    res = cands.copy()
-    for i, p in enumerate(pivots):
-        mask = res[:, p].astype(bool)
-        res[mask] ^= rref[i]
-    return res
-
-
-def min_weight_logical(S: PauliGroup, G: PauliGroup, L: PauliGroup, max_weight: int | None = None) -> int:
+def min_weight_logical(S: PauliGroup, G: PauliGroup, L: PauliGroup) -> int:
     """Distance by brute force over Paulis of increasing weight.
 
     Finds the lightest operator that preserves the code space (commutes with
     every stabilizer) yet acts on the logical qubits, i.e. falls outside the
     span of stabilizers and gauge operators. Gauge-equivalent errors act
     identically on encoded data, so this is the error-correction distance.
-    Exponential; guarded to n <= 20.
+    Candidates of one weight are one int64 array of [x|z] rows (bit q is
+    X on qubit q, bit n + q is Z on it). Exponential; guarded to n <= 20.
     """
     n = S.n
     if n > 20:
         raise ValueError("brute-force distance limited to n <= 20")
-    swapped = np.array(
-        [np.concatenate([g.z, g.x]) for g in S.generators], dtype=np.uint8
-    )
-    trivial_rows = np.array(
-        [g.symplectic() for g in S.generators] + [g.symplectic() for g in G.generators],
-        dtype=np.uint8,
-    )
-    rref, pivots = (
-        _dense_rref(trivial_rows)
-        if len(trivial_rows)
-        else (np.zeros((0, 2 * n), np.uint8), [])
-    )
+    low = (1 << n) - 1
+    # <a, s> = a_x.s_z + a_z.s_x: pair a's [x|z] row with s's [z|x] row
+    swapped = [(r >> n) | (r & low) << n for r in S.packed().rows]
+    trivial = gf2.echelon_from(S.product_group(G).packed())
     css = all(not (g.x.any() and g.z.any()) for g in S.generators + G.generators)
-    kind_rows = [(1, 0), (0, 1)] if css else [(1, 0), (0, 1), (1, 1)]
-    kinds = np.array(kind_rows, dtype=np.uint8)
-    cap = max_weight if max_weight is not None else n
-    for w in range(1, cap + 1):
-        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
-        assignment = np.array(
-            list(itertools.product(range(len(kinds)), repeat=w)), dtype=np.intp
-        )
-        ns, na = len(supports), len(assignment)
-        cands = np.zeros((ns * na, 2 * n), dtype=np.uint8)
+    letters = [1, 1 << n] if css else [1, 1 << n, 1 | 1 << n]
+    for w in range(1, n + 1):
+        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
+        assignment = np.array(list(itertools.product(letters, repeat=w)), dtype=np.int64)
+        cands = np.zeros((len(supports), len(assignment)), dtype=np.int64)
         for j in range(w):
-            cols = supports[:, j]
-            xb = kinds[assignment[:, j], 0]
-            zb = kinds[assignment[:, j], 1]
-            rows = np.arange(ns * na)
-            cands[rows, np.repeat(cols, na)] = np.tile(xb, ns)
-            cands[rows, np.repeat(cols, na) + n] = np.tile(zb, ns)
-        if len(swapped):
-            commuting = ~(((cands @ swapped.T) % 2).any(axis=1))
-        else:
-            commuting = np.ones(len(cands), bool)
-        if not commuting.any():
-            continue
-        residual = _reduce_batch(cands[commuting], rref, pivots)
-        if residual.any(axis=1).any():
+            cands |= assignment[None, :, j] << supports[:, j, None]
+        cands = cands.ravel()
+        for s in swapped:
+            cands = cands[_parity(cands & s) == 0]
+        for p, r in zip(trivial.pivots, trivial.rows):
+            cands ^= (cands >> p & 1) * r
+        if cands.any():
             return w
-    raise ValueError("no logical operator found up to the weight cap")
+    raise ValueError("no logical operator found")
 
 
 def css_min_weight(check_rows: np.ndarray, stabilizer_rows: np.ndarray) -> int:
     """Min weight over null(check_rows) \\ rowspace(stabilizer_rows).
 
-    Enumerates the whole nullspace (vectorized), so it covers one CSS side of
-    mid-size codes where per-weight brute force is infeasible.
+    Enumerates the whole nullspace by a Gray-code walk over int rows, so it
+    covers one CSS side of mid-size codes where per-weight brute force is
+    infeasible.
     """
     checks = gf2.pack_rows(check_rows)
     n = checks.ncols
-    kernel = gf2.nullspace(checks).to_dense()
-    k = kernel.shape[0]
+    kernel = gf2.nullspace(checks).rows
+    k = len(kernel)
     if k > 24:
         raise ValueError("nullspace too large to enumerate")
     stab = gf2.echelon_from(gf2.pack_rows(stabilizer_rows, n))
     best = n + 1
-    # Gray-code walk over all kernel combinations
-    current = np.zeros(n, dtype=np.uint8)
-    prev = 0
+    current = 0
     for counter in range(1, 2**k):
-        gray = counter ^ (counter >> 1)
-        changed = gray ^ prev
-        prev = gray
-        current = current ^ kernel[changed.bit_length() - 1]
-        w = int(current.sum())
-        if w < best and not stab.contains(gf2.pack_rows(current, n).row(0)):
+        # consecutive Gray codes differ in the lowest set bit of the counter
+        current ^= kernel[(counter & -counter).bit_length() - 1]
+        w = current.bit_count()
+        if w < best and not stab.contains(current):
             best = w
     if best > n:
         raise ValueError("no logical representative in the kernel")

@@ -18,6 +18,7 @@ scratch and checks that invariant chain at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,34 +107,23 @@ def init_labels(access_sequence, stack_qubits=None) -> StackState:
     return StackState.initial(order, labels)
 
 
-_PAIR_INDEX_CACHE: dict = {}
-
-
-def _pair_indices(n: int, start: int) -> np.ndarray:
-    key = (n, start)
-    if key not in _PAIR_INDEX_CACHE:
-        _PAIR_INDEX_CACHE[key] = np.arange(start, n - 1, 2)
-    return _PAIR_INDEX_CACHE[key]
-
-
-def _one_round(labels: np.ndarray, qubits: np.ndarray, start: int):
+def _one_round(labels: list[int], qubits: list[int], start: int):
     """One in-place parallel compare-swap round; returns the swap list.
 
-    start 0: pairs (1,2),(3,4),...; start 1: pairs (2,3),(4,5),...
+    start 0: pairs (1,2),(3,4),...; start 1: pairs (2,3),(4,5),... The
+    pairs of a round are disjoint, so swapping them one after another is
+    the parallel round.
     """
-    left = _pair_indices(labels.size, start)
-    hits = left[labels[left] > labels[left + 1]]
-    if hits.size:
-        tmp = labels[hits].copy()
-        labels[hits] = labels[hits + 1]
-        labels[hits + 1] = tmp
-        tmp = qubits[hits].copy()
-        qubits[hits] = qubits[hits + 1]
-        qubits[hits + 1] = tmp
-    return tuple((int(i) + 1, int(i) + 2) for i in hits)
+    swaps = []
+    for i in range(start, len(labels) - 1, 2):
+        if labels[i] > labels[i + 1]:
+            labels[i], labels[i + 1] = labels[i + 1], labels[i]
+            qubits[i], qubits[i + 1] = qubits[i + 1], qubits[i]
+            swaps.append((i + 1, i + 2))
+    return tuple(swaps)
 
 
-def _two_rounds(labels: np.ndarray, qubits: np.ndarray):
+def _two_rounds(labels: list[int], qubits: list[int]):
     """Both in-place rounds; returns (round1 swaps, round2 swaps)."""
     return (_one_round(labels, qubits, 0), _one_round(labels, qubits, 1))
 
@@ -144,15 +134,18 @@ def advance(state: StackState, next_use_of_top: int):
     Returns (new state, (round1 swaps, round2 swaps)) with swaps as 1-based
     position pairs.
     """
-    labels = state.labels.copy()
-    qubits = state.qubit_ids.copy()
+    labels = state.labels.tolist()
+    qubits = state.qubit_ids.tolist()
     if next_use_of_top <= state.step:
         raise ScheduleError("next use of the top qubit must lie in the future")
     if next_use_of_top in labels[1:]:
         raise ScheduleError(f"label collision on {next_use_of_top}")
     labels[0] = next_use_of_top
     rounds = _two_rounds(labels, qubits)
-    return StackState(state.step + 1, labels, qubits), rounds
+    new = StackState(
+        state.step + 1, np.array(labels, dtype=np.int64), np.array(qubits, dtype=np.int64)
+    )
+    return new, rounds
 
 
 def schedule(access_sequence, stack_qubits=None, internal_slots: int = 2) -> SwapSchedule:
@@ -165,15 +158,15 @@ def schedule(access_sequence, stack_qubits=None, internal_slots: int = 2) -> Swa
         raise ScheduleError("at least two internal slots are required")
     state = init_labels(access_sequence, stack_qubits)
     total = len(access_sequence)
-    nxt = _next_use_of_top(access_sequence, state.qubit_ids.tolist())
+    labels = state.labels.tolist()
+    qubits = state.qubit_ids.tolist()
+    nxt = _next_use_of_top(access_sequence, qubits)
     sched = SwapSchedule(
-        stack_size=len(state.qubit_ids),
+        stack_size=len(qubits),
         access_sequence=list(access_sequence),
-        initial_order=state.qubit_ids.tolist(),
-        initial_labels=state.labels.tolist(),
+        initial_order=list(qubits),
+        initial_labels=list(labels),
     )
-    labels = state.labels.copy()
-    qubits = state.qubit_ids.copy()
     for s in range(1, total + 1):
         if qubits[0] != access_sequence[s - 1]:
             raise ScheduleError(
@@ -195,15 +188,13 @@ class VerifyResult:
         return self.ok
 
 
-def _sorted_tail_invariant(labels, even: bool) -> bool:
+def _sorted_tail_invariant(labels: list[int], even: bool) -> bool:
     """even: labels[2n] < labels[2n+k] for all n>=1, k>0 (1-based);
     odd: labels[2n+1] < labels[2n+1+k] for n>=0."""
-    # positions are 1-based; arrays 0-based
-    suffix_min = np.minimum.accumulate(labels[::-1])[::-1]
+    # positions are 1-based; lists 0-based
+    suffix_min = list(accumulate(reversed(labels), min))[::-1]
     start = 1 if even else 0  # index of first even (odd) position
-    lhs = labels[start:-1:2]
-    rhs = suffix_min[start + 1 :: 2]
-    return bool((lhs < rhs).all())
+    return all(labels[i] < suffix_min[i + 1] for i in range(start, len(labels) - 1, 2))
 
 
 def verify(sched: SwapSchedule, access_sequence=None) -> VerifyResult:
@@ -218,13 +209,13 @@ def verify(sched: SwapSchedule, access_sequence=None) -> VerifyResult:
         access_sequence = sched.access_sequence
     if list(access_sequence) != list(sched.access_sequence):
         return VerifyResult(False, "access sequence mismatch", None)
-    labels = np.array(sched.initial_labels, dtype=np.int64)
-    qubits = np.array(sched.initial_order, dtype=np.int64)
+    labels = list(sched.initial_labels)
+    qubits = list(sched.initial_order)
     total = len(access_sequence)
-    nxt = _next_use_of_top(access_sequence, qubits.tolist())
+    nxt = _next_use_of_top(access_sequence, qubits)
     if len(sched.steps) != total:
         return VerifyResult(False, "schedule length mismatch", None)
-    if np.unique(labels).size != labels.size:
+    if len(set(labels)) != len(labels):
         return VerifyResult(False, "duplicate labels", 1)
     for s in range(1, total + 1):
         if qubits[0] != access_sequence[s - 1]:
@@ -233,10 +224,10 @@ def verify(sched: SwapSchedule, access_sequence=None) -> VerifyResult:
             )
         if labels[0] != s:
             return VerifyResult(False, f"top label {labels[0]} != step {s}", s)
-        if labels.min() != labels[0]:
+        if min(labels) != labels[0]:
             return VerifyResult(False, "top label is not minimal", s)
         new_label = nxt[s - 1]
-        if (labels[1:] == new_label).any():
+        if new_label in labels[1:]:
             return VerifyResult(False, "duplicate labels", s)
         labels[0] = new_label
         # replay the canonical rounds; the recorded swaps must match exactly,

@@ -48,9 +48,6 @@ class DualEdge:
     def outer_plaquettes(self) -> list[int]:
         return [e.index for e in self.endpoints if e.kind == OUTER_PLAQUETTE]
 
-    def touches_facet(self) -> bool:
-        return any(e.kind == FACET for e in self.endpoints)
-
 
 class SplitError(ValueError):
     pass

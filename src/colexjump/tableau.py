@@ -124,10 +124,6 @@ class Tableau:
         self.signs[p] = outcome * op.sign
         return outcome
 
-    def stabilizer_matrix(self) -> np.ndarray:
-        """Dense (n, 2n) [X|Z] block of the stabilizer rows."""
-        return np.concatenate([self.x[self.n :], self.z[self.n :]], axis=1)
-
 
 def from_stabilizers(rows: list[PauliOperator]) -> Tableau:
     """Build a tableau for the state fixed by n independent commuting Paulis.
@@ -164,9 +160,7 @@ def _flip_operator(keep: list[PauliOperator], flip: PauliOperator) -> PauliOpera
     # against each g's swapped [z|x] vector
     columns = np.array([np.concatenate([g.z, g.x]) for g in ops], dtype=np.uint8)
     transposed = gf2.pack_rows(columns.T, len(ops))
-    target = np.zeros(len(ops), dtype=np.uint8)
-    target[-1] = 1
-    coeffs = gf2.solve(transposed, gf2.pack_rows(target, len(ops)).row(0))
+    coeffs = gf2.solve(transposed, 1 << (len(ops) - 1))
     if coeffs is None:
         raise AssertionError("no flip operator exists; generators dependent?")
     return PauliOperator(n, coeffs[:n], coeffs[n : 2 * n])

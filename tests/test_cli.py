@@ -250,3 +250,40 @@ def test_jump_collapse_counts_monte_carlo_failures(ctx, capsys, p, q, seed):
     failures = run_collapse_trials(ctx, NoiseSpec(p, q, seed), 40).total_failures
     assert code == 0
     assert out.splitlines()[-1] == f"collapse: 40 trials, {failures} logical failures"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jump", "blowup", "--p", "1.5", "--trials", "2"],
+        ["jump", "roundtrip", "--q", "-0.5"],
+        ["jump", "collapse", "--p", "1.5"],
+    ],
+)
+def test_jump_probability_out_of_range_fails(capsys, argv):
+    """Every jump action range-checks --p and --q before any trial runs."""
+    code, out, err = run(argv + ["--builtin", "tetra15"], capsys)
+    assert code == 1
+    assert "probabilities must lie in [0, 1]" in err
+    assert "logical failures" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["jump", "blowup", "--trials", "-3"], "--trials"),
+        (["jump", "collapse", "--trials", "-1"], "--trials"),
+        (["simulate", "collapse", "--trials", "-3"], "--trials"),
+        (["simulate", "singleshot", "--trials", "-3"], "--trials"),
+        (["simulate", "collapse", "--workers", "0"], "--workers"),
+        (["simulate", "collapse", "--workers", "-2"], "--workers"),
+    ],
+)
+def test_bad_counts_are_usage_errors(monkeypatch, tmp_path, capsys, argv, flag):
+    """A negative trial count or fewer than one worker exits 2, writing nothing."""
+    monkeypatch.setenv("COLEXJUMP_OUTDIR", str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--builtin", "tetra15"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

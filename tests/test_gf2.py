@@ -107,7 +107,7 @@ def test_echelon_membership():
 
 
 def test_wide_matrix_packing():
-    # exercise the multi-word path (ncols > 64)
+    # rows wider than a machine word (ncols > 64) round-trip exactly
     rng = np.random.default_rng(3)
     arr = rng.integers(0, 2, size=(20, 130), dtype=np.uint8)
     mat = gf2.pack_rows(arr)

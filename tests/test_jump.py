@@ -17,7 +17,7 @@ from colexjump.jump import (
 )
 from colexjump.noise import trial_rng
 from colexjump.pauli import PauliOperator
-from colexjump.tableau import Tableau, from_stabilizers
+from colexjump.tableau import from_stabilizers
 
 
 def test_noiseless_collapse_preserves_logicals(ctx):
@@ -240,85 +240,19 @@ def test_single_shot_inner_measurement_flip_bounded(ctx, inner_code):
 
 
 def _ec_with_flip(state, code, flip_pi):
-    """single_shot_ec with exactly one recorded outcome inverted."""
-    from colexjump import jump as jump_mod
+    """single_shot_ec's Z round with exactly one recorded outcome inverted."""
+    from colexjump.flux import plaquette_operator
+    from colexjump.jump import _code_dual_structure, single_shot_decode
 
-    original = Tableau.measure
-
-    def patched(self, op, rng=None, force=None):
-        return original(self, op, rng, force)
-
-    # simplest approach: run the measurement loop manually mirroring
-    # single_shot_ec but flipping one record; reuse internals instead
-    return _single_shot_with_flip(state, code, "Z", flip_pi)
-
-
-def _single_shot_with_flip(state, code, basis, flip_pi):
-    """Copy of the single_shot_ec flow with one outcome inverted."""
-    from colexjump.colex import color_set
-    from colexjump.flux import plaquette_operator, t_join
-    from colexjump.gf2 import checks_table
-    from colexjump.jump import SingleShotReport, _code_dual_structure
-
-    structure, by_pair = _code_dual_structure(code)
-    colex = code.colex
+    dual = _code_dual_structure(code)
     outcomes = {}
-    for pair in sorted(by_pair):
-        for pi, _ in by_pair[pair]:
-            op = plaquette_operator(colex, pi, basis)
-            value = state.measure(op, trial_rng(9, pi))
-            if pi == flip_pi:
-                value = -value
-            outcomes[pi] = value
-    estimates = {ci: [] for ci in range(len(colex.cells))}
-    for ci, (vs, cs) in enumerate(colex.cells):
-        for i, a in enumerate(cs):
-            for b in cs[i + 1 :]:
-                pair = color_set((a, b))
-                prod = 1
-                for pi in range(len(colex.plaquettes)):
-                    if colex.plaquette_colors(pi) == pair and set(
-                        colex.plaquette_vertices(pi)
-                    ) <= set(vs):
-                        prod *= outcomes[pi]
-                estimates[ci].append(prod)
-    cell_syndrome = {
-        ci: (1 if sum(1 for v in vals if v == -1) <= len(vals) // 2 else -1)
-        for ci, vals in estimates.items()
-    }
-    repaired = dict(outcomes)
-    for pair in sorted(by_pair):
-        entries = by_pair[pair]
-        mismatched = []
-        for ci in range(len(colex.cells)):
-            if not set(pair) <= set(colex.cell_colors(ci)):
-                continue
-            prod = 1
-            for pi, ends in entries:
-                if ("cell", ci) in ends:
-                    prod *= outcomes[pi]
-            if prod != cell_syndrome[ci]:
-                mismatched.append(ci)
-        if mismatched:
-            for i in t_join([ends for _, ends in entries], mismatched):
-                pi = entries[i][0]
-                repaired[pi] = -repaired[pi]
-    syndrome_bits = [cell_syndrome[ci] for ci in range(len(colex.cells))]
-    checks = [tuple(vs) for vs, _ in colex.cells]
-    y = {c.color for c in structure.corners}.pop()
-    for region in structure.regions:
-        pair = color_set(set(region.colors) - {y})
-        prod = 1
-        for pi in region.plaquettes:
-            if colex.plaquette_colors(pi) == pair:
-                prod *= repaired[pi]
-        syndrome_bits.append(prod)
-        checks.append(tuple(sorted(region.vertices)))
-    syndrome = tuple(0 if v == 1 else 1 for v in syndrome_bits)
-    support = checks_table(code.n, checks)[syndrome]
-    correction = PauliOperator.from_support(code.n, "X", support)
-    state.apply(correction)
-    return state, SingleShotReport(outcomes, cell_syndrome, {}, correction, syndrome)
+    for pair in sorted(dual[1]):
+        for pi, _ in dual[1][pair]:
+            value = state.measure(plaquette_operator(code.colex, pi, "Z"), trial_rng(9, pi))
+            outcomes[pi] = -value if pi == flip_pi else value
+    report = single_shot_decode(code, dual, outcomes, "Z")
+    state.apply(report.correction)
+    return state, report
 
 
 def test_single_shot_tetra_weight1(ctx, code3):

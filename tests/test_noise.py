@@ -1,7 +1,5 @@
 """Noise model, RNG determinism, inclusion-tail bound, lattice constant."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from colexjump.noise import (
     NoiseSpec,
     alpha_bound_analytic,
     measure_K,
-    sample_measurement_noise,
     sample_qubit_noise,
     trial_rng,
 )
@@ -32,24 +29,8 @@ def test_rng_determinism_and_independence():
 
 def test_noise_extremes():
     rng = trial_rng(0, 0)
-    assert sample_measurement_noise(0.0, 10, rng) == set()
-    assert sample_measurement_noise(1.0, 10, rng) == set(range(10))
     ex, ez = sample_qubit_noise(0.0, 8, rng)
     assert not ex.any() and not ez.any()
-
-
-def test_inclusion_frequency_binomial_bound():
-    """Empirical inclusion frequency of each edge stays within 3 sigma of q
-    over ten thousand samples."""
-    q = 0.1
-    n_edges = 6
-    trials = 10_000
-    counts = np.zeros(n_edges)
-    for t in range(trials):
-        for e in sample_measurement_noise(q, n_edges, trial_rng(5, t)):
-            counts[e] += 1
-    sigma = math.sqrt(q * (1 - q) / trials)
-    assert np.all(np.abs(counts / trials - q) < 3 * sigma + 1e-12)
 
 
 def test_alpha_bound_values():

@@ -72,6 +72,15 @@ def test_minus_identity_detection():
     assert not clean.minus_identity_in_group()
 
 
+def test_minus_identity_from_a_signed_dependency():
+    """The product of a dependent set decides, not its last generator."""
+    assert PauliGroup(1, [P("+Z"), P("-Z")]).minus_identity_in_group()
+    assert PauliGroup(2, [P("XX"), P("ZZ"), P("-YY")]).minus_identity_in_group()
+    assert not PauliGroup(1, [P("-Z"), P("-Z")]).minus_identity_in_group()
+    assert not PauliGroup(2, [P("XX"), P("ZZ"), P("YY")]).minus_identity_in_group()
+    assert PauliGroup(1, [PauliOperator(1, sign=-1)]).minus_identity_in_group()
+
+
 def test_centralizer_single_qubit():
     g = PauliGroup(1, [P("X")])
     cent = g.centralizer()
