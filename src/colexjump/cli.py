@@ -354,6 +354,10 @@ def _worker_entry(packed):
 def cmd_schedule(args) -> int:
     from .scheduler import ScheduleError, SwapSchedule, schedule, verify
 
+    needed = {"make": ("stack", "sequence"), "verify": ("schedule",)}[args.action]
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise SystemExit2(f"schedule {args.action} needs {' and '.join(missing)}")
     if args.action == "make":
         seq = _read_sequence(args.sequence)
         sched = schedule(seq, range(args.stack))

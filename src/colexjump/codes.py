@@ -16,7 +16,7 @@ stabilizer elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class CodeTriple:
     kind: str  # Triangular2D / Tetrahedral3D / Inner3D
     colex: Colex
     qubit_map: dict[int, int]  # colex vertex -> qubit index
+    # compiled on first use from the fields above, never part of equality
+    _dual_structure: object = field(default=None, compare=False, repr=False)
+    _single_shot_plan: object = field(default=None, compare=False, repr=False)
 
     def x_support_rows(self, group: str) -> np.ndarray:
         """Supports of the X-type generators of S/G/L as a dense 0/1 matrix."""

@@ -22,9 +22,13 @@ pair's flux against the reconciled estimate with the same T-join as the
 collapse repair (`flux.t_join`), and applies an exact minimum-weight
 correction for the resulting stabilizer syndrome.
 
-Every noiseless "measure the checks, look the syndrome up, correct" step
-(the final 2D decode, the outer reconciliation of blow-up, the final cell
-decode of single-shot trials) is one `ideal_decode` on a `gf2.checks_table`.
+The static part of that decode (dual edges, cell color pairs, frozen region
+products, the stabilizer check table) is one `DualStructure` per code, built
+on first use and cached on the code.
+
+Every noiseless "measure the checks, look the syndrome up, correct" step on
+a tableau (the final 2D decode, the outer reconciliation of blow-up) is one
+`ideal_decode` on a `gf2.checks_table`.
 """
 
 from __future__ import annotations
@@ -406,21 +410,53 @@ class SingleShotReport:
     syndrome: tuple
 
 
-def _code_dual_structure(code: CodeTriple):
-    """Per-pair dual edges of a standalone code: (plaquette, its two ends).
+@dataclass
+class DualStructure:
+    """Static single-shot structure of a standalone code, built once per code.
 
-    A plaquette joins its adjacent cells; a boundary plaquette, with fewer
-    than two cells, ends at the sink. Entries rise with plaquette id.
+    `by_pair` maps each color pair to its dual edges, (plaquette id, its two
+    ends), rising with plaquette id: a plaquette joins its adjacent cells,
+    and a boundary plaquette, with fewer than two cells, ends at the sink.
+    `cell_pairs` holds the color pairs of each cell's triple. On frozen
+    geometries the stabilizer syndrome also reads one region product per
+    region, over `region_plaquettes`; `table` is the minimum-weight table of
+    the stabilizer checks (the cells, then those regions).
     """
-    colex = code.colex
-    colex._build_indexes()
-    structure = boundary_structure(colex)
-    by_pair: dict[str, list] = {}
-    for pi in range(len(colex.plaquettes)):
-        pair = colex.plaquette_colors(pi)
-        ends = tuple(("cell", c) for c in colex.plaquette_cells[pi])
-        by_pair.setdefault(pair, []).append((pi, ends + (SINK,) * (2 - len(ends))))
-    return structure, by_pair
+
+    by_pair: dict[str, list]
+    cell_pairs: list[tuple[str, ...]]
+    region_plaquettes: list[tuple[int, ...]]
+    table: dict
+
+
+def _code_dual_structure(code: CodeTriple) -> DualStructure:
+    """The code's `DualStructure`, built on first use and cached on it."""
+    if code._dual_structure is None:
+        colex = code.colex
+        colex._build_indexes()
+        structure = boundary_structure(colex)
+        by_pair: dict[str, list] = {}
+        for pi in range(len(colex.plaquettes)):
+            pair = colex.plaquette_colors(pi)
+            ends = tuple(("cell", c) for c in colex.plaquette_cells[pi])
+            by_pair.setdefault(pair, []).append((pi, ends + (SINK,) * (2 - len(ends))))
+        cell_pairs = [
+            tuple(color_set(p) for p in combinations(cs, 2)) for _, cs in colex.cells
+        ]
+        checks: list[tuple] = [tuple(vs) for vs, _ in colex.cells]
+        region_plaquettes = []
+        if all(r.classification == "frozen" for r in structure.regions):
+            y = next(iter({c.color for c in structure.corners}))
+            for region in structure.regions:
+                pair = color_set(set(region.colors) - {y})
+                region_plaquettes.append(
+                    tuple(pi for pi in region.plaquettes if colex.plaquette_colors(pi) == pair)
+                )
+                checks.append(tuple(sorted(region.vertices)))
+        code._dual_structure = DualStructure(
+            by_pair, cell_pairs, region_plaquettes, checks_table(code.n, checks)
+        )
+    return code._dual_structure
 
 
 def single_shot_ec(
@@ -438,7 +474,7 @@ def single_shot_ec(
     correction).
     """
     dual = _code_dual_structure(code)
-    _, by_pair = dual
+    by_pair = dual.by_pair
     positions = embed if embed is not None else list(range(code.n))
     outcomes: dict[int, int] = {}
     for pair in sorted(by_pair):
@@ -455,7 +491,9 @@ def single_shot_ec(
     return state, report
 
 
-def single_shot_decode(code: CodeTriple, dual, outcomes: dict, basis: str) -> SingleShotReport:
+def single_shot_decode(
+    code: CodeTriple, dual: DualStructure, outcomes: dict, basis: str
+) -> SingleShotReport:
     """The decode half of `single_shot_ec`, from the recorded outcomes.
 
     `dual` is `_code_dual_structure(code)` and `outcomes` maps every
@@ -465,8 +503,7 @@ def single_shot_decode(code: CodeTriple, dual, outcomes: dict, basis: str) -> Si
     against the majority, and the correction (not applied) is the lightest
     support with the resulting stabilizer syndrome.
     """
-    structure, by_pair = dual
-    colex = code.colex
+    by_pair = dual.by_pair
     # product of each pair's recorded plaquettes on each cell, read once
     parity: dict[tuple, int] = {}
     for pair, entries in by_pair.items():
@@ -475,8 +512,8 @@ def single_shot_decode(code: CodeTriple, dual, outcomes: dict, basis: str) -> Si
                 if end != SINK:
                     parity[pair, end[1]] = parity.get((pair, end[1]), 1) * outcomes[pi]
     cell_syndrome = {}
-    for ci, (_, cs) in enumerate(colex.cells):
-        votes = [parity.get((color_set(p), ci), 1) for p in combinations(cs, 2)]
+    for ci, pairs in enumerate(dual.cell_pairs):
+        votes = [parity.get((p, ci), 1) for p in pairs]
         cell_syndrome[ci] = 1 if votes.count(-1) <= len(votes) // 2 else -1
 
     # per-pair flux repair against the reconciled cell estimates
@@ -486,9 +523,8 @@ def single_shot_decode(code: CodeTriple, dual, outcomes: dict, basis: str) -> Si
         entries = by_pair[pair]
         mismatched = [
             ci
-            for ci in range(len(colex.cells))
-            if set(pair) <= set(colex.cell_colors(ci))
-            and parity.get((pair, ci), 1) != cell_syndrome[ci]
+            for ci, pairs in enumerate(dual.cell_pairs)
+            if pair in pairs and parity.get((pair, ci), 1) != cell_syndrome[ci]
         ]
         if not mismatched:
             delta0_sizes[pair] = 0
@@ -502,21 +538,15 @@ def single_shot_decode(code: CodeTriple, dual, outcomes: dict, basis: str) -> Si
             repaired[pi] = -repaired[pi]
 
     # stabilizer syndrome: cells, plus region products for frozen geometries
-    syndrome_bits = [cell_syndrome[ci] for ci in range(len(colex.cells))]
-    checks: list[tuple] = [tuple(vs) for vs, _ in colex.cells]
-    if all(r.classification == "frozen" for r in structure.regions):
-        y = next(iter({c.color for c in structure.corners}))
-        for region in structure.regions:
-            pair = color_set(set(region.colors) - {y})
-            prod = 1
-            for pi in region.plaquettes:
-                if colex.plaquette_colors(pi) == pair:
-                    prod *= repaired[pi]
-            syndrome_bits.append(prod)
-            checks.append(tuple(sorted(region.vertices)))
+    syndrome_bits = list(cell_syndrome.values())
+    for plaquettes in dual.region_plaquettes:
+        prod = 1
+        for pi in plaquettes:
+            prod *= repaired[pi]
+        syndrome_bits.append(prod)
 
     syndrome = tuple(0 if v == 1 else 1 for v in syndrome_bits)
-    support = checks_table(code.n, checks).get(syndrome)
+    support = dual.table.get(syndrome)
     if support is None:
         raise ValueError("no correction matches the repaired syndrome")
     corr_type = "X" if basis == "Z" else "Z"

@@ -13,6 +13,16 @@ parity matrix, each coset's lightest member, and the final 2D decode
 reduced to a per-coset logical flip. A trial's residual accounting, for
 the sign-linear fast engine and the tableau engine alike, is one matrix
 product and one lookup memoised per pair of coset keys.
+
+Single-shot trials run on a `SingleShotPlan`, compiled once per code and
+cached on it, in the manner of a reference sample plus Pauli frames (Stim,
+Gidney, arXiv 2103.02202). One noiseless tableau pass per encoded state
+records every plaquette's reference outcome, or, for a random one, the
+stabilizer row its measurement replaces, and the reference values of the
+final checks. A trial then tracks only the Pauli frame between that
+reference and its own state, as two Python ints; see
+`run_single_shot_trials` for why a random outcome updates the frame by the
+replaced row. `single_shot_decode` stays the one decoder.
 """
 
 from __future__ import annotations
@@ -24,18 +34,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flux import FluxConfiguration, repair_flux
+from .flux import FluxConfiguration, plaquette_operator, repair_flux
 from .gf2 import checks_table
 from .jump import (
     JumpContext,
+    _code_dual_structure,
+    _read_syndrome,
     collapse,
     encoded_3d,
     encoded_state,
-    ideal_decode,
     ideal_decode_2d,
     logical_operator,
     plaquette_checks,
-    single_shot_ec,
+    single_shot_decode,
 )
 from .noise import NoiseSpec, sample_qubit_noise, trial_rng
 from .pauli import PauliOperator
@@ -455,48 +466,191 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
 # -- single-shot trials --------------------------------------------------------------
 
 
+class _Reference:
+    """One reference state's noiseless single-shot pass, recorded.
+
+    `rounds` holds, per measured basis, one step per plaquette in measurement
+    order: (plaquette id, support mask, reference value or None when the
+    outcome is random, X and Z masks of the stabilizer row that a random
+    measurement replaces). `draws` counts the random outcomes of both rounds.
+    The final readout holds the cell syndrome bits of both types and the
+    tracked logical's value (tetrahedral codes) or the (X mask, Z mask,
+    value) of every stabilizer generator (inner codes).
+    """
+
+    def __init__(self, code, logical, plan):
+        state = encoded_state(code, logical)
+        self.rounds = []
+        for basis in ("Z", "X"):
+            steps = []
+            for pi in plan.order:
+                op = plaquette_operator(code.colex, pi, basis)
+                row = state.pivot_row(op)
+                value = state.measure(op, force=1)
+                if row is None:
+                    steps.append((pi, plan.masks[pi], value, 0, 0))
+                else:
+                    steps.append((pi, plan.masks[pi], None, _bits(row.x), _bits(row.z)))
+            self.rounds.append((basis, steps))
+        self.draws = sum(step[2] is None for _, steps in self.rounds for step in steps)
+        n = code.n
+        if logical is None:
+            self.stabilizers = [
+                (_bits(g.x), _bits(g.z), _definite(state.expect(g)))
+                for g in code.S.generators
+            ]
+        else:
+            self.cells_z = _read_syndrome(state, n, plan.cells, "Z")
+            self.cells_x = _read_syndrome(state, n, plan.cells, "X")
+            kind = "Z" if logical == "zero" else "X"
+            self.logical = _definite(state.expect(logical_operator(code, kind)))
+
+
+class SingleShotPlan:
+    """Static part of one code's single-shot trials, compiled once.
+
+    Pauli noise and Pauli corrections never change the unsigned stabilizer
+    group, and a tableau's x/z rows never depend on signs. So which
+    plaquette measurements are random, which stabilizer row each random one
+    replaces, and every deterministic outcome up to sign are the same in all
+    trials from one encoded state. The plan records them in one noiseless
+    pass per reference state (`zero` and `plus` for a tetrahedral code,
+    `None` for the inner code) in which random outcomes are forced to +1,
+    together with the code's dual structure and its cell decoding table
+    with supports as masks. `single_shot_plan` caches it on the code.
+    """
+
+    def __init__(self, code):
+        self.dual = _code_dual_structure(code)
+        by_pair = self.dual.by_pair
+        colex = code.colex
+        self.order = [pi for pair in sorted(by_pair) for pi, _ in by_pair[pair]]
+        self.masks = {pi: _support_mask(colex.plaquette_vertices(pi)) for pi in self.order}
+        self.cells = [tuple(vs) for vs, _ in colex.cells]
+        self.cell_masks = [_support_mask(vs) for vs in self.cells]
+        self.cell_table = {
+            syndrome: _support_mask(support)
+            for syndrome, support in checks_table(code.n, self.cells).items()
+        }
+        self.all_mask = (1 << code.n) - 1  # the support of both logicals
+        logicals = ("zero", "plus") if code.L.generators else (None,)
+        self.references = {logical: _Reference(code, logical, self) for logical in logicals}
+
+
+def single_shot_plan(code) -> SingleShotPlan:
+    """The code's single-shot plan, compiled on first use."""
+    if code._single_shot_plan is None:
+        code._single_shot_plan = SingleShotPlan(code)
+    return code._single_shot_plan
+
+
+def _bits(vec) -> int:
+    """A 0/1 vector as an int, bit q holding entry q."""
+    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
+
+
+def _support_mask(support) -> int:
+    return sum(1 << q for q in support)
+
+
+def _definite(value):
+    if value is None:
+        raise ValueError("a final single-shot check has no definite value")
+    return value
+
+
+def _parity(mask: int) -> int:
+    return mask.bit_count() & 1
+
+
 def run_single_shot_trials(
     code,
     noise: NoiseSpec,
     trials: int,
     trial_offset: int = 0,
 ) -> TrialStats:
-    """Single-shot harness: inner codes count stabilizer violations as
-    failure (verified noiselessly); tetrahedral codes count logical flips
-    after a final ideal decode."""
+    """Single-shot harness on the code's Pauli frame: inner codes count
+    stabilizer violations as failure (verified noiselessly); tetrahedral
+    codes count logical flips after a final ideal decode.
+
+    A trial prepares the encoded state (`zero`/`plus` by trial parity on
+    tetrahedral codes), injects qubit noise, runs one noisy single-shot
+    round of Z plaquettes and one of X plaquettes (`single_shot_decode`,
+    correction applied), then reads its failure. It keeps only the frame
+    F = (fx, fz), the Pauli that maps the plan's reference state onto the
+    trial's state: noise and corrections XOR into it, a deterministic
+    outcome is the reference value times (-1)^<F, M>, and the final checks
+    read the same way. A random measurement of M draws its outcome o as the
+    tableau does. The reference state was projected with (1 + M)/2, and
+    (1 + oM) F = F (1 + s M) with s = o (-1)^<F, M>; for s = -1 the row G
+    that the measurement replaces anticommutes with M and fixes the
+    reference state up to sign, so (1 - M)|ref> = +-G (1 + M)|ref>, and the
+    frame becomes F G. The random numbers are drawn in the tableau
+    harness's order: qubit noise, then per plaquette the outcome draw of a
+    random measurement and the flip draw when q > 0. Their count is static,
+    so they come from one vector draw (from Philox, the same numbers as
+    that many scalar draws). Every trial and every statistic therefore
+    equals the tableau harness's bit for bit (asserted in the test suite),
+    and no `Tableau` method runs per trial.
+    """
+    plan = single_shot_plan(code)
     stats = TrialStats()
-    has_logical = bool(code.L.generators)
-    cells = [tuple(vs) for vs, _ in code.colex.cells]
-    bases = {}
-    if has_logical:
-        bases["zero"] = encoded_state(code, "zero")
-        bases["plus"] = encoded_state(code, "plus")
-    else:
-        bases[None] = encoded_state(code, None)
+    q = noise.q_meas
     for t in range(trial_offset, trial_offset + trials):
         rng = trial_rng(noise.seed, t)
         logical = (
-            ("zero" if t % 2 == 0 else "plus") if has_logical else None
+            ("zero" if t % 2 == 0 else "plus") if code.L.generators else None
         )
-        state = bases[logical].copy()
+        ref = plan.references[logical]
         ex, ez = sample_qubit_noise(noise.p_qubit, code.n, rng)
-        if ex.any() or ez.any():
-            state.apply(PauliOperator(code.n, ex, ez))
-        for basis in ("Z", "X"):
-            state, report = single_shot_ec(state, code, basis, noise.q_meas, rng)
-            for pair, size in report.delta0_sizes.items():
+        fx, fz = _bits(ex), _bits(ez)
+        # every draw after the qubit noise, in the order the tableau makes them
+        count = ref.draws + (len(plan.order) * len(ref.rounds) if q > 0 else 0)
+        draws = iter(rng.random(count).tolist())
+        for basis, steps in ref.rounds:
+            outcomes = {}
+            for pi, mask, value, gx, gz in steps:
+                # a Z-type plaquette reads the frame's X part, and vice versa
+                flipped = _parity((fx if basis == "Z" else fz) & mask)
+                if value is None:
+                    up = next(draws) < 0.5
+                    if up == flipped:
+                        fx ^= gx
+                        fz ^= gz
+                    value = 1 if up else -1
+                elif flipped:
+                    value = -value
+                if q > 0 and next(draws) < q:
+                    value = -value
+                outcomes[pi] = value
+            report = single_shot_decode(code, plan.dual, outcomes, basis)
+            for size in report.delta0_sizes.values():
                 stats.delta0_hist[size] += 1
+            if basis == "Z":
+                fx ^= _bits(report.correction.x)
+            else:
+                fz ^= _bits(report.correction.z)
         stats.trials += 1
-        if has_logical:
-            kind = "Z" if logical == "zero" else "X"
-            ideal_decode(state, code.n, cells)
-            if state.expect(logical_operator(code, kind)) != 1:
-                stats.failures[kind] += 1
-        else:
-            violated = any(state.expect(g) != 1 for g in code.S.generators)
-            if violated:
+        if logical is None:
+            if any(
+                value != (-1) ** _parity((fx & gz) ^ (fz & gx))
+                for gx, gz, value in ref.stabilizers
+            ):
                 stats.failures["stabilizer"] += 1
+            continue
+        # the final ideal decode: Z-type cells, X correction, then X-type cells
+        fx ^= plan.cell_table[_syndrome(ref.cells_z, plan.cell_masks, fx)]
+        fz ^= plan.cell_table[_syndrome(ref.cells_x, plan.cell_masks, fz)]
+        kind = "Z" if logical == "zero" else "X"
+        if ref.logical != (-1) ** _parity((fx if kind == "Z" else fz) & plan.all_mask):
+            stats.failures[kind] += 1
     return stats
+
+
+def _syndrome(reference: tuple, masks: list[int], frame: int) -> tuple:
+    """Check bits of the framed state: the reference bits flipped by the
+    frame's overlap parity with each check."""
+    return tuple(bit ^ _parity(frame & mask) for bit, mask in zip(reference, masks))
 
 
 # -- output formats -------------------------------------------------------------------

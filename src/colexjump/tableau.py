@@ -82,6 +82,15 @@ class Tableau:
             return None
         return acc.sign * op.sign
 
+    def pivot_row(self, op: PauliOperator) -> PauliOperator | None:
+        """The stabilizer row `measure(op)` replaces; None if op is determinate.
+
+        The row anticommutes with op and fixes the state up to sign, so it
+        maps one outcome's post-measurement state onto the other's.
+        """
+        stab_anti = np.flatnonzero(self._anticommutation(op)[self.n :])
+        return None if stab_anti.size == 0 else self.stabilizer_row(int(stab_anti[0]))
+
     def measure(
         self,
         op: PauliOperator,

@@ -88,6 +88,24 @@ def test_schedule_make_and_verify(tmp_path, capsys):
     assert code == 1 and "VIOLATION" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "make", "--sequence", "{seq}"],
+        ["schedule", "make", "--stack", "4"],
+        ["schedule", "verify"],
+    ],
+)
+def test_schedule_missing_flag_is_a_usage_error(tmp_path, capsys, argv):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0 1 2 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(seq=seq) for arg in argv])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and "needs --" in out.err
+
+
 def test_simulate_outputs_reproducible(tmp_path, capsys):
     base = [
         "simulate", "collapse", "--builtin", "tetra15", "--p", "0.03", "--q", "0.03",
@@ -174,6 +192,23 @@ def test_simulate_workers_merge_identically(tmp_path, capsys):
     three = json.loads((tmp_path / "w3.json").read_text())
     assert one["results"] == three["results"]
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["inner", "3d"])
+def test_simulate_singleshot_workers_merge_identically(tmp_path, capsys, kind):
+    base = [
+        "simulate", "singleshot", "--builtin", "tetra15", "--kind", kind,
+        "--p", "0.05", "--q", "0.05", "--trials", "40", "--seed", "13",
+    ]
+    for workers in ("1", "3"):
+        label = "w" + workers
+        run(base + ["--workers", workers, "--label", label, "--out-dir", str(tmp_path)], capsys)
+    for suffix in (".csv", ".json"):
+        one = (tmp_path / ("w1" + suffix)).read_bytes()
+        three = (tmp_path / ("w3" + suffix)).read_bytes()
+        if suffix == ".json":
+            one, three = json.loads(one)["results"], json.loads(three)["results"]
+        assert one == three
 
 
 def test_simulate_trace_identical_across_workers(tmp_path, capsys):

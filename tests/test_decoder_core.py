@@ -256,8 +256,7 @@ def test_t_join_equals_single_shot_cell_matching(code3, inner_code):
     checked = 0
     for code in (code3, inner_code):
         colex = code.colex
-        _, by_pair = _code_dual_structure(code)
-        for pair, entries in by_pair.items():
+        for pair, entries in _code_dual_structure(code).by_pair.items():
             old_entries = [(pi, list(colex.plaquette_cells[pi])) for pi, _ in entries]
             cells = [
                 ci for ci in range(len(colex.cells)) if set(pair) <= set(colex.cell_colors(ci))

@@ -224,8 +224,7 @@ def test_single_shot_inner_measurement_flip_bounded(ctx, inner_code):
     repaired edge (here: weight <= 2)."""
     from colexjump.jump import _code_dual_structure
 
-    _, by_pair = _code_dual_structure(inner_code)
-    for pair, entries in by_pair.items():
+    for pair, entries in _code_dual_structure(inner_code).by_pair.items():
         for pi, _ in entries:
             state = encoded_state(inner_code, None)
             state, report = _ec_with_flip(state, inner_code, pi)
@@ -246,8 +245,8 @@ def _ec_with_flip(state, code, flip_pi):
 
     dual = _code_dual_structure(code)
     outcomes = {}
-    for pair in sorted(dual[1]):
-        for pi, _ in dual[1][pair]:
+    for pair in sorted(dual.by_pair):
+        for pi, _ in dual.by_pair[pair]:
             value = state.measure(plaquette_operator(code.colex, pi, "Z"), trial_rng(9, pi))
             outcomes[pi] = -value if pi == flip_pi else value
     report = single_shot_decode(code, dual, outcomes, "Z")

@@ -1,16 +1,25 @@
 """Monte Carlo harness: engine equivalence, determinism, statistics."""
 
+import hashlib
 import io
 import itertools
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexjump import gf2
-from colexjump.codes import build_3d
+from colexjump import gf2, jump
+from colexjump.codes import build_3d, build_inner
 from colexjump.colex import Colex
-from colexjump.jump import encoded_state, ideal_decode, logical_operator, make_context
+from colexjump.jump import (
+    encoded_state,
+    ideal_decode,
+    logical_operator,
+    make_context,
+    single_shot_ec,
+)
 from colexjump.montecarlo import (
     TrialStats,
     collapse_plan,
@@ -20,8 +29,9 @@ from colexjump.montecarlo import (
     stats_csv_rows,
     wilson_interval,
 )
-from colexjump.noise import NoiseSpec
+from colexjump.noise import NoiseSpec, sample_qubit_noise, trial_rng
 from colexjump.pauli import PauliOperator
+from colexjump.tableau import Tableau
 
 
 def _class_min_support(ctx, vec: np.ndarray) -> np.ndarray:
@@ -193,6 +203,122 @@ def test_residual_locality_proxy(ctx):
     edges_per_side = sum(len(ctx.duals[pair]) for pair in ctx.pairs)
     bound = k_hat * 2 * edges_per_side  # coarse per-trial ceiling
     assert stats.max_residual_component <= bound
+
+
+def _tableau_single_shot_trials(code, noise, trials, trial_offset=0) -> TrialStats:
+    """Reference oracle: the single-shot harness on a full tableau per trial
+    (one `single_shot_ec` per round, then a tableau ideal decode)."""
+    stats = TrialStats()
+    has_logical = bool(code.L.generators)
+    cells = [tuple(vs) for vs, _ in code.colex.cells]
+    bases = {}
+    if has_logical:
+        bases["zero"] = encoded_state(code, "zero")
+        bases["plus"] = encoded_state(code, "plus")
+    else:
+        bases[None] = encoded_state(code, None)
+    for t in range(trial_offset, trial_offset + trials):
+        rng = trial_rng(noise.seed, t)
+        logical = (
+            ("zero" if t % 2 == 0 else "plus") if has_logical else None
+        )
+        state = bases[logical].copy()
+        ex, ez = sample_qubit_noise(noise.p_qubit, code.n, rng)
+        if ex.any() or ez.any():
+            state.apply(PauliOperator(code.n, ex, ez))
+        for basis in ("Z", "X"):
+            state, report = single_shot_ec(state, code, basis, noise.q_meas, rng)
+            for pair, size in report.delta0_sizes.items():
+                stats.delta0_hist[size] += 1
+        stats.trials += 1
+        if has_logical:
+            kind = "Z" if logical == "zero" else "X"
+            ideal_decode(state, code.n, cells)
+            if state.expect(logical_operator(code, kind)) != 1:
+                stats.failures[kind] += 1
+        else:
+            violated = any(state.expect(g) != 1 for g in code.S.generators)
+            if violated:
+                stats.failures["stabilizer"] += 1
+    return stats
+
+
+@pytest.mark.parametrize("p,q", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.05), (0.1, 0.1), (1.0, 1.0)])
+@pytest.mark.parametrize("which", ["inner_code", "code3"])
+def test_frame_engine_matches_tableau(request, which, p, q):
+    code = request.getfixturevalue(which)
+    spec = NoiseSpec(p, q, seed=17)
+    frame = run_single_shot_trials(code, spec, 40, trial_offset=3)
+    assert frame.as_dict() == _tableau_single_shot_trials(code, spec, 40, 3).as_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    offset=st.integers(0, 10**9),
+    p=_RATES,
+    q=_RATES,
+)
+def test_frame_engine_matches_tableau_fuzzed(inner_code, code3, seed, offset, p, q):
+    """Odd and even offsets start the tetrahedral trials on either logical."""
+    spec = NoiseSpec(p, q, seed=seed)
+    for code in (inner_code, code3):
+        frame = run_single_shot_trials(code, spec, 4, trial_offset=offset)
+        oracle = _tableau_single_shot_trials(code, spec, 4, trial_offset=offset)
+        assert frame.as_dict() == oracle.as_dict()
+
+
+def test_single_shot_plan_compiled_once_per_code(split15, monkeypatch):
+    """A second call on the same code prepares no state and derives no
+    boundary structure; no trial calls a tableau method."""
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("from_stabilizers", "boundary_structure"):
+        monkeypatch.setattr(jump, name, counting(name, getattr(jump, name)))
+    code = build_inner(split15)
+    spec = NoiseSpec(0.1, 0.1, seed=5)
+    run_single_shot_trials(code, spec, 3)
+    assert calls["from_stabilizers"] == 1 and calls["boundary_structure"] == 1
+    calls.clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tableau method ran inside a trial")
+
+    for name in ("copy", "apply", "expect", "measure", "pivot_row"):
+        monkeypatch.setattr(Tableau, name, forbidden)
+    run_single_shot_trials(code, spec, 20, trial_offset=3)
+    assert calls == Counter()
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:10]
+
+
+# SHA-256 prefixes of `as_dict()` over 60 trials from offset 0, recorded with
+# the tableau harness (now `_tableau_single_shot_trials`)
+_SINGLE_SHOT_GOLDEN = {
+    ("inner_code", 0.02, 0.02, 808): "9c62df7711",
+    ("inner_code", 0.1, 0.05, 3): "2cdee4764f",
+    ("inner_code", 1, 1, 2): "526b92807e",
+    ("code3", 0.02, 0.02, 808): "701db73c19",
+    ("code3", 0.1, 0.05, 3): "6e94d08479",
+    ("code3", 1, 1, 2): "3dade003ed",
+}
+
+
+@pytest.mark.parametrize("which,p,q,seed", list(_SINGLE_SHOT_GOLDEN))
+def test_single_shot_statistics_pinned(request, which, p, q, seed):
+    code = request.getfixturevalue(which)
+    stats = run_single_shot_trials(code, NoiseSpec(p, q, seed), 60)
+    assert _digest(stats.as_dict()) == _SINGLE_SHOT_GOLDEN[which, p, q, seed]
 
 
 def test_single_shot_trials_inner_noiseless(inner_code):
