@@ -180,12 +180,12 @@ def _jump_trial(ctx, spec, action, t):
 
 
 def _apply_noise(state, p, n, rng):
-    from .noise import sample_qubit_noise
+    from .noise import sample_qubit_noise, to_mask
     from .pauli import PauliOperator
 
     ex, ez = sample_qubit_noise(p, n, rng)
     if ex.any() or ez.any():
-        state.apply(PauliOperator(n, ex, ez))
+        state.apply(PauliOperator(n, to_mask(ex), to_mask(ez)))
 
 
 def _embedded_logical(ctx, kind):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .boundary import BoundaryStructure, Region, boundary_structure
 from .colex import Colex, color_set
+from .gf2 import BitMatrix
 from .pauli import (
     PauliGroup,
     PauliOperator,
@@ -48,10 +49,7 @@ class CodeTriple:
     def x_support_rows(self, group: str) -> np.ndarray:
         """Supports of the X-type generators of S/G/L as a dense 0/1 matrix."""
         gens = {"S": self.S, "G": self.G, "L": self.L}[group].generators
-        rows = [g.x for g in gens if g.x.any() and not g.z.any()]
-        if not rows:
-            return np.zeros((0, self.n), dtype=np.uint8)
-        return np.array(rows, dtype=np.uint8)
+        return BitMatrix([g.x for g in gens if g.x and not g.z], self.n).to_dense()
 
 
 def _support_group(n: int, supports) -> PauliGroup:
@@ -212,10 +210,8 @@ def code_parameters(code: CodeTriple, want_distance: bool = True):
         if code.n <= 20:
             d = min_weight_logical(code.S, code.G, code.L)
         else:
-            checks = np.array(
-                [g.z for g in code.S.generators if g.z.any() and not g.x.any()],
-                dtype=np.uint8,
-            )
+            z_rows = [g.z for g in code.S.generators if g.z and not g.x]
+            checks = BitMatrix(z_rows, code.n).to_dense()
             trivial = np.vstack([code.x_support_rows("S"), code.x_support_rows("G")])
             d = css_min_weight(checks, trivial)
     return code.n, k, d

@@ -154,16 +154,14 @@ def nullspace(mat: BitMatrix) -> BitMatrix:
     return BitMatrix(out, mat.ncols)
 
 
-def solve(mat: BitMatrix, target: int):
-    """One x with x @ mat == target, or None. x is returned as a dense array
-    of combination coefficients over mat's rows."""
+def solve(mat: BitMatrix, target: int) -> int | None:
+    """One x with x @ mat == target, or None. x is an int mask of
+    combination coefficients: bit i selects row i of mat."""
     ech = Echelon(mat.ncols)
     for i, row in enumerate(mat.rows):
         ech.add(row, 1 << i)
     residual, aux = ech.reduce(target)
-    if residual:
-        return None
-    return np.array([aux >> j & 1 for j in range(mat.nrows)], dtype=np.uint8)
+    return None if residual else aux
 
 
 def intersection(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -131,24 +131,24 @@ def encoded_state(
     elif logical is not None and code.L.generators:
         raise ValueError(f"unknown logical state {logical!r}")
     candidates = list(gauge_priority or []) + list(code.G.generators)
-    packed = gf2.pack_rows([op.symplectic() for op in rows + candidates], 2 * code.n)
 
+    n = code.n
     kept: list[PauliOperator] = []
-    ech = gf2.Echelon(2 * code.n)
-    for op, row in zip(rows, packed.rows):
-        if not ech.add(row):
+    ech = gf2.Echelon(2 * n)
+    for op in rows:
+        if not ech.add(op.x | op.z << n):
             raise ValueError("stabilizer/logical rows are dependent")
         kept.append(op)
-    for op, row in zip(candidates, packed.rows[len(rows) :]):
-        if len(kept) == code.n:
+    for op in candidates:
+        if len(kept) == n:
             break
         if any(not op.commutes_with(r) for r in kept):
             continue
-        if ech.add(row):
+        if ech.add(op.x | op.z << n):
             kept.append(op)
-    if len(kept) != code.n:
+    if len(kept) != n:
         raise ValueError(
-            f"could not complete stabilizer set: {len(kept)} of {code.n} rows"
+            f"could not complete stabilizer set: {len(kept)} of {n} rows"
         )
     return from_stabilizers(kept)
 
@@ -178,34 +178,32 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     out completely.
     """
     n = state.n
-    keep = [q for q in range(n) if q not in set(drop)]
+    drop_mask = sum(1 << q for q in set(drop))
+    keep = [q for q in range(n) if not drop_mask >> q & 1]
     rows = [state.stabilizer_row(i) for i in range(n)]
-    # eliminate dropped-qubit columns (x then z per qubit)
-    used: list[int] = []
+    # eliminate dropped-qubit columns (x then z per qubit): the first unused
+    # row with the bit is the pivot, and every other row with it is cleared
+    used: set[int] = set()
     for q in drop:
+        bit = 1 << q
         for part in ("x", "z"):
-            pivot = None
-            for i, r in enumerate(rows):
-                if i in used:
-                    continue
-                if (r.x if part == "x" else r.z)[q]:
-                    pivot = i
-                    break
+            hits = [i for i, r in enumerate(rows) if (r.x if part == "x" else r.z) & bit]
+            pivot = next((i for i in hits if i not in used), None)
             if pivot is None:
                 continue
-            used.append(pivot)
+            used.add(pivot)
             prow = rows[pivot]
-            for i, r in enumerate(rows):
-                if i != pivot and (r.x if part == "x" else r.z)[q]:
-                    rows[i] = r * prow
+            for i in hits:
+                if i != pivot:
+                    rows[i] = rows[i] * prow
     survivors = []
     for i, r in enumerate(rows):
         if i in used:
             continue
-        if any(r.x[q] or r.z[q] for q in drop):
+        if (r.x | r.z) & drop_mask:
             raise ValueError("dropped qubits are still entangled with the rest")
         survivors.append(
-            PauliOperator(len(keep), r.x[keep], r.z[keep], r.sign)
+            PauliOperator(len(keep), _gather(r.x, keep), _gather(r.z, keep), r.sign)
         )
     if len(survivors) != len(keep):
         raise ValueError(
@@ -214,12 +212,26 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     return from_stabilizers(survivors)
 
 
+def _gather(mask: int, positions: list[int]) -> int:
+    """Bit i of the result is bit positions[i] of mask."""
+    return sum((mask >> q & 1) << i for i, q in enumerate(positions))
+
+
+def _scatter(mask: int, positions: list[int]) -> int:
+    """Bit positions[i] of the result is bit i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << positions[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def embed_operator(op: PauliOperator, n_total: int, positions: list[int]) -> PauliOperator:
-    x = np.zeros(n_total, dtype=np.uint8)
-    z = np.zeros(n_total, dtype=np.uint8)
-    x[positions] = op.x
-    z[positions] = op.z
-    return PauliOperator(n_total, x, z, op.sign)
+    """op on qubits 0..op.n-1 placed on qubits positions[0..op.n-1] of n_total."""
+    return PauliOperator(
+        n_total, _scatter(op.x, positions), _scatter(op.z, positions), op.sign
+    )
 
 
 # -- ideal decoding -----------------------------------------------------------------

@@ -8,11 +8,12 @@ class (syndrome plus logical action) is computed algebraically and reduced
 to its minimum-weight representative for the histograms.
 
 Collapse trials run on a `CollapsePlan`, compiled once per context and
-cached on it: the inner plaquette parity matrix, the outer residual-coset
-parity matrix, each coset's lightest member, and the final 2D decode
-reduced to a per-coset logical flip. A trial's residual accounting, for
-the sign-linear fast engine and the tableau engine alike, is one matrix
-product and one lookup memoised per pair of coset keys.
+cached on it: the inner plaquette parity matrix, one int mask per
+residual-coset key bit, each coset's lightest member, and the final 2D
+decode reduced to a per-coset logical flip. A trial's residual accounting,
+for the sign-linear fast engine and the tableau engine alike, is a few
+popcount parities on int masks and one lookup memoised per pair of coset
+keys.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
 cached on it, in the manner of a reference sample plus Pauli frames (Stim,
@@ -48,7 +49,7 @@ from .jump import (
     plaquette_checks,
     single_shot_decode,
 )
-from .noise import NoiseSpec, sample_qubit_noise, trial_rng
+from .noise import NoiseSpec, sample_qubit_noise, to_mask, trial_rng
 from .pauli import PauliOperator
 
 
@@ -113,6 +114,7 @@ class CollapsePlan:
     then the weight parity (which separates the two logical classes, since
     every plaquette has even weight and the logical odd weight). Keys pack
     into integers, the X side in the low bits and the Z side above it.
+    Error and correction vectors are int masks, bit q holding qubit q.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -133,17 +135,13 @@ class CollapsePlan:
                     vs = ctx.colex3.plaquette_vertices(dual.plaquette)
                     supports.append([offset + v for v in vs])
         self.inner_parity = _incidence(2 * n3, supports)
-        # residual coset keys of (3D X error, 3D Z error, applied X, applied Z):
-        # column j < m + 1 is key bit j of the X side, m + 1 + j of the Z side
-        key_supports = []
-        for err_offset, applied_offset in ((0, 2 * n3), (n3, 2 * n3 + n2)):
-            for chk in checks + [tuple(range(n2))]:
-                key_supports.append(
-                    [err_offset + outer[q] for q in chk]
-                    + [applied_offset + q for q in chk]
-                )
-        self.residual_parity = _incidence(2 * n3 + 2 * n2, key_supports)
-        self.key_weights = 1 << np.arange(2 * (m + 1))
+        # residual coset key bit j of one side is the parity of (3D error on
+        # that side | applied correction << n3) over key_masks[j]
+        self.n3 = n3
+        self.key_masks = [
+            sum(1 << outer[q] for q in chk) | sum(1 << q for q in chk) << n3
+            for chk in checks + [tuple(range(n2))]
+        ]
         self.side_bits = m + 1
         # (syndrome, parity) -> lexicographically first minimum-weight member:
         # the (weight, lex) order of min_weight_table is the tie-break
@@ -158,10 +156,17 @@ class CollapsePlan:
         self.adjacency = _outer_adjacency(ctx)
         self._residuals: dict = {}
 
-    def residual_key(self, ex, ez, applied) -> int:
-        """Packed coset keys of the outer residual on both sides."""
-        vec = np.concatenate((ex, ez, applied["X"], applied["Z"]))
-        return int(((vec @ self.residual_parity) & 1) @ self.key_weights)
+    def residual_key(self, ex: int, ez: int, applied: dict) -> int:
+        """Packed coset keys of the outer residual on both sides, from the
+        3D error masks and the applied corrections' outer masks."""
+        vx = ex | applied["X"] << self.n3
+        vz = ez | applied["Z"] << self.n3
+        side = self.side_bits
+        key = 0
+        for j, mask in enumerate(self.key_masks):
+            key |= ((vx & mask).bit_count() & 1) << j
+            key |= ((vz & mask).bit_count() & 1) << (side + j)
+        return key
 
     def split_key(self, key: int) -> tuple[int, int]:
         """(X-side key, Z-side key) of a packed residual key."""
@@ -234,11 +239,11 @@ def _max_component(support, adj) -> int:
 @dataclass
 class _TrialResult:
     logical: str
-    ex: np.ndarray
-    ez: np.ndarray
+    ex: int  # injected 3D error masks
+    ez: int
     records: dict
     repairs: dict
-    applied: dict
+    applied: dict  # correction type -> outer mask of the applied correction
     flags: dict
     failed: bool
     key: int  # packed residual coset key (CollapsePlan.residual_key)
@@ -255,12 +260,13 @@ class CollapseEngine:
     flips are support parities of the accumulated error. The engine runs
     that arithmetic on the context's compiled `CollapsePlan`: one matrix
     product gives every inner plaquette reading, one `rng.random` call every
-    measurement flip, and one product the residual coset keys, whose table
-    entry says whether the final decode leaves the logical flipped. Random
-    numbers are drawn in exactly the same order as the tableau pipeline (a
-    vector draw from Philox equals the same number of scalar draws), so both
-    produce identical trials (asserted in the test suite). Flux repair and
-    string correction still run once per (pair, basis).
+    measurement flip, and popcount parities of int masks the residual coset
+    keys, whose table entry says whether the final decode leaves the logical
+    flipped. Random numbers are drawn in exactly the same order as the
+    tableau pipeline (a vector draw from Philox equals the same number of
+    scalar draws), so both produce identical trials (asserted in the test
+    suite). Flux repair and string correction still run once per (pair,
+    basis).
     """
 
     def __init__(self, ctx: JumpContext):
@@ -280,10 +286,7 @@ class CollapseEngine:
         true, seen = true.tolist(), seen.tolist()
         records = {}
         repairs = {}
-        applied = {
-            "X": np.zeros(ctx.n2, dtype=np.uint8),
-            "Z": np.zeros(ctx.n2, dtype=np.uint8),
-        }
+        applied = {"X": 0, "Z": 0}
         for basis, pair, lo, duals in plan.slots:
             span = range(len(duals))
             observed = FluxConfiguration(
@@ -303,6 +306,7 @@ class CollapseEngine:
                 gamma_eff.outer_endpoints(), pair, corr_type
             )
             applied[corr_type] ^= corr.x if corr_type == "X" else corr.z
+        ex, ez = to_mask(ex), to_mask(ez)
         # the observable logical reads the parity of the residual on the
         # opposite side; the final ideal decode is a lookup on its coset
         residual = plan.residual_key(ex, ez, applied)
@@ -375,14 +379,11 @@ def _tableau_trial(ctx, base, noise, t) -> _TrialResult:
     logical = "zero" if t % 2 == 0 else "plus"
     kind = "Z" if logical == "zero" else "X"
     state = base[logical].copy()
-    ex, ez = sample_qubit_noise(noise.p_qubit, ctx.n3, rng)
-    if ex.any() or ez.any():
+    ex, ez = (to_mask(v) for v in sample_qubit_noise(noise.p_qubit, ctx.n3, rng))
+    if ex or ez:
         state.apply(PauliOperator(ctx.n3, ex, ez))
     out = collapse(ctx, state, noise.q_meas, rng)
-    applied = {
-        "X": out.applied_correction["X"].x.copy(),
-        "Z": out.applied_correction["Z"].z.copy(),
-    }
+    applied = {"X": out.applied_correction["X"].x, "Z": out.applied_correction["Z"].z}
     ideal_decode_2d(ctx, out.residual_state)
     value = out.residual_state.expect(logical_operator(ctx.code2, kind))
     return _TrialResult(
@@ -404,8 +405,8 @@ def _trace_line(noise: NoiseSpec, t: int, result: _TrialResult) -> str:
             "trial": t,
             "seed": noise.seed,
             "logical": result.logical,
-            "injected_x": np.flatnonzero(result.ex).tolist(),
-            "injected_z": np.flatnonzero(result.ez).tolist(),
+            "injected_x": _set_bits(result.ex),
+            "injected_z": _set_bits(result.ez),
             "records": {
                 f"{p}:{b}": {str(k): v for k, v in rec.items()}
                 for (p, b), rec in result.records.items()
@@ -414,13 +415,17 @@ def _trace_line(noise: NoiseSpec, t: int, result: _TrialResult) -> str:
                 f"{p}:{b}": [list(d0), list(ge), list(tr)]
                 for (p, b), (d0, ge, tr) in result.repairs.items()
             },
-            "applied_x": np.flatnonzero(result.applied["X"]).tolist(),
-            "applied_z": np.flatnonzero(result.applied["Z"]).tolist(),
+            "applied_x": _set_bits(result.applied["X"]),
+            "applied_z": _set_bits(result.applied["Z"]),
             "residual_flags": result.flags,
             "failed": result.failed,
         },
         sort_keys=True,
     )
+
+
+def _set_bits(mask: int) -> list[int]:
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
 def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
@@ -444,12 +449,8 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
     singles = []
     for q in range(ctx.n3):
         for kind in ("X", "Z", "Y"):
-            x = np.zeros(ctx.n3, dtype=np.uint8)
-            z = np.zeros(ctx.n3, dtype=np.uint8)
-            if kind in ("X", "Y"):
-                x[q] = 1
-            if kind in ("Z", "Y"):
-                z[q] = 1
+            x = 1 << q if kind in ("X", "Y") else 0
+            z = 1 << q if kind in ("Z", "Y") else 0
             singles.append((f"{kind}{q}", PauliOperator(ctx.n3, x, z)))
     for logical in ("zero", "plus"):
         for label, op in singles:
@@ -490,13 +491,13 @@ class _Reference:
                 if row is None:
                     steps.append((pi, plan.masks[pi], value, 0, 0))
                 else:
-                    steps.append((pi, plan.masks[pi], None, _bits(row.x), _bits(row.z)))
+                    steps.append((pi, plan.masks[pi], None, row.x, row.z))
             self.rounds.append((basis, steps))
         self.draws = sum(step[2] is None for _, steps in self.rounds for step in steps)
         n = code.n
         if logical is None:
             self.stabilizers = [
-                (_bits(g.x), _bits(g.z), _definite(state.expect(g)))
+                (g.x, g.z, _definite(state.expect(g)))
                 for g in code.S.generators
             ]
         else:
@@ -542,11 +543,6 @@ def single_shot_plan(code) -> SingleShotPlan:
     if code._single_shot_plan is None:
         code._single_shot_plan = SingleShotPlan(code)
     return code._single_shot_plan
-
-
-def _bits(vec) -> int:
-    """A 0/1 vector as an int, bit q holding entry q."""
-    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
 
 
 def _support_mask(support) -> int:
@@ -603,7 +599,7 @@ def run_single_shot_trials(
         )
         ref = plan.references[logical]
         ex, ez = sample_qubit_noise(noise.p_qubit, code.n, rng)
-        fx, fz = _bits(ex), _bits(ez)
+        fx, fz = to_mask(ex), to_mask(ez)
         # every draw after the qubit noise, in the order the tableau makes them
         count = ref.draws + (len(plan.order) * len(ref.rounds) if q > 0 else 0)
         draws = iter(rng.random(count).tolist())
@@ -627,9 +623,9 @@ def run_single_shot_trials(
             for size in report.delta0_sizes.values():
                 stats.delta0_hist[size] += 1
             if basis == "Z":
-                fx ^= _bits(report.correction.x)
+                fx ^= report.correction.x
             else:
-                fz ^= _bits(report.correction.z)
+                fz ^= report.correction.z
         stats.trials += 1
         if logical is None:
             if any(

@@ -44,6 +44,11 @@ def sample_qubit_noise(p: float, n: int, rng: np.random.Generator):
     return x, z
 
 
+def to_mask(vec: np.ndarray) -> int:
+    """A 0/1 vector (one noise draw) as an int, bit q holding entry q."""
+    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class AlphaBound:
     alpha: float

@@ -1,8 +1,10 @@
 """Symplectic GF(2) Pauli arithmetic: operators, groups, centralizers.
 
 An n-qubit Pauli is two n-bit vectors (X part, Z part) and a sign in {+1, -1}.
-The canonical ordering puts all X factors left of all Z factors, so the
-product rule picks up (-1)^(z1.x2):
+Each vector is a Python int with bit q holding qubit q, so a product is two
+`^`, a symplectic form is two `&` and one `int.bit_count()`, and a Pauli's
+[x|z] row in `gf2` is `x | z << n`. The canonical ordering puts all X
+factors left of all Z factors, so the product rule picks up (-1)^(z1.x2):
 
     (s1, x1, z1) * (s2, x2, z2) = (s1*s2*(-1)^(z1.x2), x1^x2, z1^z2)
 
@@ -21,16 +23,20 @@ from . import gf2
 
 
 class PauliOperator:
-    """n-qubit Pauli as (x bits, z bits, sign)."""
+    """n-qubit Pauli as (x mask, z mask, sign); bit q of a mask is qubit q."""
 
     __slots__ = ("n", "x", "z", "sign")
 
-    def __init__(self, n: int, x=None, z=None, sign: int = 1):
+    def __init__(self, n: int, x: int = 0, z: int = 0, sign: int = 1):
+        if type(x) is not int or type(z) is not int:
+            raise TypeError(f"Pauli masks must be ints, got {type(x)}, {type(z)}")
+        if (x | z) >> n:
+            raise ValueError(f"Pauli masks {x:#x}, {z:#x} do not fit {n} qubits")
+        if sign != 1 and sign != -1:
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         self.n = n
-        self.x = np.zeros(n, dtype=np.uint8) if x is None else np.asarray(x, dtype=np.uint8) & 1
-        self.z = np.zeros(n, dtype=np.uint8) if z is None else np.asarray(z, dtype=np.uint8) & 1
-        assert self.x.shape == (n,) and self.z.shape == (n,)
-        assert sign in (1, -1)
+        self.x = x
+        self.z = z
         self.sign = sign
 
     @classmethod
@@ -39,10 +45,10 @@ class PauliOperator:
 
     @classmethod
     def from_support(cls, n: int, kind: str, support, sign: int = 1) -> "PauliOperator":
-        """Pure X- or Z-type operator on the given qubit set."""
-        bits = np.zeros(n, dtype=np.uint8)
+        """Pure X- or Z-type operator on the given qubit set (repeats cancel)."""
+        bits = 0
         for q in support:
-            bits[q] ^= 1
+            bits ^= 1 << q
         if kind == "X":
             return cls(n, x=bits, sign=sign)
         if kind == "Z":
@@ -56,42 +62,39 @@ class PauliOperator:
         if text and text[0] in "+-":
             sign = -1 if text[0] == "-" else 1
             text = text[1:]
-        n = len(text)
-        op = cls(n, sign=sign)
+        x = z = 0
         for i, ch in enumerate(text.upper()):
-            if ch == "X":
-                op.x[i] = 1
-            elif ch == "Z":
-                op.z[i] = 1
-            elif ch == "Y":
-                op.x[i] = 1
-                op.z[i] = 1
-            elif ch != "I":
+            if ch in "XY":
+                x |= 1 << i
+            if ch in "ZY":
+                z |= 1 << i
+            if ch not in "IXYZ":
                 raise ValueError(f"invalid Pauli letter {ch!r}")
-        return op
+        return cls(len(text), x, z, sign)
 
     @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.x | self.z)
+    def support(self) -> tuple[int, ...]:
+        mask = self.x | self.z
+        return tuple(q for q in range(self.n) if mask >> q & 1)
 
     @property
     def weight(self) -> int:
-        return int(np.count_nonzero(self.x | self.z))
+        return (self.x | self.z).bit_count()
 
     def is_identity(self) -> bool:
-        return not (self.x.any() or self.z.any())
+        return not (self.x or self.z)
 
     def commutes_with(self, other: "PauliOperator") -> bool:
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        form = int(self.x @ other.z) + int(self.z @ other.x)
-        return form % 2 == 0
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        phase = int(self.z @ other.x) % 2
-        sign = self.sign * other.sign * (-1 if phase else 1)
+        sign = self.sign * other.sign
+        if (self.z & other.x).bit_count() & 1:
+            sign = -sign
         return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z, sign)
 
     def __eq__(self, other: object) -> bool:
@@ -100,33 +103,22 @@ class PauliOperator:
         return (
             self.n == other.n
             and self.sign == other.sign
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
+            and self.x == other.x
+            and self.z == other.z
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.sign, self.x.tobytes(), self.z.tobytes()))
-
-    def symplectic(self) -> np.ndarray:
-        """Dense [x | z] row of length 2n."""
-        return np.concatenate([self.x, self.z])
+        return hash((self.n, self.sign, self.x, self.z))
 
     def __repr__(self) -> str:
-        letters = []
-        for xi, zi in zip(self.x, self.z):
-            letters.append("IXZY"[xi + 2 * zi] if xi + 2 * zi != 3 else "Y")
-        return ("+" if self.sign == 1 else "-") + "".join(letters)
+        letters = "".join(
+            "IXZY"[(self.x >> q & 1) + 2 * (self.z >> q & 1)] for q in range(self.n)
+        )
+        return ("+" if self.sign == 1 else "-") + letters
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     return p.commutes_with(q)
-
-
-def _pack_symplectic(ops: list[PauliOperator], n: int) -> gf2.BitMatrix:
-    if not ops:
-        return gf2.BitMatrix.zeros(0, 2 * n)
-    dense = np.array([op.symplectic() for op in ops], dtype=np.uint8)
-    return gf2.pack_rows(dense, 2 * n)
 
 
 class PauliGroup:
@@ -142,8 +134,10 @@ class PauliGroup:
         self._packed: gf2.BitMatrix | None = None
 
     def packed(self) -> gf2.BitMatrix:
+        """The generators' [x|z] rows: bit q is X on qubit q, bit n + q Z on it."""
         if self._packed is None:
-            self._packed = _pack_symplectic(self.generators, self.n)
+            n = self.n
+            self._packed = gf2.BitMatrix([g.x | g.z << n for g in self.generators], 2 * n)
         return self._packed
 
     @property
@@ -154,15 +148,16 @@ class PauliGroup:
         """Membership; a member must match sign unless up_to_sign."""
         if op.n != self.n:
             raise ValueError("qubit count mismatch")
-        target = gf2.pack_rows(op.symplectic(), 2 * self.n).row(0)
+        target = op.x | op.z << self.n
         if up_to_sign:
             return gf2.in_span(self.packed(), target)
         coeffs = gf2.solve(self.packed(), target)
         if coeffs is None:
             return False
         prod = PauliOperator.identity(self.n)
-        for i in np.flatnonzero(coeffs):
-            prod = prod * self.generators[i]
+        for i, g in enumerate(self.generators):
+            if coeffs >> i & 1:
+                prod = prod * g
         return prod.sign == op.sign
 
     def is_subgroup_of(self, other: "PauliGroup", up_to_sign: bool = False) -> bool:
@@ -195,19 +190,17 @@ class PauliGroup:
         Commutation with (x, z) is the symplectic form, so the centralizer
         is the kernel of the generator matrix with X/Z halves swapped.
         """
-        m = len(self.generators)
-        if m == 0:
+        n = self.n
+        if not self.generators:
             gens = []
-            for q in range(self.n):
-                gens.append(PauliOperator.from_support(self.n, "X", [q]))
-                gens.append(PauliOperator.from_support(self.n, "Z", [q]))
-            return PauliGroup(self.n, gens)
-        swapped = np.array(
-            [np.concatenate([g.z, g.x]) for g in self.generators], dtype=np.uint8
-        )
-        kernel = gf2.nullspace(gf2.pack_rows(swapped, 2 * self.n)).to_dense()
-        gens = [PauliOperator(self.n, row[: self.n], row[self.n :]) for row in kernel]
-        return PauliGroup(self.n, gens)
+            for q in range(n):
+                gens.append(PauliOperator.from_support(n, "X", [q]))
+                gens.append(PauliOperator.from_support(n, "Z", [q]))
+            return PauliGroup(n, gens)
+        swapped = gf2.BitMatrix([g.z | g.x << n for g in self.generators], 2 * n)
+        low = (1 << n) - 1
+        gens = [PauliOperator(n, row & low, row >> n) for row in gf2.nullspace(swapped).rows]
+        return PauliGroup(n, gens)
 
 
 def stabilizer_condition_holds(S: PauliGroup, G: PauliGroup) -> tuple[bool, str]:
@@ -220,10 +213,9 @@ def stabilizer_condition_holds(S: PauliGroup, G: PauliGroup) -> tuple[bool, str]
     cent = G.centralizer()
     inter = gf2.intersection(G.packed(), cent.packed())
     s_span = gf2.echelon_from(S.packed())
-    for i in range(inter.nrows):
-        if not s_span.contains(inter.row(i)):
-            row = inter.to_dense()[i]
-            op = PauliOperator(S.n, row[: S.n], row[S.n :])
+    for row in inter.rows:
+        if not s_span.contains(row):
+            op = PauliOperator(S.n, row & ((1 << S.n) - 1), row >> S.n)
             return False, f"gauge-central element {op!r} missing from the stabilizer"
     for g in S.generators:
         if not cent.contains(g, up_to_sign=True):
@@ -265,7 +257,7 @@ def min_weight_logical(S: PauliGroup, G: PauliGroup, L: PauliGroup) -> int:
     # <a, s> = a_x.s_z + a_z.s_x: pair a's [x|z] row with s's [z|x] row
     swapped = [(r >> n) | (r & low) << n for r in S.packed().rows]
     trivial = gf2.echelon_from(S.product_group(G).packed())
-    css = all(not (g.x.any() and g.z.any()) for g in S.generators + G.generators)
+    css = all(not (g.x and g.z) for g in S.generators + G.generators)
     letters = [1, 1 << n] if css else [1, 1 << n, 1 | 1 << n]
     for w in range(1, n + 1):
         supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
@@ -315,8 +307,11 @@ def export_check_matrix(groups: dict[str, PauliGroup]) -> str:
     lines = []
     for name, group in groups.items():
         lines.append(f"[{name}] n={group.n} generators={len(group.generators)}")
+        n = group.n
         rows = sorted(
-            "".join(str(b) for b in g.x) + "|" + "".join(str(b) for b in g.z)
+            "".join(str(g.x >> q & 1) for q in range(n))
+            + "|"
+            + "".join(str(g.z >> q & 1) for q in range(n))
             for g in group.generators
         )
         lines.extend(rows)

@@ -5,6 +5,13 @@ this package is a real Pauli, so the imaginary phases of the general
 formalism never appear. Measurements accept arbitrary Pauli operators, not
 just single-qubit Z, because syndrome extraction measures plaquette and cell
 operators directly.
+
+The 2n rows are Python ints in the layout of `pauli.PauliOperator`: row r is
+(xs[r], zs[r], signs[r]) with bit q of xs[r] / zs[r] the X / Z factor on
+qubit q. Rows 0..n-1 are the destabilizers and rows n..2n-1 the
+stabilizers. Whether a row anticommutes with an operator is the parity of
+`(x & op.z) ^ (z & op.x)`, and a row product is two `^` plus the
+(-1)^(z_h . x_i) sign of the canonical X-left ordering.
 """
 
 from __future__ import annotations
@@ -18,69 +25,70 @@ from .pauli import PauliOperator
 class Tableau:
     """2n generator rows: n destabilizers then n stabilizers, with signs."""
 
-    def __init__(self, n: int, x: np.ndarray, z: np.ndarray, signs: np.ndarray):
+    __slots__ = ("n", "xs", "zs", "signs")
+
+    def __init__(self, n: int, xs: list[int], zs: list[int], signs: list[int]):
         self.n = n
-        self.x = x  # (2n, n) uint8; rows 0..n-1 destabilizers, n..2n-1 stabilizers
-        self.z = z
-        self.signs = signs  # (2n,) int8, +1/-1
+        self.xs = xs  # 2n X masks; rows 0..n-1 destabilizers, n..2n-1 stabilizers
+        self.zs = zs
+        self.signs = signs  # 2n of +1/-1
 
     @classmethod
     def computational_zero(cls, n: int) -> "Tableau":
-        x = np.zeros((2 * n, n), dtype=np.uint8)
-        z = np.zeros((2 * n, n), dtype=np.uint8)
-        for i in range(n):
-            x[i, i] = 1
-            z[n + i, i] = 1
-        return cls(n, x, z, np.ones(2 * n, dtype=np.int8))
+        xs = [1 << i for i in range(n)] + [0] * n
+        zs = [0] * n + [1 << i for i in range(n)]
+        return cls(n, xs, zs, [1] * (2 * n))
 
     def copy(self) -> "Tableau":
-        return Tableau(self.n, self.x.copy(), self.z.copy(), self.signs.copy())
+        return Tableau(self.n, self.xs[:], self.zs[:], self.signs[:])
 
     def stabilizer_row(self, i: int) -> PauliOperator:
-        return PauliOperator(
-            self.n, self.x[self.n + i], self.z[self.n + i], int(self.signs[self.n + i])
-        )
+        r = self.n + i
+        return PauliOperator(self.n, self.xs[r], self.zs[r], self.signs[r])
 
     # -- internals -------------------------------------------------------------
 
-    def _anticommutation(self, op: PauliOperator) -> np.ndarray:
-        """Bool mask over all 2n rows: row anticommutes with op."""
-        form = (self.x @ op.z + self.z @ op.x) % 2
-        return form.astype(bool)
+    def _anticommuting(self, op: PauliOperator) -> list[int]:
+        """Indices, rising, of the rows (of all 2n) that anticommute with op."""
+        if op.n != self.n:
+            raise ValueError("qubit count mismatch")
+        ox, oz = op.x, op.z
+        rows = range(2 * self.n)
+        # pure Z- and X-type operators (every check and logical) pair with
+        # one half of each row only
+        if not ox:
+            return [r for r, x in zip(rows, self.xs) if (x & oz).bit_count() & 1]
+        if not oz:
+            return [r for r, z in zip(rows, self.zs) if (z & ox).bit_count() & 1]
+        return [
+            r
+            for r, x, z in zip(rows, self.xs, self.zs)
+            if ((x & oz) ^ (z & ox)).bit_count() & 1
+        ]
 
-    def _rowmult(self, h: int, i: int) -> None:
-        """Row h <- row h * row i (canonical X-left ordering for the sign)."""
-        phase = int(self.z[h] @ self.x[i]) % 2
-        if phase:
-            self.signs[h] = -self.signs[h]
-        self.signs[h] *= self.signs[i]
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
+    def _value(self, op: PauliOperator, anti: list[int]) -> int | None:
+        """`expect(op)`, given the rows that anticommute with op."""
+        if anti and anti[-1] >= self.n:
+            return None
+        # combine stabilizers whose destabilizer partner anticommutes with op
+        acc = PauliOperator.identity(self.n)
+        for i in anti:
+            acc = acc * self.stabilizer_row(i)
+        if acc.x != op.x or acc.z != op.z:
+            return None
+        return acc.sign * op.sign
 
     # -- operations ------------------------------------------------------------
 
     def apply(self, op: PauliOperator) -> None:
         """Apply a Pauli: flips the sign of every anticommuting row."""
-        if op.n != self.n:
-            raise ValueError("qubit count mismatch")
-        mask = self._anticommutation(op)
-        self.signs[mask] = -self.signs[mask]
+        signs = self.signs
+        for r in self._anticommuting(op):
+            signs[r] = -signs[r]
 
     def expect(self, op: PauliOperator) -> int | None:
         """+1 / -1 if op is in the +-stabilizer span, else None. Read-only."""
-        if op.n != self.n:
-            raise ValueError("qubit count mismatch")
-        anti = self._anticommutation(op)
-        if anti[self.n :].any():
-            return None
-        # combine stabilizers whose destabilizer partner anticommutes with op
-        rows = np.flatnonzero(anti[: self.n])
-        acc = PauliOperator.identity(self.n)
-        for i in rows:
-            acc = acc * self.stabilizer_row(int(i))
-        if not (np.array_equal(acc.x, op.x) and np.array_equal(acc.z, op.z)):
-            return None
-        return acc.sign * op.sign
+        return self._value(op, self._anticommuting(op))
 
     def pivot_row(self, op: PauliOperator) -> PauliOperator | None:
         """The stabilizer row `measure(op)` replaces; None if op is determinate.
@@ -88,8 +96,9 @@ class Tableau:
         The row anticommutes with op and fixes the state up to sign, so it
         maps one outcome's post-measurement state onto the other's.
         """
-        stab_anti = np.flatnonzero(self._anticommutation(op)[self.n :])
-        return None if stab_anti.size == 0 else self.stabilizer_row(int(stab_anti[0]))
+        n = self.n
+        p = next((r for r in self._anticommuting(op) if r >= n), None)
+        return None if p is None else self.stabilizer_row(p - n)
 
     def measure(
         self,
@@ -103,34 +112,33 @@ class Tableau:
         deterministic state preparation); it never overrides a deterministic
         outcome.
         """
-        if op.n != self.n:
-            raise ValueError("qubit count mismatch")
-        anti = self._anticommutation(op)
-        stab_anti = np.flatnonzero(anti[self.n :]) + self.n
-        if stab_anti.size == 0:
-            value = self.expect(op)
+        n = self.n
+        anti = self._anticommuting(op)
+        p = next((r for r in anti if r >= n), None)
+        if p is None:
+            value = self._value(op, anti)
             if value is None:
                 raise AssertionError("deterministic measurement did not resolve")
             return value
-        p = int(stab_anti[0])
-        for r in np.flatnonzero(anti):
-            r = int(r)
+        xs, zs, signs = self.xs, self.zs, self.signs
+        px, pz, ps = xs[p], zs[p], signs[p]
+        for r in anti:
             if r != p:
-                self._rowmult(r, p)
+                # row r <- row r * row p (canonical X-left ordering for the sign)
+                sign = signs[r] * ps
+                signs[r] = -sign if (zs[r] & px).bit_count() & 1 else sign
+                xs[r] ^= px
+                zs[r] ^= pz
         # old stabilizer row becomes the destabilizer partner
-        d = p - self.n
-        self.x[d] = self.x[p]
-        self.z[d] = self.z[p]
-        self.signs[d] = self.signs[p]
+        d = p - n
+        xs[d], zs[d], signs[d] = px, pz, ps
         if force is not None:
             outcome = force
         elif rng is not None:
             outcome = 1 if rng.random() < 0.5 else -1
         else:
             raise ValueError("random-outcome measurement needs an rng or force")
-        self.x[p] = op.x
-        self.z[p] = op.z
-        self.signs[p] = outcome * op.sign
+        xs[p], zs[p], signs[p] = op.x, op.z, outcome * op.sign
         return outcome
 
 
@@ -165,11 +173,14 @@ def _flip_operator(keep: list[PauliOperator], flip: PauliOperator) -> PauliOpera
     """Solve for F with <F, flip> = 1 and <F, g> = 0 for g in keep."""
     n = flip.n
     ops = keep + [flip]
-    # symplectic pairing: <F, g> = F_x.g_z + F_z.g_x, so pair F's [x|z] row
-    # against each g's swapped [z|x] vector
-    columns = np.array([np.concatenate([g.z, g.x]) for g in ops], dtype=np.uint8)
-    transposed = gf2.pack_rows(columns.T, len(ops))
-    coeffs = gf2.solve(transposed, 1 << (len(ops) - 1))
+    # symplectic pairing: <F, g> = F_x.g_z + F_z.g_x, so F's [x|z] row pairs
+    # with each g's swapped [z|x] row; row b of the system holds bit b of
+    # every swapped row, one column per operator
+    swapped = [g.z | g.x << n for g in ops]
+    system = [
+        sum((s >> b & 1) << k for k, s in enumerate(swapped)) for b in range(2 * n)
+    ]
+    coeffs = gf2.solve(gf2.BitMatrix(system, len(ops)), 1 << (len(ops) - 1))
     if coeffs is None:
         raise AssertionError("no flip operator exists; generators dependent?")
-    return PauliOperator(n, coeffs[:n], coeffs[n : 2 * n])
+    return PauliOperator(n, coeffs & ((1 << n) - 1), coeffs >> n)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
+import hashlib
 import json
 import os
 
@@ -322,3 +323,47 @@ def test_bad_counts_are_usage_errors(monkeypatch, tmp_path, capsys, argv, flag):
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# SHA-256 prefixes of [value, final tableau rows] over trials 0..19 of
+# `_jump_trial` on tetra15 rgb: the tracked logical's value and the 2n rows
+# (as signed Pauli strings) of the state it was read from, recorded with the
+# numpy tableau
+_JUMP_TRIAL_GOLDEN = {
+    ("blowup", 0.02, 0.02, 1): "2edb6d81cb",
+    ("blowup", 0.1, 0.05, 3): "fdf757ac3f",
+    ("blowup", 0, 0, 4): "fcb382900a",
+    ("blowup", 1, 1, 2): "dff814f47d",
+    ("roundtrip", 0.02, 0.02, 1): "5710e969d1",
+    ("roundtrip", 0.1, 0.05, 3): "e496fd817f",
+    ("roundtrip", 0, 0, 4): "09417e93ad",
+    ("roundtrip", 1, 1, 2): "e62e7c79b4",
+}
+
+
+@pytest.mark.parametrize("action,p,q,seed", list(_JUMP_TRIAL_GOLDEN))
+def test_jump_trial_pinned(ctx, monkeypatch, action, p, q, seed):
+    from colexjump.cli import _jump_trial
+    from colexjump.noise import NoiseSpec
+    from colexjump.pauli import PauliOperator
+    from colexjump.tableau import Tableau
+
+    read = []
+    expect = Tableau.expect
+
+    def recording(self, op):
+        read.append([
+            repr(PauliOperator(self.n, x, z, s))
+            for x, z, s in zip(self.xs, self.zs, self.signs)
+        ])
+        return expect(self, op)
+
+    monkeypatch.setattr(Tableau, "expect", recording)
+    spec = NoiseSpec(p, q, seed)
+    trials = []
+    for t in range(20):
+        value = _jump_trial(ctx, spec, action, t)
+        trials.append([value, read[-1]])
+    text = json.dumps(trials, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:10]
+    assert digest == _JUMP_TRIAL_GOLDEN[action, p, q, seed]

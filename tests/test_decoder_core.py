@@ -238,7 +238,7 @@ def test_string_correction_equals_combination_search(tri7, tri_hex_d3, ctx):
                 syndrome = [ids[i] for i in range(len(ids)) if bits >> i & 1]
                 got = flux.string_correction(code2, syndrome, pair, "Z")
                 want = _old_string_correction(code2, syndrome, pair, "Z")
-                assert np.array_equal(got.z, want.z) and got.sign == want.sign
+                assert got.z == want.z and got.sign == want.sign
 
 
 def test_ideal_collapse_edge_table_equals_sorted_builder(tri7, tri_hex_d3, ctx):

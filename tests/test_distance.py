@@ -55,13 +55,18 @@ def _reduce_batch(cands: np.ndarray, rref: np.ndarray, pivots) -> np.ndarray:
     return res
 
 
+def _vec(mask, n):
+    return np.array([mask >> q & 1 for q in range(n)], dtype=np.uint8)
+
+
 def old_min_weight_logical(S, G, L):
     n = S.n
     swapped = np.array(
-        [np.concatenate([g.z, g.x]) for g in S.generators], dtype=np.uint8
+        [np.concatenate([_vec(g.z, n), _vec(g.x, n)]) for g in S.generators],
+        dtype=np.uint8,
     )
     trivial_rows = np.array(
-        [g.symplectic() for g in S.generators] + [g.symplectic() for g in G.generators],
+        [_vec(g.x | g.z << n, 2 * n) for g in S.generators + G.generators],
         dtype=np.uint8,
     )
     rref, pivots = (
@@ -69,7 +74,7 @@ def old_min_weight_logical(S, G, L):
         if len(trivial_rows)
         else (np.zeros((0, 2 * n), np.uint8), [])
     )
-    css = all(not (g.x.any() and g.z.any()) for g in S.generators + G.generators)
+    css = all(not (g.x and g.z) for g in S.generators + G.generators)
     kind_rows = [(1, 0), (0, 1)] if css else [(1, 0), (0, 1), (1, 1)]
     kinds = np.array(kind_rows, dtype=np.uint8)
     for w in range(1, n + 1):
@@ -156,7 +161,7 @@ def test_min_weight_logical_without_logicals_matches_oracle(inner_code):
 def test_css_min_weight_matches_gray_walk_oracle(name):
     code = BUNDLED[name]()
     checks = np.array(
-        [g.z for g in code.S.generators if g.z.any() and not g.x.any()], dtype=np.uint8
+        [_vec(g.z, code.n) for g in code.S.generators if g.z and not g.x], dtype=np.uint8
     )
     trivial = np.vstack([code.x_support_rows("S"), code.x_support_rows("G")])
     assert css_min_weight(checks, trivial) == old_css_min_weight(checks, trivial)
@@ -176,12 +181,12 @@ def test_five_qubit_code_reaches_the_y_letter():
 
 def _op(n, kind, x, z):
     """A random operator of one kind: X type, Z type, or general."""
-    x = np.array(x, dtype=np.uint8)
-    z = np.array(z, dtype=np.uint8)
+    x = sum(b << q for q, b in enumerate(x))
+    z = sum(b << q for q, b in enumerate(z))
     if kind == "X":
-        z = np.zeros(n, dtype=np.uint8)
+        z = 0
     elif kind == "Z":
-        x = np.zeros(n, dtype=np.uint8)
+        x = 0
     return PauliOperator(n, x, z)
 
 

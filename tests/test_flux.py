@@ -204,7 +204,7 @@ def test_string_correction_round_trip_all_syndromes(ctx):
             recomputed = []
             for pi in target_ids:
                 vs = set(colex2.plaquette_vertices(pi))
-                if len(set(np.flatnonzero(corr.x).tolist()) & vs) % 2 == 1:
+                if len(set(corr.support) & vs) % 2 == 1:
                     recomputed.append(pi)
             assert recomputed == sorted(syndrome)
             # minimality among edge products

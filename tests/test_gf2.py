@@ -67,8 +67,8 @@ def test_solve_round_trip(rows, pick_bits):
     coeffs = gf2.solve(mat, gf2.pack_rows(target, arr.shape[1]).row(0))
     assert coeffs is not None
     acc = np.zeros(arr.shape[1], dtype=np.uint8)
-    for c, r in zip(coeffs, arr):
-        if c:
+    for i, r in enumerate(arr):
+        if coeffs >> i & 1:
             acc ^= r
     assert np.array_equal(acc, target)
 

@@ -29,7 +29,7 @@ from colexjump.montecarlo import (
     stats_csv_rows,
     wilson_interval,
 )
-from colexjump.noise import NoiseSpec, sample_qubit_noise, trial_rng
+from colexjump.noise import NoiseSpec, sample_qubit_noise, to_mask, trial_rng
 from colexjump.pauli import PauliOperator
 from colexjump.tableau import Tableau
 
@@ -97,16 +97,14 @@ def test_plan_residual_table_matches_exhaustive_oracle(ctx):
     """Every outer vector, as an injected error or as an applied correction
     on either side, keys the oracle's lightest coset member."""
     plan = collapse_plan(ctx)
-    zero3 = np.zeros(ctx.n3, dtype=np.uint8)
-    zero2 = np.zeros(ctx.n2, dtype=np.uint8)
     outer = list(ctx.split.outer_vertices)
     for bits in itertools.product((0, 1), repeat=ctx.n2):
         vec = np.array(bits, dtype=np.uint8)
         want = tuple(np.flatnonzero(_class_min_support(ctx, vec)).tolist())
-        err = zero3.copy()
-        err[outer] = vec
-        keys = plan.split_key(plan.residual_key(err, zero3, {"X": zero2, "Z": vec}))
-        keys += plan.split_key(plan.residual_key(zero3, err, {"X": vec, "Z": zero2}))
+        mask = to_mask(vec)
+        err = sum(1 << outer[q] for q in range(ctx.n2) if bits[q])
+        keys = plan.split_key(plan.residual_key(err, 0, {"X": 0, "Z": mask}))
+        keys += plan.split_key(plan.residual_key(0, err, {"X": mask, "Z": 0}))
         assert [plan.coset_min[k] for k in keys] == [want] * 4
 
 
@@ -225,7 +223,7 @@ def _tableau_single_shot_trials(code, noise, trials, trial_offset=0) -> TrialSta
         state = bases[logical].copy()
         ex, ez = sample_qubit_noise(noise.p_qubit, code.n, rng)
         if ex.any() or ez.any():
-            state.apply(PauliOperator(code.n, ex, ez))
+            state.apply(PauliOperator(code.n, to_mask(ex), to_mask(ez)))
         for basis in ("Z", "X"):
             state, report = single_shot_ec(state, code, basis, noise.q_meas, rng)
             for pair, size in report.delta0_sizes.items():

@@ -3,10 +3,12 @@
 import itertools
 
 import numpy as np
+import numpy_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colexjump import gf2
 from colexjump.pauli import (
     PauliGroup,
     PauliOperator,
@@ -31,11 +33,70 @@ def test_commutes_basics():
         commutes(P("X"), P("XX"))
 
 
+def _mask(bits) -> int:
+    return sum(int(b) << q for q, b in enumerate(bits))
+
+
 def pauli_strategy(n):
     return st.tuples(
         st.lists(st.integers(0, 1), min_size=n, max_size=n),
         st.lists(st.integers(0, 1), min_size=n, max_size=n),
-    ).map(lambda t: PauliOperator(n, np.array(t[0]), np.array(t[1])))
+    ).map(lambda t: PauliOperator(n, _mask(t[0]), _mask(t[1])))
+
+
+@pytest.mark.parametrize(
+    "x,z,sign",
+    [(0b100, 0, 1), (0, 0b1000, 1), (-1, 0, 1), (0b11, 0b11, 3), (0, 0, 0), (1, 0, -2)],
+)
+def test_invalid_pauli_is_rejected(x, z, sign):
+    """A bit at or above n, or a sign other than +-1, is a ValueError (not an
+    assert, which `python -O` strips)."""
+    with pytest.raises(ValueError):
+        PauliOperator(2, x, z, sign)
+
+
+@pytest.mark.parametrize("x", [np.array([1, 0], dtype=np.uint8), np.array([1]), np.int64(1)])
+def test_array_masks_are_rejected(x):
+    """A Pauli takes int masks only; a numpy vector or scalar is a TypeError,
+    also where its bits would fit."""
+    with pytest.raises(TypeError):
+        PauliOperator(2, x, 0)
+    with pytest.raises(TypeError):
+        PauliOperator(2, 0, x)
+
+
+def _bits(mask, n):
+    return [mask >> q & 1 for q in range(n)]
+
+
+def _signed_pair(n):
+    mask = st.integers(0, (1 << n) - 1)
+    sign = st.sampled_from([1, -1])
+    return st.tuples(st.just(n), mask, mask, sign, mask, mask, sign)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(_signed_pair))
+def test_pauli_algebra_matches_numpy_oracle(case):
+    """Product, commutation, weight, support, equality and text form agree
+    with the numpy operator the int one replaced."""
+    n, ax, az, a_sign, bx, bz, b_sign = case
+    a, b = PauliOperator(n, ax, az, a_sign), PauliOperator(n, bx, bz, b_sign)
+
+    def old(x, z, sign):
+        return oracle.PauliOperator(n, _bits(x, n), _bits(z, n), sign)
+
+    old_a, old_b = old(ax, az, a_sign), old(bx, bz, b_sign)
+    prod, old_prod = a * b, old_a * old_b
+    assert (prod.x, prod.z, prod.sign) == (_mask(old_prod.x), _mask(old_prod.z), old_prod.sign)
+    assert a.commutes_with(b) == old_a.commutes_with(old_b)
+    assert a.weight == old_a.weight
+    assert list(a.support) == old_a.support.tolist()
+    assert a.is_identity() == old_a.is_identity()
+    assert (a == b) == (old_a == old_b)
+    assert repr(a) == repr(old_a)
+    assert PauliOperator.from_string(repr(a)) == a
+    assert hash(PauliOperator.from_string(repr(a))) == hash(a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -59,13 +120,13 @@ def test_group_membership_with_signs():
     g = PauliGroup(2, [P("XX"), P("ZZ")])
     assert g.contains(P("XX"))
     assert g.contains((P("XX") * P("ZZ")))
-    assert not g.contains(PauliOperator(2, [1, 1], [0, 0], sign=-1))
-    assert g.contains(PauliOperator(2, [1, 1], [0, 0], sign=-1), up_to_sign=True)
+    assert not g.contains(PauliOperator(2, 0b11, 0, sign=-1))
+    assert g.contains(PauliOperator(2, 0b11, 0, sign=-1), up_to_sign=True)
     assert g.contains(P("II"))  # identity in any group
 
 
 def test_minus_identity_detection():
-    y_gen = PauliOperator(1, [1], [1])  # XZ with + sign; (XZ)^2 = -1
+    y_gen = PauliOperator(1, 1, 1)  # XZ with + sign; (XZ)^2 = -1
     g = PauliGroup(1, [P("X"), P("Z"), y_gen])
     assert g.minus_identity_in_group()
     clean = PauliGroup(2, [P("XX"), P("ZZ")])
@@ -84,8 +145,8 @@ def test_minus_identity_from_a_signed_dependency():
 def test_centralizer_single_qubit():
     g = PauliGroup(1, [P("X")])
     cent = g.centralizer()
-    dense = {tuple(op.symplectic().tolist()) for op in cent.generators}
-    assert dense == {(1, 0)}  # only X itself (up to phase)
+    parts = {(op.x, op.z) for op in cent.generators}
+    assert parts == {(1, 0)}  # only X itself (up to phase)
 
 
 def test_centralizer_of_full_pauli_group():
@@ -98,13 +159,11 @@ def naive_centralizer_rank(group):
     n = group.n
     count = 0
     ech_rows = []
-    from colexjump import gf2
-
     ech = gf2.Echelon(2 * n)
     for bits in itertools.product((0, 1), repeat=2 * n):
-        op = PauliOperator(n, np.array(bits[:n]), np.array(bits[n:]))
+        op = PauliOperator(n, _mask(bits[:n]), _mask(bits[n:]))
         if all(commutes(op, g) for g in group.generators):
-            ech.add(gf2.pack_rows(op.symplectic(), 2 * n).row(0))
+            ech.add(op.x | op.z << n)
     return ech.rank
 
 
@@ -142,8 +201,8 @@ def test_distances(code2, code3):
 
 
 def test_css_min_weight_agrees_on_steane(code2):
-    checks = np.array([g.z for g in code2.S.generators if g.z.any()], dtype=np.uint8)
-    stabs = np.array([g.x for g in code2.S.generators if g.x.any()], dtype=np.uint8)
+    checks = gf2.BitMatrix([g.z for g in code2.S.generators if g.z], 7).to_dense()
+    stabs = gf2.BitMatrix([g.x for g in code2.S.generators if g.x], 7).to_dense()
     assert css_min_weight(checks, stabs) == 3
 
 

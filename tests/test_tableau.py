@@ -1,7 +1,10 @@
 """Stabilizer tableau semantics."""
 
 import numpy as np
+import numpy_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colexjump.jump import encoded_state, logical_operator
 from colexjump.pauli import PauliOperator
@@ -115,8 +118,8 @@ def test_tableau_invariants_after_random_operations(ctx):
     for i in range(n):
         for j in range(i + 1, n):
             assert t.stabilizer_row(i).commutes_with(t.stabilizer_row(j))
-    rows = np.concatenate([t.x, t.z], axis=1)
-    assert gf2.rank(gf2.pack_rows(rows, 2 * n)) == 2 * n
+    rows = [x | z << n for x, z in zip(t.xs, t.zs)]
+    assert gf2.rank(gf2.BitMatrix(rows, 2 * n)) == 2 * n
 
 
 def test_mismatched_sizes_raise():
@@ -131,3 +134,110 @@ def test_random_measurement_requires_rng():
     t = Tableau.computational_zero(1)
     with pytest.raises(ValueError):
         t.measure(P("X"))
+
+
+# -- the numpy tableau as oracle ---------------------------------------------
+
+
+def _mask(vec) -> int:
+    return sum(int(b) << q for q, b in enumerate(vec))
+
+
+def _vec(mask: int, n: int) -> list[int]:
+    return [mask >> q & 1 for q in range(n)]
+
+
+def _assert_same_rows(t, old):
+    assert t.xs == [_mask(row) for row in old.x]
+    assert t.zs == [_mask(row) for row in old.z]
+    assert t.signs == [int(s) for s in old.signs]
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+def _steps(n):
+    mask = st.integers(0, (1 << n) - 1)
+    step = st.tuples(
+        st.sampled_from(["apply", "measure", "expect", "pivot_row"]),
+        mask,
+        mask,
+        st.sampled_from([1, -1]),
+        st.sampled_from([None, 1, -1]),  # forced outcome, or None to draw one
+        st.integers(0, 2**32 - 1),
+    )
+    return st.tuples(st.just(n), st.lists(step, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(_steps))
+def test_tableau_matches_numpy_oracle(case):
+    """Random applications, measurements (forced and drawn outcomes),
+    expectations and pivot rows from |0...0>: every outcome, row and sign
+    equals the numpy tableau's, and so does the synthesis of the final
+    stabilizer rows."""
+    n, steps = case
+    t, old = Tableau.computational_zero(n), oracle.Tableau.computational_zero(n)
+    for action, x, z, sign, force, seed in steps:
+        op = PauliOperator(n, x, z, sign)
+        old_op = oracle.PauliOperator(n, _vec(x, n), _vec(z, n), sign)
+        if action == "apply":
+            t.apply(op)
+            old.apply(old_op)
+        elif action == "measure":
+            got = _outcome(t.measure, op, np.random.default_rng(seed), force)
+            want = _outcome(old.measure, old_op, np.random.default_rng(seed), force)
+            assert got == want
+        elif action == "expect":
+            assert t.expect(op) == old.expect(old_op)
+        else:
+            assert repr(t.pivot_row(op)) == repr(old.pivot_row(old_op))
+        _assert_same_rows(t, old)
+    rows = [t.stabilizer_row(i) for i in range(n)]
+    old_rows = [old.stabilizer_row(i) for i in range(n)]
+    assert [repr(r) for r in rows] == [repr(r) for r in old_rows]
+    built = _outcome(from_stabilizers, rows)
+    old_built = _outcome(oracle.from_stabilizers, old_rows)
+    if isinstance(built, Tableau):
+        _assert_same_rows(built, old_built)
+    else:
+        assert built == old_built
+
+
+def test_tetra15_steps_match_numpy_oracle(ctx):
+    """On the encoded tetra15 states (n = 15), single-qubit flips and
+    plaquette measurements, many of them random, reproduce the numpy
+    tableau row for row."""
+    from colexjump.flux import plaquette_operator
+    from colexjump.jump import encoded_3d
+
+    rng = np.random.default_rng(3)
+    for logical in ("zero", "plus"):
+        t = encoded_3d(ctx, logical)
+        old = oracle.Tableau(
+            t.n,
+            np.array([_vec(x, t.n) for x in t.xs], dtype=np.uint8),
+            np.array([_vec(z, t.n) for z in t.zs], dtype=np.uint8),
+            np.array(t.signs, dtype=np.int8),
+        )
+        for step in range(40):
+            q = int(rng.integers(t.n))
+            kind = "XZ"[step % 2]
+            op = PauliOperator.from_support(t.n, kind, [q])
+            t.apply(op)
+            old.apply(oracle.PauliOperator.from_support(t.n, kind, [q]))
+            pi = int(rng.integers(len(ctx.colex3.plaquettes)))
+            basis = "ZX"[step % 3 == 0]
+            meas = plaquette_operator(ctx.colex3, pi, basis)
+            old_meas = oracle.PauliOperator.from_support(
+                t.n, basis, ctx.colex3.plaquette_vertices(pi)
+            )
+            seed = int(rng.integers(2**32))
+            got = t.measure(meas, np.random.default_rng(seed))
+            assert got == old.measure(old_meas, np.random.default_rng(seed))
+            _assert_same_rows(t, old)
