@@ -434,8 +434,9 @@ def _read_schedule(path):
 # -- parser --------------------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """argparse type: an int no smaller than `low` (else a usage error)."""
+def _at_least(low: int, below: int | None = None):
+    """argparse type: an int no smaller than `low`, and smaller than `below`
+    if given (else a usage error)."""
 
     def parse(text: str) -> int:
         try:
@@ -444,9 +445,15 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     return parse
+
+
+# trial generators are keyed by (seed, trial) as two uint64 words
+_SEED = _at_least(0, below=2**64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.0, help="qubit error rate")
     p.add_argument("--q", type=float, default=0.0, help="measurement flip rate")
     p.add_argument("--trials", type=_at_least(0), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_jump)
 
     p = sub.add_parser("simulate", help="Monte Carlo harnesses with CSV/JSON output")
@@ -494,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.0)
     p.add_argument("--q", type=float, default=0.0)
     p.add_argument("--trials", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--pair", help="color pair for measure-k (default: all)")
-    p.add_argument("--cap", type=int, default=4, help="flux length cap for measure-k")
+    p.add_argument("--cap", type=_at_least(1), default=4, help="flux length cap for measure-k")
     p.add_argument("--label", default="results", help="output file stem")
     p.add_argument("--out-dir", help="output directory (or COLEXJUMP_OUTDIR)")
     p.add_argument("--trace", action="store_true", help="write per-trial trace")

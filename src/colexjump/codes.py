@@ -22,7 +22,6 @@ import numpy as np
 
 from .boundary import BoundaryStructure, Region, boundary_structure
 from .colex import Colex, color_set
-from .gf2 import BitMatrix
 from .pauli import (
     PauliGroup,
     PauliOperator,
@@ -45,11 +44,6 @@ class CodeTriple:
     # compiled on first use from the fields above, never part of equality
     _dual_structure: object = field(default=None, compare=False, repr=False)
     _single_shot_plan: object = field(default=None, compare=False, repr=False)
-
-    def x_support_rows(self, group: str) -> np.ndarray:
-        """Supports of the X-type generators of S/G/L as a dense 0/1 matrix."""
-        gens = {"S": self.S, "G": self.G, "L": self.L}[group].generators
-        return BitMatrix([g.x for g in gens if g.x and not g.z], self.n).to_dense()
 
 
 def _support_group(n: int, supports) -> PauliGroup:
@@ -210,8 +204,9 @@ def code_parameters(code: CodeTriple, want_distance: bool = True):
         if code.n <= 20:
             d = min_weight_logical(code.S, code.G, code.L)
         else:
-            z_rows = [g.z for g in code.S.generators if g.z and not g.x]
-            checks = BitMatrix(z_rows, code.n).to_dense()
-            trivial = np.vstack([code.x_support_rows("S"), code.x_support_rows("G")])
-            d = css_min_weight(checks, trivial)
+            checks = [g.z for g in code.S.generators if g.z and not g.x]
+            trivial = [
+                g.x for grp in (code.S, code.G) for g in grp.generators if g.x and not g.z
+            ]
+            d = css_min_weight(code.n, checks, trivial)
     return code.n, k, d

@@ -5,11 +5,14 @@ Measuring the inner plaquettes of one color pair yields a set of dual edges
 an inner cell, so any inner endpoints observed after noisy readout must be
 paired up: the repair picks a minimum-cardinality edge set with the same
 inner endpoints (a minimum T-join, computed as a perfect matching over
-shortest dual paths with a shared boundary sink). Ties between equal-size
-candidates prefer the edges actually observed, then lowest edge ids, making
-replay deterministic. `t_join` is that search on any graph of cells and a
-sink; single-shot error correction uses it on the cell graph of a
-standalone code.
+shortest dual paths with a shared boundary sink; Edmonds & Johnson, 1973).
+Ties between equal-size candidates prefer the edges actually observed, then
+lowest edge ids, making replay deterministic. `t_join` folds that whole
+order into one integer weight per edge, so a single exact search (Dijkstra
+paths, then a DP over the endpoints left, O(2^k * k) for k endpoints) serves
+every endpoint count. It runs on any graph of cells and a sink; single-shot
+error correction uses it on the cell graph of a standalone code. The graph
+of each edge list is built once and cached.
 
 String corrections translate repaired outer syndromes back into qubit
 flips: a syndrome on kk'-plaquettes is cleared by a product of edges of the
@@ -20,6 +23,8 @@ plaquette parities over those edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -94,120 +99,90 @@ def t_join(ends, endpoints, observed=frozenset()) -> frozenset:
     """Minimum-cardinality edge set whose odd cells are exactly `endpoints`.
 
     `ends[i]` is the pair of nodes edge i joins, each ("cell", c) or SINK;
-    the sink may end any number of chosen edges. The set is the symmetric
-    difference of the shortest paths of the cheapest pairing of endpoints
-    with each other or the sink. Ties between equal-size sets prefer more
-    `observed` edges, then the lowest sorted edge ids.
+    the sink may end any number of chosen edges. Ties between equal-size
+    sets prefer more `observed` edges, then the lowest sorted edge ids.
+
+    Edge i of E weighs K1 - K2*[i observed] - 2^(E-1-i), with K2 = 2^(E+1)
+    and K1 = (E+1)*K2. No two edge sets share a total, and totals order sets
+    exactly by (size, -observed edges, sorted ids): K1 outweighs everything
+    else, K2 outweighs the id terms, and among sets of equal size and
+    overlap the one holding the lowest id of their symmetric difference has
+    the larger id sum. All weights are positive, so the lightest set is the
+    symmetric difference of the Dijkstra paths of the lightest pairing of
+    each endpoint with another or with the sink. That pairing is a DP
+    memoised on the endpoints left, pairing the lowest first: O(2^k * k)
+    steps for k endpoints at worst.
     """
-    paths = _shortest_paths(ends, endpoints, observed)
-    if len(endpoints) > 10:
-        return _blossom_t_join(endpoints, paths)
-    return _exact_t_join(endpoints, paths, observed)
+    adj = _adjacency(tuple(ends))
+    n = len(ends)
+    k2 = 2 << n
+    k1 = (n + 1) * k2
+    weight = [k1 - k2 * (i in observed) - (1 << (n - 1 - i)) for i in range(n)]
+    paths = {c: _lightest_paths(adj, weight, ("cell", c)) for c in endpoints}
+    memo = {(): (0, 0)}
+
+    def pairing(left):
+        """(total weight, edge mask) of the lightest pairing of `left`."""
+        if left in memo:
+            return memo[left]
+        first, rest = left[0], left[1:]
+        options = [(SINK, rest)]
+        options += [(("cell", c), rest[:j] + rest[j + 1 :]) for j, c in enumerate(rest)]
+        best = None
+        for partner, others in options:
+            path = paths[first].get(partner)
+            tail = path and pairing(others)
+            if tail and (best is None or path[0] + tail[0] < best[0]):
+                best = path[0] + tail[0], path[1] ^ tail[1]
+        memo[left] = best
+        return best
+
+    best = pairing(tuple(sorted(endpoints)))
+    if best is None:
+        raise ValueError(f"endpoints {tuple(endpoints)} cannot be paired")
+    return frozenset(i for i in range(n) if best[1] >> i & 1)
 
 
-def _shortest_paths(ends, endpoints, observed):
-    """Endpoint -> its `_best_paths` on the graph of `ends`."""
+@cache
+def _adjacency(ends: tuple) -> dict:
+    """Cell -> [(edge id, far node)] of the graph of `ends`, built once per
+    graph. The sink has no entry, so a path that reaches it ends there."""
     adj: dict = {}
     for i, (a, b) in enumerate(ends):
         for u, v in ((a, b), (b, a)):
             if u != SINK:
                 adj.setdefault(u, []).append((i, v))
-    return {c: _best_paths(adj, c, observed) for c in endpoints}
+    return adj
 
 
-def _best_paths(adj, source, observed):
-    """Cheapest path from source to every node.
+def _lightest_paths(adj, weight, source) -> dict:
+    """Node -> (weight, edge mask) of its lightest path from `source`.
 
-    Cost of a path is (#edges, -#observed edges, sorted edge tuple); the
-    triple ordering realizes the size/likelihood/replay tie break exactly.
+    Distinct edge sets have distinct weights, so heap entries never tie on
+    weight without naming the same path.
     """
-    start = ("cell", source)
-    best = {start: (0, 0, ())}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop(0)
-        if node == SINK:
+    best = {source: (0, 0)}
+    heap = [(0, 0, source)]
+    while heap:
+        d, mask, node = heappop(heap)
+        if d > best[node][0]:
             continue
-        d, o, path = best[node]
-        for edge, nbr in sorted(adj.get(node, [])):
-            if edge in path:
-                continue
-            cand = (
-                d + 1,
-                o - (1 if edge in observed else 0),
-                tuple(sorted(path + (edge,))),
-            )
-            if nbr not in best or cand < best[nbr]:
-                best[nbr] = cand
-                frontier.append(nbr)
+        for edge, nbr in adj.get(node, ()):
+            cand = d + weight[edge]
+            if nbr not in best or cand < best[nbr][0]:
+                best[nbr] = cand, mask | 1 << edge
+                heappush(heap, (cand, mask | 1 << edge, nbr))
     return best
 
 
-def _exact_t_join(endpoints, paths, observed) -> frozenset:
-    """Exact search over every pairing of the endpoints (and the sink)."""
-    best_total = None
-
-    def explore(remaining, acc_edges):
-        nonlocal best_total
-        if not remaining:
-            edges = frozenset()
-            for path in acc_edges:
-                edges ^= frozenset(path)
-            overlap = len(edges & observed)
-            cand = (len(edges), -overlap, tuple(sorted(edges)))
-            if best_total is None or cand < best_total:
-                best_total = cand
-            return
-        first, rest = remaining[0], remaining[1:]
-        options = []
-        if SINK in paths[first]:
-            options.append((paths[first][SINK], rest))
-        for i, other in enumerate(rest):
-            key = ("cell", other)
-            if key in paths[first]:
-                options.append((paths[first][key], rest[:i] + rest[i + 1 :]))
-        if not options:
-            raise ValueError(f"endpoint {first} cannot be matched to any partner")
-        for (_, _, path), new_rest in options:
-            explore(new_rest, acc_edges + [path])
-
-    explore(list(endpoints), [])
-    return frozenset(best_total[2])
-
-
-def _blossom_t_join(endpoints, paths) -> frozenset:
-    """Blossom matching for many endpoints (beyond bundled-instance scale).
-
-    The size is minimal, but ties do not prefer observed edges.
-    """
-    import networkx as nx
-
-    g = nx.Graph()
-    for i, a in enumerate(endpoints):
-        for b in endpoints[i + 1 :]:
-            key = ("cell", b)
-            if key in paths[a]:
-                cost, _, path = paths[a][key]
-                g.add_edge(("e", a), ("e", b), weight=cost, path=path)
-        if SINK in paths[a]:
-            cost, _, path = paths[a][SINK]
-            g.add_edge(("e", a), ("s", a), weight=cost, path=path)
-        for b in endpoints:
-            if b != a:
-                g.add_edge(("s", a), ("s", b), weight=0, path=())
-    matching = nx.min_weight_matching(g)
-    edges = frozenset()
-    for u, v in matching:
-        edges ^= frozenset(g.edges[u, v]["path"])
-    return edges
-
-
-def _dual_ends(duals) -> list[tuple]:
-    """Node pair of each dual edge; outer plaquettes and the facet are the sink."""
-    return [
+@cache
+def _dual_ends(duals: tuple) -> tuple:
+    """Node pair of each dual edge, read once per pair's duals; outer
+    plaquettes and the facet are the sink."""
+    return tuple(
         tuple(("cell", e.index) if e.kind == INNER_CELL else SINK for e in d.endpoints)
         for d in duals
-    ]
+    )
 
 
 def repair_flux(observed: FluxConfiguration):

@@ -429,6 +429,7 @@ class DualStructure:
     `by_pair` maps each color pair to its dual edges, (plaquette id, its two
     ends), rising with plaquette id: a plaquette joins its adjacent cells,
     and a boundary plaquette, with fewer than two cells, ends at the sink.
+    `ends` holds each pair's column of ends as the tuple `flux.t_join` takes.
     `cell_pairs` holds the color pairs of each cell's triple. On frozen
     geometries the stabilizer syndrome also reads one region product per
     region, over `region_plaquettes`; `table` is the minimum-weight table of
@@ -436,6 +437,7 @@ class DualStructure:
     """
 
     by_pair: dict[str, list]
+    ends: dict[str, tuple]
     cell_pairs: list[tuple[str, ...]]
     region_plaquettes: list[tuple[int, ...]]
     table: dict
@@ -465,8 +467,9 @@ def _code_dual_structure(code: CodeTriple) -> DualStructure:
                     tuple(pi for pi in region.plaquettes if colex.plaquette_colors(pi) == pair)
                 )
                 checks.append(tuple(sorted(region.vertices)))
+        ends = {pair: tuple(e for _, e in entries) for pair, entries in by_pair.items()}
         code._dual_structure = DualStructure(
-            by_pair, cell_pairs, region_plaquettes, checks_table(code.n, checks)
+            by_pair, ends, cell_pairs, region_plaquettes, checks_table(code.n, checks)
         )
     return code._dual_structure
 
@@ -543,7 +546,7 @@ def single_shot_decode(
             continue
         # edges are entry indices, which rise with plaquette id like the
         # ids themselves, so the T-join's lowest-id tie-break is unchanged
-        flips = t_join([ends for _, ends in entries], mismatched)
+        flips = t_join(dual.ends[pair], mismatched)
         delta0_sizes[pair] = len(flips)
         for i in flips:
             pi = entries[i][0]

@@ -275,20 +275,18 @@ def min_weight_logical(S: PauliGroup, G: PauliGroup, L: PauliGroup) -> int:
     raise ValueError("no logical operator found")
 
 
-def css_min_weight(check_rows: np.ndarray, stabilizer_rows: np.ndarray) -> int:
-    """Min weight over null(check_rows) \\ rowspace(stabilizer_rows).
+def css_min_weight(n: int, checks: list[int], stabilizers: list[int]) -> int:
+    """Min weight over null(checks) \\ rowspan(stabilizers) on n qubits.
 
-    Enumerates the whole nullspace by a Gray-code walk over int rows, so it
-    covers one CSS side of mid-size codes where per-weight brute force is
-    infeasible.
+    Rows are int masks, bit q holding qubit q. Enumerates the whole
+    nullspace by a Gray-code walk, so it covers one CSS side of mid-size
+    codes where per-weight brute force is infeasible.
     """
-    checks = gf2.pack_rows(check_rows)
-    n = checks.ncols
-    kernel = gf2.nullspace(checks).rows
+    kernel = gf2.nullspace(gf2.BitMatrix(checks, n)).rows
     k = len(kernel)
     if k > 24:
         raise ValueError("nullspace too large to enumerate")
-    stab = gf2.echelon_from(gf2.pack_rows(stabilizer_rows, n))
+    stab = gf2.echelon_from(gf2.BitMatrix(stabilizers, n))
     best = n + 1
     current = 0
     for counter in range(1, 2**k):

@@ -313,16 +313,32 @@ def test_jump_probability_out_of_range_fails(capsys, argv):
         (["simulate", "singleshot", "--trials", "-3"], "--trials"),
         (["simulate", "collapse", "--workers", "0"], "--workers"),
         (["simulate", "collapse", "--workers", "-2"], "--workers"),
+        (["jump", "collapse", "--seed", "-1"], "--seed"),
+        (["simulate", "collapse", "--seed", str(2**64)], "--seed"),
+        (["simulate", "measure-k", "--cap", "0"], "--cap"),
+        (["simulate", "measure-k", "--cap", "-1"], "--cap"),
     ],
 )
 def test_bad_counts_are_usage_errors(monkeypatch, tmp_path, capsys, argv, flag):
-    """A negative trial count or fewer than one worker exits 2, writing nothing."""
+    """A negative trial count, fewer than one worker, a seed outside
+    [0, 2^64) or a flux cap below 1 exits 2, writing nothing."""
     monkeypatch.setenv("COLEXJUMP_OUTDIR", str(tmp_path / "out"))
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--builtin", "tetra15"])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_runs(monkeypatch, tmp_path, capsys):
+    """2^64 - 1 is the top of the seed range and still keys a generator."""
+    monkeypatch.setenv("COLEXJUMP_OUTDIR", str(tmp_path))
+    flags = ["--builtin", "tetra15", "--p", "0.05", "--seed", str(2**64 - 1)]
+    code, out, _ = run(["jump", "collapse"] + flags, capsys)
+    assert code == 0 and f"seed {2**64 - 1}" in out
+    code, _, _ = run(["simulate", "collapse", "--trials", "3"] + flags, capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "results.json").read_text())["seed"] == 2**64 - 1
 
 
 # SHA-256 prefixes of [value, final tableau rows] over trials 0..19 of

@@ -3,20 +3,27 @@
 `gf2.min_weight_table` replaced a builder that sorted all 2^n supports, and
 through `gf2.checks_table` it also replaced the combination search of
 `string_correction` and the edge table of `ideal_collapse`; `flux.t_join`
-replaced the single-shot cell matching. Tie-breaks are semantic (a
+replaced the single-shot cell matching, and its weighted Dijkstra-and-DP
+search replaced the pairing enumeration (`_best_paths` + `_exact_t_join`)
+and the blossom fallback above 10 endpoints. Tie-breaks are semantic (a
 different one can move a correction into another logical coset), so the old
 searches are kept here as oracles and every bundled table must equal theirs
 entry for entry, in the same order.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from colexjump import flux, gf2
+from colexjump.flux import SINK, FluxConfiguration
 from colexjump.boundary import boundary_structure
 from colexjump.codes import build_2d
 from colexjump.colex import color_set
@@ -175,6 +182,89 @@ def _match_cells_to_edges(entries, mismatched):
     return best_total[1]
 
 
+def _shortest_paths(ends, endpoints, observed):
+    """Endpoint -> its `_best_paths` on the graph of `ends`."""
+    adj: dict = {}
+    for i, (a, b) in enumerate(ends):
+        for u, v in ((a, b), (b, a)):
+            if u != SINK:
+                adj.setdefault(u, []).append((i, v))
+    return {c: _best_paths(adj, c, observed) for c in endpoints}
+
+
+def _best_paths(adj, source, observed):
+    """Cheapest path from source to every node.
+
+    Cost of a path is (#edges, -#observed edges, sorted edge tuple); the
+    triple ordering realizes the size/likelihood/replay tie break exactly.
+    """
+    start = ("cell", source)
+    best = {start: (0, 0, ())}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop(0)
+        if node == SINK:
+            continue
+        d, o, path = best[node]
+        for edge, nbr in sorted(adj.get(node, [])):
+            if edge in path:
+                continue
+            cand = (
+                d + 1,
+                o - (1 if edge in observed else 0),
+                tuple(sorted(path + (edge,))),
+            )
+            if nbr not in best or cand < best[nbr]:
+                best[nbr] = cand
+                frontier.append(nbr)
+    return best
+
+
+def _exact_t_join(endpoints, paths, observed) -> frozenset:
+    """Exact search over every pairing of the endpoints (and the sink)."""
+    best_total = None
+
+    def explore(remaining, acc_edges):
+        nonlocal best_total
+        if not remaining:
+            edges = frozenset()
+            for path in acc_edges:
+                edges ^= frozenset(path)
+            overlap = len(edges & observed)
+            cand = (len(edges), -overlap, tuple(sorted(edges)))
+            if best_total is None or cand < best_total:
+                best_total = cand
+            return
+        first, rest = remaining[0], remaining[1:]
+        options = []
+        if SINK in paths[first]:
+            options.append((paths[first][SINK], rest))
+        for i, other in enumerate(rest):
+            key = ("cell", other)
+            if key in paths[first]:
+                options.append((paths[first][key], rest[:i] + rest[i + 1 :]))
+        if not options:
+            raise ValueError(f"endpoint {first} cannot be matched to any partner")
+        for (_, _, path), new_rest in options:
+            explore(new_rest, acc_edges + [path])
+
+    explore(list(endpoints), [])
+    return frozenset(best_total[2])
+
+
+def _old_t_join(ends, endpoints, observed=frozenset()):
+    """The replaced T-join: label-correcting paths, then every pairing."""
+    return _exact_t_join(endpoints, _shortest_paths(ends, endpoints, observed), observed)
+
+
+def _outcome(fn, *args):
+    """The edge set, or "none" where the search finds no T-join."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return "none"
+
+
 # -- tables -------------------------------------------------------------------
 
 
@@ -252,55 +342,125 @@ def test_ideal_collapse_edge_table_equals_sorted_builder(tri7, tri_hex_d3, ctx):
 
 def test_t_join_equals_single_shot_cell_matching(code3, inner_code):
     """Every set of mismatched cells of every pair, on both standalone
-    codes of tetra15: the same plaquettes flip, or both searches fail."""
+    codes of tetra15: the same plaquettes flip as under the cell matching
+    and the pairing search, or all three searches fail."""
     checked = 0
     for code in (code3, inner_code):
         colex = code.colex
-        for pair, entries in _code_dual_structure(code).by_pair.items():
+        dual = _code_dual_structure(code)
+        for pair, entries in dual.by_pair.items():
+            ends = dual.ends[pair]
             old_entries = [(pi, list(colex.plaquette_cells[pi])) for pi, _ in entries]
             cells = [
                 ci for ci in range(len(colex.cells)) if set(pair) <= set(colex.cell_colors(ci))
             ]
             for r in range(1, len(cells) + 1):
                 for mismatched in itertools.combinations(cells, r):
-                    try:
-                        want = _match_cells_to_edges(old_entries, list(mismatched))
-                    except ValueError:
-                        with pytest.raises(ValueError):
-                            flux.t_join([e for _, e in entries], list(mismatched))
+                    got = _outcome(flux.t_join, ends, list(mismatched))
+                    assert got == _outcome(_old_t_join, ends, list(mismatched))
+                    want = _outcome(_match_cells_to_edges, old_entries, list(mismatched))
+                    if want == "none":
+                        assert got == "none"
                         continue
-                    got = flux.t_join([e for _, e in entries], list(mismatched))
                     assert tuple(sorted(entries[i][0] for i in got)) == want
                     checked += 1
     assert checked == 21
 
 
-def _synthetic_graph(seed, cells=16, extra=12, sinks=3):
-    """A connected random graph of cells with a few edges to the sink, and
-    11 endpoints."""
+def test_t_join_equals_pairing_search_on_collapse_duals(ctx):
+    """Every observed subset of every pair's dual edges of tetra15."""
+    checked = 0
+    for pair in ctx.pairs:
+        duals = ctx.duals[pair]
+        ends = flux._dual_ends(duals)
+        for r in range(len(duals) + 1):
+            for edges in itertools.combinations(range(len(duals)), r):
+                observed = FluxConfiguration(pair, "Z", frozenset(edges), duals)
+                endpoints = observed.inner_endpoints()
+                want = _outcome(_old_t_join, ends, endpoints, observed.edges)
+                assert _outcome(flux.t_join, ends, endpoints, observed.edges) == want
+                checked += 1
+    assert checked == 12
+
+
+def _random_multigraph(rng, max_cells=8, max_edges=15):
+    """Random multigraph of cells and the sink, loops allowed, with up to 10
+    endpoints and a random observed set."""
+    cells = rng.randint(1, max_cells)
+    node = lambda: SINK if rng.random() < 0.2 else ("cell", rng.randrange(cells))
+    ends = [(node(), node()) for _ in range(rng.randint(1, max_edges))]
+    endpoints = sorted(rng.sample(range(cells), rng.randint(1, min(10, cells))))
+    observed = frozenset(i for i in range(len(ends)) if rng.random() < 0.4)
+    return ends, endpoints, observed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_t_join_equals_pairing_search_on_random_multigraphs(seed):
+    """The same edge set as the pairing search, or both fail, on 500 graphs
+    with 10 or fewer endpoints."""
     rng = random.Random(seed)
-    ends = [(("cell", c), ("cell", rng.randrange(c))) for c in range(1, cells)]
-    for _ in range(extra):
-        a, b = rng.sample(range(cells), 2)
-        ends.append((("cell", a), ("cell", b)))
-    ends += [(("cell", c), flux.SINK) for c in rng.sample(range(cells), sinks)]
-    rng.shuffle(ends)
-    return ends, sorted(rng.sample(range(cells), 11))
+    infeasible = 0
+    for _ in range(500):
+        ends, endpoints, observed = _random_multigraph(rng)
+        want = _outcome(_old_t_join, ends, endpoints, observed)
+        assert _outcome(flux.t_join, ends, endpoints, observed) == want
+        infeasible += want == "none"
+    assert 0 < infeasible < 400
 
 
 def _odd_cells(ends, edges):
-    degree = Counter(node for i in edges for node in ends[i] if node != flux.SINK)
+    degree = Counter(node for i in edges for node in ends[i] if node != SINK)
     return sorted(c for (_, c), k in degree.items() if k % 2)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_blossom_branch_is_minimal_with_eleven_endpoints(seed):
-    """Above 10 endpoints `t_join` switches to blossom matching: its edge
-    set is as small as the exact search's and ends exactly at the endpoints."""
-    ends, endpoints = _synthetic_graph(seed)
-    paths = flux._shortest_paths(ends, endpoints, frozenset())
-    exact = flux._exact_t_join(endpoints, paths, frozenset())
-    large = flux.t_join(ends, endpoints)
-    assert large == flux._blossom_t_join(endpoints, paths)
-    assert len(large) == len(exact)
-    assert _odd_cells(ends, large) == endpoints == _odd_cells(ends, exact)
+def _many_endpoint_graph(seed):
+    """A random tree on 12 or 13 cells plus two extra edges, one of them to
+    the sink (at most 14 edges), with 11 or 12 endpoints and an observed set."""
+    rng = random.Random(seed)
+    cells = rng.choice((12, 13))
+    ends = [(("cell", c), ("cell", rng.randrange(c))) for c in range(1, cells)]
+    a, b = rng.sample(range(cells), 2)
+    ends += [(("cell", a), ("cell", b)), (("cell", rng.randrange(cells)), SINK)]
+    rng.shuffle(ends)
+    endpoints = sorted(rng.sample(range(cells), rng.choice((11, 12))))
+    observed = frozenset(i for i in range(len(ends)) if rng.random() < 0.5)
+    return ends, endpoints, observed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_t_join_is_the_global_minimum_with_many_endpoints(seed):
+    """Above 10 endpoints the search is the same: its edge set is the
+    minimum of (size, -observed edges, sorted ids) over every edge subset
+    with exactly the endpoints as odd cells."""
+    ends, endpoints, observed = _many_endpoint_graph(seed)
+    assert len(ends) <= 14 and len(endpoints) >= 11
+    best = None
+    for bits in range(1 << len(ends)):
+        edges = tuple(i for i in range(len(ends)) if bits >> i & 1)
+        if _odd_cells(ends, edges) == endpoints:
+            key = (len(edges), -len(observed.intersection(edges)), edges)
+            best = key if best is None or key < best else best
+    assert best is not None
+    assert flux.t_join(ends, endpoints, observed) == frozenset(best[2])
+
+
+def test_t_join_runs_without_networkx():
+    """Many endpoints run the same exact search; networkx is never imported."""
+    src = os.path.dirname(os.path.dirname(flux.__file__))
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["networkx"] = None
+        sys.path.insert(0, {src!r})
+        from colexjump.flux import SINK, t_join
+        cells = range(12)
+        ends = [(("cell", c), ("cell", c + 1)) for c in range(11)]
+        ends.append((("cell", 11), SINK))
+        print(sorted(t_join(ends, list(cells))))
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[0,", "2,", "4,", "6,", "8,", "10]"]

@@ -3,7 +3,8 @@
 `min_weight_logical` reduced its candidates against a dense uint8 RREF of
 its own (`_dense_rref` + `_reduce_batch`), and `css_min_weight` packed every
 Gray-code step into a fresh row before its membership test. Both now run on
-the int rows of `gf2`; the old code is kept here as the oracle, and the
+the int rows of `gf2`, and `css_min_weight` takes int masks where the oracle
+takes dense 0/1 rows; the old code is kept here as the oracle, and the
 distances must agree on every bundled code and on random groups, CSS and
 non-CSS (only non-CSS groups reach the Y letter).
 """
@@ -160,11 +161,10 @@ def test_min_weight_logical_without_logicals_matches_oracle(inner_code):
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_css_min_weight_matches_gray_walk_oracle(name):
     code = BUNDLED[name]()
-    checks = np.array(
-        [_vec(g.z, code.n) for g in code.S.generators if g.z and not g.x], dtype=np.uint8
-    )
-    trivial = np.vstack([code.x_support_rows("S"), code.x_support_rows("G")])
-    assert css_min_weight(checks, trivial) == old_css_min_weight(checks, trivial)
+    checks = [g.z for g in code.S.generators if g.z and not g.x]
+    trivial = [g.x for grp in (code.S, code.G) for g in grp.generators if g.x and not g.z]
+    dense = [np.array([_vec(r, code.n) for r in rs], dtype=np.uint8) for rs in (checks, trivial)]
+    assert css_min_weight(code.n, checks, trivial) == old_css_min_weight(*dense)
 
 
 def test_five_qubit_code_reaches_the_y_letter():
@@ -222,5 +222,7 @@ def test_min_weight_logical_random_groups_match_oracle(group):
     )
 )
 def test_css_min_weight_random_matches_oracle(rows):
-    checks, stabs = (np.array(r, dtype=np.uint8) for r in rows)
-    assert _outcome(css_min_weight, checks, stabs) == _outcome(old_css_min_weight, checks, stabs)
+    n = len(rows[0][0])
+    checks, stabs = ([sum(b << q for q, b in enumerate(r)) for r in rs] for rs in rows)
+    dense = (np.array(rs, dtype=np.uint8) for rs in rows)
+    assert _outcome(css_min_weight, n, checks, stabs) == _outcome(old_css_min_weight, *dense)
