@@ -8,12 +8,17 @@ class (syndrome plus logical action) is computed algebraically and reduced
 to its minimum-weight representative for the histograms.
 
 Collapse trials run on a `CollapsePlan`, compiled once per context and
-cached on it: the inner plaquette parity matrix, one int mask per
-residual-coset key bit, each coset's lightest member, and the final 2D
-decode reduced to a per-coset logical flip. A trial's residual accounting,
-for the sign-linear fast engine and the tableau engine alike, is a few
-popcount parities on int masks and one lookup memoised per pair of coset
-keys.
+cached on it: one readout matrix of inner plaquette and residual-key
+parities, one int mask per residual-coset key bit, each coset's lightest
+member, the final 2D decode reduced to a per-coset logical flip, and per
+(basis, pair) slot a repair table memoised on the observed patterns that
+trials reach. The sign-linear fast engine runs trials in batches of
+`BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_uniforms`, the
+same numbers as each trial's own generator), one matrix product, table
+lookups and `np.unique` counts, with no per-trial Python call. The tableau
+engine runs trial by trial as the exact oracle. Both fold their trials into
+the statistics through the same per-batch tally, whose residual accounting
+is one lookup memoised per pair of coset keys.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
 cached on it, in the manner of a reference sample plus Pauli frames (Stim,
@@ -32,6 +37,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from .jump import (
     plaquette_checks,
     single_shot_decode,
 )
-from .noise import NoiseSpec, sample_qubit_noise, to_mask, trial_rng
+from .noise import NoiseSpec, philox_uniforms, sample_qubit_noise, to_mask, trial_rng
 from .pauli import PauliOperator
 
 
@@ -134,7 +140,6 @@ class CollapsePlan:
                 for dual in duals:
                     vs = ctx.colex3.plaquette_vertices(dual.plaquette)
                     supports.append([offset + v for v in vs])
-        self.inner_parity = _incidence(2 * n3, supports)
         # residual coset key bit j of one side is the parity of (3D error on
         # that side | applied correction << n3) over key_masks[j]
         self.n3 = n3
@@ -155,6 +160,44 @@ class CollapsePlan:
         }
         self.adjacency = _outer_adjacency(ctx)
         self._residuals: dict = {}
+        # Batched trials. The parities of an error (rows: X error, then Z
+        # error) over the readout's columns are every inner plaquette
+        # reading, then the noise part of every residual key bit, X side
+        # first. Counts stay far below 2^24, so a float32 (BLAS) product is
+        # exact. A slot's observed pattern (bit i for dual i) is
+        # seen @ slot_weights, and key_weights packs the key bits.
+        self.n_inner = len(supports)  # inner plaquette columns
+        low = [_set_bits(mask & ((1 << n3) - 1)) for mask in self.key_masks]
+        keys = low + [[n3 + q for q in qs] for qs in low]
+        self.readout = _incidence(2 * n3, supports + keys).astype(np.float32)
+        self.slot_weights = np.zeros((self.n_inner, len(self.slots)), dtype=np.int64)
+        for s, (_, _, lo, duals) in enumerate(self.slots):
+            self.slot_weights[lo : lo + len(duals), s] = 1 << np.arange(len(duals))
+        self.key_weights = 1 << np.arange(2 * self.side_bits, dtype=np.int64)
+        self._repairs: list[dict] = [{} for _ in self.slots]
+
+    def repair(self, ctx: JumpContext, slot: int, pattern: int) -> "_Repair":
+        """Flux repair and string correction of one slot's observed pattern,
+        memoised on the patterns that trials reach."""
+        got = self._repairs[slot].get(pattern)
+        if got is None:
+            basis, pair, _, duals = self.slots[slot]
+            span = range(len(duals))
+            seen = frozenset(i for i in span if pattern >> i & 1)
+            delta0, gamma_eff = repair_flux(FluxConfiguration(pair, basis, seen, duals))
+            kind = "X" if basis == "Z" else "Z"
+            corr = ctx.cached_string_correction(gamma_eff.outer_endpoints(), pair, kind)
+            mask = corr.x if kind == "X" else corr.z
+            got = _Repair(
+                tuple(sorted(delta0)),
+                tuple(sorted(gamma_eff.edges)),
+                kind,
+                mask,
+                self.residual_key(0, 0, {"X": 0, "Z": 0} | {kind: mask}),
+                {duals[i].plaquette: (-1 if i in seen else 1) for i in span},
+            )
+            self._repairs[slot][pattern] = got
+        return got
 
     def residual_key(self, ex: int, ez: int, applied: dict) -> int:
         """Packed coset keys of the outer residual on both sides, from the
@@ -180,6 +223,15 @@ class CollapsePlan:
             got = (len(sx) + len(sz), _max_component(set(sx) | set(sz), self.adjacency))
             self._residuals[key] = got
         return got
+
+
+class _Repair(NamedTuple):
+    delta0: tuple  # sorted dual indices the repair flips
+    gamma_eff: tuple  # sorted dual indices of the repaired flux
+    kind: str  # type of the string correction, "X" or "Z"
+    correction: int  # its outer mask
+    key: int  # its residual coset key bits (the key is linear)
+    record: dict  # plaquette id -> observed +-1
 
 
 def collapse_plan(ctx: JumpContext) -> CollapsePlan:
@@ -249,8 +301,19 @@ class _TrialResult:
     key: int  # packed residual coset key (CollapsePlan.residual_key)
 
 
+@dataclass
+class _Batch:
+    """Trials first, first + 1, ... of one engine call, as arrays."""
+
+    first: int
+    keys: np.ndarray  # packed residual coset key per trial
+    delta0_sizes: np.ndarray  # (trials, slots): |delta0| of every repair
+    failed: np.ndarray  # bool per trial
+    result: Callable[[int], _TrialResult]  # trial first + i, for trace lines
+
+
 class CollapseEngine:
-    """Classical fast path for collapse trials.
+    """Batched classical fast path for collapse trials.
 
     On a freshly prepared encoded state the whole trial is sign-linear:
     plaquette bits never change, Pauli noise only toggles signs, and every
@@ -258,15 +321,23 @@ class CollapseEngine:
     the parity of the injected error on its support; the outer plaquette
     value after discarding equals the parity on its own support; logical
     flips are support parities of the accumulated error. The engine runs
-    that arithmetic on the context's compiled `CollapsePlan`: one matrix
-    product gives every inner plaquette reading, one `rng.random` call every
-    measurement flip, and popcount parities of int masks the residual coset
-    keys, whose table entry says whether the final decode leaves the logical
-    flipped. Random numbers are drawn in exactly the same order as the
-    tableau pipeline (a vector draw from Philox equals the same number of
-    scalar draws), so both produce identical trials (asserted in the test
-    suite). Flux repair and string correction still run once per (pair,
-    basis).
+    that arithmetic on the context's compiled `CollapsePlan` for a batch of
+    trials at once, in the manner of Stim's batched frame sampling (Gidney,
+    arXiv 2103.02202):
+
+    - one `philox_uniforms` call draws every trial's numbers, the same ones
+      and in the same order as the tableau pipeline draws them from its
+      per-trial generator (qubit noise, then one flip per dual);
+    - one matrix product gives every inner plaquette reading;
+    - each (basis, pair) slot's observed pattern indexes the plan's repair
+      table, which `repair_flux` and the string correction fill on first
+      use, so their tie-breaks hold by construction;
+    - the residual coset key is linear, so it is the noise part (one more
+      product) XOR the keys of the slots' corrections, and its table entry
+      says whether the final decode leaves the logical flipped.
+
+    Both engines therefore produce identical trials (asserted in the test
+    suite). `run_trial` is a batch of one.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -274,57 +345,78 @@ class CollapseEngine:
         self.plan = collapse_plan(ctx)
 
     def run_trial(self, noise: NoiseSpec, t: int) -> _TrialResult:
-        ctx = self.ctx
-        plan = self.plan
-        rng = trial_rng(noise.seed, t)
-        logical = "zero" if t % 2 == 0 else "plus"
-        ex, ez = sample_qubit_noise(noise.p_qubit, ctx.n3, rng)
-        true = (np.concatenate((ex, ez)) @ plan.inner_parity) & 1
-        seen = true
-        if noise.q_meas > 0:
-            seen = true ^ (rng.random(len(true)) < noise.q_meas)
-        true, seen = true.tolist(), seen.tolist()
-        records = {}
-        repairs = {}
-        applied = {"X": 0, "Z": 0}
-        for basis, pair, lo, duals in plan.slots:
-            span = range(len(duals))
-            observed = FluxConfiguration(
-                pair, basis, frozenset(i for i in span if seen[lo + i]), duals
-            )
-            records[(pair, basis)] = {
-                duals[i].plaquette: (-1 if seen[lo + i] else 1) for i in span
-            }
-            delta0, gamma_eff = repair_flux(observed)
-            repairs[(pair, basis)] = (
-                tuple(sorted(delta0)),
-                tuple(sorted(gamma_eff.edges)),
-                tuple(i for i in span if true[lo + i]),
-            )
-            corr_type = "X" if basis == "Z" else "Z"
-            corr = ctx.cached_string_correction(
-                gamma_eff.outer_endpoints(), pair, corr_type
-            )
-            applied[corr_type] ^= corr.x if corr_type == "X" else corr.z
-        ex, ez = to_mask(ex), to_mask(ez)
+        return self.run_batch(noise, t, 1).result(0)
+
+    def run_batch(self, noise: NoiseSpec, first: int, count: int) -> _Batch:
+        ctx, plan = self.ctx, self.plan
+        n3, cols = ctx.n3, plan.n_inner
+        p, q = noise.p_qubit, noise.q_meas
+        draws = (2 * n3 if p > 0 else 0) + (cols if q > 0 else 0)
+        u = philox_uniforms(noise.seed, first, count, draws)
+        if p > 0:  # the X error then the Z error of every qubit
+            err = u[:, : 2 * n3] < p
+        else:
+            err = np.zeros((count, 2 * n3), dtype=bool)
+        parities = (err.astype(np.float32) @ plan.readout).astype(np.int64) & 1
+        true = parities[:, :cols]
+        seen = true ^ (u[:, draws - cols :] < q) if q > 0 else true
+        patterns = seen @ plan.slot_weights
+        keys = parities[:, cols:] @ plan.key_weights
+        delta0_sizes = np.empty(patterns.shape, dtype=np.int64)
+        picks = []  # per slot: (repairs reached, index of each trial's repair)
+        for s in range(len(plan.slots)):
+            reached, inverse = np.unique(patterns[:, s], return_inverse=True)
+            repairs = [plan.repair(ctx, s, int(v)) for v in reached]
+            keys ^= np.array([r.key for r in repairs], dtype=np.int64)[inverse]
+            delta0_sizes[:, s] = np.array([len(r.delta0) for r in repairs])[inverse]
+            picks.append((repairs, inverse))
         # the observable logical reads the parity of the residual on the
         # opposite side; the final ideal decode is a lookup on its coset
-        residual = plan.residual_key(ex, ez, applied)
-        key_x, key_z = plan.split_key(residual)
-        kind, key = ("Z", key_x) if logical == "zero" else ("X", key_z)
-        flags = {"Z": None, "X": None}
-        flags[kind] = -1 if key >> (plan.side_bits - 1) else 1
-        return _TrialResult(
-            logical,
-            ex,
-            ez,
-            records,
-            repairs,
-            applied,
-            flags,
-            plan.decoded_flip[key],
-            residual,
-        )
+        reached, inverse = np.unique(keys, return_inverse=True)
+        sides = [plan.split_key(int(k)) for k in reached]
+        flip_zero = np.array([plan.decoded_flip[key_x] for key_x, _ in sides])
+        flip_plus = np.array([plan.decoded_flip[key_z] for _, key_z in sides])
+        zero = np.arange(count) % 2 == first % 2  # trials of even index
+        failed = np.where(zero, flip_zero[inverse], flip_plus[inverse])
+
+        def result(i: int) -> _TrialResult:
+            logical = "zero" if zero[i] else "plus"
+            records, repairs, applied = {}, {}, {"X": 0, "Z": 0}
+            for (basis, pair, lo, duals), (reached, picked) in zip(plan.slots, picks):
+                r = reached[picked[i]]
+                records[(pair, basis)] = r.record
+                span = range(len(duals))
+                repairs[(pair, basis)] = (
+                    r.delta0,
+                    r.gamma_eff,
+                    tuple(j for j in span if true[i, lo + j]),
+                )
+                applied[r.kind] ^= r.correction
+            key = int(keys[i])
+            key_x, key_z = plan.split_key(key)
+            kind, side_key = ("Z", key_x) if zero[i] else ("X", key_z)
+            flags = {"Z": None, "X": None}
+            flags[kind] = -1 if side_key >> (plan.side_bits - 1) else 1
+            return _TrialResult(
+                logical,
+                to_mask(err[i, :n3]),
+                to_mask(err[i, n3:]),
+                records,
+                repairs,
+                applied,
+                flags,
+                bool(failed[i]),
+                key,
+            )
+
+        return _Batch(first, keys, delta0_sizes, failed, result)
+
+
+# Trials per batch. Each batch pays a fixed cost for its numpy calls (the
+# Philox kernel alone about 0.3 ms), and past 1024 trials the kernel's cost
+# per trial rises again. 512 was the fastest of 256, 512, 1024 and 2048 on
+# 40,000 tetra15 trials.
+BATCH_TRIALS = 512
 
 
 def run_collapse_trials(
@@ -339,39 +431,69 @@ def run_collapse_trials(
 
     Logical states alternate between the Z and X basis by trial parity. A
     trial fails when the tracked logical expectation flips after the final
-    noiseless decode on the collapsed 2D state. `engine` selects the
-    sign-linear fast path or the full tableau pipeline; both produce
-    bit-identical trials.
+    noiseless decode on the collapsed 2D state. `engine` selects the batched
+    sign-linear fast path (`CollapseEngine`) or the full tableau pipeline
+    run trial by trial; both produce bit-identical trials. Trial indices
+    key the generator as uint64 words, so they must lie in [0, 2^64).
     """
-    stats = TrialStats()
-    fast = CollapseEngine(ctx) if engine == "fast" else None
+    if engine not in ("fast", "tableau"):
+        raise ValueError(f'unknown engine {engine!r}: use "fast" or "tableau"')
+    end = trial_offset + trials
+    if trial_offset < 0 or end > 2**64:
+        raise ValueError(f"trial indices {trial_offset}..{end - 1} leave [0, 2^64)")
     plan = collapse_plan(ctx)
-    base = (
-        None
-        if fast
-        else {"zero": encoded_3d(ctx, "zero"), "plus": encoded_3d(ctx, "plus")}
-    )
-    for t in range(trial_offset, trial_offset + trials):
-        if fast is not None:
-            result = fast.run_trial(noise, t)
-        else:
-            result = _tableau_trial(ctx, base, noise, t)
-        for delta0, _, _ in result.repairs.values():
-            stats.delta0_hist[len(delta0)] += 1
-        # Residual class: trials start from a fresh state with trivial flux,
-        # so after discarding, the outer deviation from the reference encoded
-        # state is exactly the injected outer error times the applied
-        # correction (a pure inner error never reaches the outer block).
-        weight, component = plan.residual(result.key)
-        stats.residual_weight_hist[weight] += 1
-        stats.max_residual_component = max(stats.max_residual_component, component)
-        stats.trials += 1
-        if result.failed:
-            kind = "Z" if result.logical == "zero" else "X"
-            stats.failures[kind] += 1
+    if engine == "fast":
+        run_batch = CollapseEngine(ctx).run_batch
+    else:
+        base = {"zero": encoded_3d(ctx, "zero"), "plus": encoded_3d(ctx, "plus")}
+
+        def run_batch(noise, first, count):
+            return _tableau_batch(ctx, base, noise, first, count)
+
+    stats = TrialStats()
+    for first in range(trial_offset, end, BATCH_TRIALS):
+        batch = run_batch(noise, first, min(BATCH_TRIALS, end - first))
+        _tally(stats, plan, batch)
         if trace_fh is not None:
-            trace_fh.write(_trace_line(noise, t, result) + "\n")
+            for i in range(len(batch.keys)):
+                trace_fh.write(_trace_line(noise, first + i, batch.result(i)) + "\n")
     return stats
+
+
+def _tally(stats: TrialStats, plan: CollapsePlan, batch: _Batch) -> None:
+    """Fold a batch's trials into the statistics."""
+    stats.trials += len(batch.keys)
+    _count(stats.delta0_hist, batch.delta0_sizes)
+    # Residual class: trials start from a fresh state with trivial flux,
+    # so after discarding, the outer deviation from the reference encoded
+    # state is exactly the injected outer error times the applied
+    # correction (a pure inner error never reaches the outer block).
+    reached, inverse = np.unique(batch.keys, return_inverse=True)
+    residuals = [plan.residual(int(k)) for k in reached]
+    _count(stats.residual_weight_hist, np.array([w for w, _ in residuals])[inverse])
+    stats.max_residual_component = max(
+        stats.max_residual_component, *(c for _, c in residuals)
+    )
+    zero = batch.first % 2  # the first row whose trial index is even
+    for kind, rows in (("Z", batch.failed[zero::2]), ("X", batch.failed[1 - zero :: 2])):
+        if rows.any():
+            stats.failures[kind] += int(rows.sum())
+
+
+def _count(counter: Counter, values: np.ndarray) -> None:
+    for value, times in zip(*np.unique(values, return_counts=True)):
+        counter[int(value)] += int(times)
+
+
+def _tableau_batch(ctx, base, noise, first, count) -> _Batch:
+    results = [_tableau_trial(ctx, base, noise, t) for t in range(first, first + count)]
+    return _Batch(
+        first,
+        np.array([r.key for r in results], dtype=np.int64),
+        np.array([[len(d0) for d0, _, _ in r.repairs.values()] for r in results]),
+        np.array([r.failed for r in results]),
+        results.__getitem__,
+    )
 
 
 def _tableau_trial(ctx, base, noise, t) -> _TrialResult:

@@ -34,6 +34,57 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
+# Philox4x64 multipliers and key increments (Salmon et al., "Parallel random
+# numbers: as easy as 1, 2, 3", SC11), as numpy's Philox uses them
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def philox_uniforms(seed: int, first: int, count: int, draws: int) -> np.ndarray:
+    """(count, draws) doubles; row i equals
+    `trial_rng(seed, first + i).random(draws)` bit for bit.
+
+    numpy's Philox4x64-10 keyed by (seed, t) fills its buffer from counter
+    blocks 1, 2, ... (4 words each, in order) and makes a double of a word u
+    as (u >> 11) * 2^-53. Here every trial's blocks run at once as uint64
+    array arithmetic, which wraps as the generator's does. A round multiplies
+    counter words 0 and 2, held together as one (2, count, blocks) array;
+    the high word of each 128-bit product comes from 32-bit halves (Hacker's
+    Delight, mulhu).
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+    if first < 0 or count < 0 or first + count > 2**64:
+        raise ValueError(f"trials {first}..{first + count - 1} leave [0, 2^64)")
+    blocks = -(-draws // 4)
+    low32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    # multipliers, their 32-bit halves and the key increments, shaped to
+    # act on (2, ...) arrays
+    m = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
+    mh, ml = m >> s32, m & low32
+    bump = np.array(_PHILOX_W, dtype=np.uint64)[:, None, None]
+    key = np.empty((2, count, 1), dtype=np.uint64)
+    key[0] = seed
+    key[1, :, 0] = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    even = np.zeros((2, count, blocks), dtype=np.uint64)  # words 0 and 2
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)  # words 1 and 3
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += bump
+        xh, xl = even >> s32, even & low32
+        t = xl * ml
+        u = xh * ml + (t >> s32)
+        v = xl * mh + (u & low32)
+        hi = xh * mh + (u >> s32) + (v >> s32)
+        # (w0, w1, w2, w3) <- (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0)
+        even, odd = hi[::-1] ^ odd ^ key, (even * m)[::-1]
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=2)
+    words = words.reshape(count, 4 * blocks)[:, :draws]
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def sample_qubit_noise(p: float, n: int, rng: np.random.Generator):
     """(x flips, z flips) as 0/1 vectors, each site independent at rate p."""
     if p <= 0:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexjump import gf2, jump
+from colexjump import gf2, jump, montecarlo
 from colexjump.codes import build_3d, build_inner
 from colexjump.colex import Colex
 from colexjump.jump import (
@@ -21,6 +21,8 @@ from colexjump.jump import (
     single_shot_ec,
 )
 from colexjump.montecarlo import (
+    BATCH_TRIALS,
+    CollapseEngine,
     TrialStats,
     collapse_plan,
     exhaustive_weight1_collapse,
@@ -91,6 +93,143 @@ def test_fast_engine_matches_tableau_fuzzed(ctx, seed, offset, p, q):
     )
     assert tr_fast.getvalue() == tr_tab.getvalue()
     assert fast.as_dict() == tab.as_dict()
+
+
+@pytest.mark.parametrize("engine", ["Fast", "numpy", ""])
+def test_unknown_engine_is_an_error(ctx, engine):
+    with pytest.raises(ValueError, match='"fast".*"tableau"'):
+        run_collapse_trials(ctx, NoiseSpec(0.1, 0.1, seed=1), 3, engine=engine)
+
+
+def test_last_trial_indices_match_tableau(ctx):
+    """Trial indices 2^64 - 2 and 2^64 - 1 key the generator like any other."""
+    spec = NoiseSpec(0.2, 0.2, seed=5)
+    runs = []
+    for engine in ("fast", "tableau"):
+        trace = io.StringIO()
+        stats = run_collapse_trials(
+            ctx, spec, 2, trial_offset=2**64 - 2, engine=engine, trace_fh=trace
+        )
+        runs.append((stats.as_dict(), trace.getvalue()))
+    assert runs[0] == runs[1]
+    assert [json.loads(line)["trial"] for line in runs[0][1].splitlines()] == [
+        2**64 - 2,
+        2**64 - 1,
+    ]
+
+
+@pytest.mark.parametrize("engine", ["fast", "tableau"])
+@pytest.mark.parametrize("offset,trials", [(2**64 - 2, 3), (-1, 2), (-5, 3)])
+def test_trial_indices_outside_uint64_are_an_error(ctx, engine, offset, trials):
+    """Nothing runs: a batch's keys must not wrap onto trial 0's stream."""
+    trace = io.StringIO()
+    with pytest.raises(ValueError, match="2\\^64"):
+        run_collapse_trials(
+            ctx, NoiseSpec(0.1, 0.1, seed=1), trials, trial_offset=offset,
+            engine=engine, trace_fh=trace,
+        )
+    assert trace.getvalue() == ""
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:10]
+
+
+_GOLDEN_TRIALS = 1030  # more than one batch of the fast engine
+# SHA-256 prefixes of {"stats": as_dict(), "trace": trace text} over
+# _GOLDEN_TRIALS trials, keyed by (p, q, seed, first trial); recorded with the
+# per-trial fast engine that the batched one replaced
+_COLLAPSE_GOLDEN = {
+    (0, 0, 3, 0): "77d96c63d8",
+    (0, 0, 2**64 - 1, 2**64 - 1030): "a7ef55f75b",
+    (0.05, 0.05, 3, 0): "7ff3b184c7",
+    (0.05, 0.05, 2**64 - 1, 2**64 - 1030): "f02f961241",
+    (1, 1, 3, 0): "2a22f30cfd",
+    (1, 1, 2**64 - 1, 2**64 - 1030): "3d7248b3fe",
+    (0.3, 0, 3, 0): "8019cfab26",
+    (0.3, 0, 2**64 - 1, 2**64 - 1030): "e408b2594e",
+    (0, 0.3, 3, 0): "c2ad1650cc",
+    (0, 0.3, 2**64 - 1, 2**64 - 1030): "b7c72649f5",
+}
+
+
+@pytest.mark.parametrize("p,q,seed,first", list(_COLLAPSE_GOLDEN))
+def test_collapse_output_pinned(ctx, p, q, seed, first):
+    assert _GOLDEN_TRIALS > BATCH_TRIALS
+    trace = io.StringIO()
+    stats = run_collapse_trials(
+        ctx, NoiseSpec(p, q, seed), _GOLDEN_TRIALS, trial_offset=first, trace_fh=trace
+    )
+    payload = {"stats": stats.as_dict(), "trace": trace.getvalue()}
+    assert _digest(payload) == _COLLAPSE_GOLDEN[p, q, seed, first]
+
+
+def test_shards_across_batch_boundaries_merge_to_one_run(ctx):
+    """Shards cut just before, just after and far from batch boundaries
+    give the same statistics and trace as one call."""
+    spec = NoiseSpec(0.1, 0.08, seed=41)
+    offset, total = 7, 2 * BATCH_TRIALS + 50
+    whole_trace = io.StringIO()
+    whole = run_collapse_trials(ctx, spec, total, trial_offset=offset, trace_fh=whole_trace)
+    cuts = [0, BATCH_TRIALS - 3, BATCH_TRIALS + 5, BATCH_TRIALS + 6, total]
+    merged, traces = TrialStats(), []
+    for lo, hi in zip(cuts, cuts[1:]):
+        trace = io.StringIO()
+        part = run_collapse_trials(
+            ctx, spec, hi - lo, trial_offset=offset + lo, trace_fh=trace
+        )
+        merged = merged.merge(part)
+        traces.append(trace.getvalue())
+    assert merged.as_dict() == whole.as_dict()
+    assert "".join(traces) == whole_trace.getvalue()
+
+
+def test_run_trial_is_a_batch_of_one(ctx):
+    spec = NoiseSpec(0.15, 0.1, seed=12)
+    trace = io.StringIO()
+    run_collapse_trials(ctx, spec, 6, trial_offset=99, trace_fh=trace)
+    engine = CollapseEngine(ctx)
+    lines = [
+        montecarlo._trace_line(spec, t, engine.run_trial(spec, t))
+        for t in range(99, 105)
+    ]
+    assert "\n".join(lines) + "\n" == trace.getvalue()
+
+
+def test_fast_engine_repairs_only_new_patterns(tetra15, monkeypatch):
+    """Flux repair and string correction run once per (slot, observed
+    pattern) a trial reaches, not per trial; no per-trial generator is
+    built."""
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-trial generator was built")
+
+    monkeypatch.setattr(montecarlo, "repair_flux", counting("repair", montecarlo.repair_flux))
+    monkeypatch.setattr(
+        jump.JumpContext,
+        "cached_string_correction",
+        counting("string", jump.JumpContext.cached_string_correction),
+    )
+    monkeypatch.setattr(montecarlo, "trial_rng", forbidden)
+    ctx = make_context(tetra15, "rgb")
+    plan = collapse_plan(ctx)
+    spec = NoiseSpec(0.05, 0.05, seed=3)
+    run_collapse_trials(ctx, spec, 3000)
+    reached = sum(len(table) for table in plan._repairs)
+    assert len(plan.slots) < reached <= sum(2 ** len(d) for *_, d in plan.slots)
+    assert calls == Counter(repair=reached, string=reached)
+    run_collapse_trials(ctx, spec, 3000, trial_offset=3000)
+    reached = sum(len(table) for table in collapse_plan(ctx)._repairs)
+    assert calls == Counter(repair=reached, string=reached)
 
 
 def test_plan_residual_table_matches_exhaustive_oracle(ctx):
@@ -293,11 +432,6 @@ def test_single_shot_plan_compiled_once_per_code(split15, monkeypatch):
         monkeypatch.setattr(Tableau, name, forbidden)
     run_single_shot_trials(code, spec, 20, trial_offset=3)
     assert calls == Counter()
-
-
-def _digest(payload) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:10]
 
 
 # SHA-256 prefixes of `as_dict()` over 60 trials from offset 0, recorded with
