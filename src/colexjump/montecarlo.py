@@ -28,7 +28,11 @@ stabilizer row its measurement replaces, and the reference values of the
 final checks. A trial then tracks only the Pauli frame between that
 reference and its own state, as two Python ints; see
 `run_single_shot_trials` for why a random outcome updates the frame by the
-replaced row. `single_shot_decode` stays the one decoder.
+replaced row. Trials run in batches of `BATCH_TRIALS`, with one
+`philox_uniforms` draw per batch. A round's decode key is the XOR of static
+per-plaquette key masks over its -1 outcomes: the parities through which
+`single_shot_decode`, the one decoder, reads them. Its correction is a
+lookup in a table filled by that decoder on the keys that trials reach.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .flux import FluxConfiguration, plaquette_operator, repair_flux
+from .flux import SINK, FluxConfiguration, plaquette_operator, repair_flux
 from .gf2 import checks_table
 from .jump import (
     JumpContext,
@@ -419,6 +423,14 @@ class CollapseEngine:
 BATCH_TRIALS = 512
 
 
+def _check_trial_range(trial_offset: int, trials: int) -> None:
+    """Trial indices key the generator as uint64 words: reject a range that
+    leaves [0, 2^64) before any trial runs."""
+    end = trial_offset + trials
+    if trial_offset < 0 or end > 2**64:
+        raise ValueError(f"trial indices {trial_offset}..{end - 1} leave [0, 2^64)")
+
+
 def run_collapse_trials(
     ctx: JumpContext,
     noise: NoiseSpec,
@@ -438,9 +450,8 @@ def run_collapse_trials(
     """
     if engine not in ("fast", "tableau"):
         raise ValueError(f'unknown engine {engine!r}: use "fast" or "tableau"')
+    _check_trial_range(trial_offset, trials)
     end = trial_offset + trials
-    if trial_offset < 0 or end > 2**64:
-        raise ValueError(f"trial indices {trial_offset}..{end - 1} leave [0, 2^64)")
     plan = collapse_plan(ctx)
     if engine == "fast":
         run_batch = CollapseEngine(ctx).run_batch
@@ -448,7 +459,7 @@ def run_collapse_trials(
         base = {"zero": encoded_3d(ctx, "zero"), "plus": encoded_3d(ctx, "plus")}
 
         def run_batch(noise, first, count):
-            return _tableau_batch(ctx, base, noise, first, count)
+            return _tableau_batch(ctx, base, noise, first, count, trace_fh is not None)
 
     stats = TrialStats()
     for first in range(trial_offset, end, BATCH_TRIALS):
@@ -485,14 +496,23 @@ def _count(counter: Counter, values: np.ndarray) -> None:
         counter[int(value)] += int(times)
 
 
-def _tableau_batch(ctx, base, noise, first, count) -> _Batch:
-    results = [_tableau_trial(ctx, base, noise, t) for t in range(first, first + count)]
+def _tableau_batch(ctx, base, noise, first, count, keep: bool) -> _Batch:
+    """Tableau-engine trials as a batch: the tally values of every trial,
+    and the trial results themselves only when `keep` (a trace needs them)."""
+    keys, sizes, failed, kept = [], [], [], []
+    for t in range(first, first + count):
+        r = _tableau_trial(ctx, base, noise, t)
+        keys.append(r.key)
+        sizes.append([len(d0) for d0, _, _ in r.repairs.values()])
+        failed.append(r.failed)
+        if keep:
+            kept.append(r)
     return _Batch(
         first,
-        np.array([r.key for r in results], dtype=np.int64),
-        np.array([[len(d0) for d0, _, _ in r.repairs.values()] for r in results]),
-        np.array([r.failed for r in results]),
-        results.__getitem__,
+        np.array(keys, dtype=np.int64),
+        np.array(sizes),
+        np.array(failed),
+        kept.__getitem__,
     )
 
 
@@ -593,12 +613,12 @@ class _Reference:
     """One reference state's noiseless single-shot pass, recorded.
 
     `rounds` holds, per measured basis, one step per plaquette in measurement
-    order: (plaquette id, support mask, reference value or None when the
-    outcome is random, X and Z masks of the stabilizer row that a random
-    measurement replaces). `draws` counts the random outcomes of both rounds.
-    The final readout holds the cell syndrome bits of both types and the
-    tracked logical's value (tetrahedral codes) or the (X mask, Z mask,
-    value) of every stabilizer generator (inner codes).
+    order: (support mask, reference value or None when the outcome is
+    random, X and Z masks of the stabilizer row that a random measurement
+    replaces, the plaquette's decode key mask). `draws` counts the random
+    outcomes of both rounds. The final readout holds the cell syndrome bits
+    of both types and the tracked logical's value (tetrahedral codes) or the
+    (X mask, Z mask, value) of every stabilizer generator (inner codes).
     """
 
     def __init__(self, code, logical, plan):
@@ -610,12 +630,13 @@ class _Reference:
                 op = plaquette_operator(code.colex, pi, basis)
                 row = state.pivot_row(op)
                 value = state.measure(op, force=1)
+                mask, key_mask = plan.masks[pi], plan.key_masks[pi]
                 if row is None:
-                    steps.append((pi, plan.masks[pi], value, 0, 0))
+                    steps.append((mask, value, 0, 0, key_mask))
                 else:
-                    steps.append((pi, plan.masks[pi], None, row.x, row.z))
+                    steps.append((mask, None, row.x, row.z, key_mask))
             self.rounds.append((basis, steps))
-        self.draws = sum(step[2] is None for _, steps in self.rounds for step in steps)
+        self.draws = sum(step[1] is None for _, steps in self.rounds for step in steps)
         n = code.n
         if logical is None:
             self.stabilizers = [
@@ -641,14 +662,39 @@ class SingleShotPlan:
     `None` for the inner code) in which random outcomes are forced to +1,
     together with the code's dual structure and its cell decoding table
     with supports as masks. `single_shot_plan` caches it on the code.
+
+    `single_shot_decode` reads a round's outcomes only through parities:
+    the product of each pair's plaquettes on each cell (from which follow
+    the majority cell syndrome, the mismatched cells and the T-join flips)
+    and each region's raw product (times those flips). So a round's decode
+    key has one bit per (pair, cell) that a plaquette's ends touch and one
+    per region; `key_masks[pi]` holds the bits that a -1 outcome of
+    plaquette pi toggles (a plaquette with both ends on one cell toggles
+    that bit twice, as its outcome cancels in the product). A round's key
+    is the XOR of the key masks of its -1 outcomes, and `decode` looks the
+    correction up by key.
     """
 
     def __init__(self, code):
+        self.code = code
         self.dual = _code_dual_structure(code)
         by_pair = self.dual.by_pair
         colex = code.colex
         self.order = [pi for pair in sorted(by_pair) for pi, _ in by_pair[pair]]
         self.masks = {pi: _support_mask(colex.plaquette_vertices(pi)) for pi in self.order}
+        bits: dict = {}  # (pair, cell) -> key bit
+        self.key_masks = dict.fromkeys(self.order, 0)
+        for pair, entries in by_pair.items():
+            for pi, ends in entries:
+                for end in ends:
+                    if end != SINK:
+                        bit = bits.setdefault((pair, end[1]), len(bits))
+                        self.key_masks[pi] ^= 1 << bit
+        for j, plaquettes in enumerate(self.dual.region_plaquettes):
+            for pi in plaquettes:
+                self.key_masks[pi] ^= 1 << (len(bits) + j)
+        # basis -> key -> (correction mask, delta0 sizes), reached keys only
+        self.decoded = {"Z": {}, "X": {}}
         self.cells = [tuple(vs) for vs, _ in colex.cells]
         self.cell_masks = [_support_mask(vs) for vs in self.cells]
         self.cell_table = {
@@ -658,6 +704,21 @@ class SingleShotPlan:
         self.all_mask = (1 << code.n) - 1  # the support of both logicals
         logicals = ("zero", "plus") if code.L.generators else (None,)
         self.references = {logical: _Reference(code, logical, self) for logical in logicals}
+
+    def decode(self, basis: str, key: int, outcomes: list[int]) -> tuple[int, tuple]:
+        """(correction mask, delta0 sizes) of a round whose outcomes, in
+        `order`, have decode key `key`; a key not reached before is decoded
+        by `single_shot_decode` on these outcomes, so tie-breaks hold by
+        construction."""
+        got = self.decoded[basis].get(key)
+        if got is None:
+            report = single_shot_decode(
+                self.code, self.dual, dict(zip(self.order, outcomes)), basis
+            )
+            corr = report.correction
+            got = (corr.x if basis == "Z" else corr.z, tuple(report.delta0_sizes.values()))
+            self.decoded[basis][key] = got
+        return got
 
 
 def single_shot_plan(code) -> SingleShotPlan:
@@ -703,66 +764,100 @@ def run_single_shot_trials(
     (1 + oM) F = F (1 + s M) with s = o (-1)^<F, M>; for s = -1 the row G
     that the measurement replaces anticommutes with M and fixes the
     reference state up to sign, so (1 - M)|ref> = +-G (1 + M)|ref>, and the
-    frame becomes F G. The random numbers are drawn in the tableau
-    harness's order: qubit noise, then per plaquette the outcome draw of a
-    random measurement and the flip draw when q > 0. Their count is static,
-    so they come from one vector draw (from Philox, the same numbers as
-    that many scalar draws). Every trial and every statistic therefore
+    frame becomes F G.
+
+    Trials run in batches of `BATCH_TRIALS`. The random numbers of a trial
+    are drawn in the tableau harness's order: the X then the Z noise of
+    every qubit when p > 0, then per plaquette the outcome draw of a random
+    measurement and the flip draw when q > 0. Their count is static per
+    reference, so one `philox_uniforms` call draws a batch, as wide as the
+    reference that draws most; row i is a prefix of trial i's own generator
+    stream, and a reference that draws fewer leaves the tail unread. Each
+    round's correction comes from the plan's decode table by key
+    (`SingleShotPlan.decode`). Every trial and every statistic therefore
     equals the tableau harness's bit for bit (asserted in the test suite),
-    and no `Tableau` method runs per trial.
+    and no `Tableau` method runs per trial. Trial indices must lie in
+    [0, 2^64).
     """
+    _check_trial_range(trial_offset, trials)
     plan = single_shot_plan(code)
     stats = TrialStats()
-    q = noise.q_meas
-    for t in range(trial_offset, trial_offset + trials):
-        rng = trial_rng(noise.seed, t)
-        logical = (
-            ("zero" if t % 2 == 0 else "plus") if code.L.generators else None
-        )
-        ref = plan.references[logical]
-        ex, ez = sample_qubit_noise(noise.p_qubit, code.n, rng)
-        fx, fz = to_mask(ex), to_mask(ez)
-        # every draw after the qubit noise, in the order the tableau makes them
-        count = ref.draws + (len(plan.order) * len(ref.rounds) if q > 0 else 0)
-        draws = iter(rng.random(count).tolist())
-        for basis, steps in ref.rounds:
-            outcomes = {}
-            for pi, mask, value, gx, gz in steps:
-                # a Z-type plaquette reads the frame's X part, and vice versa
-                flipped = _parity((fx if basis == "Z" else fz) & mask)
-                if value is None:
-                    up = next(draws) < 0.5
-                    if up == flipped:
-                        fx ^= gx
-                        fz ^= gz
-                    value = 1 if up else -1
-                elif flipped:
-                    value = -value
-                if q > 0 and next(draws) < q:
-                    value = -value
-                outcomes[pi] = value
-            report = single_shot_decode(code, plan.dual, outcomes, basis)
-            for size in report.delta0_sizes.values():
-                stats.delta0_hist[size] += 1
-            if basis == "Z":
-                fx ^= report.correction.x
-            else:
-                fz ^= report.correction.z
-        stats.trials += 1
-        if logical is None:
-            if any(
-                value != (-1) ** _parity((fx & gz) ^ (fz & gx))
-                for gx, gz, value in ref.stabilizers
-            ):
-                stats.failures["stabilizer"] += 1
-            continue
-        # the final ideal decode: Z-type cells, X correction, then X-type cells
-        fx ^= plan.cell_table[_syndrome(ref.cells_z, plan.cell_masks, fx)]
-        fz ^= plan.cell_table[_syndrome(ref.cells_x, plan.cell_masks, fz)]
-        kind = "Z" if logical == "zero" else "X"
-        if ref.logical != (-1) ** _parity((fx if kind == "Z" else fz) & plan.all_mask):
-            stats.failures[kind] += 1
+    n, q = code.n, noise.q_meas
+    noisy = noise.p_qubit > 0
+    width = (2 * n if noisy else 0) + max(
+        ref.draws + (len(plan.order) * len(ref.rounds) if q > 0 else 0)
+        for ref in plan.references.values()
+    )
+    sizes_seen: Counter = Counter()
+    end = trial_offset + trials
+    for first in range(trial_offset, end, BATCH_TRIALS):
+        count = min(BATCH_TRIALS, end - first)
+        stats.trials += count
+        u = philox_uniforms(noise.seed, first, count, width)
+        if noisy:  # the X then the Z error of every qubit, packed per row
+            frames = _row_masks(u[:, : 2 * n] < noise.p_qubit)
+            rows = u[:, 2 * n :].tolist()
+        else:
+            frames = [0] * count
+            rows = u.tolist()
+        for t, frame, row in zip(range(first, first + count), frames, rows):
+            logical = (
+                ("zero" if t % 2 == 0 else "plus") if code.L.generators else None
+            )
+            ref = plan.references[logical]
+            fx, fz = frame & plan.all_mask, frame >> n
+            draws = iter(row)
+            for basis, round_steps in ref.rounds:
+                outcomes, key = [], 0
+                for mask, value, gx, gz, key_mask in round_steps:
+                    # a Z-type plaquette reads the frame's X part, and vice versa
+                    flipped = ((fx if basis == "Z" else fz) & mask).bit_count() & 1
+                    if value is None:
+                        up = next(draws) < 0.5
+                        if up == flipped:
+                            fx ^= gx
+                            fz ^= gz
+                        value = 1 if up else -1
+                    elif flipped:
+                        value = -value
+                    if q > 0 and next(draws) < q:
+                        value = -value
+                    if value < 0:
+                        key ^= key_mask
+                    outcomes.append(value)
+                correction, sizes = plan.decode(basis, key, outcomes)
+                sizes_seen[sizes] += 1
+                if basis == "Z":
+                    fx ^= correction
+                else:
+                    fz ^= correction
+            if logical is None:
+                if any(
+                    value != (-1) ** _parity((fx & gz) ^ (fz & gx))
+                    for gx, gz, value in ref.stabilizers
+                ):
+                    stats.failures["stabilizer"] += 1
+                continue
+            # the final ideal decode: Z-type cells, X correction, then X-type cells
+            fx ^= plan.cell_table[_syndrome(ref.cells_z, plan.cell_masks, fx)]
+            fz ^= plan.cell_table[_syndrome(ref.cells_x, plan.cell_masks, fz)]
+            kind = "Z" if logical == "zero" else "X"
+            if ref.logical != (-1) ** _parity((fx if kind == "Z" else fz) & plan.all_mask):
+                stats.failures[kind] += 1
+    for sizes, times in sizes_seen.items():
+        for size in sizes:
+            stats.delta0_hist[size] += times
     return stats
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """Each row of a (rows, k) bool array as an int, bit j holding column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+    ]
 
 
 def _syndrome(reference: tuple, masks: list[int], frame: int) -> tuple:

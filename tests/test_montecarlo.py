@@ -1,9 +1,11 @@
 """Monte Carlo harness: engine equivalence, determinism, statistics."""
 
+import functools
 import hashlib
 import io
 import itertools
 import json
+import operator
 from collections import Counter
 
 import numpy as np
@@ -70,6 +72,20 @@ def test_fast_engine_matches_tableau(ctx, p, q):
     tab = run_collapse_trials(ctx, spec, 60, engine="tableau", trace_fh=tr_tab)
     assert tr_fast.getvalue() == tr_tab.getvalue()
     assert fast.as_dict() == tab.as_dict()
+
+
+def test_tableau_batch_keeps_results_only_for_a_trace(ctx):
+    spec = NoiseSpec(0.1, 0.1, seed=8)
+    base = {logical: jump.encoded_3d(ctx, logical) for logical in ("zero", "plus")}
+    kept = montecarlo._tableau_batch(ctx, base, spec, 4, 3, keep=True)
+    bare = montecarlo._tableau_batch(ctx, base, spec, 4, 3, keep=False)
+    for name in ("keys", "delta0_sizes", "failed"):
+        assert np.array_equal(getattr(kept, name), getattr(bare, name))
+    assert kept.result(2) == montecarlo._tableau_trial(ctx, base, spec, 6)
+    with pytest.raises(IndexError):
+        bare.result(0)
+    traced = run_collapse_trials(ctx, spec, 9, engine="tableau", trace_fh=io.StringIO())
+    assert run_collapse_trials(ctx, spec, 9, engine="tableau").as_dict() == traced.as_dict()
 
 
 _RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -451,6 +467,180 @@ def test_single_shot_statistics_pinned(request, which, p, q, seed):
     code = request.getfixturevalue(which)
     stats = run_single_shot_trials(code, NoiseSpec(p, q, seed), 60)
     assert _digest(stats.as_dict()) == _SINGLE_SHOT_GOLDEN[which, p, q, seed]
+
+
+# SHA-256 prefixes of `as_dict()` over _GOLDEN_TRIALS single-shot trials
+# (more than two batches), keyed by (code, p, q, seed, first trial); recorded
+# with the per-trial frame engine that the batched one replaced
+_SINGLE_SHOT_BATCH_GOLDEN = {
+    ("inner_code", 0, 0, 3, 0): "b6750da4a2",
+    ("inner_code", 0, 0, 2**64 - 1, 2**64 - 1030): "b6750da4a2",
+    ("inner_code", 0.02, 0.02, 3, 0): "3614498f10",
+    ("inner_code", 0.02, 0.02, 2**64 - 1, 2**64 - 1030): "b12ad4d3bd",
+    ("inner_code", 1, 1, 3, 0): "215de8ce47",
+    ("inner_code", 1, 1, 2**64 - 1, 2**64 - 1030): "215de8ce47",
+    ("inner_code", 0.3, 0, 3, 0): "b6750da4a2",
+    ("inner_code", 0.3, 0, 2**64 - 1, 2**64 - 1030): "b6750da4a2",
+    ("inner_code", 0, 0.3, 3, 0): "2f6b266b48",
+    ("inner_code", 0, 0.3, 2**64 - 1, 2**64 - 1030): "75b53808ed",
+    ("code3", 0, 0, 3, 0): "95836e1be9",
+    ("code3", 0, 0, 2**64 - 1, 2**64 - 1030): "95836e1be9",
+    ("code3", 0.02, 0.02, 3, 0): "34112e70a8",
+    ("code3", 0.02, 0.02, 2**64 - 1, 2**64 - 1030): "8ad9ce553b",
+    ("code3", 1, 1, 3, 0): "c3d908f222",
+    ("code3", 1, 1, 2**64 - 1, 2**64 - 1030): "c3d908f222",
+    ("code3", 0.3, 0, 3, 0): "417129979c",
+    ("code3", 0.3, 0, 2**64 - 1, 2**64 - 1030): "d537a4dcb6",
+    ("code3", 0, 0.3, 3, 0): "267798870d",
+    ("code3", 0, 0.3, 2**64 - 1, 2**64 - 1030): "662ab2b2e2",
+}
+
+
+@pytest.mark.parametrize("which,p,q,seed,first", list(_SINGLE_SHOT_BATCH_GOLDEN))
+def test_single_shot_output_pinned_across_batches(request, which, p, q, seed, first):
+    assert _GOLDEN_TRIALS > 2 * BATCH_TRIALS
+    code = request.getfixturevalue(which)
+    stats = run_single_shot_trials(
+        code, NoiseSpec(p, q, seed), _GOLDEN_TRIALS, trial_offset=first
+    )
+    assert _digest(stats.as_dict()) == _SINGLE_SHOT_BATCH_GOLDEN[which, p, q, seed, first]
+
+
+@pytest.mark.parametrize("which", ["inner_code", "code3"])
+def test_single_shot_shards_across_batch_boundaries_merge_to_one_run(request, which):
+    code = request.getfixturevalue(which)
+    spec = NoiseSpec(0.1, 0.1, seed=41)
+    total = 2 * BATCH_TRIALS + 50
+    whole = run_single_shot_trials(code, spec, total)
+    cuts = [0, BATCH_TRIALS - 3, BATCH_TRIALS + 5, BATCH_TRIALS + 6, total]
+    merged = TrialStats()
+    for lo, hi in zip(cuts, cuts[1:]):
+        merged = merged.merge(run_single_shot_trials(code, spec, hi - lo, trial_offset=lo))
+    assert merged.as_dict() == whole.as_dict()
+
+
+@pytest.mark.parametrize("which", ["inner_code", "code3"])
+def test_single_shot_last_trial_indices_match_tableau(request, which):
+    code = request.getfixturevalue(which)
+    spec = NoiseSpec(0.2, 0.2, seed=5)
+    frame = run_single_shot_trials(code, spec, 2, trial_offset=2**64 - 2)
+    oracle = _tableau_single_shot_trials(code, spec, 2, trial_offset=2**64 - 2)
+    assert frame.trials == 2
+    assert frame.as_dict() == oracle.as_dict()
+
+
+@pytest.mark.parametrize("which", ["inner_code", "code3"])
+@pytest.mark.parametrize("offset,trials", [(2**64 - 2, 3), (-1, 2)])
+def test_single_shot_trial_indices_outside_uint64_are_an_error(
+    request, monkeypatch, which, offset, trials
+):
+    """Nothing runs: a batch's keys must not wrap onto trial 0's stream."""
+    code = request.getfixturevalue(which)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(montecarlo, "philox_uniforms", forbidden)
+    with pytest.raises(ValueError, match="2\\^64"):
+        run_single_shot_trials(code, NoiseSpec(0.1, 0.1, seed=1), trials, trial_offset=offset)
+
+
+def _round_outcomes(plan, x: int) -> tuple[int, list[int]]:
+    """(decode key, outcomes in plan order) of a round whose plaquette j
+    reads -1 iff bit j of x is set."""
+    outcomes = [-1 if x >> j & 1 else 1 for j in range(len(plan.order))]
+    key = 0
+    for j, pi in enumerate(plan.order):
+        if x >> j & 1:
+            key ^= plan.key_masks[pi]
+    return key, outcomes
+
+
+def _direct_decode(plan, basis: str, outcomes: list[int]) -> tuple[int, tuple]:
+    report = jump.single_shot_decode(
+        plan.code, plan.dual, dict(zip(plan.order, outcomes)), basis
+    )
+    corr = report.correction
+    return corr.x if basis == "Z" else corr.z, tuple(report.delta0_sizes.values())
+
+
+def test_decode_table_exact_on_every_inner_pattern(inner_code):
+    plan = montecarlo.SingleShotPlan(inner_code)
+    m = len(plan.order)
+    assert m == 6
+    rng = np.random.default_rng(4)
+    for basis in ("Z", "X"):
+        # fill the table in a scrambled order, then read every pattern back
+        for x in rng.permutation(2**m).tolist():
+            plan.decode(basis, *_round_outcomes(plan, x))
+        for x in range(2**m):
+            key, outcomes = _round_outcomes(plan, x)
+            assert plan.decoded[basis][key] == _direct_decode(plan, basis, outcomes)
+        assert len(plan.decoded[basis]) <= 2**9
+
+
+def test_decode_key_determines_the_tetra_decode(code3):
+    """Outcome patterns that differ by a kernel element of the key map
+    decode alike, and the table (filled by whichever pattern reached a key
+    first) equals the direct decode on random patterns."""
+    plan = montecarlo.SingleShotPlan(code3)
+    m = len(plan.order)
+    width = functools.reduce(operator.or_, plan.key_masks.values()).bit_length()
+    key_map = gf2.BitMatrix(
+        [
+            sum((plan.key_masks[pi] >> b & 1) << j for j, pi in enumerate(plan.order))
+            for b in range(width)
+        ],
+        m,
+    )
+    kernel = gf2.nullspace(key_map).rows
+    assert width == 12 and len(kernel) == m - gf2.rank(key_map) >= 6
+    rng = np.random.default_rng(9)
+    for basis in ("Z", "X"):
+        for _ in range(300):
+            x = int(rng.integers(2**m))
+            k = 0
+            for row in kernel:
+                if rng.random() < 0.5:
+                    k ^= row
+            key, outcomes = _round_outcomes(plan, x)
+            key_k, outcomes_k = _round_outcomes(plan, x ^ k)
+            assert key == key_k
+            assert _direct_decode(plan, basis, outcomes) == _direct_decode(
+                plan, basis, outcomes_k
+            )
+        for _ in range(2000):
+            key, outcomes = _round_outcomes(plan, int(rng.integers(2**m)))
+            assert plan.decode(basis, key, outcomes) == _direct_decode(plan, basis, outcomes)
+        assert len(plan.decoded[basis]) <= 2**12
+
+
+def test_single_shot_decodes_only_new_keys(tetra15, split15, monkeypatch):
+    """`single_shot_decode` runs once per table entry, not per round; no
+    per-trial generator or noise vector is built."""
+    calls = Counter()
+    real = montecarlo.single_shot_decode
+
+    def counting(*args, **kwargs):
+        calls["decode"] += 1
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-trial generator or noise vector was built")
+
+    monkeypatch.setattr(montecarlo, "single_shot_decode", counting)
+    for name in ("trial_rng", "sample_qubit_noise", "to_mask"):
+        monkeypatch.setattr(montecarlo, name, forbidden)
+    spec = NoiseSpec(0.05, 0.05, seed=3)
+    for code, bits in ((build_inner(split15), 9), (build_3d(tetra15), 12)):
+        calls.clear()
+        run_single_shot_trials(code, spec, 3000)
+        tables = montecarlo.single_shot_plan(code).decoded.values()
+        entries = sum(len(table) for table in tables)
+        assert 2 < entries <= 2 * 2**bits
+        assert calls == Counter(decode=entries)
+        run_single_shot_trials(code, spec, 3000)
+        assert calls == Counter(decode=entries)
 
 
 def test_single_shot_trials_inner_noiseless(inner_code):
