@@ -409,26 +409,50 @@ def _read_sequence(path) -> list[int]:
 
 
 def _read_schedule(path):
+    """Parse a `schedule make` file: a meta line, then one record for each
+    round (1 and 2) of each step 1..T, in any order. A file of any other
+    shape is a usage error."""
     from .scheduler import SwapSchedule
 
     with open(path) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
-    meta = lines[0]["meta"]
-    sched = SwapSchedule(
+    meta = lines[0].get("meta") if lines and isinstance(lines[0], dict) else None
+    if not isinstance(meta, dict):
+        raise SystemExit2(f"{path}: the first line must be the meta record")
+    fields = {"stack": int, "sequence": list, "initial_order": list, "initial_labels": list}
+    for key, kind in fields.items():
+        if not isinstance(meta.get(key), kind):
+            raise SystemExit2(f"{path}: meta needs {key!r} as {kind.__name__}")
+    rounds: dict[tuple[int, int], tuple] = {}
+    for lineno, rec in enumerate(lines[1:], start=2):
+        where = f"{path} line {lineno}"
+        if not isinstance(rec, dict) or not {"step", "round", "swaps"} <= rec.keys():
+            raise SystemExit2(f"{where}: a record needs step, round and swaps")
+        key = (rec["step"], rec["round"])
+        if not isinstance(key[0], int):
+            raise SystemExit2(f"{where}: step {key[0]!r} is not an int")
+        if rec["round"] not in (1, 2):
+            raise SystemExit2(f"{where}: round {rec['round']!r} is not 1 or 2")
+        if key in rounds:
+            raise SystemExit2(f"{where}: second record for step {key[0]} round {key[1]}")
+        swaps = rec["swaps"]
+        if not isinstance(swaps, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in swaps
+        ):
+            raise SystemExit2(f"{where}: swaps must be a list of position pairs")
+        rounds[key] = tuple(tuple(p) for p in swaps)
+    total = len(rounds) // 2
+    if rounds.keys() != {(s, r) for s in range(1, total + 1) for r in (1, 2)}:
+        raise SystemExit2(
+            f"{path}: steps must run 1..{total}, each with one round 1 and one round 2"
+        )
+    return SwapSchedule(
         stack_size=meta["stack"],
         access_sequence=meta["sequence"],
         initial_order=meta["initial_order"],
         initial_labels=meta["initial_labels"],
+        steps=[(rounds[s, 1], rounds[s, 2]) for s in range(1, total + 1)],
     )
-    per_step: dict[int, dict[int, tuple]] = {}
-    for rec in lines[1:]:
-        per_step.setdefault(rec["step"], {})[rec["round"]] = tuple(
-            tuple(p) for p in rec["swaps"]
-        )
-    for s in sorted(per_step):
-        rounds = per_step[s]
-        sched.steps.append((rounds.get(1, ()), rounds.get(2, ())))
-    return sched
 
 
 # -- parser --------------------------------------------------------------------------

@@ -12,13 +12,17 @@ parallel compare-swaps run:
 Labels at even positions stay below everything deeper after the two rounds,
 which keeps the next needed qubit no deeper than two positions per step, so
 it reaches the top exactly on time. The verifier replays a schedule from
-scratch and checks that invariant chain at every step.
+scratch and checks that invariant chain at every step, with no Python-level
+scan of the stack beyond the replay: labels are distinct, so a canonical
+round leaves each of its pairs in order, and "every label at an odd (even)
+position is below every deeper label" reduces to the labels at the odd
+(even) positions increasing, which `verify` tests on a slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from operator import lt
 
 import numpy as np
 
@@ -188,47 +192,89 @@ class VerifyResult:
         return self.ok
 
 
-def _sorted_tail_invariant(labels: list[int], even: bool) -> bool:
-    """even: labels[2n] < labels[2n+k] for all n>=1, k>0 (1-based);
-    odd: labels[2n+1] < labels[2n+1+k] for n>=0."""
-    # positions are 1-based; lists 0-based
-    suffix_min = list(accumulate(reversed(labels), min))[::-1]
-    start = 1 if even else 0  # index of first even (odd) position
-    return all(labels[i] < suffix_min[i + 1] for i in range(start, len(labels) - 1, 2))
+def _increasing(labels: list[int]) -> bool:
+    return all(map(lt, labels, labels[1:]))
+
+
+def _malformed(sched: SwapSchedule) -> str | None:
+    """Why the schedule's initial stack cannot be replayed, or None."""
+    order, labels = sched.initial_order, sched.initial_labels
+    if not all(type(q) is int for q in (*order, *sched.access_sequence)):
+        return "qubits must be ints"
+    if not all(type(label) is int for label in labels):
+        return "labels must be ints"
+    on_stack = set(order)
+    if len(on_stack) != len(order):
+        return "duplicate qubits in the initial order"
+    if sched.stack_size != len(order):
+        return f"stack size {sched.stack_size} != {len(order)} qubits in the initial order"
+    if len(labels) != len(order):
+        return f"{len(labels)} initial labels for {len(order)} qubits"
+    for q in sched.access_sequence:
+        if q not in on_stack:
+            return f"qubit {q} of the sequence is not on the stack"
+    return None
 
 
 def verify(sched: SwapSchedule, access_sequence=None) -> VerifyResult:
     """Replay a schedule from scratch, checking every invariant.
 
     Checks per step: the required qubit sits on top with its label equal to
-    the step number and minimal over the stack; recorded swaps are disjoint
-    within each round; the even-position ordering holds after round 2 and
-    the odd-position ordering after round 1; labels stay distinct.
+    the step number and minimal over the stack; labels stay distinct; the
+    recorded swaps of each round equal the canonical round's (which covers
+    their shape, disjointness and any missed swap); the odd-position
+    ordering holds after round 1 and the even-position ordering after
+    round 2. A stack that is not a permutation of ints (repeated qubits, a
+    sequence qubit missing, sizes that disagree) fails with step None.
+
+    Why the cheap forms of these checks suffice:
+
+    - Ordering: labels are distinct, so a canonical round leaves each of its
+      pairs in order. After round 1 every label at an odd position is below
+      every deeper label exactly when the odd-position labels increase
+      (`labels[0::2]`); after round 2 the same holds for even positions and
+      `labels[1::2]`.
+    - Minimality is tested at step 1 only. For s >= 2 it follows from step
+      s - 1's odd-position check, as round 2 never touches position 1.
+    - Distinctness: swaps only permute labels, so only the relabelled top
+      can collide. A set of the current labels trades the top's old label
+      for its new one.
+
+    Given the replayed rounds, the even-position ordering follows from the
+    odd-position one, and both orderings after step 1 follow from step 1's;
+    the checks stay as the invariant chain the rounds are built on.
     """
     if access_sequence is None:
         access_sequence = sched.access_sequence
     if list(access_sequence) != list(sched.access_sequence):
         return VerifyResult(False, "access sequence mismatch", None)
+    reason = _malformed(sched)
+    if reason is not None:
+        return VerifyResult(False, reason, None)
     labels = list(sched.initial_labels)
     qubits = list(sched.initial_order)
     total = len(access_sequence)
     nxt = _next_use_of_top(access_sequence, qubits)
     if len(sched.steps) != total:
         return VerifyResult(False, "schedule length mismatch", None)
-    if len(set(labels)) != len(labels):
+    live = set(labels)
+    if len(live) != len(labels):
         return VerifyResult(False, "duplicate labels", 1)
     for s in range(1, total + 1):
+        top = labels[0]
         if qubits[0] != access_sequence[s - 1]:
             return VerifyResult(
                 False, f"qubit {access_sequence[s-1]} not at position 1", s
             )
-        if labels[0] != s:
-            return VerifyResult(False, f"top label {labels[0]} != step {s}", s)
-        if min(labels) != labels[0]:
+        if top != s:
+            return VerifyResult(False, f"top label {top} != step {s}", s)
+        if s == 1 and min(labels) != top:
             return VerifyResult(False, "top label is not minimal", s)
         new_label = nxt[s - 1]
-        if new_label in labels[1:]:
+        live.discard(top)
+        if new_label in live:
             return VerifyResult(False, "duplicate labels", s)
+        live.add(new_label)
         labels[0] = new_label
         # replay the canonical rounds; the recorded swaps must match exactly,
         # which subsumes the shape, disjointness, and missed-swap conditions
@@ -237,10 +283,10 @@ def verify(sched: SwapSchedule, access_sequence=None) -> VerifyResult:
         recorded = sched.steps[s - 1]
         if _one_round(labels, qubits, 0) != tuple(recorded[0]):
             return VerifyResult(False, "round 1 swaps diverge from the rule", s)
-        if not _sorted_tail_invariant(labels, even=False):
+        if not _increasing(labels[0::2]):
             return VerifyResult(False, "odd-position ordering broken", s)
         if _one_round(labels, qubits, 1) != tuple(recorded[1]):
             return VerifyResult(False, "round 2 swaps diverge from the rule", s)
-        if not _sorted_tail_invariant(labels, even=True):
+        if not _increasing(labels[1::2]):
             return VerifyResult(False, "even-position ordering broken", s)
     return VerifyResult(True)

@@ -74,6 +74,7 @@ def test_schedule_make_and_verify(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+    assert '"swaps": []' in sched_path.read_text()  # an empty round reads back
     code, out, _ = run(["schedule", "verify", "--schedule", str(sched_path)], capsys)
     assert code == 0 and "OK" in out
     # tamper: drop one swap record's contents
@@ -87,6 +88,80 @@ def test_schedule_make_and_verify(tmp_path, capsys):
     sched_path.write_text("\n".join(lines) + "\n")
     code, out, _ = run(["schedule", "verify", "--schedule", str(sched_path)], capsys)
     assert code == 1 and "VIOLATION" in out
+
+
+def _made_schedule(tmp_path, capsys):
+    """Lines of a `schedule make` file for an 8-step sequence, and its path."""
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0 1 2 0 3 1 2 0\n")
+    path = tmp_path / "sched.jsonl"
+    code, _, _ = run(
+        ["schedule", "make", "--stack", "6", "--sequence", str(seq), "--output", str(path)],
+        capsys,
+    )
+    assert code == 0
+    return path, path.read_text().splitlines()
+
+
+def test_schedule_stack_missing_a_sequence_qubit_is_a_violation(tmp_path, capsys):
+    path, lines = _made_schedule(tmp_path, capsys)
+    head = json.loads(lines[0])
+    head["meta"]["initial_order"][head["meta"]["initial_order"].index(3)] = 9
+    path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+    code, out, _ = run(["schedule", "verify", "--schedule", str(path)], capsys)
+    assert code == 1
+    assert out == "VIOLATION at step None: qubit 3 of the sequence is not on the stack\n"
+
+
+def _renumber_last_step(lines):
+    recs = [json.loads(line) for line in lines[1:]]
+    for rec in recs:
+        rec["step"] = 80 if rec["step"] == 8 else rec["step"]
+    return lines[:1] + [json.dumps(rec) for rec in recs]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_renumber_last_step, "steps must run 1..8"),
+        (
+            lambda lines: lines[:3]
+            + ['{"step": 2, "round": 1, "swaps": [[1, 2], [3, 4]]}']
+            + lines[3:],
+            "second record for step 2 round 1",
+        ),
+        (lambda lines: lines + ['{"step": 3, "round": 7, "swaps": []}'], "round 7 is not 1 or 2"),
+        (lambda lines: lines[:-1], "steps must run 1..7"),
+        (lambda lines: lines[1:], "the first line must be the meta record"),
+        (lambda lines: [], "the first line must be the meta record"),
+        (
+            lambda lines: [lines[0].replace('"sequence"', '"seq"')] + lines[1:],
+            "meta needs 'sequence' as list",
+        ),
+        (
+            lambda lines: lines + ['{"step": 9, "swaps": []}'],
+            "a record needs step, round and swaps",
+        ),
+        (
+            lambda lines: lines + ['{"step": [9], "round": 1, "swaps": []}'],
+            "step [9] is not an int",
+        ),
+        (
+            lambda lines: lines + ['{"step": 9, "round": 1, "swaps": [3]}'],
+            "swaps must be a list of position pairs",
+        ),
+    ],
+    ids=["renumbered-step", "duplicate-record", "round-7", "missing-round", "no-meta",
+         "empty-file", "meta-key", "record-key", "list-step", "bad-pair"],
+)
+def test_malformed_schedule_file_is_a_usage_error(tmp_path, capsys, edit, message):
+    path, lines = _made_schedule(tmp_path, capsys)
+    path.write_text("".join(line + "\n" for line in edit(lines)))
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "verify", "--schedule", str(path)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and message in out.err and "Traceback" not in out.err
 
 
 @pytest.mark.parametrize(
