@@ -398,7 +398,8 @@ def cmd_schedule(args) -> int:
         if result:
             print(f"OK: {sched.total_steps} steps verified")
             return 0
-        print(f"VIOLATION at step {result.step}: {result.violation}")
+        where = "" if result.step is None else f" at step {result.step}"
+        print(f"VIOLATION{where}: {result.violation}")
         return 1
     raise SystemExit2(f"unknown schedule action {args.action}")
 

@@ -19,16 +19,6 @@ import itertools
 import numpy as np
 
 
-def pack_rows(dense: np.ndarray, ncols: int | None = None) -> "BitMatrix":
-    """Pack a dense 0/1 array of shape (m, n) into a BitMatrix."""
-    dense = np.asarray(dense, dtype=np.uint8) & 1
-    if dense.ndim == 1:
-        dense = dense[None, :]
-    packed = np.packbits(dense, axis=1, bitorder="little")
-    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    return BitMatrix(rows, dense.shape[1] if ncols is None else ncols)
-
-
 class BitMatrix:
     """A (possibly empty) matrix over GF(2), one int per row."""
 

@@ -26,13 +26,16 @@ Gidney, arXiv 2103.02202). One noiseless tableau pass per encoded state
 records every plaquette's reference outcome, or, for a random one, the
 stabilizer row its measurement replaces, and the reference values of the
 final checks. A trial then tracks only the Pauli frame between that
-reference and its own state, as two Python ints; see
-`run_single_shot_trials` for why a random outcome updates the frame by the
-replaced row. Trials run in batches of `BATCH_TRIALS`, with one
-`philox_uniforms` draw per batch. A round's decode key is the XOR of static
-per-plaquette key masks over its -1 outcomes: the parities through which
-`single_shot_decode`, the one decoder, reads them. Its correction is a
-lookup in a table filled by that decoder on the keys that trials reach.
+reference and its own state; see `run_single_shot_trials` for why a random
+outcome updates the frame by the replaced row. Between two decoder calls a
+trial is affine over GF(2) in its frame and draw bits, so each round of
+every reference compiles, once per noise structure, into one 0/1 matrix to
+the round's decode key, outcome bits and next frame (`_SingleShotProgram`).
+Trials run in batches of `BATCH_TRIALS`: one `philox_uniforms` draw, then
+per round one float32 product over both references' columns and a gather
+of the corrections from a decode table indexed by key, which
+`single_shot_decode`, the one decoder, fills on keys not reached before;
+then one product for the final checks. No Python loop runs per trial.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .flux import SINK, FluxConfiguration, plaquette_operator, repair_flux
-from .gf2 import checks_table
+from .gf2 import BitMatrix, checks_table
 from .jump import (
     JumpContext,
     _code_dual_structure,
@@ -608,6 +611,8 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
 
 # -- single-shot trials --------------------------------------------------------------
 
+_ROUNDS = ("Z", "X")  # the bases of a trial's two rounds, in measurement order
+
 
 class _Reference:
     """One reference state's noiseless single-shot pass, recorded.
@@ -624,7 +629,7 @@ class _Reference:
     def __init__(self, code, logical, plan):
         state = encoded_state(code, logical)
         self.rounds = []
-        for basis in ("Z", "X"):
+        for basis in _ROUNDS:
             steps = []
             for pi in plan.order:
                 op = plaquette_operator(code.colex, pi, basis)
@@ -661,7 +666,9 @@ class SingleShotPlan:
     pass per reference state (`zero` and `plus` for a tetrahedral code,
     `None` for the inner code) in which random outcomes are forced to +1,
     together with the code's dual structure and its cell decoding table
-    with supports as masks. `single_shot_plan` caches it on the code.
+    with supports as masks. `single_shot_plan` caches it on the code, and
+    `program` compiles the references, once per noise structure, into the
+    affine programs that batches run.
 
     `single_shot_decode` reads a round's outcomes only through parities:
     the product of each pair's plaquettes on each cell (from which follow
@@ -671,8 +678,11 @@ class SingleShotPlan:
     per region; `key_masks[pi]` holds the bits that a -1 outcome of
     plaquette pi toggles (a plaquette with both ends on one cell toggles
     that bit twice, as its outcome cancels in the product). A round's key
-    is the XOR of the key masks of its -1 outcomes, and `decode` looks the
-    correction up by key.
+    is the XOR of the key masks of its -1 outcomes. `decode` fills the
+    decode table on keys that trials reach, and `lookup` gathers a batch's
+    corrections from its dense mirror, indexed by key. That mirror has
+    2^key_bits rows, far fewer than the 2^n supports that the code's
+    decoding table already enumerates.
     """
 
     def __init__(self, code):
@@ -693,8 +703,16 @@ class SingleShotPlan:
         for j, plaquettes in enumerate(self.dual.region_plaquettes):
             for pi in plaquettes:
                 self.key_masks[pi] ^= 1 << (len(bits) + j)
-        # basis -> key -> (correction mask, delta0 sizes), reached keys only
+        self.key_bits = len(bits) + len(self.dual.region_plaquettes)
+        # basis -> key -> (correction mask, delta0 sizes), reached keys only;
+        # the dense mirror holds the same entries as correction bits and
+        # delta0 size rows (a size past 255 fails its assignment loudly),
+        # and marks which keys are filled
         self.decoded = {"Z": {}, "X": {}}
+        keys = 1 << self.key_bits
+        self.decoded_bits = {b: np.zeros((keys, code.n), dtype=np.uint8) for b in "ZX"}
+        self.decoded_sizes = {b: np.zeros((keys, len(by_pair)), dtype=np.uint8) for b in "ZX"}
+        self.decoded_known = {b: np.zeros(keys, dtype=bool) for b in "ZX"}
         self.cells = [tuple(vs) for vs, _ in colex.cells]
         self.cell_masks = [_support_mask(vs) for vs in self.cells]
         self.cell_table = {
@@ -704,6 +722,7 @@ class SingleShotPlan:
         self.all_mask = (1 << code.n) - 1  # the support of both logicals
         logicals = ("zero", "plus") if code.L.generators else (None,)
         self.references = {logical: _Reference(code, logical, self) for logical in logicals}
+        self._programs: dict = {}  # (p > 0, q > 0) -> _SingleShotProgram
 
     def decode(self, basis: str, key: int, outcomes: list[int]) -> tuple[int, tuple]:
         """(correction mask, delta0 sizes) of a round whose outcomes, in
@@ -718,6 +737,28 @@ class SingleShotPlan:
             corr = report.correction
             got = (corr.x if basis == "Z" else corr.z, tuple(report.delta0_sizes.values()))
             self.decoded[basis][key] = got
+            self.decoded_bits[basis][key] = [got[0] >> q & 1 for q in range(self.code.n)]
+            self.decoded_sizes[basis][key] = got[1]
+            self.decoded_known[basis][key] = True
+        return got
+
+    def lookup(self, basis: str, keys: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        """(rows, n) correction bits of rounds with decode keys `keys` and
+        outcome bits `outcomes` (bit j set when plaquette order[j] read -1).
+        A key not reached before is decoded once, on its first row."""
+        miss = np.flatnonzero(~self.decoded_known[basis][keys])
+        if len(miss):
+            reached, first = np.unique(keys[miss], return_index=True)
+            for key, row in zip(reached.tolist(), miss[first].tolist()):
+                self.decode(basis, key, [-1 if bit else 1 for bit in outcomes[row].tolist()])
+        return self.decoded_bits[basis][keys]
+
+    def program(self, noisy: bool, flips: bool) -> "_SingleShotProgram":
+        """The compiled trials under noise with p > 0 (`noisy`) and q > 0
+        (`flips`): what the program depends on, and so its cache key."""
+        got = self._programs.get((noisy, flips))
+        if got is None:
+            got = self._programs[noisy, flips] = _SingleShotProgram(self, noisy, flips)
         return got
 
 
@@ -738,8 +779,174 @@ def _definite(value):
     return value
 
 
-def _parity(mask: int) -> int:
-    return mask.bit_count() & 1
+# what a trial's Philox column is compared against, per reference: nothing
+# (a column that only the other reference reads), p, 1/2 or q
+_UNREAD, _NOISE, _OUTCOME, _FLIP = range(4)
+
+
+class _SingleShotProgram:
+    """A code's single-shot trials as GF(2) affine maps between decoder
+    calls, compiled for one noise structure (p > 0, q > 0).
+
+    A trial's inputs are v = [F | b | 1]: its frame F (X part, then Z part),
+    one bit per column of its Philox row (u < p on a noise column, u < 1/2
+    on an outcome draw, u < q on a flip draw, as `kinds` says per
+    reference), and a constant. Within a round all of it is affine in v: a
+    deterministic outcome bit is the reference bit plus <F, M>, a random
+    step adds the replaced row G to the frame exactly when 1 + up + <F, M>
+    is 1, and a flip draw adds to the outcome bit. So each round is one 0/1
+    matrix from v to [decode key | outcome bits | F'], with F' the frame
+    before the round's correction, which is a gather from the plan's decode
+    table. `final` maps the last frame to the final checks: the cell
+    syndrome and the tracked logical's parity before the final decode
+    (tetrahedral codes), whose failure bit is that parity plus `flip` at
+    the syndrome, or one violation bit per stabilizer generator (inner
+    codes). Each matrix has one column block per reference, and a trial
+    reads the block of its own.
+    """
+
+    def __init__(self, plan: SingleShotPlan, noisy: bool, flips: bool):
+        n, m = plan.code.n, len(plan.order)
+        refs = plan.references
+        self.n, self.refs = n, len(refs)
+        self.noise_cols = 2 * n if noisy else 0
+        self.width = self.noise_cols + max(
+            ref.draws + (m * len(ref.rounds) if flips else 0) for ref in refs.values()
+        )
+        nv = 2 * n + self.width + 1
+        self.kinds = np.full((self.refs, self.width), _UNREAD)
+        self.kinds[:, : self.noise_cols] = _NOISE
+        blocks = [
+            _affine_forms(plan, logical, ref, flips, self.noise_cols, self.kinds[r])
+            for r, (logical, ref) in enumerate(refs.items())
+        ]
+        self.rounds = [
+            (basis, _program_matrix([f for rounds, _ in blocks for f in rounds[i]], nv))
+            for i, basis in enumerate(_ROUNDS)
+        ]
+        self.final = _program_matrix([f for _, final in blocks for f in final], nv)
+        self.key_weights = 1 << np.arange(plan.key_bits, dtype=np.int64)
+        if None in refs:
+            self.flip = None
+        else:
+            # whether the final decode's correction at each cell syndrome
+            # flips the logical
+            self.flip = np.zeros(1 << len(plan.cells), dtype=np.int64)
+            for syndrome, support in plan.cell_table.items():
+                self.flip[_pack(syndrome)] = support.bit_count() & 1
+            self.cell_weights = 1 << np.arange(len(plan.cells), dtype=np.int64)
+
+    def thresholds(self, p: float, q: float) -> np.ndarray:
+        """(references, width) values that each Philox column is compared to."""
+        return np.array([0.0, p, 0.5, q])[self.kinds]
+
+    def run(self, plan: SingleShotPlan, seed: int, thresholds, first: int, count: int):
+        """(decode key of every round, failed) of trials first, first + 1, ...:
+        one Philox draw, then one product per round and one for the checks."""
+        n, n2 = self.n, 2 * self.n
+        key_bits, m = plan.key_bits, len(plan.order)
+        rows = np.arange(count)
+        ref = (first % self.refs + rows) % self.refs  # zero on even trials
+        v = np.empty((count, n2 + self.width + 1), dtype=np.float32)
+        v[:, n2:-1] = philox_uniforms(seed, first, count, self.width) < thresholds[ref]
+        v[:, -1] = 1
+        v[:, :n2] = v[:, n2 : 2 * n2] if self.noise_cols else 0
+
+        def apply(matrix):  # each row's outputs under its own reference, as bits
+            out = (v @ matrix).reshape(count, self.refs, -1)[rows, ref]
+            return out.astype(np.int32) & 1
+
+        keys = np.empty((count, len(self.rounds)), dtype=np.int64)
+        for r, (basis, matrix) in enumerate(self.rounds):
+            out = apply(matrix)
+            keys[:, r] = out[:, :key_bits] @ self.key_weights
+            frame = out[:, key_bits + m :]
+            lo = 0 if basis == "Z" else n  # a Z round corrects the X part
+            outcomes = out[:, key_bits : key_bits + m]
+            frame[:, lo : lo + n] ^= plan.lookup(basis, keys[:, r], outcomes)
+            v[:, :n2] = frame
+        checks = apply(self.final)
+        if self.flip is None:
+            return keys, checks.any(axis=1)
+        syndrome = checks[:, :-1] @ self.cell_weights
+        return keys, (checks[:, -1] ^ self.flip[syndrome]).astype(bool)
+
+
+def _affine_forms(plan, logical, ref: _Reference, flips: bool, first: int, kinds) -> tuple:
+    """One reference's rounds and final checks, run on affine forms.
+
+    A form is an int mask over v = [F | draw bits | 1], bit j for variable
+    j. Returns per round the forms of [decode key | outcome bits | F'] and
+    the forms of the final checks (see `_SingleShotProgram`), and marks in
+    `kinds` every draw column the reference reads, from column `first` on.
+    """
+    n = plan.code.n
+    one = 1 << (2 * n + len(kinds))
+    col = first
+
+    def draw(kind):  # the bit of the next Philox column
+        nonlocal col
+        kinds[col] = kind
+        col += 1
+        return 1 << (2 * n + col - 1)
+
+    def frame():  # the frame entering a round or the checks: inputs
+        return [1 << q for q in range(n)], [1 << (n + q) for q in range(n)]
+
+    rounds = []
+    for basis, steps in ref.rounds:
+        fx, fz = frame()
+        key, outcomes = [0] * plan.key_bits, []
+        for mask, value, gx, gz, key_mask in steps:
+            # a Z-type plaquette reads the frame's X part, and vice versa
+            flipped = _sum_forms(fx if basis == "Z" else fz, mask)
+            if value is None:
+                up = draw(_OUTCOME)
+                taken = one ^ up ^ flipped  # the frame takes G when up == flipped
+                for q in _set_bits(gx):
+                    fx[q] ^= taken
+                for q in _set_bits(gz):
+                    fz[q] ^= taken
+                bit = one ^ up  # the outcome is -1 unless up
+            else:
+                bit = flipped ^ (one if value < 0 else 0)
+            if flips:
+                bit ^= draw(_FLIP)
+            for b in _set_bits(key_mask):
+                key[b] ^= bit
+            outcomes.append(bit)
+        rounds.append(key + outcomes + fx + fz)
+    fx, fz = frame()
+    if logical is None:
+        # generator g is violated when <F, g> flips its reference value
+        final = [
+            (one if value < 0 else 0) ^ _sum_forms(fx, gz) ^ _sum_forms(fz, gx)
+            for gx, gz, value in ref.stabilizers
+        ]
+    else:
+        # the tracked logical and the cells whose decode can flip it read
+        # the frame's X part (zero) or its Z part (plus)
+        side, cells = (fx, ref.cells_z) if logical == "zero" else (fz, ref.cells_x)
+        final = [
+            (one if bit else 0) ^ _sum_forms(side, mask)
+            for bit, mask in zip(cells, plan.cell_masks)
+        ]
+        final.append((one if ref.logical < 0 else 0) ^ _sum_forms(side, plan.all_mask))
+    return rounds, final
+
+
+def _sum_forms(forms: list[int], mask: int) -> int:
+    """The GF(2) sum of the forms at the set bits of `mask`."""
+    total = 0
+    for q in _set_bits(mask):
+        total ^= forms[q]
+    return total
+
+
+def _program_matrix(forms: list[int], nv: int) -> np.ndarray:
+    """(nv, len(forms)) float32 0/1 matrix; column j holds form j. Every
+    product with it sums at most nv bits, exactly in float32."""
+    return BitMatrix(forms, nv).to_dense().T.astype(np.float32)
 
 
 def run_single_shot_trials(
@@ -766,104 +973,51 @@ def run_single_shot_trials(
     reference state up to sign, so (1 - M)|ref> = +-G (1 + M)|ref>, and the
     frame becomes F G.
 
-    Trials run in batches of `BATCH_TRIALS`. The random numbers of a trial
-    are drawn in the tableau harness's order: the X then the Z noise of
-    every qubit when p > 0, then per plaquette the outcome draw of a random
-    measurement and the flip draw when q > 0. Their count is static per
-    reference, so one `philox_uniforms` call draws a batch, as wide as the
-    reference that draws most; row i is a prefix of trial i's own generator
-    stream, and a reference that draws fewer leaves the tail unread. Each
-    round's correction comes from the plan's decode table by key
-    (`SingleShotPlan.decode`). Every trial and every statistic therefore
-    equals the tableau harness's bit for bit (asserted in the test suite),
-    and no `Tableau` method runs per trial. Trial indices must lie in
-    [0, 2^64).
+    Between two decoder calls all of this is affine over GF(2) in the
+    frame and the trial's draw bits, so the plan compiles each round into
+    one matrix (`SingleShotPlan.program`). Trials run in batches of
+    `BATCH_TRIALS`, with no Python loop over trials: one `philox_uniforms`
+    draw, then per round one float32 product and a gather of the
+    corrections from the decode table, which `single_shot_decode` fills on
+    keys not reached before, then one product for the final checks. The
+    random numbers of a trial are drawn in the tableau harness's order: the
+    X then the Z noise of every qubit when p > 0, then per plaquette the
+    outcome draw of a random measurement and the flip draw when q > 0. Row
+    i of the draw is a prefix of trial i's own generator stream, as wide as
+    the reference that draws most. Every trial and every statistic
+    therefore equals the tableau harness's bit for bit (asserted in the
+    test suite), and no `Tableau` method runs per trial. Trial indices must
+    lie in [0, 2^64).
     """
     _check_trial_range(trial_offset, trials)
     plan = single_shot_plan(code)
     stats = TrialStats()
-    n, q = code.n, noise.q_meas
-    noisy = noise.p_qubit > 0
-    width = (2 * n if noisy else 0) + max(
-        ref.draws + (len(plan.order) * len(ref.rounds) if q > 0 else 0)
-        for ref in plan.references.values()
-    )
-    sizes_seen: Counter = Counter()
-    end = trial_offset + trials
-    for first in range(trial_offset, end, BATCH_TRIALS):
-        count = min(BATCH_TRIALS, end - first)
-        stats.trials += count
-        u = philox_uniforms(noise.seed, first, count, width)
-        if noisy:  # the X then the Z error of every qubit, packed per row
-            frames = _row_masks(u[:, : 2 * n] < noise.p_qubit)
-            rows = u[:, 2 * n :].tolist()
+    for first, keys, failed in _single_shot_batches(plan, noise, trial_offset, trials):
+        stats.trials += len(failed)
+        sizes = np.hstack([plan.decoded_sizes[b][keys[:, r]] for r, b in enumerate(_ROUNDS)])
+        counts = np.bincount(sizes.ravel())
+        for size in np.flatnonzero(counts).tolist():
+            stats.delta0_hist[size] += int(counts[size])
+        if code.L.generators:
+            zero = first % 2  # the first row whose trial index is even
+            tallies = (("Z", failed[zero::2]), ("X", failed[1 - zero :: 2]))
         else:
-            frames = [0] * count
-            rows = u.tolist()
-        for t, frame, row in zip(range(first, first + count), frames, rows):
-            logical = (
-                ("zero" if t % 2 == 0 else "plus") if code.L.generators else None
-            )
-            ref = plan.references[logical]
-            fx, fz = frame & plan.all_mask, frame >> n
-            draws = iter(row)
-            for basis, round_steps in ref.rounds:
-                outcomes, key = [], 0
-                for mask, value, gx, gz, key_mask in round_steps:
-                    # a Z-type plaquette reads the frame's X part, and vice versa
-                    flipped = ((fx if basis == "Z" else fz) & mask).bit_count() & 1
-                    if value is None:
-                        up = next(draws) < 0.5
-                        if up == flipped:
-                            fx ^= gx
-                            fz ^= gz
-                        value = 1 if up else -1
-                    elif flipped:
-                        value = -value
-                    if q > 0 and next(draws) < q:
-                        value = -value
-                    if value < 0:
-                        key ^= key_mask
-                    outcomes.append(value)
-                correction, sizes = plan.decode(basis, key, outcomes)
-                sizes_seen[sizes] += 1
-                if basis == "Z":
-                    fx ^= correction
-                else:
-                    fz ^= correction
-            if logical is None:
-                if any(
-                    value != (-1) ** _parity((fx & gz) ^ (fz & gx))
-                    for gx, gz, value in ref.stabilizers
-                ):
-                    stats.failures["stabilizer"] += 1
-                continue
-            # the final ideal decode: Z-type cells, X correction, then X-type cells
-            fx ^= plan.cell_table[_syndrome(ref.cells_z, plan.cell_masks, fx)]
-            fz ^= plan.cell_table[_syndrome(ref.cells_x, plan.cell_masks, fz)]
-            kind = "Z" if logical == "zero" else "X"
-            if ref.logical != (-1) ** _parity((fx if kind == "Z" else fz) & plan.all_mask):
-                stats.failures[kind] += 1
-    for sizes, times in sizes_seen.items():
-        for size in sizes:
-            stats.delta0_hist[size] += times
+            tallies = (("stabilizer", failed),)
+        for kind, rows in tallies:
+            if rows.any():
+                stats.failures[kind] += int(rows.sum())
     return stats
 
 
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """Each row of a (rows, k) bool array as an int, bit j holding column j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return [
-        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
-    ]
-
-
-def _syndrome(reference: tuple, masks: list[int], frame: int) -> tuple:
-    """Check bits of the framed state: the reference bits flipped by the
-    frame's overlap parity with each check."""
-    return tuple(bit ^ _parity(frame & mask) for bit, mask in zip(reference, masks))
+def _single_shot_batches(plan: SingleShotPlan, noise: NoiseSpec, trial_offset: int, trials: int):
+    """(first trial, decode key of every round, failed) per batch of
+    `BATCH_TRIALS` trials."""
+    program = plan.program(noise.p_qubit > 0, noise.q_meas > 0)
+    thresholds = program.thresholds(noise.p_qubit, noise.q_meas)
+    end = trial_offset + trials
+    for first in range(trial_offset, end, BATCH_TRIALS):
+        count = min(BATCH_TRIALS, end - first)
+        yield first, *program.run(plan, noise.seed, thresholds, first, count)
 
 
 # -- output formats -------------------------------------------------------------------

@@ -5,7 +5,9 @@ replaced, kept as the oracle of `test_tableau.py` and `test_pauli.py`.
 2n rows as (2n, n) uint8 matrices, with anticommutation as matrix-vector
 products. The classes below are that code unchanged, except that
 `_flip_operator` unpacks `gf2.solve`'s coefficient mask, which is now an int,
-into the vector the old code indexed.
+into the vector the old code indexed. `pack_rows`, the dense-to-int-rows
+packer of the tests, lives here too: the package itself only goes the other
+way, through `BitMatrix.to_dense`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 from colexjump import gf2
+
+
+def pack_rows(dense: np.ndarray, ncols: int | None = None) -> gf2.BitMatrix:
+    """Pack a dense 0/1 array of shape (m, n) into a BitMatrix."""
+    dense = np.asarray(dense, dtype=np.uint8) & 1
+    if dense.ndim == 1:
+        dense = dense[None, :]
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return gf2.BitMatrix(rows, dense.shape[1] if ncols is None else ncols)
 
 
 class PauliOperator:
@@ -266,7 +278,7 @@ def _flip_operator(keep: list[PauliOperator], flip: PauliOperator) -> PauliOpera
     # symplectic pairing: <F, g> = F_x.g_z + F_z.g_x, so pair F's [x|z] row
     # against each g's swapped [z|x] vector
     columns = np.array([np.concatenate([g.z, g.x]) for g in ops], dtype=np.uint8)
-    transposed = gf2.pack_rows(columns.T, len(ops))
+    transposed = pack_rows(columns.T, len(ops))
     coeffs = gf2.solve(transposed, 1 << (len(ops) - 1))
     if coeffs is None:
         raise AssertionError("no flip operator exists; generators dependent?")

@@ -110,7 +110,7 @@ def test_schedule_stack_missing_a_sequence_qubit_is_a_violation(tmp_path, capsys
     path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
     code, out, _ = run(["schedule", "verify", "--schedule", str(path)], capsys)
     assert code == 1
-    assert out == "VIOLATION at step None: qubit 3 of the sequence is not on the stack\n"
+    assert out == "VIOLATION: qubit 3 of the sequence is not on the stack\n"
 
 
 def _renumber_last_step(lines):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy_oracle import pack_rows
 
 from colexjump import gf2
 from colexjump.codes import build_2d, build_3d
@@ -105,11 +106,11 @@ def old_min_weight_logical(S, G, L):
 
 
 def old_css_min_weight(check_rows, stabilizer_rows):
-    checks = gf2.pack_rows(check_rows)
+    checks = pack_rows(check_rows)
     n = checks.ncols
     kernel = gf2.nullspace(checks).to_dense()
     k = kernel.shape[0]
-    stab = gf2.echelon_from(gf2.pack_rows(stabilizer_rows, n))
+    stab = gf2.echelon_from(pack_rows(stabilizer_rows, n))
     best = n + 1
     current = np.zeros(n, dtype=np.uint8)
     prev = 0
@@ -119,7 +120,7 @@ def old_css_min_weight(check_rows, stabilizer_rows):
         prev = gray
         current = current ^ kernel[changed.bit_length() - 1]
         w = int(current.sum())
-        if w < best and not stab.contains(gf2.pack_rows(current, n).row(0)):
+        if w < best and not stab.contains(pack_rows(current, n).row(0)):
             best = w
     if best > n:
         raise ValueError("no logical representative in the kernel")

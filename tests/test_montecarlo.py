@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from frame_oracle import frame_trials
 from hypothesis import given, settings, strategies as st
 
 from colexjump import gf2, jump, montecarlo
@@ -448,6 +449,63 @@ def test_single_shot_plan_compiled_once_per_code(split15, monkeypatch):
         monkeypatch.setattr(Tableau, name, forbidden)
     run_single_shot_trials(code, spec, 20, trial_offset=3)
     assert calls == Counter()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    offset=st.one_of(st.integers(0, 10**9), st.integers(2**64 - 2 * BATCH_TRIALS, 2**64 - 1)),
+    trials=st.one_of(st.integers(1, 12), st.just(BATCH_TRIALS + 3)),
+    p=_RATES,
+    q=_RATES,
+)
+def test_compiled_batches_match_the_frame_oracle_per_trial(
+    inner_code, code3, seed, offset, trials, p, q
+):
+    """Every trial's round keys and failure bit equal the step loop's, on
+    both references, across a batch boundary and up to trial 2^64 - 1."""
+    trials = min(trials, 2**64 - offset)
+    spec = NoiseSpec(p, q, seed=seed)
+    for code in (inner_code, code3):
+        plan = montecarlo.single_shot_plan(code)
+        got = []
+        for _, keys, failed in montecarlo._single_shot_batches(plan, spec, offset, trials):
+            got += zip(map(tuple, keys.tolist()), failed.tolist())
+        assert got == frame_trials(code, spec, offset, trials)
+
+
+@pytest.mark.parametrize("kind", ["inner", "3d"])
+def test_single_shot_programs_cached_per_noise_structure(tetra15, split15, monkeypatch, kind):
+    """A code compiles one program per (p > 0, q > 0) and sets the
+    thresholds per call, so interleaved runs on one code equal runs on
+    fresh codes."""
+
+    def make():
+        return build_inner(split15) if kind == "inner" else build_3d(tetra15)
+
+    compiled = []
+    real = montecarlo._SingleShotProgram
+
+    def counting(plan, noisy, flips):
+        compiled.append((plan, noisy, flips))
+        return real(plan, noisy, flips)
+
+    monkeypatch.setattr(montecarlo, "_SingleShotProgram", counting)
+    code = make()
+    specs = [
+        NoiseSpec(0.1, 0, seed=7),
+        NoiseSpec(0.1, 0.3, seed=7),
+        NoiseSpec(0.05, 0, seed=8),
+        NoiseSpec(0, 0.2, seed=9),
+    ]
+    for spec in specs:
+        got = run_single_shot_trials(code, spec, 600, trial_offset=5)
+        fresh = run_single_shot_trials(make(), spec, 600, trial_offset=5)
+        assert got.as_dict() == fresh.as_dict()
+    shared = montecarlo.single_shot_plan(code)
+    structures = [c[1:] for c in compiled if c[0] is shared]
+    assert structures == [(True, False), (True, True), (False, True)]
+    assert len(compiled) == 3 + len(specs)
 
 
 # SHA-256 prefixes of `as_dict()` over 60 trials from offset 0, recorded with
