@@ -13,12 +13,13 @@ parities, one int mask per residual-coset key bit, each coset's lightest
 member, the final 2D decode reduced to a per-coset logical flip, and per
 (basis, pair) slot a repair table memoised on the observed patterns that
 trials reach. The sign-linear fast engine runs trials in batches of
-`BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_uniforms`, the
-same numbers as each trial's own generator), one matrix product, table
-lookups and `np.unique` counts, with no per-trial Python call. The tableau
+`BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_words`, the same
+words as each trial's own generator, compared as integers with
+`noise.word_threshold`), one matrix product, and gathers from dense tables
+indexed by pattern or key, with no per-trial Python call. The tableau
 engine runs trial by trial as the exact oracle. Both fold their trials into
 the statistics through the same per-batch tally, whose residual accounting
-is one lookup memoised per pair of coset keys.
+is a gather from a dense per-key table and `np.bincount` counts.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
 cached on it, in the manner of a reference sample plus Pauli frames (Stim,
@@ -31,7 +32,7 @@ outcome updates the frame by the replaced row. Between two decoder calls a
 trial is affine over GF(2) in its frame and draw bits, so each round of
 every reference compiles, once per noise structure, into one 0/1 matrix to
 the round's decode key, outcome bits and next frame (`_SingleShotProgram`).
-Trials run in batches of `BATCH_TRIALS`: one `philox_uniforms` draw, then
+Trials run in batches of `BATCH_TRIALS`: one `philox_words` draw, then
 per round one float32 product over both references' columns and a gather
 of the corrections from a decode table indexed by key, which
 `single_shot_decode`, the one decoder, fills on keys not reached before;
@@ -62,7 +63,14 @@ from .jump import (
     plaquette_checks,
     single_shot_decode,
 )
-from .noise import NoiseSpec, philox_uniforms, sample_qubit_noise, to_mask, trial_rng
+from .noise import (
+    NoiseSpec,
+    philox_words,
+    sample_qubit_noise,
+    to_mask,
+    trial_rng,
+    word_threshold,
+)
 from .pauli import PauliOperator
 
 
@@ -128,6 +136,23 @@ class CollapsePlan:
     every plaquette has even weight and the logical odd weight). Keys pack
     into integers, the X side in the low bits and the Z side above it.
     Error and correction vectors are int masks, bit q holding qubit q.
+
+    Batches read the plan through dense tables, indexed directly and filled
+    lazily (a `known` mask marks the filled entries) by the memoised
+    fillers, so a table entry is always what its filler returns:
+
+    - per (basis, pair) slot, 2^|duals| entries indexed by observed pattern
+      (4 on tetra15), each slot a segment of one flat array from
+      `slot_offsets[slot]`: the residual-key bits and |delta0| of the slot's
+      repair (`repair_keys`, `repair_sizes`), filled by `repair`;
+    - per residual key, 2^(2 side_bits) entries (256 on tetra15): whether
+      the final decode leaves the logical flipped, per side (`flips[0]` for
+      the X side, read by `zero` trials, `flips[1]` for the Z side), and
+      the residual weight and largest component (`residual_weight`,
+      `residual_component`), filled by `residual`.
+
+    That is 5 bytes per residual key: a d = 5 tetrahedral facet (8 plaquettes,
+    2^18 keys) would hold 1.3 MB.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -166,7 +191,11 @@ class CollapsePlan:
             _pack(key): (key[m] + len(decode[key[:m]])) % 2 == 1 for key in cosets
         }
         self.adjacency = _outer_adjacency(ctx)
-        self._residuals: dict = {}
+        keys = 1 << 2 * self.side_bits
+        self.flips = np.zeros((2, keys), dtype=bool)
+        self.residual_weight = np.zeros(keys, dtype=np.uint8)
+        self.residual_component = np.zeros(keys, dtype=np.uint8)
+        self.residual_known = np.zeros(keys, dtype=bool)
         # Batched trials. The parities of an error (rows: X error, then Z
         # error) over the readout's columns are every inner plaquette
         # reading, then the noise part of every residual key bit, X side
@@ -182,6 +211,11 @@ class CollapsePlan:
             self.slot_weights[lo : lo + len(duals), s] = 1 << np.arange(len(duals))
         self.key_weights = 1 << np.arange(2 * self.side_bits, dtype=np.int64)
         self._repairs: list[dict] = [{} for _ in self.slots]
+        sizes = [1 << len(duals) for *_, duals in self.slots]
+        self.slot_offsets = np.cumsum([0] + sizes[:-1])
+        self.repair_keys = np.zeros(sum(sizes), dtype=np.int64)
+        self.repair_sizes = np.zeros(sum(sizes), dtype=np.uint8)
+        self.repair_known = np.zeros(sum(sizes), dtype=bool)
 
     def repair(self, ctx: JumpContext, slot: int, pattern: int) -> "_Repair":
         """Flux repair and string correction of one slot's observed pattern,
@@ -204,7 +238,22 @@ class CollapsePlan:
                 {duals[i].plaquette: (-1 if i in seen else 1) for i in span},
             )
             self._repairs[slot][pattern] = got
+            at = self.slot_offsets[slot] + pattern
+            self.repair_keys[at] = got.key
+            self.repair_sizes[at] = len(got.delta0)
+            self.repair_known[at] = True
         return got
+
+    def reach_repairs(self, ctx: JumpContext, patterns: np.ndarray) -> np.ndarray:
+        """Indices into the slot tables of a batch's (trials, slots) observed
+        patterns; `repair` fills every entry not reached before."""
+        at = patterns + self.slot_offsets
+        miss = ~self.repair_known[at]
+        if miss.any():
+            for slot in np.flatnonzero(miss.any(axis=0)).tolist():
+                for pattern in sorted(set(patterns[miss[:, slot], slot].tolist())):
+                    self.repair(ctx, slot, pattern)
+        return at
 
     def residual_key(self, ex: int, ez: int, applied: dict) -> int:
         """Packed coset keys of the outer residual on both sides, from the
@@ -223,13 +272,22 @@ class CollapsePlan:
         return key & ((1 << self.side_bits) - 1), key >> self.side_bits
 
     def residual(self, key: int) -> tuple[int, int]:
-        """(weight, largest connected component) of the lightest residual."""
-        got = self._residuals.get(key)
-        if got is None:
-            sx, sz = (self.coset_min[k] for k in self.split_key(key))
-            got = (len(sx) + len(sz), _max_component(set(sx) | set(sz), self.adjacency))
-            self._residuals[key] = got
-        return got
+        """(weight, largest connected component) of the lightest residual;
+        fills the key's entries of the residual tables on first use."""
+        if not self.residual_known[key]:
+            key_x, key_z = self.split_key(key)
+            sx, sz = self.coset_min[key_x], self.coset_min[key_z]
+            self.flips[:, key] = self.decoded_flip[key_x], self.decoded_flip[key_z]
+            self.residual_weight[key] = len(sx) + len(sz)
+            self.residual_component[key] = _max_component(set(sx) | set(sz), self.adjacency)
+            self.residual_known[key] = True
+        return int(self.residual_weight[key]), int(self.residual_component[key])
+
+    def reach_residuals(self, keys: np.ndarray) -> None:
+        """Fill the residual tables at every key of `keys` not reached before."""
+        miss = keys[~self.residual_known[keys]]
+        for key in sorted(set(miss.tolist())):
+            self.residual(key)
 
 
 class _Repair(NamedTuple):
@@ -332,16 +390,20 @@ class CollapseEngine:
     trials at once, in the manner of Stim's batched frame sampling (Gidney,
     arXiv 2103.02202):
 
-    - one `philox_uniforms` call draws every trial's numbers, the same ones
-      and in the same order as the tableau pipeline draws them from its
-      per-trial generator (qubit noise, then one flip per dual);
+    - one `philox_words` call draws every trial's words, the same ones and
+      in the same order as the tableau pipeline draws them from its
+      per-trial generator (qubit noise, then one flip per dual); each is
+      compared with an integer threshold (`word_threshold`), exactly as
+      its double is compared with p or q;
     - one matrix product gives every inner plaquette reading;
-    - each (basis, pair) slot's observed pattern indexes the plan's repair
-      table, which `repair_flux` and the string correction fill on first
-      use, so their tie-breaks hold by construction;
+    - each (basis, pair) slot's observed pattern indexes the plan's dense
+      slot tables, which `CollapsePlan.repair` (`repair_flux` and the
+      string correction) fills on first use, so their tie-breaks hold by
+      construction;
     - the residual coset key is linear, so it is the noise part (one more
-      product) XOR the keys of the slots' corrections, and its table entry
-      says whether the final decode leaves the logical flipped.
+      product) XOR the key bits of the slots' corrections, and it indexes
+      the dense table that says whether the final decode leaves the logical
+      flipped.
 
     Both engines therefore produce identical trials (asserted in the test
     suite). `run_trial` is a batch of one.
@@ -359,38 +421,30 @@ class CollapseEngine:
         n3, cols = ctx.n3, plan.n_inner
         p, q = noise.p_qubit, noise.q_meas
         draws = (2 * n3 if p > 0 else 0) + (cols if q > 0 else 0)
-        u = philox_uniforms(noise.seed, first, count, draws)
+        words = philox_words(noise.seed, first, count, draws)
+        words >>= np.uint64(11)  # each draw's 53 bits, compared in place of doubles
         if p > 0:  # the X error then the Z error of every qubit
-            err = u[:, : 2 * n3] < p
+            err = words[:, : 2 * n3] < word_threshold(p)
         else:
             err = np.zeros((count, 2 * n3), dtype=bool)
         parities = (err.astype(np.float32) @ plan.readout).astype(np.int64) & 1
         true = parities[:, :cols]
-        seen = true ^ (u[:, draws - cols :] < q) if q > 0 else true
+        seen = true ^ (words[:, draws - cols :] < word_threshold(q)) if q > 0 else true
         patterns = seen @ plan.slot_weights
+        at = plan.reach_repairs(ctx, patterns)
         keys = parities[:, cols:] @ plan.key_weights
-        delta0_sizes = np.empty(patterns.shape, dtype=np.int64)
-        picks = []  # per slot: (repairs reached, index of each trial's repair)
-        for s in range(len(plan.slots)):
-            reached, inverse = np.unique(patterns[:, s], return_inverse=True)
-            repairs = [plan.repair(ctx, s, int(v)) for v in reached]
-            keys ^= np.array([r.key for r in repairs], dtype=np.int64)[inverse]
-            delta0_sizes[:, s] = np.array([len(r.delta0) for r in repairs])[inverse]
-            picks.append((repairs, inverse))
+        keys ^= np.bitwise_xor.reduce(plan.repair_keys[at], axis=1)
         # the observable logical reads the parity of the residual on the
         # opposite side; the final ideal decode is a lookup on its coset
-        reached, inverse = np.unique(keys, return_inverse=True)
-        sides = [plan.split_key(int(k)) for k in reached]
-        flip_zero = np.array([plan.decoded_flip[key_x] for key_x, _ in sides])
-        flip_plus = np.array([plan.decoded_flip[key_z] for _, key_z in sides])
-        zero = np.arange(count) % 2 == first % 2  # trials of even index
-        failed = np.where(zero, flip_zero[inverse], flip_plus[inverse])
+        plan.reach_residuals(keys)
+        side = (np.arange(count) + first % 2) % 2  # 0 on trials of even index
+        failed = plan.flips[side, keys]
 
         def result(i: int) -> _TrialResult:
-            logical = "zero" if zero[i] else "plus"
+            logical = "zero" if side[i] == 0 else "plus"
             records, repairs, applied = {}, {}, {"X": 0, "Z": 0}
-            for (basis, pair, lo, duals), (reached, picked) in zip(plan.slots, picks):
-                r = reached[picked[i]]
+            for s, (basis, pair, lo, duals) in enumerate(plan.slots):
+                r = plan._repairs[s][int(patterns[i, s])]
                 records[(pair, basis)] = r.record
                 span = range(len(duals))
                 repairs[(pair, basis)] = (
@@ -401,7 +455,7 @@ class CollapseEngine:
                 applied[r.kind] ^= r.correction
             key = int(keys[i])
             key_x, key_z = plan.split_key(key)
-            kind, side_key = ("Z", key_x) if zero[i] else ("X", key_z)
+            kind, side_key = ("Z", key_x) if side[i] == 0 else ("X", key_z)
             flags = {"Z": None, "X": None}
             flags[kind] = -1 if side_key >> (plan.side_bits - 1) else 1
             return _TrialResult(
@@ -416,13 +470,16 @@ class CollapseEngine:
                 key,
             )
 
-        return _Batch(first, keys, delta0_sizes, failed, result)
+        return _Batch(first, keys, plan.repair_sizes[at], failed, result)
 
 
 # Trials per batch. Each batch pays a fixed cost for its numpy calls (the
-# Philox kernel alone about 0.3 ms), and past 1024 trials the kernel's cost
-# per trial rises again. 512 was the fastest of 256, 512, 1024 and 2048 on
-# 40,000 tetra15 trials.
+# Philox kernel alone about 0.15 ms), and past 1024 trials the kernel's cost
+# per trial rises again. Medians of 9 interleaved repetitions on warm tables
+# (us/trial at 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse calls
+# at p = q = 0.05 took 3.64, 2.61, 2.26 and 3.45; 20,480-trial single-shot
+# calls at p = q = 0.02 took 6.42, 5.13, 6.75 and 7.32 on tetra15 and 3.52,
+# 2.60, 1.89 and 1.71 on the inner code. No size beats 512 on both engines.
 BATCH_TRIALS = 512
 
 
@@ -477,16 +534,15 @@ def run_collapse_trials(
 def _tally(stats: TrialStats, plan: CollapsePlan, batch: _Batch) -> None:
     """Fold a batch's trials into the statistics."""
     stats.trials += len(batch.keys)
-    _count(stats.delta0_hist, batch.delta0_sizes)
+    _add_counts(stats.delta0_hist, batch.delta0_sizes)
     # Residual class: trials start from a fresh state with trivial flux,
     # so after discarding, the outer deviation from the reference encoded
     # state is exactly the injected outer error times the applied
     # correction (a pure inner error never reaches the outer block).
-    reached, inverse = np.unique(batch.keys, return_inverse=True)
-    residuals = [plan.residual(int(k)) for k in reached]
-    _count(stats.residual_weight_hist, np.array([w for w, _ in residuals])[inverse])
+    plan.reach_residuals(batch.keys)
+    _add_counts(stats.residual_weight_hist, plan.residual_weight[batch.keys])
     stats.max_residual_component = max(
-        stats.max_residual_component, *(c for _, c in residuals)
+        stats.max_residual_component, int(plan.residual_component[batch.keys].max())
     )
     zero = batch.first % 2  # the first row whose trial index is even
     for kind, rows in (("Z", batch.failed[zero::2]), ("X", batch.failed[1 - zero :: 2])):
@@ -494,9 +550,11 @@ def _tally(stats: TrialStats, plan: CollapsePlan, batch: _Batch) -> None:
             stats.failures[kind] += int(rows.sum())
 
 
-def _count(counter: Counter, values: np.ndarray) -> None:
-    for value, times in zip(*np.unique(values, return_counts=True)):
-        counter[int(value)] += int(times)
+def _add_counts(counter: Counter, values: np.ndarray) -> None:
+    """Add how often each value of a non-negative int array occurs."""
+    counts = np.bincount(values.ravel())
+    for value in np.flatnonzero(counts).tolist():
+        counter[value] += int(counts[value])
 
 
 def _tableau_batch(ctx, base, noise, first, count, keep: bool) -> _Batch:
@@ -837,8 +895,9 @@ class _SingleShotProgram:
             self.cell_weights = 1 << np.arange(len(plan.cells), dtype=np.int64)
 
     def thresholds(self, p: float, q: float) -> np.ndarray:
-        """(references, width) values that each Philox column is compared to."""
-        return np.array([0.0, p, 0.5, q])[self.kinds]
+        """(references, width) word thresholds (`word_threshold`) that each
+        Philox column is compared to: 0 on an unread column, so its bit is 0."""
+        return np.array([0, *map(word_threshold, (p, 0.5, q))], dtype=np.uint64)[self.kinds]
 
     def run(self, plan: SingleShotPlan, seed: int, thresholds, first: int, count: int):
         """(decode key of every round, failed) of trials first, first + 1, ...:
@@ -848,7 +907,9 @@ class _SingleShotProgram:
         rows = np.arange(count)
         ref = (first % self.refs + rows) % self.refs  # zero on even trials
         v = np.empty((count, n2 + self.width + 1), dtype=np.float32)
-        v[:, n2:-1] = philox_uniforms(seed, first, count, self.width) < thresholds[ref]
+        words = philox_words(seed, first, count, self.width)
+        words >>= np.uint64(11)
+        v[:, n2:-1] = words < thresholds[ref]
         v[:, -1] = 1
         v[:, :n2] = v[:, n2 : 2 * n2] if self.noise_cols else 0
 
@@ -976,7 +1037,7 @@ def run_single_shot_trials(
     Between two decoder calls all of this is affine over GF(2) in the
     frame and the trial's draw bits, so the plan compiles each round into
     one matrix (`SingleShotPlan.program`). Trials run in batches of
-    `BATCH_TRIALS`, with no Python loop over trials: one `philox_uniforms`
+    `BATCH_TRIALS`, with no Python loop over trials: one `philox_words`
     draw, then per round one float32 product and a gather of the
     corrections from the decode table, which `single_shot_decode` fills on
     keys not reached before, then one product for the final checks. The
@@ -995,9 +1056,7 @@ def run_single_shot_trials(
     for first, keys, failed in _single_shot_batches(plan, noise, trial_offset, trials):
         stats.trials += len(failed)
         sizes = np.hstack([plan.decoded_sizes[b][keys[:, r]] for r, b in enumerate(_ROUNDS)])
-        counts = np.bincount(sizes.ravel())
-        for size in np.flatnonzero(counts).tolist():
-            stats.delta0_hist[size] += int(counts[size])
+        _add_counts(stats.delta0_hist, sizes)
         if code.L.generators:
             zero = first % 2  # the first row whose trial index is even
             tallies = (("Z", failed[zero::2]), ("X", failed[1 - zero :: 2]))

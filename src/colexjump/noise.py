@@ -4,6 +4,12 @@ Phenomenological noise only: independent X and Z flips on qubits at rate p,
 independent recorded-outcome flips on plaquette measurements at rate q. The
 iid model makes the inclusion-tail bound analytic (alpha = q), and a direct
 summation checker confirms it on small edge sets.
+
+Every trial draws from its own counter-based generator keyed by
+(seed, trial) (`trial_rng`). The batched engines draw many trials at once
+with `philox_words`, the same generator's raw words as one array, and test
+a draw against a probability with an integer compare (`word_threshold`),
+so no array of doubles is built.
 """
 
 from __future__ import annotations
@@ -41,48 +47,86 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
-def philox_uniforms(seed: int, first: int, count: int, draws: int) -> np.ndarray:
-    """(count, draws) doubles; row i equals
-    `trial_rng(seed, first + i).random(draws)` bit for bit.
+def philox_words(seed: int, first: int, count: int, draws: int) -> np.ndarray:
+    """(count, draws) raw uint64 words; row i equals
+    `trial_rng(seed, first + i).bit_generator.random_raw(draws)`.
 
     numpy's Philox4x64-10 keyed by (seed, t) fills its buffer from counter
-    blocks 1, 2, ... (4 words each, in order) and makes a double of a word u
-    as (u >> 11) * 2^-53. Here every trial's blocks run at once as uint64
-    array arithmetic, which wraps as the generator's does. A round multiplies
-    counter words 0 and 2, held together as one (2, count, blocks) array;
-    the high word of each 128-bit product comes from 32-bit halves (Hacker's
-    Delight, mulhu).
+    blocks 1, 2, ... (4 words each, in order). Here every trial's blocks run
+    at once as uint64 array arithmetic, which wraps as the generator's does.
+    A round multiplies counter words 0 and 2, held together as one
+    (2, blocks, count) array; the high word of each 128-bit product comes
+    from 32-bit halves (Hacker's Delight, mulhu). The first round acts on
+    the counter alone, so it runs once per block on Python ints. Every
+    other round writes into buffers allocated once per call (`out=` ufuncs
+    and in-place operators), and its swap of words 0 and 2 reads them
+    through a reversed view. The generator's double of a word w is
+    (w >> 11) * 2^-53; compare `w >> 11` with `word_threshold(p)` to test
+    it against p.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
     if first < 0 or count < 0 or first + count > 2**64:
         raise ValueError(f"trials {first}..{first + count - 1} leave [0, 2^64)")
     blocks = -(-draws // 4)
+    shape = (2, blocks, count)  # trials last, so a key word spans a row
     low32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
     # multipliers, their 32-bit halves and the key increments, shaped to
     # act on (2, ...) arrays
     m = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
     mh, ml = m >> s32, m & low32
     bump = np.array(_PHILOX_W, dtype=np.uint64)[:, None, None]
-    key = np.empty((2, count, 1), dtype=np.uint64)
+    key = np.empty((2, 1, count), dtype=np.uint64)
     key[0] = seed
-    key[1, :, 0] = np.arange(count, dtype=np.uint64) + np.uint64(first)
-    even = np.zeros((2, count, blocks), dtype=np.uint64)  # words 0 and 2
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)  # words 1 and 3
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key += bump
-        xh, xl = even >> s32, even & low32
-        t = xl * ml
-        u = xh * ml + (t >> s32)
-        v = xl * mh + (u & low32)
-        hi = xh * mh + (u >> s32) + (v >> s32)
+    key[1, 0] = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    # round 1 takes block c's counter (c, 0, 0, 0) to (k0, 0, hi ^ k1, lo),
+    # where (hi, lo) is the 128-bit product c * M0, the same in every trial
+    products = np.array(
+        [divmod(c * _PHILOX_M[0], 2**64) for c in range(1, blocks + 1)], dtype=np.uint64
+    ).reshape(blocks, 2)
+    even = np.empty(shape, dtype=np.uint64)  # words 0 and 2
+    even[0] = seed
+    np.bitwise_xor(products[:, :1], key[1], out=even[1])
+    odd = np.zeros(shape, dtype=np.uint64)  # words 1 and 3
+    odd[1] = products[:, 1:]
+    xh, xl, t, u, hi = (np.empty(shape, dtype=np.uint64) for _ in range(5))
+    for _ in range(1, _PHILOX_ROUNDS):
+        key += bump
+        np.right_shift(even, s32, out=xh)
+        np.bitwise_and(even, low32, out=xl)
+        np.multiply(xl, ml, out=t)
+        np.right_shift(t, s32, out=t)
+        np.multiply(xh, ml, out=u)
+        u += t  # xh * ml + (xl * ml >> 32)
+        np.multiply(xl, mh, out=t)
+        np.bitwise_and(u, low32, out=xl)
+        t += xl  # xl * mh + (u & low32)
+        np.multiply(xh, mh, out=hi)
+        np.right_shift(u, s32, out=u)
+        hi += u
+        np.right_shift(t, s32, out=t)
+        hi += t
         # (w0, w1, w2, w3) <- (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0)
-        even, odd = hi[::-1] ^ odd ^ key, (even * m)[::-1]
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=2)
-    words = words.reshape(count, 4 * blocks)[:, :draws]
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        np.bitwise_xor(hi[::-1], odd, out=t)
+        t ^= key
+        np.multiply(even[::-1], m[::-1], out=odd)
+        even, t = t, even
+    # words 0, 1, 2, 3 of a block are even[0], odd[0], even[1], odd[1]
+    words = np.empty((count, blocks, 2, 2), dtype=np.uint64)
+    words[..., 0] = even.transpose(2, 1, 0)
+    words[..., 1] = odd.transpose(2, 1, 0)
+    return words.reshape(count, 4 * blocks)[:, :draws]
+
+
+def word_threshold(p: float) -> np.uint64:
+    """T such that `(w >> 11) < T` exactly when the generator's double of
+    the word w, (w >> 11) * 2^-53, is below p.
+
+    The double is k * 2^-53 for the integer k = w >> 11, and p * 2^53 is
+    exact for p in [0, 1] (a power-of-two scaling), so k < p * 2^53 holds
+    exactly when k < ceil(p * 2^53). p = 1 gives 2^53, above every k.
+    """
+    return np.uint64(math.ceil(p * 2.0**53))
 
 
 def sample_qubit_noise(p: float, n: int, rng: np.random.Generator):

@@ -137,8 +137,14 @@ def test_last_trial_indices_match_tableau(ctx):
 
 @pytest.mark.parametrize("engine", ["fast", "tableau"])
 @pytest.mark.parametrize("offset,trials", [(2**64 - 2, 3), (-1, 2), (-5, 3)])
-def test_trial_indices_outside_uint64_are_an_error(ctx, engine, offset, trials):
+def test_trial_indices_outside_uint64_are_an_error(ctx, monkeypatch, engine, offset, trials):
     """Nothing runs: a batch's keys must not wrap onto trial 0's stream."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    for name in ("philox_words", "trial_rng"):
+        monkeypatch.setattr(montecarlo, name, forbidden)
     trace = io.StringIO()
     with pytest.raises(ValueError, match="2\\^64"):
         run_collapse_trials(
@@ -247,6 +253,41 @@ def test_fast_engine_repairs_only_new_patterns(tetra15, monkeypatch):
     run_collapse_trials(ctx, spec, 3000, trial_offset=3000)
     reached = sum(len(table) for table in collapse_plan(ctx)._repairs)
     assert calls == Counter(repair=reached, string=reached)
+
+
+def test_dense_tables_equal_their_fillers(tetra15):
+    """The residual and slot tables, filled through the batch entry points
+    in a scrambled order, hold what `residual`, `decoded_flip` and `repair`
+    give on a plan filled key by key in order."""
+    ctx = make_context(tetra15, "rgb")
+    plan = montecarlo.CollapsePlan(ctx)
+    ordered = montecarlo.CollapsePlan(ctx)
+    rng = np.random.default_rng(12)
+    keys = 1 << 2 * plan.side_bits
+    assert keys == 256
+    for chunk in np.array_split(rng.permutation(keys), 7):
+        plan.reach_residuals(chunk)
+    assert plan.residual_known.all()
+    for key in range(keys):
+        key_x, key_z = plan.split_key(key)
+        flips = (plan.decoded_flip[key_x], plan.decoded_flip[key_z])
+        assert tuple(plan.flips[:, key]) == flips
+        weight = (plan.residual_weight[key], plan.residual_component[key])
+        assert weight == ordered.residual(key)
+    patterns = [(s, x) for s, (*_, duals) in enumerate(plan.slots) for x in range(2 ** len(duals))]
+    assert len(patterns) == len(plan.repair_known) == 4 * len(plan.slots)
+    for i in rng.permutation(len(patterns)).tolist():
+        slot, pattern = patterns[i]
+        row = np.zeros((1, len(plan.slots)), dtype=np.int64)
+        row[0, slot] = pattern
+        plan.reach_repairs(ctx, row)
+    assert plan.repair_known.all()
+    for slot, pattern in patterns:
+        want = ordered.repair(ctx, slot, pattern)
+        at = plan.slot_offsets[slot] + pattern
+        assert plan.repair_keys[at] == want.key
+        assert plan.repair_sizes[at] == len(want.delta0)
+        assert plan._repairs[slot][pattern] == want
 
 
 def test_plan_residual_table_matches_exhaustive_oracle(ctx):
@@ -598,7 +639,7 @@ def test_single_shot_trial_indices_outside_uint64_are_an_error(
     def forbidden(*args, **kwargs):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(montecarlo, "philox_uniforms", forbidden)
+    monkeypatch.setattr(montecarlo, "philox_words", forbidden)
     with pytest.raises(ValueError, match="2\\^64"):
         run_single_shot_trials(code, NoiseSpec(0.1, 0.1, seed=1), trials, trial_offset=offset)
 

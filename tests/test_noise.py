@@ -9,9 +9,10 @@ from colexjump.noise import (
     NoiseSpec,
     alpha_bound_analytic,
     measure_K,
-    philox_uniforms,
+    philox_words,
     sample_qubit_noise,
     trial_rng,
+    word_threshold,
 )
 
 
@@ -36,25 +37,40 @@ _KEYS = [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0)] + [
 ]
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """numpy's double of each raw Philox word: (w >> 11) * 2^-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 @pytest.mark.parametrize("draws", [0, 1, 3, 4, 5, 42])
 def test_philox_uniforms_match_numpy_philox(draws):
-    """Row i is trial_rng(seed, t + i).random(draws), bit for bit, for draw
-    counts that do and do not fill whole 4-word counter blocks."""
+    """Row i of `philox_words` is trial_rng(seed, t + i)'s first raw words,
+    and their uniform doubles (w >> 11) * 2^-53 are its random(draws), bit
+    for bit, for draw counts that do and do not fill whole 4-word counter
+    blocks."""
     for seed, t in _KEYS:
         count = min(3, 2**64 - t)
-        rows = philox_uniforms(seed, t, count, draws)
-        assert rows.shape == (count, draws) and rows.dtype == np.float64
+        rows = philox_words(seed, t, count, draws)
+        assert rows.shape == (count, draws) and rows.dtype == np.uint64
+        doubles = _uniforms(rows)
         for i in range(count):
+            raw = trial_rng(seed, t + i).bit_generator.random_raw(draws)
+            assert rows[i].tobytes() == raw.tobytes(), (seed, t + i)
             want = trial_rng(seed, t + i).random(draws)
-            assert rows[i].tobytes() == want.tobytes(), (seed, t + i)
+            assert doubles[i].tobytes() == want.tobytes(), (seed, t + i)
 
 
 def test_philox_uniforms_continue_a_split_draw():
-    """A generator's random(30) then random(12) is one 42-draw row."""
+    """A generator's random(30) then random(12) is the doubles of one
+    42-word row, and random_raw(30) then random_raw(12) the row itself."""
     for seed, t in _KEYS[:6]:
+        row = philox_words(seed, t, 1, 42)
         rng = trial_rng(seed, t)
         split = np.concatenate((rng.random(30), rng.random(12)))
-        assert split.tobytes() == philox_uniforms(seed, t, 1, 42)[0].tobytes()
+        assert split.tobytes() == _uniforms(row)[0].tobytes()
+        gen = trial_rng(seed, t).bit_generator
+        split = np.concatenate((gen.random_raw(30), gen.random_raw(12)))
+        assert split.tobytes() == row[0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -63,7 +79,22 @@ def test_philox_uniforms_continue_a_split_draw():
 )
 def test_philox_uniforms_reject_keys_outside_uint64(seed, first, count):
     with pytest.raises(ValueError):
-        philox_uniforms(seed, first, count, 4)
+        philox_words(seed, first, count, 4)
+
+
+def test_word_threshold_is_exact():
+    """(w >> 11) < T equals (w >> 11) * 2^-53 < p on the words around each
+    threshold T = word_threshold(p) and on random words."""
+    rng = random.Random(53)
+    ps = [0.0, 2.0**-53, 0.02, 0.05, 0.5, np.nextafter(0.5, 0), np.nextafter(1.0, 0), 1.0]
+    ps += [rng.random() for _ in range(200)]
+    for p in ps:
+        threshold = int(word_threshold(p))
+        edge = threshold << 11
+        words = [edge - 1, edge, edge + 2**11] + [rng.randrange(2**64) for _ in range(20)]
+        words = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
+        below = (words >> np.uint64(11)) < word_threshold(p)
+        assert np.array_equal(below, _uniforms(words) < p), p
 
 
 def test_noise_extremes():
