@@ -23,8 +23,11 @@ collapse repair (`flux.t_join`), and applies an exact minimum-weight
 correction for the resulting stabilizer syndrome.
 
 The static part of that decode (dual edges, cell color pairs, frozen region
-products, the stabilizer check table) is one `DualStructure` per code, built
-on first use and cached on the code.
+products, the stabilizer check table, and the layout of a round's decode
+key) is one `DualStructure` per code, built on first use and cached on the
+code. The key holds one parity per (color pair, cell) and one raw product
+per region, all that the decode reads of the outcomes, and `decode_key`,
+the one single-shot decoder, works from the key alone.
 
 Every noiseless "measure the checks, look the syndrome up, correct" step on
 a tableau (the final 2D decode, the outer reconciliation of blow-up) is one
@@ -434,6 +437,15 @@ class DualStructure:
     geometries the stabilizer syndrome also reads one region product per
     region, over `region_plaquettes`; `table` is the minimum-weight table of
     the stabilizer checks (the cells, then those regions).
+
+    A round is measured in `order` (by color pair, then plaquette id), and
+    its decode key holds everything the decode reads: one bit per (pair,
+    cell) that a plaquette end touches (`cell_bits`), the product of that
+    pair's outcomes on the cell, then one bit per region, its raw product.
+    `key_masks[pi]` holds the bits that a -1 outcome of plaquette pi
+    toggles (a plaquette with both ends on one cell toggles that bit twice,
+    as its outcome cancels in the product), so a round's key is the XOR of
+    the key masks of its -1 outcomes, `key_bits` wide.
     """
 
     by_pair: dict[str, list]
@@ -441,6 +453,10 @@ class DualStructure:
     cell_pairs: list[tuple[str, ...]]
     region_plaquettes: list[tuple[int, ...]]
     table: dict
+    order: list[int]
+    cell_bits: dict[tuple, int]
+    key_masks: dict[int, int]
+    key_bits: int
 
 
 def _code_dual_structure(code: CodeTriple) -> DualStructure:
@@ -468,8 +484,28 @@ def _code_dual_structure(code: CodeTriple) -> DualStructure:
                 )
                 checks.append(tuple(sorted(region.vertices)))
         ends = {pair: tuple(e for _, e in entries) for pair, entries in by_pair.items()}
+        order = [pi for pair in sorted(by_pair) for pi, _ in by_pair[pair]]
+        cell_bits: dict[tuple, int] = {}
+        key_masks = dict.fromkeys(order, 0)
+        for pair, entries in by_pair.items():
+            for pi, pi_ends in entries:
+                for end in pi_ends:
+                    if end != SINK:
+                        bit = cell_bits.setdefault((pair, end[1]), len(cell_bits))
+                        key_masks[pi] ^= 1 << bit
+        for j, plaquettes in enumerate(region_plaquettes):
+            for pi in plaquettes:
+                key_masks[pi] ^= 1 << (len(cell_bits) + j)
         code._dual_structure = DualStructure(
-            by_pair, ends, cell_pairs, region_plaquettes, checks_table(code.n, checks)
+            by_pair,
+            ends,
+            cell_pairs,
+            region_plaquettes,
+            checks_table(code.n, checks),
+            order,
+            cell_bits,
+            key_masks,
+            len(cell_bits) + len(region_plaquettes),
         )
     return code._dual_structure
 
@@ -489,21 +525,61 @@ def single_shot_ec(
     correction).
     """
     dual = _code_dual_structure(code)
-    by_pair = dual.by_pair
     positions = embed if embed is not None else list(range(code.n))
     outcomes: dict[int, int] = {}
-    for pair in sorted(by_pair):
-        for pi, _ in by_pair[pair]:
-            op = embed_operator(
-                plaquette_operator(code.colex, pi, basis), state.n, positions
-            )
-            value = state.measure(op, rng)
-            if meas_flip_prob > 0 and rng.random() < meas_flip_prob:
-                value = -value
-            outcomes[pi] = value
+    for pi in dual.order:
+        op = embed_operator(plaquette_operator(code.colex, pi, basis), state.n, positions)
+        value = state.measure(op, rng)
+        if meas_flip_prob > 0 and rng.random() < meas_flip_prob:
+            value = -value
+        outcomes[pi] = value
     report = single_shot_decode(code, dual, outcomes, basis)
     state.apply(embed_operator(report.correction, state.n, positions))
     return state, report
+
+
+def decode_key(dual: DualStructure, key: int) -> tuple[tuple, dict, dict, tuple]:
+    """The single-shot decode of one round, from its decode key alone.
+
+    Returns (correction support, |delta0| per color pair, cell estimates,
+    stabilizer syndrome). Each cell is estimated once per color pair in its
+    triple (that pair's key bit on the cell), the estimates are reconciled
+    by majority, each pair's flux is repaired against the majority, and the
+    correction is the lightest support with the resulting syndrome: the
+    majority cells, then each region's raw product times the region bits of
+    the plaquettes that the repair flips.
+    """
+
+    def parity(pair, ci):  # 1 where the pair's product on the cell reads -1
+        bit = dual.cell_bits.get((pair, ci))
+        return 0 if bit is None else key >> bit & 1
+
+    estimates = [
+        int(sum(parity(p, ci) for p in pairs) > len(pairs) // 2)
+        for ci, pairs in enumerate(dual.cell_pairs)
+    ]
+    regions = key >> len(dual.cell_bits)
+    delta0_sizes = {}
+    for pair in sorted(dual.by_pair):
+        mismatched = [
+            ci
+            for ci, pairs in enumerate(dual.cell_pairs)
+            if pair in pairs and parity(pair, ci) != estimates[ci]
+        ]
+        # edges are entry indices, which rise with plaquette id like the
+        # ids themselves, so the T-join's lowest-id tie-break is unchanged
+        flips = t_join(dual.ends[pair], mismatched) if mismatched else ()
+        delta0_sizes[pair] = len(flips)
+        for i in flips:
+            regions ^= dual.key_masks[dual.by_pair[pair][i][0]] >> len(dual.cell_bits)
+    syndrome = tuple(estimates) + tuple(
+        regions >> j & 1 for j in range(len(dual.region_plaquettes))
+    )
+    support = dual.table.get(syndrome)
+    if support is None:
+        raise ValueError("no correction matches the repaired syndrome")
+    cells = {ci: -1 if bit else 1 for ci, bit in enumerate(estimates)}
+    return support, delta0_sizes, cells, syndrome
 
 
 def single_shot_decode(
@@ -512,61 +588,17 @@ def single_shot_decode(
     """The decode half of `single_shot_ec`, from the recorded outcomes.
 
     `dual` is `_code_dual_structure(code)` and `outcomes` maps every
-    plaquette id to its recorded +-1. Each cell is estimated once per color
-    pair in its triple (the product of that pair's plaquettes on the cell),
-    the estimates are reconciled by majority, each pair's flux is repaired
-    against the majority, and the correction (not applied) is the lightest
-    support with the resulting stabilizer syndrome.
+    plaquette id to its recorded +-1. The outcomes reach the decoder only
+    through their decode key (`decode_key`); the correction is not applied.
     """
-    by_pair = dual.by_pair
-    # product of each pair's recorded plaquettes on each cell, read once
-    parity: dict[tuple, int] = {}
-    for pair, entries in by_pair.items():
-        for pi, ends in entries:
-            for end in ends:
-                if end != SINK:
-                    parity[pair, end[1]] = parity.get((pair, end[1]), 1) * outcomes[pi]
-    cell_syndrome = {}
-    for ci, pairs in enumerate(dual.cell_pairs):
-        votes = [parity.get((p, ci), 1) for p in pairs]
-        cell_syndrome[ci] = 1 if votes.count(-1) <= len(votes) // 2 else -1
-
-    # per-pair flux repair against the reconciled cell estimates
-    repaired = dict(outcomes)
-    delta0_sizes = {}
-    for pair in sorted(by_pair):
-        entries = by_pair[pair]
-        mismatched = [
-            ci
-            for ci, pairs in enumerate(dual.cell_pairs)
-            if pair in pairs and parity.get((pair, ci), 1) != cell_syndrome[ci]
-        ]
-        if not mismatched:
-            delta0_sizes[pair] = 0
-            continue
-        # edges are entry indices, which rise with plaquette id like the
-        # ids themselves, so the T-join's lowest-id tie-break is unchanged
-        flips = t_join(dual.ends[pair], mismatched)
-        delta0_sizes[pair] = len(flips)
-        for i in flips:
-            pi = entries[i][0]
-            repaired[pi] = -repaired[pi]
-
-    # stabilizer syndrome: cells, plus region products for frozen geometries
-    syndrome_bits = list(cell_syndrome.values())
-    for plaquettes in dual.region_plaquettes:
-        prod = 1
-        for pi in plaquettes:
-            prod *= repaired[pi]
-        syndrome_bits.append(prod)
-
-    syndrome = tuple(0 if v == 1 else 1 for v in syndrome_bits)
-    support = dual.table.get(syndrome)
-    if support is None:
-        raise ValueError("no correction matches the repaired syndrome")
+    key = 0
+    for pi in dual.order:
+        if outcomes[pi] < 0:
+            key ^= dual.key_masks[pi]
+    support, delta0_sizes, cells, syndrome = decode_key(dual, key)
     corr_type = "X" if basis == "Z" else "Z"
     correction = PauliOperator.from_support(code.n, corr_type, support)
-    return SingleShotReport(outcomes, cell_syndrome, delta0_sizes, correction, syndrome)
+    return SingleShotReport(outcomes, cells, delta0_sizes, correction, syndrome)
 
 
 # -- blow-up ------------------------------------------------------------------------

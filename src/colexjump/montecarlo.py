@@ -31,12 +31,12 @@ reference and its own state; see `run_single_shot_trials` for why a random
 outcome updates the frame by the replaced row. Between two decoder calls a
 trial is affine over GF(2) in its frame and draw bits, so each round of
 every reference compiles, once per noise structure, into one 0/1 matrix to
-the round's decode key, outcome bits and next frame (`_SingleShotProgram`).
-Trials run in batches of `BATCH_TRIALS`: one `philox_words` draw, then
-per round one float32 product over both references' columns and a gather
-of the corrections from a decode table indexed by key, which
-`single_shot_decode`, the one decoder, fills on keys not reached before;
-then one product for the final checks. No Python loop runs per trial.
+the round's decode key and next frame (`_SingleShotProgram`). Trials run
+in batches of `BATCH_TRIALS`: one `philox_words` draw, then per round one
+float32 product over both references' columns and a gather of the
+corrections from one decode table indexed by key, which `jump.decode_key`,
+the one decoder, fills on keys not reached before; then one product for
+the final checks. No Python loop runs per trial.
 """
 
 from __future__ import annotations
@@ -49,19 +49,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .flux import SINK, FluxConfiguration, plaquette_operator, repair_flux
+from .flux import FluxConfiguration, plaquette_operator, repair_flux
 from .gf2 import BitMatrix, checks_table
 from .jump import (
     JumpContext,
     _code_dual_structure,
     _read_syndrome,
     collapse,
+    decode_key,
     encoded_3d,
     encoded_state,
     ideal_decode_2d,
     logical_operator,
     plaquette_checks,
-    single_shot_decode,
 )
 from .noise import (
     NoiseSpec,
@@ -145,14 +145,15 @@ class CollapsePlan:
       (4 on tetra15), each slot a segment of one flat array from
       `slot_offsets[slot]`: the residual-key bits and |delta0| of the slot's
       repair (`repair_keys`, `repair_sizes`), filled by `repair`;
-    - per residual key, 2^(2 side_bits) entries (256 on tetra15): whether
-      the final decode leaves the logical flipped, per side (`flips[0]` for
-      the X side, read by `zero` trials, `flips[1]` for the Z side), and
-      the residual weight and largest component (`residual_weight`,
+    - per residual key, 2^(2 side_bits) entries (256 on tetra15): the
+      residual weight and largest component (`residual_weight`,
       `residual_component`), filled by `residual`.
 
-    That is 5 bytes per residual key: a d = 5 tetrahedral facet (8 plaquettes,
-    2^18 keys) would hold 1.3 MB.
+    That is 2 bytes per residual key: a d = 5 tetrahedral facet (8
+    plaquettes, 2^18 keys) would hold 0.5 MB. Whether the final decode
+    leaves the logical flipped depends on one side's key only, so
+    `decoded_flip` holds it per side key (2^side_bits entries, 16 on
+    tetra15), filled at construction; keys no error reaches read False.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -187,12 +188,11 @@ class CollapsePlan:
         # the final noiseless 2D decode, reduced to whether it leaves the
         # logical flipped on each coset
         decode = checks_table(n2, checks)
-        self.decoded_flip = {
-            _pack(key): (key[m] + len(decode[key[:m]])) % 2 == 1 for key in cosets
-        }
+        self.decoded_flip = np.zeros(1 << self.side_bits, dtype=bool)
+        for key in cosets:
+            self.decoded_flip[_pack(key)] = (key[m] + len(decode[key[:m]])) % 2 == 1
         self.adjacency = _outer_adjacency(ctx)
         keys = 1 << 2 * self.side_bits
-        self.flips = np.zeros((2, keys), dtype=bool)
         self.residual_weight = np.zeros(keys, dtype=np.uint8)
         self.residual_component = np.zeros(keys, dtype=np.uint8)
         self.residual_known = np.zeros(keys, dtype=bool)
@@ -277,7 +277,6 @@ class CollapsePlan:
         if not self.residual_known[key]:
             key_x, key_z = self.split_key(key)
             sx, sz = self.coset_min[key_x], self.coset_min[key_z]
-            self.flips[:, key] = self.decoded_flip[key_x], self.decoded_flip[key_z]
             self.residual_weight[key] = len(sx) + len(sz)
             self.residual_component[key] = _max_component(set(sx) | set(sz), self.adjacency)
             self.residual_known[key] = True
@@ -436,9 +435,9 @@ class CollapseEngine:
         keys ^= np.bitwise_xor.reduce(plan.repair_keys[at], axis=1)
         # the observable logical reads the parity of the residual on the
         # opposite side; the final ideal decode is a lookup on its coset
-        plan.reach_residuals(keys)
         side = (np.arange(count) + first % 2) % 2  # 0 on trials of even index
-        failed = plan.flips[side, keys]
+        low = (1 << plan.side_bits) - 1
+        failed = plan.decoded_flip[np.where(side == 0, keys & low, keys >> plan.side_bits)]
 
         def result(i: int) -> _TrialResult:
             logical = "zero" if side[i] == 0 else "plus"
@@ -689,11 +688,11 @@ class _Reference:
         self.rounds = []
         for basis in _ROUNDS:
             steps = []
-            for pi in plan.order:
+            for pi in plan.dual.order:
                 op = plaquette_operator(code.colex, pi, basis)
                 row = state.pivot_row(op)
                 value = state.measure(op, force=1)
-                mask, key_mask = plan.masks[pi], plan.key_masks[pi]
+                mask, key_mask = plan.masks[pi], plan.dual.key_masks[pi]
                 if row is None:
                     steps.append((mask, value, 0, 0, key_mask))
                 else:
@@ -728,17 +727,14 @@ class SingleShotPlan:
     `program` compiles the references, once per noise structure, into the
     affine programs that batches run.
 
-    `single_shot_decode` reads a round's outcomes only through parities:
-    the product of each pair's plaquettes on each cell (from which follow
-    the majority cell syndrome, the mismatched cells and the T-join flips)
-    and each region's raw product (times those flips). So a round's decode
-    key has one bit per (pair, cell) that a plaquette's ends touch and one
-    per region; `key_masks[pi]` holds the bits that a -1 outcome of
-    plaquette pi toggles (a plaquette with both ends on one cell toggles
-    that bit twice, as its outcome cancels in the product). A round's key
-    is the XOR of the key masks of its -1 outcomes. `decode` fills the
-    decode table on keys that trials reach, and `lookup` gathers a batch's
-    corrections from its dense mirror, indexed by key. That mirror has
+    A round reaches the decoder only through its decode key (see
+    `jump.DualStructure`), and the decode does not depend on the measured
+    basis, which only picks the frame half that the correction enters. So
+    one dense table, indexed by key, serves both rounds: each key's
+    correction bits (`decoded_bits`) and |delta0| per color pair
+    (`decoded_sizes`). `lookup` gathers a batch's rows from it and fills
+    the keys not reached before (`decoded_known`) with `decode_key`, the
+    one decoder, so tie-breaks hold by construction. The table has
     2^key_bits rows, far fewer than the 2^n supports that the code's
     decoding table already enumerates.
     """
@@ -746,31 +742,14 @@ class SingleShotPlan:
     def __init__(self, code):
         self.code = code
         self.dual = _code_dual_structure(code)
-        by_pair = self.dual.by_pair
         colex = code.colex
-        self.order = [pi for pair in sorted(by_pair) for pi, _ in by_pair[pair]]
-        self.masks = {pi: _support_mask(colex.plaquette_vertices(pi)) for pi in self.order}
-        bits: dict = {}  # (pair, cell) -> key bit
-        self.key_masks = dict.fromkeys(self.order, 0)
-        for pair, entries in by_pair.items():
-            for pi, ends in entries:
-                for end in ends:
-                    if end != SINK:
-                        bit = bits.setdefault((pair, end[1]), len(bits))
-                        self.key_masks[pi] ^= 1 << bit
-        for j, plaquettes in enumerate(self.dual.region_plaquettes):
-            for pi in plaquettes:
-                self.key_masks[pi] ^= 1 << (len(bits) + j)
-        self.key_bits = len(bits) + len(self.dual.region_plaquettes)
-        # basis -> key -> (correction mask, delta0 sizes), reached keys only;
-        # the dense mirror holds the same entries as correction bits and
-        # delta0 size rows (a size past 255 fails its assignment loudly),
-        # and marks which keys are filled
-        self.decoded = {"Z": {}, "X": {}}
-        keys = 1 << self.key_bits
-        self.decoded_bits = {b: np.zeros((keys, code.n), dtype=np.uint8) for b in "ZX"}
-        self.decoded_sizes = {b: np.zeros((keys, len(by_pair)), dtype=np.uint8) for b in "ZX"}
-        self.decoded_known = {b: np.zeros(keys, dtype=bool) for b in "ZX"}
+        self.masks = {pi: _support_mask(colex.plaquette_vertices(pi)) for pi in self.dual.order}
+        # the decode table, filled where `decoded_known` is set (a delta0
+        # size past 255 fails its assignment loudly)
+        keys = 1 << self.dual.key_bits
+        self.decoded_bits = np.zeros((keys, code.n), dtype=np.uint8)
+        self.decoded_sizes = np.zeros((keys, len(self.dual.by_pair)), dtype=np.uint8)
+        self.decoded_known = np.zeros(keys, dtype=bool)
         self.cells = [tuple(vs) for vs, _ in colex.cells]
         self.cell_masks = [_support_mask(vs) for vs in self.cells]
         self.cell_table = {
@@ -782,34 +761,15 @@ class SingleShotPlan:
         self.references = {logical: _Reference(code, logical, self) for logical in logicals}
         self._programs: dict = {}  # (p > 0, q > 0) -> _SingleShotProgram
 
-    def decode(self, basis: str, key: int, outcomes: list[int]) -> tuple[int, tuple]:
-        """(correction mask, delta0 sizes) of a round whose outcomes, in
-        `order`, have decode key `key`; a key not reached before is decoded
-        by `single_shot_decode` on these outcomes, so tie-breaks hold by
-        construction."""
-        got = self.decoded[basis].get(key)
-        if got is None:
-            report = single_shot_decode(
-                self.code, self.dual, dict(zip(self.order, outcomes)), basis
-            )
-            corr = report.correction
-            got = (corr.x if basis == "Z" else corr.z, tuple(report.delta0_sizes.values()))
-            self.decoded[basis][key] = got
-            self.decoded_bits[basis][key] = [got[0] >> q & 1 for q in range(self.code.n)]
-            self.decoded_sizes[basis][key] = got[1]
-            self.decoded_known[basis][key] = True
-        return got
-
-    def lookup(self, basis: str, keys: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        """(rows, n) correction bits of rounds with decode keys `keys` and
-        outcome bits `outcomes` (bit j set when plaquette order[j] read -1).
-        A key not reached before is decoded once, on its first row."""
-        miss = np.flatnonzero(~self.decoded_known[basis][keys])
-        if len(miss):
-            reached, first = np.unique(keys[miss], return_index=True)
-            for key, row in zip(reached.tolist(), miss[first].tolist()):
-                self.decode(basis, key, [-1 if bit else 1 for bit in outcomes[row].tolist()])
-        return self.decoded_bits[basis][keys]
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """(rows, n) correction bits of rounds with decode keys `keys`; a key
+        not reached before is decoded once, by `decode_key`."""
+        for key in set(keys[~self.decoded_known[keys]].tolist()):
+            support, sizes, _, _ = decode_key(self.dual, key)
+            self.decoded_bits[key, list(support)] = 1
+            self.decoded_sizes[key] = tuple(sizes.values())
+            self.decoded_known[key] = True
+        return self.decoded_bits[keys]
 
     def program(self, noisy: bool, flips: bool) -> "_SingleShotProgram":
         """The compiled trials under noise with p > 0 (`noisy`) and q > 0
@@ -852,19 +812,19 @@ class _SingleShotProgram:
     reference), and a constant. Within a round all of it is affine in v: a
     deterministic outcome bit is the reference bit plus <F, M>, a random
     step adds the replaced row G to the frame exactly when 1 + up + <F, M>
-    is 1, and a flip draw adds to the outcome bit. So each round is one 0/1
-    matrix from v to [decode key | outcome bits | F'], with F' the frame
-    before the round's correction, which is a gather from the plan's decode
-    table. `final` maps the last frame to the final checks: the cell
-    syndrome and the tracked logical's parity before the final decode
-    (tetrahedral codes), whose failure bit is that parity plus `flip` at
-    the syndrome, or one violation bit per stabilizer generator (inner
-    codes). Each matrix has one column block per reference, and a trial
-    reads the block of its own.
+    is 1, and a flip draw adds to the outcome bit, which toggles the decode
+    key by the plaquette's key mask. So each round is one 0/1 matrix from v
+    to [decode key | F'], with F' the frame before the round's correction,
+    which is a gather from the plan's decode table. `final` maps the last
+    frame to the final checks: the cell syndrome and the tracked logical's
+    parity before the final decode (tetrahedral codes), whose failure bit
+    is that parity plus `flip` at the syndrome, or one violation bit per
+    stabilizer generator (inner codes). Each matrix has one column block
+    per reference, and a trial reads the block of its own.
     """
 
     def __init__(self, plan: SingleShotPlan, noisy: bool, flips: bool):
-        n, m = plan.code.n, len(plan.order)
+        n, m = plan.code.n, len(plan.dual.order)
         refs = plan.references
         self.n, self.refs = n, len(refs)
         self.noise_cols = 2 * n if noisy else 0
@@ -883,7 +843,7 @@ class _SingleShotProgram:
             for i, basis in enumerate(_ROUNDS)
         ]
         self.final = _program_matrix([f for _, final in blocks for f in final], nv)
-        self.key_weights = 1 << np.arange(plan.key_bits, dtype=np.int64)
+        self.key_weights = 1 << np.arange(plan.dual.key_bits, dtype=np.int64)
         if None in refs:
             self.flip = None
         else:
@@ -903,7 +863,7 @@ class _SingleShotProgram:
         """(decode key of every round, failed) of trials first, first + 1, ...:
         one Philox draw, then one product per round and one for the checks."""
         n, n2 = self.n, 2 * self.n
-        key_bits, m = plan.key_bits, len(plan.order)
+        key_bits = plan.dual.key_bits
         rows = np.arange(count)
         ref = (first % self.refs + rows) % self.refs  # zero on even trials
         v = np.empty((count, n2 + self.width + 1), dtype=np.float32)
@@ -921,10 +881,9 @@ class _SingleShotProgram:
         for r, (basis, matrix) in enumerate(self.rounds):
             out = apply(matrix)
             keys[:, r] = out[:, :key_bits] @ self.key_weights
-            frame = out[:, key_bits + m :]
+            frame = out[:, key_bits:]
             lo = 0 if basis == "Z" else n  # a Z round corrects the X part
-            outcomes = out[:, key_bits : key_bits + m]
-            frame[:, lo : lo + n] ^= plan.lookup(basis, keys[:, r], outcomes)
+            frame[:, lo : lo + n] ^= plan.lookup(keys[:, r])
             v[:, :n2] = frame
         checks = apply(self.final)
         if self.flip is None:
@@ -937,7 +896,7 @@ def _affine_forms(plan, logical, ref: _Reference, flips: bool, first: int, kinds
     """One reference's rounds and final checks, run on affine forms.
 
     A form is an int mask over v = [F | draw bits | 1], bit j for variable
-    j. Returns per round the forms of [decode key | outcome bits | F'] and
+    j. Returns per round the forms of [decode key | F'] and
     the forms of the final checks (see `_SingleShotProgram`), and marks in
     `kinds` every draw column the reference reads, from column `first` on.
     """
@@ -957,7 +916,7 @@ def _affine_forms(plan, logical, ref: _Reference, flips: bool, first: int, kinds
     rounds = []
     for basis, steps in ref.rounds:
         fx, fz = frame()
-        key, outcomes = [0] * plan.key_bits, []
+        key = [0] * plan.dual.key_bits
         for mask, value, gx, gz, key_mask in steps:
             # a Z-type plaquette reads the frame's X part, and vice versa
             flipped = _sum_forms(fx if basis == "Z" else fz, mask)
@@ -975,8 +934,7 @@ def _affine_forms(plan, logical, ref: _Reference, flips: bool, first: int, kinds
                 bit ^= draw(_FLIP)
             for b in _set_bits(key_mask):
                 key[b] ^= bit
-            outcomes.append(bit)
-        rounds.append(key + outcomes + fx + fz)
+        rounds.append(key + fx + fz)
     fx, fz = frame()
     if logical is None:
         # generator g is violated when <F, g> flips its reference value
@@ -1039,8 +997,8 @@ def run_single_shot_trials(
     one matrix (`SingleShotPlan.program`). Trials run in batches of
     `BATCH_TRIALS`, with no Python loop over trials: one `philox_words`
     draw, then per round one float32 product and a gather of the
-    corrections from the decode table, which `single_shot_decode` fills on
-    keys not reached before, then one product for the final checks. The
+    corrections from the decode table, which `decode_key` fills on keys
+    not reached before, then one product for the final checks. The
     random numbers of a trial are drawn in the tableau harness's order: the
     X then the Z noise of every qubit when p > 0, then per plaquette the
     outcome draw of a random measurement and the flip draw when q > 0. Row
@@ -1055,8 +1013,7 @@ def run_single_shot_trials(
     stats = TrialStats()
     for first, keys, failed in _single_shot_batches(plan, noise, trial_offset, trials):
         stats.trials += len(failed)
-        sizes = np.hstack([plan.decoded_sizes[b][keys[:, r]] for r, b in enumerate(_ROUNDS)])
-        _add_counts(stats.delta0_hist, sizes)
+        _add_counts(stats.delta0_hist, plan.decoded_sizes[keys])
         if code.L.generators:
             zero = first % 2  # the first row whose trial index is even
             tallies = (("Z", failed[zero::2]), ("X", failed[1 - zero :: 2]))

@@ -8,13 +8,16 @@ noise of every qubit when p > 0, then per plaquette the outcome draw of a
 random measurement and the flip draw when q > 0. A random measurement
 updates the frame by the stabilizer row it replaces when its outcome draw
 agrees with the frame's parity on the plaquette (see
-`run_single_shot_trials`).
+`run_single_shot_trials`). Each round is corrected by
+`jump.single_shot_decode` on the trial's own outcomes, not by the plan's
+decode table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from colexjump.jump import single_shot_decode
 from colexjump.montecarlo import single_shot_plan
 from colexjump.noise import NoiseSpec, trial_rng
 
@@ -40,7 +43,7 @@ def frame_trials(code, noise: NoiseSpec, trial_offset: int, trials: int) -> list
     n, q = code.n, noise.q_meas
     noisy = noise.p_qubit > 0
     width = (2 * n if noisy else 0) + max(
-        ref.draws + (len(plan.order) * len(ref.rounds) if q > 0 else 0)
+        ref.draws + (len(plan.dual.order) * len(ref.rounds) if q > 0 else 0)
         for ref in plan.references.values()
     )
     out = []
@@ -74,12 +77,14 @@ def frame_trials(code, noise: NoiseSpec, trial_offset: int, trials: int) -> list
                 if value < 0:
                     key ^= key_mask
                 outcomes.append(value)
-            correction, _ = plan.decode(basis, key, outcomes)
+            report = single_shot_decode(
+                code, plan.dual, dict(zip(plan.dual.order, outcomes)), basis
+            )
             keys.append(key)
             if basis == "Z":
-                fx ^= correction
+                fx ^= report.correction.x
             else:
-                fz ^= correction
+                fz ^= report.correction.z
         if logical is None:
             failed = any(
                 value != (-1) ** _parity((fx & gz) ^ (fz & gx))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from decoder_oracle import oracle_decode
 
 from colexjump.jump import (
+    _code_dual_structure,
     blow_up,
     collapse,
     discard_qubits,
@@ -13,6 +15,7 @@ from colexjump.jump import (
     ideal_collapse,
     ideal_decode_2d,
     logical_operator,
+    single_shot_decode,
     single_shot_ec,
 )
 from colexjump.noise import trial_rng
@@ -246,6 +249,28 @@ def _ec_with_flip(state, code, flip_pi):
     report = single_shot_decode(code, dual, outcomes, "Z")
     state.apply(report.correction)
     return state, report
+
+
+def test_single_shot_decode_matches_outcome_oracle(inner_code, code3):
+    """Every report field equals the outcome-based oracle's, in both bases,
+    on all inner patterns and on seeded random tetrahedral patterns, and
+    both bases correct on one support."""
+    rng = np.random.default_rng(13)
+    for code, m, patterns in (
+        (inner_code, 6, range(2**6)),
+        (code3, 18, rng.integers(2**18, size=5000).tolist()),
+    ):
+        dual = _code_dual_structure(code)
+        assert len(dual.order) == m
+        for x in patterns:
+            outcomes = {pi: -1 if x >> j & 1 else 1 for j, pi in enumerate(dual.order)}
+            got = {b: single_shot_decode(code, dual, outcomes, b) for b in ("Z", "X")}
+            for basis, report in got.items():
+                want = oracle_decode(code, dual, outcomes, basis)
+                assert report == want
+                assert list(report.cell_estimates) == list(want.cell_estimates)
+                assert list(report.delta0_sizes) == list(want.delta0_sizes)
+            assert got["Z"].correction.x == got["X"].correction.z
 
 
 def test_single_shot_tetra_weight1(ctx, code3):

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from decoder_oracle import oracle_decode
 from frame_oracle import frame_trials
 from hypothesis import given, settings, strategies as st
 
@@ -257,8 +258,9 @@ def test_fast_engine_repairs_only_new_patterns(tetra15, monkeypatch):
 
 def test_dense_tables_equal_their_fillers(tetra15):
     """The residual and slot tables, filled through the batch entry points
-    in a scrambled order, hold what `residual`, `decoded_flip` and `repair`
-    give on a plan filled key by key in order."""
+    in a scrambled order, hold what `residual` and `repair` give on a plan
+    filled key by key in order; `decoded_flip` holds, per side key, whether
+    the 2D decode of the coset's lightest member leaves the logical flipped."""
     ctx = make_context(tetra15, "rgb")
     plan = montecarlo.CollapsePlan(ctx)
     ordered = montecarlo.CollapsePlan(ctx)
@@ -269,11 +271,17 @@ def test_dense_tables_equal_their_fillers(tetra15):
         plan.reach_residuals(chunk)
     assert plan.residual_known.all()
     for key in range(keys):
-        key_x, key_z = plan.split_key(key)
-        flips = (plan.decoded_flip[key_x], plan.decoded_flip[key_z])
-        assert tuple(plan.flips[:, key]) == flips
         weight = (plan.residual_weight[key], plan.residual_component[key])
         assert weight == ordered.residual(key)
+    assert plan.decoded_flip.shape == (1 << plan.side_bits,) == (16,)
+    decode = gf2.checks_table(ctx.n2, jump.plaquette_checks(ctx.code2))
+    for key in range(1 << plan.side_bits):
+        member = plan.coset_min.get(key)
+        if member is None:
+            assert not plan.decoded_flip[key]
+            continue
+        syndrome = tuple(key >> j & 1 for j in range(plan.side_bits - 1))
+        assert plan.decoded_flip[key] == (len(member) + len(decode[syndrome])) % 2
     patterns = [(s, x) for s, (*_, duals) in enumerate(plan.slots) for x in range(2 ** len(duals))]
     assert len(patterns) == len(plan.repair_known) == 4 * len(plan.slots)
     for i in rng.permutation(len(patterns)).tolist():
@@ -647,53 +655,58 @@ def test_single_shot_trial_indices_outside_uint64_are_an_error(
 def _round_outcomes(plan, x: int) -> tuple[int, list[int]]:
     """(decode key, outcomes in plan order) of a round whose plaquette j
     reads -1 iff bit j of x is set."""
-    outcomes = [-1 if x >> j & 1 else 1 for j in range(len(plan.order))]
+    order = plan.dual.order
+    outcomes = [-1 if x >> j & 1 else 1 for j in range(len(order))]
     key = 0
-    for j, pi in enumerate(plan.order):
+    for j, pi in enumerate(order):
         if x >> j & 1:
-            key ^= plan.key_masks[pi]
+            key ^= plan.dual.key_masks[pi]
     return key, outcomes
 
 
 def _direct_decode(plan, basis: str, outcomes: list[int]) -> tuple[int, tuple]:
-    report = jump.single_shot_decode(
-        plan.code, plan.dual, dict(zip(plan.order, outcomes)), basis
-    )
+    report = oracle_decode(plan.code, plan.dual, dict(zip(plan.dual.order, outcomes)), basis)
     corr = report.correction
     return corr.x if basis == "Z" else corr.z, tuple(report.delta0_sizes.values())
 
 
+def _table_entry(plan, key: int) -> tuple[int, tuple]:
+    """(correction mask, delta0 sizes) that the plan's table holds for a key,
+    read through `lookup`."""
+    bits = plan.lookup(np.array([key]))[0]
+    return to_mask(bits), tuple(plan.decoded_sizes[key].tolist())
+
+
 def test_decode_table_exact_on_every_inner_pattern(inner_code):
     plan = montecarlo.SingleShotPlan(inner_code)
-    m = len(plan.order)
+    m = len(plan.dual.order)
     assert m == 6
     rng = np.random.default_rng(4)
+    # fill the table in scrambled batches, then read every pattern back in
+    # both bases: one table serves both rounds
+    for chunk in np.array_split(rng.permutation(2**m), 5):
+        plan.lookup(np.array([_round_outcomes(plan, x)[0] for x in chunk.tolist()]))
     for basis in ("Z", "X"):
-        # fill the table in a scrambled order, then read every pattern back
-        for x in rng.permutation(2**m).tolist():
-            plan.decode(basis, *_round_outcomes(plan, x))
         for x in range(2**m):
             key, outcomes = _round_outcomes(plan, x)
-            assert plan.decoded[basis][key] == _direct_decode(plan, basis, outcomes)
-        assert len(plan.decoded[basis]) <= 2**9
+            assert _table_entry(plan, key) == _direct_decode(plan, basis, outcomes)
+    assert plan.decoded_known.sum() <= 2**9
 
 
 def test_decode_key_determines_the_tetra_decode(code3):
     """Outcome patterns that differ by a kernel element of the key map
-    decode alike, and the table (filled by whichever pattern reached a key
-    first) equals the direct decode on random patterns."""
+    decode alike, and the table (filled by `decode_key` from the key alone)
+    equals the outcome oracle on random patterns."""
     plan = montecarlo.SingleShotPlan(code3)
-    m = len(plan.order)
-    width = functools.reduce(operator.or_, plan.key_masks.values()).bit_length()
+    order, key_masks = plan.dual.order, plan.dual.key_masks
+    m = len(order)
+    width = functools.reduce(operator.or_, key_masks.values()).bit_length()
     key_map = gf2.BitMatrix(
-        [
-            sum((plan.key_masks[pi] >> b & 1) << j for j, pi in enumerate(plan.order))
-            for b in range(width)
-        ],
+        [sum((key_masks[pi] >> b & 1) << j for j, pi in enumerate(order)) for b in range(width)],
         m,
     )
     kernel = gf2.nullspace(key_map).rows
-    assert width == 12 and len(kernel) == m - gf2.rank(key_map) >= 6
+    assert width == plan.dual.key_bits == 12 and len(kernel) == m - gf2.rank(key_map) >= 6
     rng = np.random.default_rng(9)
     for basis in ("Z", "X"):
         for _ in range(300):
@@ -710,15 +723,15 @@ def test_decode_key_determines_the_tetra_decode(code3):
             )
         for _ in range(2000):
             key, outcomes = _round_outcomes(plan, int(rng.integers(2**m)))
-            assert plan.decode(basis, key, outcomes) == _direct_decode(plan, basis, outcomes)
-        assert len(plan.decoded[basis]) <= 2**12
+            assert _table_entry(plan, key) == _direct_decode(plan, basis, outcomes)
+    assert plan.decoded_known.sum() <= 2**12
 
 
 def test_single_shot_decodes_only_new_keys(tetra15, split15, monkeypatch):
-    """`single_shot_decode` runs once per table entry, not per round; no
-    per-trial generator or noise vector is built."""
+    """`decode_key` runs once per table entry, not per round, and one table
+    serves both rounds; no per-trial generator or noise vector is built."""
     calls = Counter()
-    real = montecarlo.single_shot_decode
+    real = montecarlo.decode_key
 
     def counting(*args, **kwargs):
         calls["decode"] += 1
@@ -727,16 +740,15 @@ def test_single_shot_decodes_only_new_keys(tetra15, split15, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-trial generator or noise vector was built")
 
-    monkeypatch.setattr(montecarlo, "single_shot_decode", counting)
+    monkeypatch.setattr(montecarlo, "decode_key", counting)
     for name in ("trial_rng", "sample_qubit_noise", "to_mask"):
         monkeypatch.setattr(montecarlo, name, forbidden)
     spec = NoiseSpec(0.05, 0.05, seed=3)
     for code, bits in ((build_inner(split15), 9), (build_3d(tetra15), 12)):
         calls.clear()
         run_single_shot_trials(code, spec, 3000)
-        tables = montecarlo.single_shot_plan(code).decoded.values()
-        entries = sum(len(table) for table in tables)
-        assert 2 < entries <= 2 * 2**bits
+        entries = int(montecarlo.single_shot_plan(code).decoded_known.sum())
+        assert 2 < entries <= 2**bits
         assert calls == Counter(decode=entries)
         run_single_shot_trials(code, spec, 3000)
         assert calls == Counter(decode=entries)
