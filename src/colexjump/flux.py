@@ -82,10 +82,15 @@ def extract_flux(
     pair = color_set(pair)
     if duals is None:
         duals = tuple(dual_edges(split, pair))
+    ops = split.plaquette_ops.get(basis)
+    if ops is None:
+        parent = split.parent
+        ops = split.plaquette_ops[basis] = tuple(
+            plaquette_operator(parent, pi, basis) for pi in range(len(parent.plaquettes))
+        )
     hot = set()
     for i, dual in enumerate(duals):
-        op = plaquette_operator(split.parent, dual.plaquette, basis)
-        if state3.measure(op, rng) == -1:
+        if state3.measure(ops[dual.plaquette], rng) == -1:
             hot.add(i)
     return FluxConfiguration(pair, basis, frozenset(hot), duals)
 

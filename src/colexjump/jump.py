@@ -37,6 +37,7 @@ a tableau (the final 2D decode, the outer reconciliation of blow-up) is one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -67,7 +68,13 @@ from .tableau import Tableau, from_stabilizers
 
 @dataclass
 class JumpContext:
-    """Everything derived from one colex + facet choice, built once."""
+    """Everything derived from one colex + facet choice, built once.
+
+    Besides the codes, it holds the operators every trial reads, built on
+    first use: the 2D code's logicals (`logicals2`, by type) and its
+    plaquette checks, compiled for readout on the 2D state (`plaquettes2`)
+    and on the outer qubits of the 3D state (`outer_plaquettes3`).
+    """
 
     colex3: Colex
     split: SplitResult
@@ -78,6 +85,20 @@ class JumpContext:
     pairs: tuple[str, ...]
     _string_cache: dict = field(default_factory=dict)
     _collapse_plan: object = None  # montecarlo.CollapsePlan, built on first use
+
+    @cached_property
+    def logicals2(self) -> dict[str, PauliOperator]:
+        return {kind: logical_operator(self.code2, kind) for kind in ("Z", "X")}
+
+    @cached_property
+    def plaquettes2(self) -> CheckReadout:
+        return check_readout(self.n2, plaquette_checks(self.code2))
+
+    @cached_property
+    def outer_plaquettes3(self) -> CheckReadout:
+        return check_readout(
+            self.n2, plaquette_checks(self.code2), self.n3, self.split.outer_vertices
+        )
 
     @property
     def n3(self) -> int:
@@ -178,36 +199,50 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
 
     Requires the stabilizer group to factor as (group on dropped qubits) x
     (group on the rest), which holds after the dropped block was measured
-    out completely.
+    out completely. Every index in `drop` must lie in [0, n), and at least
+    one qubit must stay.
+
+    The elimination runs on copies of the stabilizer rows' (x, z, sign)
+    ints, with the tableau's row product; only the surviving rows, restricted
+    to the kept qubits, become the operators of the new tableau.
     """
     n = state.n
+    bad = [q for q in drop if not 0 <= q < n]
+    if bad:
+        raise ValueError(f"qubits {bad} to discard lie outside [0, {n})")
     drop_mask = sum(1 << q for q in set(drop))
     keep = [q for q in range(n) if not drop_mask >> q & 1]
-    rows = [state.stabilizer_row(i) for i in range(n)]
+    if not keep:
+        raise ValueError(f"cannot discard all {n} qubits: no state would remain")
+    xs, zs, signs = state.xs[n:], state.zs[n:], state.signs[n:]
     # eliminate dropped-qubit columns (x then z per qubit): the first unused
-    # row with the bit is the pivot, and every other row with it is cleared
+    # row with the bit is the pivot, and every other row with it becomes its
+    # product with the pivot (X-left sign rule, as in `Tableau.measure`)
     used: set[int] = set()
     for q in drop:
         bit = 1 << q
-        for part in ("x", "z"):
-            hits = [i for i, r in enumerate(rows) if (r.x if part == "x" else r.z) & bit]
+        for part in (xs, zs):
+            hits = [i for i, m in enumerate(part) if m & bit]
             pivot = next((i for i in hits if i not in used), None)
             if pivot is None:
                 continue
             used.add(pivot)
-            prow = rows[pivot]
+            px, pz, ps = xs[pivot], zs[pivot], signs[pivot]
             for i in hits:
                 if i != pivot:
-                    rows[i] = rows[i] * prow
+                    sign = signs[i] * ps
+                    signs[i] = -sign if (zs[i] & px).bit_count() & 1 else sign
+                    xs[i] ^= px
+                    zs[i] ^= pz
+    runs = _runs(keep)
     survivors = []
-    for i, r in enumerate(rows):
+    for i in range(n):
         if i in used:
             continue
-        if (r.x | r.z) & drop_mask:
+        x, z = xs[i], zs[i]
+        if (x | z) & drop_mask:
             raise ValueError("dropped qubits are still entangled with the rest")
-        survivors.append(
-            PauliOperator(len(keep), _gather(r.x, keep), _gather(r.z, keep), r.sign)
-        )
+        survivors.append(PauliOperator(len(keep), _gather(x, runs), _gather(z, runs), signs[i]))
     if len(survivors) != len(keep):
         raise ValueError(
             f"restriction produced {len(survivors)} stabilizers for {len(keep)} qubits"
@@ -215,9 +250,25 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     return from_stabilizers(survivors)
 
 
-def _gather(mask: int, positions: list[int]) -> int:
-    """Bit i of the result is bit positions[i] of mask."""
-    return sum((mask >> q & 1) << i for i, q in enumerate(positions))
+def _runs(positions: list[int]) -> list[tuple[int, int, int]]:
+    """(first position, low-bits mask, first index) of each run of
+    consecutive rising positions."""
+    runs: list[list[int]] = []
+    for i, q in enumerate(positions):
+        if runs and runs[-1][0] + runs[-1][1] == q:
+            runs[-1][1] += 1
+        else:
+            runs.append([q, 1, i])
+    return [(q, (1 << width) - 1, i) for q, width, i in runs]
+
+
+def _gather(mask: int, runs: list[tuple[int, int, int]]) -> int:
+    """Bit i of the result is bit positions[i] of mask, for the `_runs` of
+    positions."""
+    out = 0
+    for q, low, i in runs:
+        out |= (mask >> q & low) << i
+    return out
 
 
 def _scatter(mask: int, positions: list[int]) -> int:
@@ -240,16 +291,41 @@ def embed_operator(op: PauliOperator, n_total: int, positions: list[int]) -> Pau
 # -- ideal decoding -----------------------------------------------------------------
 
 
-def _read_syndrome(state: Tableau, n: int, checks, basis: str, positions=None) -> tuple:
-    """Noiseless parities of the `basis`-type checks (1 where a check reads -1)."""
+@dataclass(frozen=True)
+class CheckReadout:
+    """A check set compiled once for noiseless readout and correction.
+
+    The checks live on `n` qubits, which `positions` places inside the
+    state they read (None: the state is those n qubits). `ops[basis]` holds
+    every check as a `basis`-type operator on that state, and `table` is
+    the check set's `checks_table`.
+    """
+
+    n: int
+    table: dict
+    ops: dict
+    positions: list | None
+
+
+def check_readout(n: int, checks, n_state: int | None = None, positions=None) -> CheckReadout:
+    """Compile `checks` on n qubits, placed on `positions` of n_state qubits."""
+    ops = {}
+    for basis in ("Z", "X"):
+        placed = []
+        for chk in checks:
+            op = PauliOperator.from_support(n, basis, chk)
+            placed.append(op if positions is None else embed_operator(op, n_state, positions))
+        ops[basis] = tuple(placed)
+    return CheckReadout(n, checks_table(n, checks), ops, positions)
+
+
+def _read_syndrome(state: Tableau, ops) -> tuple:
+    """Noiseless parities of the check operators `ops` (1 where one reads -1)."""
     syndrome = []
-    for chk in checks:
-        op = PauliOperator.from_support(n, basis, chk)
-        if positions is not None:
-            op = embed_operator(op, state.n, positions)
+    for op in ops:
         value = state.expect(op)
         if value is None:
-            raise ValueError(f"{basis} check {tuple(chk)} has no definite value")
+            raise ValueError(f"check {op!r} has no definite value")
         syndrome.append(0 if value == 1 else 1)
     return tuple(syndrome)
 
@@ -259,15 +335,21 @@ def ideal_decode(
 ) -> tuple[PauliOperator, PauliOperator]:
     """Noiseless check readout + exact minimum-weight correction, both types.
 
-    Measures the Z then the X type of every check, looks each syndrome up in
-    the check set's `checks_table` and applies the correction. `checks` and
-    the returned (X, Z) corrections live on n qubits; `positions` places
-    those qubits inside a larger `state`.
+    `checks` and the returned (X, Z) corrections live on n qubits;
+    `positions` places those qubits inside a larger `state`. See
+    `decode_checks`.
     """
-    table = checks_table(n, checks)
+    return decode_checks(state, check_readout(n, checks, state.n, positions))
+
+
+def decode_checks(state: Tableau, readout: CheckReadout) -> tuple[PauliOperator, PauliOperator]:
+    """Measure the Z then the X type of every compiled check, look each
+    syndrome up in the check set's table and apply the correction; returns
+    the (X, Z) corrections on the checks' n qubits."""
+    n, positions = readout.n, readout.positions
     corrections = []
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        support = table[_read_syndrome(state, n, checks, meas_basis, positions)]
+        support = readout.table[_read_syndrome(state, readout.ops[meas_basis])]
         op = PauliOperator.from_support(n, corr_basis, support)
         state.apply(op if positions is None else embed_operator(op, state.n, positions))
         corrections.append(op)
@@ -281,7 +363,7 @@ def plaquette_checks(code: CodeTriple) -> list[tuple]:
 
 def ideal_decode_2d(ctx: JumpContext, state2: Tableau) -> tuple[PauliOperator, PauliOperator]:
     """`ideal_decode` of the context's 2D code state on its plaquettes."""
-    return ideal_decode(state2, ctx.n2, plaquette_checks(ctx.code2))
+    return decode_checks(state2, ctx.plaquettes2)
 
 
 # -- collapse -----------------------------------------------------------------------
@@ -349,7 +431,7 @@ def _finish_collapse(ctx, outer_state, corrections, record, repairs) -> Collapse
         outer_state.apply(op)
     flags = {}
     for kind in ("Z", "X"):
-        flags[kind] = outer_state.expect(logical_operator(ctx.code2, kind))
+        flags[kind] = outer_state.expect(ctx.logicals2[kind])
     return CollapseOutcome(outer_state, corrections, record, repairs, flags)
 
 
@@ -386,10 +468,9 @@ def ideal_collapse(
         ctx, state3, 0.0, rng, use_flux_repair=False
     )
     corrections = {}
-    checks = plaquette_checks(ctx.code2)
     table = _edge_table(ctx.code2)
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        support = table.get(_read_syndrome(outer_state, ctx.n2, checks, meas_basis))
+        support = table.get(_read_syndrome(outer_state, ctx.plaquettes2.ops[meas_basis]))
         if support is None:
             raise ValueError("no restricted gauge operator matches the syndrome")
         corrections[corr_basis] = PauliOperator.from_support(ctx.n2, corr_basis, support)
@@ -642,9 +723,7 @@ def blow_up(
         inner_reports[basis] = report
 
     # outer reconciliation: noiseless syndrome readout + exact correction
-    corr_x, corr_z = ideal_decode(
-        state3, ctx.n2, plaquette_checks(ctx.code2), ctx.split.outer_vertices
-    )
+    corr_x, corr_z = decode_checks(state3, ctx.outer_plaquettes3)
 
     cell_exp = {}
     for ci in range(len(ctx.colex3.cells)):

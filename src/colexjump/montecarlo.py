@@ -55,6 +55,7 @@ from .jump import (
     JumpContext,
     _code_dual_structure,
     _read_syndrome,
+    check_readout,
     collapse,
     decode_key,
     encoded_3d,
@@ -587,7 +588,7 @@ def _tableau_trial(ctx, base, noise, t) -> _TrialResult:
     out = collapse(ctx, state, noise.q_meas, rng)
     applied = {"X": out.applied_correction["X"].x, "Z": out.applied_correction["Z"].z}
     ideal_decode_2d(ctx, out.residual_state)
-    value = out.residual_state.expect(logical_operator(ctx.code2, kind))
+    value = out.residual_state.expect(ctx.logicals2[kind])
     return _TrialResult(
         logical,
         ex,
@@ -646,7 +647,7 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
         out = collapse(ctx, state, 0.0, rng, injected_flips=flips)
         ideal_decode_2d(ctx, out.residual_state)
         kind = "Z" if logical == "zero" else "X"
-        return out.residual_state.expect(logical_operator(ctx.code2, kind))
+        return out.residual_state.expect(ctx.logicals2[kind])
 
     singles = []
     for q in range(ctx.n3):
@@ -706,8 +707,9 @@ class _Reference:
                 for g in code.S.generators
             ]
         else:
-            self.cells_z = _read_syndrome(state, n, plan.cells, "Z")
-            self.cells_x = _read_syndrome(state, n, plan.cells, "X")
+            cells = check_readout(n, plan.cells).ops
+            self.cells_z = _read_syndrome(state, cells["Z"])
+            self.cells_x = _read_syndrome(state, cells["X"])
             kind = "Z" if logical == "zero" else "X"
             self.logical = _definite(state.expect(logical_operator(code, kind)))
 

@@ -16,7 +16,7 @@ lateral facet when the plaquette has no second cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .boundary import BoundaryError, boundary_structure
 from .colex import Colex, color_set
@@ -65,6 +65,9 @@ class SplitResult:
     outer_edge_of_plaquette: dict[int, int]  # interface plaquette -> outer edge id
     interface_cells: list[int]
     interface_plaquettes: list[int]
+    # basis -> the parent's plaquette operators of that type by plaquette id,
+    # built once by `flux.extract_flux`
+    plaquette_ops: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def outer_index(self) -> dict[int, int]:

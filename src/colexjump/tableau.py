@@ -12,9 +12,17 @@ qubit q. Rows 0..n-1 are the destabilizers and rows n..2n-1 the
 stabilizers. Whether a row anticommutes with an operator is the parity of
 `(x & op.z) ^ (z & op.x)`, and a row product is two `^` plus the
 (-1)^(z_h . x_i) sign of the canonical X-left ordering.
+
+Every operation works on those ints alone: a measurement multiplies rows
+in place, and an expectation accumulates the (x, z, sign) of a product of
+stabilizer rows with the same sign rule. `PauliOperator` appears only at
+the boundary, as the operator an operation takes and the rows that
+`stabilizer_row` and `pivot_row` hand out.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -67,16 +75,31 @@ class Tableau:
         ]
 
     def _value(self, op: PauliOperator, anti: list[int]) -> int | None:
-        """`expect(op)`, given the rows that anticommute with op."""
-        if anti and anti[-1] >= self.n:
+        """`expect(op)`, given the rows that anticommute with op.
+
+        op is in the unsigned stabilizer span iff no stabilizer row
+        anticommutes with it, and then it is the product of the stabilizers
+        whose destabilizer partners do. That product is accumulated on
+        (x, z, sign) ints, left to right with the X-left sign rule of
+        `measure`, starting from op's own sign.
+        """
+        n = self.n
+        if anti and anti[-1] >= n:
             return None
-        # combine stabilizers whose destabilizer partner anticommutes with op
-        acc = PauliOperator.identity(self.n)
+        xs, zs, signs = self.xs, self.zs, self.signs
+        x = z = 0
+        sign = op.sign
         for i in anti:
-            acc = acc * self.stabilizer_row(i)
-        if acc.x != op.x or acc.z != op.z:
+            r = n + i
+            rx = xs[r]
+            if (z & rx).bit_count() & 1:
+                sign = -sign
+            sign *= signs[r]
+            x ^= rx
+            z ^= zs[r]
+        if x != op.x or z != op.z:
             return None
-        return acc.sign * op.sign
+        return sign
 
     # -- operations ------------------------------------------------------------
 
@@ -97,8 +120,9 @@ class Tableau:
         maps one outcome's post-measurement state onto the other's.
         """
         n = self.n
-        p = next((r for r in self._anticommuting(op) if r >= n), None)
-        return None if p is None else self.stabilizer_row(p - n)
+        anti = self._anticommuting(op)
+        k = bisect_left(anti, n)
+        return None if k == len(anti) else self.stabilizer_row(anti[k] - n)
 
     def measure(
         self,
@@ -114,12 +138,13 @@ class Tableau:
         """
         n = self.n
         anti = self._anticommuting(op)
-        p = next((r for r in anti if r >= n), None)
-        if p is None:
+        k = bisect_left(anti, n)  # anti rises: its first stabilizer row
+        if k == len(anti):
             value = self._value(op, anti)
             if value is None:
                 raise AssertionError("deterministic measurement did not resolve")
             return value
+        p = anti[k]
         xs, zs, signs = self.xs, self.zs, self.signs
         px, pz, ps = xs[p], zs[p], signs[p]
         for r in anti:
@@ -149,12 +174,17 @@ def from_stabilizers(rows: list[PauliOperator]) -> Tableau:
     generator; a -1 outcome is flipped away with the destabilizer partner,
     which anticommutes with that row alone. Fully deterministic.
     """
+    if not rows:
+        raise ValueError("need at least one stabilizer generator")
     n = rows[0].n
     if len(rows) != n:
         raise ValueError(f"need exactly {n} generators, got {len(rows)}")
-    for i, a in enumerate(rows):
-        for b in rows[i + 1 :]:
-            if not a.commutes_with(b):
+    if any(r.n != n for r in rows):
+        raise ValueError("qubit count mismatch")
+    masks = [(r.x, r.z) for r in rows]
+    for i, (ax, az) in enumerate(masks):
+        for bx, bz in masks[i + 1 :]:
+            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
                 raise ValueError("stabilizer generators must commute")
     t = Tableau.computational_zero(n)
     for k, target in enumerate(rows):

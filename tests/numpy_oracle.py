@@ -1,5 +1,6 @@
 """The numpy Pauli operator and stabilizer tableau that the int-row ones
-replaced, kept as the oracle of `test_tableau.py` and `test_pauli.py`.
+replaced, kept as the oracle of `test_tableau.py` and `test_pauli.py`, and
+the operator-based `discard_qubits`, the oracle of `test_jump.py`.
 
 `PauliOperator` held its X and Z parts as uint8 vectors and `Tableau` its
 2n rows as (2n, n) uint8 matrices, with anticommutation as matrix-vector
@@ -8,13 +9,18 @@ products. The classes below are that code unchanged, except that
 into the vector the old code indexed. `pack_rows`, the dense-to-int-rows
 packer of the tests, lives here too: the package itself only goes the other
 way, through `BitMatrix.to_dense`.
+
+`discard_qubits` is the int-row tableau's qubit discard as it was before the
+elimination moved onto the rows' ints: it multiplies out
+`colexjump.pauli.PauliOperator` stabilizer rows and hands the survivors to
+`colexjump.tableau.from_stabilizers`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from colexjump import gf2
+from colexjump import gf2, pauli, tableau
 
 
 def pack_rows(dense: np.ndarray, ncols: int | None = None) -> gf2.BitMatrix:
@@ -284,3 +290,50 @@ def _flip_operator(keep: list[PauliOperator], flip: PauliOperator) -> PauliOpera
         raise AssertionError("no flip operator exists; generators dependent?")
     coeffs = np.array([coeffs >> j & 1 for j in range(2 * n)], dtype=np.uint8)
     return PauliOperator(n, coeffs[:n], coeffs[n : 2 * n])
+
+
+def discard_qubits(state: tableau.Tableau, drop: list[int]) -> tableau.Tableau:
+    """Project out fully determined qubits by sign-tracked elimination.
+
+    Requires the stabilizer group to factor as (group on dropped qubits) x
+    (group on the rest), which holds after the dropped block was measured
+    out completely.
+    """
+    n = state.n
+    drop_mask = sum(1 << q for q in set(drop))
+    keep = [q for q in range(n) if not drop_mask >> q & 1]
+    rows = [state.stabilizer_row(i) for i in range(n)]
+    # eliminate dropped-qubit columns (x then z per qubit): the first unused
+    # row with the bit is the pivot, and every other row with it is cleared
+    used: set[int] = set()
+    for q in drop:
+        bit = 1 << q
+        for part in ("x", "z"):
+            hits = [i for i, r in enumerate(rows) if (r.x if part == "x" else r.z) & bit]
+            pivot = next((i for i in hits if i not in used), None)
+            if pivot is None:
+                continue
+            used.add(pivot)
+            prow = rows[pivot]
+            for i in hits:
+                if i != pivot:
+                    rows[i] = rows[i] * prow
+    survivors = []
+    for i, r in enumerate(rows):
+        if i in used:
+            continue
+        if (r.x | r.z) & drop_mask:
+            raise ValueError("dropped qubits are still entangled with the rest")
+        survivors.append(
+            pauli.PauliOperator(len(keep), _gather(r.x, keep), _gather(r.z, keep), r.sign)
+        )
+    if len(survivors) != len(keep):
+        raise ValueError(
+            f"restriction produced {len(survivors)} stabilizers for {len(keep)} qubits"
+        )
+    return tableau.from_stabilizers(survivors)
+
+
+def _gather(mask: int, positions: list[int]) -> int:
+    """Bit i of the result is bit positions[i] of mask."""
+    return sum((mask >> q & 1) << i for i, q in enumerate(positions))

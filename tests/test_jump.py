@@ -1,8 +1,11 @@
 """Collapse, blow-up, and single-shot error correction."""
 
 import numpy as np
+import numpy_oracle as oracle
 import pytest
 from decoder_oracle import oracle_decode
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colexjump.jump import (
     _code_dual_structure,
@@ -18,9 +21,10 @@ from colexjump.jump import (
     single_shot_decode,
     single_shot_ec,
 )
+from colexjump.flux import extract_flux
 from colexjump.noise import trial_rng
 from colexjump.pauli import PauliOperator
-from colexjump.tableau import from_stabilizers
+from colexjump.tableau import Tableau, from_stabilizers
 
 
 def test_noiseless_collapse_preserves_logicals(ctx):
@@ -296,3 +300,82 @@ def test_discard_rejects_entangled(ctx):
     )
     with pytest.raises(ValueError):
         discard_qubits(state, [1])
+
+
+def test_discard_rejects_qubits_outside_the_state():
+    state = Tableau.computational_zero(3)
+    for drop in ([2, 7], [-1], [3], [0, -2]):
+        with pytest.raises(ValueError, match="outside"):
+            discard_qubits(state, drop)
+
+
+def test_discard_of_every_qubit_names_the_cause():
+    state = Tableau.computational_zero(3)
+    for drop in ([0, 1, 2], [2, 1, 0, 1]):
+        with pytest.raises(ValueError, match="all 3 qubits"):
+            discard_qubits(state, drop)
+
+
+def test_from_stabilizers_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="at least one"):
+        from_stabilizers([])
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+def _rows(t):
+    return t.xs, t.zs, t.signs
+
+
+_NOISY_TETRA15 = st.tuples(
+    st.sampled_from(["zero", "plus"]),
+    st.integers(0, 2**32 - 1),  # noise and measurement seed
+    st.sampled_from([0.0, 0.05, 0.2, 1.0]),  # qubit error rate per type
+    st.integers(0, 6),  # random inner-block Paulis measured after the flux
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _NOISY_TETRA15,
+    st.one_of(
+        st.permutations(list(range(7, 15))),  # tetra15's inner vertices, any order
+        st.lists(st.integers(0, 14), min_size=1, max_size=14, unique=True),
+    ),
+)
+def test_discard_matches_operator_oracle(ctx, state_case, drop):
+    """After random Pauli noise and the 12 flux measurements of a collapse,
+    discarding the inner block (in any order) or any other proper qubit
+    subset gives the rows and signs, or the exception type, of the
+    operator-based elimination, and leaves the input state untouched.
+
+    The flux measurements keep every row pure X or pure Z type, where the
+    elimination's sign rule never acts; random Paulis measured on the inner
+    block afterwards mix the types and keep the inner block factored out."""
+    inner = list(ctx.split.inner_vertices)
+    assert inner == list(range(7, 15))
+    logical, seed, p, extra = state_case
+    rng = np.random.default_rng(seed)
+    state = encoded_3d(ctx, logical)
+    ex, ez = (sum(1 << q for q in np.flatnonzero(rng.random(ctx.n3) < p).tolist()) for _ in "XZ")
+    state.apply(PauliOperator(ctx.n3, ex, ez))
+    for basis in ("Z", "X"):
+        for pair in ctx.pairs:
+            extract_flux(state, ctx.split, pair, basis, rng, ctx.duals[pair])
+    for _ in range(extra):
+        x, z = (int(rng.integers(1 << len(inner))) << inner[0] for _ in "XZ")
+        state.measure(PauliOperator(ctx.n3, x, z), rng)
+    before = [row[:] for row in _rows(state)]
+    got = _outcome(discard_qubits, state, drop)
+    assert [row[:] for row in _rows(state)] == before
+    want = _outcome(oracle.discard_qubits, state, drop)
+    if isinstance(want, Tableau):
+        assert isinstance(got, Tableau) and _rows(got) == _rows(want)
+    else:
+        assert got == want

@@ -241,3 +241,41 @@ def test_tetra15_steps_match_numpy_oracle(ctx):
             got = t.measure(meas, np.random.default_rng(seed))
             assert got == old.measure(old_meas, np.random.default_rng(seed))
             _assert_same_rows(t, old)
+
+
+def _measured_states(n):
+    mask = st.integers(0, (1 << n) - 1)
+    measurement = st.tuples(mask, mask, st.sampled_from([1, -1]))
+    return st.tuples(
+        st.just(n),
+        st.lists(measurement, max_size=12),
+        st.integers(0, (1 << n) - 1),  # the stabilizer rows to multiply out
+        st.sampled_from([1, -1]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(_measured_states))
+def test_stabilizer_products_match_numpy_oracle(case):
+    """A product of several stabilizer rows is where the sign rule of
+    `expect` and of a determinate `measure` acts, and random operators
+    rarely land in the stabilizer group. So from the state that forced
+    measurements of random Paulis leave, both read a drawn product of rows,
+    times a drawn sign, as the numpy tableau does and as the product's own
+    sign says, and the measurement changes no row."""
+    n, measurements, subset, sign = case
+    t, old = Tableau.computational_zero(n), oracle.Tableau.computational_zero(n)
+    for x, z, force in measurements:
+        t.measure(PauliOperator(n, x, z), force=force)
+        old.measure(oracle.PauliOperator(n, _vec(x, n), _vec(z, n)), force=force)
+    _assert_same_rows(t, old)
+    product = PauliOperator.identity(n)
+    for i in range(n):
+        if subset >> i & 1:
+            product = product * t.stabilizer_row(i)
+    op = PauliOperator(n, product.x, product.z, sign)
+    old_op = oracle.PauliOperator(n, _vec(op.x, n), _vec(op.z, n), sign)
+    want = product.sign * sign
+    assert t.expect(op) == old.expect(old_op) == want
+    assert t.measure(op) == old.measure(old_op) == want
+    _assert_same_rows(t, old)
