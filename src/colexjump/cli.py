@@ -137,7 +137,7 @@ def cmd_code_build(args) -> int:
 
 def cmd_jump(args) -> int:
     from .jump import make_context
-    from .montecarlo import run_collapse_trials
+    from .montecarlo import jump_trial, run_collapse_trials
     from .noise import NoiseSpec
 
     spec = NoiseSpec(args.p, args.q, args.seed)
@@ -150,64 +150,19 @@ def cmd_jump(args) -> int:
         failures = stats.total_failures
     else:
         failures = sum(
-            _jump_trial(ctx, spec, args.action, t) != 1 for t in range(args.trials)
+            jump_trial(ctx, spec, args.action, t) != 1 for t in range(args.trials)
         )
     print(f"{args.action}: {args.trials} trials, {failures} logical failures")
     return 0
-
-
-def _jump_trial(ctx, spec, action, t):
-    """One blow-up or round-trip trial; returns the tracked logical's value."""
-    from .jump import blow_up, collapse, encoded_state, ideal_decode_2d, logical_operator
-    from .noise import trial_rng
-
-    rng = trial_rng(spec.seed, t)
-    logical = "zero" if t % 2 == 0 else "plus"
-    kind = "Z" if logical == "zero" else "X"
-    if action == "blowup":
-        state2 = encoded_state(ctx.code2, logical)
-        _apply_noise(state2, spec.p_qubit, ctx.n2, rng)
-        state3, _ = blow_up(ctx, state2, spec.q_meas, rng)
-        return state3.expect(_embedded_logical(ctx, kind))
-    if action == "roundtrip":
-        state2 = encoded_state(ctx.code2, logical)
-        state3, _ = blow_up(ctx, state2, spec.q_meas, rng)
-        _apply_noise(state3, spec.p_qubit, ctx.n3, rng)
-        out = collapse(ctx, state3, spec.q_meas, rng)
-        ideal_decode_2d(ctx, out.residual_state)
-        return out.residual_state.expect(logical_operator(ctx.code2, kind))
-    raise SystemExit2(f"unknown jump action {action}")
-
-
-def _apply_noise(state, p, n, rng):
-    from .noise import sample_qubit_noise, to_mask
-    from .pauli import PauliOperator
-
-    ex, ez = sample_qubit_noise(p, n, rng)
-    if ex.any() or ez.any():
-        state.apply(PauliOperator(n, to_mask(ex), to_mask(ez)))
-
-
-def _embedded_logical(ctx, kind):
-    from .jump import embed_operator, logical_operator
-
-    return embed_operator(
-        logical_operator(ctx.code2, kind), ctx.n3, ctx.split.outer_vertices
-    )
 
 
 # -- simulate ------------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
+    from .colex import color_set
     from .jump import make_context
-    from .montecarlo import (
-        exhaustive_weight1_collapse,
-        run_collapse_trials,
-        run_single_shot_trials,
-        stats_csv_rows,
-        write_csv,
-    )
+    from .montecarlo import exhaustive_weight1_collapse, stats_csv_rows, write_csv
     from .noise import NoiseSpec, measure_K
 
     if args.trace and args.action != "collapse":
@@ -224,13 +179,19 @@ def cmd_simulate(args) -> int:
     print(f"seed {args.seed}")
 
     if args.action == "measure-k":
-        from .jump import make_context
-
         ctx = make_context(cx, args.facet)
-        values = {}
-        pairs = [args.pair] if args.pair else list(ctx.pairs)
-        for pair in pairs:
-            values[pair] = measure_K(ctx, pair, args.cap)
+        pairs = list(ctx.pairs)
+        if args.pair is not None:
+            try:
+                pairs = [color_set(args.pair)]
+            except ValueError:  # a letter that names no color
+                pairs = [None]
+            if pairs[0] not in ctx.pairs:
+                raise SystemExit2(
+                    f"--pair {args.pair!r} is not a color pair of the facet: "
+                    f"use one of {', '.join(ctx.pairs)}"
+                )
+        values = {pair: measure_K(ctx, pair, args.cap) for pair in pairs}
         payload = _meta(args, cx, args.seed)
         payload["results"] = {"K_hat": values, "cap": args.cap}
         path = os.path.join(out_dir, args.label + ".json")
@@ -239,48 +200,27 @@ def cmd_simulate(args) -> int:
         return 0
 
     spec = NoiseSpec(args.p, args.q, args.seed)
-    if args.action == "collapse":
-        ctx = make_context(cx, args.facet)
-        if args.exhaustive_weight1:
-            failures = exhaustive_weight1_collapse(ctx)
-            payload = _meta(args, cx, args.seed)
-            payload["results"] = {
-                "mode": "exhaustive-weight1",
-                "faults_checked": "all single qubit Paulis and measurement flips",
-                "failures": [list(map(str, f)) for f in failures],
-            }
-            path = os.path.join(out_dir, args.label + ".json")
-            _emit(path, payload)
-            print(f"exhaustive weight-1: {len(failures)} failures -> {path}")
-            return 0 if not failures else 1
-        trace_fh = None
-        if args.trace:
-            trace_fh = open(os.path.join(out_dir, args.label + ".trace.jsonl"), "w")
-        try:
-            stats = _run_partitioned(
-                args,
-                lambda lo, n: run_collapse_trials(
-                    ctx, spec, n, trial_offset=lo, trace_fh=trace_fh
-                ),
-                trace_fh,
-            )
-        finally:
-            if trace_fh:
-                trace_fh.close()
-    elif args.action == "singleshot":
-        from .codes import build_3d, build_inner
-        from .split import split_colex
-
-        if args.kind == "inner":
-            code = build_inner(split_colex(cx, args.facet))
-        else:
-            code = build_3d(cx)
-        stats = _run_partitioned(
-            args,
-            lambda lo, n: run_single_shot_trials(code, spec, n, trial_offset=lo),
-        )
-    else:
-        raise SystemExit2(f"unknown simulate action {args.action}")
+    if args.exhaustive_weight1:  # only simulate collapse gets here with it
+        failures = exhaustive_weight1_collapse(make_context(cx, args.facet))
+        payload = _meta(args, cx, args.seed)
+        payload["results"] = {
+            "mode": "exhaustive-weight1",
+            "faults_checked": "all single qubit Paulis and measurement flips",
+            "failures": [list(map(str, f)) for f in failures],
+        }
+        path = os.path.join(out_dir, args.label + ".json")
+        _emit(path, payload)
+        print(f"exhaustive weight-1: {len(failures)} failures -> {path}")
+        return 0 if not failures else 1
+    runner = _span_runner(args)  # fails on a bad facet before any file is opened
+    trace_fh = None
+    if args.trace:
+        trace_fh = open(os.path.join(out_dir, args.label + ".trace.jsonl"), "w")
+    try:
+        stats = _run_partitioned(args, runner, trace_fh)
+    finally:
+        if trace_fh:
+            trace_fh.close()
 
     rows = stats_csv_rows([(spec, stats)])
     csv_path = os.path.join(out_dir, args.label + ".csv")
@@ -296,17 +236,41 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _span_runner(args):
+    """The `simulate collapse` or `singleshot` trials of `args`, as
+    (first trial, count, trace_fh) -> TrialStats on one context or code,
+    built here once."""
+    from .codes import build_3d, build_inner
+    from .jump import make_context
+    from .montecarlo import run_collapse_trials, run_single_shot_trials
+    from .noise import NoiseSpec
+    from .split import split_colex
+
+    cx = _load_colex(args)
+    spec = NoiseSpec(args.p, args.q, args.seed)
+    if args.action == "collapse":
+        ctx = make_context(cx, args.facet)
+        return lambda first, count, trace_fh: run_collapse_trials(
+            ctx, spec, count, trial_offset=first, trace_fh=trace_fh
+        )
+    code = build_inner(split_colex(cx, args.facet)) if args.kind == "inner" else build_3d(cx)
+    return lambda first, count, trace_fh: run_single_shot_trials(
+        code, spec, count, trial_offset=first
+    )
+
+
 def _run_partitioned(args, runner, trace_fh=None):
     """Split trials across workers; merging is associative and trial-keyed.
 
-    Each worker returns its statistics and the trace text of its span; the
-    spans are written to `trace_fh` in trial order, so the trace is the same
-    bytes as a one-worker run's.
+    One worker runs every trial on `runner` (a `_span_runner`). More workers
+    each build their own runner and return its statistics and the trace
+    text of their span; the spans are written to `trace_fh` in trial order,
+    so the trace is the same bytes as a one-worker run's.
     """
     trials = args.trials
     workers = max(1, min(args.workers, trials))
     if workers == 1:
-        return runner(0, trials)
+        return runner(0, trials, trace_fh)
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = (trials + workers - 1) // workers
@@ -327,25 +291,9 @@ def _run_partitioned(args, runner, trace_fh=None):
 def _worker_entry(packed):
     """Run one span of trials; returns (stats, trace text of the span)."""
     args, lo, n = packed
-    from .jump import make_context
-    from .montecarlo import run_collapse_trials, run_single_shot_trials
-    from .noise import NoiseSpec
-
-    cx = _load_colex(args)
-    spec = NoiseSpec(args.p, args.q, args.seed)
-    if args.action == "collapse":
-        ctx = make_context(cx, args.facet)
-        trace = io.StringIO() if args.trace else None
-        stats = run_collapse_trials(ctx, spec, n, trial_offset=lo, trace_fh=trace)
-        return stats, trace.getvalue() if trace is not None else ""
-    from .codes import build_3d, build_inner
-    from .split import split_colex
-
-    if args.kind == "inner":
-        code = build_inner(split_colex(cx, args.facet))
-    else:
-        code = build_3d(cx)
-    return run_single_shot_trials(code, spec, n, trial_offset=lo), ""
+    trace = io.StringIO() if args.trace else None
+    stats = _span_runner(args)(lo, n, trace)
+    return stats, trace.getvalue() if trace is not None else ""
 
 
 # -- schedule ------------------------------------------------------------------------
@@ -415,9 +363,15 @@ def _read_schedule(path):
     shape is a usage error."""
     from .scheduler import SwapSchedule
 
+    lines = []  # (line number in the file, record) of every non-blank line
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    meta = lines[0].get("meta") if lines and isinstance(lines[0], dict) else None
+        for lineno, text in enumerate(fh, start=1):
+            if text.strip():
+                try:
+                    lines.append((lineno, json.loads(text)))
+                except json.JSONDecodeError as exc:
+                    raise SystemExit2(f"{path} line {lineno}: not JSON: {exc}") from None
+    meta = lines[0][1].get("meta") if lines and isinstance(lines[0][1], dict) else None
     if not isinstance(meta, dict):
         raise SystemExit2(f"{path}: the first line must be the meta record")
     fields = {"stack": int, "sequence": list, "initial_order": list, "initial_labels": list}
@@ -425,7 +379,7 @@ def _read_schedule(path):
         if not isinstance(meta.get(key), kind):
             raise SystemExit2(f"{path}: meta needs {key!r} as {kind.__name__}")
     rounds: dict[tuple[int, int], tuple] = {}
-    for lineno, rec in enumerate(lines[1:], start=2):
+    for lineno, rec in lines[1:]:
         where = f"{path} line {lineno}"
         if not isinstance(rec, dict) or not {"step", "round", "swaps"} <= rec.keys():
             raise SystemExit2(f"{where}: a record needs step, round and swaps")

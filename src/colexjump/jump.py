@@ -31,7 +31,7 @@ the one single-shot decoder, works from the key alone.
 
 Every noiseless "measure the checks, look the syndrome up, correct" step on
 a tableau (the final 2D decode, the outer reconciliation of blow-up) is one
-`ideal_decode` on a `gf2.checks_table`.
+`decode_checks` on a `gf2.checks_table`.
 """
 
 from __future__ import annotations
@@ -70,10 +70,13 @@ from .tableau import Tableau, from_stabilizers
 class JumpContext:
     """Everything derived from one colex + facet choice, built once.
 
-    Besides the codes, it holds the operators every trial reads, built on
-    first use: the 2D code's logicals (`logicals2`, by type) and its
-    plaquette checks, compiled for readout on the 2D state (`plaquettes2`)
-    and on the outer qubits of the 3D state (`outer_plaquettes3`).
+    Besides the codes, it holds what every trial reads, built on first use:
+    the encoded `zero` and `plus` states that trials start from, in 2D
+    (`states2`) and 3D (`states3`), which trials copy and never change; the
+    2D code's logicals (`logicals2`, by type), also placed on the outer
+    qubits of the 3D state (`outer_logicals3`); and its plaquette checks,
+    compiled for readout on the 2D state (`plaquettes2`) and on the outer
+    qubits of the 3D state (`outer_plaquettes3`).
     """
 
     colex3: Colex
@@ -87,8 +90,21 @@ class JumpContext:
     _collapse_plan: object = None  # montecarlo.CollapsePlan, built on first use
 
     @cached_property
+    def states2(self) -> dict[str, Tableau]:
+        return {logical: encoded_state(self.code2, logical) for logical in ("zero", "plus")}
+
+    @cached_property
+    def states3(self) -> dict[str, Tableau]:
+        return {logical: encoded_3d(self, logical) for logical in ("zero", "plus")}
+
+    @cached_property
     def logicals2(self) -> dict[str, PauliOperator]:
         return {kind: logical_operator(self.code2, kind) for kind in ("Z", "X")}
+
+    @cached_property
+    def outer_logicals3(self) -> dict[str, PauliOperator]:
+        outer = self.split.outer_vertices
+        return {kind: embed_operator(op, self.n3, outer) for kind, op in self.logicals2.items()}
 
     @cached_property
     def plaquettes2(self) -> CheckReadout:
@@ -330,18 +346,6 @@ def _read_syndrome(state: Tableau, ops) -> tuple:
     return tuple(syndrome)
 
 
-def ideal_decode(
-    state: Tableau, n: int, checks, positions=None
-) -> tuple[PauliOperator, PauliOperator]:
-    """Noiseless check readout + exact minimum-weight correction, both types.
-
-    `checks` and the returned (X, Z) corrections live on n qubits;
-    `positions` places those qubits inside a larger `state`. See
-    `decode_checks`.
-    """
-    return decode_checks(state, check_readout(n, checks, state.n, positions))
-
-
 def decode_checks(state: Tableau, readout: CheckReadout) -> tuple[PauliOperator, PauliOperator]:
     """Measure the Z then the X type of every compiled check, look each
     syndrome up in the check set's table and apply the correction; returns
@@ -362,7 +366,7 @@ def plaquette_checks(code: CodeTriple) -> list[tuple]:
 
 
 def ideal_decode_2d(ctx: JumpContext, state2: Tableau) -> tuple[PauliOperator, PauliOperator]:
-    """`ideal_decode` of the context's 2D code state on its plaquettes."""
+    """`decode_checks` of the context's 2D code state on its plaquettes."""
     return decode_checks(state2, ctx.plaquettes2)
 
 

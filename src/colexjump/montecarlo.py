@@ -17,9 +17,12 @@ trials reach. The sign-linear fast engine runs trials in batches of
 words as each trial's own generator, compared as integers with
 `noise.word_threshold`), one matrix product, and gathers from dense tables
 indexed by pattern or key, with no per-trial Python call. The tableau
-engine runs trial by trial as the exact oracle. Both fold their trials into
-the statistics through the same per-batch tally, whose residual accounting
-is a gather from a dense per-key table and `np.bincount` counts.
+engine runs trial by trial as the exact oracle; its trial and the blow-up
+and round-trip trials of `jump_trial` share one noise step and one
+collapse step, and copy the encoded states the context builds once. Both
+engines fold their trials into the statistics through the same per-batch
+tally, whose residual accounting is a gather from a dense per-key table
+and `np.bincount` counts.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
 cached on it, in the manner of a reference sample plus Pauli frames (Stim,
@@ -55,10 +58,10 @@ from .jump import (
     JumpContext,
     _code_dual_structure,
     _read_syndrome,
+    blow_up,
     check_readout,
     collapse,
     decode_key,
-    encoded_3d,
     encoded_state,
     ideal_decode_2d,
     logical_operator,
@@ -516,10 +519,9 @@ def run_collapse_trials(
     if engine == "fast":
         run_batch = CollapseEngine(ctx).run_batch
     else:
-        base = {"zero": encoded_3d(ctx, "zero"), "plus": encoded_3d(ctx, "plus")}
 
         def run_batch(noise, first, count):
-            return _tableau_batch(ctx, base, noise, first, count, trace_fh is not None)
+            return _tableau_batch(ctx, noise, first, count, trace_fh is not None)
 
     stats = TrialStats()
     for first in range(trial_offset, end, BATCH_TRIALS):
@@ -557,12 +559,12 @@ def _add_counts(counter: Counter, values: np.ndarray) -> None:
         counter[value] += int(counts[value])
 
 
-def _tableau_batch(ctx, base, noise, first, count, keep: bool) -> _Batch:
+def _tableau_batch(ctx, noise, first, count, keep: bool) -> _Batch:
     """Tableau-engine trials as a batch: the tally values of every trial,
     and the trial results themselves only when `keep` (a trace needs them)."""
     keys, sizes, failed, kept = [], [], [], []
     for t in range(first, first + count):
-        r = _tableau_trial(ctx, base, noise, t)
+        r = _tableau_trial(ctx, noise, t)
         keys.append(r.key)
         sizes.append([len(d0) for d0, _, _ in r.repairs.values()])
         failed.append(r.failed)
@@ -577,18 +579,34 @@ def _tableau_batch(ctx, base, noise, first, count, keep: bool) -> _Batch:
     )
 
 
-def _tableau_trial(ctx, base, noise, t) -> _TrialResult:
-    rng = trial_rng(noise.seed, t)
-    logical = "zero" if t % 2 == 0 else "plus"
-    kind = "Z" if logical == "zero" else "X"
-    state = base[logical].copy()
-    ex, ez = (to_mask(v) for v in sample_qubit_noise(noise.p_qubit, ctx.n3, rng))
+# the encoded state and the tracked logical's type of even and odd trials
+_TRACKED = (("zero", "Z"), ("plus", "X"))
+
+
+def _apply_noise(state, p: float, rng) -> tuple[int, int]:
+    """Draw X then Z noise at rate p on every qubit of `state` and apply
+    it; returns the (X, Z) error masks."""
+    ex, ez = (to_mask(v) for v in sample_qubit_noise(p, state.n, rng))
     if ex or ez:
-        state.apply(PauliOperator(ctx.n3, ex, ez))
-    out = collapse(ctx, state, noise.q_meas, rng)
-    applied = {"X": out.applied_correction["X"].x, "Z": out.applied_correction["Z"].z}
+        state.apply(PauliOperator(state.n, ex, ez))
+    return ex, ez
+
+
+def _collapse_step(ctx, state3, q: float, rng, kind: str, injected_flips=None):
+    """Collapse `state3`, then decode the 2D state noiselessly; returns the
+    collapse outcome and the value of the tracked `kind` logical."""
+    out = collapse(ctx, state3, q, rng, injected_flips=injected_flips)
     ideal_decode_2d(ctx, out.residual_state)
-    value = out.residual_state.expect(ctx.logicals2[kind])
+    return out, out.residual_state.expect(ctx.logicals2[kind])
+
+
+def _tableau_trial(ctx, noise, t) -> _TrialResult:
+    rng = trial_rng(noise.seed, t)
+    logical, kind = _TRACKED[t % 2]
+    state = ctx.states3[logical].copy()
+    ex, ez = _apply_noise(state, noise.p_qubit, rng)
+    out, value = _collapse_step(ctx, state, noise.q_meas, rng, kind)
+    applied = {"X": out.applied_correction["X"].x, "Z": out.applied_correction["Z"].z}
     return _TrialResult(
         logical,
         ex,
@@ -600,6 +618,28 @@ def _tableau_trial(ctx, base, noise, t) -> _TrialResult:
         bool(value != 1),
         collapse_plan(ctx).residual_key(ex, ez, applied),
     )
+
+
+def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int):
+    """One tableau trial of a `blowup` or a `roundtrip` from the 2D `zero`
+    (t even) or `plus` state; returns the tracked logical's value.
+
+    A blow-up puts qubit noise on the 2D state and reads the logical on the
+    outer qubits after the blow-up. A round trip puts it on the 3D state
+    between the blow-up and the collapse step.
+    """
+    rng = trial_rng(noise.seed, t)
+    logical, kind = _TRACKED[t % 2]
+    state2 = ctx.states2[logical].copy()
+    if action == "blowup":
+        _apply_noise(state2, noise.p_qubit, rng)
+        state3, _ = blow_up(ctx, state2, noise.q_meas, rng)
+        return state3.expect(ctx.outer_logicals3[kind])
+    if action == "roundtrip":
+        state3, _ = blow_up(ctx, state2, noise.q_meas, rng)
+        _apply_noise(state3, noise.p_qubit, rng)
+        return _collapse_step(ctx, state3, noise.q_meas, rng, kind)[1]
+    raise ValueError(f'unknown jump action {action!r}: use "blowup" or "roundtrip"')
 
 
 def _trace_line(noise: NoiseSpec, t: int, result: _TrialResult) -> str:
@@ -640,14 +680,11 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
     failures = []
 
     def trial(logical, inject=None, flips=None):
-        state = encoded_3d(ctx, logical)
+        state = ctx.states3[logical].copy()
         if inject is not None:
             state.apply(inject)
-        rng = trial_rng(0, 0)
-        out = collapse(ctx, state, 0.0, rng, injected_flips=flips)
-        ideal_decode_2d(ctx, out.residual_state)
         kind = "Z" if logical == "zero" else "X"
-        return out.residual_state.expect(ctx.logicals2[kind])
+        return _collapse_step(ctx, state, 0.0, trial_rng(0, 0), kind, flips)[1]
 
     singles = []
     for q in range(ctx.n3):

@@ -150,9 +150,16 @@ def _renumber_last_step(lines):
             lambda lines: lines + ['{"step": 9, "round": 1, "swaps": [3]}'],
             "swaps must be a list of position pairs",
         ),
+        (lambda lines: lines[:-1] + [lines[-1][:-9]], "line 17: not JSON"),
+        (lambda lines: lines[:3] + ["", ""] + [lines[3][:1]] + lines[4:], "line 6: not JSON"),
+        (
+            lambda lines: ["", ""] + lines + ['{"step": 3, "round": 7, "swaps": []}'],
+            "line 20: round 7 is not 1 or 2",
+        ),
     ],
     ids=["renumbered-step", "duplicate-record", "round-7", "missing-round", "no-meta",
-         "empty-file", "meta-key", "record-key", "list-step", "bad-pair"],
+         "empty-file", "meta-key", "record-key", "list-step", "bad-pair", "truncated",
+         "not-json-after-blanks", "round-7-after-blanks"],
 )
 def test_malformed_schedule_file_is_a_usage_error(tmp_path, capsys, edit, message):
     path, lines = _made_schedule(tmp_path, capsys)
@@ -242,6 +249,38 @@ def test_simulate_measure_k(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "k.json").read_text())
     assert payload["results"]["K_hat"]["rg"] == 1.0
+
+
+def test_simulate_measure_k_pair_in_either_order(tmp_path, capsys):
+    code, _, _ = run(
+        ["simulate", "measure-k", "--builtin", "tetra15", "--pair", "gr",
+         "--label", "k", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "k.json").read_text())
+    assert payload["results"] == {"K_hat": {"rg": 1.0}, "cap": 4}
+
+
+@pytest.mark.parametrize("pair", ["ry", "r", "rr", "rz", ""])
+def test_simulate_measure_k_pair_outside_the_facet_is_a_usage_error(tmp_path, capsys, pair):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "measure-k", "--builtin", "tetra15", "--pair", pair,
+              "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "use one of rg, rb, gb" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_bad_rate_writes_no_trace(tmp_path, capsys):
+    code, _, err = run(
+        ["simulate", "collapse", "--builtin", "tetra15", "--p", "1.5", "--trace",
+         "--trials", "3", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 1 and "probabilities must lie in [0, 1]" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jump_collapse_and_blowup_actions(capsys):
@@ -417,7 +456,7 @@ def test_largest_seed_runs(monkeypatch, tmp_path, capsys):
 
 
 # SHA-256 prefixes of [value, final tableau rows] over trials 0..19 of
-# `_jump_trial` on tetra15 rgb: the tracked logical's value and the 2n rows
+# `montecarlo.jump_trial` on tetra15 rgb: the tracked logical's value and the 2n rows
 # (as signed Pauli strings) of the state it was read from, recorded with the
 # numpy tableau
 _JUMP_TRIAL_GOLDEN = {
@@ -434,7 +473,7 @@ _JUMP_TRIAL_GOLDEN = {
 
 @pytest.mark.parametrize("action,p,q,seed", list(_JUMP_TRIAL_GOLDEN))
 def test_jump_trial_pinned(ctx, monkeypatch, action, p, q, seed):
-    from colexjump.cli import _jump_trial
+    from colexjump.montecarlo import jump_trial
     from colexjump.noise import NoiseSpec
     from colexjump.pauli import PauliOperator
     from colexjump.tableau import Tableau
@@ -453,7 +492,7 @@ def test_jump_trial_pinned(ctx, monkeypatch, action, p, q, seed):
     spec = NoiseSpec(p, q, seed)
     trials = []
     for t in range(20):
-        value = _jump_trial(ctx, spec, action, t)
+        value = jump_trial(ctx, spec, action, t)
         trials.append([value, read[-1]])
     text = json.dumps(trials, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(text.encode()).hexdigest()[:10]

@@ -18,8 +18,9 @@ from colexjump import gf2, jump, montecarlo
 from colexjump.codes import build_3d, build_inner
 from colexjump.colex import Colex
 from colexjump.jump import (
+    check_readout,
+    decode_checks,
     encoded_state,
-    ideal_decode,
     logical_operator,
     make_context,
     single_shot_ec,
@@ -78,12 +79,11 @@ def test_fast_engine_matches_tableau(ctx, p, q):
 
 def test_tableau_batch_keeps_results_only_for_a_trace(ctx):
     spec = NoiseSpec(0.1, 0.1, seed=8)
-    base = {logical: jump.encoded_3d(ctx, logical) for logical in ("zero", "plus")}
-    kept = montecarlo._tableau_batch(ctx, base, spec, 4, 3, keep=True)
-    bare = montecarlo._tableau_batch(ctx, base, spec, 4, 3, keep=False)
+    kept = montecarlo._tableau_batch(ctx, spec, 4, 3, keep=True)
+    bare = montecarlo._tableau_batch(ctx, spec, 4, 3, keep=False)
     for name in ("keys", "delta0_sizes", "failed"):
         assert np.array_equal(getattr(kept, name), getattr(bare, name))
-    assert kept.result(2) == montecarlo._tableau_trial(ctx, base, spec, 6)
+    assert kept.result(2) == montecarlo._tableau_trial(ctx, spec, 6)
     with pytest.raises(IndexError):
         bare.result(0)
     traced = run_collapse_trials(ctx, spec, 9, engine="tableau", trace_fh=io.StringIO())
@@ -357,7 +357,7 @@ def test_single_shot_decode_tables_are_per_lattice(tetra15):
         for q in range(code.n):
             state = encoded_state(code, "zero")
             state.apply(PauliOperator.from_support(code.n, "X", [q]))
-            ideal_decode(state, code.n, [vs for vs, _ in code.colex.cells])
+            decode_checks(state, check_readout(code.n, [vs for vs, _ in code.colex.cells]))
             assert state.expect(logical_operator(code, "Z")) == 1
             assert all(state.expect(c) == 1 for c in cells)
 
@@ -371,6 +371,50 @@ def test_noiseless_trials_never_fail(ctx):
 
 def test_exhaustive_weight1_no_failures(ctx):
     assert exhaustive_weight1_collapse(ctx) == []
+
+
+def _rows(state: Tableau):
+    return state.xs, state.zs, state.signs
+
+
+def _run_every_tableau_trial(ctx, trials):
+    spec = NoiseSpec(0.1, 0.1, seed=12)
+    for action in ("blowup", "roundtrip"):
+        for t in range(trials):
+            montecarlo.jump_trial(ctx, spec, action, t)
+    run_collapse_trials(ctx, spec, trials, engine="tableau", trace_fh=io.StringIO())
+    exhaustive_weight1_collapse(ctx)
+
+
+def test_trials_leave_the_cached_states_as_built(tetra15):
+    """Trials copy the context's encoded states and never change them."""
+    ctx = make_context(tetra15, "rgb")
+    _run_every_tableau_trial(ctx, 6)
+    for logical in ("zero", "plus"):
+        assert _rows(ctx.states2[logical]) == _rows(encoded_state(ctx.code2, logical))
+        assert _rows(ctx.states3[logical]) == _rows(jump.encoded_3d(ctx, logical))
+
+
+def test_encoded_states_are_built_once_per_context(tetra15, monkeypatch):
+    calls = Counter()
+    build = jump.encoded_state
+
+    def counting(code, *args, **kwargs):
+        calls[code.kind] += 1
+        return build(code, *args, **kwargs)
+
+    monkeypatch.setattr(jump, "encoded_state", counting)
+    ctx = make_context(tetra15, "rgb")
+    _run_every_tableau_trial(ctx, 2)
+    first = dict(calls)
+    assert sum(first.values()) == 4  # zero and plus, in 2D and in 3D
+    _run_every_tableau_trial(ctx, 8)
+    assert calls == first
+
+
+def test_jump_trial_rejects_an_unknown_action(ctx):
+    with pytest.raises(ValueError, match="unknown jump action"):
+        montecarlo.jump_trial(ctx, NoiseSpec(), "collapse", 0)
 
 
 def test_failure_rate_monotonicity_small(ctx):
@@ -436,7 +480,7 @@ def _tableau_single_shot_trials(code, noise, trials, trial_offset=0) -> TrialSta
         stats.trials += 1
         if has_logical:
             kind = "Z" if logical == "zero" else "X"
-            ideal_decode(state, code.n, cells)
+            decode_checks(state, check_readout(code.n, cells))
             if state.expect(logical_operator(code, kind)) != 1:
                 stats.failures[kind] += 1
         else:
