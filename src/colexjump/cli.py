@@ -212,12 +212,12 @@ def cmd_simulate(args) -> int:
         _emit(path, payload)
         print(f"exhaustive weight-1: {len(failures)} failures -> {path}")
         return 0 if not failures else 1
-    runner = _span_runner(args)  # fails on a bad facet before any file is opened
+    runner = _span_runner(args, cx)  # fails on a bad facet before any file is opened
     trace_fh = None
     if args.trace:
         trace_fh = open(os.path.join(out_dir, args.label + ".trace.jsonl"), "w")
     try:
-        stats = _run_partitioned(args, runner, trace_fh)
+        stats = _run_partitioned(args, cx, runner, trace_fh)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -236,17 +236,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _span_runner(args):
-    """The `simulate collapse` or `singleshot` trials of `args`, as
-    (first trial, count, trace_fh) -> TrialStats on one context or code,
-    built here once."""
+def _span_runner(args, cx):
+    """The `simulate collapse` or `singleshot` trials of `args` on the
+    lattice `cx`, as (first trial, count, trace_fh) -> TrialStats on one
+    context or code, built here once."""
     from .codes import build_3d, build_inner
     from .jump import make_context
     from .montecarlo import run_collapse_trials, run_single_shot_trials
     from .noise import NoiseSpec
     from .split import split_colex
 
-    cx = _load_colex(args)
     spec = NoiseSpec(args.p, args.q, args.seed)
     if args.action == "collapse":
         ctx = make_context(cx, args.facet)
@@ -259,13 +258,13 @@ def _span_runner(args):
     )
 
 
-def _run_partitioned(args, runner, trace_fh=None):
+def _run_partitioned(args, cx, runner, trace_fh=None):
     """Split trials across workers; merging is associative and trial-keyed.
 
     One worker runs every trial on `runner` (a `_span_runner`). More workers
-    each build their own runner and return its statistics and the trace
-    text of their span; the spans are written to `trace_fh` in trial order,
-    so the trace is the same bytes as a one-worker run's.
+    each build their own runner on `cx` and return its statistics and the
+    trace text of their span; the spans are written to `trace_fh` in trial
+    order, so the trace is the same bytes as a one-worker run's.
     """
     trials = args.trials
     workers = max(1, min(args.workers, trials))
@@ -278,7 +277,7 @@ def _run_partitioned(args, runner, trace_fh=None):
         (lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_worker_entry, [(args, lo, n) for lo, n in spans]))
+        parts = list(pool.map(_worker_entry, [(args, cx, lo, n) for lo, n in spans]))
     stats = parts[0][0]
     for part, _ in parts[1:]:
         stats = stats.merge(part)
@@ -290,9 +289,9 @@ def _run_partitioned(args, runner, trace_fh=None):
 
 def _worker_entry(packed):
     """Run one span of trials; returns (stats, trace text of the span)."""
-    args, lo, n = packed
+    args, cx, lo, n = packed
     trace = io.StringIO() if args.trace else None
-    stats = _span_runner(args)(lo, n, trace)
+    stats = _span_runner(args, cx)(lo, n, trace)
     return stats, trace.getvalue() if trace is not None else ""
 
 
@@ -353,24 +352,25 @@ def cmd_schedule(args) -> int:
 
 
 def _read_sequence(path) -> list[int]:
-    with open(path) as fh:
-        return [int(tok) for tok in fh.read().split()]
+    from .colex import read_text
+
+    return [int(tok) for tok in read_text(path).split()]
 
 
 def _read_schedule(path):
     """Parse a `schedule make` file: a meta line, then one record for each
     round (1 and 2) of each step 1..T, in any order. A file of any other
     shape is a usage error."""
+    from .colex import read_text
     from .scheduler import SwapSchedule
 
     lines = []  # (line number in the file, record) of every non-blank line
-    with open(path) as fh:
-        for lineno, text in enumerate(fh, start=1):
-            if text.strip():
-                try:
-                    lines.append((lineno, json.loads(text)))
-                except json.JSONDecodeError as exc:
-                    raise SystemExit2(f"{path} line {lineno}: not JSON: {exc}") from None
+    for lineno, text in enumerate(read_text(path).split("\n"), start=1):
+        if text.strip():
+            try:
+                lines.append((lineno, json.loads(text)))
+            except json.JSONDecodeError as exc:
+                raise SystemExit2(f"{path} line {lineno}: not JSON: {exc}") from None
     meta = lines[0][1].get("meta") if lines and isinstance(lines[0][1], dict) else None
     if not isinstance(meta, dict):
         raise SystemExit2(f"{path}: the first line must be the meta record")
@@ -507,7 +507,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit2 as exc:
         parser.error(str(exc))  # exits 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

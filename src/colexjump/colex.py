@@ -299,12 +299,20 @@ def save(colex: Colex, path) -> None:
         fh.write("\n")
 
 
+def read_text(path) -> str:
+    """The text of an input file; one that is not UTF-8 is an error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load(path) -> Colex:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     return from_json_dict(data, origin=str(path))
 
 

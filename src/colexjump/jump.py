@@ -26,8 +26,8 @@ The static part of that decode (dual edges, cell color pairs, frozen region
 products, the stabilizer check table, and the layout of a round's decode
 key) is one `DualStructure` per code, built on first use and cached on the
 code. The key holds one parity per (color pair, cell) and one raw product
-per region, all that the decode reads of the outcomes, and `decode_key`,
-the one single-shot decoder, works from the key alone.
+per region, all that the decode reads of the outcomes, so the structure
+also holds the one single-shot decoder whole: a table of every key's decode.
 
 Every noiseless "measure the checks, look the syndrome up, correct" step on
 a tableau (the final 2D decode, the outer reconciliation of blow-up) is one
@@ -530,7 +530,10 @@ class DualStructure:
     `key_masks[pi]` holds the bits that a -1 outcome of plaquette pi
     toggles (a plaquette with both ends on one cell toggles that bit twice,
     as its outcome cancels in the product), so a round's key is the XOR of
-    the key masks of its -1 outcomes, `key_bits` wide.
+    the key masks of its -1 outcomes, `key_bits` wide. Row `key` of the
+    decode table holds that key's correction bits (`corrections`), |delta0|
+    per sorted color pair (`delta0_sizes`) and syndrome (`syndromes`); keys
+    outside the span of the key masks, which no round produces, read zero.
     """
 
     by_pair: dict[str, list]
@@ -542,6 +545,9 @@ class DualStructure:
     cell_bits: dict[tuple, int]
     key_masks: dict[int, int]
     key_bits: int
+    corrections: np.ndarray = field(init=False)
+    delta0_sizes: np.ndarray = field(init=False)
+    syndromes: np.ndarray = field(init=False)
 
 
 def _code_dual_structure(code: CodeTriple) -> DualStructure:
@@ -581,7 +587,7 @@ def _code_dual_structure(code: CodeTriple) -> DualStructure:
         for j, plaquettes in enumerate(region_plaquettes):
             for pi in plaquettes:
                 key_masks[pi] ^= 1 << (len(cell_bits) + j)
-        code._dual_structure = DualStructure(
+        dual = DualStructure(
             by_pair,
             ends,
             cell_pairs,
@@ -592,7 +598,68 @@ def _code_dual_structure(code: CodeTriple) -> DualStructure:
             key_masks,
             len(cell_bits) + len(region_plaquettes),
         )
+        dual.corrections, dual.delta0_sizes, dual.syndromes = _decode_every_key(dual, code.n)
+        code._dual_structure = dual
     return code._dual_structure
+
+
+def _decode_every_key(dual: DualStructure, n: int) -> tuple[np.ndarray, ...]:
+    """The decode tables of `dual` over every key in the span of its key
+    masks. Each cell is estimated once per color pair in its triple (that
+    pair's key bit on the cell), the estimates are reconciled by majority,
+    and each pair's flux is repaired against the majority, one `t_join` per
+    distinct set of mismatched cells. The syndrome is the majority cells,
+    then each region's raw product times the region bits of the plaquettes
+    the repairs flip; the correction is its stabilizer table entry."""
+    keys = np.zeros(1, dtype=np.int64)
+    span = gf2.Echelon(dual.key_bits)
+    for mask in dual.key_masks.values():
+        if span.add(mask):
+            keys = np.concatenate([keys, keys ^ mask])
+    # 1 where the pair's product on the cell reads -1 (+1 with no plaquette there)
+    zero = np.zeros_like(keys)
+    parity = {cell: keys >> bit & 1 for cell, bit in dual.cell_bits.items()}
+    votes = [[parity.get((p, ci), zero) for p in pairs] for ci, pairs in enumerate(dual.cell_pairs)]
+    estimates = np.array([sum(v) > len(v) // 2 for v in votes], dtype=np.int64).T
+    shift = len(dual.cell_bits)  # where a key's region bits start
+    regions = keys >> shift
+    sizes = []
+    for pair in sorted(dual.by_pair):
+        mismatched = zero.copy()  # bit ci: the pair's parity on cell ci is outvoted
+        for ci, pairs in enumerate(dual.cell_pairs):
+            if pair in pairs:
+                mismatched |= (parity.get((pair, ci), zero) ^ estimates[:, ci]) << ci
+        masks, at = np.unique(mismatched, return_inverse=True)
+        repairs = []  # (|delta0|, region bits it flips) per distinct mismatch
+        for mask in masks.tolist():
+            # edges are entry indices, which rise with plaquette id like the
+            # ids themselves, so the T-join's lowest-id tie-break is unchanged
+            cells = [ci for ci in range(mask.bit_length()) if mask >> ci & 1]
+            flips = t_join(dual.ends[pair], cells) if cells else ()
+            moved = 0
+            for i in flips:
+                moved ^= dual.key_masks[dual.by_pair[pair][i][0]] >> shift
+            repairs.append((len(flips), moved))
+        size, moved = np.array(repairs, dtype=np.int64)[at].T
+        sizes.append(size)
+        regions ^= moved
+    region_bits = regions[:, None] >> np.arange(len(dual.region_plaquettes)) & 1
+    found = np.concatenate([estimates, region_bits], axis=1)
+    packed = found @ (1 << np.arange(found.shape[1], dtype=np.int64))
+    _, first, at = np.unique(packed, return_index=True, return_inverse=True)
+    corrections = np.zeros((len(first), n), dtype=np.uint8)
+    for j, syndrome in enumerate(found[first].tolist()):
+        support = dual.table.get(tuple(syndrome))
+        if support is None:
+            raise ValueError("no correction matches the repaired syndrome")
+        corrections[j, list(support)] = 1
+
+    def dense(values):  # one row per key; rows outside the span stay 0
+        table = np.zeros((1 << dual.key_bits, values.shape[1]), dtype=np.uint8)
+        table[keys] = values
+        return table
+
+    return dense(corrections[at]), dense(np.stack(sizes, axis=1)), dense(found)
 
 
 def single_shot_ec(
@@ -623,50 +690,6 @@ def single_shot_ec(
     return state, report
 
 
-def decode_key(dual: DualStructure, key: int) -> tuple[tuple, dict, dict, tuple]:
-    """The single-shot decode of one round, from its decode key alone.
-
-    Returns (correction support, |delta0| per color pair, cell estimates,
-    stabilizer syndrome). Each cell is estimated once per color pair in its
-    triple (that pair's key bit on the cell), the estimates are reconciled
-    by majority, each pair's flux is repaired against the majority, and the
-    correction is the lightest support with the resulting syndrome: the
-    majority cells, then each region's raw product times the region bits of
-    the plaquettes that the repair flips.
-    """
-
-    def parity(pair, ci):  # 1 where the pair's product on the cell reads -1
-        bit = dual.cell_bits.get((pair, ci))
-        return 0 if bit is None else key >> bit & 1
-
-    estimates = [
-        int(sum(parity(p, ci) for p in pairs) > len(pairs) // 2)
-        for ci, pairs in enumerate(dual.cell_pairs)
-    ]
-    regions = key >> len(dual.cell_bits)
-    delta0_sizes = {}
-    for pair in sorted(dual.by_pair):
-        mismatched = [
-            ci
-            for ci, pairs in enumerate(dual.cell_pairs)
-            if pair in pairs and parity(pair, ci) != estimates[ci]
-        ]
-        # edges are entry indices, which rise with plaquette id like the
-        # ids themselves, so the T-join's lowest-id tie-break is unchanged
-        flips = t_join(dual.ends[pair], mismatched) if mismatched else ()
-        delta0_sizes[pair] = len(flips)
-        for i in flips:
-            regions ^= dual.key_masks[dual.by_pair[pair][i][0]] >> len(dual.cell_bits)
-    syndrome = tuple(estimates) + tuple(
-        regions >> j & 1 for j in range(len(dual.region_plaquettes))
-    )
-    support = dual.table.get(syndrome)
-    if support is None:
-        raise ValueError("no correction matches the repaired syndrome")
-    cells = {ci: -1 if bit else 1 for ci, bit in enumerate(estimates)}
-    return support, delta0_sizes, cells, syndrome
-
-
 def single_shot_decode(
     code: CodeTriple, dual: DualStructure, outcomes: dict, basis: str
 ) -> SingleShotReport:
@@ -674,14 +697,18 @@ def single_shot_decode(
 
     `dual` is `_code_dual_structure(code)` and `outcomes` maps every
     plaquette id to its recorded +-1. The outcomes reach the decoder only
-    through their decode key (`decode_key`); the correction is not applied.
+    through their decode key, whose row of the decode table is the report;
+    the correction is not applied.
     """
     key = 0
     for pi in dual.order:
         if outcomes[pi] < 0:
             key ^= dual.key_masks[pi]
-    support, delta0_sizes, cells, syndrome = decode_key(dual, key)
+    syndrome = tuple(dual.syndromes[key].tolist())
+    cells = {ci: -1 if bit else 1 for ci, bit in enumerate(syndrome[: len(dual.cell_pairs)])}
+    delta0_sizes = dict(zip(sorted(dual.by_pair), dual.delta0_sizes[key].tolist()))
     corr_type = "X" if basis == "Z" else "Z"
+    support = np.flatnonzero(dual.corrections[key]).tolist()
     correction = PauliOperator.from_support(code.n, corr_type, support)
     return SingleShotReport(outcomes, cells, delta0_sizes, correction, syndrome)
 

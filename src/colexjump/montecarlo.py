@@ -11,8 +11,8 @@ Collapse trials run on a `CollapsePlan`, compiled once per context and
 cached on it: one readout matrix of inner plaquette and residual-key
 parities, one int mask per residual-coset key bit, each coset's lightest
 member, the final 2D decode reduced to a per-coset logical flip, and per
-(basis, pair) slot a repair table memoised on the observed patterns that
-trials reach. The sign-linear fast engine runs trials in batches of
+(basis, pair) slot a repair table over every observed pattern, all filled
+when the plan is built. The sign-linear fast engine runs trials in batches of
 `BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_words`, the same
 words as each trial's own generator, compared as integers with
 `noise.word_threshold`), one matrix product, and gathers from dense tables
@@ -37,9 +37,9 @@ every reference compiles, once per noise structure, into one 0/1 matrix to
 the round's decode key and next frame (`_SingleShotProgram`). Trials run
 in batches of `BATCH_TRIALS`: one `philox_words` draw, then per round one
 float32 product over both references' columns and a gather of the
-corrections from one decode table indexed by key, which `jump.decode_key`,
-the one decoder, fills on keys not reached before; then one product for
-the final checks. No Python loop runs per trial.
+corrections from the code's decode table (`jump.DualStructure`), which
+holds the one decoder's result for every key; then one product for the
+final checks. No Python loop runs per trial.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .jump import (
     blow_up,
     check_readout,
     collapse,
-    decode_key,
     encoded_state,
     ideal_decode_2d,
     logical_operator,
@@ -142,16 +141,17 @@ class CollapsePlan:
     Error and correction vectors are int masks, bit q holding qubit q.
 
     Batches read the plan through dense tables, indexed directly and filled
-    lazily (a `known` mask marks the filled entries) by the memoised
-    fillers, so a table entry is always what its filler returns:
+    whole when the plan is built, so no trial computes an entry:
 
     - per (basis, pair) slot, 2^|duals| entries indexed by observed pattern
-      (4 on tetra15), each slot a segment of one flat array from
-      `slot_offsets[slot]`: the residual-key bits and |delta0| of the slot's
-      repair (`repair_keys`, `repair_sizes`), filled by `repair`;
+      (4 on tetra15): the slot's flux repair and string correction
+      (`_repairs[slot][pattern]`), and as one flat array from
+      `slot_offsets[slot]` their residual-key bits and |delta0|
+      (`repair_keys`, `repair_sizes`);
     - per residual key, 2^(2 side_bits) entries (256 on tetra15): the
-      residual weight and largest component (`residual_weight`,
-      `residual_component`), filled by `residual`.
+      weight and largest connected component of the lightest residual
+      (`residual_weight`, `residual_component`), filled on every key whose
+      two sides name cosets (all 256 on tetra15); no error reaches another.
 
     That is 2 bytes per residual key: a d = 5 tetrahedral facet (8
     plaquettes, 2^18 keys) would hold 0.5 MB. Whether the final decode
@@ -195,11 +195,15 @@ class CollapsePlan:
         self.decoded_flip = np.zeros(1 << self.side_bits, dtype=bool)
         for key in cosets:
             self.decoded_flip[_pack(key)] = (key[m] + len(decode[key[:m]])) % 2 == 1
-        self.adjacency = _outer_adjacency(ctx)
+        adjacency = _outer_adjacency(ctx)
         keys = 1 << 2 * self.side_bits
         self.residual_weight = np.zeros(keys, dtype=np.uint8)
         self.residual_component = np.zeros(keys, dtype=np.uint8)
-        self.residual_known = np.zeros(keys, dtype=bool)
+        for key_x, sx in self.coset_min.items():
+            for key_z, sz in self.coset_min.items():
+                key = key_x | key_z << self.side_bits
+                self.residual_weight[key] = len(sx) + len(sz)
+                self.residual_component[key] = _max_component(sx + sz, adjacency)
         # Batched trials. The parities of an error (rows: X error, then Z
         # error) over the readout's columns are every inner plaquette
         # reading, then the noise part of every residual key bit, X side
@@ -214,50 +218,32 @@ class CollapsePlan:
         for s, (_, _, lo, duals) in enumerate(self.slots):
             self.slot_weights[lo : lo + len(duals), s] = 1 << np.arange(len(duals))
         self.key_weights = 1 << np.arange(2 * self.side_bits, dtype=np.int64)
-        self._repairs: list[dict] = [{} for _ in self.slots]
-        sizes = [1 << len(duals) for *_, duals in self.slots]
-        self.slot_offsets = np.cumsum([0] + sizes[:-1])
-        self.repair_keys = np.zeros(sum(sizes), dtype=np.int64)
-        self.repair_sizes = np.zeros(sum(sizes), dtype=np.uint8)
-        self.repair_known = np.zeros(sum(sizes), dtype=bool)
+        self._repairs = [
+            [self._repair(ctx, slot, pattern) for pattern in range(1 << len(duals))]
+            for slot, (*_, duals) in enumerate(self.slots)
+        ]
+        flat = [r for repairs in self._repairs for r in repairs]
+        self.slot_offsets = np.cumsum([0] + [len(repairs) for repairs in self._repairs[:-1]])
+        self.repair_keys = np.array([r.key for r in flat], dtype=np.int64)
+        self.repair_sizes = np.array([len(r.delta0) for r in flat], dtype=np.uint8)
 
-    def repair(self, ctx: JumpContext, slot: int, pattern: int) -> "_Repair":
-        """Flux repair and string correction of one slot's observed pattern,
-        memoised on the patterns that trials reach."""
-        got = self._repairs[slot].get(pattern)
-        if got is None:
-            basis, pair, _, duals = self.slots[slot]
-            span = range(len(duals))
-            seen = frozenset(i for i in span if pattern >> i & 1)
-            delta0, gamma_eff = repair_flux(FluxConfiguration(pair, basis, seen, duals))
-            kind = "X" if basis == "Z" else "Z"
-            corr = ctx.cached_string_correction(gamma_eff.outer_endpoints(), pair, kind)
-            mask = corr.x if kind == "X" else corr.z
-            got = _Repair(
-                tuple(sorted(delta0)),
-                tuple(sorted(gamma_eff.edges)),
-                kind,
-                mask,
-                self.residual_key(0, 0, {"X": 0, "Z": 0} | {kind: mask}),
-                {duals[i].plaquette: (-1 if i in seen else 1) for i in span},
-            )
-            self._repairs[slot][pattern] = got
-            at = self.slot_offsets[slot] + pattern
-            self.repair_keys[at] = got.key
-            self.repair_sizes[at] = len(got.delta0)
-            self.repair_known[at] = True
-        return got
-
-    def reach_repairs(self, ctx: JumpContext, patterns: np.ndarray) -> np.ndarray:
-        """Indices into the slot tables of a batch's (trials, slots) observed
-        patterns; `repair` fills every entry not reached before."""
-        at = patterns + self.slot_offsets
-        miss = ~self.repair_known[at]
-        if miss.any():
-            for slot in np.flatnonzero(miss.any(axis=0)).tolist():
-                for pattern in sorted(set(patterns[miss[:, slot], slot].tolist())):
-                    self.repair(ctx, slot, pattern)
-        return at
+    def _repair(self, ctx: JumpContext, slot: int, pattern: int) -> "_Repair":
+        """Flux repair and string correction of one slot's observed pattern."""
+        basis, pair, _, duals = self.slots[slot]
+        span = range(len(duals))
+        seen = frozenset(i for i in span if pattern >> i & 1)
+        delta0, gamma_eff = repair_flux(FluxConfiguration(pair, basis, seen, duals))
+        kind = "X" if basis == "Z" else "Z"
+        corr = ctx.cached_string_correction(gamma_eff.outer_endpoints(), pair, kind)
+        mask = corr.x if kind == "X" else corr.z
+        return _Repair(
+            tuple(sorted(delta0)),
+            tuple(sorted(gamma_eff.edges)),
+            kind,
+            mask,
+            self.residual_key(0, 0, {"X": 0, "Z": 0} | {kind: mask}),
+            {duals[i].plaquette: (-1 if i in seen else 1) for i in span},
+        )
 
     def residual_key(self, ex: int, ez: int, applied: dict) -> int:
         """Packed coset keys of the outer residual on both sides, from the
@@ -275,22 +261,6 @@ class CollapsePlan:
         """(X-side key, Z-side key) of a packed residual key."""
         return key & ((1 << self.side_bits) - 1), key >> self.side_bits
 
-    def residual(self, key: int) -> tuple[int, int]:
-        """(weight, largest connected component) of the lightest residual;
-        fills the key's entries of the residual tables on first use."""
-        if not self.residual_known[key]:
-            key_x, key_z = self.split_key(key)
-            sx, sz = self.coset_min[key_x], self.coset_min[key_z]
-            self.residual_weight[key] = len(sx) + len(sz)
-            self.residual_component[key] = _max_component(set(sx) | set(sz), self.adjacency)
-            self.residual_known[key] = True
-        return int(self.residual_weight[key]), int(self.residual_component[key])
-
-    def reach_residuals(self, keys: np.ndarray) -> None:
-        """Fill the residual tables at every key of `keys` not reached before."""
-        miss = keys[~self.residual_known[keys]]
-        for key in sorted(set(miss.tolist())):
-            self.residual(key)
 
 
 class _Repair(NamedTuple):
@@ -400,8 +370,8 @@ class CollapseEngine:
       its double is compared with p or q;
     - one matrix product gives every inner plaquette reading;
     - each (basis, pair) slot's observed pattern indexes the plan's dense
-      slot tables, which `CollapsePlan.repair` (`repair_flux` and the
-      string correction) fills on first use, so their tie-breaks hold by
+      slot tables, which the plan fills with `repair_flux` and the string
+      correction of every pattern, so their tie-breaks hold by
       construction;
     - the residual coset key is linear, so it is the noise part (one more
       product) XOR the key bits of the slots' corrections, and it indexes
@@ -434,7 +404,7 @@ class CollapseEngine:
         true = parities[:, :cols]
         seen = true ^ (words[:, draws - cols :] < word_threshold(q)) if q > 0 else true
         patterns = seen @ plan.slot_weights
-        at = plan.reach_repairs(ctx, patterns)
+        at = patterns + plan.slot_offsets
         keys = parities[:, cols:] @ plan.key_weights
         keys ^= np.bitwise_xor.reduce(plan.repair_keys[at], axis=1)
         # the observable logical reads the parity of the residual on the
@@ -447,7 +417,7 @@ class CollapseEngine:
             logical = "zero" if side[i] == 0 else "plus"
             records, repairs, applied = {}, {}, {"X": 0, "Z": 0}
             for s, (basis, pair, lo, duals) in enumerate(plan.slots):
-                r = plan._repairs[s][int(patterns[i, s])]
+                r = plan._repairs[s][patterns[i, s]]
                 records[(pair, basis)] = r.record
                 span = range(len(duals))
                 repairs[(pair, basis)] = (
@@ -541,7 +511,6 @@ def _tally(stats: TrialStats, plan: CollapsePlan, batch: _Batch) -> None:
     # so after discarding, the outer deviation from the reference encoded
     # state is exactly the injected outer error times the applied
     # correction (a pure inner error never reaches the outer block).
-    plan.reach_residuals(batch.keys)
     _add_counts(stats.residual_weight_hist, plan.residual_weight[batch.keys])
     stats.max_residual_component = max(
         stats.max_residual_component, int(plan.residual_component[batch.keys].max())
@@ -766,16 +735,15 @@ class SingleShotPlan:
     `program` compiles the references, once per noise structure, into the
     affine programs that batches run.
 
-    A round reaches the decoder only through its decode key (see
-    `jump.DualStructure`), and the decode does not depend on the measured
-    basis, which only picks the frame half that the correction enters. So
-    one dense table, indexed by key, serves both rounds: each key's
-    correction bits (`decoded_bits`) and |delta0| per color pair
-    (`decoded_sizes`). `lookup` gathers a batch's rows from it and fills
-    the keys not reached before (`decoded_known`) with `decode_key`, the
-    one decoder, so tie-breaks hold by construction. The table has
-    2^key_bits rows, far fewer than the 2^n supports that the code's
-    decoding table already enumerates.
+    A round reaches the decoder only through its decode key, and the decode
+    does not depend on the measured basis, which only picks the frame half
+    that the correction enters. So the code's decode table (the
+    `jump.DualStructure` in `dual`, built whole with it), indexed by key,
+    serves both rounds: batches gather each round's correction bits
+    (`dual.corrections`) and |delta0| per color pair (`dual.delta0_sizes`)
+    from it, the rows `single_shot_decode` reads. The table has 2^key_bits
+    rows, far fewer than the 2^n supports that the code's decoding table
+    already enumerates.
     """
 
     def __init__(self, code):
@@ -783,12 +751,6 @@ class SingleShotPlan:
         self.dual = _code_dual_structure(code)
         colex = code.colex
         self.masks = {pi: _support_mask(colex.plaquette_vertices(pi)) for pi in self.dual.order}
-        # the decode table, filled where `decoded_known` is set (a delta0
-        # size past 255 fails its assignment loudly)
-        keys = 1 << self.dual.key_bits
-        self.decoded_bits = np.zeros((keys, code.n), dtype=np.uint8)
-        self.decoded_sizes = np.zeros((keys, len(self.dual.by_pair)), dtype=np.uint8)
-        self.decoded_known = np.zeros(keys, dtype=bool)
         self.cells = [tuple(vs) for vs, _ in colex.cells]
         self.cell_masks = [_support_mask(vs) for vs in self.cells]
         self.cell_table = {
@@ -799,16 +761,6 @@ class SingleShotPlan:
         logicals = ("zero", "plus") if code.L.generators else (None,)
         self.references = {logical: _Reference(code, logical, self) for logical in logicals}
         self._programs: dict = {}  # (p > 0, q > 0) -> _SingleShotProgram
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """(rows, n) correction bits of rounds with decode keys `keys`; a key
-        not reached before is decoded once, by `decode_key`."""
-        for key in set(keys[~self.decoded_known[keys]].tolist()):
-            support, sizes, _, _ = decode_key(self.dual, key)
-            self.decoded_bits[key, list(support)] = 1
-            self.decoded_sizes[key] = tuple(sizes.values())
-            self.decoded_known[key] = True
-        return self.decoded_bits[keys]
 
     def program(self, noisy: bool, flips: bool) -> "_SingleShotProgram":
         """The compiled trials under noise with p > 0 (`noisy`) and q > 0
@@ -922,7 +874,7 @@ class _SingleShotProgram:
             keys[:, r] = out[:, :key_bits] @ self.key_weights
             frame = out[:, key_bits:]
             lo = 0 if basis == "Z" else n  # a Z round corrects the X part
-            frame[:, lo : lo + n] ^= plan.lookup(keys[:, r])
+            frame[:, lo : lo + n] ^= plan.dual.corrections[keys[:, r]]
             v[:, :n2] = frame
         checks = apply(self.final)
         if self.flip is None:
@@ -1036,8 +988,8 @@ def run_single_shot_trials(
     one matrix (`SingleShotPlan.program`). Trials run in batches of
     `BATCH_TRIALS`, with no Python loop over trials: one `philox_words`
     draw, then per round one float32 product and a gather of the
-    corrections from the decode table, which `decode_key` fills on keys
-    not reached before, then one product for the final checks. The
+    corrections from the code's decode table, then one product for the
+    final checks. The
     random numbers of a trial are drawn in the tableau harness's order: the
     X then the Z noise of every qubit when p > 0, then per plaquette the
     outcome draw of a random measurement and the flip draw when q > 0. Row
@@ -1052,7 +1004,7 @@ def run_single_shot_trials(
     stats = TrialStats()
     for first, keys, failed in _single_shot_batches(plan, noise, trial_offset, trials):
         stats.trials += len(failed)
-        _add_counts(stats.delta0_hist, plan.decoded_sizes[keys])
+        _add_counts(stats.delta0_hist, plan.dual.delta0_sizes[keys])
         if code.L.generators:
             zero = first % 2  # the first row whose trial index is even
             tallies = (("Z", failed[zero::2]), ("X", failed[1 - zero :: 2]))

@@ -189,6 +189,67 @@ def test_schedule_missing_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert out.out == "" and "needs --" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["colex", "info", "--colex", "{dir}"], "{dir}"),
+        (["colex", "validate", "--colex", "{latin1}"], "{latin1}"),
+        (["schedule", "make", "--stack", "4", "--sequence", "{dir}"], "{dir}"),
+        (["schedule", "make", "--stack", "4", "--sequence", "{latin1}"], "{latin1}"),
+        (["schedule", "make", "--stack", "4", "--sequence", "{seq}", "--output", "{dir}"], "{dir}"),
+        (["schedule", "verify", "--schedule", "{dir}"], "{dir}"),
+        (["schedule", "verify", "--schedule", "{latin1}"], "{latin1}"),
+        (
+            ["simulate", "collapse", "--builtin", "tetra15", "--trials", "2", "--trace",
+             "--out-dir", "{seq}"],
+            "{seq}",
+        ),
+    ],
+    ids=["colex-dir", "colex-latin1", "sequence-dir", "sequence-latin1", "output-dir",
+         "schedule-dir", "schedule-latin1", "out-dir-is-a-file"],
+)
+def test_unreadable_or_unwritable_path_is_a_domain_error(tmp_path, capsys, argv, culprit):
+    """A path that is a directory, a file that is not UTF-8 text, or an
+    output directory that is a file exits 1 with one `error:` line naming
+    the path, no traceback and no output file."""
+    paths = {"dir": tmp_path / "a-dir", "latin1": tmp_path / "latin1.txt", "seq": tmp_path / "seq.txt"}
+    paths["dir"].mkdir()
+    paths["latin1"].write_bytes(b"\xff\xfe 0 1\n")
+    paths["seq"].write_text("0 1 2 0\n")
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(paths[culprit[1:-1]]) in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("action, workers", [("collapse", 1), ("singleshot", 1), ("collapse", 2)])
+def test_simulate_loads_the_lattice_once(tmp_path, capsys, monkeypatch, action, workers):
+    """The main process parses the lattice once, whatever the worker count."""
+    from colexjump import cli
+
+    loads = []
+    real = cli._load_colex
+    monkeypatch.setattr(cli, "_load_colex", lambda args: loads.append(1) or real(args))
+    code, _, _ = run(
+        ["simulate", action, "--builtin", "tetra15", "--trials", "4", "--workers", str(workers),
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and len(loads) == 1
+
+
+def test_simulate_bad_facet_fails_before_the_trace_opens(tmp_path, capsys):
+    code, _, err = run(
+        ["simulate", "collapse", "--builtin", "tetra15", "--facet", "rgy", "--trace",
+         "--trials", "3", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_outputs_reproducible(tmp_path, capsys):
     base = [
         "simulate", "collapse", "--builtin", "tetra15", "--p", "0.03", "--q", "0.03",

@@ -14,7 +14,7 @@ from decoder_oracle import oracle_decode
 from frame_oracle import frame_trials
 from hypothesis import given, settings, strategies as st
 
-from colexjump import gf2, jump, montecarlo
+from colexjump import flux, gf2, jump, montecarlo
 from colexjump.codes import build_3d, build_inner
 from colexjump.colex import Colex
 from colexjump.jump import (
@@ -221,10 +221,11 @@ def test_run_trial_is_a_batch_of_one(ctx):
     assert "\n".join(lines) + "\n" == trace.getvalue()
 
 
-def test_fast_engine_repairs_only_new_patterns(tetra15, monkeypatch):
-    """Flux repair and string correction run once per (slot, observed
-    pattern) a trial reaches, not per trial; no per-trial generator is
-    built."""
+def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
+    """The plan runs flux repair and string correction once per (slot,
+    pattern) when it is built, and the fast engine's trials then run no
+    repair, string correction, T-join or residual search, and build no
+    per-trial generator."""
     calls = Counter()
 
     def counting(name, real):
@@ -235,7 +236,7 @@ def test_fast_engine_repairs_only_new_patterns(tetra15, monkeypatch):
         return wrapper
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a per-trial generator was built")
+        raise AssertionError("a trial repaired, searched or built a generator")
 
     monkeypatch.setattr(montecarlo, "repair_flux", counting("repair", montecarlo.repair_flux))
     monkeypatch.setattr(
@@ -243,36 +244,60 @@ def test_fast_engine_repairs_only_new_patterns(tetra15, monkeypatch):
         "cached_string_correction",
         counting("string", jump.JumpContext.cached_string_correction),
     )
-    monkeypatch.setattr(montecarlo, "trial_rng", forbidden)
     ctx = make_context(tetra15, "rgb")
     plan = collapse_plan(ctx)
+    entries = sum(2 ** len(duals) for *_, duals in plan.slots)
+    assert entries == 24
+    assert calls == Counter(repair=entries, string=entries)
+    assert [len(repairs) for repairs in plan._repairs] == [4] * len(plan.slots)
+    for target, name in (
+        (montecarlo, "repair_flux"),
+        (jump.JumpContext, "cached_string_correction"),
+        (flux, "t_join"),
+        (montecarlo, "_max_component"),
+        (montecarlo, "trial_rng"),
+    ):
+        monkeypatch.setattr(target, name, forbidden)
     spec = NoiseSpec(0.05, 0.05, seed=3)
-    run_collapse_trials(ctx, spec, 3000)
-    reached = sum(len(table) for table in plan._repairs)
-    assert len(plan.slots) < reached <= sum(2 ** len(d) for *_, d in plan.slots)
-    assert calls == Counter(repair=reached, string=reached)
-    run_collapse_trials(ctx, spec, 3000, trial_offset=3000)
-    reached = sum(len(table) for table in collapse_plan(ctx)._repairs)
-    assert calls == Counter(repair=reached, string=reached)
+    for offset in (0, 3000):
+        stats = run_collapse_trials(ctx, spec, 3000, trial_offset=offset)
+        assert stats.trials == 3000 and stats.delta0_hist.keys() - {0}
+    assert collapse_plan(ctx) is plan
+
+
+def _largest_cluster(ctx, support) -> int:
+    """Largest set of support qubits linked through shared edges or
+    plaquettes of the 2D lattice, by union-find."""
+    parent = {q: q for q in support}
+
+    def root(q):
+        while parent[q] != q:
+            q = parent[q]
+        return q
+
+    colex = ctx.code2.colex
+    groups = [(a, b) for a, b, _ in colex.edges] + [tuple(vs) for vs, _ in colex.plaquettes]
+    for group in groups:
+        inside = [q for q in group if q in parent]
+        for q in inside[1:]:
+            parent[root(q)] = root(inside[0])
+    return max(Counter(root(q) for q in support).values(), default=0)
 
 
 def test_dense_tables_equal_their_fillers(tetra15):
-    """The residual and slot tables, filled through the batch entry points
-    in a scrambled order, hold what `residual` and `repair` give on a plan
-    filled key by key in order; `decoded_flip` holds, per side key, whether
-    the 2D decode of the coset's lightest member leaves the logical flipped."""
+    """Every residual and slot entry of a fresh plan equals its value
+    recomputed here from the coset table, `repair_flux` and an uncached
+    string correction; `decoded_flip` holds, per side key, whether the 2D
+    decode of the coset's lightest member leaves the logical flipped."""
     ctx = make_context(tetra15, "rgb")
     plan = montecarlo.CollapsePlan(ctx)
-    ordered = montecarlo.CollapsePlan(ctx)
-    rng = np.random.default_rng(12)
     keys = 1 << 2 * plan.side_bits
-    assert keys == 256
-    for chunk in np.array_split(rng.permutation(keys), 7):
-        plan.reach_residuals(chunk)
-    assert plan.residual_known.all()
+    assert keys == 256 and len(plan.coset_min) == 1 << plan.side_bits
     for key in range(keys):
-        weight = (plan.residual_weight[key], plan.residual_component[key])
-        assert weight == ordered.residual(key)
+        key_x, key_z = plan.split_key(key)
+        sx, sz = plan.coset_min[key_x], plan.coset_min[key_z]
+        assert plan.residual_weight[key] == len(sx) + len(sz)
+        assert plan.residual_component[key] == _largest_cluster(ctx, set(sx) | set(sz))
     assert plan.decoded_flip.shape == (1 << plan.side_bits,) == (16,)
     decode = gf2.checks_table(ctx.n2, jump.plaquette_checks(ctx.code2))
     for key in range(1 << plan.side_bits):
@@ -282,20 +307,22 @@ def test_dense_tables_equal_their_fillers(tetra15):
             continue
         syndrome = tuple(key >> j & 1 for j in range(plan.side_bits - 1))
         assert plan.decoded_flip[key] == (len(member) + len(decode[syndrome])) % 2
-    patterns = [(s, x) for s, (*_, duals) in enumerate(plan.slots) for x in range(2 ** len(duals))]
-    assert len(patterns) == len(plan.repair_known) == 4 * len(plan.slots)
-    for i in rng.permutation(len(patterns)).tolist():
-        slot, pattern = patterns[i]
-        row = np.zeros((1, len(plan.slots)), dtype=np.int64)
-        row[0, slot] = pattern
-        plan.reach_repairs(ctx, row)
-    assert plan.repair_known.all()
-    for slot, pattern in patterns:
-        want = ordered.repair(ctx, slot, pattern)
-        at = plan.slot_offsets[slot] + pattern
-        assert plan.repair_keys[at] == want.key
-        assert plan.repair_sizes[at] == len(want.delta0)
-        assert plan._repairs[slot][pattern] == want
+    assert len(plan.repair_keys) == len(plan.repair_sizes) == 4 * len(plan.slots)
+    for slot, (basis, pair, _, duals) in enumerate(plan.slots):
+        for pattern in range(2 ** len(duals)):
+            seen = frozenset(i for i in range(len(duals)) if pattern >> i & 1)
+            delta0, gamma = flux.repair_flux(flux.FluxConfiguration(pair, basis, seen, duals))
+            kind = "X" if basis == "Z" else "Z"
+            corr = flux.string_correction(ctx.code2, gamma.outer_endpoints(), pair, kind)
+            mask = corr.x if kind == "X" else corr.z
+            key = plan.residual_key(0, 0, {"X": 0, "Z": 0} | {kind: mask})
+            got = plan._repairs[slot][pattern]
+            assert got.delta0 == tuple(sorted(delta0))
+            assert got.gamma_eff == tuple(sorted(gamma.edges))
+            assert (got.kind, got.correction, got.key) == (kind, mask, key)
+            assert got.record == {d.plaquette: -1 if i in seen else 1 for i, d in enumerate(duals)}
+            at = plan.slot_offsets[slot] + pattern
+            assert (plan.repair_keys[at], plan.repair_sizes[at]) == (key, len(delta0))
 
 
 def test_plan_residual_table_matches_exhaustive_oracle(ctx):
@@ -708,39 +735,60 @@ def _round_outcomes(plan, x: int) -> tuple[int, list[int]]:
     return key, outcomes
 
 
-def _direct_decode(plan, basis: str, outcomes: list[int]) -> tuple[int, tuple]:
+def _direct_decode(plan, basis: str, outcomes: list[int]) -> tuple[int, tuple, tuple]:
     report = oracle_decode(plan.code, plan.dual, dict(zip(plan.dual.order, outcomes)), basis)
     corr = report.correction
-    return corr.x if basis == "Z" else corr.z, tuple(report.delta0_sizes.values())
+    return corr.x if basis == "Z" else corr.z, tuple(report.delta0_sizes.values()), report.syndrome
 
 
-def _table_entry(plan, key: int) -> tuple[int, tuple]:
-    """(correction mask, delta0 sizes) that the plan's table holds for a key,
-    read through `lookup`."""
-    bits = plan.lookup(np.array([key]))[0]
-    return to_mask(bits), tuple(plan.decoded_sizes[key].tolist())
+def _table_entry(plan, key: int) -> tuple[int, tuple, tuple]:
+    """(correction mask, delta0 sizes, syndrome) that the code's decode
+    table holds for a key."""
+    dual = plan.dual
+    return (
+        to_mask(dual.corrections[key]),
+        tuple(dual.delta0_sizes[key].tolist()),
+        tuple(dual.syndromes[key].tolist()),
+    )
+
+
+def _one_pattern_per_key(plan) -> dict[int, int]:
+    """Decode key -> the lowest outcome pattern (bit j: plaquette j of the
+    plan order reads -1) that produces it, over every pattern."""
+    xs = np.arange(2 ** len(plan.dual.order), dtype=np.int64)
+    keys = np.zeros_like(xs)
+    for j, pi in enumerate(plan.dual.order):
+        keys ^= (xs >> j & 1) * plan.dual.key_masks[pi]
+    found, first = np.unique(keys, return_index=True)
+    return dict(zip(found.tolist(), first.tolist()))
+
+
+def _assert_table_is_the_oracle_on_every_key(plan) -> None:
+    """Every key a round can produce holds the outcome oracle's decode of
+    one of its patterns, in both bases; every other row is zero."""
+    patterns = _one_pattern_per_key(plan)
+    for basis in ("Z", "X"):
+        for key, x in patterns.items():
+            outcomes = _round_outcomes(plan, x)[1]
+            assert _table_entry(plan, key) == _direct_decode(plan, basis, outcomes)
+    others = [k for k in range(1 << plan.dual.key_bits) if k not in patterns]
+    for table in (plan.dual.corrections, plan.dual.delta0_sizes, plan.dual.syndromes):
+        assert not table[others].any()
 
 
 def test_decode_table_exact_on_every_inner_pattern(inner_code):
+    """The inner code's 64 patterns give its 64 keys (of 2^9), each decoded
+    as the oracle decodes it; the other 448 keys are never decoded."""
     plan = montecarlo.SingleShotPlan(inner_code)
-    m = len(plan.dual.order)
-    assert m == 6
-    rng = np.random.default_rng(4)
-    # fill the table in scrambled batches, then read every pattern back in
-    # both bases: one table serves both rounds
-    for chunk in np.array_split(rng.permutation(2**m), 5):
-        plan.lookup(np.array([_round_outcomes(plan, x)[0] for x in chunk.tolist()]))
-    for basis in ("Z", "X"):
-        for x in range(2**m):
-            key, outcomes = _round_outcomes(plan, x)
-            assert _table_entry(plan, key) == _direct_decode(plan, basis, outcomes)
-    assert plan.decoded_known.sum() <= 2**9
+    assert len(plan.dual.order) == 6 and plan.dual.key_bits == 9
+    assert len(_one_pattern_per_key(plan)) == 2**6
+    _assert_table_is_the_oracle_on_every_key(plan)
 
 
 def test_decode_key_determines_the_tetra_decode(code3):
     """Outcome patterns that differ by a kernel element of the key map
-    decode alike, and the table (filled by `decode_key` from the key alone)
-    equals the outcome oracle on random patterns."""
+    decode alike, and the table, built from the keys alone, equals the
+    outcome oracle on every one of the 4096 keys."""
     plan = montecarlo.SingleShotPlan(code3)
     order, key_masks = plan.dual.order, plan.dual.key_masks
     m = len(order)
@@ -765,37 +813,39 @@ def test_decode_key_determines_the_tetra_decode(code3):
             assert _direct_decode(plan, basis, outcomes) == _direct_decode(
                 plan, basis, outcomes_k
             )
-        for _ in range(2000):
-            key, outcomes = _round_outcomes(plan, int(rng.integers(2**m)))
-            assert _table_entry(plan, key) == _direct_decode(plan, basis, outcomes)
-    assert plan.decoded_known.sum() <= 2**12
+    assert len(_one_pattern_per_key(plan)) == 2**12
+    _assert_table_is_the_oracle_on_every_key(plan)
 
 
-def test_single_shot_decodes_only_new_keys(tetra15, split15, monkeypatch):
-    """`decode_key` runs once per table entry, not per round, and one table
-    serves both rounds; no per-trial generator or noise vector is built."""
-    calls = Counter()
-    real = montecarlo.decode_key
+def test_single_shot_trials_decode_nothing_after_build(tetra15, split15, monkeypatch):
+    """Each code's decode table is built once, with its plan; trials then
+    run no T-join and no decode, and build no per-trial generator or noise
+    vector."""
+    built = Counter()
+    real = jump._decode_every_key
 
-    def counting(*args, **kwargs):
-        calls["decode"] += 1
-        return real(*args, **kwargs)
+    def counting(dual, n):
+        built[n] += 1
+        return real(dual, n)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a per-trial generator or noise vector was built")
+        raise AssertionError("a trial decoded, or built a generator or noise vector")
 
-    monkeypatch.setattr(montecarlo, "decode_key", counting)
+    monkeypatch.setattr(jump, "_decode_every_key", counting)
+    spec = NoiseSpec(0.05, 0.05, seed=3)
+    codes = (build_inner(split15), build_3d(tetra15))
+    plans = [montecarlo.single_shot_plan(code) for code in codes]
+    assert built == Counter({code.n: 1 for code in codes})
+    for module in (jump, flux):
+        monkeypatch.setattr(module, "t_join", forbidden)
+    monkeypatch.setattr(jump, "_decode_every_key", forbidden)
     for name in ("trial_rng", "sample_qubit_noise", "to_mask"):
         monkeypatch.setattr(montecarlo, name, forbidden)
-    spec = NoiseSpec(0.05, 0.05, seed=3)
-    for code, bits in ((build_inner(split15), 9), (build_3d(tetra15), 12)):
-        calls.clear()
-        run_single_shot_trials(code, spec, 3000)
-        entries = int(montecarlo.single_shot_plan(code).decoded_known.sum())
-        assert 2 < entries <= 2**bits
-        assert calls == Counter(decode=entries)
-        run_single_shot_trials(code, spec, 3000)
-        assert calls == Counter(decode=entries)
+    for code, plan in zip(codes, plans):
+        for offset in (0, 3000):
+            stats = run_single_shot_trials(code, spec, 3000, trial_offset=offset)
+            assert stats.trials == 3000 and stats.delta0_hist.keys() - {0}
+        assert montecarlo.single_shot_plan(code) is plan
 
 
 def test_single_shot_trials_inner_noiseless(inner_code):
