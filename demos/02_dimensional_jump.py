@@ -36,9 +36,13 @@ print("  logical still intact:", out.logical_flip_flags["Z"] == 1)
 print("\n== blow-up and round trip ==")
 rng = cj.trial_rng(0, 2)
 state2 = cj.encoded_state(ctx.code2, "plus")
-state3, report = cj.blow_up(ctx, state2, 0.0, rng)
-print("  all 3D cell operators read +1:",
-      all(v == 1 for v in report.cell_expectations.values()))
+state3 = cj.blow_up(ctx, state2, 0.0, rng)
+cells = [
+    cj.PauliOperator.from_support(ctx.n3, basis, ctx.colex3.cell_vertices(ci))
+    for ci in range(len(ctx.colex3.cells))
+    for basis in ("X", "Z")
+]
+print("  all 3D cell operators read +1:", all(state3.expect(op) == 1 for op in cells))
 xbar = embed_operator(logical_operator(ctx.code2, "X"), ctx.n3, ctx.split.outer_vertices)
 print("  logical X preserved in 3D:", state3.expect(xbar) == 1)
 out = cj.collapse(ctx, state3, 0.0, rng)

@@ -174,10 +174,7 @@ def cmd_simulate(args) -> int:
             f"--exhaustive-weight1 applies to simulate collapse, not {args.action}"
         )
     cx = _load_colex(args)
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    print(f"seed {args.seed}")
-
+    # every check runs before the output directory is made or the seed printed
     if args.action == "measure-k":
         ctx = make_context(cx, args.facet)
         pairs = list(ctx.pairs)
@@ -191,6 +188,17 @@ def cmd_simulate(args) -> int:
                     f"--pair {args.pair!r} is not a color pair of the facet: "
                     f"use one of {', '.join(ctx.pairs)}"
                 )
+    else:
+        spec = NoiseSpec(args.p, args.q, args.seed)
+        if args.exhaustive_weight1:  # only simulate collapse gets here with it
+            ctx = make_context(cx, args.facet)
+        else:
+            runner = _span_runner(args, cx)
+    out_dir = _out_dir(args)
+    os.makedirs(out_dir, exist_ok=True)
+    print(f"seed {args.seed}")
+
+    if args.action == "measure-k":
         values = {pair: measure_K(ctx, pair, args.cap) for pair in pairs}
         payload = _meta(args, cx, args.seed)
         payload["results"] = {"K_hat": values, "cap": args.cap}
@@ -199,9 +207,8 @@ def cmd_simulate(args) -> int:
         print(f"K_hat {values} -> {path}")
         return 0
 
-    spec = NoiseSpec(args.p, args.q, args.seed)
-    if args.exhaustive_weight1:  # only simulate collapse gets here with it
-        failures = exhaustive_weight1_collapse(make_context(cx, args.facet))
+    if args.exhaustive_weight1:
+        failures = exhaustive_weight1_collapse(ctx)
         payload = _meta(args, cx, args.seed)
         payload["results"] = {
             "mode": "exhaustive-weight1",
@@ -212,7 +219,6 @@ def cmd_simulate(args) -> int:
         _emit(path, payload)
         print(f"exhaustive weight-1: {len(failures)} failures -> {path}")
         return 0 if not failures else 1
-    runner = _span_runner(args, cx)  # fails on a bad facet before any file is opened
     trace_fh = None
     if args.trace:
         trace_fh = open(os.path.join(out_dir, args.label + ".trace.jsonl"), "w")
@@ -352,9 +358,17 @@ def cmd_schedule(args) -> int:
 
 
 def _read_sequence(path) -> list[int]:
+    """Parse a `--sequence` file of whitespace-separated qubit ids; a token
+    that is not an integer is a usage error."""
     from .colex import read_text
 
-    return [int(tok) for tok in read_text(path).split()]
+    seq = []
+    for i, tok in enumerate(read_text(path).split(), start=1):
+        try:
+            seq.append(int(tok))
+        except ValueError:
+            raise SystemExit2(f"{path}: token {i} ({tok!r}) is not an integer") from None
+    return seq
 
 
 def _read_schedule(path):

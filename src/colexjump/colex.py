@@ -89,7 +89,6 @@ class Colex:
             for v in (a, b):
                 if 0 <= v < self.n_vertices and c not in self.vertex_edges[v]:
                     self.vertex_edges[v][c] = i
-        self.edge_index = {(a, b, c): i for i, (a, b, c) in enumerate(self.edges)}
         self._plaq_vsets = [frozenset(vs) for vs, _ in self.plaquettes]
         self._cell_vsets = [frozenset(vs) for vs, _ in self.cells]
         self.edge_plaquettes: list[list[int]] = [[] for _ in self.edges]

@@ -57,6 +57,10 @@ class FluxConfiguration:
                 count[p] = count.get(p, 0) + 1
         return tuple(sorted(p for p, k in count.items() if k % 2 == 1))
 
+    def record(self) -> dict[int, int]:
+        """Plaquette id -> reading (-1 on a flux edge, else +1) of every dual."""
+        return {d.plaquette: -1 if i in self.edges else 1 for i, d in enumerate(self.duals)}
+
     def replaced(self, edges) -> "FluxConfiguration":
         return FluxConfiguration(self.pair, self.basis, frozenset(edges), self.duals)
 

@@ -1,6 +1,7 @@
 """Dimensional jumps on tableau states: collapse, blow-up, single-shot EC.
 
-Collapse pipeline (per operator type and color pair):
+Collapse pipeline, per slot (an operator type and a color pair, in
+`JumpContext.slots` order):
 
   1. measure every inner plaquette of the pair, destructively for the inner
      block; record outcomes, flipping each with the measurement error rate
@@ -8,9 +9,12 @@ Collapse pipeline (per operator type and color pair):
   3. read the outer syndrome off the repaired flux endpoints
   4. clear it with a minimal string correction on the outer qubits
 
-After all pairs and both types are measured the inner block factorizes, so
-the inner qubits are dropped by sign-tracked elimination and the corrections
-are applied to the surviving outer code state.
+Steps 2-4 are `repair_slot`, the one slot step: the tableau collapse runs
+it on every trial, and `montecarlo.CollapsePlan` runs it once on every
+observed pattern to fill its slot tables. After all slots are measured the
+inner block factorizes, so the inner qubits are dropped by sign-tracked
+elimination and the corrections are applied to the surviving outer code
+state.
 
 Blow-up appends fresh inner qubits, runs single-shot error correction on the
 inner code (it encodes nothing, so correction alone initializes it), then
@@ -39,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +120,12 @@ class JumpContext:
         return check_readout(
             self.n2, plaquette_checks(self.code2), self.n3, self.split.outer_vertices
         )
+
+    @cached_property
+    def slots(self) -> tuple[tuple[str, str, tuple], ...]:
+        """(basis, pair, duals) of every collapse slot, in measurement order:
+        Z then X, pairs in `pairs` order."""
+        return tuple((basis, pair, self.duals[pair]) for basis in ("Z", "X") for pair in self.pairs)
 
     @property
     def n3(self) -> int:
@@ -195,12 +206,11 @@ def encoded_state(
 
 def inner_plaquette_priority(ctx: JumpContext) -> list[PauliOperator]:
     """Inner pair-plaquette operators, measured order, both types."""
-    ops = []
-    for basis in ("Z", "X"):
-        for pair in ctx.pairs:
-            for dual in ctx.duals[pair]:
-                ops.append(plaquette_operator(ctx.colex3, dual.plaquette, basis))
-    return ops
+    return [
+        plaquette_operator(ctx.colex3, dual.plaquette, basis)
+        for basis, _, duals in ctx.slots
+        for dual in duals
+    ]
 
 
 def encoded_3d(ctx: JumpContext, logical: str = "zero") -> Tableau:
@@ -382,60 +392,50 @@ class CollapseOutcome:
     logical_flip_flags: dict[str, int | None]
 
 
-def _collapse_common(
-    ctx: JumpContext,
-    state3: Tableau,
-    meas_flip_prob: float,
-    rng: np.random.Generator | None,
-    use_flux_repair: bool,
-    injected_flips: dict | None = None,
-):
-    """Shared machinery of ideal and fault-tolerant collapse."""
-    record = {}
-    repairs = {}
-    corrections = {"X": PauliOperator.identity(ctx.n2), "Z": PauliOperator.identity(ctx.n2)}
-    fluxes = {}
-    for basis in ("Z", "X"):
-        for pair in ctx.pairs:
-            flux = extract_flux(state3, ctx.split, pair, basis, rng, ctx.duals[pair])
-            fluxes[(pair, basis)] = flux
-    for (pair, basis), flux in fluxes.items():
+class SlotRepair(NamedTuple):
+    """One collapse slot's repair of its observed flux."""
+
+    delta0: tuple  # sorted dual indices the repair flips
+    gamma_eff: tuple  # sorted dual indices of the repaired flux
+    kind: str  # type of the string correction, "X" or "Z"
+    correction: PauliOperator  # the string correction on the outer qubits
+    record: dict  # plaquette id -> observed +-1
+
+
+def repair_slot(ctx: JumpContext, observed: FluxConfiguration) -> SlotRepair:
+    """The collapse step of one slot after its measurement: repair the
+    observed flux by matching, then clear the outer endpoints of the
+    repaired flux with a string of the dual type."""
+    delta0, gamma_eff = repair_flux(observed)
+    kind = "X" if observed.basis == "Z" else "Z"
+    corr = ctx.cached_string_correction(gamma_eff.outer_endpoints(), observed.pair, kind)
+    return SlotRepair(
+        tuple(sorted(delta0)), tuple(sorted(gamma_eff.edges)), kind, corr, observed.record()
+    )
+
+
+def _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips=None) -> list:
+    """(true, observed) flux of every slot in `ctx.slots` order. Every slot
+    is measured before any slot's flips are drawn."""
+    fluxes = [
+        extract_flux(state3, ctx.split, pair, basis, rng, duals)
+        for basis, pair, duals in ctx.slots
+    ]
+    measured = []
+    for (basis, pair, duals), flux in zip(ctx.slots, fluxes):
         observed = flux
         if meas_flip_prob > 0:
-            flips = {
-                i
-                for i in range(len(flux.duals))
-                if rng.random() < meas_flip_prob
-            }
-            observed = flux ^ flips
+            observed = flux ^ {i for i in range(len(duals)) if rng.random() < meas_flip_prob}
         if injected_flips and (pair, basis) in injected_flips:
             observed = observed ^ set(injected_flips[(pair, basis)])
-        record[(pair, basis)] = {
-            flux.duals[i].plaquette: (-1 if i in observed.edges else 1)
-            for i in range(len(flux.duals))
-        }
-        if use_flux_repair:
-            delta0, gamma_eff = repair_flux(observed)
-            repairs[(pair, basis)] = (
-                tuple(sorted(delta0)),
-                tuple(sorted(gamma_eff.edges)),
-                tuple(sorted(flux.edges)),
-            )
-            syndrome = gamma_eff.outer_endpoints()
-            corr_type = "X" if basis == "Z" else "Z"
-            corr = ctx.cached_string_correction(syndrome, pair, corr_type)
-            corrections[corr_type] = corrections[corr_type] * corr
-    drop = list(ctx.split.inner_vertices)
-    outer_state = discard_qubits(state3, drop)
-    return outer_state, corrections, record, repairs
+        measured.append((flux, observed))
+    return measured
 
 
 def _finish_collapse(ctx, outer_state, corrections, record, repairs) -> CollapseOutcome:
     for op in corrections.values():
         outer_state.apply(op)
-    flags = {}
-    for kind in ("Z", "X"):
-        flags[kind] = outer_state.expect(ctx.logicals2[kind])
+    flags = {kind: outer_state.expect(ctx.logicals2[kind]) for kind in ("Z", "X")}
     return CollapseOutcome(outer_state, corrections, record, repairs, flags)
 
 
@@ -451,9 +451,14 @@ def collapse(
     `injected_flips` maps (pair, basis) to dual-edge indices whose recorded
     outcome is inverted, for deterministic fault-injection studies.
     """
-    outer_state, corrections, record, repairs = _collapse_common(
-        ctx, state3, meas_flip_prob, rng, use_flux_repair=True, injected_flips=injected_flips
-    )
+    record, repairs = {}, {}
+    corrections = {"X": PauliOperator.identity(ctx.n2), "Z": PauliOperator.identity(ctx.n2)}
+    for flux, observed in _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips):
+        r = repair_slot(ctx, observed)
+        record[(flux.pair, flux.basis)] = r.record
+        repairs[(flux.pair, flux.basis)] = (r.delta0, r.gamma_eff, tuple(sorted(flux.edges)))
+        corrections[r.kind] = corrections[r.kind] * r.correction
+    outer_state = discard_qubits(state3, list(ctx.split.inner_vertices))
     return _finish_collapse(ctx, outer_state, corrections, record, repairs)
 
 
@@ -468,9 +473,8 @@ def ideal_collapse(
     the edge-operator correction that matches it generally differs from the
     error by a logical operator.
     """
-    outer_state, _, record, _ = _collapse_common(
-        ctx, state3, 0.0, rng, use_flux_repair=False
-    )
+    record = {(f.pair, f.basis): f.record() for f, _ in _measure_slots(ctx, state3, 0.0, rng)}
+    outer_state = discard_qubits(state3, list(ctx.split.inner_vertices))
     corrections = {}
     table = _edge_table(ctx.code2)
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
@@ -716,21 +720,15 @@ def single_shot_decode(
 # -- blow-up ------------------------------------------------------------------------
 
 
-@dataclass
-class BlowUpReport:
-    inner_reports: dict
-    outer_corrections: tuple
-    cell_expectations: dict
-
-
 def blow_up(
     ctx: JumpContext,
     state2: Tableau,
     meas_flip_prob: float = 0.0,
     rng: np.random.Generator | None = None,
-):
+) -> Tableau:
     """Inverse jump: append fresh inner qubits, correct the inner code, and
-    reconcile the outer syndrome so the joint state satisfies the 3D code."""
+    reconcile the outer syndrome so the joint state satisfies the 3D code;
+    returns the 3D state."""
     n3 = ctx.n3
     # stabilizer rows: embedded outer rows + |0> inner qubits
     rows = []
@@ -740,27 +738,9 @@ def blow_up(
     for v in ctx.split.inner_vertices:
         rows.append(PauliOperator.from_support(n3, "Z", [v]))
     state3 = from_stabilizers(rows)
-
-    inner_reports = {}
+    inner = list(ctx.split.inner_vertices)
     for basis in ("Z", "X"):
-        state3, report = single_shot_ec(
-            state3,
-            ctx.inner_code,
-            basis,
-            meas_flip_prob,
-            rng,
-            embed=list(ctx.split.inner_vertices),
-        )
-        inner_reports[basis] = report
-
+        single_shot_ec(state3, ctx.inner_code, basis, meas_flip_prob, rng, embed=inner)
     # outer reconciliation: noiseless syndrome readout + exact correction
-    corr_x, corr_z = decode_checks(state3, ctx.outer_plaquettes3)
-
-    cell_exp = {}
-    for ci in range(len(ctx.colex3.cells)):
-        for basis in ("X", "Z"):
-            op = PauliOperator.from_support(
-                n3, basis, ctx.colex3.cell_vertices(ci)
-            )
-            cell_exp[(ci, basis)] = state3.expect(op)
-    return state3, BlowUpReport(inner_reports, (corr_x, corr_z), cell_exp)
+    decode_checks(state3, ctx.outer_plaquettes3)
+    return state3

@@ -11,8 +11,8 @@ Collapse trials run on a `CollapsePlan`, compiled once per context and
 cached on it: one readout matrix of inner plaquette and residual-key
 parities, one int mask per residual-coset key bit, each coset's lightest
 member, the final 2D decode reduced to a per-coset logical flip, and per
-(basis, pair) slot a repair table over every observed pattern, all filled
-when the plan is built. The sign-linear fast engine runs trials in batches of
+slot a table of `jump.repair_slot` (the tableau collapse's own slot step)
+over every observed pattern, all filled when the plan is built. The sign-linear fast engine runs trials in batches of
 `BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_words`, the same
 words as each trial's own generator, compared as integers with
 `noise.word_threshold`), one matrix product, and gathers from dense tables
@@ -20,9 +20,10 @@ indexed by pattern or key, with no per-trial Python call. The tableau
 engine runs trial by trial as the exact oracle; its trial and the blow-up
 and round-trip trials of `jump_trial` share one noise step and one
 collapse step, and copy the encoded states the context builds once. Both
-engines fold their trials into the statistics through the same per-batch
-tally, whose residual accounting is a gather from a dense per-key table
-and `np.bincount` counts.
+engines, and the single-shot trials below, fold their trials into the
+statistics through the same per-batch tally (`_tally`); the collapse
+residual accounting is a gather from a dense per-key table and
+`np.bincount` counts.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
 cached on it, in the manner of a reference sample plus Pauli frames (Stim,
@@ -48,11 +49,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .flux import FluxConfiguration, plaquette_operator, repair_flux
+from .flux import FluxConfiguration, plaquette_operator
 from .gf2 import BitMatrix, checks_table
 from .jump import (
     JumpContext,
@@ -65,6 +66,7 @@ from .jump import (
     ideal_decode_2d,
     logical_operator,
     plaquette_checks,
+    repair_slot,
 )
 from .noise import (
     NoiseSpec,
@@ -143,8 +145,8 @@ class CollapsePlan:
     Batches read the plan through dense tables, indexed directly and filled
     whole when the plan is built, so no trial computes an entry:
 
-    - per (basis, pair) slot, 2^|duals| entries indexed by observed pattern
-      (4 on tetra15): the slot's flux repair and string correction
+    - per slot of `ctx.slots`, 2^|duals| entries indexed by observed
+      pattern (4 on tetra15): the slot's `jump.repair_slot`
       (`_repairs[slot][pattern]`), and as one flat array from
       `slot_offsets[slot]` their residual-key bits and |delta0|
       (`repair_keys`, `repair_sizes`);
@@ -165,18 +167,14 @@ class CollapsePlan:
         checks = plaquette_checks(ctx.code2)
         m = len(checks)
         outer = list(ctx.split.outer_vertices)
-        # inner plaquettes, one column per (basis, pair, dual) in measurement
-        # order; rows are the 3D X error then the 3D Z error (X errors flip
-        # Z-type plaquettes)
-        self.slots = []  # (basis, pair, first column, duals)
-        supports = []
-        for basis, offset in (("Z", 0), ("X", n3)):
-            for pair in ctx.pairs:
-                duals = ctx.duals[pair]
-                self.slots.append((basis, pair, len(supports), duals))
-                for dual in duals:
-                    vs = ctx.colex3.plaquette_vertices(dual.plaquette)
-                    supports.append([offset + v for v in vs])
+        # inner plaquettes, one column per (slot, dual) in measurement order;
+        # rows are the 3D X error then the 3D Z error (X errors flip Z-type
+        # plaquettes)
+        supports = [
+            [(0 if basis == "Z" else n3) + v for v in ctx.colex3.plaquette_vertices(d.plaquette)]
+            for basis, _, duals in ctx.slots
+            for d in duals
+        ]
         # residual coset key bit j of one side is the parity of (3D error on
         # that side | applied correction << n3) over key_masks[j]
         self.n3 = n3
@@ -214,36 +212,27 @@ class CollapsePlan:
         low = [_set_bits(mask & ((1 << n3) - 1)) for mask in self.key_masks]
         keys = low + [[n3 + q for q in qs] for qs in low]
         self.readout = _incidence(2 * n3, supports + keys).astype(np.float32)
-        self.slot_weights = np.zeros((self.n_inner, len(self.slots)), dtype=np.int64)
-        for s, (_, _, lo, duals) in enumerate(self.slots):
+        self.slot_weights = np.zeros((self.n_inner, len(ctx.slots)), dtype=np.int64)
+        lo = 0
+        for s, (*_, duals) in enumerate(ctx.slots):
             self.slot_weights[lo : lo + len(duals), s] = 1 << np.arange(len(duals))
+            lo += len(duals)
         self.key_weights = 1 << np.arange(2 * self.side_bits, dtype=np.int64)
         self._repairs = [
-            [self._repair(ctx, slot, pattern) for pattern in range(1 << len(duals))]
-            for slot, (*_, duals) in enumerate(self.slots)
+            [
+                repair_slot(ctx, FluxConfiguration(pair, basis, frozenset(_set_bits(seen)), duals))
+                for seen in range(1 << len(duals))
+            ]
+            for basis, pair, duals in ctx.slots
         ]
         flat = [r for repairs in self._repairs for r in repairs]
         self.slot_offsets = np.cumsum([0] + [len(repairs) for repairs in self._repairs[:-1]])
-        self.repair_keys = np.array([r.key for r in flat], dtype=np.int64)
-        self.repair_sizes = np.array([len(r.delta0) for r in flat], dtype=np.uint8)
-
-    def _repair(self, ctx: JumpContext, slot: int, pattern: int) -> "_Repair":
-        """Flux repair and string correction of one slot's observed pattern."""
-        basis, pair, _, duals = self.slots[slot]
-        span = range(len(duals))
-        seen = frozenset(i for i in span if pattern >> i & 1)
-        delta0, gamma_eff = repair_flux(FluxConfiguration(pair, basis, seen, duals))
-        kind = "X" if basis == "Z" else "Z"
-        corr = ctx.cached_string_correction(gamma_eff.outer_endpoints(), pair, kind)
-        mask = corr.x if kind == "X" else corr.z
-        return _Repair(
-            tuple(sorted(delta0)),
-            tuple(sorted(gamma_eff.edges)),
-            kind,
-            mask,
-            self.residual_key(0, 0, {"X": 0, "Z": 0} | {kind: mask}),
-            {duals[i].plaquette: (-1 if i in seen else 1) for i in span},
+        # a string correction is of one type, so the other mask is 0
+        self.repair_keys = np.array(
+            [self.residual_key(0, 0, {"X": r.correction.x, "Z": r.correction.z}) for r in flat],
+            dtype=np.int64,
         )
+        self.repair_sizes = np.array([len(r.delta0) for r in flat], dtype=np.uint8)
 
     def residual_key(self, ex: int, ez: int, applied: dict) -> int:
         """Packed coset keys of the outer residual on both sides, from the
@@ -260,16 +249,6 @@ class CollapsePlan:
     def split_key(self, key: int) -> tuple[int, int]:
         """(X-side key, Z-side key) of a packed residual key."""
         return key & ((1 << self.side_bits) - 1), key >> self.side_bits
-
-
-
-class _Repair(NamedTuple):
-    delta0: tuple  # sorted dual indices the repair flips
-    gamma_eff: tuple  # sorted dual indices of the repaired flux
-    kind: str  # type of the string correction, "X" or "Z"
-    correction: int  # its outer mask
-    key: int  # its residual coset key bits (the key is linear)
-    record: dict  # plaquette id -> observed +-1
 
 
 def collapse_plan(ctx: JumpContext) -> CollapsePlan:
@@ -343,7 +322,6 @@ class _TrialResult:
 class _Batch:
     """Trials first, first + 1, ... of one engine call, as arrays."""
 
-    first: int
     keys: np.ndarray  # packed residual coset key per trial
     delta0_sizes: np.ndarray  # (trials, slots): |delta0| of every repair
     failed: np.ndarray  # bool per trial
@@ -369,9 +347,9 @@ class CollapseEngine:
       compared with an integer threshold (`word_threshold`), exactly as
       its double is compared with p or q;
     - one matrix product gives every inner plaquette reading;
-    - each (basis, pair) slot's observed pattern indexes the plan's dense
-      slot tables, which the plan fills with `repair_flux` and the string
-      correction of every pattern, so their tie-breaks hold by
+    - each slot's observed pattern indexes the plan's dense slot tables,
+      which the plan fills with `jump.repair_slot` of every pattern, the
+      step the tableau collapse runs, so their tie-breaks hold by
       construction;
     - the residual coset key is linear, so it is the noise part (one more
       product) XOR the key bits of the slots' corrections, and it indexes
@@ -416,16 +394,12 @@ class CollapseEngine:
         def result(i: int) -> _TrialResult:
             logical = "zero" if side[i] == 0 else "plus"
             records, repairs, applied = {}, {}, {"X": 0, "Z": 0}
-            for s, (basis, pair, lo, duals) in enumerate(plan.slots):
+            true_patterns = (true[i] @ plan.slot_weights).tolist()
+            for s, (basis, pair, _) in enumerate(ctx.slots):
                 r = plan._repairs[s][patterns[i, s]]
                 records[(pair, basis)] = r.record
-                span = range(len(duals))
-                repairs[(pair, basis)] = (
-                    r.delta0,
-                    r.gamma_eff,
-                    tuple(j for j in span if true[i, lo + j]),
-                )
-                applied[r.kind] ^= r.correction
+                repairs[(pair, basis)] = (r.delta0, r.gamma_eff, tuple(_set_bits(true_patterns[s])))
+                applied[r.kind] ^= r.correction.x | r.correction.z
             key = int(keys[i])
             key_x, key_z = plan.split_key(key)
             kind, side_key = ("Z", key_x) if side[i] == 0 else ("X", key_z)
@@ -443,7 +417,7 @@ class CollapseEngine:
                 key,
             )
 
-        return _Batch(first, keys, plan.repair_sizes[at], failed, result)
+        return _Batch(keys, plan.repair_sizes[at], failed, result)
 
 
 # Trials per batch. Each batch pays a fixed cost for its numpy calls (the
@@ -496,27 +470,29 @@ def run_collapse_trials(
     stats = TrialStats()
     for first in range(trial_offset, end, BATCH_TRIALS):
         batch = run_batch(noise, first, min(BATCH_TRIALS, end - first))
-        _tally(stats, plan, batch)
+        _tally(stats, first, batch.failed, batch.delta0_sizes, _TRACKED_KINDS)
+        # Residual class: trials start from a fresh state with trivial flux,
+        # so after discarding, the outer deviation from the reference encoded
+        # state is exactly the injected outer error times the applied
+        # correction (a pure inner error never reaches the outer block).
+        _add_counts(stats.residual_weight_hist, plan.residual_weight[batch.keys])
+        stats.max_residual_component = max(
+            stats.max_residual_component, int(plan.residual_component[batch.keys].max())
+        )
         if trace_fh is not None:
             for i in range(len(batch.keys)):
                 trace_fh.write(_trace_line(noise, first + i, batch.result(i)) + "\n")
     return stats
 
 
-def _tally(stats: TrialStats, plan: CollapsePlan, batch: _Batch) -> None:
-    """Fold a batch's trials into the statistics."""
-    stats.trials += len(batch.keys)
-    _add_counts(stats.delta0_hist, batch.delta0_sizes)
-    # Residual class: trials start from a fresh state with trivial flux,
-    # so after discarding, the outer deviation from the reference encoded
-    # state is exactly the injected outer error times the applied
-    # correction (a pure inner error never reaches the outer block).
-    _add_counts(stats.residual_weight_hist, plan.residual_weight[batch.keys])
-    stats.max_residual_component = max(
-        stats.max_residual_component, int(plan.residual_component[batch.keys].max())
-    )
-    zero = batch.first % 2  # the first row whose trial index is even
-    for kind, rows in (("Z", batch.failed[zero::2]), ("X", batch.failed[1 - zero :: 2])):
+def _tally(stats: TrialStats, first: int, failed, delta0_sizes, kinds: tuple) -> None:
+    """Fold the trial count, |delta0| histogram and failures of a batch of
+    trials first, first + 1, ... into the statistics; a failure of trial t
+    counts as `kinds[t % len(kinds)]`."""
+    stats.trials += len(failed)
+    _add_counts(stats.delta0_hist, delta0_sizes)
+    for j, kind in enumerate(kinds):
+        rows = failed[(j - first) % len(kinds) :: len(kinds)]
         if rows.any():
             stats.failures[kind] += int(rows.sum())
 
@@ -540,16 +516,13 @@ def _tableau_batch(ctx, noise, first, count, keep: bool) -> _Batch:
         if keep:
             kept.append(r)
     return _Batch(
-        first,
-        np.array(keys, dtype=np.int64),
-        np.array(sizes),
-        np.array(failed),
-        kept.__getitem__,
+        np.array(keys, dtype=np.int64), np.array(sizes), np.array(failed), kept.__getitem__
     )
 
 
 # the encoded state and the tracked logical's type of even and odd trials
 _TRACKED = (("zero", "Z"), ("plus", "X"))
+_TRACKED_KINDS = tuple(kind for _, kind in _TRACKED)
 
 
 def _apply_noise(state, p: float, rng) -> tuple[int, int]:
@@ -602,10 +575,10 @@ def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int):
     state2 = ctx.states2[logical].copy()
     if action == "blowup":
         _apply_noise(state2, noise.p_qubit, rng)
-        state3, _ = blow_up(ctx, state2, noise.q_meas, rng)
+        state3 = blow_up(ctx, state2, noise.q_meas, rng)
         return state3.expect(ctx.outer_logicals3[kind])
     if action == "roundtrip":
-        state3, _ = blow_up(ctx, state2, noise.q_meas, rng)
+        state3 = blow_up(ctx, state2, noise.q_meas, rng)
         _apply_noise(state3, noise.p_qubit, rng)
         return _collapse_step(ctx, state3, noise.q_meas, rng, kind)[1]
     raise ValueError(f'unknown jump action {action!r}: use "blowup" or "roundtrip"')
@@ -665,11 +638,10 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
         for label, op in singles:
             if trial(logical, inject=op) != 1:
                 failures.append(("pauli", logical, label))
-        for basis in ("Z", "X"):
-            for pair in ctx.pairs:
-                for ei in range(len(ctx.duals[pair])):
-                    if trial(logical, flips={(pair, basis): {ei}}) != 1:
-                        failures.append(("flip", logical, pair, basis, ei))
+        for basis, pair, duals in ctx.slots:
+            for ei in range(len(duals)):
+                if trial(logical, flips={(pair, basis): {ei}}) != 1:
+                    failures.append(("flip", logical, pair, basis, ei))
     return failures
 
 
@@ -1002,17 +974,9 @@ def run_single_shot_trials(
     _check_trial_range(trial_offset, trials)
     plan = single_shot_plan(code)
     stats = TrialStats()
+    kinds = _TRACKED_KINDS if code.L.generators else ("stabilizer",)
     for first, keys, failed in _single_shot_batches(plan, noise, trial_offset, trials):
-        stats.trials += len(failed)
-        _add_counts(stats.delta0_hist, plan.dual.delta0_sizes[keys])
-        if code.L.generators:
-            zero = first % 2  # the first row whose trial index is even
-            tallies = (("Z", failed[zero::2]), ("X", failed[1 - zero :: 2]))
-        else:
-            tallies = (("stabilizer", failed),)
-        for kind, rows in tallies:
-            if rows.any():
-                stats.failures[kind] += int(rows.sum())
+        _tally(stats, first, failed, plan.dual.delta0_sizes[keys], kinds)
     return stats
 
 

@@ -248,7 +248,7 @@ def test_criterion_07_noiseless_round_trip(ctx):
         logical = "zero" if t % 2 == 0 else "plus"
         kind = "Z" if logical == "zero" else "X"
         state2 = encoded_state(ctx.code2, logical)
-        state3, _ = cj.blow_up(ctx, state2, 0.0, rng)
+        state3 = cj.blow_up(ctx, state2, 0.0, rng)
         out = cj.collapse(ctx, state3, 0.0, rng)
         if out.logical_flip_flags[kind] != 1:
             failures += 1

@@ -250,6 +250,44 @@ def test_simulate_bad_facet_fails_before_the_trace_opens(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["collapse", "--facet", "rg"], 1),
+        (["singleshot", "--kind", "inner", "--facet", "rg"], 1),
+        (["measure-k", "--facet", "rg"], 1),
+        (["measure-k", "--pair", "ry"], 2),
+        (["collapse", "--p", "1.5"], 1),
+    ],
+    ids=["collapse-facet", "singleshot-facet", "measure-k-facet", "measure-k-pair", "rate"],
+)
+def test_simulate_failure_makes_no_out_dir(tmp_path, capsys, argv, want):
+    """A run that fails a check neither creates `--out-dir` nor prints the
+    seed."""
+    out_dir = tmp_path / "fresh"
+    try:
+        code = main(["simulate", argv[0], "--builtin", "tetra15", *argv[1:], "--trials", "2",
+                     "--out-dir", str(out_dir)])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == want
+    assert out.out == "" and "Traceback" not in out.err
+    assert not out_dir.exists()
+
+
+def test_malformed_sequence_file_is_a_usage_error(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0 1 x\n")
+    output = tmp_path / "schedule.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "make", "--stack", "3", "--sequence", str(seq), "--output", str(output)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"{seq}: token 3 ('x') is not an integer" in out.err and "Traceback" not in out.err
+    assert out.out == "" and not output.exists()
+
+
 def test_simulate_outputs_reproducible(tmp_path, capsys):
     base = [
         "simulate", "collapse", "--builtin", "tetra15", "--p", "0.03", "--q", "0.03",

@@ -238,7 +238,7 @@ def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a trial repaired, searched or built a generator")
 
-    monkeypatch.setattr(montecarlo, "repair_flux", counting("repair", montecarlo.repair_flux))
+    monkeypatch.setattr(jump, "repair_flux", counting("repair", jump.repair_flux))
     monkeypatch.setattr(
         jump.JumpContext,
         "cached_string_correction",
@@ -246,12 +246,12 @@ def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
     )
     ctx = make_context(tetra15, "rgb")
     plan = collapse_plan(ctx)
-    entries = sum(2 ** len(duals) for *_, duals in plan.slots)
+    entries = sum(2 ** len(duals) for *_, duals in ctx.slots)
     assert entries == 24
     assert calls == Counter(repair=entries, string=entries)
-    assert [len(repairs) for repairs in plan._repairs] == [4] * len(plan.slots)
+    assert [len(repairs) for repairs in plan._repairs] == [4] * len(ctx.slots)
     for target, name in (
-        (montecarlo, "repair_flux"),
+        (jump, "repair_flux"),
         (jump.JumpContext, "cached_string_correction"),
         (flux, "t_join"),
         (montecarlo, "_max_component"),
@@ -307,8 +307,8 @@ def test_dense_tables_equal_their_fillers(tetra15):
             continue
         syndrome = tuple(key >> j & 1 for j in range(plan.side_bits - 1))
         assert plan.decoded_flip[key] == (len(member) + len(decode[syndrome])) % 2
-    assert len(plan.repair_keys) == len(plan.repair_sizes) == 4 * len(plan.slots)
-    for slot, (basis, pair, _, duals) in enumerate(plan.slots):
+    assert len(plan.repair_keys) == len(plan.repair_sizes) == 4 * len(ctx.slots)
+    for slot, (basis, pair, duals) in enumerate(ctx.slots):
         for pattern in range(2 ** len(duals)):
             seen = frozenset(i for i in range(len(duals)) if pattern >> i & 1)
             delta0, gamma = flux.repair_flux(flux.FluxConfiguration(pair, basis, seen, duals))
@@ -319,7 +319,7 @@ def test_dense_tables_equal_their_fillers(tetra15):
             got = plan._repairs[slot][pattern]
             assert got.delta0 == tuple(sorted(delta0))
             assert got.gamma_eff == tuple(sorted(gamma.edges))
-            assert (got.kind, got.correction, got.key) == (kind, mask, key)
+            assert (got.kind, got.correction) == (kind, corr)
             assert got.record == {d.plaquette: -1 if i in seen else 1 for i, d in enumerate(duals)}
             at = plan.slot_offsets[slot] + pattern
             assert (plan.repair_keys[at], plan.repair_sizes[at]) == (key, len(delta0))
