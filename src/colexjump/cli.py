@@ -1,8 +1,9 @@
 """Command-line entry point: build, inspect, jump, simulate, schedule.
 
-Every stochastic subcommand prints its seed, and every output file embeds
-the tool version, the parsed configuration, the seed, and the hash of the
-lattice it ran on, so reruns with identical inputs are byte-identical.
+Each action's parser takes exactly the flags that action reads. Every
+output file embeds the tool version, the parsed configuration and the hash
+of the lattice it ran on; a run that draws random numbers also prints and
+embeds its seed, so reruns with identical inputs are byte-identical.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -15,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 VERSION = "0.1.0"
 
 
@@ -28,35 +27,35 @@ def _load_colex(args):
     from . import colex as colex_mod
     from .hexfamily import builtin_colex
 
-    if getattr(args, "builtin", None):
+    if args.builtin is not None:
         return builtin_colex(args.builtin)
-    if getattr(args, "colex", None):
-        return colex_mod.load(args.colex)
-    raise SystemExit2("one of --builtin or --colex is required")
+    return colex_mod.load(args.colex)
 
 
 class SystemExit2(Exception):
     """Usage-level error discovered after parsing."""
 
 
-def _emit(path, payload: dict) -> None:
+def _write_json(args, cx, results, seed=None) -> str:
+    """Write `results` with the run's metadata to <out-dir>/<label>.json,
+    making the directory if needed; returns the path."""
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    payload = {
+        "tool": "colexjump",
+        "version": VERSION,
+        "config": config,
+        "colex_hash": cx.content_hash(),
+        "results": results,
+    }
+    if seed is not None:
+        payload["seed"] = seed
+    out_dir = _out_dir(args)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, args.label + ".json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _meta(args, colex_obj=None, seed=None) -> dict:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None
-    }
-    meta = {"tool": "colexjump", "version": VERSION, "config": config}
-    if colex_obj is not None:
-        meta["colex_hash"] = colex_obj.content_hash()
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
+    return path
 
 
 # -- colex -------------------------------------------------------------------------
@@ -79,42 +78,47 @@ def cmd_colex(args) -> int:
         for v in report.violations:
             print(f"  [{v.code}] {v.message}")
         return 1
-    if args.action == "info":
-        print(f"name      {cx.name}")
-        print(f"dimension {cx.dimension}")
-        print(f"vertices  {cx.n_vertices}")
-        print(f"edges     {len(cx.edges)}")
-        print(f"plaquettes {len(cx.plaquettes)}")
-        print(f"cells     {len(cx.cells)}")
-        print(f"hash      {cx.content_hash()}")
-        bs = boundary_structure(cx)
-        for i, r in enumerate(bs.regions):
-            print(f"region {i}: {r.colors} {r.classification} ({len(r.vertices)} vertices)")
-        print(f"borders   {[(b.pair, 'odd' if b.odd else 'even') for b in bs.borders]}")
-        print(f"corners   {[(c.color, c.vertex) for c in bs.corners]}")
-        if args.save:
-            save(cx, args.save)
-        return 0
-    raise SystemExit2(f"unknown colex action {args.action}")
+    print(f"name      {cx.name}")
+    print(f"dimension {cx.dimension}")
+    print(f"vertices  {cx.n_vertices}")
+    print(f"edges     {len(cx.edges)}")
+    print(f"plaquettes {len(cx.plaquettes)}")
+    print(f"cells     {len(cx.cells)}")
+    print(f"hash      {cx.content_hash()}")
+    bs = boundary_structure(cx)
+    for i, r in enumerate(bs.regions):
+        print(f"region {i}: {r.colors} {r.classification} ({len(r.vertices)} vertices)")
+    print(f"borders   {[(b.pair, 'odd' if b.odd else 'even') for b in bs.borders]}")
+    print(f"corners   {[(c.color, c.vertex) for c in bs.corners]}")
+    if args.save:
+        save(cx, args.save)
+    return 0
 
 
 # -- code build ----------------------------------------------------------------------
 
 
-def cmd_code_build(args) -> int:
-    from .codes import build_2d, build_3d, build_inner, code_parameters
-    from .pauli import export_check_matrix
+def _build_code(args, cx):
+    """The `--kind` code on `cx`. Only the inner code reads `--facet`
+    (default rgb); the facet it ran on is echoed in the config."""
+    from .codes import build_2d, build_3d, build_inner
     from .split import split_colex
 
+    if args.kind != "inner":
+        if args.facet is not None:
+            raise SystemExit2(f"--facet applies only to --kind inner, not {args.kind}")
+        return build_2d(cx) if args.kind == "2d" else build_3d(cx)
+    if args.facet is None:
+        args.facet = "rgb"
+    return build_inner(split_colex(cx, args.facet))
+
+
+def cmd_code_build(args) -> int:
+    from .codes import code_parameters
+    from .pauli import export_check_matrix
+
     cx = _load_colex(args)
-    if args.kind == "2d":
-        code = build_2d(cx)
-    elif args.kind == "3d":
-        code = build_3d(cx)
-    elif args.kind == "inner":
-        code = build_inner(split_colex(cx, args.facet))
-    else:
-        raise SystemExit2(f"unknown code kind {args.kind}")
+    code = _build_code(args, cx)
     try:
         n, k, d = code_parameters(code, want_distance=not args.no_distance)
     except ValueError:
@@ -160,67 +164,19 @@ def cmd_jump(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .colex import color_set
-    from .jump import make_context
-    from .montecarlo import exhaustive_weight1_collapse, stats_csv_rows, write_csv
-    from .noise import NoiseSpec, measure_K
+    """`simulate collapse` and `simulate singleshot`: trials to CSV and JSON."""
+    from .montecarlo import stats_csv_rows, write_csv
+    from .noise import NoiseSpec
 
-    if args.trace and args.action != "collapse":
-        raise SystemExit2(
-            f"--trace is only written by simulate collapse, not {args.action}"
-        )
-    if args.exhaustive_weight1 and args.action != "collapse":
-        raise SystemExit2(
-            f"--exhaustive-weight1 applies to simulate collapse, not {args.action}"
-        )
     cx = _load_colex(args)
     # every check runs before the output directory is made or the seed printed
-    if args.action == "measure-k":
-        ctx = make_context(cx, args.facet)
-        pairs = list(ctx.pairs)
-        if args.pair is not None:
-            try:
-                pairs = [color_set(args.pair)]
-            except ValueError:  # a letter that names no color
-                pairs = [None]
-            if pairs[0] not in ctx.pairs:
-                raise SystemExit2(
-                    f"--pair {args.pair!r} is not a color pair of the facet: "
-                    f"use one of {', '.join(ctx.pairs)}"
-                )
-    else:
-        spec = NoiseSpec(args.p, args.q, args.seed)
-        if args.exhaustive_weight1:  # only simulate collapse gets here with it
-            ctx = make_context(cx, args.facet)
-        else:
-            runner = _span_runner(args, cx)
+    spec = NoiseSpec(args.p, args.q, args.seed)
+    runner = _span_runner(args, cx)
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     print(f"seed {args.seed}")
-
-    if args.action == "measure-k":
-        values = {pair: measure_K(ctx, pair, args.cap) for pair in pairs}
-        payload = _meta(args, cx, args.seed)
-        payload["results"] = {"K_hat": values, "cap": args.cap}
-        path = os.path.join(out_dir, args.label + ".json")
-        _emit(path, payload)
-        print(f"K_hat {values} -> {path}")
-        return 0
-
-    if args.exhaustive_weight1:
-        failures = exhaustive_weight1_collapse(ctx)
-        payload = _meta(args, cx, args.seed)
-        payload["results"] = {
-            "mode": "exhaustive-weight1",
-            "faults_checked": "all single qubit Paulis and measurement flips",
-            "failures": [list(map(str, f)) for f in failures],
-        }
-        path = os.path.join(out_dir, args.label + ".json")
-        _emit(path, payload)
-        print(f"exhaustive weight-1: {len(failures)} failures -> {path}")
-        return 0 if not failures else 1
     trace_fh = None
-    if args.trace:
+    if args.action == "collapse" and args.trace:
         trace_fh = open(os.path.join(out_dir, args.label + ".trace.jsonl"), "w")
     try:
         stats = _run_partitioned(args, cx, runner, trace_fh)
@@ -228,13 +184,9 @@ def cmd_simulate(args) -> int:
         if trace_fh:
             trace_fh.close()
 
-    rows = stats_csv_rows([(spec, stats)])
     csv_path = os.path.join(out_dir, args.label + ".csv")
-    write_csv(csv_path, rows)
-    payload = _meta(args, cx, args.seed)
-    payload["results"] = stats.as_dict()
-    json_path = os.path.join(out_dir, args.label + ".json")
-    _emit(json_path, payload)
+    write_csv(csv_path, stats_csv_rows([(spec, stats)]))
+    json_path = _write_json(args, cx, stats.as_dict(), args.seed)
     print(
         f"{args.action}: {stats.trials} trials, {stats.total_failures} failures "
         f"-> {csv_path}, {json_path}"
@@ -242,15 +194,52 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def cmd_measure_k(args) -> int:
+    from .colex import color_set
+    from .jump import make_context
+    from .noise import measure_K
+
+    cx = _load_colex(args)
+    ctx = make_context(cx, args.facet)
+    pairs = list(ctx.pairs)
+    if args.pair is not None:
+        try:
+            pairs = [color_set(args.pair)]
+        except ValueError:  # a letter that names no color
+            pairs = [None]
+        if pairs[0] not in ctx.pairs:
+            raise SystemExit2(
+                f"--pair {args.pair!r} is not a color pair of the facet: "
+                f"use one of {', '.join(ctx.pairs)}"
+            )
+    values = {pair: measure_K(ctx, pair, args.cap) for pair in pairs}
+    path = _write_json(args, cx, {"K_hat": values, "cap": args.cap})
+    print(f"K_hat {values} -> {path}")
+    return 0
+
+
+def cmd_exhaustive_weight1(args) -> int:
+    from .jump import make_context
+    from .montecarlo import exhaustive_weight1_collapse
+
+    cx = _load_colex(args)
+    failures = exhaustive_weight1_collapse(make_context(cx, args.facet))
+    path = _write_json(args, cx, {
+        "mode": "exhaustive-weight1",
+        "faults_checked": "all single qubit Paulis and measurement flips",
+        "failures": [list(map(str, f)) for f in failures],
+    })
+    print(f"exhaustive weight-1: {len(failures)} failures -> {path}")
+    return 0 if not failures else 1
+
+
 def _span_runner(args, cx):
     """The `simulate collapse` or `singleshot` trials of `args` on the
     lattice `cx`, as (first trial, count, trace_fh) -> TrialStats on one
     context or code, built here once."""
-    from .codes import build_3d, build_inner
     from .jump import make_context
     from .montecarlo import run_collapse_trials, run_single_shot_trials
     from .noise import NoiseSpec
-    from .split import split_colex
 
     spec = NoiseSpec(args.p, args.q, args.seed)
     if args.action == "collapse":
@@ -258,7 +247,7 @@ def _span_runner(args, cx):
         return lambda first, count, trace_fh: run_collapse_trials(
             ctx, spec, count, trial_offset=first, trace_fh=trace_fh
         )
-    code = build_inner(split_colex(cx, args.facet)) if args.kind == "inner" else build_3d(cx)
+    code = _build_code(args, cx)
     return lambda first, count, trace_fh: run_single_shot_trials(
         code, spec, count, trial_offset=first
     )
@@ -283,7 +272,8 @@ def _run_partitioned(args, cx, runner, trace_fh=None):
         (lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_worker_entry, [(args, cx, lo, n) for lo, n in spans]))
+        packed = [(args, cx, lo, n, trace_fh is not None) for lo, n in spans]
+        parts = list(pool.map(_worker_entry, packed))
     stats = parts[0][0]
     for part, _ in parts[1:]:
         stats = stats.merge(part)
@@ -295,8 +285,8 @@ def _run_partitioned(args, cx, runner, trace_fh=None):
 
 def _worker_entry(packed):
     """Run one span of trials; returns (stats, trace text of the span)."""
-    args, cx, lo, n = packed
-    trace = io.StringIO() if args.trace else None
+    args, cx, lo, n, traced = packed
+    trace = io.StringIO() if traced else None
     stats = _span_runner(args, cx)(lo, n, trace)
     return stats, trace.getvalue() if trace is not None else ""
 
@@ -305,12 +295,8 @@ def _worker_entry(packed):
 
 
 def cmd_schedule(args) -> int:
-    from .scheduler import ScheduleError, SwapSchedule, schedule, verify
+    from .scheduler import schedule, verify
 
-    needed = {"make": ("stack", "sequence"), "verify": ("schedule",)}[args.action]
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
-    if missing:
-        raise SystemExit2(f"schedule {args.action} needs {' and '.join(missing)}")
     if args.action == "make":
         seq = _read_sequence(args.sequence)
         sched = schedule(seq, range(args.stack))
@@ -345,16 +331,14 @@ def cmd_schedule(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    if args.action == "verify":
-        sched = _read_schedule(args.schedule)
-        result = verify(sched)
-        if result:
-            print(f"OK: {sched.total_steps} steps verified")
-            return 0
-        where = "" if result.step is None else f" at step {result.step}"
-        print(f"VIOLATION{where}: {result.violation}")
-        return 1
-    raise SystemExit2(f"unknown schedule action {args.action}")
+    sched = _read_schedule(args.schedule)
+    result = verify(sched)
+    if result:
+        print(f"OK: {sched.total_steps} steps verified")
+        return 0
+    where = "" if result.step is None else f" at step {result.step}"
+    print(f"VIOLATION{where}: {result.violation}")
+    return 1
 
 
 def _read_sequence(path) -> list[int]:
@@ -449,68 +433,88 @@ def _at_least(low: int, below: int | None = None):
 _SEED = _at_least(0, below=2**64)
 
 
+def _stem(text: str) -> str:
+    """argparse type: a file name stem, not empty and with no path separator."""
+    if not text or os.sep in text or (os.altsep and os.altsep in text):
+        raise argparse.ArgumentTypeError(f"must be a file name stem, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """`colexjump <command> <action> [flags]`: one parser per action, holding
+    exactly the flags that action reads; no flag may be abbreviated."""
     parser = argparse.ArgumentParser(
         prog="colexjump",
         description="Color-code lattices, dimensional jumps, and stack scheduling",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"colexjump {VERSION}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_colex_source(p):
-        p.add_argument("--builtin", help="tri7, tetra15, or tri-hex-d{3,5,7}")
-        p.add_argument("--colex", help="path to a colex JSON file")
+    def command(name, summary, actions):
+        sub = commands.add_parser(name, help=summary, allow_abbrev=False)
+        sub = sub.add_subparsers(dest="action", required=True)
+        for action, (func, *flags) in actions.items():
+            p = sub.add_parser(action, allow_abbrev=False)
+            p.set_defaults(func=func)
+            for add in flags:
+                add(p)
 
-    p = sub.add_parser("colex", help="validate / info / hash a lattice")
-    p.add_argument("action", choices=["validate", "info", "hash"])
-    add_colex_source(p)
-    p.add_argument("--save", help="write the canonical form to this path")
-    p.set_defaults(func=cmd_colex)
+    def flag(*names, **kwargs):
+        return lambda p: p.add_argument(*names, **kwargs)
 
-    p = sub.add_parser("code", help="build code groups and parameters")
-    p.add_argument("action", choices=["build"])
-    add_colex_source(p)
-    p.add_argument("--kind", choices=["2d", "3d", "inner"], required=True)
-    p.add_argument("--facet", default="rgb")
-    p.add_argument("--no-distance", action="store_true")
-    p.add_argument("--output", help="write check matrices to this file")
-    p.set_defaults(func=cmd_code_build)
+    def source(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--builtin", help="tri7, tetra15, or tri-hex-d{3,5,7}")
+        group.add_argument("--colex", help="path to a colex JSON file")
 
-    p = sub.add_parser("jump", help="run collapse / blowup / roundtrip trials")
-    p.add_argument("action", choices=["collapse", "blowup", "roundtrip"])
-    add_colex_source(p)
-    p.add_argument("--facet", default="rgb")
-    p.add_argument("--p", type=float, default=0.0, help="qubit error rate")
-    p.add_argument("--q", type=float, default=0.0, help="measurement flip rate")
-    p.add_argument("--trials", type=_at_least(0), default=1)
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.set_defaults(func=cmd_jump)
+    def noise(trials):
+        def add(p):
+            p.add_argument("--p", type=float, default=0.0, help="qubit error rate")
+            p.add_argument("--q", type=float, default=0.0, help="measurement flip rate")
+            p.add_argument("--trials", type=_at_least(0), default=trials)
+            p.add_argument("--seed", type=_SEED, default=0)
+        return add
 
-    p = sub.add_parser("simulate", help="Monte Carlo harnesses with CSV/JSON output")
-    p.add_argument("action", choices=["collapse", "singleshot", "measure-k"])
-    add_colex_source(p)
-    p.add_argument("--facet", default="rgb")
-    p.add_argument("--kind", choices=["3d", "inner"], default="3d")
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
-    p.add_argument("--trials", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--pair", help="color pair for measure-k (default: all)")
-    p.add_argument("--cap", type=_at_least(1), default=4, help="flux length cap for measure-k")
-    p.add_argument("--label", default="results", help="output file stem")
-    p.add_argument("--out-dir", help="output directory (or COLEXJUMP_OUTDIR)")
-    p.add_argument("--trace", action="store_true", help="write per-trial trace")
-    p.add_argument("--workers", type=_at_least(1), default=1)
-    p.add_argument("--exhaustive-weight1", action="store_true")
-    p.set_defaults(func=cmd_simulate)
+    def outputs(p):
+        p.add_argument("--label", type=_stem, default="results", help="output file stem")
+        p.add_argument("--out-dir", help="output directory (or COLEXJUMP_OUTDIR)")
 
-    p = sub.add_parser("schedule", help="make or verify stack swap schedules")
-    p.add_argument("action", choices=["make", "verify"])
-    p.add_argument("--stack", type=int, help="stack size for make")
-    p.add_argument("--sequence", help="file of whitespace-separated qubit ids")
-    p.add_argument("--schedule", help="schedule file for verify")
-    p.add_argument("--output", help="write the schedule here")
-    p.set_defaults(func=cmd_schedule)
+    facet = flag("--facet", default="rgb")
+    inner_facet = flag("--facet", help="facet of --kind inner (default rgb)")
+    workers = flag("--workers", type=_at_least(1), default=1)
+    command("colex", "validate / info / hash a lattice", {
+        "validate": (cmd_colex, source),
+        "hash": (cmd_colex, source),
+        "info": (cmd_colex, source, flag("--save", help="write the canonical form here")),
+    })
+    command("code", "build code groups and parameters", {
+        "build": (cmd_code_build, source,
+                  flag("--kind", choices=["2d", "3d", "inner"], required=True), inner_facet,
+                  flag("--no-distance", action="store_true"),
+                  flag("--output", help="write check matrices to this file")),
+    })
+    jump = (cmd_jump, source, facet, noise(trials=1))
+    command("jump", "run collapse / blowup / roundtrip trials",
+            {"collapse": jump, "blowup": jump, "roundtrip": jump})
+    command("simulate", "Monte Carlo harnesses with CSV/JSON output", {
+        "collapse": (cmd_simulate, source, facet, noise(trials=1000), outputs, workers,
+                     flag("--trace", action="store_true", help="write per-trial trace")),
+        "singleshot": (cmd_simulate, source,
+                       flag("--kind", choices=["3d", "inner"], default="3d"), inner_facet,
+                       noise(trials=1000), outputs, workers),
+        "measure-k": (cmd_measure_k, source, facet,
+                      flag("--pair", help="color pair (default: all)"),
+                      flag("--cap", type=_at_least(1), default=4, help="flux length cap"),
+                      outputs),
+        "exhaustive-weight1": (cmd_exhaustive_weight1, source, facet, outputs),
+    })
+    command("schedule", "make or verify stack swap schedules", {
+        "make": (cmd_schedule, flag("--stack", type=_at_least(1), required=True),
+                 flag("--sequence", required=True, help="file of whitespace-separated qubit ids"),
+                 flag("--output", help="write the schedule here")),
+        "verify": (cmd_schedule, flag("--schedule", required=True, help="schedule file")),
+    })
     return parser
 
 

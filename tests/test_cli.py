@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from colexjump.cli import main
 
@@ -185,8 +191,10 @@ def test_schedule_missing_flag_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([arg.format(seq=seq) for arg in argv])
     out = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out.out == "" and "needs --" in out.err
+    required = {"make": ["--stack", "--sequence"], "verify": ["--schedule"]}[argv[1]]
+    missing = [flag for flag in required if flag not in argv]
+    assert exc.value.code == 2 and out.out == ""
+    assert f"the following arguments are required: {', '.join(missing)}" in out.err
 
 
 @pytest.mark.parametrize(
@@ -266,7 +274,8 @@ def test_simulate_failure_makes_no_out_dir(tmp_path, capsys, argv, want):
     seed."""
     out_dir = tmp_path / "fresh"
     try:
-        code = main(["simulate", argv[0], "--builtin", "tetra15", *argv[1:], "--trials", "2",
+        trials = [] if argv[0] == "measure-k" else ["--trials", "2"]
+        code = main(["simulate", argv[0], "--builtin", "tetra15", *argv[1:], *trials,
                      "--out-dir", str(out_dir)])
     except SystemExit as exc:
         code = exc.code
@@ -328,7 +337,7 @@ def test_simulate_json_embeds_metadata(tmp_path, capsys):
 def test_simulate_exhaustive_weight1(tmp_path, capsys):
     code, out, _ = run(
         [
-            "simulate", "collapse", "--builtin", "tetra15", "--exhaustive-weight1",
+            "simulate", "exhaustive-weight1", "--builtin", "tetra15",
             "--label", "w1", "--out-dir", str(tmp_path),
         ],
         capsys,
@@ -461,27 +470,190 @@ def test_simulate_singleshot_inner(tmp_path, capsys):
     assert "0 failures" in out
 
 
+_T15 = ["--builtin", "tetra15"]
+_SIM_OUT = ["--label", "x", "--out-dir", "out"]
+
+
 @pytest.mark.parametrize(
-    "action,flag",
+    "argv, flag",
     [
-        ("singleshot", "--trace"),
-        ("measure-k", "--trace"),
-        ("singleshot", "--exhaustive-weight1"),
-        ("measure-k", "--exhaustive-weight1"),
+        pytest.param(["colex", "validate", "--builtin", "tri7", "--save", "F"], "--save",
+                     id="colex-validate---save"),
+        pytest.param(["colex", "hash", "--builtin", "tri7", "--save", "F"], "--save",
+                     id="colex-hash---save"),
+        pytest.param(["colex", "hash", "--builtin", "tri7", "--colex", "{colex}"], "--colex",
+                     id="two-lattice-sources"),
+        pytest.param(["code", "build", "--builtin", "tri7", "--kind", "2d", "--facet", "rgb"],
+                     "--facet", id="code-2d---facet"),
+        pytest.param(["schedule", "verify", "--schedule", "{sched}", "--output", "F"], "--output",
+                     id="schedule-verify---output"),
+        pytest.param(["schedule", "verify", "--schedule", "{sched}", "--stack", "9"], "--stack",
+                     id="schedule-verify---stack"),
+        pytest.param(["schedule", "make", "--stack", "4", "--sequence", "{seq}", "--schedule", "X",
+                      "--output", "F"], "--schedule", id="schedule-make---schedule"),
+        pytest.param(["simulate", "measure-k", *_T15, "--p", "0.3", *_SIM_OUT], "--p",
+                     id="measure-k---p"),
+        pytest.param(["simulate", "measure-k", *_T15, "--trials", "2", *_SIM_OUT], "--trials",
+                     id="measure-k---trials"),
+        pytest.param(["simulate", "measure-k", *_T15, "--workers", "2", *_SIM_OUT], "--workers",
+                     id="measure-k---workers"),
+        pytest.param(["simulate", "measure-k", *_T15, "--seed", "3", *_SIM_OUT], "--seed",
+                     id="measure-k---seed"),
+        pytest.param(["simulate", "measure-k", *_T15, "--trace", *_SIM_OUT], "--trace",
+                     id="measure-k---trace"),
+        pytest.param(["simulate", "measure-k", *_T15, "--exhaustive-weight1", *_SIM_OUT],
+                     "--exhaustive-weight1", id="measure-k---exhaustive-weight1"),
+        pytest.param(["simulate", "collapse", *_T15, "--trials", "2", "--cap", "3", *_SIM_OUT],
+                     "--cap", id="collapse---cap"),
+        pytest.param(["simulate", "collapse", *_T15, "--trials", "2", "--pair", "rg", *_SIM_OUT],
+                     "--pair", id="collapse---pair"),
+        pytest.param(["simulate", "collapse", *_T15, "--trials", "2", "--kind", "inner",
+                      *_SIM_OUT], "--kind", id="collapse---kind"),
+        pytest.param(["simulate", "collapse", *_T15, "--trials", "2", "--exhaustive-weight1",
+                      *_SIM_OUT], "--exhaustive-weight1", id="collapse---exhaustive-weight1"),
+        pytest.param(["simulate", "collapse", *_T15, "--trials", "2", "--work", "1", *_SIM_OUT],
+                     "--work", id="collapse-abbreviated---work"),
+        pytest.param(["simulate", "singleshot", *_T15, "--trials", "2", "--trace", *_SIM_OUT],
+                     "--trace", id="singleshot---trace"),
+        pytest.param(["simulate", "singleshot", *_T15, "--trials", "2", "--exhaustive-weight1",
+                      *_SIM_OUT], "--exhaustive-weight1", id="singleshot---exhaustive-weight1"),
+        pytest.param(["simulate", "singleshot", *_T15, "--trials", "2", "--facet", "rg",
+                      *_SIM_OUT], "--facet", id="singleshot-3d---facet"),
+        pytest.param(["simulate", "exhaustive-weight1", *_T15, "--trace", *_SIM_OUT], "--trace",
+                     id="exhaustive-weight1---trace"),
+        pytest.param(["simulate", "exhaustive-weight1", *_T15, "--p", "0.1", *_SIM_OUT], "--p",
+                     id="exhaustive-weight1---p"),
     ],
 )
-def test_simulate_flag_without_effect_is_a_usage_error(tmp_path, capsys, action, flag):
-    """A flag the action would ignore exits 2 before any work or output."""
+def test_simulate_flag_without_effect_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    """A flag the action would not read, a second lattice source or an
+    abbreviated flag exits 2 and names the flag, before any work or output."""
+    from colexjump.colex import save
+    from colexjump.hexfamily import builtin_colex
+
+    save(builtin_colex("tri7"), tmp_path / "tri7.json")
+    (tmp_path / "seq.txt").write_text("0 1 2 0\n")
+    assert main(["schedule", "make", "--stack", "4", "--sequence", str(tmp_path / "seq.txt"),
+                 "--output", str(tmp_path / "sched.jsonl")]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLEXJUMP_OUTDIR", str(tmp_path / "env-out"))
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    files = {"colex": "tri7.json", "seq": "seq.txt", "sched": "sched.jsonl"}
     with pytest.raises(SystemExit) as exc:
-        main(
-            [
-                "simulate", action, "--builtin", "tetra15", "--trials", "2", flag,
-                "--label", "x", "--out-dir", str(tmp_path / "out"),
-            ]
-        )
-    assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+        main([arg.format(**files) for arg in argv])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert flag in out.err.splitlines()[-1]  # the error line, not the usage
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+# what each action's parser takes, as `colexjump <command> <action> -h` lists it
+_SOURCE = ["--builtin", "--colex"]
+_NOISE = ["--p", "--q", "--trials", "--seed"]
+_ACTION_FLAGS = {
+    ("colex", "validate"): _SOURCE,
+    ("colex", "hash"): _SOURCE,
+    ("colex", "info"): [*_SOURCE, "--save"],
+    ("code", "build"): [*_SOURCE, "--kind", "--facet", "--no-distance", "--output"],
+    ("jump", "collapse"): [*_SOURCE, "--facet", *_NOISE],
+    ("jump", "blowup"): [*_SOURCE, "--facet", *_NOISE],
+    ("jump", "roundtrip"): [*_SOURCE, "--facet", *_NOISE],
+    ("simulate", "collapse"): [*_SOURCE, "--facet", *_NOISE, "--label", "--out-dir",
+                               "--workers", "--trace"],
+    ("simulate", "singleshot"): [*_SOURCE, "--kind", "--facet", *_NOISE, "--label",
+                                 "--out-dir", "--workers"],
+    ("simulate", "measure-k"): [*_SOURCE, "--facet", "--pair", "--cap", "--label", "--out-dir"],
+    ("simulate", "exhaustive-weight1"): [*_SOURCE, "--facet", "--label", "--out-dir"],
+    ("schedule", "make"): ["--stack", "--sequence", "--output"],
+    ("schedule", "verify"): ["--schedule"],
+}
+
+
+def action_parsers():
+    """(command, action) -> the argparse parser of that action, walked from
+    `cli.build_parser()`."""
+    import argparse
+
+    from colexjump.cli import build_parser
+
+    def children(parser):
+        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub[0].choices if sub else {}
+
+    return {
+        (command, action): leaf
+        for command, parser in children(build_parser()).items()
+        for action, leaf in children(parser).items()
+    }
+
+
+def test_each_action_takes_exactly_its_flags():
+    parsers = action_parsers()
+    flags = {
+        key: [a.option_strings[0] for a in p._actions if a.option_strings and a.dest != "help"]
+        for key, p in parsers.items()
+    }
+    assert flags == _ACTION_FLAGS
+    assert sum(map(len, flags.values())) == 72
+    assert not any(p.allow_abbrev for p in parsers.values())
+
+
+_CONFIG_KEYS = {
+    "collapse": {"action", "builtin", "command", "facet", "label", "out_dir", "p", "q", "seed",
+                 "trace", "trials", "workers"},
+    "singleshot": {"action", "builtin", "command", "kind", "label", "out_dir", "p", "q", "seed",
+                   "trials", "workers"},
+    "measure-k": {"action", "builtin", "cap", "command", "facet", "label", "out_dir"},
+    "exhaustive-weight1": {"action", "builtin", "command", "facet", "label", "out_dir"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collapse", "--trials", "3", "--trace"],
+        ["singleshot", "--trials", "3"],
+        ["singleshot", "--trials", "3", "--kind", "inner"],
+        ["measure-k", "--pair", "rg"],
+        ["exhaustive-weight1"],
+    ],
+    ids=["collapse", "singleshot-3d", "singleshot-inner", "measure-k", "exhaustive-weight1"],
+)
+def test_simulate_config_echoes_exactly_the_flags_read(tmp_path, capsys, argv):
+    """The JSON config holds the action's parsed flags that are not None,
+    plus command and action; an inner code's facet is echoed even when it
+    is the default. Only runs that draw from a seed embed one."""
+    from colexjump.cli import build_parser
+
+    full = ["simulate", *argv, "--builtin", "tetra15", "--label", "c", "--out-dir", str(tmp_path)]
+    code, out, _ = run(full, capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "c.json").read_text())
+    parsed = {k: v for k, v in vars(build_parser().parse_args(full)).items()
+              if k != "func" and v is not None}
+    inner = "inner" in argv
+    keys = _CONFIG_KEYS[argv[0]] | ({"pair"} if "--pair" in argv else set())
+    assert payload["config"] == {**parsed, **({"facet": "rgb"} if inner else {})}
+    assert payload["config"].keys() == keys | ({"facet"} if inner else set())
+    seeded = argv[0] in ("collapse", "singleshot")
+    assert ("seed" in payload) == seeded and out.startswith("seed 0\n") == seeded
+
+
+@pytest.mark.parametrize("label", ["sub/r", ""], ids=["separator", "empty"])
+@pytest.mark.parametrize("action", ["collapse", "measure-k"])
+def test_label_must_be_a_file_stem(tmp_path, capsys, action, label):
+    """A `--label` that is empty or holds a path separator exits 2 at parse
+    time: no trial runs, no seed is printed and no `--out-dir` is made."""
+    out_dir = tmp_path / "out1"
+    trials = ["--trials", "7"] if action == "collapse" else []
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", action, "--builtin", "tetra15", *trials, "--label", label,
+              "--out-dir", str(out_dir)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --label: must be a file name stem" in out.err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("p,q,seed", [(0.1, 0.1, 5), (0.15, 0.0, 7), (0.0, 0.2, 11)])
@@ -530,14 +702,21 @@ def test_jump_probability_out_of_range_fails(capsys, argv):
         (["simulate", "collapse", "--seed", str(2**64)], "--seed"),
         (["simulate", "measure-k", "--cap", "0"], "--cap"),
         (["simulate", "measure-k", "--cap", "-1"], "--cap"),
+        (["schedule", "make", "--stack", "0", "--output", "{out}"], "--stack"),
+        (["schedule", "make", "--stack", "-1", "--output", "{out}"], "--stack"),
     ],
 )
 def test_bad_counts_are_usage_errors(monkeypatch, tmp_path, capsys, argv, flag):
     """A negative trial count, fewer than one worker, a seed outside
-    [0, 2^64) or a flux cap below 1 exits 2, writing nothing."""
+    [0, 2^64), a flux cap below 1 or a stack below 1 exits 2, writing
+    nothing."""
     monkeypatch.setenv("COLEXJUMP_OUTDIR", str(tmp_path / "out"))
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0 1 2 0\n")
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    extra = ["--sequence", str(seq)] if argv[0] == "schedule" else ["--builtin", "tetra15"]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--builtin", "tetra15"])
+        main(argv + extra)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -596,3 +775,132 @@ def test_jump_trial_pinned(ctx, monkeypatch, action, p, q, seed):
     text = json.dumps(trials, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(text.encode()).hexdigest()[:10]
     assert digest == _JUMP_TRIAL_GOLDEN[action, p, q, seed]
+
+
+# -- the CLI contract, fuzzed ------------------------------------------------------
+
+# Value pools by flag, as (good values, bad values). The bad ones are
+# boundary and out-of-range numbers, names the run rejects, and for a file
+# flag a missing file, a directory, an empty file, a file that is not UTF-8
+# and a truncated one. `--trials`,
+# `--workers` and `--stack` draw only sizes that run in milliseconds on at
+# most two worker processes.
+_BAD_FILES = ["missing.txt", "a-dir", "empty.txt", "latin1.txt"]
+_RATES = (["0", "0.05", "1", "-0.0"], ["-1", "1.5", "nan", "inf", str(2**64), "x"])
+_POOLS = {
+    "--builtin": (["tetra15", "tetra15", "tri7"], ["tri9"]),
+    "--colex": (["tetra15.json", "tetra15.json", "tri7.json"], ["trunc.json", *_BAD_FILES]),
+    "--sequence": (["seq.txt"], _BAD_FILES),
+    "--schedule": (["sched.jsonl"], ["trunc.jsonl", *_BAD_FILES]),
+    "--save": (["w.txt", "seq.txt"], ["no-dir/w.txt", "a-dir"]),
+    "--output": (["w.txt", "seq.txt"], ["no-dir/w.txt", "a-dir"]),
+    "--out-dir": (["out", "out/deep", "a-dir"], ["seq.txt"]),
+    "--label": (["ab", "."], ["", "sub/r"]),
+    "--facet": (["rgb", "gbr"], ["rg", "rgy", ""]),
+    "--kind": (["3d", "inner", "2d"], ["4d"]),
+    "--pair": (["rg", "gb"], ["ry", ""]),
+    "--p": _RATES,
+    "--q": _RATES,
+    "--seed": (["0", "3", str(2**64 - 1)], ["-1", str(2**64), "nan", "1.5"]),
+    "--cap": (["1", "4", str(2**64 - 1)], ["0", "-1", "x"]),
+    "--trials": (["0", "1", "3", "20"], ["-1", "2.5", "nan", "x"]),
+    "--workers": (["1", "2"], ["0", "-1"]),
+    "--stack": (["4", "6"], ["1", "0", "-1", "nan", "x"]),
+}
+
+
+def _fuzz_files(root):
+    """The input files of the pools, written under `root`."""
+    from colexjump.colex import save
+    from colexjump.hexfamily import builtin_colex
+
+    for name in ("tri7", "tetra15"):
+        save(builtin_colex(name), root / f"{name}.json")
+    text = (root / "tetra15.json").read_text()
+    (root / "trunc.json").write_text(text[: len(text) // 2])
+    (root / "seq.txt").write_text("0 1 2 0 3 1\n")
+    (root / "a-dir").mkdir()
+    (root / "empty.txt").write_text("")
+    (root / "latin1.txt").write_bytes(b"\xff\xfe 0 1\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["schedule", "make", "--stack", "4", "--sequence", str(root / "seq.txt"),
+                     "--output", str(root / "sched.jsonl")]) == 0
+    text = (root / "sched.jsonl").read_text()
+    (root / "trunc.jsonl").write_text(text[: len(text) - 9])
+
+
+def _tree(root):
+    return {
+        path.relative_to(root): path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
+
+
+@st.composite
+def _invocations(draw):
+    """`[command, action, flags...]`: a lattice source (mostly one, sometimes
+    none or two), some of the action's own flags and, one time in four, a
+    flag drawn from every action's, in any order. A value is drawn from its
+    flag's good values three times in four, else from all of its pool."""
+    parsers = action_parsers()
+    arity = {
+        a.option_strings[0]: a.nargs != 0
+        for p in parsers.values() for a in p._actions if a.option_strings and a.dest != "help"
+    }
+    command, action = draw(st.sampled_from(sorted(parsers)))
+    own = [flag for flag in _ACTION_FLAGS[command, action] if flag not in _SOURCE]
+    flags = []
+    if own:
+        flags = draw(st.lists(st.sampled_from(own), unique=True))
+    if command != "schedule":
+        one = [["--builtin"]] * 3 + [["--colex"]] * 2
+        flags += draw(st.sampled_from([*one, [], _SOURCE]))
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(sorted(arity))))
+    argv = [command, action]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if arity[flag]:
+            good, bad = _POOLS[flag]
+            argv.append(draw(st.sampled_from(good if draw(st.integers(0, 3)) else good + bad)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_invocations())
+def test_cli_contract_fuzzed(argv):
+    """Any flags on any action: the exit code is 0, 1 or 2, only argparse's
+    SystemExit(2) escapes, and a run that ends in an `error:` line or a
+    usage error leaves the directory tree as it was. A verdict (INVALID,
+    VIOLATION, exhaustive weight-1 failures) is not an error."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        _fuzz_files(root)
+        before = _tree(root)
+        out, err = io.StringIO(), io.StringIO()
+        old_env = os.environ.get("COLEXJUMP_OUTDIR")
+        os.environ["COLEXJUMP_OUTDIR"] = str(root / "env-out")
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2
+                    code = 2
+        finally:
+            os.chdir(cwd)
+            if old_env is None:
+                del os.environ["COLEXJUMP_OUTDIR"]
+            else:
+                os.environ["COLEXJUMP_OUTDIR"] = old_env
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        verdict = code == 1 and any(
+            word in out for word in ("INVALID", "VIOLATION", "exhaustive weight-1:")
+        )
+        if code == 2 or (code == 1 and not verdict):
+            assert code == 2 or err.startswith("error: ")
+            assert _tree(root) == before
