@@ -433,16 +433,34 @@ def _at_least(low: int, below: int | None = None):
 _SEED = _at_least(0, below=2**64)
 
 
+# the longest file name (in bytes) that Linux and macOS file systems take,
+# and the longest suffix a run appends to its `--label`
+_NAME_MAX = 255
+_LONGEST_SUFFIX = ".trace.jsonl"
+
+
 def _stem(text: str) -> str:
-    """argparse type: a file name stem, not empty and with no path separator."""
+    """argparse type: a file name stem, not empty, with no path separator,
+    and short enough that every output file name fits the file system."""
     if not text or os.sep in text or (os.altsep and os.altsep in text):
         raise argparse.ArgumentTypeError(f"must be a file name stem, got {text!r}")
+    if len(os.fsencode(text + _LONGEST_SUFFIX)) > _NAME_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_NAME_MAX - len(_LONGEST_SUFFIX)} bytes long, "
+            f"got {len(os.fsencode(text))}"
+        )
     return text
 
 
 def build_parser() -> argparse.ArgumentParser:
     """`colexjump <command> <action> [flags]`: one parser per action, holding
     exactly the flags that action reads; no flag may be abbreviated."""
+    return _parsers()[0]
+
+
+def _parsers():
+    """The `build_parser` parser, and the parser of each (command, action)."""
+    actions_of = {}
     parser = argparse.ArgumentParser(
         prog="colexjump",
         description="Color-code lattices, dimensional jumps, and stack scheduling",
@@ -455,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=summary, allow_abbrev=False)
         sub = sub.add_subparsers(dest="action", required=True)
         for action, (func, *flags) in actions.items():
-            p = sub.add_parser(action, allow_abbrev=False)
+            p = actions_of[name, action] = sub.add_parser(action, allow_abbrev=False)
             p.set_defaults(func=func)
             for add in flags:
                 add(p)
@@ -515,16 +533,20 @@ def build_parser() -> argparse.ArgumentParser:
                  flag("--output", help="write the schedule here")),
         "verify": (cmd_schedule, flag("--schedule", required=True, help="schedule file")),
     })
-    return parser
+    return parser, actions_of
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, actions_of = _parsers()
+    args, extra = parser.parse_known_args(argv)
+    # usage errors name the action's usage line, not the top-level one
+    action_parser = actions_of[args.command, args.action]
+    if extra:
+        action_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except SystemExit2 as exc:
-        parser.error(str(exc))  # exits 2
+        action_parser.error(str(exc))  # exits 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,7 +65,7 @@ from .flux import (
 from .gf2 import checks_table, min_weight_table  # noqa: F401
 from .pauli import PauliOperator
 from .split import SplitResult, dual_edges, split_colex
-from .tableau import Tableau, from_stabilizers
+from .tableau import Tableau, flip_columns, from_stabilizers
 
 
 # -- context ---------------------------------------------------------------------
@@ -241,29 +241,39 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     if not keep:
         raise ValueError(f"cannot discard all {n} qubits: no state would remain")
     xs, zs, signs = state.xs[n:], state.zs[n:], state.signs[n:]
-    # eliminate dropped-qubit columns (x then z per qubit): the first unused
+    # the stabilizer rows that hold each qubit's X / Z bit, kept up to date
+    # for the dropped qubits as the elimination changes rows
+    xcol = [c >> n for c in state.xcol]
+    zcol = [c >> n for c in state.zcol]
+    # eliminate dropped-qubit columns (x then z per qubit): the lowest unused
     # row with the bit is the pivot, and every other row with it becomes its
     # product with the pivot (X-left sign rule, as in `Tableau.measure`)
-    used: set[int] = set()
+    used = 0
     for q in drop:
-        bit = 1 << q
-        for part in (xs, zs):
-            hits = [i for i, m in enumerate(part) if m & bit]
-            pivot = next((i for i in hits if i not in used), None)
-            if pivot is None:
+        for col in (xcol, zcol):
+            hits = col[q]
+            free = hits & ~used
+            if not free:
                 continue
-            used.add(pivot)
+            bit = free & -free
+            used |= bit
+            pivot = bit.bit_length() - 1
             px, pz, ps = xs[pivot], zs[pivot], signs[pivot]
-            for i in hits:
-                if i != pivot:
-                    sign = signs[i] * ps
-                    signs[i] = -sign if (zs[i] & px).bit_count() & 1 else sign
-                    xs[i] ^= px
-                    zs[i] ^= pz
+            rest = hits ^ bit
+            flip_columns(xcol, px & drop_mask, rest)
+            flip_columns(zcol, pz & drop_mask, rest)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                sign = signs[i] * ps
+                signs[i] = -sign if (zs[i] & px).bit_count() & 1 else sign
+                xs[i] ^= px
+                zs[i] ^= pz
     runs = _runs(keep)
     survivors = []
     for i in range(n):
-        if i in used:
+        if used >> i & 1:
             continue
         x, z = xs[i], zs[i]
         if (x | z) & drop_mask:

@@ -9,9 +9,21 @@ operators directly.
 The 2n rows are Python ints in the layout of `pauli.PauliOperator`: row r is
 (xs[r], zs[r], signs[r]) with bit q of xs[r] / zs[r] the X / Z factor on
 qubit q. Rows 0..n-1 are the destabilizers and rows n..2n-1 the
-stabilizers. Whether a row anticommutes with an operator is the parity of
-`(x & op.z) ^ (z & op.x)`, and a row product is two `^` plus the
-(-1)^(z_h . x_i) sign of the canonical X-left ordering.
+stabilizers. A row product is two `^` plus the (-1)^(z_h . x_i) sign of the
+canonical X-left ordering.
+
+Beside the rows the tableau keeps their transpose, one 2n-bit column per
+qubit: bit r of xcol[q] / zcol[q] is row r's X / Z bit on qubit q. Row r
+anticommutes with an operator iff `(x & op.z) ^ (z & op.x)` has odd parity,
+so the rows that anticommute with op are the set bits of one mask,
+
+    XOR(xcol[q] for q in op.z) ^ XOR(zcol[q] for q in op.x),
+
+a few XORs for a plaquette instead of a test of every row. Bits 0..n-1 of
+that mask are destabilizer rows and `mask >> n` the stabilizer rows; the
+lowest stabilizer bit is the row a random measurement replaces. A row
+product updates the columns with one `^=` per qubit of the row multiplied
+in, on the mask of the rows it changes.
 
 Every operation works on those ints alone: a measurement multiplies rows
 in place, and an expectation accumulates the (x, z, sign) of a product of
@@ -22,8 +34,6 @@ the boundary, as the operator an operation takes and the rows that
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from . import gf2
@@ -31,24 +41,38 @@ from .pauli import PauliOperator
 
 
 class Tableau:
-    """2n generator rows: n destabilizers then n stabilizers, with signs."""
+    """2n generator rows: n destabilizers then n stabilizers, with signs,
+    and the rows' per-qubit X and Z columns."""
 
-    __slots__ = ("n", "xs", "zs", "signs")
+    __slots__ = ("n", "xs", "zs", "signs", "xcol", "zcol")
 
     def __init__(self, n: int, xs: list[int], zs: list[int], signs: list[int]):
         self.n = n
         self.xs = xs  # 2n X masks; rows 0..n-1 destabilizers, n..2n-1 stabilizers
         self.zs = zs
         self.signs = signs  # 2n of +1/-1
+        self.xcol = _columns(xs, n)  # n masks of 2n bits: bit r is row r's bit
+        self.zcol = _columns(zs, n)
+
+    @classmethod
+    def _of(cls, n, xs, zs, signs, xcol, zcol) -> "Tableau":
+        """A tableau from rows and their columns, which must agree."""
+        t = cls.__new__(cls)
+        t.n, t.xs, t.zs, t.signs, t.xcol, t.zcol = n, xs, zs, signs, xcol, zcol
+        return t
 
     @classmethod
     def computational_zero(cls, n: int) -> "Tableau":
         xs = [1 << i for i in range(n)] + [0] * n
         zs = [0] * n + [1 << i for i in range(n)]
-        return cls(n, xs, zs, [1] * (2 * n))
+        xcol = [1 << q for q in range(n)]
+        zcol = [1 << (n + q) for q in range(n)]
+        return cls._of(n, xs, zs, [1] * (2 * n), xcol, zcol)
 
     def copy(self) -> "Tableau":
-        return Tableau(self.n, self.xs[:], self.zs[:], self.signs[:])
+        return Tableau._of(
+            self.n, self.xs[:], self.zs[:], self.signs[:], self.xcol[:], self.zcol[:]
+        )
 
     def stabilizer_row(self, i: int) -> PauliOperator:
         r = self.n + i
@@ -56,41 +80,44 @@ class Tableau:
 
     # -- internals -------------------------------------------------------------
 
-    def _anticommuting(self, op: PauliOperator) -> list[int]:
-        """Indices, rising, of the rows (of all 2n) that anticommute with op."""
+    def _anticommuting(self, op: PauliOperator) -> int:
+        """The mask of the rows (bit r: row r, of all 2n) that anticommute
+        with op."""
         if op.n != self.n:
             raise ValueError("qubit count mismatch")
-        ox, oz = op.x, op.z
-        rows = range(2 * self.n)
-        # pure Z- and X-type operators (every check and logical) pair with
-        # one half of each row only
-        if not ox:
-            return [r for r, x in zip(rows, self.xs) if (x & oz).bit_count() & 1]
-        if not oz:
-            return [r for r, z in zip(rows, self.zs) if (z & ox).bit_count() & 1]
-        return [
-            r
-            for r, x, z in zip(rows, self.xs, self.zs)
-            if ((x & oz) ^ (z & ox)).bit_count() & 1
-        ]
+        xcol, zcol = self.xcol, self.zcol
+        mask = 0
+        qubits = op.z
+        while qubits:
+            low = qubits & -qubits
+            mask ^= xcol[low.bit_length() - 1]
+            qubits ^= low
+        qubits = op.x
+        while qubits:
+            low = qubits & -qubits
+            mask ^= zcol[low.bit_length() - 1]
+            qubits ^= low
+        return mask
 
-    def _value(self, op: PauliOperator, anti: list[int]) -> int | None:
-        """`expect(op)`, given the rows that anticommute with op.
+    def _value(self, op: PauliOperator, anti: int) -> int | None:
+        """`expect(op)`, given the mask of the rows that anticommute with op.
 
         op is in the unsigned stabilizer span iff no stabilizer row
         anticommutes with it, and then it is the product of the stabilizers
         whose destabilizer partners do. That product is accumulated on
-        (x, z, sign) ints, left to right with the X-left sign rule of
+        (x, z, sign) ints, by rising row, with the X-left sign rule of
         `measure`, starting from op's own sign.
         """
         n = self.n
-        if anti and anti[-1] >= n:
+        if anti >> n:
             return None
         xs, zs, signs = self.xs, self.zs, self.signs
         x = z = 0
         sign = op.sign
-        for i in anti:
-            r = n + i
+        while anti:
+            low = anti & -anti
+            anti ^= low
+            r = n + low.bit_length() - 1
             rx = xs[r]
             if (z & rx).bit_count() & 1:
                 sign = -sign
@@ -106,7 +133,11 @@ class Tableau:
     def apply(self, op: PauliOperator) -> None:
         """Apply a Pauli: flips the sign of every anticommuting row."""
         signs = self.signs
-        for r in self._anticommuting(op):
+        anti = self._anticommuting(op)
+        while anti:
+            low = anti & -anti
+            anti ^= low
+            r = low.bit_length() - 1
             signs[r] = -signs[r]
 
     def expect(self, op: PauliOperator) -> int | None:
@@ -119,10 +150,8 @@ class Tableau:
         The row anticommutes with op and fixes the state up to sign, so it
         maps one outcome's post-measurement state onto the other's.
         """
-        n = self.n
-        anti = self._anticommuting(op)
-        k = bisect_left(anti, n)
-        return None if k == len(anti) else self.stabilizer_row(anti[k] - n)
+        stab = self._anticommuting(op) >> self.n
+        return self.stabilizer_row((stab & -stab).bit_length() - 1) if stab else None
 
     def measure(
         self,
@@ -138,24 +167,32 @@ class Tableau:
         """
         n = self.n
         anti = self._anticommuting(op)
-        k = bisect_left(anti, n)  # anti rises: its first stabilizer row
-        if k == len(anti):
+        stab = anti >> n
+        if not stab:
             value = self._value(op, anti)
             if value is None:
                 raise AssertionError("deterministic measurement did not resolve")
             return value
-        p = anti[k]
-        xs, zs, signs = self.xs, self.zs, self.signs
+        d = (stab & -stab).bit_length() - 1  # the pivot's destabilizer partner
+        p = n + d  # the pivot: the lowest anticommuting stabilizer row
+        xs, zs, signs, xcol, zcol = self.xs, self.zs, self.signs, self.xcol, self.zcol
         px, pz, ps = xs[p], zs[p], signs[p]
-        for r in anti:
-            if r != p:
-                # row r <- row r * row p (canonical X-left ordering for the sign)
-                sign = signs[r] * ps
-                signs[r] = -sign if (zs[r] & px).bit_count() & 1 else sign
-                xs[r] ^= px
-                zs[r] ^= pz
+        # row r <- row r * row p (canonical X-left ordering for the sign) for
+        # every other anticommuting row r: their columns change by px, pz
+        rest = anti ^ 1 << p
+        flip_columns(xcol, px, rest)
+        flip_columns(zcol, pz, rest)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = low.bit_length() - 1
+            sign = signs[r] * ps
+            signs[r] = -sign if (zs[r] & px).bit_count() & 1 else sign
+            xs[r] ^= px
+            zs[r] ^= pz
         # old stabilizer row becomes the destabilizer partner
-        d = p - n
+        flip_columns(xcol, xs[d] ^ px, 1 << d)
+        flip_columns(zcol, zs[d] ^ pz, 1 << d)
         xs[d], zs[d], signs[d] = px, pz, ps
         if force is not None:
             outcome = force
@@ -163,8 +200,26 @@ class Tableau:
             outcome = 1 if rng.random() < 0.5 else -1
         else:
             raise ValueError("random-outcome measurement needs an rng or force")
+        flip_columns(xcol, px ^ op.x, 1 << p)
+        flip_columns(zcol, pz ^ op.z, 1 << p)
         xs[p], zs[p], signs[p] = op.x, op.z, outcome * op.sign
         return outcome
+
+
+def flip_columns(cols: list[int], qubits: int, rows: int) -> None:
+    """cols[q] ^= rows for every qubit q set in `qubits`."""
+    while qubits:
+        low = qubits & -qubits
+        cols[low.bit_length() - 1] ^= rows
+        qubits ^= low
+
+
+def _columns(rows: list[int], n: int) -> list[int]:
+    """The n column masks of `rows`: bit r of column q is bit q of rows[r]."""
+    cols = [0] * n
+    for r, row in enumerate(rows):
+        flip_columns(cols, row, 1 << r)
+    return cols
 
 
 def from_stabilizers(rows: list[PauliOperator]) -> Tableau:

@@ -9,7 +9,7 @@ import pathlib
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from colexjump.cli import main
@@ -266,8 +266,11 @@ def test_simulate_bad_facet_fails_before_the_trace_opens(tmp_path, capsys):
         (["measure-k", "--facet", "rg"], 1),
         (["measure-k", "--pair", "ry"], 2),
         (["collapse", "--p", "1.5"], 1),
+        (["collapse", "--trace", "--label", "x" * 300], 2),
+        (["singleshot", "--label", "x" * 300], 2),
     ],
-    ids=["collapse-facet", "singleshot-facet", "measure-k-facet", "measure-k-pair", "rate"],
+    ids=["collapse-facet", "singleshot-facet", "measure-k-facet", "measure-k-pair", "rate",
+         "collapse-long-label", "singleshot-long-label"],
 )
 def test_simulate_failure_makes_no_out_dir(tmp_path, capsys, argv, want):
     """A run that fails a check neither creates `--out-dir` nor prints the
@@ -548,6 +551,37 @@ def test_simulate_flag_without_effect_is_a_usage_error(tmp_path, capsys, monkeyp
     assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["colex", "hash", "--builtin", "tri7", "--save", "F"],
+         "unrecognized arguments: --save F"),
+        (["jump", "blowup", "--builtin", "tetra15", "--label", "r"],
+         "unrecognized arguments: --label r"),
+        (["schedule", "verify", "--schedule", "s.jsonl", "--stack", "3"],
+         "unrecognized arguments: --stack 3"),
+        (["simulate", "measure-k", "--builtin", "tetra15", "--pair", "ry"],
+         "--pair 'ry' is not a color pair of the facet: use one of rg, rb, gb"),
+        (["code", "build", "--builtin", "tetra15", "--kind", "2d", "--facet", "rgb"],
+         "--facet applies only to --kind inner, not 2d"),
+    ],
+    ids=["colex-hash", "jump-blowup", "schedule-verify", "measure-k-pair", "code-build-facet"],
+)
+def test_usage_error_shows_the_action_usage(tmp_path, capsys, monkeypatch, argv, error):
+    """A flag the action does not read (argparse's check) and a bad value
+    found after parsing (`SystemExit2`) both print the action's own usage
+    line and error prefix, and exit 2."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    prog = f"colexjump {argv[0]} {argv[1]}"
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"usage: {prog} [-h] ")
+    assert out.err.splitlines()[-1] == f"{prog}: error: {error}"
+    assert list(tmp_path.iterdir()) == []
+
+
 # what each action's parser takes, as `colexjump <command> <action> -h` lists it
 _SOURCE = ["--builtin", "--colex"]
 _NOISE = ["--p", "--q", "--trials", "--seed"]
@@ -795,7 +829,7 @@ _POOLS = {
     "--save": (["w.txt", "seq.txt"], ["no-dir/w.txt", "a-dir"]),
     "--output": (["w.txt", "seq.txt"], ["no-dir/w.txt", "a-dir"]),
     "--out-dir": (["out", "out/deep", "a-dir"], ["seq.txt"]),
-    "--label": (["ab", "."], ["", "sub/r"]),
+    "--label": (["ab", "."], ["", "sub/r", "x" * 300]),
     "--facet": (["rgb", "gbr"], ["rg", "rgy", ""]),
     "--kind": (["3d", "inner", "2d"], ["4d"]),
     "--pair": (["rg", "gb"], ["ry", ""]),
@@ -868,6 +902,14 @@ def _invocations(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_invocations())
+# the fault classes the fuzz has found, run on every run: a `--label` that
+# holds a separator, is empty, or is too long for a file name
+@example(["simulate", "collapse", "--builtin", "tetra15", "--trials", "2", "--label", "sub/r"])
+@example(["simulate", "measure-k", "--builtin", "tetra15", "--label", ""])
+@example(["simulate", "collapse", "--builtin", "tetra15", "--trials", "2", "--trace",
+          "--label", "x" * 300])
+@example(["simulate", "singleshot", "--builtin", "tetra15", "--trials", "2",
+          "--label", "x" * 300])
 def test_cli_contract_fuzzed(argv):
     """Any flags on any action: the exit code is 0, 1 or 2, only argparse's
     SystemExit(2) escapes, and a run that ends in an `error:` line or a

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colexjump.jump import encoded_state, logical_operator
+from colexjump.jump import discard_qubits, encoded_state, logical_operator
 from colexjump.pauli import PauliOperator
 from colexjump.tableau import Tableau, from_stabilizers
 
@@ -279,3 +279,64 @@ def test_stabilizer_products_match_numpy_oracle(case):
     assert t.expect(op) == old.expect(old_op) == want
     assert t.measure(op) == old.measure(old_op) == want
     _assert_same_rows(t, old)
+
+
+# -- the column masks ---------------------------------------------------------
+
+
+def _assert_columns(t):
+    """xcol / zcol are the transpose of xs / zs: bit r of column q is bit q
+    of row r."""
+    rows = range(2 * t.n)
+    assert t.xcol == [sum((t.xs[r] >> q & 1) << r for r in rows) for q in range(t.n)]
+    assert t.zcol == [sum((t.zs[r] >> q & 1) << r for r in rows) for q in range(t.n)]
+
+
+_STEP = st.tuples(
+    st.sampled_from(
+        ["apply", "measure", "expect", "pivot_row", "copy", "from_stabilizers", "discard"]
+    ),
+    st.integers(0, 2**15 - 1),
+    st.integers(0, 2**15 - 1),
+    st.sampled_from([1, -1]),
+    st.sampled_from([None, 1, -1]),  # forced outcome, or None to draw one
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["zero", "plus"]), st.lists(_STEP, max_size=25))
+def test_columns_stay_the_transpose_of_the_rows(ctx, logical, steps):
+    """From an encoded tetra15 state, random applications, measurements
+    (drawn and forced), reads, copies, re-syntheses and discards keep every
+    column the transpose of the rows, and a copy's columns are its own."""
+    t = ctx.states3[logical].copy()
+    _assert_columns(t)
+    for action, x, z, sign, force, seed in steps:
+        low = (1 << t.n) - 1
+        op = PauliOperator(t.n, x & low, z & low, sign)
+        if action == "apply":
+            t.apply(op)
+        elif action == "measure":
+            t.measure(op, np.random.default_rng(seed), force)
+        elif action == "expect":
+            t.expect(op)
+        elif action == "pivot_row":
+            t.pivot_row(op)
+        elif action == "copy":
+            original, t = t, t.copy()
+            kept = [original.xcol[:], original.zcol[:], original.signs[:]]
+            t.apply(PauliOperator(t.n, low, 0))
+            t.measure(op, np.random.default_rng(seed))
+            assert [original.xcol, original.zcol, original.signs] == kept
+            _assert_columns(original)
+        elif action == "from_stabilizers":
+            t = from_stabilizers([t.stabilizer_row(i) for i in range(t.n)])
+        else:
+            # measure Z on the qubits to drop, so that they factor out
+            drop = [q for q in range(t.n) if x >> q & 1][: t.n - 1]
+            for q in drop:
+                t.measure(PauliOperator(t.n, 0, 1 << q), force=force or 1)
+            if drop:
+                t = discard_qubits(t, drop)
+        _assert_columns(t)
