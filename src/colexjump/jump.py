@@ -9,12 +9,13 @@ Collapse pipeline, per slot (an operator type and a color pair, in
   3. read the outer syndrome off the repaired flux endpoints
   4. clear it with a minimal string correction on the outer qubits
 
-Steps 2-4 are `repair_slot`, the one slot step: the tableau collapse runs
-it on every trial, and `montecarlo.CollapsePlan` runs it once on every
-observed pattern to fill its slot tables. After all slots are measured the
-inner block factorizes, so the inner qubits are dropped by sign-tracked
-elimination and the corrections are applied to the surviving outer code
-state.
+Steps 2-4 are `repair_slot`, the one slot step. They depend only on the
+lattice and the observed pattern, so `JumpContext.slot_repairs` runs it
+once on every observed pattern of every slot, and the tableau collapse and
+`montecarlo.CollapsePlan` both read that table; no trial repairs. After
+all slots are measured the inner block factorizes, so the inner qubits are
+dropped by sign-tracked elimination and the corrections are applied to the
+surviving outer code state.
 
 Blow-up appends fresh inner qubits, runs single-shot error correction on the
 inner code (it encodes nothing, so correction alone initializes it), then
@@ -81,7 +82,8 @@ class JumpContext:
     2D code's logicals (`logicals2`, by type), also placed on the outer
     qubits of the 3D state (`outer_logicals3`); and its plaquette checks,
     compiled for readout on the 2D state (`plaquettes2`) and on the outer
-    qubits of the 3D state (`outer_plaquettes3`).
+    qubits of the 3D state (`outer_plaquettes3`). It also holds the
+    collapse's slot table (`slot_repairs`).
     """
 
     colex3: Colex
@@ -126,6 +128,19 @@ class JumpContext:
         """(basis, pair, duals) of every collapse slot, in measurement order:
         Z then X, pairs in `pairs` order."""
         return tuple((basis, pair, self.duals[pair]) for basis in ("Z", "X") for pair in self.pairs)
+
+    @cached_property
+    def slot_repairs(self) -> tuple[tuple[SlotRepair, ...], ...]:
+        """`repair_slot` of every observed pattern, per slot of `slots`:
+        entry [s][pattern] repairs slot s observed with pattern's bit i set
+        for each of its duals i that read -1."""
+
+        def repairs(basis, pair, duals):
+            for seen in range(1 << len(duals)):
+                edges = frozenset(i for i in range(len(duals)) if seen >> i & 1)
+                yield repair_slot(self, FluxConfiguration(pair, basis, edges, duals))
+
+        return tuple(tuple(repairs(*slot)) for slot in self.slots)
 
     @property
     def n3(self) -> int:
@@ -425,20 +440,27 @@ def repair_slot(ctx: JumpContext, observed: FluxConfiguration) -> SlotRepair:
 
 
 def _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips=None) -> list:
-    """(true, observed) flux of every slot in `ctx.slots` order. Every slot
-    is measured before any slot's flips are drawn."""
+    """(true flux, observed pattern) of every slot in `ctx.slots` order; bit
+    i of a pattern is dual i's recorded -1. Every slot is measured before
+    any slot's flips are drawn."""
     fluxes = [
         extract_flux(state3, ctx.split, pair, basis, rng, duals)
         for basis, pair, duals in ctx.slots
     ]
     measured = []
     for (basis, pair, duals), flux in zip(ctx.slots, fluxes):
-        observed = flux
+        seen = sum(1 << i for i in flux.edges)
         if meas_flip_prob > 0:
-            observed = flux ^ {i for i in range(len(duals)) if rng.random() < meas_flip_prob}
+            seen ^= sum(1 << i for i in range(len(duals)) if rng.random() < meas_flip_prob)
         if injected_flips and (pair, basis) in injected_flips:
-            observed = observed ^ set(injected_flips[(pair, basis)])
-        measured.append((flux, observed))
+            flips = set(injected_flips[(pair, basis)])
+            if not flips <= set(range(len(duals))):
+                raise ValueError(
+                    f"injected flips {sorted(flips)} of {pair}:{basis} leave its "
+                    f"{len(duals)} duals"
+                )
+            seen ^= sum(1 << i for i in flips)
+        measured.append((flux, seen))
     return measured
 
 
@@ -458,14 +480,17 @@ def collapse(
 ) -> CollapseOutcome:
     """Fault-tolerant collapse: flux extraction, matching repair, strings.
 
-    `injected_flips` maps (pair, basis) to dual-edge indices whose recorded
-    outcome is inverted, for deterministic fault-injection studies.
+    Each slot's repair and string correction are read from
+    `ctx.slot_repairs` by its observed pattern. `injected_flips` maps
+    (pair, basis) to dual-edge indices whose recorded outcome is inverted,
+    for deterministic fault-injection studies.
     """
     record, repairs = {}, {}
     corrections = {"X": PauliOperator.identity(ctx.n2), "Z": PauliOperator.identity(ctx.n2)}
-    for flux, observed in _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips):
-        r = repair_slot(ctx, observed)
-        record[(flux.pair, flux.basis)] = r.record
+    measured = _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips)
+    for (flux, seen), table in zip(measured, ctx.slot_repairs):
+        r = table[seen]
+        record[(flux.pair, flux.basis)] = dict(r.record)  # the caller's own copy
         repairs[(flux.pair, flux.basis)] = (r.delta0, r.gamma_eff, tuple(sorted(flux.edges)))
         corrections[r.kind] = corrections[r.kind] * r.correction
     outer_state = discard_qubits(state3, list(ctx.split.inner_vertices))

@@ -10,11 +10,12 @@ to its minimum-weight representative for the histograms.
 Collapse trials run on a `CollapsePlan`, compiled once per context and
 cached on it: one readout matrix of inner plaquette and residual-key
 parities, one int mask per residual-coset key bit, each coset's lightest
-member, the final 2D decode reduced to a per-coset logical flip, and per
-slot a table of `jump.repair_slot` (the tableau collapse's own slot step)
-over every observed pattern, all filled when the plan is built. The sign-linear fast engine runs trials in batches of
-`BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_words`, the same
-words as each trial's own generator, compared as integers with
+member, the final 2D decode reduced to a per-coset logical flip, and the
+residual-key bits and |delta0| of every entry of the context's slot table
+(`JumpContext.slot_repairs`, which the tableau collapse reads too), all
+filled when the plan is built. The sign-linear fast engine runs trials in
+batches of `BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_words`,
+the same words as each trial's own generator, compared as integers with
 `noise.word_threshold`), one matrix product, and gathers from dense tables
 indexed by pattern or key, with no per-trial Python call. The tableau
 engine runs trial by trial as the exact oracle; its trial and the blow-up
@@ -53,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flux import FluxConfiguration, plaquette_operator
+from .flux import plaquette_operator
 from .gf2 import BitMatrix, checks_table
 from .jump import (
     JumpContext,
@@ -66,7 +67,6 @@ from .jump import (
     ideal_decode_2d,
     logical_operator,
     plaquette_checks,
-    repair_slot,
 )
 from .noise import (
     NoiseSpec,
@@ -146,10 +146,9 @@ class CollapsePlan:
     whole when the plan is built, so no trial computes an entry:
 
     - per slot of `ctx.slots`, 2^|duals| entries indexed by observed
-      pattern (4 on tetra15): the slot's `jump.repair_slot`
-      (`_repairs[slot][pattern]`), and as one flat array from
-      `slot_offsets[slot]` their residual-key bits and |delta0|
-      (`repair_keys`, `repair_sizes`);
+      pattern (4 on tetra15): the residual-key bits and |delta0| of the
+      slot's entries in the context's table `ctx.slot_repairs`, as one flat
+      array from `slot_offsets[slot]` (`repair_keys`, `repair_sizes`);
     - per residual key, 2^(2 side_bits) entries (256 on tetra15): the
       weight and largest connected component of the lightest residual
       (`residual_weight`, `residual_component`), filled on every key whose
@@ -218,15 +217,9 @@ class CollapsePlan:
             self.slot_weights[lo : lo + len(duals), s] = 1 << np.arange(len(duals))
             lo += len(duals)
         self.key_weights = 1 << np.arange(2 * self.side_bits, dtype=np.int64)
-        self._repairs = [
-            [
-                repair_slot(ctx, FluxConfiguration(pair, basis, frozenset(_set_bits(seen)), duals))
-                for seen in range(1 << len(duals))
-            ]
-            for basis, pair, duals in ctx.slots
-        ]
-        flat = [r for repairs in self._repairs for r in repairs]
-        self.slot_offsets = np.cumsum([0] + [len(repairs) for repairs in self._repairs[:-1]])
+        table = ctx.slot_repairs
+        flat = [r for repairs in table for r in repairs]
+        self.slot_offsets = np.cumsum([0] + [len(repairs) for repairs in table[:-1]])
         # a string correction is of one type, so the other mask is 0
         self.repair_keys = np.array(
             [self.residual_key(0, 0, {"X": r.correction.x, "Z": r.correction.z}) for r in flat],
@@ -348,9 +341,8 @@ class CollapseEngine:
       its double is compared with p or q;
     - one matrix product gives every inner plaquette reading;
     - each slot's observed pattern indexes the plan's dense slot tables,
-      which the plan fills with `jump.repair_slot` of every pattern, the
-      step the tableau collapse runs, so their tie-breaks hold by
-      construction;
+      which the plan fills from `ctx.slot_repairs`, the table the tableau
+      collapse reads, so their tie-breaks hold by construction;
     - the residual coset key is linear, so it is the noise part (one more
       product) XOR the key bits of the slots' corrections, and it indexes
       the dense table that says whether the final decode leaves the logical
@@ -396,8 +388,8 @@ class CollapseEngine:
             records, repairs, applied = {}, {}, {"X": 0, "Z": 0}
             true_patterns = (true[i] @ plan.slot_weights).tolist()
             for s, (basis, pair, _) in enumerate(ctx.slots):
-                r = plan._repairs[s][patterns[i, s]]
-                records[(pair, basis)] = r.record
+                r = ctx.slot_repairs[s][patterns[i, s]]
+                records[(pair, basis)] = dict(r.record)  # the caller's own copy
                 repairs[(pair, basis)] = (r.delta0, r.gamma_eff, tuple(_set_bits(true_patterns[s])))
                 applied[r.kind] ^= r.correction.x | r.correction.z
             key = int(keys[i])

@@ -173,6 +173,14 @@ class Tableau:
             if value is None:
                 raise AssertionError("deterministic measurement did not resolve")
             return value
+        # the outcome is settled before any row changes, so a measurement
+        # that cannot draw one leaves the state as it was
+        if force is not None:
+            outcome = force
+        elif rng is not None:
+            outcome = 1 if rng.random() < 0.5 else -1
+        else:
+            raise ValueError("random-outcome measurement needs an rng or force")
         d = (stab & -stab).bit_length() - 1  # the pivot's destabilizer partner
         p = n + d  # the pivot: the lowest anticommuting stabilizer row
         xs, zs, signs, xcol, zcol = self.xs, self.zs, self.signs, self.xcol, self.zcol
@@ -194,12 +202,6 @@ class Tableau:
         flip_columns(xcol, xs[d] ^ px, 1 << d)
         flip_columns(zcol, zs[d] ^ pz, 1 << d)
         xs[d], zs[d], signs[d] = px, pz, ps
-        if force is not None:
-            outcome = force
-        elif rng is not None:
-            outcome = 1 if rng.random() < 0.5 else -1
-        else:
-            raise ValueError("random-outcome measurement needs an rng or force")
         flip_columns(xcol, px ^ op.x, 1 << p)
         flip_columns(zcol, pz ^ op.z, 1 << p)
         xs[p], zs[p], signs[p] = op.x, op.z, outcome * op.sign

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy_oracle as oracle
 import pytest
+from collapse_oracle import oracle_collapse
 from decoder_oracle import oracle_decode
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,8 @@ from colexjump.jump import (
     single_shot_ec,
 )
 from colexjump.flux import extract_flux
-from colexjump.noise import trial_rng
+from colexjump.montecarlo import CollapseEngine, _apply_noise
+from colexjump.noise import NoiseSpec, trial_rng
 from colexjump.pauli import PauliOperator
 from colexjump.tableau import Tableau, from_stabilizers
 
@@ -101,6 +103,80 @@ def test_collapse_weight1_fault_tolerance_sample(ctx):
             )
             ideal_decode_2d(ctx, out.residual_state)
             assert out.residual_state.expect(logical_operator(ctx.code2, "Z")) == 1
+
+
+_RATES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _injected_flips(draw, ctx):
+    """None, or a dict of drawn slots to drawn (possibly empty) index lists,
+    repeats allowed."""
+    if draw(st.booleans()):
+        return None
+    slots = draw(st.lists(st.sampled_from(ctx.slots), unique=True, max_size=len(ctx.slots)))
+    return {
+        (pair, basis): draw(st.lists(st.integers(0, len(duals) - 1), max_size=4))
+        for basis, pair, duals in slots
+    }
+
+
+def _collapse_view(out):
+    s = out.residual_state
+    return (
+        out.measurement_record,
+        out.repair_record,
+        {k: (op.x, op.z, op.sign) for k, op in out.applied_correction.items()},
+        out.logical_flip_flags,
+        (s.xs, s.zs, s.signs),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(0, 2**63),
+    p=_RATES,
+    q=_RATES,
+    data=st.data(),
+)
+def test_collapse_matches_per_slot_oracle(ctx, seed, t, p, q, data):
+    """`collapse` reads every slot's repair from `ctx.slot_repairs`; the
+    oracle runs `repair_slot` on each slot's observed flux. Records, repairs,
+    corrections, flags and the residual tableau agree, with qubit noise at p,
+    measurement flips at q and drawn injected flips."""
+    flips = data.draw(_injected_flips(ctx))
+    outcomes = []
+    for run in (collapse, oracle_collapse):
+        rng = trial_rng(seed, t)
+        state = ctx.states3[("zero", "plus")[t % 2]].copy()
+        _apply_noise(state, p, rng)
+        outcomes.append(_collapse_view(run(ctx, state, q, rng, flips)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_collapse_records_are_the_callers_own(ctx):
+    """Changing a returned measurement record, of a tableau collapse or of a
+    fast-engine trial, leaves the slot table, and so every later collapse,
+    as it was."""
+    noiseless = NoiseSpec(0.0, 0.0, seed=1)
+    for _ in range(2):
+        for records in (
+            collapse(ctx, encoded_3d(ctx, "zero"), 0.0, trial_rng(0, 0)).measurement_record,
+            CollapseEngine(ctx).run_trial(noiseless, 0).records,
+        ):
+            for rec in records.values():
+                assert all(v == 1 for v in rec.values())
+                for pi in rec:
+                    rec[pi] = -1
+
+
+@pytest.mark.parametrize("index", [-1, 2, 99])
+def test_injected_flip_outside_the_duals_is_refused(ctx, index):
+    pair = ctx.pairs[0]
+    assert len(ctx.duals[pair]) == 2
+    with pytest.raises(ValueError, match="leave its 2 duals"):
+        collapse(ctx, encoded_3d(ctx, "zero"), 0.0, trial_rng(0, 0), {(pair, "Z"): [index]})
 
 
 def test_single_flip_residual_bounded_by_K(ctx):

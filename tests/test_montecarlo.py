@@ -249,7 +249,7 @@ def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
     entries = sum(2 ** len(duals) for *_, duals in ctx.slots)
     assert entries == 24
     assert calls == Counter(repair=entries, string=entries)
-    assert [len(repairs) for repairs in plan._repairs] == [4] * len(ctx.slots)
+    assert [len(repairs) for repairs in ctx.slot_repairs] == [4] * len(ctx.slots)
     for target, name in (
         (jump, "repair_flux"),
         (jump.JumpContext, "cached_string_correction"),
@@ -263,6 +263,30 @@ def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
         stats = run_collapse_trials(ctx, spec, 3000, trial_offset=offset)
         assert stats.trials == 3000 and stats.delta0_hist.keys() - {0}
     assert collapse_plan(ctx) is plan
+
+
+def test_tableau_collapse_repairs_nothing_after_build(tetra15, monkeypatch):
+    """Once the context's slot table is built, no tableau collapse (the
+    tableau engine, the round trip, the exhaustive weight-1 sweep) runs a
+    flux repair, a string correction or a T-join."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tableau collapse repaired a slot")
+
+    ctx = make_context(tetra15, "rgb")
+    assert [len(repairs) for repairs in ctx.slot_repairs] == [4] * len(ctx.slots)
+    for target, name in (
+        (jump, "repair_flux"),
+        (jump.JumpContext, "cached_string_correction"),
+        (flux, "t_join"),
+    ):
+        monkeypatch.setattr(target, name, forbidden)
+    spec = NoiseSpec(0.1, 0.1, seed=4)
+    stats = run_collapse_trials(ctx, spec, 60, engine="tableau", trace_fh=io.StringIO())
+    assert stats.trials == 60 and stats.delta0_hist.keys() - {0}
+    for t in range(10):
+        montecarlo.jump_trial(ctx, spec, "roundtrip", t)
+    assert exhaustive_weight1_collapse(ctx) == []
 
 
 def _largest_cluster(ctx, support) -> int:
@@ -316,7 +340,7 @@ def test_dense_tables_equal_their_fillers(tetra15):
             corr = flux.string_correction(ctx.code2, gamma.outer_endpoints(), pair, kind)
             mask = corr.x if kind == "X" else corr.z
             key = plan.residual_key(0, 0, {"X": 0, "Z": 0} | {kind: mask})
-            got = plan._repairs[slot][pattern]
+            got = ctx.slot_repairs[slot][pattern]
             assert got.delta0 == tuple(sorted(delta0))
             assert got.gamma_eff == tuple(sorted(gamma.edges))
             assert (got.kind, got.correction) == (kind, corr)

@@ -136,6 +136,19 @@ def test_random_measurement_requires_rng():
         t.measure(P("X"))
 
 
+def test_refused_measurement_leaves_the_state_unchanged(ctx):
+    """A random-outcome measurement with neither rng nor force raises before
+    it changes any row, sign or column."""
+    for state, op in (
+        (Tableau.computational_zero(2), P("XI")),
+        (ctx.states3["zero"].copy(), PauliOperator.from_support(ctx.n3, "X", [0, 1])),
+    ):
+        before = (state.xs[:], state.zs[:], state.signs[:], state.xcol[:], state.zcol[:])
+        with pytest.raises(ValueError, match="needs an rng or force"):
+            state.measure(op)
+        assert (state.xs, state.zs, state.signs, state.xcol, state.zcol) == before
+
+
 # -- the numpy tableau as oracle ---------------------------------------------
 
 

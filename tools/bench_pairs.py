@@ -1,0 +1,265 @@
+"""Interleaved parent/change benchmark of two source checkouts; writes one
+BENCH json.
+
+    python3 tools/bench_pairs.py --parent P --change C --work W --out BENCH.json
+
+`P` and `C` are checkouts (each with `src/` and `perfbench/`), `W` a
+scratch directory for CLI outputs. On fixed seeds the script records:
+
+- `--pairs` interleaved pairs of `perfbench/run.py --seconds S --trace 0`
+  on every workload (the parent runs first on odd pair indices, the change
+  first on even ones), with per-metric medians, quartiles and pair wins;
+- `jump_trial` blow-up and round-trip CPU time per trial, as medians over
+  `--pairs` interleaved processes per side;
+- one traced collapse-tableau run per side (`--trace 1`), its per-trial
+  repair, string-correction and extraction counts;
+- one digest per side of outputs that must not change: both engines'
+  collapse stats and traces, tableau collapses with their residual rows,
+  `jump_trial`, `exhaustive_weight1_collapse`, CLI `jump collapse|roundtrip`
+  and `simulate collapse --trace` at `--workers` 1 and 2.
+
+`python3 tools/bench_pairs.py digest` and `... jump-times` run one side's
+part in a checkout whose `src/` is on PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("schedule", "collapse-fast", "collapse-tableau", "singleshot")
+FIRST_SEED = 2001  # pair i runs seed FIRST_SEED + i - 1; the traced run, FIRST_SEED
+TRACED = (
+    "flux.repair_flux.calls_per_trial",
+    "flux.string_correction.calls_per_trial",
+    "jump.collapse.self_us_per_trial",
+    "flux.extract_flux.self_us_per_trial",
+    "tableau.Tableau.measure.self_us_per_trial",
+)
+# (p, q, seed) of the digested collapse runs, p = q = 1 among them
+COLLAPSE_POINTS = ((0.05, 0.05, 7), (0.0, 0.2, 11), (0.15, 0.0, 3), (1.0, 1.0, 5))
+JUMP_POINTS = ((0.02, 0.02, 5), (0.1, 0.1, 9))
+JUMP_TRIALS = 600
+METHOD = (
+    "perfbench: for pair i in 1..pairs, seed 2000 + i, every workload (schedule, "
+    "collapse-fast, collapse-tableau, singleshot, in that order) ran perfbench/run.py "
+    "--seconds S --trace 0 once per side, one process at a time, the parent first on odd "
+    "i; each side from its own checkout with PYTHONDONTWRITEBYTECODE=1. Quartiles are "
+    "statistics.quantiles(method='inclusive'). jump_trial_us: tetra15 rgb, "
+    "NoiseSpec(0.02, 0.02, 5), one warm-up trial per action, then the CPU time "
+    "(time.process_time) of trials 0..599, median per process; one process per side "
+    "per pair, alternating as above; uncalibrated, not a perfbench workload. "
+    "traced_collapse_tableau: perfbench/run.py --workload collapse-tableau --seed 2001 "
+    "--trace 1, once per side. output_digest: sha256 of the outputs listed in the "
+    "script's docstring, once per side in the same work directory."
+)
+
+
+# -- one side ----------------------------------------------------------------------
+
+
+def digest(work: Path) -> str:
+    """sha256 over every output this benchmark must leave unchanged."""
+    from colexjump.cli import main as cli
+    from colexjump.jump import collapse, make_context
+    from colexjump.montecarlo import exhaustive_weight1_collapse, jump_trial, run_collapse_trials
+    from colexjump.noise import NoiseSpec, trial_rng
+    from colexjump.pauli import PauliOperator
+    from colexjump.colex import minimal_colex
+
+    h = hashlib.sha256()
+
+    def feed(*parts):
+        h.update(repr(parts).encode())
+
+    ctx = make_context(minimal_colex(3), "rgb")
+    for p, q, seed in COLLAPSE_POINTS:
+        for engine in ("fast", "tableau"):
+            trace = io.StringIO()
+            stats = run_collapse_trials(ctx, NoiseSpec(p, q, seed), 140, 33, trace, engine)
+            feed(engine, p, q, seed, stats.as_dict(), trace.getvalue())
+    for t in range(40):
+        rng = trial_rng(13, t)
+        state = ctx.states3[("zero", "plus")[t % 2]].copy()
+        state.apply(PauliOperator(ctx.n3, (t * 2654435761) % (1 << ctx.n3), t % 5 << t % 11))
+        slot = ctx.slots[t % len(ctx.slots)]
+        flips = {(slot[1], slot[0]): {t % len(slot[2])}} if t % 3 else None
+        out = collapse(ctx, state, 0.1 * (t % 4), rng, flips)
+        s = out.residual_state
+        feed(t, out.measurement_record, out.repair_record, out.logical_flip_flags)
+        feed({k: (op.x, op.z, op.sign) for k, op in out.applied_correction.items()})
+        feed(s.xs, s.zs, s.signs)
+    for p, q, seed in JUMP_POINTS:
+        for action in ("blowup", "roundtrip"):
+            noise = NoiseSpec(p, q, seed)
+            feed(action, p, q, seed, [jump_trial(ctx, noise, action, t) for t in range(60)])
+    feed(exhaustive_weight1_collapse(ctx))
+    base = ["--builtin", "tetra15", "--p", "0.05", "--q", "0.05", "--seed", "5"]
+    runs = [["jump", action, *base, "--trials", "20"] for action in ("collapse", "roundtrip")]
+    for workers in ("1", "2"):
+        out_dir = work / f"simulate-w{workers}"
+        shutil.rmtree(out_dir, ignore_errors=True)
+        runs.append(
+            ["simulate", "collapse", *base, "--trials", "600", "--trace",
+             "--out-dir", str(out_dir), "--workers", workers]
+        )
+    for argv in runs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli(argv)
+        feed(argv[:2], code, stdout.getvalue())
+        if "--out-dir" in argv:
+            out_dir = Path(argv[argv.index("--out-dir") + 1])
+            for f in sorted(out_dir.iterdir()):
+                feed(f.name, f.read_bytes())
+            shutil.rmtree(out_dir)
+    return h.hexdigest()
+
+
+def jump_times() -> dict:
+    """CPU microseconds per `jump_trial`, median over the trials of one
+    process, per action."""
+    from colexjump.colex import minimal_colex
+    from colexjump.jump import make_context
+    from colexjump.montecarlo import jump_trial
+    from colexjump.noise import NoiseSpec
+
+    ctx = make_context(minimal_colex(3), "rgb")
+    noise = NoiseSpec(0.02, 0.02, 5)
+    out = {}
+    for action in ("blowup", "roundtrip"):
+        jump_trial(ctx, noise, action, 0)  # warm-up: states, tables
+        times = []
+        for t in range(JUMP_TRIALS):
+            t0 = time.process_time()
+            jump_trial(ctx, noise, action, t)
+            times.append(time.process_time() - t0)
+        out[action] = statistics.median(times) * 1e6
+    return out
+
+
+# -- both sides --------------------------------------------------------------------
+
+
+def _run(root: Path, argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=root, env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def _summary(values: dict, better: str) -> dict:
+    parent, change = values["parent"], values["change"]
+    q = {side: statistics.quantiles(v, n=4, method="inclusive") for side, v in values.items()}
+    wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
+    return {
+        "parent": parent,
+        "change": change,
+        "parent_median": q["parent"][1],
+        "change_median": q["change"][1],
+        "parent_iqr": q["parent"][2] - q["parent"][0],
+        "ratio": q["change"][1] / q["parent"][1],
+        "better": better,
+        "change_wins": f"{wins}/{len(parent)}",
+    }
+
+
+def _order(i: int) -> tuple[str, str]:
+    return ("parent", "change") if i % 2 else ("change", "parent")
+
+
+def compare(args) -> dict:
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    me = str(Path(__file__).resolve())
+    work = args.work.resolve()
+    work.mkdir(parents=True, exist_ok=True)
+    result = {
+        "environment": {"python": sys.version.split()[0], "cpus": os.cpu_count()},
+        "method": METHOD,
+    }
+
+    # one work directory for both sides: the output paths are in the outputs
+    digests = {side: _run(root, [me, "digest", str(work)]) for side, root in roots.items()}
+    result["output_digest"] = digests | {"equal": digests["parent"] == digests["change"]}
+    print("digests", digests, flush=True)
+
+    runs = {w: {} for w in WORKLOADS}
+    for i in range(1, args.pairs + 1):
+        seed = FIRST_SEED + i - 1
+        for w in WORKLOADS:
+            for side in _order(i):
+                out = json.loads(_run(roots[side], [
+                    "perfbench/run.py", "--workload", w, "--seed", str(seed),
+                    "--seconds", str(args.seconds), "--trace", "0",
+                ]))
+                for name, m in out["metrics"].items():
+                    runs[w].setdefault(name, {"parent": [], "change": []})[side].append(m["value"])
+                runs[w].setdefault("failed_ops", {"parent": [], "change": []})[side].append(
+                    out["failed"]
+                )
+                print(i, w, side, round(out["metrics"]["work_per_s"]["value"], 1), flush=True)
+    better = {"work_per_s": "higher"}
+    result["workloads"] = {
+        w: {
+            name: v if name == "failed_ops" else _summary(v, better.get(name, "lower"))
+            for name, v in metrics.items()
+        }
+        for w, metrics in runs.items()
+    }
+
+    times = {"blowup": {"parent": [], "change": []}, "roundtrip": {"parent": [], "change": []}}
+    for i in range(1, args.pairs + 1):
+        for side in _order(i):
+            for action, us in json.loads(_run(roots[side], [me, "jump-times"])).items():
+                times[action][side].append(us)
+    result["jump_trial_us"] = {a: _summary(v, "lower") for a, v in times.items()}
+
+    traced = {}
+    for side, root in roots.items():
+        out = json.loads(_run(root, [
+            "perfbench/run.py", "--workload", "collapse-tableau", "--seed", str(FIRST_SEED),
+            "--seconds", str(args.seconds), "--trace", "1",
+        ]))
+        traced[side] = {name: out["metrics"][name]["value"] for name in TRACED}
+    result["traced_collapse_tableau"] = traced
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="mode")
+    one = sub.add_parser("digest")
+    one.add_argument("work", type=Path)
+    sub.add_parser("jump-times")
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--change", type=Path)
+    ap.add_argument("--work", type=Path)
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    if args.mode == "digest":
+        print(digest(args.work))
+    elif args.mode == "jump-times":
+        print(json.dumps(jump_times()))
+    else:
+        if None in (args.parent, args.change, args.work, args.out):
+            ap.error("--parent, --change, --work and --out are required")
+        result = compare(args)
+        args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
