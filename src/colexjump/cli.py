@@ -429,8 +429,10 @@ def _at_least(low: int, below: int | None = None):
     return parse
 
 
-# trial generators are keyed by (seed, trial) as two uint64 words
+# trial generators are keyed by (seed, trial) as two uint64 words, so trial
+# indices 0..trials - 1 lie in [0, 2^64)
 _SEED = _at_least(0, below=2**64)
+_TRIALS = _at_least(0, below=2**64 + 1)
 
 
 # the longest file name (in bytes) that Linux and macOS file systems take,
@@ -490,7 +492,7 @@ def _parsers():
         def add(p):
             p.add_argument("--p", type=float, default=0.0, help="qubit error rate")
             p.add_argument("--q", type=float, default=0.0, help="measurement flip rate")
-            p.add_argument("--trials", type=_at_least(0), default=trials)
+            p.add_argument("--trials", type=_TRIALS, default=trials)
             p.add_argument("--seed", type=_SEED, default=0)
         return add
 

@@ -82,9 +82,13 @@ def extract_flux(
     rng: np.random.Generator | None = None,
     duals: tuple | None = None,
 ) -> FluxConfiguration:
-    """Measure the inner pair-plaquettes of one type; -1 readings form the flux."""
-    pair = color_set(pair)
+    """Measure the inner pair-plaquettes of one type; -1 readings form the flux.
+
+    With `duals` given, `pair` must already be canonical (`color_set`) and
+    `duals` its dual edges, as `jump._measure_slots` passes them from
+    `ctx.slots`; neither is resolved again."""
     if duals is None:
+        pair = color_set(pair)
         duals = tuple(dual_edges(split, pair))
     ops = split.plaquette_ops.get(basis)
     if ops is None:

@@ -7,41 +7,38 @@ injected noise, the true flux, and the applied corrections, so the residual
 class (syndrome plus logical action) is computed algebraically and reduced
 to its minimum-weight representative for the histograms.
 
+Both batched engines run one program type, `FrameProgram`, in the manner
+of Stim's frame sampling (Gidney, arXiv 2103.02202). A trial tracks only
+its Pauli frame against a reference state, and between two decoder calls
+it is affine over GF(2) in its draw bits. So one pass over affine forms
+(`_Forms`) compiles it, once per noise structure (p > 0, q > 0), into one
+0/1 matrix and precomposed lookup tables, and a batch of `BATCH_TRIALS`
+trials runs one vectorised Philox draw (`noise.philox_words`, the same
+words as each trial's own generator, compared as integers with
+`noise.word_threshold`), one matrix product and one gather per lookup,
+with no per-trial Python call.
+
 Collapse trials run on a `CollapsePlan`, compiled once per context and
-cached on it: one readout matrix of inner plaquette and residual-key
-parities, one int mask per residual-coset key bit, each coset's lightest
-member, the final 2D decode reduced to a per-coset logical flip, and the
-residual-key bits and |delta0| of every entry of the context's slot table
-(`JumpContext.slot_repairs`, which the tableau collapse reads too), all
-filled when the plan is built. The sign-linear fast engine runs trials in
-batches of `BATCH_TRIALS`: one vectorised Philox draw (`noise.philox_words`,
-the same words as each trial's own generator, compared as integers with
-`noise.word_threshold`), one matrix product, and gathers from dense tables
-indexed by pattern or key, with no per-trial Python call. The tableau
-engine runs trial by trial as the exact oracle; its trial and the blow-up
-and round-trip trials of `jump_trial` share one noise step and one
-collapse step, and copy the encoded states the context builds once. Both
-engines, and the single-shot trials below, fold their trials into the
-statistics through the same per-batch tally (`_tally`); the collapse
-residual accounting is a gather from a dense per-key table and
-`np.bincount` counts.
+cached on it: each residual coset's lightest member and its weight and
+largest component per residual key, the final 2D decode reduced to a
+per-coset logical flip, and the collapse program. That program has one
+lookup per slot into the context's slot table (`JumpContext.slot_repairs`,
+which the tableau collapse reads too). The tableau engine runs trial by
+trial as the exact oracle; its trial and the blow-up and round-trip trials
+of `jump_trial` share one noise step and one collapse step, and copy the
+encoded states the context builds once. Both engines, and the single-shot
+trials below, fold their trials into the statistics through the same
+per-batch tally (`_tally`); the collapse residual accounting is a gather
+from a dense per-key table and `np.bincount` counts.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
-cached on it, in the manner of a reference sample plus Pauli frames (Stim,
-Gidney, arXiv 2103.02202). One noiseless tableau pass per encoded state
-records every plaquette's reference outcome, or, for a random one, the
-stabilizer row its measurement replaces, and the reference values of the
-final checks. A trial then tracks only the Pauli frame between that
-reference and its own state; see `run_single_shot_trials` for why a random
-outcome updates the frame by the replaced row. Between two decoder calls a
-trial is affine over GF(2) in its frame and draw bits, so each round of
-every reference compiles, once per noise structure, into one 0/1 matrix to
-the round's decode key and next frame (`_SingleShotProgram`). Trials run
-in batches of `BATCH_TRIALS`: one `philox_words` draw, then per round one
-float32 product over both references' columns and a gather of the
-corrections from the code's decode table (`jump.DualStructure`), which
-holds the one decoder's result for every key; then one product for the
-final checks. No Python loop runs per trial.
+cached on it. One noiseless tableau pass per encoded state records every
+plaquette's reference outcome, or, for a random one, the stabilizer row
+its measurement replaces, and the reference values of the final checks;
+see `run_single_shot_trials` for why a random outcome updates the frame by
+the replaced row. Its program has one lookup per round into the code's
+decode table (`jump.DualStructure`), which holds the one decoder's result
+for every key.
 """
 
 from __future__ import annotations
@@ -88,14 +85,13 @@ class TrialStats:
     max_residual_component: int = 0
 
     def merge(self, other: "TrialStats") -> "TrialStats":
-        out = TrialStats(
+        return TrialStats(
             self.trials + other.trials,
             self.failures + other.failures,
             self.residual_weight_hist + other.residual_weight_hist,
             self.delta0_hist + other.delta0_hist,
             max(self.max_residual_component, other.max_residual_component),
         )
-        return out
 
     @property
     def total_failures(self) -> int:
@@ -124,10 +120,157 @@ def wilson_interval(k: int, n: int, z: float = 3.0) -> tuple[float, float]:
     return max(0.0, mid - half), min(1.0, mid + half)
 
 
+# -- frame programs -----------------------------------------------------------------
+
+# what a trial's Philox column is compared against: nothing (a column that
+# only another reference reads), p, 1/2 or q
+_UNREAD, _NOISE, _OUTCOME, _FLIP = range(4)
+
+
+class _Forms:
+    """One trial run on affine forms over GF(2), as `FrameProgram` reads it.
+
+    A form is an int mask over the trial's variables, bit j for variable j:
+    variable 0 is the constant 1 (`one`), and the trial adds the others in
+    the order it meets them, one per Philox column it reads (`draw`) and
+    one per correction bit a lookup applies (`look_up`). `outputs` holds
+    the key forms of every lookup, then those of the final key.
+    """
+
+    def __init__(self):
+        self.one, self.vars = 1, 1
+        self.kinds = []  # per draw column: _NOISE, _OUTCOME or _FLIP
+        self.draws = []  # per draw column: its variable
+        self.outputs = []
+        self.lookups = []  # (first output, key bits, first variable, table, sizes)
+
+    def draw(self, kind) -> int:
+        """The bit of the trial's next Philox column."""
+        self.kinds.append(kind)
+        self.draws.append(self.vars)
+        self.vars += 1
+        return 1 << self.vars - 1
+
+    def noise(self, n: int, noisy: bool) -> tuple[list, list]:
+        """The frame after qubit noise (X part, Z part): the X then the Z
+        draw of every qubit when `noisy`, else the identity."""
+        frame = [self.draw(_NOISE) if noisy else 0 for _ in range(2 * n)]
+        return frame[:n], frame[n:]
+
+    def look_up(self, key: list[int], table: np.ndarray, sizes: np.ndarray) -> list[int]:
+        """Output `key` (its bit i is key[i]); returns the forms of the 0/1
+        correction in row key of `table`. `sizes` holds each row's |delta0|."""
+        self.lookups.append((len(self.outputs), len(key), self.vars, table, sizes))
+        self.outputs += key
+        self.vars += table.shape[1]
+        return [1 << j for j in range(self.vars - table.shape[1], self.vars)]
+
+
+class FrameProgram:
+    """A plan's trials under one noise structure (p > 0, q > 0), compiled.
+
+    A trial's input is b, one bit per column of its Philox row: u < p on a
+    noise column, u < 1/2 on an outcome draw, u < q on a flip draw (`kinds`).
+    Trial t reads failure row t mod rows (`zero` on even trials, `plus` on
+    odd ones) and runs block t mod `blocks`, one `_Forms` pass; `blocks` is
+    1 or the number of rows. Every output form splits into a constant
+    (`constant`), a part over b (a column of `matrix`) and a part over the
+    corrections. Entry k of lookup j holds the parity of correction k with
+    the correction part of every later output, as int64 bits from the
+    output after key j on (`effects`), so a batch runs one product:
+
+    1. one `philox_words` draw and the threshold compares;
+    2. b @ matrix in float32, exact as every sum is below 2^24;
+    3. the output bits packed into one int64 per trial, XOR the constant;
+    4. per lookup of `bits` key bits, key = packed & (2^bits - 1), then
+       packed = packed >> bits ^ effects[key];
+    5. what is left is the final key, which indexes the failure table.
+    """
+
+    def __init__(self, blocks: list[_Forms], fail: np.ndarray):
+        first = blocks[0]
+        outs = len(first.outputs)
+        if outs > 63:
+            raise ValueError(f"{outs} output bits do not pack into one int64")
+        self.blocks, self.fail = len(blocks), fail
+        self.width = max(len(forms.kinds) for forms in blocks)
+        self.kinds = np.full((self.blocks, self.width), _UNREAD)
+        self.weights = 1 << np.arange(outs, dtype=np.int64)
+        effects = [np.empty((self.blocks, len(table)), np.int64) for *_, table, _ in first.lookups]
+        self.constant = np.empty(self.blocks, dtype=np.int64)
+        columns = []
+        for b, forms in enumerate(blocks):
+            self.kinds[b, : len(forms.kinds)] = forms.kinds
+            dense = BitMatrix(forms.outputs, forms.vars).to_dense().astype(np.int64)
+            self.constant[b] = dense[:, 0] @ self.weights
+            block = np.zeros((self.width, outs))
+            block[: len(forms.draws)] = dense[:, forms.draws].T
+            columns.append(block)
+            for effect, (lo, bits, var, table, _) in zip(effects, forms.lookups):
+                part = dense[:, var : var + table.shape[1]]
+                effect[b] = (table.astype(np.int64) @ part.T & 1) @ self.weights >> lo + bits
+        self.matrix = np.concatenate(columns, axis=1).astype(np.float32)
+        self.lookups = [(bits, effect) for (_, bits, *_), effect in zip(first.lookups, effects)]
+        # every lookup's |delta0| rows, one after the other from its offset
+        self.size_rows = np.concatenate([sizes for *_, sizes in first.lookups])
+        self.size_offsets = np.cumsum([0] + [len(sizes) for *_, sizes in first.lookups[:-1]])
+
+    def run(self, noise: NoiseSpec, first: int, count: int) -> tuple[np.ndarray, ...]:
+        """(reference, draw bits, key of every lookup, final key, failed)
+        of trials first, first + 1, ..., one row per trial."""
+        rates = (noise.p_qubit, 0.5, noise.q_meas)
+        thresholds = np.array([0, *map(word_threshold, rates)], dtype=np.uint64)[self.kinds]
+        rows = np.arange(count)
+        refs = len(self.fail)
+        ref = (first % refs + rows) % refs  # zero on even trials
+        block = ref if self.blocks > 1 else 0
+        words = philox_words(noise.seed, first, count, self.width)
+        words >>= np.uint64(11)  # each draw's 53 bits, compared in place of doubles
+        bits = words < thresholds[block]
+        out = bits.astype(np.float32) @ self.matrix
+        if self.blocks > 1:  # each row's outputs under its own block
+            out = out.reshape(count, self.blocks, -1)[rows, ref]
+        packed = (out.astype(np.int64) & 1) @ self.weights ^ self.constant[block]
+        keys = np.empty((count, len(self.lookups)), dtype=np.int64)
+        for j, (key_bits, effects) in enumerate(self.lookups):
+            keys[:, j] = key = packed & (1 << key_bits) - 1
+            effect = effects[ref, key] if self.blocks > 1 else effects[0][key]
+            packed = packed >> key_bits ^ effect
+        return ref, bits, keys, packed, self.fail[ref, packed]
+
+    def sizes(self, keys: np.ndarray) -> np.ndarray:
+        """(trials, lookups, ...) |delta0| of every lookup's entry at its key."""
+        return self.size_rows[keys + self.size_offsets]
+
+
+class _Compiled:
+    """A plan that compiles its trials (`_forms`) into one `FrameProgram`
+    per noise structure: p > 0 (`noisy`) and q > 0 (`flips`) decide which
+    draws a trial makes, and nothing else about the noise enters it."""
+
+    def program(self, noisy: bool, flips: bool) -> FrameProgram:
+        got = self._programs.get((noisy, flips))
+        if got is None:
+            got = self._programs[noisy, flips] = FrameProgram(*self._forms(noisy, flips))
+        return got
+
+
+def _sum_forms(forms: list[int], mask: int) -> int:
+    """The GF(2) sum of the forms at the set bits of `mask`."""
+    total = 0
+    for q in _set_bits(mask):
+        total ^= forms[q]
+    return total
+
+
+def _support_mask(support) -> int:
+    return sum(1 << q for q in support)
+
+
 # -- compiled collapse plan -------------------------------------------------------
 
 
-class CollapsePlan:
+class CollapsePlan(_Compiled):
     """Static tables of one context's collapse trials, compiled once.
 
     Everything a trial derives from the lattice alone lives here; trials only
@@ -142,23 +285,18 @@ class CollapsePlan:
     into integers, the X side in the low bits and the Z side above it.
     Error and correction vectors are int masks, bit q holding qubit q.
 
-    Batches read the plan through dense tables, indexed directly and filled
-    whole when the plan is built, so no trial computes an entry:
-
-    - per slot of `ctx.slots`, 2^|duals| entries indexed by observed
-      pattern (4 on tetra15): the residual-key bits and |delta0| of the
-      slot's entries in the context's table `ctx.slot_repairs`, as one flat
-      array from `slot_offsets[slot]` (`repair_keys`, `repair_sizes`);
-    - per residual key, 2^(2 side_bits) entries (256 on tetra15): the
-      weight and largest connected component of the lightest residual
-      (`residual_weight`, `residual_component`), filled on every key whose
-      two sides name cosets (all 256 on tetra15); no error reaches another.
-
-    That is 2 bytes per residual key: a d = 5 tetrahedral facet (8
+    Per residual key, 2^(2 side_bits) entries (256 on tetra15), dense
+    tables hold the weight and largest connected component of the lightest
+    residual (`residual_weight`, `residual_component`), filled on every key
+    whose two sides name cosets (all 256 on tetra15); no error reaches
+    another. That is 2 bytes per residual key: a d = 5 tetrahedral facet (8
     plaquettes, 2^18 keys) would hold 0.5 MB. Whether the final decode
     leaves the logical flipped depends on one side's key only, so
     `decoded_flip` holds it per side key (2^side_bits entries, 16 on
     tetra15), filled at construction; keys no error reaches read False.
+
+    `program` compiles the collapse trial (`_forms`) into the batched
+    engine's `FrameProgram`, once per noise structure.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -166,17 +304,9 @@ class CollapsePlan:
         checks = plaquette_checks(ctx.code2)
         m = len(checks)
         outer = list(ctx.split.outer_vertices)
-        # inner plaquettes, one column per (slot, dual) in measurement order;
-        # rows are the 3D X error then the 3D Z error (X errors flip Z-type
-        # plaquettes)
-        supports = [
-            [(0 if basis == "Z" else n3) + v for v in ctx.colex3.plaquette_vertices(d.plaquette)]
-            for basis, _, duals in ctx.slots
-            for d in duals
-        ]
         # residual coset key bit j of one side is the parity of (3D error on
         # that side | applied correction << n3) over key_masks[j]
-        self.n3 = n3
+        self.ctx, self.n3 = ctx, n3
         self.key_masks = [
             sum(1 << outer[q] for q in chk) | sum(1 << q for q in chk) << n3
             for chk in checks + [tuple(range(n2))]
@@ -201,31 +331,7 @@ class CollapsePlan:
                 key = key_x | key_z << self.side_bits
                 self.residual_weight[key] = len(sx) + len(sz)
                 self.residual_component[key] = _max_component(sx + sz, adjacency)
-        # Batched trials. The parities of an error (rows: X error, then Z
-        # error) over the readout's columns are every inner plaquette
-        # reading, then the noise part of every residual key bit, X side
-        # first. Counts stay far below 2^24, so a float32 (BLAS) product is
-        # exact. A slot's observed pattern (bit i for dual i) is
-        # seen @ slot_weights, and key_weights packs the key bits.
-        self.n_inner = len(supports)  # inner plaquette columns
-        low = [_set_bits(mask & ((1 << n3) - 1)) for mask in self.key_masks]
-        keys = low + [[n3 + q for q in qs] for qs in low]
-        self.readout = _incidence(2 * n3, supports + keys).astype(np.float32)
-        self.slot_weights = np.zeros((self.n_inner, len(ctx.slots)), dtype=np.int64)
-        lo = 0
-        for s, (*_, duals) in enumerate(ctx.slots):
-            self.slot_weights[lo : lo + len(duals), s] = 1 << np.arange(len(duals))
-            lo += len(duals)
-        self.key_weights = 1 << np.arange(2 * self.side_bits, dtype=np.int64)
-        table = ctx.slot_repairs
-        flat = [r for repairs in table for r in repairs]
-        self.slot_offsets = np.cumsum([0] + [len(repairs) for repairs in table[:-1]])
-        # a string correction is of one type, so the other mask is 0
-        self.repair_keys = np.array(
-            [self.residual_key(0, 0, {"X": r.correction.x, "Z": r.correction.z}) for r in flat],
-            dtype=np.int64,
-        )
-        self.repair_sizes = np.array([len(r.delta0) for r in flat], dtype=np.uint8)
+        self._programs = {}
 
     def residual_key(self, ex: int, ez: int, applied: dict) -> int:
         """Packed coset keys of the outer residual on both sides, from the
@@ -243,20 +349,49 @@ class CollapsePlan:
         """(X-side key, Z-side key) of a packed residual key."""
         return key & ((1 << self.side_bits) - 1), key >> self.side_bits
 
+    def _forms(self, noisy: bool, flips: bool) -> tuple[list, np.ndarray]:
+        """The collapse trial on affine forms, one block for both encoded
+        states, and its failure table. On a fresh encoded state an inner
+        plaquette reads <F, support> (X errors flip Z-type plaquettes) plus
+        its flip draw, and every slot is read before any correction. Slot s
+        is one lookup, keyed by its observed pattern (bit i for dual i), of
+        the outer string corrections of `ctx.slot_repairs[s]`, which enter
+        the frame half the slot reads. The final key is the residual key,
+        parities of the frame over `key_masks`; the zero state fails by the
+        final decode of its X side, the plus state by that of its Z side."""
+        ctx = self.ctx
+        forms = _Forms()
+        fx, fz = forms.noise(ctx.n3, noisy)
+        halves = [fx if basis == "Z" else fz for basis, _, _ in ctx.slots]
+        seen = [
+            [
+                _sum_forms(half, _support_mask(ctx.colex3.plaquette_vertices(d.plaquette)))
+                ^ (forms.draw(_FLIP) if flips else 0)
+                for d in duals
+            ]
+            for half, (_, _, duals) in zip(halves, ctx.slots)
+        ]
+        outer = ctx.split.outer_vertices
+        for half, key, repairs in zip(halves, seen, ctx.slot_repairs):
+            # a string correction is of one type, so the other mask is 0
+            masks = [r.correction.x | r.correction.z for r in repairs]
+            table = np.array([[mask >> q & 1 for q in range(ctx.n2)] for mask in masks])
+            sizes = np.array([[len(r.delta0)] for r in repairs], dtype=np.uint8)
+            for q, bit in zip(outer, forms.look_up(key, table, sizes)):
+                half[q] ^= bit
+        low = (1 << self.n3) - 1
+        for half in (fx, fz):
+            forms.outputs += [_sum_forms(half, mask & low) for mask in self.key_masks]
+        keys = np.arange(1 << 2 * self.side_bits)
+        side = (1 << self.side_bits) - 1
+        return [forms], self.decoded_flip[np.stack([keys & side, keys >> self.side_bits])]
+
 
 def collapse_plan(ctx: JumpContext) -> CollapsePlan:
     """The context's collapse plan, compiled on first use."""
     if ctx._collapse_plan is None:
         ctx._collapse_plan = CollapsePlan(ctx)
     return ctx._collapse_plan
-
-
-def _incidence(n: int, supports) -> np.ndarray:
-    """(n, len(supports)) 0/1 matrix; column j marks supports[j]."""
-    out = np.zeros((n, len(supports)), dtype=np.uint8)
-    for j, support in enumerate(supports):
-        out[list(support), j] = 1
-    return out
 
 
 def _pack(bits) -> int:
@@ -316,7 +451,7 @@ class _Batch:
     """Trials first, first + 1, ... of one engine call, as arrays."""
 
     keys: np.ndarray  # packed residual coset key per trial
-    delta0_sizes: np.ndarray  # (trials, slots): |delta0| of every repair
+    delta0_sizes: np.ndarray  # (trials, slots, ...): |delta0| of every repair
     failed: np.ndarray  # bool per trial
     result: Callable[[int], _TrialResult]  # trial first + i, for trace lines
 
@@ -330,26 +465,14 @@ class CollapseEngine:
     the parity of the injected error on its support; the outer plaquette
     value after discarding equals the parity on its own support; logical
     flips are support parities of the accumulated error. The engine runs
-    that arithmetic on the context's compiled `CollapsePlan` for a batch of
-    trials at once, in the manner of Stim's batched frame sampling (Gidney,
-    arXiv 2103.02202):
-
-    - one `philox_words` call draws every trial's words, the same ones and
-      in the same order as the tableau pipeline draws them from its
-      per-trial generator (qubit noise, then one flip per dual); each is
-      compared with an integer threshold (`word_threshold`), exactly as
-      its double is compared with p or q;
-    - one matrix product gives every inner plaquette reading;
-    - each slot's observed pattern indexes the plan's dense slot tables,
-      which the plan fills from `ctx.slot_repairs`, the table the tableau
-      collapse reads, so their tie-breaks hold by construction;
-    - the residual coset key is linear, so it is the noise part (one more
-      product) XOR the key bits of the slots' corrections, and it indexes
-      the dense table that says whether the final decode leaves the logical
-      flipped.
-
-    Both engines therefore produce identical trials (asserted in the test
-    suite). `run_trial` is a batch of one.
+    that arithmetic as the context's collapse `FrameProgram`
+    (`CollapsePlan._forms`) on a batch of trials at once. Its draw holds the
+    words of each trial's own generator in the tableau pipeline's order
+    (qubit noise, then one flip per dual), and its slot lookups read
+    `ctx.slot_repairs` as the tableau collapse does, so both engines produce
+    identical trials (asserted in the test suite). `run_trial` is a batch of
+    one; `result` rebuilds a trial's error masks and true patterns from the
+    batch's draw bits and lookup keys.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -361,64 +484,47 @@ class CollapseEngine:
 
     def run_batch(self, noise: NoiseSpec, first: int, count: int) -> _Batch:
         ctx, plan = self.ctx, self.plan
-        n3, cols = ctx.n3, plan.n_inner
-        p, q = noise.p_qubit, noise.q_meas
-        draws = (2 * n3 if p > 0 else 0) + (cols if q > 0 else 0)
-        words = philox_words(noise.seed, first, count, draws)
-        words >>= np.uint64(11)  # each draw's 53 bits, compared in place of doubles
-        if p > 0:  # the X error then the Z error of every qubit
-            err = words[:, : 2 * n3] < word_threshold(p)
-        else:
-            err = np.zeros((count, 2 * n3), dtype=bool)
-        parities = (err.astype(np.float32) @ plan.readout).astype(np.int64) & 1
-        true = parities[:, :cols]
-        seen = true ^ (words[:, draws - cols :] < word_threshold(q)) if q > 0 else true
-        patterns = seen @ plan.slot_weights
-        at = patterns + plan.slot_offsets
-        keys = parities[:, cols:] @ plan.key_weights
-        keys ^= np.bitwise_xor.reduce(plan.repair_keys[at], axis=1)
-        # the observable logical reads the parity of the residual on the
-        # opposite side; the final ideal decode is a lookup on its coset
-        side = (np.arange(count) + first % 2) % 2  # 0 on trials of even index
-        low = (1 << plan.side_bits) - 1
-        failed = plan.decoded_flip[np.where(side == 0, keys & low, keys >> plan.side_bits)]
+        program = plan.program(noise.p_qubit > 0, noise.q_meas > 0)
+        ref, bits, seen_patterns, keys, failed = program.run(noise, first, count)
+        n3 = ctx.n3
+        noise_cols = 2 * n3 if noise.p_qubit > 0 else 0  # the X then the Z error of every qubit
 
         def result(i: int) -> _TrialResult:
-            logical = "zero" if side[i] == 0 else "plus"
+            err, flips = bits[i, :noise_cols], bits[i, noise_cols:]
             records, repairs, applied = {}, {}, {"X": 0, "Z": 0}
-            true_patterns = (true[i] @ plan.slot_weights).tolist()
-            for s, (basis, pair, _) in enumerate(ctx.slots):
-                r = ctx.slot_repairs[s][patterns[i, s]]
+            lo = 0
+            for s, (basis, pair, duals) in enumerate(ctx.slots):
+                seen = int(seen_patterns[i, s])
+                r = ctx.slot_repairs[s][seen]
+                true = seen ^ to_mask(flips[lo : lo + len(duals)])
+                lo += len(duals)
                 records[(pair, basis)] = dict(r.record)  # the caller's own copy
-                repairs[(pair, basis)] = (r.delta0, r.gamma_eff, tuple(_set_bits(true_patterns[s])))
+                repairs[(pair, basis)] = (r.delta0, r.gamma_eff, tuple(_set_bits(true)))
                 applied[r.kind] ^= r.correction.x | r.correction.z
             key = int(keys[i])
             key_x, key_z = plan.split_key(key)
-            kind, side_key = ("Z", key_x) if side[i] == 0 else ("X", key_z)
+            logical, kind = _TRACKED[ref[i]]
+            # the observable logical reads the parity of the residual on the
+            # opposite side
+            side_key = key_x if kind == "Z" else key_z
             flags = {"Z": None, "X": None}
             flags[kind] = -1 if side_key >> (plan.side_bits - 1) else 1
+            ex, ez = to_mask(err[:n3]), to_mask(err[n3:])
             return _TrialResult(
-                logical,
-                to_mask(err[i, :n3]),
-                to_mask(err[i, n3:]),
-                records,
-                repairs,
-                applied,
-                flags,
-                bool(failed[i]),
-                key,
+                logical, ex, ez, records, repairs, applied, flags, bool(failed[i]), key
             )
 
-        return _Batch(keys, plan.repair_sizes[at], failed, result)
+        return _Batch(keys, program.sizes(seen_patterns), failed, result)
 
 
 # Trials per batch. Each batch pays a fixed cost for its numpy calls (the
 # Philox kernel alone about 0.15 ms), and past 1024 trials the kernel's cost
-# per trial rises again. Medians of 9 interleaved repetitions on warm tables
-# (us/trial at 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse calls
-# at p = q = 0.05 took 3.64, 2.61, 2.26 and 3.45; 20,480-trial single-shot
-# calls at p = q = 0.02 took 6.42, 5.13, 6.75 and 7.32 on tetra15 and 3.52,
-# 2.60, 1.89 and 1.71 on the inner code. No size beats 512 on both engines.
+# per trial rises again. Medians of 9 interleaved repetitions of the one
+# frame-program runner on warm tables, 2 vCPUs, default BLAS threads (us/trial
+# at 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse calls at p = q =
+# 0.05 took 4.31, 2.97, 2.78 and 3.81; 20,480-trial single-shot calls at p =
+# q = 0.02 took 5.48, 4.69, 6.81 and 7.42 on tetra15 and 2.78, 2.74, 2.02
+# and 1.78 on the inner code. No size beats 512 on both engines.
 BATCH_TRIALS = 512
 
 
@@ -684,7 +790,7 @@ class _Reference:
             self.logical = _definite(state.expect(logical_operator(code, kind)))
 
 
-class SingleShotPlan:
+class SingleShotPlan(_Compiled):
     """Static part of one code's single-shot trials, compiled once.
 
     Pauli noise and Pauli corrections never change the unsigned stabilizer
@@ -696,18 +802,18 @@ class SingleShotPlan:
     `None` for the inner code) in which random outcomes are forced to +1,
     together with the code's dual structure and its cell decoding table
     with supports as masks. `single_shot_plan` caches it on the code, and
-    `program` compiles the references, once per noise structure, into the
-    affine programs that batches run.
+    `program` compiles the references (`_forms`), once per noise structure,
+    into the `FrameProgram` that batches run.
 
     A round reaches the decoder only through its decode key, and the decode
     does not depend on the measured basis, which only picks the frame half
     that the correction enters. So the code's decode table (the
     `jump.DualStructure` in `dual`, built whole with it), indexed by key,
-    serves both rounds: batches gather each round's correction bits
-    (`dual.corrections`) and |delta0| per color pair (`dual.delta0_sizes`)
-    from it, the rows `single_shot_decode` reads. The table has 2^key_bits
-    rows, far fewer than the 2^n supports that the code's decoding table
-    already enumerates.
+    serves both rounds: each round is one lookup of its correction bits
+    (`dual.corrections`) and |delta0| per color pair (`dual.delta0_sizes`),
+    the rows `single_shot_decode` reads. The table has 2^key_bits rows, far
+    fewer than the 2^n supports that the code's decoding table already
+    enumerates.
     """
 
     def __init__(self, code):
@@ -724,15 +830,25 @@ class SingleShotPlan:
         self.all_mask = (1 << code.n) - 1  # the support of both logicals
         logicals = ("zero", "plus") if code.L.generators else (None,)
         self.references = {logical: _Reference(code, logical, self) for logical in logicals}
-        self._programs: dict = {}  # (p > 0, q > 0) -> _SingleShotProgram
+        self._programs = {}
 
-    def program(self, noisy: bool, flips: bool) -> "_SingleShotProgram":
-        """The compiled trials under noise with p > 0 (`noisy`) and q > 0
-        (`flips`): what the program depends on, and so its cache key."""
-        got = self._programs.get((noisy, flips))
-        if got is None:
-            got = self._programs[noisy, flips] = _SingleShotProgram(self, noisy, flips)
-        return got
+    def _forms(self, noisy: bool, flips: bool) -> tuple[list, np.ndarray]:
+        """One block per reference (`_single_shot_forms`) and the failure
+        table. A tetrahedral code's final key is its cell syndrome, then the
+        tracked logical's parity; a trial fails when that parity differs from
+        whether the final decode's correction at the syndrome flips the
+        logical. The inner code's holds one violation bit per generator: any fails."""
+        blocks = [
+            _single_shot_forms(self, logical, ref, noisy, flips)
+            for logical, ref in self.references.items()
+        ]
+        if None in self.references:
+            keys = np.arange(1 << len(self.references[None].stabilizers))
+            return blocks, (keys != 0)[None]
+        flip = np.zeros(1 << len(self.cells), dtype=bool)
+        for syndrome, support in self.cell_table.items():
+            flip[_pack(syndrome)] = support.bit_count() & 1
+        return blocks, np.tile(np.concatenate([flip, ~flip]), (len(blocks), 1))
 
 
 def single_shot_plan(code) -> SingleShotPlan:
@@ -742,141 +858,32 @@ def single_shot_plan(code) -> SingleShotPlan:
     return code._single_shot_plan
 
 
-def _support_mask(support) -> int:
-    return sum(1 << q for q in support)
-
-
 def _definite(value):
     if value is None:
         raise ValueError("a final single-shot check has no definite value")
     return value
 
 
-# what a trial's Philox column is compared against, per reference: nothing
-# (a column that only the other reference reads), p, 1/2 or q
-_UNREAD, _NOISE, _OUTCOME, _FLIP = range(4)
-
-
-class _SingleShotProgram:
-    """A code's single-shot trials as GF(2) affine maps between decoder
-    calls, compiled for one noise structure (p > 0, q > 0).
-
-    A trial's inputs are v = [F | b | 1]: its frame F (X part, then Z part),
-    one bit per column of its Philox row (u < p on a noise column, u < 1/2
-    on an outcome draw, u < q on a flip draw, as `kinds` says per
-    reference), and a constant. Within a round all of it is affine in v: a
-    deterministic outcome bit is the reference bit plus <F, M>, a random
-    step adds the replaced row G to the frame exactly when 1 + up + <F, M>
-    is 1, and a flip draw adds to the outcome bit, which toggles the decode
-    key by the plaquette's key mask. So each round is one 0/1 matrix from v
-    to [decode key | F'], with F' the frame before the round's correction,
-    which is a gather from the plan's decode table. `final` maps the last
-    frame to the final checks: the cell syndrome and the tracked logical's
-    parity before the final decode (tetrahedral codes), whose failure bit
-    is that parity plus `flip` at the syndrome, or one violation bit per
-    stabilizer generator (inner codes). Each matrix has one column block
-    per reference, and a trial reads the block of its own.
-    """
-
-    def __init__(self, plan: SingleShotPlan, noisy: bool, flips: bool):
-        n, m = plan.code.n, len(plan.dual.order)
-        refs = plan.references
-        self.n, self.refs = n, len(refs)
-        self.noise_cols = 2 * n if noisy else 0
-        self.width = self.noise_cols + max(
-            ref.draws + (m * len(ref.rounds) if flips else 0) for ref in refs.values()
-        )
-        nv = 2 * n + self.width + 1
-        self.kinds = np.full((self.refs, self.width), _UNREAD)
-        self.kinds[:, : self.noise_cols] = _NOISE
-        blocks = [
-            _affine_forms(plan, logical, ref, flips, self.noise_cols, self.kinds[r])
-            for r, (logical, ref) in enumerate(refs.items())
-        ]
-        self.rounds = [
-            (basis, _program_matrix([f for rounds, _ in blocks for f in rounds[i]], nv))
-            for i, basis in enumerate(_ROUNDS)
-        ]
-        self.final = _program_matrix([f for _, final in blocks for f in final], nv)
-        self.key_weights = 1 << np.arange(plan.dual.key_bits, dtype=np.int64)
-        if None in refs:
-            self.flip = None
-        else:
-            # whether the final decode's correction at each cell syndrome
-            # flips the logical
-            self.flip = np.zeros(1 << len(plan.cells), dtype=np.int64)
-            for syndrome, support in plan.cell_table.items():
-                self.flip[_pack(syndrome)] = support.bit_count() & 1
-            self.cell_weights = 1 << np.arange(len(plan.cells), dtype=np.int64)
-
-    def thresholds(self, p: float, q: float) -> np.ndarray:
-        """(references, width) word thresholds (`word_threshold`) that each
-        Philox column is compared to: 0 on an unread column, so its bit is 0."""
-        return np.array([0, *map(word_threshold, (p, 0.5, q))], dtype=np.uint64)[self.kinds]
-
-    def run(self, plan: SingleShotPlan, seed: int, thresholds, first: int, count: int):
-        """(decode key of every round, failed) of trials first, first + 1, ...:
-        one Philox draw, then one product per round and one for the checks."""
-        n, n2 = self.n, 2 * self.n
-        key_bits = plan.dual.key_bits
-        rows = np.arange(count)
-        ref = (first % self.refs + rows) % self.refs  # zero on even trials
-        v = np.empty((count, n2 + self.width + 1), dtype=np.float32)
-        words = philox_words(seed, first, count, self.width)
-        words >>= np.uint64(11)
-        v[:, n2:-1] = words < thresholds[ref]
-        v[:, -1] = 1
-        v[:, :n2] = v[:, n2 : 2 * n2] if self.noise_cols else 0
-
-        def apply(matrix):  # each row's outputs under its own reference, as bits
-            out = (v @ matrix).reshape(count, self.refs, -1)[rows, ref]
-            return out.astype(np.int32) & 1
-
-        keys = np.empty((count, len(self.rounds)), dtype=np.int64)
-        for r, (basis, matrix) in enumerate(self.rounds):
-            out = apply(matrix)
-            keys[:, r] = out[:, :key_bits] @ self.key_weights
-            frame = out[:, key_bits:]
-            lo = 0 if basis == "Z" else n  # a Z round corrects the X part
-            frame[:, lo : lo + n] ^= plan.dual.corrections[keys[:, r]]
-            v[:, :n2] = frame
-        checks = apply(self.final)
-        if self.flip is None:
-            return keys, checks.any(axis=1)
-        syndrome = checks[:, :-1] @ self.cell_weights
-        return keys, (checks[:, -1] ^ self.flip[syndrome]).astype(bool)
-
-
-def _affine_forms(plan, logical, ref: _Reference, flips: bool, first: int, kinds) -> tuple:
-    """One reference's rounds and final checks, run on affine forms.
-
-    A form is an int mask over v = [F | draw bits | 1], bit j for variable
-    j. Returns per round the forms of [decode key | F'] and
-    the forms of the final checks (see `_SingleShotProgram`), and marks in
-    `kinds` every draw column the reference reads, from column `first` on.
-    """
+def _single_shot_forms(plan, logical, ref: _Reference, noisy: bool, flips: bool) -> _Forms:
+    """One reference's trial on affine forms. A deterministic outcome bit is
+    the reference bit plus <F, M>, a random step adds the replaced row G to
+    the frame exactly when 1 + up + <F, M> is 1, and a flip draw adds to the
+    outcome bit, which toggles the decode key by the plaquette's key mask.
+    Each round's key is one lookup into the code's decode table; the final
+    key reads the frame after both rounds (see `SingleShotPlan._forms`)."""
     n = plan.code.n
-    one = 1 << (2 * n + len(kinds))
-    col = first
-
-    def draw(kind):  # the bit of the next Philox column
-        nonlocal col
-        kinds[col] = kind
-        col += 1
-        return 1 << (2 * n + col - 1)
-
-    def frame():  # the frame entering a round or the checks: inputs
-        return [1 << q for q in range(n)], [1 << (n + q) for q in range(n)]
-
-    rounds = []
+    forms = _Forms()
+    one = forms.one
+    fx, fz = forms.noise(n, noisy)
     for basis, steps in ref.rounds:
-        fx, fz = frame()
+        # a Z-type plaquette reads the frame's X part, and a Z round's
+        # correction enters it; vice versa for X
+        half = fx if basis == "Z" else fz
         key = [0] * plan.dual.key_bits
         for mask, value, gx, gz, key_mask in steps:
-            # a Z-type plaquette reads the frame's X part, and vice versa
-            flipped = _sum_forms(fx if basis == "Z" else fz, mask)
+            flipped = _sum_forms(half, mask)
             if value is None:
-                up = draw(_OUTCOME)
+                up = forms.draw(_OUTCOME)
                 taken = one ^ up ^ flipped  # the frame takes G when up == flipped
                 for q in _set_bits(gx):
                     fx[q] ^= taken
@@ -886,14 +893,15 @@ def _affine_forms(plan, logical, ref: _Reference, flips: bool, first: int, kinds
             else:
                 bit = flipped ^ (one if value < 0 else 0)
             if flips:
-                bit ^= draw(_FLIP)
+                bit ^= forms.draw(_FLIP)
             for b in _set_bits(key_mask):
                 key[b] ^= bit
-        rounds.append(key + fx + fz)
-    fx, fz = frame()
+        correction = forms.look_up(key, plan.dual.corrections, plan.dual.delta0_sizes)
+        for q, bit in enumerate(correction):
+            half[q] ^= bit
     if logical is None:
         # generator g is violated when <F, g> flips its reference value
-        final = [
+        forms.outputs += [
             (one if value < 0 else 0) ^ _sum_forms(fx, gz) ^ _sum_forms(fz, gx)
             for gx, gz, value in ref.stabilizers
         ]
@@ -901,26 +909,12 @@ def _affine_forms(plan, logical, ref: _Reference, flips: bool, first: int, kinds
         # the tracked logical and the cells whose decode can flip it read
         # the frame's X part (zero) or its Z part (plus)
         side, cells = (fx, ref.cells_z) if logical == "zero" else (fz, ref.cells_x)
-        final = [
+        forms.outputs += [
             (one if bit else 0) ^ _sum_forms(side, mask)
             for bit, mask in zip(cells, plan.cell_masks)
         ]
-        final.append((one if ref.logical < 0 else 0) ^ _sum_forms(side, plan.all_mask))
-    return rounds, final
-
-
-def _sum_forms(forms: list[int], mask: int) -> int:
-    """The GF(2) sum of the forms at the set bits of `mask`."""
-    total = 0
-    for q in _set_bits(mask):
-        total ^= forms[q]
-    return total
-
-
-def _program_matrix(forms: list[int], nv: int) -> np.ndarray:
-    """(nv, len(forms)) float32 0/1 matrix; column j holds form j. Every
-    product with it sums at most nv bits, exactly in float32."""
-    return BitMatrix(forms, nv).to_dense().T.astype(np.float32)
+        forms.outputs.append((one if ref.logical < 0 else 0) ^ _sum_forms(side, plan.all_mask))
+    return forms
 
 
 def run_single_shot_trials(
@@ -948,27 +942,27 @@ def run_single_shot_trials(
     frame becomes F G.
 
     Between two decoder calls all of this is affine over GF(2) in the
-    frame and the trial's draw bits, so the plan compiles each round into
-    one matrix (`SingleShotPlan.program`). Trials run in batches of
+    frame and the trial's draw bits, so the plan compiles the trial into
+    one `FrameProgram` (`SingleShotPlan.program`). Trials run in batches of
     `BATCH_TRIALS`, with no Python loop over trials: one `philox_words`
-    draw, then per round one float32 product and a gather of the
-    corrections from the code's decode table, then one product for the
-    final checks. The
-    random numbers of a trial are drawn in the tableau harness's order: the
-    X then the Z noise of every qubit when p > 0, then per plaquette the
-    outcome draw of a random measurement and the flip draw when q > 0. Row
-    i of the draw is a prefix of trial i's own generator stream, as wide as
-    the reference that draws most. Every trial and every statistic
-    therefore equals the tableau harness's bit for bit (asserted in the
-    test suite), and no `Tableau` method runs per trial. Trial indices must
-    lie in [0, 2^64).
+    draw, one float32 product per batch, then per round a lookup of the
+    correction's precomposed effect on the later keys, and a gather from
+    the failure table. The random numbers of a trial are drawn in the
+    tableau harness's order: the X then the Z noise of every qubit when p
+    > 0, then per plaquette the outcome draw of a random measurement and
+    the flip draw when q > 0. Row i of the draw is a prefix of trial i's
+    own generator stream, as wide as the reference that draws most. Every
+    trial and every statistic therefore equals the tableau harness's bit
+    for bit (asserted in the test suite), and no `Tableau` method runs per
+    trial. Trial indices must lie in [0, 2^64).
     """
     _check_trial_range(trial_offset, trials)
     plan = single_shot_plan(code)
+    sizes = plan.program(noise.p_qubit > 0, noise.q_meas > 0).sizes
     stats = TrialStats()
     kinds = _TRACKED_KINDS if code.L.generators else ("stabilizer",)
     for first, keys, failed in _single_shot_batches(plan, noise, trial_offset, trials):
-        _tally(stats, first, failed, plan.dual.delta0_sizes[keys], kinds)
+        _tally(stats, first, failed, sizes(keys), kinds)
     return stats
 
 
@@ -976,11 +970,10 @@ def _single_shot_batches(plan: SingleShotPlan, noise: NoiseSpec, trial_offset: i
     """(first trial, decode key of every round, failed) per batch of
     `BATCH_TRIALS` trials."""
     program = plan.program(noise.p_qubit > 0, noise.q_meas > 0)
-    thresholds = program.thresholds(noise.p_qubit, noise.q_meas)
     end = trial_offset + trials
     for first in range(trial_offset, end, BATCH_TRIALS):
-        count = min(BATCH_TRIALS, end - first)
-        yield first, *program.run(plan, noise.seed, thresholds, first, count)
+        _, _, keys, _, failed = program.run(noise, first, min(BATCH_TRIALS, end - first))
+        yield first, keys, failed
 
 
 # -- output formats -------------------------------------------------------------------

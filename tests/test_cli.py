@@ -756,6 +756,30 @@ def test_bad_counts_are_usage_errors(monkeypatch, tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "collapse", "--trace", "--label", "big"],
+        ["simulate", "singleshot", "--kind", "3d"],
+    ],
+    ids=["collapse-trace", "singleshot"],
+)
+def test_trials_past_the_index_domain_are_usage_errors(tmp_path, capsys, argv):
+    """Trial indices 0..trials - 1 must lie in [0, 2^64): 2^64 + 1 trials is
+    a usage error under the action's usage line, before the output
+    directory is made, the seed printed or the trace opened."""
+    out_dir = tmp_path / "out"
+    flags = ["--builtin", "tetra15", "--trials", str(2**64 + 1), "--out-dir", str(out_dir)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    out = capsys.readouterr()
+    prog = f"colexjump {argv[0]} {argv[1]}"
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"usage: {prog} [-h] ")
+    assert out.err.splitlines()[-1].startswith(f"{prog}: error: argument --trials: must be below")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_largest_seed_runs(monkeypatch, tmp_path, capsys):
     """2^64 - 1 is the top of the seed range and still keys a generator."""
     monkeypatch.setenv("COLEXJUMP_OUTDIR", str(tmp_path))

@@ -222,10 +222,10 @@ def test_run_trial_is_a_batch_of_one(ctx):
 
 
 def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
-    """The plan runs flux repair and string correction once per (slot,
-    pattern) when it is built, and the fast engine's trials then run no
-    repair, string correction, T-join or residual search, and build no
-    per-trial generator."""
+    """The plan's program runs flux repair and string correction once per
+    (slot, pattern) when it is compiled, and the fast engine's trials then
+    run no repair, string correction, T-join or residual search, and build
+    no per-trial generator."""
     calls = Counter()
 
     def counting(name, real):
@@ -246,6 +246,7 @@ def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
     )
     ctx = make_context(tetra15, "rgb")
     plan = collapse_plan(ctx)
+    plan.program(True, True)  # reads the slot table
     entries = sum(2 ** len(duals) for *_, duals in ctx.slots)
     assert entries == 24
     assert calls == Counter(repair=entries, string=entries)
@@ -268,7 +269,8 @@ def test_fast_engine_repairs_nothing_after_build(tetra15, monkeypatch):
 def test_tableau_collapse_repairs_nothing_after_build(tetra15, monkeypatch):
     """Once the context's slot table is built, no tableau collapse (the
     tableau engine, the round trip, the exhaustive weight-1 sweep) runs a
-    flux repair, a string correction or a T-join."""
+    flux repair, a string correction or a T-join, or resolves a slot's
+    color pair again."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a tableau collapse repaired a slot")
@@ -279,6 +281,7 @@ def test_tableau_collapse_repairs_nothing_after_build(tetra15, monkeypatch):
         (jump, "repair_flux"),
         (jump.JumpContext, "cached_string_correction"),
         (flux, "t_join"),
+        (flux, "color_set"),
     ):
         monkeypatch.setattr(target, name, forbidden)
     spec = NoiseSpec(0.1, 0.1, seed=4)
@@ -309,10 +312,12 @@ def _largest_cluster(ctx, support) -> int:
 
 
 def test_dense_tables_equal_their_fillers(tetra15):
-    """Every residual and slot entry of a fresh plan equals its value
-    recomputed here from the coset table, `repair_flux` and an uncached
-    string correction; `decoded_flip` holds, per side key, whether the 2D
-    decode of the coset's lightest member leaves the logical flipped."""
+    """Every residual entry of a fresh plan, and every slot lookup of its
+    programs, equals its value recomputed here from the coset table,
+    `repair_flux` and an uncached string correction; `decoded_flip` holds,
+    per side key, whether the 2D decode of the coset's lightest member
+    leaves the logical flipped. A slot lookup's entry changes only the
+    residual key, by the key bits of its correction."""
     ctx = make_context(tetra15, "rgb")
     plan = montecarlo.CollapsePlan(ctx)
     keys = 1 << 2 * plan.side_bits
@@ -331,7 +336,10 @@ def test_dense_tables_equal_their_fillers(tetra15):
             continue
         syndrome = tuple(key >> j & 1 for j in range(plan.side_bits - 1))
         assert plan.decoded_flip[key] == (len(member) + len(decode[syndrome])) % 2
-    assert len(plan.repair_keys) == len(plan.repair_sizes) == 4 * len(ctx.slots)
+    programs = [plan.program(noisy, flips) for noisy in (False, True) for flips in (False, True)]
+    for program in programs:
+        assert len(program.lookups) == len(ctx.slots)
+        assert program.size_rows.shape == (4 * len(ctx.slots), 1)
     for slot, (basis, pair, duals) in enumerate(ctx.slots):
         for pattern in range(2 ** len(duals)):
             seen = frozenset(i for i in range(len(duals)) if pattern >> i & 1)
@@ -345,8 +353,12 @@ def test_dense_tables_equal_their_fillers(tetra15):
             assert got.gamma_eff == tuple(sorted(gamma.edges))
             assert (got.kind, got.correction) == (kind, corr)
             assert got.record == {d.plaquette: -1 if i in seen else 1 for i, d in enumerate(duals)}
-            at = plan.slot_offsets[slot] + pattern
-            assert (plan.repair_keys[at], plan.repair_sizes[at]) == (key, len(delta0))
+            later = sum(len(d) for *_, d in ctx.slots[slot + 1 :])  # the key bits after it
+            for program in programs:
+                bits, effects = program.lookups[slot]
+                assert bits == len(duals) and effects.shape == (1, 2 ** len(duals))
+                size = program.size_rows[program.size_offsets[slot] + pattern]
+                assert (effects[0, pattern], size) == (key << later, len(delta0))
 
 
 def test_plan_residual_table_matches_exhaustive_oracle(ctx):
@@ -618,38 +630,53 @@ def test_compiled_batches_match_the_frame_oracle_per_trial(
         assert got == frame_trials(code, spec, offset, trials)
 
 
-@pytest.mark.parametrize("kind", ["inner", "3d"])
+@pytest.mark.parametrize("kind", ["inner", "3d", "collapse"])
 def test_single_shot_programs_cached_per_noise_structure(tetra15, split15, monkeypatch, kind):
-    """A code compiles one program per (p > 0, q > 0) and sets the
-    thresholds per call, so interleaved runs on one code equal runs on
-    fresh codes."""
+    """A code (single-shot) or a context (collapse) compiles one program
+    per (p > 0, q > 0) and sets the rates per call, so interleaved runs on
+    one code or context equal runs on fresh ones."""
 
-    def make():
-        return build_inner(split15) if kind == "inner" else build_3d(tetra15)
+    if kind == "collapse":
+        cls, plan_of = montecarlo.CollapsePlan, collapse_plan
+
+        def make():
+            return make_context(tetra15, "rgb")
+
+        def run(ctx, spec):
+            trace = io.StringIO()
+            stats = run_collapse_trials(ctx, spec, 600, trial_offset=5, trace_fh=trace)
+            return stats.as_dict(), trace.getvalue()
+
+    else:
+        cls, plan_of = montecarlo.SingleShotPlan, montecarlo.single_shot_plan
+
+        def make():
+            return build_inner(split15) if kind == "inner" else build_3d(tetra15)
+
+        def run(code, spec):
+            return run_single_shot_trials(code, spec, 600, trial_offset=5).as_dict()
 
     compiled = []
-    real = montecarlo._SingleShotProgram
+    real = cls._forms
 
     def counting(plan, noisy, flips):
         compiled.append((plan, noisy, flips))
         return real(plan, noisy, flips)
 
-    monkeypatch.setattr(montecarlo, "_SingleShotProgram", counting)
-    code = make()
+    monkeypatch.setattr(cls, "_forms", counting)
+    shared = make()
     specs = [
         NoiseSpec(0.1, 0, seed=7),
         NoiseSpec(0.1, 0.3, seed=7),
         NoiseSpec(0.05, 0, seed=8),
         NoiseSpec(0, 0.2, seed=9),
+        NoiseSpec(0, 0, seed=3),
     ]
     for spec in specs:
-        got = run_single_shot_trials(code, spec, 600, trial_offset=5)
-        fresh = run_single_shot_trials(make(), spec, 600, trial_offset=5)
-        assert got.as_dict() == fresh.as_dict()
-    shared = montecarlo.single_shot_plan(code)
-    structures = [c[1:] for c in compiled if c[0] is shared]
-    assert structures == [(True, False), (True, True), (False, True)]
-    assert len(compiled) == 3 + len(specs)
+        assert run(shared, spec) == run(make(), spec)
+    structures = [c[1:] for c in compiled if c[0] is plan_of(shared)]
+    assert structures == [(True, False), (True, True), (False, True), (False, False)]
+    assert len(compiled) == 4 + len(specs)
 
 
 # SHA-256 prefixes of `as_dict()` over 60 trials from offset 0, recorded with

@@ -15,8 +15,11 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   repair, string-correction and extraction counts;
 - one digest per side of outputs that must not change: both engines'
   collapse stats and traces, tableau collapses with their residual rows,
-  `jump_trial`, `exhaustive_weight1_collapse`, CLI `jump collapse|roundtrip`
-  and `simulate collapse --trace` at `--workers` 1 and 2.
+  `jump_trial`, `exhaustive_weight1_collapse`, `run_single_shot_trials`
+  stats on the inner and tetrahedral codes of tetra15 from trial 0 and
+  from trial 2^64 - 1030, CLI `jump collapse|roundtrip`, `simulate
+  collapse --trace` and `simulate singleshot --kind 3d|inner` at
+  `--workers` 1 and 2.
 
 `python3 tools/bench_pairs.py digest` and `... jump-times` run one side's
 part in a checkout whose `src/` is on PYTHONPATH.
@@ -49,6 +52,10 @@ TRACED = (
 # (p, q, seed) of the digested collapse runs, p = q = 1 among them
 COLLAPSE_POINTS = ((0.05, 0.05, 7), (0.0, 0.2, 11), (0.15, 0.0, 3), (1.0, 1.0, 5))
 JUMP_POINTS = ((0.02, 0.02, 5), (0.1, 0.1, 9))
+# (p, q) of the digested single-shot runs, each over SINGLE_SHOT_TRIALS
+# trials (three batches) from trial 0 and from the last such span below 2^64
+SINGLE_SHOT_POINTS = ((0.02, 0.02), (1.0, 1.0), (0.0, 0.3), (0.3, 0.0))
+SINGLE_SHOT_TRIALS = 1030
 JUMP_TRIALS = 600
 METHOD = (
     "perfbench: for pair i in 1..pairs, seed 2000 + i, every workload (schedule, "
@@ -72,7 +79,12 @@ def digest(work: Path) -> str:
     """sha256 over every output this benchmark must leave unchanged."""
     from colexjump.cli import main as cli
     from colexjump.jump import collapse, make_context
-    from colexjump.montecarlo import exhaustive_weight1_collapse, jump_trial, run_collapse_trials
+    from colexjump.montecarlo import (
+        exhaustive_weight1_collapse,
+        jump_trial,
+        run_collapse_trials,
+        run_single_shot_trials,
+    )
     from colexjump.noise import NoiseSpec, trial_rng
     from colexjump.pauli import PauliOperator
     from colexjump.colex import minimal_colex
@@ -104,15 +116,26 @@ def digest(work: Path) -> str:
             noise = NoiseSpec(p, q, seed)
             feed(action, p, q, seed, [jump_trial(ctx, noise, action, t) for t in range(60)])
     feed(exhaustive_weight1_collapse(ctx))
+    for code in (ctx.inner_code, ctx.code3):
+        for p, q in SINGLE_SHOT_POINTS:
+            for offset in (0, 2**64 - SINGLE_SHOT_TRIALS):
+                noise = NoiseSpec(p, q, 11)
+                stats = run_single_shot_trials(code, noise, SINGLE_SHOT_TRIALS, offset)
+                feed(code.n, p, q, offset, stats.as_dict())
     base = ["--builtin", "tetra15", "--p", "0.05", "--q", "0.05", "--seed", "5"]
     runs = [["jump", action, *base, "--trials", "20"] for action in ("collapse", "roundtrip")]
-    for workers in ("1", "2"):
-        out_dir = work / f"simulate-w{workers}"
-        shutil.rmtree(out_dir, ignore_errors=True)
-        runs.append(
-            ["simulate", "collapse", *base, "--trials", "600", "--trace",
-             "--out-dir", str(out_dir), "--workers", workers]
-        )
+    simulate = {
+        "collapse": ["collapse", "--trials", "600", "--trace"],
+        "singleshot-3d": ["singleshot", "--kind", "3d", "--trials", "2000"],
+        "singleshot-inner": ["singleshot", "--kind", "inner", "--trials", "2000"],
+    }
+    for name, flags in simulate.items():
+        for workers in ("1", "2"):
+            out_dir = work / f"simulate-{name}-w{workers}"
+            shutil.rmtree(out_dir, ignore_errors=True)
+            runs.append(
+                ["simulate", *flags, *base, "--out-dir", str(out_dir), "--workers", workers]
+            )
     for argv in runs:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
