@@ -244,8 +244,16 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     one qubit must stay.
 
     The elimination runs on copies of the stabilizer rows' (x, z, sign)
-    ints, with the tableau's row product; only the surviving rows, restricted
-    to the kept qubits, become the operators of the new tableau.
+    ints, with the tableau's row product. The rows it leaves free of the
+    dropped qubits, restricted to the kept ones, are the new stabilizers,
+    each paired with its own destabilizer row, restricted too. That keeps
+    the pairing <D_j, S_k> = delta_jk: multiplying pivot S_p into S_i needs
+    only D_p to take on D_i, and pivot pairs are dropped; a survivor has no
+    dropped support, so the restriction keeps it too. The restriction can
+    break the destabilizers' mutual commutation, which a symplectic
+    Gram-Schmidt restores: for i < j, D_j <- D_j S_i where D_j anticommutes
+    with D_i. No synthesis runs, so `from_stabilizers` stays once per
+    context. Destabilizer signs, which nothing reads, are +1.
     """
     n = state.n
     bad = [q for q in drop if not 0 <= q < n]
@@ -285,20 +293,27 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
                 signs[i] = -sign if (zs[i] & px).bit_count() & 1 else sign
                 xs[i] ^= px
                 zs[i] ^= pz
+    survivors = [i for i in range(n) if not used >> i & 1]
     runs = _runs(keep)
-    survivors = []
-    for i in range(n):
-        if used >> i & 1:
-            continue
+    sx, sz, dx, dz = [], [], [], []
+    for i in survivors:
         x, z = xs[i], zs[i]
         if (x | z) & drop_mask:
             raise ValueError("dropped qubits are still entangled with the rest")
-        survivors.append(PauliOperator(len(keep), _gather(x, runs), _gather(z, runs), signs[i]))
-    if len(survivors) != len(keep):
-        raise ValueError(
-            f"restriction produced {len(survivors)} stabilizers for {len(keep)} qubits"
-        )
-    return from_stabilizers(survivors)
+        sx.append(_gather(x, runs))
+        sz.append(_gather(z, runs))
+        dx.append(_gather(state.xs[i], runs))
+        dz.append(_gather(state.zs[i], runs))
+    k = len(keep)
+    if len(survivors) != k:
+        raise ValueError(f"restriction produced {len(survivors)} stabilizers for {k} qubits")
+    for j in range(1, k):
+        x, z = dx[j], dz[j]
+        for i in range(j):
+            if ((x & dz[i]) ^ (z & dx[i])).bit_count() & 1:
+                dx[j] ^= sx[i]
+                dz[j] ^= sz[i]
+    return Tableau(k, dx + sx, dz + sz, [1] * k + [signs[i] for i in survivors])
 
 
 def _runs(positions: list[int]) -> list[tuple[int, int, int]]:
@@ -322,21 +337,19 @@ def _gather(mask: int, runs: list[tuple[int, int, int]]) -> int:
     return out
 
 
-def _scatter(mask: int, positions: list[int]) -> int:
-    """Bit positions[i] of the result is bit i of mask."""
+def _spread(mask: int, runs: list[tuple[int, int, int]]) -> int:
+    """Bit positions[i] of the result is bit i of mask, for the `_runs` of
+    positions: the inverse of `_gather`."""
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << positions[low.bit_length() - 1]
-        mask ^= low
+    for q, low, i in runs:
+        out |= (mask >> i & low) << q
     return out
 
 
 def embed_operator(op: PauliOperator, n_total: int, positions: list[int]) -> PauliOperator:
     """op on qubits 0..op.n-1 placed on qubits positions[0..op.n-1] of n_total."""
-    return PauliOperator(
-        n_total, _scatter(op.x, positions), _scatter(op.z, positions), op.sign
-    )
+    runs = _runs(positions)
+    return PauliOperator(n_total, _spread(op.x, runs), _spread(op.z, runs), op.sign)
 
 
 # -- ideal decoding -----------------------------------------------------------------
@@ -573,6 +586,11 @@ class DualStructure:
     decode table holds that key's correction bits (`corrections`), |delta0|
     per sorted color pair (`delta0_sizes`) and syndrome (`syndromes`); keys
     outside the span of the key masks, which no round produces, read zero.
+
+    `placed[(basis, n, positions)]` holds the `basis` plaquettes in `order`
+    placed on `positions` of an n-qubit state, as `single_shot_ec` measures
+    them; the key and the code that owns the structure name all they
+    depend on.
     """
 
     by_pair: dict[str, list]
@@ -587,6 +605,7 @@ class DualStructure:
     corrections: np.ndarray = field(init=False)
     delta0_sizes: np.ndarray = field(init=False)
     syndromes: np.ndarray = field(init=False)
+    placed: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
 
 def _code_dual_structure(code: CodeTriple) -> DualStructure:
@@ -713,13 +732,20 @@ def single_shot_ec(
 
     `basis` is the measured plaquette type; the correction applied is of the
     dual Pauli kind (X errors flip Z plaquettes, so measuring Z yields an X
-    correction).
+    correction). The plaquettes, placed on `embed` of the state's qubits,
+    are built on first use and kept in the code's `DualStructure.placed`.
     """
     dual = _code_dual_structure(code)
-    positions = embed if embed is not None else list(range(code.n))
+    positions = tuple(embed) if embed is not None else tuple(range(code.n))
+    key = (basis, state.n, positions)
+    ops = dual.placed.get(key)
+    if ops is None:
+        ops = dual.placed[key] = tuple(
+            embed_operator(plaquette_operator(code.colex, pi, basis), state.n, positions)
+            for pi in dual.order
+        )
     outcomes: dict[int, int] = {}
-    for pi in dual.order:
-        op = embed_operator(plaquette_operator(code.colex, pi, basis), state.n, positions)
+    for pi, op in zip(dual.order, ops):
         value = state.measure(op, rng)
         if meas_flip_prob > 0 and rng.random() < meas_flip_prob:
             value = -value
@@ -763,17 +789,42 @@ def blow_up(
 ) -> Tableau:
     """Inverse jump: append fresh inner qubits, correct the inner code, and
     reconcile the outer syndrome so the joint state satisfies the 3D code;
-    returns the 3D state."""
-    n3 = ctx.n3
-    # stabilizer rows: embedded outer rows + |0> inner qubits
-    rows = []
-    for i in range(ctx.n2):
-        op = state2.stabilizer_row(i)
-        rows.append(embed_operator(op, n3, ctx.split.outer_vertices))
-    for v in ctx.split.inner_vertices:
-        rows.append(PauliOperator.from_support(n3, "Z", [v]))
-    state3 = from_stabilizers(rows)
-    inner = list(ctx.split.inner_vertices)
+    returns the 3D state.
+
+    The joint state embed(state2) x |0...0> is a tensor product, and so is
+    its tableau (Aaronson & Gottesman, quant-ph/0406196): state2's
+    destabilizer and stabilizer rows placed on the outer qubits, with their
+    signs, then X_v and +Z_v as the destabilizer and stabilizer of each inner
+    qubit v. No synthesis runs, so `from_stabilizers` stays once per context.
+    """
+    n2, n3 = ctx.n2, ctx.n3
+    outer, inner = ctx.split.outer_vertices, ctx.split.inner_vertices
+    m = len(inner)
+    runs = _runs(outer)
+    xs = [_spread(x, runs) for x in state2.xs]
+    zs = [_spread(z, runs) for z in state2.zs]
+    fresh, none = [1 << v for v in inner], [0] * m
+    signs = state2.signs
+    # columns: state2's stabilizer row bits move up past the m new
+    # destabilizer rows; inner qubit j holds row n2 + j's X, row n3 + n2 + j's Z
+    low = (1 << n2) - 1
+    xcol, zcol = [0] * n3, [0] * n3
+    for q, v in enumerate(outer):
+        c = state2.xcol[q]
+        xcol[v] = c & low | c >> n2 << n2 + m
+        c = state2.zcol[q]
+        zcol[v] = c & low | c >> n2 << n2 + m
+    for j, v in enumerate(inner):
+        xcol[v] = 1 << n2 + j
+        zcol[v] = 1 << n3 + n2 + j
+    state3 = Tableau._of(
+        n3,
+        xs[:n2] + fresh + xs[n2:] + none,
+        zs[:n2] + none + zs[n2:] + fresh,
+        signs[:n2] + [1] * m + signs[n2:] + [1] * m,
+        xcol,
+        zcol,
+    )
     for basis in ("Z", "X"):
         single_shot_ec(state3, ctx.inner_code, basis, meas_flip_prob, rng, embed=inner)
     # outer reconciliation: noiseless syndrome readout + exact correction

@@ -230,6 +230,10 @@ def from_stabilizers(rows: list[PauliOperator]) -> Tableau:
     Conjugation-free synthesis: start from |0...0> and measure each target
     generator; a -1 outcome is flipped away with the destabilizer partner,
     which anticommutes with that row alone. Fully deterministic.
+
+    It runs once per encoded state a context builds, never per trial: the
+    jumps derive their tableaux from their input's rows (`jump.discard_qubits`,
+    `jump.blow_up`).
     """
     if not rows:
         raise ValueError("need at least one stabilizer generator")
@@ -238,6 +242,9 @@ def from_stabilizers(rows: list[PauliOperator]) -> Tableau:
         raise ValueError(f"need exactly {n} generators, got {len(rows)}")
     if any(r.n != n for r in rows):
         raise ValueError("qubit count mismatch")
+    span = gf2.Echelon(2 * n)
+    if not all(span.add(r.x | r.z << n) for r in rows):
+        raise ValueError("stabilizer generators must be independent")
     masks = [(r.x, r.z) for r in rows]
     for i, (ax, az) in enumerate(masks):
         for bx, bz in masks[i + 1 :]:

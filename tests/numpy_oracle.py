@@ -13,7 +13,8 @@ way, through `BitMatrix.to_dense`.
 `discard_qubits` is the int-row tableau's qubit discard as it was before the
 elimination moved onto the rows' ints: it multiplies out
 `colexjump.pauli.PauliOperator` stabilizer rows and hands the survivors to
-`colexjump.tableau.from_stabilizers`.
+`colexjump.tableau.from_stabilizers`. The package's discard synthesizes no
+tableau, so the two agree on the state, not on the rows.
 """
 
 from __future__ import annotations

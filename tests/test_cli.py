@@ -791,37 +791,35 @@ def test_largest_seed_runs(monkeypatch, tmp_path, capsys):
     assert json.loads((tmp_path / "results.json").read_text())["seed"] == 2**64 - 1
 
 
-# SHA-256 prefixes of [value, final tableau rows] over trials 0..19 of
-# `montecarlo.jump_trial` on tetra15 rgb: the tracked logical's value and the 2n rows
-# (as signed Pauli strings) of the state it was read from, recorded with the
-# numpy tableau
+# SHA-256 prefixes of [value, signed stabilizer group] over trials 0..19 of
+# `montecarlo.jump_trial` on tetra15 rgb: the tracked logical's value and the
+# canonical signed stabilizer group (`tableau_checks.signed_group`) of the
+# state it was read from, which fixes the state but not its tableau rows
 _JUMP_TRIAL_GOLDEN = {
-    ("blowup", 0.02, 0.02, 1): "2edb6d81cb",
-    ("blowup", 0.1, 0.05, 3): "fdf757ac3f",
-    ("blowup", 0, 0, 4): "fcb382900a",
-    ("blowup", 1, 1, 2): "dff814f47d",
-    ("roundtrip", 0.02, 0.02, 1): "5710e969d1",
-    ("roundtrip", 0.1, 0.05, 3): "e496fd817f",
-    ("roundtrip", 0, 0, 4): "09417e93ad",
-    ("roundtrip", 1, 1, 2): "e62e7c79b4",
+    ("blowup", 0.02, 0.02, 1): "ccaa612a60",
+    ("blowup", 0.1, 0.05, 3): "995f023ad5",
+    ("blowup", 0, 0, 4): "ccaa612a60",
+    ("blowup", 1, 1, 2): "e422dcbf6b",
+    ("roundtrip", 0.02, 0.02, 1): "8ca8f16303",
+    ("roundtrip", 0.1, 0.05, 3): "68c6a09e03",
+    ("roundtrip", 0, 0, 4): "8ca8f16303",
+    ("roundtrip", 1, 1, 2): "2e30ed0314",
 }
 
 
 @pytest.mark.parametrize("action,p,q,seed", list(_JUMP_TRIAL_GOLDEN))
 def test_jump_trial_pinned(ctx, monkeypatch, action, p, q, seed):
+    from tableau_checks import signed_group
+
     from colexjump.montecarlo import jump_trial
     from colexjump.noise import NoiseSpec
-    from colexjump.pauli import PauliOperator
     from colexjump.tableau import Tableau
 
     read = []
     expect = Tableau.expect
 
     def recording(self, op):
-        read.append([
-            repr(PauliOperator(self.n, x, z, s))
-            for x, z, s in zip(self.xs, self.zs, self.signs)
-        ])
+        read[:] = [self.copy()]
         return expect(self, op)
 
     monkeypatch.setattr(Tableau, "expect", recording)
@@ -829,7 +827,7 @@ def test_jump_trial_pinned(ctx, monkeypatch, action, p, q, seed):
     trials = []
     for t in range(20):
         value = jump_trial(ctx, spec, action, t)
-        trials.append([value, read[-1]])
+        trials.append([value, signed_group(read[0], expect)])
     text = json.dumps(trials, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(text.encode()).hexdigest()[:10]
     assert digest == _JUMP_TRIAL_GOLDEN[action, p, q, seed]

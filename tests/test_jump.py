@@ -7,6 +7,7 @@ from collapse_oracle import oracle_collapse
 from decoder_oracle import oracle_decode
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tableau_checks import assert_columns, assert_symplectic
 
 from colexjump.jump import (
     _code_dual_structure,
@@ -230,6 +231,27 @@ def test_inner_error_absorbed_as_measurement_error(ctx):
         assert out_err.logical_flip_flags == out_ref.logical_flip_flags
 
 
+_RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**20), _RATE, _RATE)
+def test_jumps_keep_the_symplectic_pairing(ctx, seed, t, p, q):
+    """A noisy blow-up, and the collapse of the noisy 3D state it returns,
+    give tableaux whose destabilizer i anticommutes with stabilizer i alone
+    and whose destabilizers commute, with columns the transpose of rows."""
+    rng = trial_rng(seed, t)
+    state2 = ctx.states2[("zero", "plus")[t % 2]].copy()
+    _apply_noise(state2, p, rng)
+    state3 = blow_up(ctx, state2, q, rng)
+    assert_symplectic(state3)
+    assert_columns(state3)
+    _apply_noise(state3, p, rng)
+    residual = collapse(ctx, state3, q, rng).residual_state
+    assert_symplectic(residual)
+    assert_columns(residual)
+
+
 def test_blow_up_noiseless_initializes_everything(ctx):
     rng = trial_rng(4, 0)
     for logical, kind in (("zero", "Z"), ("plus", "X")):
@@ -431,8 +453,12 @@ _NOISY_TETRA15 = st.tuples(
 def test_discard_matches_operator_oracle(ctx, state_case, drop):
     """After random Pauli noise and the 12 flux measurements of a collapse,
     discarding the inner block (in any order) or any other proper qubit
-    subset gives the rows and signs, or the exception type, of the
-    operator-based elimination, and leaves the input state untouched.
+    subset gives the state, or the exception type, of the operator-based
+    elimination, and leaves the input state untouched. The states are equal
+    when every stabilizer row of each fixes the other with its sign; the
+    rows themselves differ, since the oracle re-synthesizes its tableau. The
+    result is a valid tableau: symplectic, with its columns the transpose of
+    its rows.
 
     The flux measurements keep every row pure X or pure Z type, where the
     elimination's sign rule never acts; random Paulis measured on the inner
@@ -455,6 +481,11 @@ def test_discard_matches_operator_oracle(ctx, state_case, drop):
     assert [row[:] for row in _rows(state)] == before
     want = _outcome(oracle.discard_qubits, state, drop)
     if isinstance(want, Tableau):
-        assert isinstance(got, Tableau) and _rows(got) == _rows(want)
+        assert isinstance(got, Tableau) and got.n == want.n
+        for a, b in ((got, want), (want, got)):
+            for r in range(a.n, 2 * a.n):
+                assert b.expect(PauliOperator(a.n, a.xs[r], a.zs[r])) == a.signs[r]
+        assert_symplectic(got)
+        assert_columns(got)
     else:
         assert got == want

@@ -14,7 +14,7 @@ from decoder_oracle import oracle_decode
 from frame_oracle import frame_trials
 from hypothesis import given, settings, strategies as st
 
-from colexjump import flux, gf2, jump, montecarlo
+from colexjump import flux, gf2, jump, montecarlo, tableau
 from colexjump.codes import build_3d, build_inner
 from colexjump.colex import Colex
 from colexjump.jump import (
@@ -31,6 +31,7 @@ from colexjump.montecarlo import (
     TrialStats,
     collapse_plan,
     exhaustive_weight1_collapse,
+    jump_trial,
     run_collapse_trials,
     run_single_shot_trials,
     stats_csv_rows,
@@ -605,6 +606,31 @@ def test_single_shot_plan_compiled_once_per_code(split15, monkeypatch):
         monkeypatch.setattr(Tableau, name, forbidden)
     run_single_shot_trials(code, spec, 20, trial_offset=3)
     assert calls == Counter()
+
+
+def test_tableau_trials_synthesize_no_state(ctx, monkeypatch):
+    """Once a context has its encoded states, neither a tableau collapse
+    batch nor `jump_trial` (blow-up or round trip) synthesizes a tableau:
+    no trial calls `from_stabilizers`, `_flip_operator` or `gf2.solve`."""
+    spec = NoiseSpec(0.2, 0.2, seed=3)
+    run_collapse_trials(ctx, spec, 2, engine="tableau")
+    for action in ("blowup", "roundtrip"):
+        jump_trial(ctx, spec, action, 0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trial synthesized a tableau")
+
+    for module, name in (
+        (jump, "from_stabilizers"),
+        (tableau, "from_stabilizers"),
+        (tableau, "_flip_operator"),
+        (gf2, "solve"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    run_collapse_trials(ctx, spec, 40, trial_offset=2, engine="tableau")
+    for action in ("blowup", "roundtrip"):
+        for t in range(1, 21):
+            jump_trial(ctx, spec, action, t)
 
 
 @settings(max_examples=30, deadline=None)

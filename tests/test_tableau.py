@@ -5,6 +5,7 @@ import numpy_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tableau_checks import assert_columns, assert_symplectic
 
 from colexjump.jump import discard_qubits, encoded_state, logical_operator
 from colexjump.pauli import PauliOperator
@@ -49,6 +50,15 @@ def test_measure_stabilizer_is_deterministic():
 def test_from_stabilizers_with_negative_targets():
     t = from_stabilizers([P("-Z")])
     assert t.expect(P("Z")) == -1
+
+
+@pytest.mark.parametrize("rows", [["ZI", "ZI"], ["ZI", "-ZI"]])
+def test_from_stabilizers_rejects_dependent_generators(rows):
+    """n generators that span fewer than n dimensions fix no single state:
+    a repeat would leave a qubit unset, and a generator beside its own
+    negative fixes none."""
+    with pytest.raises(ValueError, match="independent"):
+        from_stabilizers([P(r) for r in rows])
 
 
 def test_encoded_zero_has_logical_plus_one(code2):
@@ -297,14 +307,6 @@ def test_stabilizer_products_match_numpy_oracle(case):
 # -- the column masks ---------------------------------------------------------
 
 
-def _assert_columns(t):
-    """xcol / zcol are the transpose of xs / zs: bit r of column q is bit q
-    of row r."""
-    rows = range(2 * t.n)
-    assert t.xcol == [sum((t.xs[r] >> q & 1) << r for r in rows) for q in range(t.n)]
-    assert t.zcol == [sum((t.zs[r] >> q & 1) << r for r in rows) for q in range(t.n)]
-
-
 _STEP = st.tuples(
     st.sampled_from(
         ["apply", "measure", "expect", "pivot_row", "copy", "from_stabilizers", "discard"]
@@ -322,9 +324,10 @@ _STEP = st.tuples(
 def test_columns_stay_the_transpose_of_the_rows(ctx, logical, steps):
     """From an encoded tetra15 state, random applications, measurements
     (drawn and forced), reads, copies, re-syntheses and discards keep every
-    column the transpose of the rows, and a copy's columns are its own."""
+    column the transpose of the rows and the pairing symplectic, and a
+    copy's columns are its own."""
     t = ctx.states3[logical].copy()
-    _assert_columns(t)
+    assert_columns(t)
     for action, x, z, sign, force, seed in steps:
         low = (1 << t.n) - 1
         op = PauliOperator(t.n, x & low, z & low, sign)
@@ -342,7 +345,7 @@ def test_columns_stay_the_transpose_of_the_rows(ctx, logical, steps):
             t.apply(PauliOperator(t.n, low, 0))
             t.measure(op, np.random.default_rng(seed))
             assert [original.xcol, original.zcol, original.signs] == kept
-            _assert_columns(original)
+            assert_columns(original)
         elif action == "from_stabilizers":
             t = from_stabilizers([t.stabilizer_row(i) for i in range(t.n)])
         else:
@@ -352,4 +355,5 @@ def test_columns_stay_the_transpose_of_the_rows(ctx, logical, steps):
                 t.measure(PauliOperator(t.n, 0, 1 << q), force=force or 1)
             if drop:
                 t = discard_qubits(t, drop)
-        _assert_columns(t)
+        assert_columns(t)
+        assert_symplectic(t)

@@ -14,12 +14,16 @@ scratch directory for CLI outputs. On fixed seeds the script records:
 - one traced collapse-tableau run per side (`--trace 1`), its per-trial
   repair, string-correction and extraction counts;
 - one digest per side of outputs that must not change: both engines'
-  collapse stats and traces, tableau collapses with their residual rows,
-  `jump_trial`, `exhaustive_weight1_collapse`, `run_single_shot_trials`
+  collapse stats and traces, tableau collapses with the signed stabilizer
+  group of their residual 2D states, `jump_trial` with that of every 3D
+  state its blow-ups return, `exhaustive_weight1_collapse`,
+  `run_single_shot_trials`
   stats on the inner and tetrahedral codes of tetra15 from trial 0 and
   from trial 2^64 - 1030, CLI `jump collapse|roundtrip`, `simulate
   collapse --trace` and `simulate singleshot --kind 3d|inner` at
-  `--workers` 1 and 2.
+  `--workers` 1 and 2. A state is digested by its canonical signed
+  stabilizer group, not by its tableau rows, so that two checkouts that
+  hold the same states in different rows digest alike.
 
 `python3 tools/bench_pairs.py digest` and `... jump-times` run one side's
 part in a checkout whose `src/` is on PYTHONPATH.
@@ -68,7 +72,8 @@ METHOD = (
     "per pair, alternating as above; uncalibrated, not a perfbench workload. "
     "traced_collapse_tableau: perfbench/run.py --workload collapse-tableau --seed 2001 "
     "--trace 1, once per side. output_digest: sha256 of the outputs listed in the "
-    "script's docstring, once per side in the same work directory."
+    "script's docstring, states by their canonical signed stabilizer group, once per "
+    "side in the same work directory."
 )
 
 
@@ -77,6 +82,12 @@ METHOD = (
 
 def digest(work: Path) -> str:
     """sha256 over every output this benchmark must leave unchanged."""
+    # the tests' canonical signed stabilizer group of a state, from this
+    # script's own checkout, so both sides digest their states alike
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from tableau_checks import signed_group
+
+    from colexjump import montecarlo
     from colexjump.cli import main as cli
     from colexjump.jump import collapse, make_context
     from colexjump.montecarlo import (
@@ -110,11 +121,24 @@ def digest(work: Path) -> str:
         s = out.residual_state
         feed(t, out.measurement_record, out.repair_record, out.logical_flip_flags)
         feed({k: (op.x, op.z, op.sign) for k, op in out.applied_correction.items()})
-        feed(s.xs, s.zs, s.signs)
-    for p, q, seed in JUMP_POINTS:
-        for action in ("blowup", "roundtrip"):
-            noise = NoiseSpec(p, q, seed)
-            feed(action, p, q, seed, [jump_trial(ctx, noise, action, t) for t in range(60)])
+        feed(signed_group(s))
+    blow_up, blown = montecarlo.blow_up, []
+
+    def recording(*args):  # the group of each 3D state a blow-up returns
+        state3 = blow_up(*args)
+        blown.append(signed_group(state3))
+        return state3
+
+    montecarlo.blow_up = recording
+    try:
+        for p, q, seed in JUMP_POINTS:
+            for action in ("blowup", "roundtrip"):
+                noise = NoiseSpec(p, q, seed)
+                feed(action, p, q, seed, [jump_trial(ctx, noise, action, t) for t in range(60)])
+                feed(blown)
+                blown.clear()
+    finally:
+        montecarlo.blow_up = blow_up
     feed(exhaustive_weight1_collapse(ctx))
     for code in (ctx.inner_code, ctx.code3):
         for p, q in SINGLE_SHOT_POINTS:
