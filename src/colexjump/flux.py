@@ -61,12 +61,6 @@ class FluxConfiguration:
         """Plaquette id -> reading (-1 on a flux edge, else +1) of every dual."""
         return {d.plaquette: -1 if i in self.edges else 1 for i, d in enumerate(self.duals)}
 
-    def replaced(self, edges) -> "FluxConfiguration":
-        return FluxConfiguration(self.pair, self.basis, frozenset(edges), self.duals)
-
-    def __xor__(self, other_edges) -> "FluxConfiguration":
-        return self.replaced(self.edges ^ frozenset(other_edges))
-
 
 def plaquette_operator(colex: Colex, pi: int, basis: str) -> PauliOperator:
     return PauliOperator.from_support(
@@ -208,7 +202,9 @@ def repair_flux(observed: FluxConfiguration):
     if not endpoints:
         return frozenset(), observed
     delta0 = t_join(_dual_ends(observed.duals), endpoints, observed.edges)
-    gamma_eff = observed ^ delta0
+    gamma_eff = FluxConfiguration(
+        observed.pair, observed.basis, observed.edges ^ delta0, observed.duals
+    )
     if gamma_eff.inner_endpoints():
         raise AssertionError("repair left inner endpoints behind")
     return delta0, gamma_eff

@@ -455,7 +455,7 @@ def repair_slot(ctx: JumpContext, observed: FluxConfiguration) -> SlotRepair:
 def _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips=None) -> list:
     """(true flux, observed pattern) of every slot in `ctx.slots` order; bit
     i of a pattern is dual i's recorded -1. Every slot is measured before
-    any slot's flips are drawn."""
+    any slot's flips are drawn, one draw per slot of one word per dual."""
     fluxes = [
         extract_flux(state3, ctx.split, pair, basis, rng, duals)
         for basis, pair, duals in ctx.slots
@@ -464,7 +464,8 @@ def _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips=None) -> lis
     for (basis, pair, duals), flux in zip(ctx.slots, fluxes):
         seen = sum(1 << i for i in flux.edges)
         if meas_flip_prob > 0:
-            seen ^= sum(1 << i for i in range(len(duals)) if rng.random() < meas_flip_prob)
+            draws = rng.random(len(duals)).tolist()
+            seen ^= sum(1 << i for i, u in enumerate(draws) if u < meas_flip_prob)
         if injected_flips and (pair, basis) in injected_flips:
             flips = set(injected_flips[(pair, basis)])
             if not flips <= set(range(len(duals))):
@@ -499,13 +500,19 @@ def collapse(
     for deterministic fault-injection studies.
     """
     record, repairs = {}, {}
-    corrections = {"X": PauliOperator.identity(ctx.n2), "Z": PauliOperator.identity(ctx.n2)}
+    # string corrections are +1 strings of their slot's type, which commute,
+    # so each type's product is the XOR of their masks, with sign +1
+    masks = {"X": 0, "Z": 0}
     measured = _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips)
     for (flux, seen), table in zip(measured, ctx.slot_repairs):
         r = table[seen]
         record[(flux.pair, flux.basis)] = dict(r.record)  # the caller's own copy
         repairs[(flux.pair, flux.basis)] = (r.delta0, r.gamma_eff, tuple(sorted(flux.edges)))
-        corrections[r.kind] = corrections[r.kind] * r.correction
+        masks[r.kind] ^= r.correction.x | r.correction.z
+    corrections = {
+        "X": PauliOperator(ctx.n2, x=masks["X"]),
+        "Z": PauliOperator(ctx.n2, z=masks["Z"]),
+    }
     outer_state = discard_qubits(state3, list(ctx.split.inner_vertices))
     return _finish_collapse(ctx, outer_state, corrections, record, repairs)
 
@@ -586,6 +593,8 @@ class DualStructure:
     decode table holds that key's correction bits (`corrections`), |delta0|
     per sorted color pair (`delta0_sizes`) and syndrome (`syndromes`); keys
     outside the span of the key masks, which no round produces, read zero.
+    `correction_masks[key]` is that key's correction row as an int, bit q
+    holding qubit q, the mask `single_shot_decode` builds its operator from.
 
     `placed[(basis, n, positions)]` holds the `basis` plaquettes in `order`
     placed on `positions` of an n-qubit state, as `single_shot_ec` measures
@@ -605,6 +614,7 @@ class DualStructure:
     corrections: np.ndarray = field(init=False)
     delta0_sizes: np.ndarray = field(init=False)
     syndromes: np.ndarray = field(init=False)
+    correction_masks: list[int] = field(init=False, repr=False)
     placed: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
 
@@ -657,6 +667,8 @@ def _code_dual_structure(code: CodeTriple) -> DualStructure:
             len(cell_bits) + len(region_plaquettes),
         )
         dual.corrections, dual.delta0_sizes, dual.syndromes = _decode_every_key(dual, code.n)
+        packed = np.packbits(dual.corrections, axis=1, bitorder="little")
+        dual.correction_masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
         code._dual_structure = dual
     return code._dual_structure
 
@@ -772,9 +784,11 @@ def single_shot_decode(
     syndrome = tuple(dual.syndromes[key].tolist())
     cells = {ci: -1 if bit else 1 for ci, bit in enumerate(syndrome[: len(dual.cell_pairs)])}
     delta0_sizes = dict(zip(sorted(dual.by_pair), dual.delta0_sizes[key].tolist()))
-    corr_type = "X" if basis == "Z" else "Z"
-    support = np.flatnonzero(dual.corrections[key]).tolist()
-    correction = PauliOperator.from_support(code.n, corr_type, support)
+    mask = dual.correction_masks[key]
+    if basis == "Z":
+        correction = PauliOperator(code.n, x=mask)
+    else:
+        correction = PauliOperator(code.n, z=mask)
     return SingleShotReport(outcomes, cells, delta0_sizes, correction, syndrome)
 
 

@@ -23,13 +23,16 @@ cached on it: each residual coset's lightest member and its weight and
 largest component per residual key, the final 2D decode reduced to a
 per-coset logical flip, and the collapse program. That program has one
 lookup per slot into the context's slot table (`JumpContext.slot_repairs`,
-which the tableau collapse reads too). The tableau engine runs trial by
-trial as the exact oracle; its trial and the blow-up and round-trip trials
-of `jump_trial` share one noise step and one collapse step, and copy the
-encoded states the context builds once. Both engines, and the single-shot
-trials below, fold their trials into the statistics through the same
-per-batch tally (`_tally`); the collapse residual accounting is a gather
-from a dense per-key table and `np.bincount` counts.
+which the tableau collapse reads too). The tableau engine, the exact
+oracle, runs its trials one by one through the tableau pipeline, but draws
+a batch with one `philox_words` call as the batched engines do; each trial
+reads its row through a `noise.TrialStream`, which returns what the
+trial's own generator would. Its trial and the blow-up and round-trip
+trials of `jump_trial` share one noise step and one collapse step, and
+copy the encoded states the context builds once. Both engines, and the
+single-shot trials below, fold their trials into the statistics through
+the same per-batch tally (`_tally`); the collapse residual accounting is a
+gather from a dense per-key table and `np.bincount` counts.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
 cached on it. One noiseless tableau pass per encoded state records every
@@ -67,10 +70,12 @@ from .jump import (
 )
 from .noise import (
     NoiseSpec,
+    TrialStream,
     philox_words,
     sample_qubit_noise,
     to_mask,
     trial_rng,
+    uniforms,
     word_threshold,
 )
 from .pauli import PauliOperator
@@ -550,8 +555,9 @@ def run_collapse_trials(
     trial fails when the tracked logical expectation flips after the final
     noiseless decode on the collapsed 2D state. `engine` selects the batched
     sign-linear fast path (`CollapseEngine`) or the full tableau pipeline
-    run trial by trial; both produce bit-identical trials. Trial indices
-    key the generator as uint64 words, so they must lie in [0, 2^64).
+    run trial by trial on one draw per batch (`_tableau_batch`); both
+    produce bit-identical trials. Trial indices key the generator as
+    uint64 words, so they must lie in [0, 2^64).
     """
     if engine not in ("fast", "tableau"):
         raise ValueError(f'unknown engine {engine!r}: use "fast" or "tableau"')
@@ -604,10 +610,20 @@ def _add_counts(counter: Counter, values: np.ndarray) -> None:
 
 def _tableau_batch(ctx, noise, first, count, keep: bool) -> _Batch:
     """Tableau-engine trials as a batch: the tally values of every trial,
-    and the trial results themselves only when `keep` (a trace needs them)."""
+    and the trial results themselves only when `keep` (a trace needs them).
+
+    The trials run one by one through the tableau pipeline, but their
+    draws are one `philox_words` call: each trial's row holds the words its
+    own generator would give, as many as the pipeline reads (the X then the
+    Z noise of every qubit when p > 0, then one flip per dual of every slot
+    when q > 0), and the trial reads it through a `TrialStream`."""
+    width = 2 * ctx.n3 if noise.p_qubit > 0 else 0
+    if noise.q_meas > 0:
+        width += sum(len(duals) for _, _, duals in ctx.slots)
+    rows = uniforms(philox_words(noise.seed, first, count, width))
     keys, sizes, failed, kept = [], [], [], []
-    for t in range(first, first + count):
-        r = _tableau_trial(ctx, noise, t)
+    for t, row in enumerate(rows, first):
+        r = _tableau_trial(ctx, noise, t, TrialStream(noise.seed, t, row))
         keys.append(r.key)
         sizes.append([len(d0) for d0, _, _ in r.repairs.values()])
         failed.append(r.failed)
@@ -640,8 +656,11 @@ def _collapse_step(ctx, state3, q: float, rng, kind: str, injected_flips=None):
     return out, out.residual_state.expect(ctx.logicals2[kind])
 
 
-def _tableau_trial(ctx, noise, t) -> _TrialResult:
-    rng = trial_rng(noise.seed, t)
+def _tableau_trial(ctx, noise, t, rng=None) -> _TrialResult:
+    """Trial t on the tableau pipeline, drawing from `rng` (by default the
+    trial's own generator)."""
+    if rng is None:
+        rng = trial_rng(noise.seed, t)
     logical, kind = _TRACKED[t % 2]
     state = ctx.states3[logical].copy()
     ex, ez = _apply_noise(state, noise.p_qubit, rng)

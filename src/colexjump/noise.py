@@ -6,10 +6,19 @@ iid model makes the inclusion-tail bound analytic (alpha = q), and a direct
 summation checker confirms it on small edge sets.
 
 Every trial draws from its own counter-based generator keyed by
-(seed, trial) (`trial_rng`). The batched engines draw many trials at once
-with `philox_words`, the same generator's raw words as one array, and test
-a draw against a probability with an integer compare (`word_threshold`),
-so no array of doubles is built.
+(seed, trial). `philox_words` draws the raw words of many trials as one
+array, the same words as each trial's own generator, and every batch of
+Monte Carlo trials draws through it once:
+- the frame programs of the fast collapse and single-shot engines test a
+  word against a probability with an integer compare (`word_threshold`),
+  so no array of doubles is built;
+- the tableau collapse engine hands each trial the doubles of its row
+  (`uniforms`) as a `TrialStream`, which stands in for the trial's
+  generator.
+`trial_rng`, the generator itself, serves what runs one trial at a time:
+`montecarlo.jump_trial` (the CLI's `jump blowup` and `roundtrip`), a
+single `montecarlo._tableau_trial`, the exhaustive weight-1 sweep, and
+library calls of `jump.collapse` and `jump.blow_up`.
 """
 
 from __future__ import annotations
@@ -116,6 +125,36 @@ def philox_words(seed: int, first: int, count: int, draws: int) -> np.ndarray:
     words[..., 0] = even.transpose(2, 1, 0)
     words[..., 1] = odd.transpose(2, 1, 0)
     return words.reshape(count, 4 * blocks)[:, :draws]
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The generator's double of each raw word w, (w >> 11) * 2^-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+class TrialStream:
+    """`trial_rng(seed, trial).random`, read from `row`, the doubles of that
+    trial's first words (`uniforms` of a `philox_words` row).
+
+    `random()` returns a float and `random(k)` a float64 array, bit-equal to
+    the generator's, consuming the row in order. A call that runs past the
+    row draws a longer prefix of the trial's own words, so what a trial
+    reads never depends on how many words were drawn for it ahead.
+    """
+
+    __slots__ = ("seed", "trial", "row", "at")
+
+    def __init__(self, seed: int, trial: int, row: np.ndarray):
+        self.seed, self.trial, self.row, self.at = seed, trial, row, 0
+
+    def random(self, size: int | None = None):
+        at = self.at
+        end = at + (1 if size is None else size)
+        if end > len(self.row):
+            longer = max(end, 2 * len(self.row))
+            self.row = uniforms(philox_words(self.seed, self.trial, 1, longer))[0]
+        self.at = end
+        return float(self.row[at]) if size is None else self.row[at:end]
 
 
 def word_threshold(p: float) -> np.uint64:

@@ -8,9 +8,14 @@ slot by slot, with no table. `jump.collapse` reads the same repairs from
 
 from __future__ import annotations
 
-from colexjump.flux import extract_flux
+from colexjump.flux import FluxConfiguration, extract_flux
 from colexjump.jump import CollapseOutcome, _finish_collapse, discard_qubits, repair_slot
 from colexjump.pauli import PauliOperator
+
+
+def with_edges(flux: FluxConfiguration, edges) -> FluxConfiguration:
+    """`flux`'s slot (pair, basis and duals) holding the dual edges `edges`."""
+    return FluxConfiguration(flux.pair, flux.basis, frozenset(edges), flux.duals)
 
 
 def oracle_collapse(ctx, state3, meas_flip_prob=0.0, rng=None, injected_flips=None) -> CollapseOutcome:
@@ -22,9 +27,10 @@ def oracle_collapse(ctx, state3, meas_flip_prob=0.0, rng=None, injected_flips=No
     for (basis, pair, duals), flux in zip(ctx.slots, fluxes):
         observed = flux
         if meas_flip_prob > 0:
-            observed = flux ^ {i for i in range(len(duals)) if rng.random() < meas_flip_prob}
+            flips = {i for i in range(len(duals)) if rng.random() < meas_flip_prob}
+            observed = with_edges(flux, flux.edges ^ flips)
         if injected_flips and (pair, basis) in injected_flips:
-            observed = observed ^ set(injected_flips[(pair, basis)])
+            observed = with_edges(observed, observed.edges ^ set(injected_flips[(pair, basis)]))
         measured.append((flux, observed))
     record, repairs = {}, {}
     corrections = {"X": PauliOperator.identity(ctx.n2), "Z": PauliOperator.identity(ctx.n2)}

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from collapse_oracle import with_edges
 
 import colexjump as cj
 from colexjump import gf2
@@ -199,7 +200,7 @@ def _oracle_min_sizes(observed):
         hits = [
             frozenset(c)
             for c in itertools.combinations(range(m), size)
-            if observed.replaced(frozenset(c)).inner_endpoints() == target
+            if with_edges(observed, c).inner_endpoints() == target
         ]
         if hits:
             return size, hits
@@ -233,7 +234,7 @@ def test_criterion_06_repair_minimality(ctx):
         # every endpoint-free omega satisfies |delta0 ^ omega| >= |delta0|
         for bits in range(2 ** len(duals)):
             omega = frozenset(i for i in range(len(duals)) if bits >> i & 1)
-            if omega and observed.replaced(omega).inner_endpoints() == ():
+            if omega and with_edges(observed, omega).inner_endpoints() == ():
                 ok &= len(delta0 ^ omega) >= len(delta0)
         if not ok:
             break

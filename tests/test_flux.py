@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from collapse_oracle import with_edges
 
 from colexjump.flux import (
     FluxConfiguration,
@@ -123,7 +124,7 @@ def oracle_min_delta(observed: FluxConfiguration):
         if best is not None and size > best:
             break
         for combo in itertools.combinations(range(m), size):
-            cand = observed.replaced(frozenset(combo))
+            cand = with_edges(observed, combo)
             if cand.inner_endpoints() == target:
                 best = size
                 hits.append(frozenset(combo))

@@ -14,7 +14,7 @@ from decoder_oracle import oracle_decode
 from frame_oracle import frame_trials
 from hypothesis import given, settings, strategies as st
 
-from colexjump import flux, gf2, jump, montecarlo, tableau
+from colexjump import flux, gf2, jump, montecarlo, noise, tableau
 from colexjump.codes import build_3d, build_inner
 from colexjump.colex import Colex
 from colexjump.jump import (
@@ -631,6 +631,29 @@ def test_tableau_trials_synthesize_no_state(ctx, monkeypatch):
     for action in ("blowup", "roundtrip"):
         for t in range(1, 21):
             jump_trial(ctx, spec, action, t)
+
+
+def test_tableau_batches_draw_once_each(ctx, monkeypatch):
+    """A tableau collapse run of two batches makes two `philox_words`
+    calls, one per batch, and no trial builds its own generator."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tableau trial built its own generator")
+
+    calls, draw = [], noise.philox_words
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "trial_rng", forbidden)
+    for module in (montecarlo, noise):  # a trial's redraw would go through noise
+        monkeypatch.setattr(module, "philox_words", counting)
+    run_collapse_trials(
+        ctx, NoiseSpec(0.05, 0.05, seed=6), BATCH_TRIALS + 3, trial_offset=5, engine="tableau"
+    )
+    width = 2 * ctx.n3 + sum(len(duals) for _, _, duals in ctx.slots)
+    assert calls == [(6, 5, BATCH_TRIALS, width), (6, 5 + BATCH_TRIALS, 3, width)]
 
 
 @settings(max_examples=30, deadline=None)

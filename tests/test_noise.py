@@ -4,14 +4,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from colexjump.noise import (
     NoiseSpec,
+    TrialStream,
     alpha_bound_analytic,
     measure_K,
     philox_words,
     sample_qubit_noise,
     trial_rng,
+    uniforms,
     word_threshold,
 )
 
@@ -37,11 +41,6 @@ _KEYS = [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0)] + [
 ]
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """numpy's double of each raw Philox word: (w >> 11) * 2^-53."""
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 @pytest.mark.parametrize("draws", [0, 1, 3, 4, 5, 42])
 def test_philox_uniforms_match_numpy_philox(draws):
     """Row i of `philox_words` is trial_rng(seed, t + i)'s first raw words,
@@ -52,7 +51,7 @@ def test_philox_uniforms_match_numpy_philox(draws):
         count = min(3, 2**64 - t)
         rows = philox_words(seed, t, count, draws)
         assert rows.shape == (count, draws) and rows.dtype == np.uint64
-        doubles = _uniforms(rows)
+        doubles = uniforms(rows)
         for i in range(count):
             raw = trial_rng(seed, t + i).bit_generator.random_raw(draws)
             assert rows[i].tobytes() == raw.tobytes(), (seed, t + i)
@@ -67,7 +66,7 @@ def test_philox_uniforms_continue_a_split_draw():
         row = philox_words(seed, t, 1, 42)
         rng = trial_rng(seed, t)
         split = np.concatenate((rng.random(30), rng.random(12)))
-        assert split.tobytes() == _uniforms(row)[0].tobytes()
+        assert split.tobytes() == uniforms(row)[0].tobytes()
         gen = trial_rng(seed, t).bit_generator
         split = np.concatenate((gen.random_raw(30), gen.random_raw(12)))
         assert split.tobytes() == row[0].tobytes()
@@ -82,6 +81,32 @@ def test_philox_uniforms_reject_keys_outside_uint64(seed, first, count):
         philox_words(seed, first, count, 4)
 
 
+_SIZES = st.one_of(st.none(), st.integers(0, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 2**64 - 1),
+    width=st.integers(0, 12),
+    sizes=st.lists(_SIZES, max_size=8),
+)
+@example(seed=2**64 - 1, trial=2**64 - 1, width=3, sizes=[None, 2, None, 5, 0, 4])
+@example(seed=0, trial=0, width=0, sizes=[None, 1])
+def test_trial_stream_is_the_trial_generator(seed, trial, width, sizes):
+    """A `TrialStream` on the doubles of a trial's first `width` words
+    returns what `trial_rng(seed, trial).random` returns, call for call,
+    for scalar and sized calls, also once the calls run past the row."""
+    stream = TrialStream(seed, trial, uniforms(philox_words(seed, trial, 1, width))[0])
+    rng = trial_rng(seed, trial)
+    for size in sizes:
+        got, want = stream.random(size), rng.random(size)
+        if size is None:
+            assert type(got) is float and got.hex() == want.hex()
+        else:
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def test_word_threshold_is_exact():
     """(w >> 11) < T equals (w >> 11) * 2^-53 < p on the words around each
     threshold T = word_threshold(p) and on random words."""
@@ -94,7 +119,7 @@ def test_word_threshold_is_exact():
         words = [edge - 1, edge, edge + 2**11] + [rng.randrange(2**64) for _ in range(20)]
         words = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
         below = (words >> np.uint64(11)) < word_threshold(p)
-        assert np.array_equal(below, _uniforms(words) < p), p
+        assert np.array_equal(below, uniforms(words) < p), p
 
 
 def test_noise_extremes():

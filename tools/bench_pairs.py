@@ -11,8 +11,10 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   first on even ones), with per-metric medians, quartiles and pair wins;
 - `jump_trial` blow-up and round-trip CPU time per trial, as medians over
   `--pairs` interleaved processes per side;
-- one traced collapse-tableau run per side (`--trace 1`), its per-trial
-  repair, string-correction and extraction counts;
+- one traced collapse-tableau run per side (`--trace 1`), its per-layer
+  readings named in `TRACED`: repair and string-correction counts, the
+  self time of extraction, measurement, generator set-up, discard and the
+  final 2D decode, and Pauli products per trial;
 - one digest per side of outputs that must not change: both engines'
   collapse stats and traces, tableau collapses with the signed stabilizer
   group of their residual 2D states, `jump_trial` with that of every 3D
@@ -52,6 +54,10 @@ TRACED = (
     "jump.collapse.self_us_per_trial",
     "flux.extract_flux.self_us_per_trial",
     "tableau.Tableau.measure.self_us_per_trial",
+    "noise.trial_rng.self_us_per_trial",
+    "jump.discard_qubits.self_us_per_trial",
+    "jump.ideal_decode_2d.self_us_per_trial",
+    "pauli.PauliOperator.__mul__.calls_per_trial",
 )
 # (p, q, seed) of the digested collapse runs, p = q = 1 among them
 COLLAPSE_POINTS = ((0.05, 0.05, 7), (0.0, 0.2, 11), (0.15, 0.0, 3), (1.0, 1.0, 5))
