@@ -256,10 +256,11 @@ def _span_runner(args, cx):
 def _run_partitioned(args, cx, runner, trace_fh=None):
     """Split trials across workers; merging is associative and trial-keyed.
 
-    One worker runs every trial on `runner` (a `_span_runner`). More workers
-    each build their own runner on `cx` and return its statistics and the
-    trace text of their span; the spans are written to `trace_fh` in trial
-    order, so the trace is the same bytes as a one-worker run's.
+    The main process runs the first span on `runner` (a `_span_runner`),
+    writing its trace to `trace_fh`. Each further worker is a process that
+    builds its own runner on `cx` and returns its span's statistics and
+    trace text, written after it in trial order, so the trace is the same
+    bytes as a one-worker run's.
     """
     trials = args.trials
     workers = max(1, min(args.workers, trials))
@@ -268,18 +269,15 @@ def _run_partitioned(args, cx, runner, trace_fh=None):
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = (trials + workers - 1) // workers
-    spans = [
-        (lo, min(chunk, trials - lo)) for lo in range(0, trials, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        packed = [(args, cx, lo, n, trace_fh is not None) for lo, n in spans]
-        parts = list(pool.map(_worker_entry, packed))
-    stats = parts[0][0]
-    for part, _ in parts[1:]:
-        stats = stats.merge(part)
-    if trace_fh is not None:
-        for _, text in parts:
-            trace_fh.write(text)
+    traced = trace_fh is not None
+    spans = [(args, cx, lo, min(chunk, trials - lo), traced) for lo in range(chunk, trials, chunk)]
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        parts = pool.map(_worker_entry, spans)
+        stats = runner(0, chunk, trace_fh)
+        for part, text in parts:
+            stats = stats.merge(part)
+            if traced:
+                trace_fh.write(text)
     return stats
 
 

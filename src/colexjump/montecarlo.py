@@ -11,12 +11,12 @@ Both batched engines run one program type, `FrameProgram`, in the manner
 of Stim's frame sampling (Gidney, arXiv 2103.02202). A trial tracks only
 its Pauli frame against a reference state, and between two decoder calls
 it is affine over GF(2) in its draw bits. So one pass over affine forms
-(`_Forms`) compiles it, once per noise structure (p > 0, q > 0), into one
-0/1 matrix and precomposed lookup tables, and a batch of `BATCH_TRIALS`
-trials runs one vectorised Philox draw (`noise.philox_words`, the same
-words as each trial's own generator, compared as integers with
-`noise.word_threshold`), one matrix product and one gather per lookup,
-with no per-trial Python call.
+(`_Forms`) compiles it, once per noise structure (p > 0, q > 0), into
+byte-indexed tables of its draw bits' effect and precomposed lookup
+tables, and a batch of `BATCH_TRIALS` trials runs one vectorised Philox
+draw (`noise.philox_words`, the same words as each trial's own generator,
+compared as integers with `noise.word_threshold`), then table gathers
+only: no matrix product and no per-trial Python call.
 
 Collapse trials run on a `CollapsePlan`, compiled once per context and
 cached on it: each residual coset's lightest member and its weight and
@@ -177,19 +177,22 @@ class FrameProgram:
     A trial's input is b, one bit per column of its Philox row: u < p on a
     noise column, u < 1/2 on an outcome draw, u < q on a flip draw (`kinds`).
     Trial t reads failure row t mod rows (`zero` on even trials, `plus` on
-    odd ones) and runs block t mod `blocks`, one `_Forms` pass; `blocks` is
-    1 or the number of rows. Every output form splits into a constant
-    (`constant`), a part over b (a column of `matrix`) and a part over the
-    corrections. Entry k of lookup j holds the parity of correction k with
-    the correction part of every later output, as int64 bits from the
-    output after key j on (`effects`), so a batch runs one product:
+    odd ones) and runs block t mod rows mod `blocks`, one `_Forms` pass;
+    `blocks` is 1 or the number of rows. Every output form splits into a
+    constant, a part over b and a part over the corrections, each an int64
+    word of output bits. As in the Method of Four Russians (Albrecht, Bard
+    & Hart, arXiv 0811.1714), b's columns go 8 to an octet, and entry v of
+    an octet's table holds the XOR of the words that its columns at the set
+    bits of v toggle (`tables`). Entry k of lookup j holds the parity of
+    correction k with the correction part of every later output, from the
+    output after key j on (`effects`). A batch runs table lookups only:
 
     1. one `philox_words` draw and the threshold compares;
-    2. b @ matrix in float32, exact as every sum is below 2^24;
-    3. the output bits packed into one int64 per trial, XOR the constant;
-    4. per lookup of `bits` key bits, key = packed & (2^bits - 1), then
+    2. the draw bits packed into one byte per octet, and the constant XOR
+       one table entry per octet: every output bit of a trial in one int64;
+    3. per lookup of `bits` key bits, key = packed & (2^bits - 1), then
        packed = packed >> bits ^ effects[key];
-    5. what is left is the final key, which indexes the failure table.
+    4. what is left is the final key, which indexes the failure table.
     """
 
     def __init__(self, blocks: list[_Forms], fail: np.ndarray):
@@ -200,21 +203,23 @@ class FrameProgram:
         self.blocks, self.fail = len(blocks), fail
         self.width = max(len(forms.kinds) for forms in blocks)
         self.kinds = np.full((self.blocks, self.width), _UNREAD)
-        self.weights = 1 << np.arange(outs, dtype=np.int64)
+        weights = 1 << np.arange(outs, dtype=np.int64)
         effects = [np.empty((self.blocks, len(table)), np.int64) for *_, table, _ in first.lookups]
         self.constant = np.empty(self.blocks, dtype=np.int64)
-        columns = []
+        # the word each draw column toggles, 8 columns to an octet
+        toggles = np.zeros((self.blocks, -(-self.width // 8), 1, 8), np.int64)
         for b, forms in enumerate(blocks):
             self.kinds[b, : len(forms.kinds)] = forms.kinds
             dense = BitMatrix(forms.outputs, forms.vars).to_dense().astype(np.int64)
-            self.constant[b] = dense[:, 0] @ self.weights
-            block = np.zeros((self.width, outs))
-            block[: len(forms.draws)] = dense[:, forms.draws].T
-            columns.append(block)
+            self.constant[b] = weights @ dense[:, 0]
+            toggles[b].flat[: len(forms.draws)] = weights @ dense[:, forms.draws]
             for effect, (lo, bits, var, table, _) in zip(effects, forms.lookups):
                 part = dense[:, var : var + table.shape[1]]
-                effect[b] = (table.astype(np.int64) @ part.T & 1) @ self.weights >> lo + bits
-        self.matrix = np.concatenate(columns, axis=1).astype(np.float32)
+                effect[b] = (table.astype(np.int64) @ part.T & 1) @ weights >> lo + bits
+        byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1
+        self.tables = np.bitwise_xor.reduce(toggles * byte_bits, axis=-1)  # (blocks, octets, 256)
+        # where table (b, o) starts in tables.ravel()
+        self.starts = np.arange(self.tables.size, step=256).reshape(self.blocks, -1)
         self.lookups = [(bits, effect) for (_, bits, *_), effect in zip(first.lookups, effects)]
         # every lookup's |delta0| rows, one after the other from its offset
         self.size_rows = np.concatenate([sizes for *_, sizes in first.lookups])
@@ -225,22 +230,19 @@ class FrameProgram:
         of trials first, first + 1, ..., one row per trial."""
         rates = (noise.p_qubit, 0.5, noise.q_meas)
         thresholds = np.array([0, *map(word_threshold, rates)], dtype=np.uint64)[self.kinds]
-        rows = np.arange(count)
         refs = len(self.fail)
-        ref = (first % refs + rows) % refs  # zero on even trials
-        block = ref if self.blocks > 1 else 0
+        ref = (first % refs + np.arange(count)) % refs  # zero on even trials
+        block = ref % self.blocks
         words = philox_words(noise.seed, first, count, self.width)
         words >>= np.uint64(11)  # each draw's 53 bits, compared in place of doubles
         bits = words < thresholds[block]
-        out = bits.astype(np.float32) @ self.matrix
-        if self.blocks > 1:  # each row's outputs under its own block
-            out = out.reshape(count, self.blocks, -1)[rows, ref]
-        packed = (out.astype(np.int64) & 1) @ self.weights ^ self.constant[block]
+        # a block-b trial reads octet o's byte from table (b, o)
+        octets = np.packbits(bits, axis=1, bitorder="little") + self.starts[block]
+        packed = np.bitwise_xor.reduce(self.tables.ravel()[octets], axis=1) ^ self.constant[block]
         keys = np.empty((count, len(self.lookups)), dtype=np.int64)
         for j, (key_bits, effects) in enumerate(self.lookups):
             keys[:, j] = key = packed & (1 << key_bits) - 1
-            effect = effects[ref, key] if self.blocks > 1 else effects[0][key]
-            packed = packed >> key_bits ^ effect
+            packed = packed >> key_bits ^ effects.ravel()[block * effects.shape[1] + key]
         return ref, bits, keys, packed, self.fail[ref, packed]
 
     def sizes(self, keys: np.ndarray) -> np.ndarray:
@@ -524,12 +526,12 @@ class CollapseEngine:
 
 # Trials per batch. Each batch pays a fixed cost for its numpy calls (the
 # Philox kernel alone about 0.15 ms), and past 1024 trials the kernel's cost
-# per trial rises again. Medians of 9 interleaved repetitions of the one
-# frame-program runner on warm tables, 2 vCPUs, default BLAS threads (us/trial
-# at 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse calls at p = q =
-# 0.05 took 4.31, 2.97, 2.78 and 3.81; 20,480-trial single-shot calls at p =
-# q = 0.02 took 5.48, 4.69, 6.81 and 7.42 on tetra15 and 2.78, 2.74, 2.02
-# and 1.78 on the inner code. No size beats 512 on both engines.
+# per trial rises again. Medians of 9 interleaved repetitions of the
+# table-lookup frame-program runner on warm tables, 2 vCPUs (us/trial at
+# 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse calls at p = q =
+# 0.05 took 3.00, 2.01, 1.90 and 2.70; 20,480-trial single-shot calls at p
+# = q = 0.02 took 3.50, 3.03, 4.27 and 5.28 on tetra15 and 2.04, 1.60, 1.18
+# and 1.24 on the inner code. No size beats 512 on both engines.
 BATCH_TRIALS = 512
 
 
@@ -642,7 +644,7 @@ _TRACKED_KINDS = tuple(kind for _, kind in _TRACKED)
 def _apply_noise(state, p: float, rng) -> tuple[int, int]:
     """Draw X then Z noise at rate p on every qubit of `state` and apply
     it; returns the (X, Z) error masks."""
-    ex, ez = (to_mask(v) for v in sample_qubit_noise(p, state.n, rng))
+    ex, ez = sample_qubit_noise(p, state.n, rng)
     if ex or ez:
         state.apply(PauliOperator(state.n, ex, ez))
     return ex, ez
@@ -731,11 +733,10 @@ def _set_bits(mask: int) -> list[int]:
 
 
 def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
-    """Every single fault (outer/inner qubit Pauli or one measurement flip).
-
-    Returns the list of faults that caused a logical failure; the design
-    target is an empty list (distance-3 guarantee).
-    """
+    """Every single fault (outer/inner qubit Pauli or one measurement flip),
+    run with no generator: every measurement is determinate, and a random
+    outcome would raise. Returns the faults that caused a logical failure;
+    the design target is an empty list (distance-3 guarantee)."""
     failures = []
 
     def trial(logical, inject=None, flips=None):
@@ -743,7 +744,7 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
         if inject is not None:
             state.apply(inject)
         kind = "Z" if logical == "zero" else "X"
-        return _collapse_step(ctx, state, 0.0, trial_rng(0, 0), kind, flips)[1]
+        return _collapse_step(ctx, state, 0.0, None, kind, flips)[1]
 
     singles = []
     for q in range(ctx.n3):
@@ -964,7 +965,7 @@ def run_single_shot_trials(
     frame and the trial's draw bits, so the plan compiles the trial into
     one `FrameProgram` (`SingleShotPlan.program`). Trials run in batches of
     `BATCH_TRIALS`, with no Python loop over trials: one `philox_words`
-    draw, one float32 product per batch, then per round a lookup of the
+    draw, one gather per octet of draw bits, then per round a lookup of the
     correction's precomposed effect on the later keys, and a gather from
     the failure table. The random numbers of a trial are drawn in the
     tableau harness's order: the X then the Z noise of every qubit when p

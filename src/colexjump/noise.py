@@ -17,8 +17,8 @@ Monte Carlo trials draws through it once:
   generator.
 `trial_rng`, the generator itself, serves what runs one trial at a time:
 `montecarlo.jump_trial` (the CLI's `jump blowup` and `roundtrip`), a
-single `montecarlo._tableau_trial`, the exhaustive weight-1 sweep, and
-library calls of `jump.collapse` and `jump.blow_up`.
+single `montecarlo._tableau_trial`, and library calls of `jump.collapse`
+and `jump.blow_up`.
 """
 
 from __future__ import annotations
@@ -168,13 +168,13 @@ def word_threshold(p: float) -> np.uint64:
     return np.uint64(math.ceil(p * 2.0**53))
 
 
-def sample_qubit_noise(p: float, n: int, rng: np.random.Generator):
-    """(x flips, z flips) as 0/1 vectors, each site independent at rate p."""
+def sample_qubit_noise(p: float, n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """(X flips, Z flips) as int masks, bit q set independently at rate p:
+    one draw of n words for the X flips, then one for the Z flips."""
     if p <= 0:
-        zero = np.zeros(n, dtype=np.uint8)
-        return zero, zero.copy()
-    x = (rng.random(n) < p).astype(np.uint8)
-    z = (rng.random(n) < p).astype(np.uint8)
+        return 0, 0
+    x = sum(1 << q for q, u in enumerate(rng.random(n).tolist()) if u < p)
+    z = sum(1 << q for q, u in enumerate(rng.random(n).tolist()) if u < p)
     return x, z
 
 

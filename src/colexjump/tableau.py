@@ -228,8 +228,10 @@ def from_stabilizers(rows: list[PauliOperator]) -> Tableau:
     """Build a tableau for the state fixed by n independent commuting Paulis.
 
     Conjugation-free synthesis: start from |0...0> and measure each target
-    generator; a -1 outcome is flipped away with the destabilizer partner,
-    which anticommutes with that row alone. Fully deterministic.
+    generator, a random outcome forced to +1; a deterministic -1 is flipped
+    away by a Pauli solved for over GF(2) (`_flip_operator`) that
+    anticommutes with the target and commutes with every earlier one.
+    Fully deterministic.
 
     It runs once per encoded state a context builds, never per trial: the
     jumps derive their tableaux from their input's rows (`jump.discard_qubits`,
@@ -254,8 +256,6 @@ def from_stabilizers(rows: list[PauliOperator]) -> Tableau:
     for k, target in enumerate(rows):
         outcome = t.measure(target, force=1)
         if outcome != 1:
-            # deterministic -1: flip with an operator that anticommutes with
-            # the target but commutes with every already-forced generator
             t.apply(_flip_operator(rows[:k], target))
     for target in rows:
         if t.expect(target) != 1:

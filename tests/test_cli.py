@@ -449,6 +449,39 @@ def test_simulate_trace_identical_across_workers(tmp_path, capsys):
     assert (tmp_path / "w2.trace.jsonl").read_bytes() == one
 
 
+@pytest.mark.parametrize("action", ["collapse", "singleshot"])
+def test_simulate_workers_run_the_first_span_on_the_main_runner(
+    tmp_path, capsys, monkeypatch, action
+):
+    """With `--workers 2` the runner the main process built runs the span
+    from trial 0, and a pool process builds its own for the rest; outputs
+    equal a one-worker run's."""
+    from colexjump import cli
+
+    spans, span_runner = [], cli._span_runner
+
+    def recording(args, cx):  # a pool process records into its own copy
+        runner = span_runner(args, cx)
+
+        def run_span(first, count, trace_fh):
+            spans.append((first, count))
+            return runner(first, count, trace_fh)
+
+        return run_span
+
+    monkeypatch.setattr(cli, "_span_runner", recording)
+    base = [
+        "simulate", action, "--builtin", "tetra15", "--p", "0.05", "--q", "0.05",
+        "--trials", "30", "--seed", "3", "--out-dir", str(tmp_path),
+    ]
+    for workers in ("1", "2"):
+        assert run(base + ["--workers", workers, "--label", "w" + workers], capsys)[0] == 0
+    assert spans == [(0, 30), (0, 15)]
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+    one, two = (json.loads((tmp_path / f"w{w}.json").read_text()) for w in (1, 2))
+    assert one["results"] == two["results"]
+
+
 def test_simulate_zero_trials_with_workers(tmp_path, capsys):
     code, out, _ = run(
         [

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import operator
+import random
 from collections import Counter
 
 import numpy as np
@@ -535,8 +536,8 @@ def _tableau_single_shot_trials(code, noise, trials, trial_offset=0) -> TrialSta
         )
         state = bases[logical].copy()
         ex, ez = sample_qubit_noise(noise.p_qubit, code.n, rng)
-        if ex.any() or ez.any():
-            state.apply(PauliOperator(code.n, to_mask(ex), to_mask(ez)))
+        if ex or ez:
+            state.apply(PauliOperator(code.n, ex, ez))
         for basis in ("Z", "X"):
             state, report = single_shot_ec(state, code, basis, noise.q_meas, rng)
             for pair, size in report.delta0_sizes.items():
@@ -677,6 +678,84 @@ def test_compiled_batches_match_the_frame_oracle_per_trial(
         for _, keys, failed in montecarlo._single_shot_batches(plan, spec, offset, trials):
             got += zip(map(tuple, keys.tolist()), failed.tolist())
         assert got == frame_trials(code, spec, offset, trials)
+
+
+_DRAW_KINDS = (montecarlo._NOISE, montecarlo._OUTCOME, montecarlo._FLIP)  # at p, 1/2, q
+
+
+def _edge_program(rand, widths: tuple, refs: int):
+    """A `FrameProgram` of one hand-made `_Forms` block per entry of
+    `widths` (its draw columns), on random forms: two lookups, the second
+    keyed partly by the first's correction, then a 3-bit final key."""
+    shapes = [(2, 3), (3, 2)]  # (key bits, correction bits) per lookup
+    tables = [
+        (np.array([[rand.getrandbits(1) for _ in range(c)] for _ in range(1 << k)]),
+         np.array([[rand.randrange(9)] for _ in range(1 << k)]))
+        for k, c in shapes
+    ]
+    blocks = []
+    for width in widths:
+        forms = montecarlo._Forms()
+        for _ in range(width):
+            forms.draw(rand.choice(_DRAW_KINDS))
+        for (bits, _), (table, sizes) in zip(shapes, tables):
+            forms.look_up([rand.getrandbits(forms.vars) for _ in range(bits)], table, sizes)
+        forms.outputs += [rand.getrandbits(forms.vars) for _ in range(3)]
+        blocks.append(forms)
+    fail = np.array([[rand.getrandbits(1) for _ in range(8)] for _ in range(refs)], dtype=bool)
+    return blocks, montecarlo.FrameProgram(blocks, fail)
+
+
+def _edge_trial(blocks, fail, noise, t):
+    """Trial t of `_edge_program`'s blocks, evaluated form by form on its
+    own generator's draws: (reference, draw bits, lookup keys, final key)."""
+    ref = t % len(fail)
+    forms = blocks[ref % len(blocks)]
+    rates = dict(zip(_DRAW_KINDS, (noise.p_qubit, 0.5, noise.q_meas)))
+    draws = trial_rng(noise.seed, t).random(len(forms.kinds))
+    bits = [int(u < rates[kind]) for u, kind in zip(draws, forms.kinds)]
+    values = forms.one | sum(bit << var for bit, var in zip(bits, forms.draws))
+
+    def key(lo, count):
+        forms_ = forms.outputs[lo : lo + count]
+        return sum(((form & values).bit_count() & 1) << i for i, form in enumerate(forms_))
+
+    keys = []
+    for lo, bits_, var, table, _ in forms.lookups:
+        keys.append(key(lo, bits_))
+        values |= sum(int(bit) << var + i for i, bit in enumerate(table[keys[-1]]))
+    end = forms.lookups[-1][0] + forms.lookups[-1][1]
+    return ref, bits, keys, key(end, len(forms.outputs) - end)
+
+
+@pytest.mark.parametrize(
+    "widths,refs",
+    [((0,), 1), ((7,), 2), ((8,), 1), ((9,), 2), ((64,), 1)]
+    + [((0, 7), 2), ((8, 9), 2), ((64, 8), 2), ((9, 64), 2)],
+)
+def test_frame_program_matches_its_forms_per_trial(widths, refs):
+    """A frame program runs every trial of a batch as its forms do, at draw
+    widths on and beside octet edges, on one or two blocks of different
+    widths, for batches of 1, 8 and `BATCH_TRIALS` + 3 trials and p, q in
+    {0, 1, drawn}."""
+    rand = random.Random(repr((widths, refs)))
+    blocks, program = _edge_program(rand, widths, refs)
+    drawn = rand.random()
+    rates = (0.0, 1.0, drawn)
+    for p, q, count in itertools.product(rates, rates, (1, 8, BATCH_TRIALS + 3)):
+        noise = NoiseSpec(p, q, seed=rand.getrandbits(64))
+        first = rand.randrange(2**64 - count)
+        ref, bits, keys, final, failed = program.run(noise, first, count)
+        assert bits.shape == (count, max(widths))
+        sizes = program.sizes(keys)
+        for i, t in enumerate(range(first, first + count)):
+            want_ref, want_bits, want_keys, want_final = _edge_trial(blocks, program.fail, noise, t)
+            assert ref[i] == want_ref
+            assert bits[i].tolist() == want_bits + [0] * (bits.shape[1] - len(want_bits))
+            assert keys[i].tolist() == want_keys and final[i] == want_final
+            assert failed[i] == program.fail[want_ref, want_final]
+            want_sizes = [look[4][k].tolist() for look, k in zip(blocks[0].lookups, want_keys)]
+            assert sizes[i].tolist() == want_sizes
 
 
 @pytest.mark.parametrize("kind", ["inner", "3d", "collapse"])

@@ -125,7 +125,7 @@ def test_word_threshold_is_exact():
 def test_noise_extremes():
     rng = trial_rng(0, 0)
     ex, ez = sample_qubit_noise(0.0, 8, rng)
-    assert not ex.any() and not ez.any()
+    assert not ex and not ez
 
 
 def test_alpha_bound_values():

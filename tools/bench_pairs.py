@@ -25,10 +25,14 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   collapse --trace` and `simulate singleshot --kind 3d|inner` at
   `--workers` 1 and 2. A state is digested by its canonical signed
   stabilizer group, not by its tableau rows, so that two checkouts that
-  hold the same states in different rows digest alike.
+  hold the same states in different rows digest alike;
+- per side, `--pairs` interleaved pairs of whole `simulate collapse` and
+  `simulate singleshot --kind 3d` processes on tetra15 at 10^5 and 10^6
+  trials with `--workers` 1 and 2, timed by wall clock (`cli-times`).
 
-`python3 tools/bench_pairs.py digest` and `... jump-times` run one side's
-part in a checkout whose `src/` is on PYTHONPATH.
+`python3 tools/bench_pairs.py digest W`, `... jump-times` and `... cli-times
+W [--pairs N]` run one side's part in a checkout whose `src/` is on
+PYTHONPATH. None of them sets a thread-count environment variable.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ JUMP_POINTS = ((0.02, 0.02, 5), (0.1, 0.1, 9))
 SINGLE_SHOT_POINTS = ((0.02, 0.02), (1.0, 1.0), (0.0, 0.3), (0.3, 0.0))
 SINGLE_SHOT_TRIALS = 1030
 JUMP_TRIALS = 600
+# the timed `simulate` commands (flags after `simulate`) and trial counts
+CLI_COMMANDS = {"collapse": ["collapse"], "singleshot-3d": ["singleshot", "--kind", "3d"]}
+CLI_TRIALS = (10**5, 10**6)
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 METHOD = (
     "perfbench: for pair i in 1..pairs, seed 2000 + i, every workload (schedule, "
     "collapse-fast, collapse-tableau, singleshot, in that order) ran perfbench/run.py "
@@ -77,9 +85,13 @@ METHOD = (
     "(time.process_time) of trials 0..599, median per process; one process per side "
     "per pair, alternating as above; uncalibrated, not a perfbench workload. "
     "traced_collapse_tableau: perfbench/run.py --workload collapse-tableau --seed 2001 "
-    "--trace 1, once per side. output_digest: sha256 of the outputs listed in the "
-    "script's docstring, states by their canonical signed stabilizer group, once per "
-    "side in the same work directory."
+    "--trace 1, once per side. cli_times: per side one process running `pairs` pairs; "
+    "pair i runs, per command and trial count, `python -m colexjump.cli simulate ... "
+    "--builtin tetra15 --p 0.02 --q 0.02 --seed 2000 + i` with --workers 1 and 2 "
+    "(workers 1 first on odd i), wall seconds per whole process, speedup = workers-1 "
+    "median / workers-2 median; no thread-count variable set. output_digest: sha256 of "
+    "the outputs listed in the script's docstring, states by their canonical signed "
+    "stabilizer group, once per side in the same work directory."
 )
 
 
@@ -201,6 +213,33 @@ def jump_times() -> dict:
     return out
 
 
+def cli_times(work: Path, pairs: int) -> dict:
+    """Wall seconds of whole `simulate` processes with `--workers` 1 and 2,
+    per command and trial count, over `pairs` interleaved pairs."""
+    keys = [f"{name} {trials}" for name in CLI_COMMANDS for trials in CLI_TRIALS]
+    runs = {key: {"1": [], "2": []} for key in keys}
+    for i in range(1, pairs + 1):
+        for name, flags in CLI_COMMANDS.items():
+            for trials in CLI_TRIALS:
+                for workers in ("1", "2") if i % 2 else ("2", "1"):
+                    out_dir = work / f"cli-{name}-w{workers}"
+                    argv = [
+                        sys.executable, "-m", "colexjump.cli", "simulate", *flags,
+                        "--builtin", "tetra15", "--p", "0.02", "--q", "0.02",
+                        "--seed", str(FIRST_SEED + i - 1), "--trials", str(trials),
+                        "--workers", workers, "--out-dir", str(out_dir),
+                    ]
+                    t0 = time.perf_counter()
+                    subprocess.run(argv, check=True, capture_output=True)
+                    runs[f"{name} {trials}"][workers].append(time.perf_counter() - t0)
+                    shutil.rmtree(out_dir)
+    result = {"thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES}}
+    for key, times in runs.items():
+        one, two = statistics.median(times["1"]), statistics.median(times["2"])
+        result[key] = {"workers_1_s": times["1"], "workers_2_s": times["2"], "speedup": one / two}
+    return result
+
+
 # -- both sides --------------------------------------------------------------------
 
 
@@ -286,6 +325,9 @@ def compare(args) -> dict:
         ]))
         traced[side] = {name: out["metrics"][name]["value"] for name in TRACED}
     result["traced_collapse_tableau"] = traced
+
+    argv = [me, "cli-times", str(work), "--pairs", str(args.pairs)]
+    result["cli_times"] = {side: json.loads(_run(root, argv)) for side, root in roots.items()}
     return result
 
 
@@ -295,6 +337,9 @@ def main(argv=None) -> int:
     one = sub.add_parser("digest")
     one.add_argument("work", type=Path)
     sub.add_parser("jump-times")
+    cli = sub.add_parser("cli-times")
+    cli.add_argument("work", type=Path)
+    cli.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
     ap.add_argument("--work", type=Path)
@@ -306,9 +351,13 @@ def main(argv=None) -> int:
         print(digest(args.work))
     elif args.mode == "jump-times":
         print(json.dumps(jump_times()))
+    elif args.mode == "cli-times":
+        print(json.dumps(cli_times(args.work, args.pairs)))
     else:
         if None in (args.parent, args.change, args.work, args.out):
             ap.error("--parent, --change, --work and --out are required")
+        if args.pairs < 2:
+            ap.error("--pairs must be at least 2, to give quartiles")
         result = compare(args)
         args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
