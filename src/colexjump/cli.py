@@ -141,7 +141,7 @@ def cmd_code_build(args) -> int:
 
 def cmd_jump(args) -> int:
     from .jump import make_context
-    from .montecarlo import jump_trial, run_collapse_trials
+    from .montecarlo import jump_trials, run_collapse_trials
     from .noise import NoiseSpec
 
     spec = NoiseSpec(args.p, args.q, args.seed)
@@ -153,9 +153,7 @@ def cmd_jump(args) -> int:
         stats = run_collapse_trials(ctx, spec, args.trials, engine="tableau")
         failures = stats.total_failures
     else:
-        failures = sum(
-            jump_trial(ctx, spec, args.action, t) != 1 for t in range(args.trials)
-        )
+        failures = sum(value != 1 for value in jump_trials(ctx, spec, args.action, args.trials))
     print(f"{args.action}: {args.trials} trials, {failures} logical failures")
     return 0
 
@@ -431,6 +429,10 @@ def _at_least(low: int, below: int | None = None):
 # indices 0..trials - 1 lie in [0, 2^64)
 _SEED = _at_least(0, below=2**64)
 _TRIALS = _at_least(0, below=2**64 + 1)
+# the largest `schedule make --stack`: the scheduler holds a label and a
+# position per stack qubit, so the bound is checked before any is made
+STACK_MAX = 2**16
+_STACK = _at_least(1, below=STACK_MAX + 1)
 
 
 # the longest file name (in bytes) that Linux and macOS file systems take,
@@ -528,7 +530,9 @@ def _parsers():
         "exhaustive-weight1": (cmd_exhaustive_weight1, source, facet, outputs),
     })
     command("schedule", "make or verify stack swap schedules", {
-        "make": (cmd_schedule, flag("--stack", type=_at_least(1), required=True),
+        "make": (cmd_schedule,
+                 flag("--stack", type=_STACK, required=True,
+                      help=f"stack size, 1 to {STACK_MAX}"),
                  flag("--sequence", required=True, help="file of whitespace-separated qubit ids"),
                  flag("--output", help="write the schedule here")),
         "verify": (cmd_schedule, flag("--schedule", required=True, help="schedule file")),

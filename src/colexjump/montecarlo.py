@@ -23,7 +23,8 @@ cached on it: each residual coset's lightest member and its weight and
 largest component per residual key, the final 2D decode reduced to a
 per-coset logical flip, and the collapse program. That program has one
 lookup per slot into the context's slot table (`JumpContext.slot_repairs`,
-which the tableau collapse reads too). The tableau engine, the exact
+which the tableau collapse reads too); no slot's key reads another slot's
+correction, so the compile merges them into one lookup over all slots. The tableau engine, the exact
 oracle, runs its trials one by one through the tableau pipeline, but draws
 a batch with one `philox_words` call as the batched engines do; each trial
 reads its row through a `noise.TrialStream`, which returns what the
@@ -171,6 +172,16 @@ class _Forms:
         return [1 << j for j in range(self.vars - table.shape[1], self.vars)]
 
 
+# A run of consecutive lookups merges into one lookup over their joined key
+# while the merged table keeps at most 2^MERGED_KEY_BITS rows per block:
+# 4096 int64 rows are 32 KiB per block, about a core's L1 data cache, so
+# the one gather stays as cheap as each of the small ones it replaces.
+MERGED_KEY_BITS = 12
+
+# the value of each of an octet's 8 draw bits in its byte
+_BIT_VALUES = (1 << np.arange(8)).astype(np.uint8)
+
+
 class FrameProgram:
     """A plan's trials under one noise structure (p > 0, q > 0), compiled.
 
@@ -185,14 +196,30 @@ class FrameProgram:
     an octet's table holds the XOR of the words that its columns at the set
     bits of v toggle (`tables`). Entry k of lookup j holds the parity of
     correction k with the correction part of every later output, from the
-    output after key j on (`effects`). A batch runs table lookups only:
+    output after key j on (`lookups`, one (key bits, effects) per lookup of
+    the forms). A run of consecutive lookups none of whose keys reads a
+    correction of an earlier one in the run (the earlier effects are 0 on
+    those key bits in every block) merges into one step over the joined
+    key, up to `MERGED_KEY_BITS` (`steps`): its entry at the joined key is
+    the XOR of the parts' entries, each shifted to start after the joined
+    key. The tetra15 collapse's six slot lookups are one step of 4096 rows;
+    single-shot keeps two, as round 2 reads round 1's correction. A batch
+    runs table lookups only:
 
-    1. one `philox_words` draw and the threshold compares;
-    2. the draw bits packed into one byte per octet, and the constant XOR
-       one table entry per octet: every output bit of a trial in one int64;
-    3. per lookup of `bits` key bits, key = packed & (2^bits - 1), then
-       packed = packed >> bits ^ effects[key];
+    1. one `philox_words` draw, each raw word compared with its column's
+       threshold times 2^11 (`noise.word_threshold`), draws down and trials
+       across as the words come, so no array is transposed;
+    2. the draw bits packed into one byte per octet, and the XOR of one
+       table entry per octet, octet 0's holding the block's constant:
+       every output bit of a trial in one int64;
+    3. per step of `bits` key bits, key = packed & (2^bits - 1), split into
+       the key of every lookup it joins, then packed = packed >> bits ^
+       effects[key];
     4. what is left is the final key, which indexes the failure table.
+
+    The compares, the table gathers and the effect lookups run once per
+    block on that block's trials (every `blocks`-th row), so no per-trial
+    block index is gathered.
     """
 
     def __init__(self, blocks: list[_Forms], fail: np.ndarray):
@@ -205,22 +232,27 @@ class FrameProgram:
         self.kinds = np.full((self.blocks, self.width), _UNREAD)
         weights = 1 << np.arange(outs, dtype=np.int64)
         effects = [np.empty((self.blocks, len(table)), np.int64) for *_, table, _ in first.lookups]
-        self.constant = np.empty(self.blocks, dtype=np.int64)
-        # the word each draw column toggles, 8 columns to an octet
-        toggles = np.zeros((self.blocks, -(-self.width // 8), 1, 8), np.int64)
+        # the word each draw column toggles, 8 columns to an octet, and at
+        # least one octet, whose table also holds the block's constant
+        octets = max(1, -(-self.width // 8))
+        toggles = np.zeros((self.blocks, octets, 1, 8), np.int64)
+        constant = np.zeros((self.blocks, octets, 1), np.int64)
         for b, forms in enumerate(blocks):
             self.kinds[b, : len(forms.kinds)] = forms.kinds
             dense = BitMatrix(forms.outputs, forms.vars).to_dense().astype(np.int64)
-            self.constant[b] = weights @ dense[:, 0]
+            constant[b, 0] = weights @ dense[:, 0]
             toggles[b].flat[: len(forms.draws)] = weights @ dense[:, forms.draws]
             for effect, (lo, bits, var, table, _) in zip(effects, forms.lookups):
                 part = dense[:, var : var + table.shape[1]]
                 effect[b] = (table.astype(np.int64) @ part.T & 1) @ weights >> lo + bits
         byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1
-        self.tables = np.bitwise_xor.reduce(toggles * byte_bits, axis=-1)  # (blocks, octets, 256)
-        # where table (b, o) starts in tables.ravel()
-        self.starts = np.arange(self.tables.size, step=256).reshape(self.blocks, -1)
+        # (blocks, octets, 256), and where each octet's row starts in a
+        # block's table
+        self.tables = np.bitwise_xor.reduce(toggles * byte_bits, axis=-1) ^ constant
+        self.starts = np.arange(octets * 256, step=256)[:, None]
         self.lookups = [(bits, effect) for (_, bits, *_), effect in zip(first.lookups, effects)]
+        self.steps = [_merged_step(run) for run in _mergeable_runs(self.lookups)]
+        self._limits = None, None  # the last (p, q) and what `_thresholds` returned
         # every lookup's |delta0| rows, one after the other from its offset
         self.size_rows = np.concatenate([sizes for *_, sizes in first.lookups])
         self.size_offsets = np.cumsum([0] + [len(sizes) for *_, sizes in first.lookups[:-1]])
@@ -228,26 +260,96 @@ class FrameProgram:
     def run(self, noise: NoiseSpec, first: int, count: int) -> tuple[np.ndarray, ...]:
         """(reference, draw bits, key of every lookup, final key, failed)
         of trials first, first + 1, ..., one row per trial."""
-        rates = (noise.p_qubit, 0.5, noise.q_meas)
-        thresholds = np.array([0, *map(word_threshold, rates)], dtype=np.uint64)[self.kinds]
+        thresholds, certain = self._thresholds(noise.p_qubit, noise.q_meas)
         refs = len(self.fail)
-        ref = (first % refs + np.arange(count)) % refs  # zero on even trials
-        block = ref % self.blocks
-        words = philox_words(noise.seed, first, count, self.width)
-        words >>= np.uint64(11)  # each draw's 53 bits, compared in place of doubles
-        bits = words < thresholds[block]
-        # a block-b trial reads octet o's byte from table (b, o)
-        octets = np.packbits(bits, axis=1, bitorder="little") + self.starts[block]
-        packed = np.bitwise_xor.reduce(self.tables.ravel()[octets], axis=1) ^ self.constant[block]
-        keys = np.empty((count, len(self.lookups)), dtype=np.int64)
-        for j, (key_bits, effects) in enumerate(self.lookups):
-            keys[:, j] = key = packed & (1 << key_bits) - 1
-            packed = packed >> key_bits ^ effects.ravel()[block * effects.shape[1] + key]
-        return ref, bits, keys, packed, self.fail[ref, packed]
+        ref = np.arange(first % refs, first % refs + count) % refs  # zero on even trials
+        # the block-b trials, b = (first + i) mod blocks for trial first + i
+        rows = [slice((b - first) % self.blocks, None, self.blocks) for b in range(self.blocks)]
+        # draws down, trials across, as the words come; the draw bits of
+        # the columns past `width`, up to a whole octet, are 0
+        words = philox_words(noise.seed, first, count, self.width).T
+        bits = np.zeros((self.tables.shape[1], 8, count), dtype=bool)
+        drawn = bits.reshape(-1, count)[: self.width]
+        for b, at in enumerate(rows):
+            np.less(words[:, at], thresholds[b], out=drawn[:, at])
+            if certain is not None:
+                drawn[:, at] |= certain[b]
+        # bit j of octet o's byte is draw column 8o + j; a block-b trial
+        # reads that byte from row o of table b
+        octets = np.einsum("ojt,j->ot", bits.view(np.uint8), _BIT_VALUES) + self.starts
+        packed = np.empty(count, dtype=np.int64)
+        for table, at in zip(self.tables, rows):
+            np.bitwise_xor.reduce(table.ravel()[octets[:, at]], axis=0, out=packed[at])
+        keys = np.empty((len(self.lookups), count), dtype=np.int64)
+        j = 0
+        for key_bits, shifts, masks, effects in self.steps:
+            parts = keys[j : j + len(shifts)]
+            j += len(shifts)
+            if len(shifts) == 1:  # the step's key is its one lookup's key
+                key = np.bitwise_and(packed, (1 << key_bits) - 1, out=parts[0])
+            else:
+                key = packed & (1 << key_bits) - 1
+                np.right_shift(key, shifts, out=parts)
+                parts &= masks
+            packed >>= key_bits
+            for effect, at in zip(effects, rows):
+                packed[at] ^= effect[key[at]]
+        return ref, drawn.T, keys.T, packed, self.fail[ref, packed]
+
+    def _thresholds(self, p: float, q: float) -> tuple:
+        """Per block, each draw column's threshold times 2^11 as a (width,
+        1) uint64 column, compared with the raw words: (w >> 11) < T
+        exactly when w < T * 2^11. A rate of 1 (T = 2^53) would need 2^64,
+        so its columns compare with 0, and the second array, None unless
+        some rate is 1, marks the columns to set after the compare."""
+        rates, got = self._limits
+        if rates != (p, q):
+            limits = [0] + [int(word_threshold(rate)) << 11 for rate in (p, 0.5, q)]
+            columns = np.array([limit % 2**64 for limit in limits], np.uint64)[self.kinds, None]
+            certain = None
+            if 2**64 in limits:
+                certain = np.array([limit == 2**64 for limit in limits])[self.kinds, None]
+            got = columns, certain
+            self._limits = (p, q), got
+        return got
 
     def sizes(self, keys: np.ndarray) -> np.ndarray:
         """(trials, lookups, ...) |delta0| of every lookup's entry at its key."""
         return self.size_rows[keys + self.size_offsets]
+
+
+def _mergeable_runs(lookups: list) -> list[list]:
+    """`lookups` ((key bits, effects) each) cut into runs of consecutive
+    lookups that merge: no key of a run reads the correction of an earlier
+    lookup of the run, and the joined key has at most `MERGED_KEY_BITS`."""
+    runs = []
+    for bits, effects in lookups:
+        run = runs[-1] if runs else []
+        # an earlier lookup's effect reaches this key past the key bits of
+        # the lookups between them
+        reads, between = False, 0
+        for b, e in reversed(run):
+            reads |= bool((e >> between & (1 << bits) - 1).any())
+            between += b
+        if run and between + bits <= MERGED_KEY_BITS and not reads:
+            run.append((bits, effects))
+        else:
+            runs.append([(bits, effects)])
+    return runs
+
+
+def _merged_step(run: list) -> tuple:
+    """(joined key bits, each part's shift and mask in the joined key, and
+    the effects per joined key) of a run of merging lookups; the first
+    lookup's key holds the lowest bits."""
+    bits = [b for b, _ in run]
+    total = sum(bits)
+    shifts = np.cumsum([0] + bits[:-1])
+    key = np.arange(1 << total)
+    effects = np.zeros((run[0][1].shape[0], 1 << total), np.int64)
+    for shift, (b, e) in zip(shifts, run):
+        effects ^= e[:, key >> shift & (1 << b) - 1] >> total - shift - b
+    return total, shifts[:, None], (1 << np.array(bits))[:, None] - 1, effects
 
 
 class _Compiled:
@@ -527,11 +629,12 @@ class CollapseEngine:
 # Trials per batch. Each batch pays a fixed cost for its numpy calls (the
 # Philox kernel alone about 0.15 ms), and past 1024 trials the kernel's cost
 # per trial rises again. Medians of 9 interleaved repetitions of the
-# table-lookup frame-program runner on warm tables, 2 vCPUs (us/trial at
-# 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse calls at p = q =
-# 0.05 took 3.00, 2.01, 1.90 and 2.70; 20,480-trial single-shot calls at p
-# = q = 0.02 took 3.50, 3.03, 4.27 and 5.28 on tetra15 and 2.04, 1.60, 1.18
-# and 1.24 on the inner code. No size beats 512 on both engines.
+# frame-program runner with merged lookups on warm tables, 2 vCPUs
+# (us/trial at 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse
+# calls at p = q = 0.05 took 2.44, 1.69, 1.71 and 2.29; 20,480-trial
+# single-shot calls at p = q = 0.02 took 2.86, 2.85, 3.66 and 4.42 on
+# tetra15 and 1.76, 1.67, 1.03 and 1.02 on the inner code. No size beats
+# 512 on both engines.
 BATCH_TRIALS = 512
 
 
@@ -605,7 +708,7 @@ def _tally(stats: TrialStats, first: int, failed, delta0_sizes, kinds: tuple) ->
 
 def _add_counts(counter: Counter, values: np.ndarray) -> None:
     """Add how often each value of a non-negative int array occurs."""
-    counts = np.bincount(values.ravel())
+    counts = np.bincount(values.ravel(order="K"))  # memory order: no copy
     for value in np.flatnonzero(counts).tolist():
         counter[value] += int(counts[value])
 
@@ -681,15 +784,17 @@ def _tableau_trial(ctx, noise, t, rng=None) -> _TrialResult:
     )
 
 
-def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int):
+def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int, rng=None):
     """One tableau trial of a `blowup` or a `roundtrip` from the 2D `zero`
-    (t even) or `plus` state; returns the tracked logical's value.
+    (t even) or `plus` state, drawing from `rng` (by default the trial's own
+    generator); returns the tracked logical's value.
 
     A blow-up puts qubit noise on the 2D state and reads the logical on the
     outer qubits after the blow-up. A round trip puts it on the 3D state
     between the blow-up and the collapse step.
     """
-    rng = trial_rng(noise.seed, t)
+    if rng is None:
+        rng = trial_rng(noise.seed, t)
     logical, kind = _TRACKED[t % 2]
     state2 = ctx.states2[logical].copy()
     if action == "blowup":
@@ -701,6 +806,29 @@ def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int):
         _apply_noise(state3, noise.p_qubit, rng)
         return _collapse_step(ctx, state3, noise.q_meas, rng, kind)[1]
     raise ValueError(f'unknown jump action {action!r}: use "blowup" or "roundtrip"')
+
+
+def jump_trials(ctx: JumpContext, noise: NoiseSpec, action: str, trials: int):
+    """The values of `jump_trial` on trials 0, 1, ..., trials - 1, one
+    `philox_words` draw per `BATCH_TRIALS` trials.
+
+    Row t holds as many of trial t's words as a trial can read: the X then
+    the Z noise of every qubit of the noisy state when p > 0, an outcome
+    and (when q > 0) a flip draw per inner plaquette in each of the
+    blow-up's two rounds, and for a round trip one flip per dual of every
+    slot when q > 0. The trial reads its row through a `TrialStream`, so
+    its value equals `jump_trial(ctx, noise, action, t)`."""
+    _check_trial_range(0, trials)
+    rounds = 2 * len(_code_dual_structure(ctx.inner_code).order)
+    width = rounds * (2 if noise.q_meas > 0 else 1)
+    if noise.p_qubit > 0:
+        width += 2 * (ctx.n2 if action == "blowup" else ctx.n3)
+    if action == "roundtrip" and noise.q_meas > 0:
+        width += sum(len(duals) for _, _, duals in ctx.slots)
+    for first in range(0, trials, BATCH_TRIALS):
+        rows = uniforms(philox_words(noise.seed, first, min(BATCH_TRIALS, trials - first), width))
+        for t, row in enumerate(rows, first):
+            yield jump_trial(ctx, noise, action, t, TrialStream(noise.seed, t, row))
 
 
 def _trace_line(noise: NoiseSpec, t: int, result: _TrialResult) -> str:

@@ -8,21 +8,22 @@ summation checker confirms it on small edge sets.
 Every trial draws from its own counter-based generator keyed by
 (seed, trial). `philox_words` draws the raw words of many trials as one
 array, the same words as each trial's own generator, and every batch of
-Monte Carlo trials draws through it once:
+trials draws through it once:
 - the frame programs of the fast collapse and single-shot engines test a
   word against a probability with an integer compare (`word_threshold`),
   so no array of doubles is built;
-- the tableau collapse engine hands each trial the doubles of its row
+- the tableau collapse engine and the CLI's `jump blowup` and `roundtrip`
+  loop (`montecarlo.jump_trials`) hand each trial the doubles of its row
   (`uniforms`) as a `TrialStream`, which stands in for the trial's
   generator.
 `trial_rng`, the generator itself, serves what runs one trial at a time:
-`montecarlo.jump_trial` (the CLI's `jump blowup` and `roundtrip`), a
-single `montecarlo._tableau_trial`, and library calls of `jump.collapse`
-and `jump.blow_up`.
+a single `montecarlo.jump_trial` or `montecarlo._tableau_trial` called
+without a stream, and library calls of `jump.collapse` and `jump.blow_up`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,23 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+# the multipliers and their 32-bit halves, shaped to act on (2, ...) arrays,
+# and the increments that rounds 2, 3, ... add to the key, (r - 1) W
+_M = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
+_LOW32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_MH, _ML = _M >> _S32, _M & _LOW32
+_BUMPS = np.array([[r * w % 2**64 for w in _PHILOX_W] for r in range(1, _PHILOX_ROUNDS)], np.uint64)
+
+
+@functools.lru_cache(maxsize=64)
+def _round_one(blocks: int) -> np.ndarray:
+    """(blocks, 2): the 128-bit product c * M0 as (high, low) words, for
+    counter blocks c = 1, ..., blocks."""
+    products = np.array(
+        [divmod(c * _PHILOX_M[0], 2**64) for c in range(1, blocks + 1)], dtype=np.uint64
+    ).reshape(blocks, 2)
+    products.flags.writeable = False  # one copy serves every call
+    return products
 
 
 def philox_words(seed: int, first: int, count: int, draws: int) -> np.ndarray:
@@ -65,13 +83,18 @@ def philox_words(seed: int, first: int, count: int, draws: int) -> np.ndarray:
     at once as uint64 array arithmetic, which wraps as the generator's does.
     A round multiplies counter words 0 and 2, held together as one
     (2, blocks, count) array; the high word of each 128-bit product comes
-    from 32-bit halves (Hacker's Delight, mulhu). The first round acts on
-    the counter alone, so it runs once per block on Python ints. Every
-    other round writes into buffers allocated once per call (`out=` ufuncs
-    and in-place operators), and its swap of words 0 and 2 reads them
-    through a reversed view. The generator's double of a word w is
-    (w >> 11) * 2^-53; compare `w >> 11` with `word_threshold(p)` to test
-    it against p.
+    from 32-bit halves (`_mulhi`). The first round acts on the counter
+    alone, so it runs once per block on Python ints (`_round_one`). It
+    leaves the seed in word 0 of every trial, so round 2's product of word
+    0 is two Python ints too, and round 2 multiplies only word 2 as an
+    array. Every later round writes into buffers allocated once per call
+    (`out=` ufuncs and in-place operators), and its swap of words 0 and 2
+    reads them through a reversed view. The last round writes straight
+    into a (blocks, 2, 2, count) array, words 0 and 1 then 2 and 3 of each
+    block, so the result is its transposed view, trials down and draws
+    across, with no copy. The generator's double of a word w is
+    (w >> 11) * 2^-53, and it is below p exactly when
+    w < `word_threshold(p)` * 2^11.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
@@ -79,52 +102,61 @@ def philox_words(seed: int, first: int, count: int, draws: int) -> np.ndarray:
         raise ValueError(f"trials {first}..{first + count - 1} leave [0, 2^64)")
     blocks = -(-draws // 4)
     shape = (2, blocks, count)  # trials last, so a key word spans a row
-    low32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-    # multipliers, their 32-bit halves and the key increments, shaped to
-    # act on (2, ...) arrays
-    m = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
-    mh, ml = m >> s32, m & low32
-    bump = np.array(_PHILOX_W, dtype=np.uint64)[:, None, None]
-    key = np.empty((2, 1, count), dtype=np.uint64)
-    key[0] = seed
-    key[1, 0] = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    trials = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    # the key of round r = 2, 3, ...: (seed + (r - 1) W0, trial + (r - 1) W1)
+    keys = np.empty((_PHILOX_ROUNDS - 1, 2, 1, count), dtype=np.uint64)
+    keys[:, 0] = (_BUMPS[:, :1] + np.uint64(seed))[:, None]
+    np.add(_BUMPS[:, 1:, None], trials, out=keys[:, 1])
     # round 1 takes block c's counter (c, 0, 0, 0) to (k0, 0, hi ^ k1, lo),
     # where (hi, lo) is the 128-bit product c * M0, the same in every trial
-    products = np.array(
-        [divmod(c * _PHILOX_M[0], 2**64) for c in range(1, blocks + 1)], dtype=np.uint64
-    ).reshape(blocks, 2)
+    products = _round_one(blocks)
+    xh, xl, t, u = (np.empty(shape, dtype=np.uint64) for _ in range(4))
+    word2 = np.bitwise_xor(products[:, :1], trials, out=t[1])
+    # round 2: word 0 is k0 = seed in every trial, so its product with M0
+    # is the Python ints (high, low), and only word 2 is multiplied here
+    high, low = divmod(seed * _PHILOX_M[0], 2**64)
     even = np.empty(shape, dtype=np.uint64)  # words 0 and 2
-    even[0] = seed
-    np.bitwise_xor(products[:, :1], key[1], out=even[1])
-    odd = np.zeros(shape, dtype=np.uint64)  # words 1 and 3
-    odd[1] = products[:, 1:]
-    xh, xl, t, u, hi = (np.empty(shape, dtype=np.uint64) for _ in range(5))
-    for _ in range(1, _PHILOX_ROUNDS):
-        key += bump
-        np.right_shift(even, s32, out=xh)
-        np.bitwise_and(even, low32, out=xl)
-        np.multiply(xl, ml, out=t)
-        np.right_shift(t, s32, out=t)
-        np.multiply(xh, ml, out=u)
-        u += t  # xh * ml + (xl * ml >> 32)
-        np.multiply(xl, mh, out=t)
-        np.bitwise_and(u, low32, out=xl)
-        t += xl  # xl * mh + (u & low32)
-        np.multiply(xh, mh, out=hi)
-        np.right_shift(u, s32, out=u)
-        hi += u
-        np.right_shift(t, s32, out=t)
-        hi += t
+    odd = np.empty(shape, dtype=np.uint64)  # words 1 and 3
+    # (w0, w1, w2, w3) <- (hi(M1 w2) ^ w1 ^ k0, lo(M1 w2), high ^ w3 ^ k1, low)
+    _mulhi(word2, _MH[1], _ML[1], xh[0], xl[0], t[0], u[0])
+    np.bitwise_xor(xh[0], keys[0, 0], out=even[0])
+    np.multiply(word2, _M[1], out=odd[0])
+    np.bitwise_xor(products[:, 1:], keys[0, 1], out=even[1])
+    even[1] ^= np.uint64(high)
+    odd[1] = low
+    # the last round writes words 0, 1, 2, 3 of block b to out[b, 0, 0],
+    # out[b, 0, 1], out[b, 1, 0] and out[b, 1, 1]
+    out = np.empty((blocks, 2, 2, count), dtype=np.uint64)
+    last_even, last_odd = out.transpose(2, 1, 0, 3)
+    for r, key in enumerate(keys[1:], 3):
+        _mulhi(even, _MH, _ML, xh, xl, t, u)
+        new_even, new_odd = (last_even, last_odd) if r == _PHILOX_ROUNDS else (t, odd)
         # (w0, w1, w2, w3) <- (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0)
-        np.bitwise_xor(hi[::-1], odd, out=t)
-        t ^= key
-        np.multiply(even[::-1], m[::-1], out=odd)
-        even, t = t, even
-    # words 0, 1, 2, 3 of a block are even[0], odd[0], even[1], odd[1]
-    words = np.empty((count, blocks, 2, 2), dtype=np.uint64)
-    words[..., 0] = even.transpose(2, 1, 0)
-    words[..., 1] = odd.transpose(2, 1, 0)
-    return words.reshape(count, 4 * blocks)[:, :draws]
+        np.bitwise_xor(xh[::-1], odd, out=new_even)
+        new_even ^= key
+        np.multiply(even[::-1], _M[::-1], out=new_odd)
+        even, t = new_even, even
+    return out.reshape(4 * blocks, count).T[:, :draws]
+
+
+def _mulhi(x, mh, ml, xh, xl, t, u) -> None:
+    """xh = the high words of the 128-bit products x * m, from the 32-bit
+    halves mh, ml of m (Hacker's Delight, mulhu); xl, t and u are scratch
+    buffers of x's shape."""
+    np.right_shift(x, _S32, out=xh)
+    np.bitwise_and(x, _LOW32, out=xl)
+    np.multiply(xl, ml, out=t)
+    np.right_shift(t, _S32, out=t)
+    np.multiply(xh, ml, out=u)
+    u += t  # xh * ml + (xl * ml >> 32)
+    np.multiply(xl, mh, out=t)
+    np.bitwise_and(u, _LOW32, out=xl)
+    t += xl  # xl * mh + (u & low32)
+    xh *= mh
+    np.right_shift(u, _S32, out=u)
+    xh += u
+    np.right_shift(t, _S32, out=t)
+    xh += t
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:

@@ -866,6 +866,54 @@ def test_jump_trial_pinned(ctx, monkeypatch, action, p, q, seed):
     assert digest == _JUMP_TRIAL_GOLDEN[action, p, q, seed]
 
 
+@pytest.mark.parametrize("action", ["blowup", "roundtrip"])
+def test_jump_loop_draws_per_batch_not_per_trial(monkeypatch, capsys, action):
+    """After a warm-up run, `jump blowup|roundtrip` builds no generator per
+    trial: its trials read one `philox_words` draw per batch."""
+    from colexjump import montecarlo
+
+    calls = []
+    trial_rng = montecarlo.trial_rng
+
+    def counting(seed, t):
+        calls.append(t)
+        return trial_rng(seed, t)
+
+    monkeypatch.setattr(montecarlo, "trial_rng", counting)
+    argv = ["jump", action, "--builtin", "tetra15", "--p", "0.05", "--q", "0.05"]
+    assert run(argv + ["--trials", "2"], capsys)[0] == 0
+    calls.clear()
+    code, out, _ = run(argv + ["--trials", "30", "--seed", "3"], capsys)
+    assert code == 0 and f"{action}: 30 trials" in out
+    assert calls == []
+
+
+def test_a_huge_stack_is_rejected_before_scheduling(monkeypatch, tmp_path, capsys):
+    """`schedule make --stack` above `STACK_MAX` (here 10^18) exits 2 at
+    parsing, naming the bound, before the scheduler is reached; the
+    scheduler is replaced so that nothing is allocated even if the check
+    were gone."""
+    from colexjump import cli, scheduler
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scheduler ran")
+
+    monkeypatch.setattr(scheduler, "schedule", refuse)
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0 1 2 0\n")
+    out = tmp_path / "sched.jsonl"
+    for stack in (str(10**18), str(cli.STACK_MAX + 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "make", "--stack", stack, "--sequence", str(seq),
+                  "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--stack" in err and f"must be below {cli.STACK_MAX + 1}" in err
+    assert not out.exists()
+    usage = cli._parsers()[1]["schedule", "make"].format_help()
+    assert cli.STACK_MAX == 2**16 and f"1 to {cli.STACK_MAX}" in usage
+
+
 # -- the CLI contract, fuzzed ------------------------------------------------------
 
 # Value pools by flag, as (good values, bad values). The bad ones are

@@ -683,23 +683,35 @@ def test_compiled_batches_match_the_frame_oracle_per_trial(
 _DRAW_KINDS = (montecarlo._NOISE, montecarlo._OUTCOME, montecarlo._FLIP)  # at p, 1/2, q
 
 
-def _edge_program(rand, widths: tuple, refs: int):
+# (key bits, correction bits, what the key reads) per lookup: "all" the
+# variables so far, "draws" only the draw columns, "previous" all of them
+# with key bit 0 reading the previous lookup's first correction bit
+_CHAINED = ((2, 3, "all"), (3, 2, "all"))
+_MERGING = ((2, 3, "draws"), (3, 2, "draws"), (2, 2, "previous"))
+
+
+def _edge_program(rand, widths: tuple, refs: int, shapes: tuple = _CHAINED):
     """A `FrameProgram` of one hand-made `_Forms` block per entry of
-    `widths` (its draw columns), on random forms: two lookups, the second
-    keyed partly by the first's correction, then a 3-bit final key."""
-    shapes = [(2, 3), (3, 2)]  # (key bits, correction bits) per lookup
+    `widths` (its draw columns), on random forms: by default two lookups,
+    the second keyed partly by the first's correction, then a 3-bit final
+    key; `shapes` sets the lookups."""
     tables = [
         (np.array([[rand.getrandbits(1) for _ in range(c)] for _ in range(1 << k)]),
          np.array([[rand.randrange(9)] for _ in range(1 << k)]))
-        for k, c in shapes
+        for k, c, _ in shapes
     ]
     blocks = []
     for width in widths:
         forms = montecarlo._Forms()
         for _ in range(width):
             forms.draw(rand.choice(_DRAW_KINDS))
-        for (bits, _), (table, sizes) in zip(shapes, tables):
-            forms.look_up([rand.getrandbits(forms.vars) for _ in range(bits)], table, sizes)
+        drawn = forms.vars
+        for (bits, _, reads), (table, sizes) in zip(shapes, tables):
+            span = drawn if reads == "draws" else forms.vars
+            key = [rand.getrandbits(span) for _ in range(bits)]
+            if reads == "previous":
+                key[0] |= 1 << forms.lookups[-1][2]
+            forms.look_up(key, table, sizes)
         forms.outputs += [rand.getrandbits(forms.vars) for _ in range(3)]
         blocks.append(forms)
     fail = np.array([[rand.getrandbits(1) for _ in range(8)] for _ in range(refs)], dtype=bool)
@@ -740,6 +752,25 @@ def test_frame_program_matches_its_forms_per_trial(widths, refs):
     {0, 1, drawn}."""
     rand = random.Random(repr((widths, refs)))
     blocks, program = _edge_program(rand, widths, refs)
+    _assert_runs_as_its_forms(rand, blocks, program)
+
+
+@pytest.mark.parametrize("widths,refs", [((9,), 1), ((64, 8), 2)])
+def test_merged_lookups_match_their_forms_per_trial(widths, refs):
+    """Two lookups whose keys read no correction run as one step over
+    their joined key, and a third, keyed partly by the second's
+    correction, as a step of its own; every trial still runs as its forms
+    do, with one key per lookup."""
+    rand = random.Random(repr((widths, refs, _MERGING)))
+    blocks, program = _edge_program(rand, widths, refs, _MERGING)
+    assert [(bits, len(shifts)) for bits, shifts, _, _ in program.steps] == [(5, 2), (2, 1)]
+    _assert_runs_as_its_forms(rand, blocks, program)
+
+
+def _assert_runs_as_its_forms(rand, blocks, program):
+    """Every trial of batches of 1, 8 and `BATCH_TRIALS` + 3 trials at p, q
+    in {0, 1, drawn} runs as `_edge_trial` evaluates its forms."""
+    widths = [len(forms.kinds) for forms in blocks]
     drawn = rand.random()
     rates = (0.0, 1.0, drawn)
     for p, q, count in itertools.product(rates, rates, (1, 8, BATCH_TRIALS + 3)):
@@ -756,6 +787,66 @@ def test_frame_program_matches_its_forms_per_trial(widths, refs):
             assert failed[i] == program.fail[want_ref, want_final]
             want_sizes = [look[4][k].tolist() for look, k in zip(blocks[0].lookups, want_keys)]
             assert sizes[i].tolist() == want_sizes
+
+
+def _two_lookups(bits: tuple) -> montecarlo.FrameProgram:
+    """A program of two lookups of `bits` key bits, both keyed by the one
+    draw column only, so neither key reads a correction."""
+    forms = montecarlo._Forms()
+    draw = forms.draw(montecarlo._NOISE)
+    for k in bits:
+        table = np.ones((1 << k, 1), dtype=np.uint8)
+        forms.look_up([draw] * k, table, np.zeros((1 << k, 1), dtype=np.uint8))
+    forms.outputs.append(forms.one)
+    return montecarlo.FrameProgram([forms], np.zeros((1, 2), dtype=bool))
+
+
+def test_lookups_merge_up_to_the_row_bound(ctx, code3, inner_code):
+    """The tetra15 collapse's slot lookups run as one step of 2^12 rows,
+    single-shot's two rounds as two steps (round 2 reads round 1's
+    correction), and lookups whose joined key would pass
+    `MERGED_KEY_BITS` stay split."""
+    bound = montecarlo.MERGED_KEY_BITS
+    assert bound == 12
+    plan = collapse_plan(ctx)
+    for noisy, flips in itertools.product((False, True), repeat=2):
+        steps = plan.program(noisy, flips).steps
+        assert [len(shifts) for _, shifts, _, _ in steps] == [len(ctx.slots)]
+        assert steps[0][0] == 2 * len(ctx.slots) and steps[0][3].shape == (1, 1 << bound)
+    for code in (code3, inner_code):
+        steps = montecarlo.single_shot_plan(code).program(True, True).steps
+        assert [len(shifts) for _, shifts, _, _ in steps] == [1, 1]
+    assert [s[0] for s in _two_lookups((bound - 5, 5)).steps] == [bound]
+    assert [s[0] for s in _two_lookups((bound - 5, 6)).steps] == [bound - 5, 6]
+
+
+def test_jump_trials_are_the_jump_trial_values(ctx, monkeypatch):
+    """The batched jump loop reads, on every trial and across batch
+    boundaries, the value and the state that `jump_trial` on the trial's
+    own generator reads, for both actions."""
+    from tableau_checks import signed_group
+
+    for action in ("blowup", "roundtrip"):  # warm-up: states, tables
+        jump_trial(ctx, NoiseSpec(0.1, 0.1), action, 0)
+    read = []
+    expect = Tableau.expect
+
+    def recording(self, op):
+        value = expect(self, op)
+        read.append((value, signed_group(self, expect)))
+        return value
+
+    monkeypatch.setattr(Tableau, "expect", recording)
+    monkeypatch.setattr(montecarlo, "BATCH_TRIALS", 3)
+    for action in ("blowup", "roundtrip"):
+        for p, q in ((0.05, 0.1), (0.0, 0.0), (1.0, 1.0), (0.3, 0.0)):
+            spec = NoiseSpec(p, q, seed=17)
+            want = [jump_trial(ctx, spec, action, t) for t in range(8)]
+            alone, read[:] = read[:], []
+            got = list(montecarlo.jump_trials(ctx, spec, action, 8))
+            assert got == want and read == alone, (action, p, q)
+            read.clear()
+    assert list(montecarlo.jump_trials(ctx, NoiseSpec(0.1, 0.1), "blowup", 0)) == []
 
 
 @pytest.mark.parametrize("kind", ["inner", "3d", "collapse"])

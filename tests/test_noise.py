@@ -59,6 +59,20 @@ def test_philox_uniforms_match_numpy_philox(draws):
             assert doubles[i].tobytes() == want.tobytes(), (seed, t + i)
 
 
+def test_philox_words_match_numpy_philox_on_a_wide_batch():
+    """Every row of a 64-trial, 75-draw batch is its trial's first raw
+    words: many trials across every counter block, with the seed and the
+    trial indices at the ends of their ranges, and the result a view whose
+    rows are trials."""
+    for seed, t in (_KEYS[1], _KEYS[4]):
+        first = min(t, 2**64 - 64)
+        rows = philox_words(seed, first, 64, 75)
+        assert rows.shape == (64, 75) and rows.dtype == np.uint64
+        for i in range(64):
+            raw = trial_rng(seed, first + i).bit_generator.random_raw(75)
+            assert rows[i].tobytes() == raw.tobytes(), (seed, first + i)
+
+
 def test_philox_uniforms_continue_a_split_draw():
     """A generator's random(30) then random(12) is the doubles of one
     42-word row, and random_raw(30) then random_raw(12) the row itself."""

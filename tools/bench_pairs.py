@@ -21,7 +21,9 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   state its blow-ups return, `exhaustive_weight1_collapse`,
   `run_single_shot_trials`
   stats on the inner and tetrahedral codes of tetra15 from trial 0 and
-  from trial 2^64 - 1030, CLI `jump collapse|roundtrip`, `simulate
+  from trial 2^64 - 1030, `philox_words` at the (trials, draws) shapes
+  that batches draw (`PHILOX_SHAPES`) from trial 0 and from the last such
+  span below 2^64, at seeds 0, 808 and 2^64 - 1, CLI `jump collapse|roundtrip`, `simulate
   collapse --trace` and `simulate singleshot --kind 3d|inner` at
   `--workers` 1 and 2. A state is digested by its canonical signed
   stabilizer group, not by its tableau rows, so that two checkouts that
@@ -70,6 +72,11 @@ JUMP_POINTS = ((0.02, 0.02, 5), (0.1, 0.1, 9))
 # trials (three batches) from trial 0 and from the last such span below 2^64
 SINGLE_SHOT_POINTS = ((0.02, 0.02), (1.0, 1.0), (0.0, 0.3), (0.3, 0.0))
 SINGLE_SHOT_TRIALS = 1030
+# (trials, draws) of the digested `philox_words` calls: a collapse-fast op,
+# inner and tetrahedral single-shot ops, a collapse-tableau op and a full
+# tetrahedral single-shot batch
+PHILOX_SHAPES = ((400, 42), (30, 28), (30, 75), (70, 42), (512, 75))
+PHILOX_SEEDS = (0, 808, 2**64 - 1)
 JUMP_TRIALS = 600
 # the timed `simulate` commands (flags after `simulate`) and trial counts
 CLI_COMMANDS = {"collapse": ["collapse"], "singleshot-3d": ["singleshot", "--kind", "3d"]}
@@ -114,7 +121,7 @@ def digest(work: Path) -> str:
         run_collapse_trials,
         run_single_shot_trials,
     )
-    from colexjump.noise import NoiseSpec, trial_rng
+    from colexjump.noise import NoiseSpec, philox_words, trial_rng
     from colexjump.pauli import PauliOperator
     from colexjump.colex import minimal_colex
 
@@ -164,6 +171,10 @@ def digest(work: Path) -> str:
                 noise = NoiseSpec(p, q, 11)
                 stats = run_single_shot_trials(code, noise, SINGLE_SHOT_TRIALS, offset)
                 feed(code.n, p, q, offset, stats.as_dict())
+    for seed in PHILOX_SEEDS:
+        for count, draws in PHILOX_SHAPES:
+            for first in (0, 2**64 - count):
+                feed(seed, first, count, draws, philox_words(seed, first, count, draws).tolist())
     base = ["--builtin", "tetra15", "--p", "0.05", "--q", "0.05", "--seed", "5"]
     runs = [["jump", action, *base, "--trials", "20"] for action in ("collapse", "roundtrip")]
     simulate = {
