@@ -433,6 +433,10 @@ _TRIALS = _at_least(0, below=2**64 + 1)
 # position per stack qubit, so the bound is checked before any is made
 STACK_MAX = 2**16
 _STACK = _at_least(1, below=STACK_MAX + 1)
+# the most `simulate --workers`: a run starts one process per worker at
+# once, so the bound is checked before any is started
+WORKERS_MAX = 64
+_WORKERS = _at_least(1, below=WORKERS_MAX + 1)
 
 
 # the longest file name (in bytes) that Linux and macOS file systems take,
@@ -502,7 +506,8 @@ def _parsers():
 
     facet = flag("--facet", default="rgb")
     inner_facet = flag("--facet", help="facet of --kind inner (default rgb)")
-    workers = flag("--workers", type=_at_least(1), default=1)
+    workers = flag("--workers", type=_WORKERS, default=1,
+                   help=f"processes to split the trials over, 1 to {WORKERS_MAX}")
     command("colex", "validate / info / hash a lattice", {
         "validate": (cmd_colex, source),
         "hash": (cmd_colex, source),

@@ -22,9 +22,9 @@ plaquette parities over those edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,11 @@ from .split import INNER_CELL, SplitResult, dual_edges
 from .tableau import Tableau
 
 
-@dataclass(frozen=True)
-class FluxConfiguration:
+class FluxConfiguration(NamedTuple):
+    """The dual edges of one color pair's inner plaquettes that read -1
+    when one operator type was measured: an immutable value, built once
+    per slot of every tableau collapse trial."""
+
     pair: str
     basis: str  # which operator type was measured, "X" or "Z"
     edges: frozenset  # indices into duals
@@ -90,10 +93,8 @@ def extract_flux(
         ops = split.plaquette_ops[basis] = tuple(
             plaquette_operator(parent, pi, basis) for pi in range(len(parent.plaquettes))
         )
-    hot = set()
-    for i, dual in enumerate(duals):
-        if state3.measure(ops[dual.plaquette], rng) == -1:
-            hot.add(i)
+    measure = state3.measure
+    hot = [i for i, dual in enumerate(duals) if measure(ops[dual.plaquette], rng) == -1]
     return FluxConfiguration(pair, basis, frozenset(hot), duals)
 
 

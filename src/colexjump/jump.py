@@ -42,7 +42,7 @@ a tableau (the final 2D decode, the outer reconciliation of blow-up) is one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -78,12 +78,15 @@ class JumpContext:
 
     Besides the codes, it holds what every trial reads, built on first use:
     the encoded `zero` and `plus` states that trials start from, in 2D
-    (`states2`) and 3D (`states3`), which trials copy and never change; the
-    2D code's logicals (`logicals2`, by type), also placed on the outer
-    qubits of the 3D state (`outer_logicals3`); and its plaquette checks,
-    compiled for readout on the 2D state (`plaquettes2`) and on the outer
-    qubits of the 3D state (`outer_plaquettes3`). It also holds the
-    collapse's slot table (`slot_repairs`).
+    (`states2`) and 3D (`states3`, their stabilizer rows in the reduced form
+    that the collapse's discard leaves, see `encoded_3d`), which trials
+    copy and never change; the 2D code's logicals (`logicals2`, by type),
+    also placed on the outer qubits of the 3D state (`outer_logicals3`);
+    and its plaquette checks, compiled for readout on the 2D state
+    (`plaquettes2`) and on the outer qubits of the 3D state
+    (`outer_plaquettes3`). It also holds the
+    collapse's slot table (`slot_repairs`) and the slots' dual count
+    (`dual_count`), the width of a collapse's flip draw.
     """
 
     colex3: Colex
@@ -141,6 +144,11 @@ class JumpContext:
                 yield repair_slot(self, FluxConfiguration(pair, basis, edges, duals))
 
         return tuple(tuple(repairs(*slot)) for slot in self.slots)
+
+    @cached_property
+    def dual_count(self) -> int:
+        """The duals of every slot of `slots`, counted once per slot."""
+        return sum(len(duals) for _, _, duals in self.slots)
 
     @property
     def n3(self) -> int:
@@ -229,48 +237,45 @@ def inner_plaquette_priority(ctx: JumpContext) -> list[PauliOperator]:
 
 
 def encoded_3d(ctx: JumpContext, logical: str = "zero") -> Tableau:
-    return encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx))
+    """The encoded 3D state, its stabilizer rows in the reduced form that
+    the collapse's discard of the inner block leaves them in.
+
+    `encoded_state` builds it with the inner plaquettes fixed first. Then
+    the discard's own elimination (`_eliminate`) runs once here, over the
+    inner qubits' X and Z columns in `discard_qubits`' order, carrying each
+    destabilizer partner along (D_p <- D_p D_i for every S_i <- S_i S_p), so
+    the tableau holds the same state with every pivot column of that
+    discard held by its pivot row alone. Pauli noise and the collapse's
+    determinate flux measurements change only signs, so a trial's discard
+    then makes no row product.
+    """
+    state = encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx))
+    n, drop = state.n, list(ctx.split.inner_vertices)
+    xs, zs, signs = state.xs, state.zs, state.signs
+    stab = (xs[n:], zs[n:], signs[n:])
+    partners = (xs[:n], zs[:n], signs[:n])
+    xcol = [c >> n for c in state.xcol]
+    zcol = [c >> n for c in state.zcol]
+    _eliminate(*stab, xcol, zcol, drop, sum(1 << q for q in drop), partners)
+    return Tableau(n, partners[0] + stab[0], partners[1] + stab[1], partners[2] + stab[2])
 
 
 # -- tableau surgery ---------------------------------------------------------------
 
 
-def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
-    """Project out fully determined qubits by sign-tracked elimination.
+def _eliminate(xs, zs, signs, xcol, zcol, drop, drop_mask, partners=None) -> int:
+    """Gauss-Jordan elimination of the dropped qubits' columns (x then z per
+    qubit of `drop`, in order) on the stabilizer rows (xs, zs, signs), in
+    place; returns the mask of the pivot rows.
 
-    Requires the stabilizer group to factor as (group on dropped qubits) x
-    (group on the rest), which holds after the dropped block was measured
-    out completely. Every index in `drop` must lie in [0, n), and at least
-    one qubit must stay.
-
-    The elimination runs on copies of the stabilizer rows' (x, z, sign)
-    ints, with the tableau's row product. The rows it leaves free of the
-    dropped qubits, restricted to the kept ones, are the new stabilizers,
-    each paired with its own destabilizer row, restricted too. That keeps
-    the pairing <D_j, S_k> = delta_jk: multiplying pivot S_p into S_i needs
-    only D_p to take on D_i, and pivot pairs are dropped; a survivor has no
-    dropped support, so the restriction keeps it too. The restriction can
-    break the destabilizers' mutual commutation, which a symplectic
-    Gram-Schmidt restores: for i < j, D_j <- D_j S_i where D_j anticommutes
-    with D_i. No synthesis runs, so `from_stabilizers` stays once per
-    context. Destabilizer signs, which nothing reads, are +1.
+    The lowest unused row with the bit is the pivot, and every other row
+    with it becomes its product with the pivot (X-left sign rule, as in
+    `Tableau.measure`). `xcol[q]` / `zcol[q]` hold the rows with qubit q's
+    X / Z bit, kept up to date for the dropped qubits. A pivot that is its
+    column's only row changes nothing. With `partners`, the destabilizer
+    rows (xs, zs, signs), each S_i <- S_i S_p also does D_p <- D_p D_i, which
+    keeps the pairing <D_j, S_k> = delta_jk.
     """
-    n = state.n
-    bad = [q for q in drop if not 0 <= q < n]
-    if bad:
-        raise ValueError(f"qubits {bad} to discard lie outside [0, {n})")
-    drop_mask = sum(1 << q for q in set(drop))
-    keep = [q for q in range(n) if not drop_mask >> q & 1]
-    if not keep:
-        raise ValueError(f"cannot discard all {n} qubits: no state would remain")
-    xs, zs, signs = state.xs[n:], state.zs[n:], state.signs[n:]
-    # the stabilizer rows that hold each qubit's X / Z bit, kept up to date
-    # for the dropped qubits as the elimination changes rows
-    xcol = [c >> n for c in state.xcol]
-    zcol = [c >> n for c in state.zcol]
-    # eliminate dropped-qubit columns (x then z per qubit): the lowest unused
-    # row with the bit is the pivot, and every other row with it becomes its
-    # product with the pivot (X-left sign rule, as in `Tableau.measure`)
     used = 0
     for q in drop:
         for col in (xcol, zcol):
@@ -280,9 +285,11 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
                 continue
             bit = free & -free
             used |= bit
+            rest = hits ^ bit
+            if not rest:
+                continue
             pivot = bit.bit_length() - 1
             px, pz, ps = xs[pivot], zs[pivot], signs[pivot]
-            rest = hits ^ bit
             flip_columns(xcol, px & drop_mask, rest)
             flip_columns(zcol, pz & drop_mask, rest)
             while rest:
@@ -293,27 +300,104 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
                 signs[i] = -sign if (zs[i] & px).bit_count() & 1 else sign
                 xs[i] ^= px
                 zs[i] ^= pz
-    survivors = [i for i in range(n) if not used >> i & 1]
-    runs = _runs(keep)
-    sx, sz, dx, dz = [], [], [], []
-    for i in survivors:
+                if partners is not None:
+                    dxs, dzs, dsigns = partners
+                    sign = dsigns[pivot] * dsigns[i]
+                    dsigns[pivot] = -sign if (dzs[pivot] & dxs[i]).bit_count() & 1 else sign
+                    dxs[pivot] ^= dxs[i]
+                    dzs[pivot] ^= dzs[i]
+    return used
+
+
+def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
+    """Project out fully determined qubits by sign-tracked elimination.
+
+    Requires the stabilizer group to factor as (group on dropped qubits) x
+    (group on the rest), which holds after the dropped block was measured
+    out completely. Every index in `drop` must lie in [0, n), and at least
+    one qubit must stay.
+
+    The elimination (`_eliminate`) runs on copies of the stabilizer rows'
+    (x, z, sign) ints, with the tableau's row product. On a state in the
+    form `encoded_3d` prepares, after noise and determinate measurements,
+    every pivot is the only row of its column and no row changes; any other
+    input runs the full elimination. The rows it leaves free of the dropped
+    qubits, restricted to the kept ones, are the new stabilizers, each
+    paired with its own destabilizer row, restricted too. That keeps the
+    pairing <D_j, S_k> = delta_jk: multiplying pivot S_p into S_i needs
+    only D_p to take on D_i, and pivot pairs are dropped; a survivor has no
+    dropped support, so the restriction keeps it too. The restriction can
+    break the destabilizers' mutual commutation, which a symplectic
+    Gram-Schmidt restores: for i < j, D_j <- D_j S_i where D_j anticommutes
+    with D_i. No synthesis runs, so `from_stabilizers` stays once per
+    context, and the result's columns are built from its rows here, not by
+    a second pass in `Tableau.__init__`. Destabilizer signs, which nothing
+    reads, are +1.
+    """
+    n = state.n
+    drop_mask, runs = _discard_layout(n, tuple(drop))
+    xs, zs, signs = state.xs[n:], state.zs[n:], state.signs[n:]
+    xcol = {q: state.xcol[q] >> n for q in drop}
+    zcol = {q: state.zcol[q] >> n for q in drop}
+    used = _eliminate(xs, zs, signs, xcol, zcol, drop, drop_mask)
+    dxs, dzs = state.xs, state.zs
+    sx, sz, dx, dz, ss = [], [], [], [], []
+    for i in range(n):
+        if used >> i & 1:
+            continue
         x, z = xs[i], zs[i]
         if (x | z) & drop_mask:
             raise ValueError("dropped qubits are still entangled with the rest")
-        sx.append(_gather(x, runs))
-        sz.append(_gather(z, runs))
-        dx.append(_gather(state.xs[i], runs))
-        dz.append(_gather(state.zs[i], runs))
-    k = len(keep)
-    if len(survivors) != k:
-        raise ValueError(f"restriction produced {len(survivors)} stabilizers for {k} qubits")
+        # the survivor and its destabilizer, restricted to the kept qubits
+        a = b = c = d = 0
+        for q, low, j in runs:
+            a |= (x >> q & low) << j
+            b |= (z >> q & low) << j
+            c |= (dxs[i] >> q & low) << j
+            d |= (dzs[i] >> q & low) << j
+        sx.append(a)
+        sz.append(b)
+        dx.append(c)
+        dz.append(d)
+        ss.append(signs[i])
+    k = n - drop_mask.bit_count()
+    if len(sx) != k:
+        raise ValueError(f"restriction produced {len(sx)} stabilizers for {k} qubits")
     for j in range(1, k):
         x, z = dx[j], dz[j]
         for i in range(j):
             if ((x & dz[i]) ^ (z & dx[i])).bit_count() & 1:
                 dx[j] ^= sx[i]
                 dz[j] ^= sz[i]
-    return Tableau(k, dx + sx, dz + sz, [1] * k + [signs[i] for i in survivors])
+    rx, rz = dx + sx, dz + sz
+    # the result's columns: bit r of column q is row r's bit q
+    cx, cz = [0] * k, [0] * k
+    for r in range(2 * k):
+        bit = 1 << r
+        x, z = rx[r], rz[r]
+        while x:
+            low = x & -x
+            cx[low.bit_length() - 1] |= bit
+            x ^= low
+        while z:
+            low = z & -z
+            cz[low.bit_length() - 1] |= bit
+            z ^= low
+    return Tableau._of(k, rx, rz, [1] * k + ss, cx, cz)
+
+
+@lru_cache(maxsize=64)
+def _discard_layout(n: int, drop: tuple) -> tuple[int, list]:
+    """The mask of the qubits `discard_qubits` drops from an n-qubit state
+    and the `_runs` of those it keeps, checked and built once per layout."""
+    bad = [q for q in drop if not 0 <= q < n]
+    if bad:
+        raise ValueError(f"qubits {bad} to discard lie outside [0, {n})")
+    drop_mask = sum(1 << q for q in set(drop))
+    keep = [q for q in range(n) if not drop_mask >> q & 1]
+    if not keep:
+        raise ValueError(f"cannot discard all {n} qubits: no state would remain")
+    return drop_mask, _runs(keep)
 
 
 def _runs(positions: list[int]) -> list[tuple[int, int, int]]:
@@ -328,18 +412,9 @@ def _runs(positions: list[int]) -> list[tuple[int, int, int]]:
     return [(q, (1 << width) - 1, i) for q, width, i in runs]
 
 
-def _gather(mask: int, runs: list[tuple[int, int, int]]) -> int:
-    """Bit i of the result is bit positions[i] of mask, for the `_runs` of
-    positions."""
-    out = 0
-    for q, low, i in runs:
-        out |= (mask >> q & low) << i
-    return out
-
-
 def _spread(mask: int, runs: list[tuple[int, int, int]]) -> int:
     """Bit positions[i] of the result is bit i of mask, for the `_runs` of
-    positions: the inverse of `_gather`."""
+    positions."""
     out = 0
     for q, low, i in runs:
         out |= (mask >> i & low) << q
@@ -362,13 +437,16 @@ class CheckReadout:
     The checks live on `n` qubits, which `positions` places inside the
     state they read (None: the state is those n qubits). `ops[basis]` holds
     every check as a `basis`-type operator on that state, and `table` is
-    the check set's `checks_table`.
+    the check set's `checks_table`. `corrections[(basis, syndrome, n_state)]`
+    holds the `basis`-type correction of a syndrome, on the n qubits and
+    placed on an n_state-qubit state, built on first use.
     """
 
     n: int
     table: dict
     ops: dict
     positions: list | None
+    corrections: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def check_readout(n: int, checks, n_state: int | None = None, positions=None) -> CheckReadout:
@@ -398,13 +476,16 @@ def decode_checks(state: Tableau, readout: CheckReadout) -> tuple[PauliOperator,
     """Measure the Z then the X type of every compiled check, look each
     syndrome up in the check set's table and apply the correction; returns
     the (X, Z) corrections on the checks' n qubits."""
-    n, positions = readout.n, readout.positions
     corrections = []
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        support = readout.table[_read_syndrome(state, readout.ops[meas_basis])]
-        op = PauliOperator.from_support(n, corr_basis, support)
-        state.apply(op if positions is None else embed_operator(op, state.n, positions))
-        corrections.append(op)
+        key = (corr_basis, _read_syndrome(state, readout.ops[meas_basis]), state.n)
+        found = readout.corrections.get(key)
+        if found is None:
+            op = PauliOperator.from_support(readout.n, corr_basis, readout.table[key[1]])
+            placed = op if readout.positions is None else embed_operator(op, state.n, readout.positions)
+            found = readout.corrections[key] = op, placed
+        state.apply(found[1])
+        corrections.append(found[0])
     return corrections[0], corrections[1]
 
 
@@ -455,25 +536,32 @@ def repair_slot(ctx: JumpContext, observed: FluxConfiguration) -> SlotRepair:
 def _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips=None) -> list:
     """(true flux, observed pattern) of every slot in `ctx.slots` order; bit
     i of a pattern is dual i's recorded -1. Every slot is measured before
-    any slot's flips are drawn, one draw per slot of one word per dual."""
+    any flip is drawn. The flips are then one draw of one word per dual of
+    every slot, in slot order: the same words, in the same order, as one
+    draw per slot."""
     fluxes = [
         extract_flux(state3, ctx.split, pair, basis, rng, duals)
         for basis, pair, duals in ctx.slots
     ]
+    flips = 0  # bit j: the j-th dual of all slots, in slot order, reads flipped
+    if meas_flip_prob > 0:
+        for j, u in enumerate(rng.random(ctx.dual_count).tolist()):
+            if u < meas_flip_prob:
+                flips |= 1 << j
     measured = []
     for (basis, pair, duals), flux in zip(ctx.slots, fluxes):
-        seen = sum(1 << i for i in flux.edges)
-        if meas_flip_prob > 0:
-            draws = rng.random(len(duals)).tolist()
-            seen ^= sum(1 << i for i, u in enumerate(draws) if u < meas_flip_prob)
+        seen = flips & ((1 << len(duals)) - 1)
+        flips >>= len(duals)
+        for i in flux.edges:
+            seen ^= 1 << i
         if injected_flips and (pair, basis) in injected_flips:
-            flips = set(injected_flips[(pair, basis)])
-            if not flips <= set(range(len(duals))):
+            injected = set(injected_flips[(pair, basis)])
+            if not injected <= set(range(len(duals))):
                 raise ValueError(
-                    f"injected flips {sorted(flips)} of {pair}:{basis} leave its "
+                    f"injected flips {sorted(injected)} of {pair}:{basis} leave its "
                     f"{len(duals)} duals"
                 )
-            seen ^= sum(1 << i for i in flips)
+            seen ^= sum(1 << i for i in injected)
         measured.append((flux, seen))
     return measured
 
@@ -502,17 +590,19 @@ def collapse(
     record, repairs = {}, {}
     # string corrections are +1 strings of their slot's type, which commute,
     # so each type's product is the XOR of their masks, with sign +1
-    masks = {"X": 0, "Z": 0}
+    mask_x = mask_z = 0
     measured = _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips)
     for (flux, seen), table in zip(measured, ctx.slot_repairs):
         r = table[seen]
-        record[(flux.pair, flux.basis)] = dict(r.record)  # the caller's own copy
-        repairs[(flux.pair, flux.basis)] = (r.delta0, r.gamma_eff, tuple(sorted(flux.edges)))
-        masks[r.kind] ^= r.correction.x | r.correction.z
-    corrections = {
-        "X": PauliOperator(ctx.n2, x=masks["X"]),
-        "Z": PauliOperator(ctx.n2, z=masks["Z"]),
-    }
+        key = flux.pair, flux.basis
+        record[key] = dict(r.record)  # the caller's own copy
+        true = tuple(sorted(flux.edges)) if flux.edges else ()
+        repairs[key] = r.delta0, r.gamma_eff, true
+        if r.kind == "X":
+            mask_x ^= r.correction.x
+        else:
+            mask_z ^= r.correction.z
+    corrections = {"X": PauliOperator(ctx.n2, x=mask_x), "Z": PauliOperator(ctx.n2, z=mask_z)}
     outer_state = discard_qubits(state3, list(ctx.split.inner_vertices))
     return _finish_collapse(ctx, outer_state, corrections, record, repairs)
 
@@ -598,8 +688,9 @@ class DualStructure:
 
     `placed[(basis, n, positions)]` holds the `basis` plaquettes in `order`
     placed on `positions` of an n-qubit state, as `single_shot_ec` measures
-    them; the key and the code that owns the structure name all they
-    depend on.
+    them, and the `_runs` of those positions, which spread its correction
+    onto the state; the key and the code that owns the structure name all
+    they depend on.
     """
 
     by_pair: dict[str, list]
@@ -745,17 +836,20 @@ def single_shot_ec(
     `basis` is the measured plaquette type; the correction applied is of the
     dual Pauli kind (X errors flip Z plaquettes, so measuring Z yields an X
     correction). The plaquettes, placed on `embed` of the state's qubits,
-    are built on first use and kept in the code's `DualStructure.placed`.
+    and the runs of those qubits that place the correction, are built on
+    first use and kept in the code's `DualStructure.placed`.
     """
     dual = _code_dual_structure(code)
     positions = tuple(embed) if embed is not None else tuple(range(code.n))
     key = (basis, state.n, positions)
-    ops = dual.placed.get(key)
-    if ops is None:
-        ops = dual.placed[key] = tuple(
+    placed = dual.placed.get(key)
+    if placed is None:
+        ops = tuple(
             embed_operator(plaquette_operator(code.colex, pi, basis), state.n, positions)
             for pi in dual.order
         )
+        placed = dual.placed[key] = ops, _runs(positions)
+    ops, runs = placed
     outcomes: dict[int, int] = {}
     for pi, op in zip(dual.order, ops):
         value = state.measure(op, rng)
@@ -763,7 +857,8 @@ def single_shot_ec(
             value = -value
         outcomes[pi] = value
     report = single_shot_decode(code, dual, outcomes, basis)
-    state.apply(embed_operator(report.correction, state.n, positions))
+    c = report.correction
+    state.apply(PauliOperator(state.n, _spread(c.x, runs), _spread(c.z, runs), c.sign))
     return state, report
 
 

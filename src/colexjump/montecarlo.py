@@ -724,7 +724,7 @@ def _tableau_batch(ctx, noise, first, count, keep: bool) -> _Batch:
     when q > 0), and the trial reads it through a `TrialStream`."""
     width = 2 * ctx.n3 if noise.p_qubit > 0 else 0
     if noise.q_meas > 0:
-        width += sum(len(duals) for _, _, duals in ctx.slots)
+        width += ctx.dual_count
     rows = uniforms(philox_words(noise.seed, first, count, width))
     keys, sizes, failed, kept = [], [], [], []
     for t, row in enumerate(rows, first):
@@ -824,7 +824,7 @@ def jump_trials(ctx: JumpContext, noise: NoiseSpec, action: str, trials: int):
     if noise.p_qubit > 0:
         width += 2 * (ctx.n2 if action == "blowup" else ctx.n3)
     if action == "roundtrip" and noise.q_meas > 0:
-        width += sum(len(duals) for _, _, duals in ctx.slots)
+        width += ctx.dual_count
     for first in range(0, trials, BATCH_TRIALS):
         rows = uniforms(philox_words(noise.seed, first, min(BATCH_TRIALS, trials - first), width))
         for t, row in enumerate(rows, first):

@@ -56,9 +56,11 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # the multipliers and their 32-bit halves, shaped to act on (2, ...) arrays,
-# and the increments that rounds 2, 3, ... add to the key, (r - 1) W
+# and the increments that rounds 2, 3, ... add to the key, (r - 1) W; the
+# 32-bit mask and shift are 0-d arrays, which a ufunc takes with less
+# overhead than numpy scalars
 _M = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
-_LOW32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_LOW32, _S32 = np.array(0xFFFFFFFF, dtype=np.uint64), np.array(32, dtype=np.uint64)
 _MH, _ML = _M >> _S32, _M & _LOW32
 _BUMPS = np.array([[r * w % 2**64 for w in _PHILOX_W] for r in range(1, _PHILOX_ROUNDS)], np.uint64)
 
@@ -143,19 +145,19 @@ def _mulhi(x, mh, ml, xh, xl, t, u) -> None:
     """xh = the high words of the 128-bit products x * m, from the 32-bit
     halves mh, ml of m (Hacker's Delight, mulhu); xl, t and u are scratch
     buffers of x's shape."""
-    np.right_shift(x, _S32, out=xh)
-    np.bitwise_and(x, _LOW32, out=xl)
-    np.multiply(xl, ml, out=t)
-    np.right_shift(t, _S32, out=t)
-    np.multiply(xh, ml, out=u)
+    np.right_shift(x, _S32, xh)
+    np.bitwise_and(x, _LOW32, xl)
+    np.multiply(xl, ml, t)
+    np.right_shift(t, _S32, t)
+    np.multiply(xh, ml, u)
     u += t  # xh * ml + (xl * ml >> 32)
-    np.multiply(xl, mh, out=t)
-    np.bitwise_and(u, _LOW32, out=xl)
+    np.multiply(xl, mh, t)
+    np.bitwise_and(u, _LOW32, xl)
     t += xl  # xl * mh + (u & low32)
     xh *= mh
-    np.right_shift(u, _S32, out=u)
+    np.right_shift(u, _S32, u)
     xh += u
-    np.right_shift(t, _S32, out=t)
+    np.right_shift(t, _S32, t)
     xh += t
 
 

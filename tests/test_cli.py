@@ -914,6 +914,34 @@ def test_a_huge_stack_is_rejected_before_scheduling(monkeypatch, tmp_path, capsy
     assert cli.STACK_MAX == 2**16 and f"1 to {cli.STACK_MAX}" in usage
 
 
+@pytest.mark.parametrize("action", ["collapse", "singleshot"])
+def test_too_many_workers_are_rejected_before_any_process_starts(
+    monkeypatch, tmp_path, capsys, action
+):
+    """`simulate --workers` above `WORKERS_MAX` (here 10^6, with as many
+    trials) exits 2 at parsing, naming the bound, and writes nothing; the
+    process pool is replaced so that no process starts even if the check
+    were gone."""
+    import concurrent.futures
+
+    from colexjump import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for workers in (str(10**6), str(cli.WORKERS_MAX + 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", action, "--builtin", "tetra15", "--trials", str(10**6),
+                  "--workers", workers, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and f"must be below {cli.WORKERS_MAX + 1}" in err
+    assert not (tmp_path / "out").exists()
+    usage = cli._parsers()[1]["simulate", action].format_help()
+    assert cli.WORKERS_MAX == 64 and f"1 to {cli.WORKERS_MAX}" in usage
+
+
 # -- the CLI contract, fuzzed ------------------------------------------------------
 
 # Value pools by flag, as (good values, bad values). The bad ones are

@@ -18,6 +18,7 @@ from colexjump.jump import (
     encoded_3d,
     encoded_state,
     ideal_collapse,
+    inner_plaquette_priority,
     ideal_decode_2d,
     logical_operator,
     single_shot_decode,
@@ -475,6 +476,100 @@ def test_discard_matches_operator_oracle(ctx, state_case, drop):
             extract_flux(state, ctx.split, pair, basis, rng, ctx.duals[pair])
     for _ in range(extra):
         x, z = (int(rng.integers(1 << len(inner))) << inner[0] for _ in "XZ")
+        state.measure(PauliOperator(ctx.n3, x, z), rng)
+    before = [row[:] for row in _rows(state)]
+    got = _outcome(discard_qubits, state, drop)
+    assert [row[:] for row in _rows(state)] == before
+    want = _outcome(oracle.discard_qubits, state, drop)
+    if isinstance(want, Tableau):
+        assert isinstance(got, Tableau) and got.n == want.n
+        for a, b in ((got, want), (want, got)):
+            for r in range(a.n, 2 * a.n):
+                assert b.expect(PauliOperator(a.n, a.xs[r], a.zs[r])) == a.signs[r]
+        assert_symplectic(got)
+        assert_columns(got)
+    else:
+        assert got == want
+
+
+def _noisy_flux_measured(ctx, state, rng, p):
+    """Pauli noise at rate p per type on every qubit, then the 12 flux
+    measurements of a collapse, on `state` in place."""
+    ex, ez = (sum(1 << q for q in np.flatnonzero(rng.random(ctx.n3) < p).tolist()) for _ in "XZ")
+    state.apply(PauliOperator(ctx.n3, ex, ez))
+    for basis, pair, duals in ctx.slots:
+        extract_flux(state, ctx.split, pair, basis, rng, duals)
+
+
+@pytest.mark.parametrize("logical", ["zero", "plus"])
+def test_encoded_3d_rows_are_in_the_discards_reduced_form(ctx, logical):
+    """The stabilizer rows `encoded_3d` builds stay in the form the inner
+    block's discard leaves them in after noise and the flux measurements:
+    in the discard's pivot order (x then z of each inner qubit, the lowest
+    unused row with the bit), every pivot is the only row holding its
+    column, so the discard makes no row product (none of its `flip_columns`
+    calls happens). The prepared state is the unreduced one: each fixes
+    the other's stabilizer rows with their signs."""
+    from colexjump import jump
+
+    unreduced = encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx))
+    prepared = encoded_3d(ctx, logical)
+    n = ctx.n3
+    for a, b in ((prepared, unreduced), (unreduced, prepared)):
+        for r in range(n, 2 * n):
+            assert b.expect(PauliOperator(n, a.xs[r], a.zs[r])) == a.signs[r]
+    inner = list(ctx.split.inner_vertices)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        state = prepared.copy()
+        _noisy_flux_measured(ctx, state, rng, (0.05, 0.2, 1.0)[seed % 3])
+        used = set()
+        for q in inner:
+            for part in (state.xs, state.zs):
+                hits = {i for i in range(n) if part[n + i] >> q & 1}
+                free = hits - used
+                if free:
+                    pivot = min(free)
+                    used.add(pivot)
+                    assert hits == {pivot}, (seed, q, sorted(hits))
+        assert len(used) == len(inner)
+        flips = []
+        real = jump.flip_columns
+        jump.flip_columns = lambda *args: flips.append(args) or real(*args)
+        try:
+            discard_qubits(state, inner)
+        finally:
+            jump.flip_columns = real
+        assert flips == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _NOISY_TETRA15,
+    st.one_of(
+        st.permutations(list(range(7, 15))),  # tetra15's inner vertices, any order
+        st.lists(st.integers(0, 14), min_size=1, max_size=14, unique=True),
+    ),
+)
+def test_discard_of_unreduced_states_matches_operator_oracle(ctx, state_case, drop):
+    """The check of `test_discard_matches_operator_oracle`, on the encoded
+    3D state as `encoded_state` builds it, before `encoded_3d` reduces its
+    rows: here the elimination makes row products, so its general path
+    stays under the operator-based oracle too.
+
+    The inner-block Paulis measured after the flux have an even number of
+    Y factors: the tableau tracks real signs, so an operator with an odd
+    number (anti-Hermitian in the X-left form) lies outside its contract."""
+    inner = list(ctx.split.inner_vertices)
+    logical, seed, p, extra = state_case
+    rng = np.random.default_rng(seed)
+    state = encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx))
+    _noisy_flux_measured(ctx, state, rng, p)
+    for _ in range(extra):
+        x, z = (int(rng.integers(1 << len(inner))) << inner[0] for _ in "XZ")
+        y = x & z
+        if y.bit_count() & 1:
+            z ^= y & -y  # that Y becomes an X
         state.measure(PauliOperator(ctx.n3, x, z), rng)
     before = [row[:] for row in _rows(state)]
     got = _outcome(discard_qubits, state, drop)

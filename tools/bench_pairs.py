@@ -28,12 +28,15 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   `--workers` 1 and 2. A state is digested by its canonical signed
   stabilizer group, not by its tableau rows, so that two checkouts that
   hold the same states in different rows digest alike;
+- the stage split of a collapse-tableau trial (`tableau-stages`): per
+  side, `--pairs` interleaved processes, each the median microseconds per
+  trial of every step on fixed seeds, and the median of those medians;
 - per side, `--pairs` interleaved pairs of whole `simulate collapse` and
   `simulate singleshot --kind 3d` processes on tetra15 at 10^5 and 10^6
   trials with `--workers` 1 and 2, timed by wall clock (`cli-times`).
 
-`python3 tools/bench_pairs.py digest W`, `... jump-times` and `... cli-times
-W [--pairs N]` run one side's part in a checkout whose `src/` is on
+`python3 tools/bench_pairs.py digest W`, `... jump-times`, `... tableau-stages`
+and `... cli-times W [--pairs N]` run one side's part in a checkout whose `src/` is on
 PYTHONPATH. None of them sets a thread-count environment variable.
 """
 
@@ -78,6 +81,28 @@ SINGLE_SHOT_TRIALS = 1030
 PHILOX_SHAPES = ((400, 42), (30, 28), (30, 75), (70, 42), (512, 75))
 PHILOX_SEEDS = (0, 808, 2**64 - 1)
 JUMP_TRIALS = 600
+# the steps of a collapse-tableau trial that `tableau_stages` times, each the
+# self time of a function wrapped at the one binding site the trial calls it
+# through: "slot lookup" is what `collapse` does between its callees, "logical
+# read" what `_collapse_step` does after its callees, "trial glue" what
+# `_tableau_trial` does around its callees
+STAGES = {
+    "copy": ("tableau", "Tableau.copy"),
+    "noise": ("montecarlo", "_apply_noise"),
+    "slot measurement": ("jump", "_measure_slots"),
+    "slot lookup": ("montecarlo", "collapse"),
+    "discard": ("jump", "discard_qubits"),
+    "finish": ("jump", "_finish_collapse"),
+    "2D decode": ("montecarlo", "ideal_decode_2d"),
+    "logical read": ("montecarlo", "_collapse_step"),
+    "residual key": ("montecarlo", "CollapsePlan.residual_key"),
+    "trial glue": ("montecarlo", "_tableau_trial"),
+}
+# collapse-tableau's noise and op size (perfbench's workload), and the
+# batches each `tableau-stages` process times after one warm-up batch
+STAGE_NOISE = (0.05, 0.05, 808)
+STAGE_BATCH = 70
+STAGE_BATCHES = 60
 # the timed `simulate` commands (flags after `simulate`) and trial counts
 CLI_COMMANDS = {"collapse": ["collapse"], "singleshot-3d": ["singleshot", "--kind", "3d"]}
 CLI_TRIALS = (10**5, 10**6)
@@ -98,7 +123,13 @@ METHOD = (
     "(workers 1 first on odd i), wall seconds per whole process, speedup = workers-1 "
     "median / workers-2 median; no thread-count variable set. output_digest: sha256 of "
     "the outputs listed in the script's docstring, states by their canonical signed "
-    "stabilizer group, once per side in the same work directory."
+    "stabilizer group, once per side in the same work directory. tableau_stages: tetra15 "
+    "rgb, NoiseSpec(0.05, 0.05, 808), one warm-up batch then 60 batches of 70 trials, "
+    "each batch drawn as `_tableau_batch` draws it (the draw's time split evenly over its "
+    "trials) and each trial run by `montecarlo._tableau_trial` with the functions of "
+    "STAGES wrapped by self-time timers (time.perf_counter_ns); per process the median "
+    "us/trial of each stage and of the whole trial, one process per side per pair, "
+    "alternating as above, and per side the median over processes."
 )
 
 
@@ -224,6 +255,64 @@ def jump_times() -> dict:
     return out
 
 
+def tableau_stages() -> dict:
+    """Median microseconds per trial of each step of a collapse-tableau
+    trial (`STAGES`, "draw" and "total"), over the trials of one process."""
+    import importlib
+
+    from colexjump import montecarlo
+    from colexjump.colex import minimal_colex
+    from colexjump.jump import make_context
+    from colexjump.noise import NoiseSpec, TrialStream, philox_words, uniforms
+
+    ctx = make_context(minimal_colex(3), "rgb")
+    noise = NoiseSpec(*STAGE_NOISE)
+    width = 2 * ctx.n3 + sum(len(duals) for _, _, duals in ctx.slots)
+    spent: dict[str, int] = {}  # stage -> self nanoseconds in the current trial
+    children = [0]  # per open span, the time its child spans took
+
+    def timed(stage, fn):
+        def wrapper(*args, **kwargs):
+            children.append(0)
+            t0 = time.perf_counter_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                took = time.perf_counter_ns() - t0
+                spent[stage] = spent.get(stage, 0) + took - children.pop()
+                children[-1] += took
+
+        return wrapper
+
+    restore = []
+    for stage, (module, name) in STAGES.items():
+        owner = importlib.import_module(f"colexjump.{module}")
+        *path, attr = name.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        restore.append((owner, attr, owner.__dict__[attr]))
+        setattr(owner, attr, timed(stage, getattr(owner, attr)))
+    samples: dict[str, list[float]] = {s: [] for s in ("draw", *STAGES, "total")}
+    try:
+        for b in range(STAGE_BATCHES + 1):
+            first = b * STAGE_BATCH
+            t0 = time.perf_counter_ns()
+            rows = uniforms(philox_words(noise.seed, first, STAGE_BATCH, width))
+            draw = (time.perf_counter_ns() - t0) / STAGE_BATCH
+            for t, row in enumerate(rows, first):
+                spent.clear()
+                montecarlo._tableau_trial(ctx, noise, t, TrialStream(noise.seed, t, row))
+                if b:  # the first batch warms up
+                    samples["draw"].append(draw / 1e3)
+                    for stage in STAGES:
+                        samples[stage].append(spent.get(stage, 0) / 1e3)
+                    samples["total"].append((draw + sum(spent.values())) / 1e3)
+    finally:
+        for owner, attr, fn in restore:
+            setattr(owner, attr, fn)
+    return {stage: statistics.median(v) for stage, v in samples.items()}
+
+
 def cli_times(work: Path, pairs: int) -> dict:
     """Wall seconds of whole `simulate` processes with `--workers` 1 and 2,
     per command and trial count, over `pairs` interleaved pairs."""
@@ -328,6 +417,15 @@ def compare(args) -> dict:
                 times[action][side].append(us)
     result["jump_trial_us"] = {a: _summary(v, "lower") for a, v in times.items()}
 
+    stages = {"parent": [], "change": []}
+    for i in range(1, args.pairs + 1):
+        for side in _order(i):
+            stages[side].append(json.loads(_run(roots[side], [me, "tableau-stages"])))
+    result["tableau_stages_us"] = {
+        side: {s: statistics.median(r[s] for r in runs) for s in runs[0]}
+        for side, runs in stages.items()
+    } | {"runs": stages}
+
     traced = {}
     for side, root in roots.items():
         out = json.loads(_run(root, [
@@ -348,6 +446,7 @@ def main(argv=None) -> int:
     one = sub.add_parser("digest")
     one.add_argument("work", type=Path)
     sub.add_parser("jump-times")
+    sub.add_parser("tableau-stages")
     cli = sub.add_parser("cli-times")
     cli.add_argument("work", type=Path)
     cli.add_argument("--pairs", type=int, default=10)
@@ -362,6 +461,8 @@ def main(argv=None) -> int:
         print(digest(args.work))
     elif args.mode == "jump-times":
         print(json.dumps(jump_times()))
+    elif args.mode == "tableau-stages":
+        print(json.dumps(tableau_stages()))
     elif args.mode == "cli-times":
         print(json.dumps(cli_times(args.work, args.pairs)))
     else:
