@@ -251,31 +251,31 @@ def encoded_3d(ctx: JumpContext, logical: str = "zero") -> Tableau:
     """
     state = encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx))
     n, drop = state.n, list(ctx.split.inner_vertices)
-    xs, zs, signs = state.xs, state.zs, state.signs
-    stab = (xs[n:], zs[n:], signs[n:])
-    partners = (xs[:n], zs[:n], signs[:n])
-    xcol = [c >> n for c in state.xcol]
-    zcol = [c >> n for c in state.zcol]
-    _eliminate(*stab, xcol, zcol, drop, sum(1 << q for q in drop), partners)
-    return Tableau(n, partners[0] + stab[0], partners[1] + stab[1], partners[2] + stab[2])
+    dxs, dzs, dsigns = state.xs[:n], state.zs[:n], state.signs[:n]
+    xs, zs, signs, _ = _eliminate(state, drop, sum(1 << q for q in drop), (dxs, dzs, dsigns))
+    return Tableau(n, dxs + xs, dzs + zs, dsigns + signs)
 
 
 # -- tableau surgery ---------------------------------------------------------------
 
 
-def _eliminate(xs, zs, signs, xcol, zcol, drop, drop_mask, partners=None) -> int:
+def _eliminate(state: Tableau, drop, drop_mask: int, partners=None) -> tuple:
     """Gauss-Jordan elimination of the dropped qubits' columns (x then z per
-    qubit of `drop`, in order) on the stabilizer rows (xs, zs, signs), in
-    place; returns the mask of the pivot rows.
+    qubit of `drop`, in order) on copies of the stabilizer rows of `state`;
+    returns the rows (xs, zs, signs) and the mask of the pivot rows.
 
     The lowest unused row with the bit is the pivot, and every other row
     with it becomes its product with the pivot (X-left sign rule, as in
-    `Tableau.measure`). `xcol[q]` / `zcol[q]` hold the rows with qubit q's
-    X / Z bit, kept up to date for the dropped qubits. A pivot that is its
-    column's only row changes nothing. With `partners`, the destabilizer
-    rows (xs, zs, signs), each S_i <- S_i S_p also does D_p <- D_p D_i, which
+    `Tableau.measure`). A pivot that is its column's only row changes
+    nothing. With `partners`, lists of the destabilizer rows (xs, zs,
+    signs), each S_i <- S_i S_p also does D_p <- D_p D_i in them, which
     keeps the pairing <D_j, S_k> = delta_jk.
     """
+    n = state.n
+    xs, zs, signs = state.xs[n:], state.zs[n:], state.signs[n:]
+    # the rows that hold each dropped qubit's X / Z bit, kept up to date
+    xcol = {q: state.xcol[q] >> n for q in drop}
+    zcol = {q: state.zcol[q] >> n for q in drop}
     used = 0
     for q in drop:
         for col in (xcol, zcol):
@@ -306,7 +306,7 @@ def _eliminate(xs, zs, signs, xcol, zcol, drop, drop_mask, partners=None) -> int
                     dsigns[pivot] = -sign if (dzs[pivot] & dxs[i]).bit_count() & 1 else sign
                     dxs[pivot] ^= dxs[i]
                     dzs[pivot] ^= dzs[i]
-    return used
+    return xs, zs, signs, used
 
 
 def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
@@ -336,10 +336,7 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     """
     n = state.n
     drop_mask, runs = _discard_layout(n, tuple(drop))
-    xs, zs, signs = state.xs[n:], state.zs[n:], state.signs[n:]
-    xcol = {q: state.xcol[q] >> n for q in drop}
-    zcol = {q: state.zcol[q] >> n for q in drop}
-    used = _eliminate(xs, zs, signs, xcol, zcol, drop, drop_mask)
+    xs, zs, signs, used = _eliminate(state, drop, drop_mask)
     dxs, dzs = state.xs, state.zs
     sx, sz, dx, dz, ss = [], [], [], [], []
     for i in range(n):
