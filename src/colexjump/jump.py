@@ -84,9 +84,9 @@ class JumpContext:
     also placed on the outer qubits of the 3D state (`outer_logicals3`);
     and its plaquette checks, compiled for readout on the 2D state
     (`plaquettes2`) and on the outer qubits of the 3D state
-    (`outer_plaquettes3`). It also holds the
-    collapse's slot table (`slot_repairs`) and the slots' dual count
-    (`dual_count`), the width of a collapse's flip draw.
+    (`outer_plaquettes3`). It also holds the collapse's slot table
+    (`slot_repairs`) and the slots' dual count (`dual_count`), the width of
+    a collapse's flip draw.
     """
 
     colex3: Colex
@@ -479,7 +479,8 @@ def decode_checks(state: Tableau, readout: CheckReadout) -> tuple[PauliOperator,
         found = readout.corrections.get(key)
         if found is None:
             op = PauliOperator.from_support(readout.n, corr_basis, readout.table[key[1]])
-            placed = op if readout.positions is None else embed_operator(op, state.n, readout.positions)
+            positions = readout.positions
+            placed = op if positions is None else embed_operator(op, state.n, positions)
             found = readout.corrections[key] = op, placed
         state.apply(found[1])
         corrections.append(found[0])

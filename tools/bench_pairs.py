@@ -35,9 +35,10 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   `simulate singleshot --kind 3d` processes on tetra15 at 10^5 and 10^6
   trials with `--workers` 1 and 2, timed by wall clock (`cli-times`).
 
-`python3 tools/bench_pairs.py digest W`, `... jump-times`, `... tableau-stages`
-and `... cli-times W [--pairs N]` run one side's part in a checkout whose `src/` is on
-PYTHONPATH. None of them sets a thread-count environment variable.
+`python3 tools/bench_pairs.py digest W`, `... jump-times`, `...
+tableau-stages` and `... cli-times W [--pairs N]` run one side's part in a
+checkout whose `src/` is on PYTHONPATH. None of them sets a thread-count
+environment variable.
 """
 
 from __future__ import annotations
