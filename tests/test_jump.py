@@ -18,8 +18,8 @@ from colexjump.jump import (
     encoded_3d,
     encoded_state,
     ideal_collapse,
-    inner_plaquette_priority,
     ideal_decode_2d,
+    inner_plaquette_priority,
     logical_operator,
     single_shot_decode,
     single_shot_ec,
@@ -492,6 +492,13 @@ def test_discard_matches_operator_oracle(ctx, state_case, drop):
         assert got == want
 
 
+def _assert_same_state(a, b):
+    """Each tableau's stabilizer rows fix the other's state with their signs."""
+    for s, t in ((a, b), (b, a)):
+        for r in range(s.n, 2 * s.n):
+            assert t.expect(PauliOperator(s.n, s.xs[r], s.zs[r])) == s.signs[r]
+
+
 def _noisy_flux_measured(ctx, state, rng, p):
     """Pauli noise at rate p per type on every qubit, then the 12 flux
     measurements of a collapse, on `state` in place."""
@@ -502,7 +509,7 @@ def _noisy_flux_measured(ctx, state, rng, p):
 
 
 @pytest.mark.parametrize("logical", ["zero", "plus"])
-def test_encoded_3d_rows_are_in_the_discards_reduced_form(ctx, logical):
+def test_encoded_3d_rows_are_in_the_discards_reduced_form(ctx, logical, monkeypatch):
     """The stabilizer rows `encoded_3d` builds stay in the form the inner
     block's discard leaves them in after noise and the flux measurements:
     in the discard's pivot order (x then z of each inner qubit, the lowest
@@ -512,13 +519,13 @@ def test_encoded_3d_rows_are_in_the_discards_reduced_form(ctx, logical):
     the other's stabilizer rows with their signs."""
     from colexjump import jump
 
-    unreduced = encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx))
     prepared = encoded_3d(ctx, logical)
+    _assert_same_state(prepared, encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx)))
     n = ctx.n3
-    for a, b in ((prepared, unreduced), (unreduced, prepared)):
-        for r in range(n, 2 * n):
-            assert b.expect(PauliOperator(n, a.xs[r], a.zs[r])) == a.signs[r]
     inner = list(ctx.split.inner_vertices)
+    flips = []
+    real = jump.flip_columns
+    monkeypatch.setattr(jump, "flip_columns", lambda *args: flips.append(args) or real(*args))
     for seed in range(40):
         rng = np.random.default_rng(seed)
         state = prepared.copy()
@@ -533,13 +540,7 @@ def test_encoded_3d_rows_are_in_the_discards_reduced_form(ctx, logical):
                     used.add(pivot)
                     assert hits == {pivot}, (seed, q, sorted(hits))
         assert len(used) == len(inner)
-        flips = []
-        real = jump.flip_columns
-        jump.flip_columns = lambda *args: flips.append(args) or real(*args)
-        try:
-            discard_qubits(state, inner)
-        finally:
-            jump.flip_columns = real
+        discard_qubits(state, inner)
         assert flips == []
 
 
@@ -577,9 +578,7 @@ def test_discard_of_unreduced_states_matches_operator_oracle(ctx, state_case, dr
     want = _outcome(oracle.discard_qubits, state, drop)
     if isinstance(want, Tableau):
         assert isinstance(got, Tableau) and got.n == want.n
-        for a, b in ((got, want), (want, got)):
-            for r in range(a.n, 2 * a.n):
-                assert b.expect(PauliOperator(a.n, a.xs[r], a.zs[r])) == a.signs[r]
+        _assert_same_state(got, want)
         assert_symplectic(got)
         assert_columns(got)
     else:
