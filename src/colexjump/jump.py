@@ -330,9 +330,7 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     break the destabilizers' mutual commutation, which a symplectic
     Gram-Schmidt restores: for i < j, D_j <- D_j S_i where D_j anticommutes
     with D_i. No synthesis runs, so `from_stabilizers` stays once per
-    context, and the result's columns are built from its rows here, not by
-    a second pass in `Tableau.__init__`. Destabilizer signs, which nothing
-    reads, are +1.
+    context. Destabilizer signs, which nothing reads, are +1.
     """
     n = state.n
     drop_mask, runs = _discard_layout(n, tuple(drop))
@@ -366,21 +364,7 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
             if ((x & dz[i]) ^ (z & dx[i])).bit_count() & 1:
                 dx[j] ^= sx[i]
                 dz[j] ^= sz[i]
-    rx, rz = dx + sx, dz + sz
-    # the result's columns: bit r of column q is row r's bit q
-    cx, cz = [0] * k, [0] * k
-    for r in range(2 * k):
-        bit = 1 << r
-        x, z = rx[r], rz[r]
-        while x:
-            low = x & -x
-            cx[low.bit_length() - 1] |= bit
-            x ^= low
-        while z:
-            low = z & -z
-            cz[low.bit_length() - 1] |= bit
-            z ^= low
-    return Tableau._of(k, rx, rz, [1] * k + ss, cx, cz)
+    return Tableau(k, dx + sx, dz + sz, [1] * k + ss)
 
 
 @lru_cache(maxsize=64)
@@ -420,7 +404,11 @@ def _spread(mask: int, runs: list[tuple[int, int, int]]) -> int:
 
 def embed_operator(op: PauliOperator, n_total: int, positions: list[int]) -> PauliOperator:
     """op on qubits 0..op.n-1 placed on qubits positions[0..op.n-1] of n_total."""
-    runs = _runs(positions)
+    return _embed_runs(op, n_total, _runs(positions))
+
+
+def _embed_runs(op: PauliOperator, n_total: int, runs) -> PauliOperator:
+    """op placed on an n_total-qubit state by the `_runs` of its positions."""
     return PauliOperator(n_total, _spread(op.x, runs), _spread(op.z, runs), op.sign)
 
 
@@ -855,8 +843,7 @@ def single_shot_ec(
             value = -value
         outcomes[pi] = value
     report = single_shot_decode(code, dual, outcomes, basis)
-    c = report.correction
-    state.apply(PauliOperator(state.n, _spread(c.x, runs), _spread(c.z, runs), c.sign))
+    state.apply(_embed_runs(report.correction, state.n, runs))
     return state, report
 
 

@@ -220,7 +220,11 @@ def _columns(rows: list[int], n: int) -> list[int]:
     """The n column masks of `rows`: bit r of column q is bit q of rows[r]."""
     cols = [0] * n
     for r, row in enumerate(rows):
-        flip_columns(cols, row, 1 << r)
+        bit = 1 << r
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
     return cols
 
 

@@ -31,12 +31,14 @@ scratch directory for CLI outputs. On fixed seeds the script records:
 - the stage split of a collapse-tableau trial (`tableau-stages`): per
   side, `--pairs` interleaved processes, each the median microseconds per
   trial of every step on fixed seeds, and the median of those medians;
-- per side, `--pairs` interleaved pairs of whole `simulate collapse` and
-  `simulate singleshot --kind 3d` processes on tetra15 at 10^5 and 10^6
-  trials with `--workers` 1 and 2, timed by wall clock (`cli-times`).
+- whole `simulate collapse` and `simulate singleshot --kind 3d` processes
+  on tetra15 at 10^5 and 10^6 trials with `--workers` 1 and 2, timed by
+  wall clock (`cli-times`): per pair one process per side, the sides
+  alternating as for perfbench, with per-command medians, quartiles and
+  pair wins.
 
 `python3 tools/bench_pairs.py digest W`, `... jump-times`, `...
-tableau-stages` and `... cli-times W [--pairs N]` run one side's part in a
+tableau-stages` and `... cli-times W --pair I` run one side's part in a
 checkout whose `src/` is on PYTHONPATH. None of them sets a thread-count
 environment variable.
 """
@@ -118,11 +120,11 @@ METHOD = (
     "(time.process_time) of trials 0..599, median per process; one process per side "
     "per pair, alternating as above; uncalibrated, not a perfbench workload. "
     "traced_collapse_tableau: perfbench/run.py --workload collapse-tableau --seed 2001 "
-    "--trace 1, once per side. cli_times: per side one process running `pairs` pairs; "
-    "pair i runs, per command and trial count, `python -m colexjump.cli simulate ... "
-    "--builtin tetra15 --p 0.02 --q 0.02 --seed 2000 + i` with --workers 1 and 2 "
-    "(workers 1 first on odd i), wall seconds per whole process, speedup = workers-1 "
-    "median / workers-2 median; no thread-count variable set. output_digest: sha256 of "
+    "--trace 1, once per side. cli_times_s: for pair i in 1..pairs, one process per side, "
+    "alternating as above, runs per command and trial count `python -m colexjump.cli "
+    "simulate ... --builtin tetra15 --p 0.02 --q 0.02 --seed 2000 + i` with --workers 1 "
+    "and 2 (workers 1 first on odd i), wall seconds per whole process; cli_speedup per "
+    "side = workers-1 median / workers-2 median; no thread-count variable set. output_digest: sha256 of "
     "the outputs listed in the script's docstring, states by their canonical signed "
     "stabilizer group, once per side in the same work directory. tableau_stages: tetra15 "
     "rgb, NoiseSpec(0.05, 0.05, 808), one warm-up batch then 60 batches of 70 trials, "
@@ -314,31 +316,26 @@ def tableau_stages() -> dict:
     return {stage: statistics.median(v) for stage, v in samples.items()}
 
 
-def cli_times(work: Path, pairs: int) -> dict:
+def cli_times(work: Path, pair: int) -> dict:
     """Wall seconds of whole `simulate` processes with `--workers` 1 and 2,
-    per command and trial count, over `pairs` interleaved pairs."""
-    keys = [f"{name} {trials}" for name in CLI_COMMANDS for trials in CLI_TRIALS]
-    runs = {key: {"1": [], "2": []} for key in keys}
-    for i in range(1, pairs + 1):
-        for name, flags in CLI_COMMANDS.items():
-            for trials in CLI_TRIALS:
-                for workers in ("1", "2") if i % 2 else ("2", "1"):
-                    out_dir = work / f"cli-{name}-w{workers}"
-                    argv = [
-                        sys.executable, "-m", "colexjump.cli", "simulate", *flags,
-                        "--builtin", "tetra15", "--p", "0.02", "--q", "0.02",
-                        "--seed", str(FIRST_SEED + i - 1), "--trials", str(trials),
-                        "--workers", workers, "--out-dir", str(out_dir),
-                    ]
-                    t0 = time.perf_counter()
-                    subprocess.run(argv, check=True, capture_output=True)
-                    runs[f"{name} {trials}"][workers].append(time.perf_counter() - t0)
-                    shutil.rmtree(out_dir)
-    result = {"thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES}}
-    for key, times in runs.items():
-        one, two = statistics.median(times["1"]), statistics.median(times["2"])
-        result[key] = {"workers_1_s": times["1"], "workers_2_s": times["2"], "speedup": one / two}
-    return result
+    per command and trial count, on pair `pair`'s seed."""
+    times = {}
+    for name, flags in CLI_COMMANDS.items():
+        for trials in CLI_TRIALS:
+            runs = times[f"{name} {trials}"] = {}
+            for workers in ("1", "2") if pair % 2 else ("2", "1"):
+                out_dir = work / f"cli-{name}-w{workers}"
+                argv = [
+                    sys.executable, "-m", "colexjump.cli", "simulate", *flags,
+                    "--builtin", "tetra15", "--p", "0.02", "--q", "0.02",
+                    "--seed", str(FIRST_SEED + pair - 1), "--trials", str(trials),
+                    "--workers", workers, "--out-dir", str(out_dir),
+                ]
+                t0 = time.perf_counter()
+                subprocess.run(argv, check=True, capture_output=True)
+                runs[workers] = time.perf_counter() - t0
+                shutil.rmtree(out_dir)
+    return times
 
 
 # -- both sides --------------------------------------------------------------------
@@ -378,7 +375,11 @@ def compare(args) -> dict:
     work = args.work.resolve()
     work.mkdir(parents=True, exist_ok=True)
     result = {
-        "environment": {"python": sys.version.split()[0], "cpus": os.cpu_count()},
+        "environment": {
+            "python": sys.version.split()[0],
+            "cpus": os.cpu_count(),
+            "thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+        },
         "method": METHOD,
     }
 
@@ -436,8 +437,23 @@ def compare(args) -> dict:
         traced[side] = {name: out["metrics"][name]["value"] for name in TRACED}
     result["traced_collapse_tableau"] = traced
 
-    argv = [me, "cli-times", str(work), "--pairs", str(args.pairs)]
-    result["cli_times"] = {side: json.loads(_run(root, argv)) for side, root in roots.items()}
+    cli = {}
+    for i in range(1, args.pairs + 1):
+        for side in _order(i):
+            out = json.loads(_run(roots[side], [me, "cli-times", str(work), "--pair", str(i)]))
+            for key, runs in out.items():
+                for workers, seconds in runs.items():
+                    name = f"{key} workers {workers}"
+                    cli.setdefault(name, {"parent": [], "change": []})[side].append(seconds)
+    result["cli_times_s"] = {name: _summary(v, "lower") for name, v in cli.items()}
+    result["cli_speedup"] = {
+        key: {
+            side: statistics.median(cli[f"{key} workers 1"][side])
+            / statistics.median(cli[f"{key} workers 2"][side])
+            for side in roots
+        }
+        for key in dict.fromkeys(name.rsplit(" workers ", 1)[0] for name in cli)
+    }
     return result
 
 
@@ -450,7 +466,7 @@ def main(argv=None) -> int:
     sub.add_parser("tableau-stages")
     cli = sub.add_parser("cli-times")
     cli.add_argument("work", type=Path)
-    cli.add_argument("--pairs", type=int, default=10)
+    cli.add_argument("--pair", type=int, required=True)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
     ap.add_argument("--work", type=Path)
@@ -465,7 +481,7 @@ def main(argv=None) -> int:
     elif args.mode == "tableau-stages":
         print(json.dumps(tableau_stages()))
     elif args.mode == "cli-times":
-        print(json.dumps(cli_times(args.work, args.pairs)))
+        print(json.dumps(cli_times(args.work, args.pair)))
     else:
         if None in (args.parent, args.change, args.work, args.out):
             ap.error("--parent, --change, --work and --out are required")
