@@ -16,7 +16,11 @@ byte-indexed tables of its draw bits' effect and precomposed lookup
 tables, and a batch of `BATCH_TRIALS` trials runs one vectorised Philox
 draw (`noise.philox_words`, the same words as each trial's own generator,
 compared as integers with `noise.word_threshold`), then table gathers
-only: no matrix product and no per-trial Python call.
+only: no matrix product and no per-trial Python call. Both compilers run
+their trial on one frame state, `_Frame`: a copy of the encoded state
+with every random outcome forced to +1, and the frame as one form per
+qubit, which measures an operator (a random outcome is a draw, and the
+frame takes the replaced row) and reads a check that the reference holds.
 
 Collapse trials run on a `CollapsePlan`, compiled once per context and
 cached on it: each residual coset's lightest member and its weight and
@@ -36,13 +40,12 @@ the same per-batch tally (`_tally`); the collapse residual accounting is a
 gather from a dense per-key table and `np.bincount` counts.
 
 Single-shot trials run on a `SingleShotPlan`, compiled once per code and
-cached on it. One noiseless tableau pass per encoded state records every
-plaquette's reference outcome, or, for a random one, the stabilizer row
-its measurement replaces, and the reference values of the final checks;
-see `run_single_shot_trials` for why a random outcome updates the frame by
-the replaced row. Its program has one lookup per round into the code's
-decode table (`jump.DualStructure`), which holds the one decoder's result
-for every key.
+cached on it. It builds each encoded state once, and its compile runs
+both rounds and the final checks on a `_Frame` of each; see `_Frame` for
+why a random outcome updates the frame by the replaced row. Its program
+has one lookup per round into the code's decode table
+(`jump.DualStructure`), which holds the one decoder's result for every
+key.
 """
 
 from __future__ import annotations
@@ -60,9 +63,7 @@ from .gf2 import BitMatrix, checks_table
 from .jump import (
     JumpContext,
     _code_dual_structure,
-    _read_syndrome,
     blow_up,
-    check_readout,
     collapse,
     encoded_state,
     ideal_decode_2d,
@@ -80,6 +81,7 @@ from .noise import (
     word_threshold,
 )
 from .pauli import PauliOperator
+from .tableau import Tableau
 
 
 @dataclass
@@ -157,12 +159,6 @@ class _Forms:
         self.vars += 1
         return 1 << self.vars - 1
 
-    def noise(self, n: int, noisy: bool) -> tuple[list, list]:
-        """The frame after qubit noise (X part, Z part): the X then the Z
-        draw of every qubit when `noisy`, else the identity."""
-        frame = [self.draw(_NOISE) if noisy else 0 for _ in range(2 * n)]
-        return frame[:n], frame[n:]
-
     def look_up(self, key: list[int], table: np.ndarray, sizes: np.ndarray) -> list[int]:
         """Output `key` (its bit i is key[i]); returns the forms of the 0/1
         correction in row key of `table`. `sizes` holds each row's |delta0|."""
@@ -170,6 +166,56 @@ class _Forms:
         self.outputs += key
         self.vars += table.shape[1]
         return [1 << j for j in range(self.vars - table.shape[1], self.vars)]
+
+
+class _Frame:
+    """One trial on affine forms (`forms`) against its reference state.
+
+    The reference is a copy of an encoded state on which every random
+    outcome is forced to +1. The frame F = (fx, fz), one form per qubit, is
+    the Pauli that maps the reference onto the trial's state; it starts as
+    the X then the Z noise draw of every qubit when `noisy`, else the
+    identity, and corrections XOR into it. A determinate outcome of M is
+    the reference value times (-1)^<F, M>. A random one is an outcome draw
+    o: the reference was projected with (1 + M)/2, and (1 + oM) F =
+    F (1 + sM) with s = o (-1)^<F, M>; for s = -1 the row G that the
+    measurement replaces anticommutes with M and fixes the reference up to
+    sign, so (1 - M)|ref> = +-G (1 + M)|ref>, and the frame becomes F G.
+    Every operator measured or read must be Hermitian, as `Tableau`'s are.
+    """
+
+    def __init__(self, forms: _Forms, state: Tableau, noisy: bool):
+        self.forms, self.state = forms, state.copy()
+        n = state.n
+        frame = [forms.draw(_NOISE) if noisy else 0 for _ in range(2 * n)]
+        self.fx, self.fz = frame[:n], frame[n:]
+
+    def _parity(self, op: PauliOperator) -> int:
+        """<F, op>: the frame's X part reads op's Z part, and vice versa."""
+        return _sum_forms(self.fx, op.z) ^ _sum_forms(self.fz, op.x)
+
+    def measure(self, op: PauliOperator) -> int:
+        """The outcome bit (1 for -1) of measuring op on the trial."""
+        one, state = self.forms.one, self.state
+        flipped = self._parity(op)
+        row = state.pivot_row(op)
+        value = state.measure(op, force=1)
+        if row is None:
+            return flipped ^ (one if value < 0 else 0)
+        up = self.forms.draw(_OUTCOME)
+        taken = one ^ up ^ flipped  # the frame takes G when up == flipped
+        for q in _set_bits(row.x):
+            self.fx[q] ^= taken
+        for q in _set_bits(row.z):
+            self.fz[q] ^= taken
+        return one ^ up  # the outcome is -1 unless up
+
+    def read(self, op: PauliOperator) -> int:
+        """The bit (1 for -1) of a check that the reference holds definitely."""
+        value = self.state.expect(op)
+        if value is None:
+            raise ValueError(f"check {op!r} has no definite value")
+        return self._parity(op) ^ (self.forms.one if value < 0 else 0)
 
 
 # A run of consecutive lookups merges into one lookup over their joined key
@@ -372,10 +418,6 @@ def _sum_forms(forms: list[int], mask: int) -> int:
     return total
 
 
-def _support_mask(support) -> int:
-    return sum(1 << q for q in support)
-
-
 # -- compiled collapse plan -------------------------------------------------------
 
 
@@ -460,25 +502,28 @@ class CollapsePlan(_Compiled):
 
     def _forms(self, noisy: bool, flips: bool) -> tuple[list, np.ndarray]:
         """The collapse trial on affine forms, one block for both encoded
-        states, and its failure table. On a fresh encoded state an inner
-        plaquette reads <F, support> (X errors flip Z-type plaquettes) plus
-        its flip draw, and every slot is read before any correction. Slot s
-        is one lookup, keyed by its observed pattern (bit i for dual i), of
-        the outer string corrections of `ctx.slot_repairs[s]`, which enter
-        the frame half the slot reads. The final key is the residual key,
-        parities of the frame over `key_masks`; the zero state fails by the
-        final decode of its X side, the plus state by that of its Z side."""
+        states, and its failure table. Each inner plaquette is measured on a
+        `_Frame` of the zero state; it reads +1 there, as on the plus state,
+        so it reads <F, M> (X errors flip Z-type plaquettes) plus its flip
+        draw, the same form on both, and every slot is read before any
+        correction. Slot s is one lookup, keyed by its observed pattern (bit
+        i for dual i), of the outer string corrections of
+        `ctx.slot_repairs[s]`, which enter the frame half the slot reads.
+        The final key is the residual key, parities of the frame over
+        `key_masks`; the zero state fails by the final decode of its X side,
+        the plus state by that of its Z side."""
         ctx = self.ctx
         forms = _Forms()
-        fx, fz = forms.noise(ctx.n3, noisy)
+        frame = _Frame(forms, ctx.states3["zero"], noisy)
+        fx, fz = frame.fx, frame.fz
         halves = [fx if basis == "Z" else fz for basis, _, _ in ctx.slots]
         seen = [
             [
-                _sum_forms(half, _support_mask(ctx.colex3.plaquette_vertices(d.plaquette)))
+                frame.measure(plaquette_operator(ctx.colex3, d.plaquette, basis))
                 ^ (forms.draw(_FLIP) if flips else 0)
                 for d in duals
             ]
-            for half, (_, _, duals) in zip(halves, ctx.slots)
+            for basis, _, duals in ctx.slots
         ]
         outer = ctx.split.outer_vertices
         for half, key, repairs in zip(halves, seen, ctx.slot_repairs):
@@ -571,17 +616,18 @@ class CollapseEngine:
     On a freshly prepared encoded state the whole trial is sign-linear:
     plaquette bits never change, Pauli noise only toggles signs, and every
     measured operator stays determinate. An inner plaquette therefore reads
-    the parity of the injected error on its support; the outer plaquette
-    value after discarding equals the parity on its own support; logical
-    flips are support parities of the accumulated error. The engine runs
-    that arithmetic as the context's collapse `FrameProgram`
-    (`CollapsePlan._forms`) on a batch of trials at once. Its draw holds the
-    words of each trial's own generator in the tableau pipeline's order
-    (qubit noise, then one flip per dual), and its slot lookups read
-    `ctx.slot_repairs` as the tableau collapse does, so both engines produce
-    identical trials (asserted in the test suite). `run_trial` is a batch of
-    one; `result` rebuilds a trial's error masks and true patterns from the
-    batch's draw bits and lookup keys.
+    its reference value (+1 on both encoded states) times the parity of the
+    injected error on its support, as a `_Frame` of the zero state measures
+    it; the outer plaquette value after discarding equals the parity on its
+    own support; logical flips are support parities of the accumulated
+    error. The engine runs that arithmetic as the context's collapse
+    `FrameProgram` (`CollapsePlan._forms`) on a batch of trials at once.
+    Its draw holds the words of each trial's own generator in the tableau
+    pipeline's order (qubit noise, then one flip per dual), and its slot
+    lookups read `ctx.slot_repairs` as the tableau collapse does, so both
+    engines produce identical trials (asserted in the test suite).
+    `run_trial` is a batch of one; `result` rebuilds a trial's error masks
+    and true patterns from the batch's draw bits and lookup keys.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -896,48 +942,6 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
 _ROUNDS = ("Z", "X")  # the bases of a trial's two rounds, in measurement order
 
 
-class _Reference:
-    """One reference state's noiseless single-shot pass, recorded.
-
-    `rounds` holds, per measured basis, one step per plaquette in measurement
-    order: (support mask, reference value or None when the outcome is
-    random, X and Z masks of the stabilizer row that a random measurement
-    replaces, the plaquette's decode key mask). `draws` counts the random
-    outcomes of both rounds. The final readout holds the cell syndrome bits
-    of both types and the tracked logical's value (tetrahedral codes) or the
-    (X mask, Z mask, value) of every stabilizer generator (inner codes).
-    """
-
-    def __init__(self, code, logical, plan):
-        state = encoded_state(code, logical)
-        self.rounds = []
-        for basis in _ROUNDS:
-            steps = []
-            for pi in plan.dual.order:
-                op = plaquette_operator(code.colex, pi, basis)
-                row = state.pivot_row(op)
-                value = state.measure(op, force=1)
-                mask, key_mask = plan.masks[pi], plan.dual.key_masks[pi]
-                if row is None:
-                    steps.append((mask, value, 0, 0, key_mask))
-                else:
-                    steps.append((mask, None, row.x, row.z, key_mask))
-            self.rounds.append((basis, steps))
-        self.draws = sum(step[1] is None for _, steps in self.rounds for step in steps)
-        n = code.n
-        if logical is None:
-            self.stabilizers = [
-                (g.x, g.z, _definite(state.expect(g)))
-                for g in code.S.generators
-            ]
-        else:
-            cells = check_readout(n, plan.cells).ops
-            self.cells_z = _read_syndrome(state, cells["Z"])
-            self.cells_x = _read_syndrome(state, cells["X"])
-            kind = "Z" if logical == "zero" else "X"
-            self.logical = _definite(state.expect(logical_operator(code, kind)))
-
-
 class SingleShotPlan(_Compiled):
     """Static part of one code's single-shot trials, compiled once.
 
@@ -945,13 +949,12 @@ class SingleShotPlan(_Compiled):
     group, and a tableau's x/z rows never depend on signs. So which
     plaquette measurements are random, which stabilizer row each random one
     replaces, and every deterministic outcome up to sign are the same in all
-    trials from one encoded state. The plan records them in one noiseless
-    pass per reference state (`zero` and `plus` for a tetrahedral code,
-    `None` for the inner code) in which random outcomes are forced to +1,
-    together with the code's dual structure and its cell decoding table
-    with supports as masks. `single_shot_plan` caches it on the code, and
-    `program` compiles the references (`_forms`), once per noise structure,
-    into the `FrameProgram` that batches run.
+    trials from one encoded state. The plan holds each encoded state once
+    (`states`: `zero` and `plus` for a tetrahedral code, `None` for the
+    inner code), the code's dual structure and its cells. `single_shot_plan`
+    caches it on the code, and `program` compiles one trial per state on a
+    `_Frame` (`_forms`), once per noise structure, into the `FrameProgram`
+    that batches run.
 
     A round reaches the decoder only through its decode key, and the decode
     does not depend on the measured basis, which only picks the frame half
@@ -967,35 +970,25 @@ class SingleShotPlan(_Compiled):
     def __init__(self, code):
         self.code = code
         self.dual = _code_dual_structure(code)
-        colex = code.colex
-        self.masks = {pi: _support_mask(colex.plaquette_vertices(pi)) for pi in self.dual.order}
-        self.cells = [tuple(vs) for vs, _ in colex.cells]
-        self.cell_masks = [_support_mask(vs) for vs in self.cells]
-        self.cell_table = {
-            syndrome: _support_mask(support)
-            for syndrome, support in checks_table(code.n, self.cells).items()
-        }
-        self.all_mask = (1 << code.n) - 1  # the support of both logicals
+        self.cells = [tuple(vs) for vs, _ in code.colex.cells]
         logicals = ("zero", "plus") if code.L.generators else (None,)
-        self.references = {logical: _Reference(code, logical, self) for logical in logicals}
+        self.states = {logical: encoded_state(code, logical) for logical in logicals}
         self._programs = {}
 
     def _forms(self, noisy: bool, flips: bool) -> tuple[list, np.ndarray]:
-        """One block per reference (`_single_shot_forms`) and the failure
-        table. A tetrahedral code's final key is its cell syndrome, then the
-        tracked logical's parity; a trial fails when that parity differs from
-        whether the final decode's correction at the syndrome flips the
-        logical. The inner code's holds one violation bit per generator: any fails."""
-        blocks = [
-            _single_shot_forms(self, logical, ref, noisy, flips)
-            for logical, ref in self.references.items()
-        ]
-        if None in self.references:
-            keys = np.arange(1 << len(self.references[None].stabilizers))
+        """One block per encoded state (`_single_shot_forms`) and the
+        failure table. A tetrahedral code's final key is its cell syndrome,
+        then the tracked logical's parity; a trial fails when that parity
+        differs from whether the final decode's correction at the syndrome
+        flips the logical. The inner code's holds one violation bit per
+        generator: any fails."""
+        blocks = [_single_shot_forms(self, logical, noisy, flips) for logical in self.states]
+        if None in self.states:
+            keys = np.arange(1 << len(self.code.S.generators))
             return blocks, (keys != 0)[None]
         flip = np.zeros(1 << len(self.cells), dtype=bool)
-        for syndrome, support in self.cell_table.items():
-            flip[_pack(syndrome)] = support.bit_count() & 1
+        for syndrome, support in checks_table(self.code.n, self.cells).items():
+            flip[_pack(syndrome)] = len(support) & 1
         return blocks, np.tile(np.concatenate([flip, ~flip]), (len(blocks), 1))
 
 
@@ -1006,62 +999,36 @@ def single_shot_plan(code) -> SingleShotPlan:
     return code._single_shot_plan
 
 
-def _definite(value):
-    if value is None:
-        raise ValueError("a final single-shot check has no definite value")
-    return value
-
-
-def _single_shot_forms(plan, logical, ref: _Reference, noisy: bool, flips: bool) -> _Forms:
-    """One reference's trial on affine forms. A deterministic outcome bit is
-    the reference bit plus <F, M>, a random step adds the replaced row G to
-    the frame exactly when 1 + up + <F, M> is 1, and a flip draw adds to the
-    outcome bit, which toggles the decode key by the plaquette's key mask.
-    Each round's key is one lookup into the code's decode table; the final
-    key reads the frame after both rounds (see `SingleShotPlan._forms`)."""
-    n = plan.code.n
+def _single_shot_forms(plan, logical, noisy: bool, flips: bool) -> _Forms:
+    """One encoded state's trial on a `_Frame` of it. Each plaquette's
+    outcome bit, plus its flip draw, toggles the round's decode key by the
+    plaquette's key mask. Each round's key is one lookup into the code's
+    decode table, whose correction enters the frame half the round reads.
+    The final key reads the frame after both rounds: every stabilizer
+    generator on the inner code, else the tracked type's cells and logical
+    (see `SingleShotPlan._forms`)."""
+    code, dual = plan.code, plan.dual
     forms = _Forms()
-    one = forms.one
-    fx, fz = forms.noise(n, noisy)
-    for basis, steps in ref.rounds:
-        # a Z-type plaquette reads the frame's X part, and a Z round's
-        # correction enters it; vice versa for X
-        half = fx if basis == "Z" else fz
-        key = [0] * plan.dual.key_bits
-        for mask, value, gx, gz, key_mask in steps:
-            flipped = _sum_forms(half, mask)
-            if value is None:
-                up = forms.draw(_OUTCOME)
-                taken = one ^ up ^ flipped  # the frame takes G when up == flipped
-                for q in _set_bits(gx):
-                    fx[q] ^= taken
-                for q in _set_bits(gz):
-                    fz[q] ^= taken
-                bit = one ^ up  # the outcome is -1 unless up
-            else:
-                bit = flipped ^ (one if value < 0 else 0)
+    frame = _Frame(forms, plan.states[logical], noisy)
+    for basis in _ROUNDS:
+        key = [0] * dual.key_bits
+        for pi in dual.order:
+            bit = frame.measure(plaquette_operator(code.colex, pi, basis))
             if flips:
                 bit ^= forms.draw(_FLIP)
-            for b in _set_bits(key_mask):
+            for b in _set_bits(dual.key_masks[pi]):
                 key[b] ^= bit
-        correction = forms.look_up(key, plan.dual.corrections, plan.dual.delta0_sizes)
-        for q, bit in enumerate(correction):
+        # a Z round's correction enters the frame's X part; vice versa for X
+        half = frame.fx if basis == "Z" else frame.fz
+        for q, bit in enumerate(forms.look_up(key, dual.corrections, dual.delta0_sizes)):
             half[q] ^= bit
     if logical is None:
-        # generator g is violated when <F, g> flips its reference value
-        forms.outputs += [
-            (one if value < 0 else 0) ^ _sum_forms(fx, gz) ^ _sum_forms(fz, gx)
-            for gx, gz, value in ref.stabilizers
-        ]
+        checks = code.S.generators
     else:
-        # the tracked logical and the cells whose decode can flip it read
-        # the frame's X part (zero) or its Z part (plus)
-        side, cells = (fx, ref.cells_z) if logical == "zero" else (fz, ref.cells_x)
-        forms.outputs += [
-            (one if bit else 0) ^ _sum_forms(side, mask)
-            for bit, mask in zip(cells, plan.cell_masks)
-        ]
-        forms.outputs.append((one if ref.logical < 0 else 0) ^ _sum_forms(side, plan.all_mask))
+        kind = "Z" if logical == "zero" else "X"
+        checks = [PauliOperator.from_support(code.n, kind, cell) for cell in plan.cells]
+        checks.append(logical_operator(code, kind))
+    forms.outputs += [frame.read(op) for op in checks]
     return forms
 
 
@@ -1079,30 +1046,26 @@ def run_single_shot_trials(
     tetrahedral codes), injects qubit noise, runs one noisy single-shot
     round of Z plaquettes and one of X plaquettes (`single_shot_decode`,
     correction applied), then reads its failure. It keeps only the frame
-    F = (fx, fz), the Pauli that maps the plan's reference state onto the
-    trial's state: noise and corrections XOR into it, a deterministic
-    outcome is the reference value times (-1)^<F, M>, and the final checks
-    read the same way. A random measurement of M draws its outcome o as the
-    tableau does. The reference state was projected with (1 + M)/2, and
-    (1 + oM) F = F (1 + s M) with s = o (-1)^<F, M>; for s = -1 the row G
-    that the measurement replaces anticommutes with M and fixes the
-    reference state up to sign, so (1 - M)|ref> = +-G (1 + M)|ref>, and the
-    frame becomes F G.
+    F = (fx, fz), the Pauli that maps its encoded state, with every random
+    outcome forced to +1, onto the trial's state (`_Frame`): noise and
+    corrections XOR into it, a deterministic outcome and the final checks
+    read the reference value times (-1)^<F, M>, and a random measurement
+    draws its outcome as the tableau does and may take the replaced row.
 
     Between two decoder calls all of this is affine over GF(2) in the
-    frame and the trial's draw bits, so the plan compiles the trial into
-    one `FrameProgram` (`SingleShotPlan.program`). Trials run in batches of
-    `BATCH_TRIALS`, with no Python loop over trials: one `philox_words`
-    draw, one gather per octet of draw bits, then per round a lookup of the
-    correction's precomposed effect on the later keys, and a gather from
-    the failure table. The random numbers of a trial are drawn in the
-    tableau harness's order: the X then the Z noise of every qubit when p
-    > 0, then per plaquette the outcome draw of a random measurement and
-    the flip draw when q > 0. Row i of the draw is a prefix of trial i's
-    own generator stream, as wide as the reference that draws most. Every
-    trial and every statistic therefore equals the tableau harness's bit
-    for bit (asserted in the test suite), and no `Tableau` method runs per
-    trial. Trial indices must lie in [0, 2^64).
+    frame and the trial's draw bits, so the plan compiles the trial on a
+    `_Frame` into one `FrameProgram` (`SingleShotPlan.program`). Trials run
+    in batches of `BATCH_TRIALS`, with no Python loop over trials: one
+    `philox_words` draw, one gather per octet of draw bits, then per round
+    a lookup of the correction's precomposed effect on the later keys, and
+    a gather from the failure table. The random numbers of a trial are
+    drawn in the tableau harness's order: the X then the Z noise of every
+    qubit when p > 0, then per plaquette the outcome draw of a random
+    measurement and the flip draw when q > 0. Row i of the draw is a prefix
+    of trial i's own generator stream, as wide as the state that draws
+    most. Every trial and every statistic therefore equals the tableau
+    harness's bit for bit (asserted in the test suite), and no `Tableau`
+    method runs per trial. Trial indices must lie in [0, 2^64).
     """
     _check_trial_range(trial_offset, trials)
     plan = single_shot_plan(code)

@@ -246,12 +246,19 @@ def alpha_bound_analytic(q: float, edge_count: int) -> AlphaBound:
     return AlphaBound(q, edge_count)
 
 
+# the most flux subsets `measure_K` enumerates: 2^20 admits every pair of up
+# to 20 duals at any length cap up to 16
+MEASURE_K_SUBSETS = 2**20
+
+
 def measure_K(ctx, pair: str, length_cap: int = 4) -> float:
     """Max |supp E_gamma| / |gamma| over endpoint-free fluxes up to the cap.
 
     E_gamma is the minimal-support string correction for the flux's outer
     endpoints; closed fluxes with empty outer boundary contribute zero.
-    Deterministic: pure enumeration, no sampling.
+    Deterministic: pure enumeration, no sampling. Before enumerating it
+    counts the subsets it would visit, and raises when the cap is above 16
+    or the count is above `MEASURE_K_SUBSETS`.
     """
     import itertools
 
@@ -259,8 +266,12 @@ def measure_K(ctx, pair: str, length_cap: int = 4) -> float:
     indices = range(len(duals))
     if length_cap > len(duals):
         length_cap = len(duals)
-    if length_cap > 16:
-        raise ValueError("enumeration budget exceeded")
+    subsets = sum(math.comb(len(duals), size) for size in range(1, length_cap + 1))
+    if length_cap > 16 or subsets > MEASURE_K_SUBSETS:
+        raise ValueError(
+            f"enumeration budget exceeded: {subsets} flux subsets of {len(duals)} duals "
+            f"up to length {length_cap}"
+        )
     best = 0.0
     for size in range(1, length_cap + 1):
         for combo in itertools.combinations(indices, size):

@@ -141,7 +141,13 @@ class Tableau:
             signs[r] = -signs[r]
 
     def expect(self, op: PauliOperator) -> int | None:
-        """+1 / -1 if op is in the +-stabilizer span, else None. Read-only."""
+        """+1 / -1 if op is in the +-stabilizer span, else None. Read-only.
+
+        op must be Hermitian: in the X-left form its X and Z masks share an
+        even number of qubits (Y factors). With an odd count op squares to
+        -1, and the sign read depends on the rows that represent the state.
+        Nothing checks this.
+        """
         return self._value(op, self._anticommuting(op))
 
     def pivot_row(self, op: PauliOperator) -> PauliOperator | None:
@@ -163,7 +169,9 @@ class Tableau:
 
         `force` pins the outcome of a genuinely random measurement (used for
         deterministic state preparation); it never overrides a deterministic
-        outcome.
+        outcome. op must be Hermitian, as for `expect` (an even number of Y
+        factors); a random outcome of an anti-Hermitian op puts a row into
+        the tableau that no real sign describes. Nothing checks this.
         """
         n = self.n
         anti = self._anticommuting(op)

@@ -680,6 +680,97 @@ def test_compiled_batches_match_the_frame_oracle_per_trial(
         assert got == frame_trials(code, spec, offset, trials)
 
 
+def _frame_operator(code, kind: str, k: int) -> PauliOperator:
+    """A Hermitian Pauli on the code's qubits, picked by k: a plaquette or
+    a cell of either type, or X and Z masks from k's bits with an even
+    number of Y factors."""
+    n, colex = code.n, code.colex
+    basis = "ZX"[k & 1]
+    if kind == "plaquette":
+        support = colex.plaquette_vertices(k % len(colex.plaquettes))
+        return PauliOperator.from_support(n, basis, support)
+    if kind == "cell":
+        return PauliOperator.from_support(n, basis, colex.cells[k % len(colex.cells)][0])
+    x, z = k & (1 << n) - 1, k >> n & (1 << n) - 1
+    if (x & z).bit_count() & 1:  # an odd Y count: swap X and Y on the lowest X factor
+        z ^= x & -x
+    return PauliOperator(n, x, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    which=st.sampled_from(["zero", "plus", None]),  # None: the inner code's state
+    ops=st.lists(
+        st.tuples(st.sampled_from(["plaquette", "cell", "random"]), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=12,
+    ),
+    noisy=st.booleans(),
+    values=st.integers(0, 2**64 - 1),
+)
+def test_frame_outcomes_match_a_forced_tableau(inner_code, code3, which, ops, noisy, values):
+    """Each outcome bit a `_Frame` measures, evaluated at random values of
+    its variables, equals the outcome of a tableau that starts from the
+    reference with the frame's noise applied and forces each random outcome
+    to +1 exactly when its outcome draw is 1. Afterwards every stabilizer
+    row of the frame's reference reads the tableau's value through `read`,
+    and a check the tableau holds no value of makes `read` raise."""
+    code = code3 if which else inner_code
+    state = encoded_state(code, which)
+    forms = montecarlo._Forms()
+    frame = montecarlo._Frame(forms, state, noisy)
+    noise_x, noise_z = frame.fx[:], frame.fz[:]
+    picked = [_frame_operator(code, kind, k) for kind, k in ops]
+    bits = [frame.measure(op) for op in picked]
+    # variable 0 is the constant 1
+    assignment = values << 1 | 1
+
+    def value(form: int) -> int:
+        return (form & assignment).bit_count() & 1
+
+    n = code.n
+    trial = state.copy()
+    trial.apply(PauliOperator(n, *(to_mask([value(f) for f in fs]) for fs in (noise_x, noise_z))))
+    ups = iter(v for kind, v in zip(forms.kinds, forms.draws) if kind == montecarlo._OUTCOME)
+    want = []
+    for op in picked:
+        force = None
+        if trial.pivot_row(op) is not None:
+            force = 1 if value(1 << next(ups)) else -1
+        want.append(1 if trial.measure(op, force=force) == -1 else 0)
+    assert next(ups, None) is None
+    assert [value(bit) for bit in bits] == want
+    ref = frame.state
+    for r in range(n, 2 * n):
+        op = PauliOperator(n, ref.xs[r], ref.zs[r])
+        assert value(frame.read(op)) == (trial.expect(op) == -1)
+    for _, k in ops:
+        op = _frame_operator(code, "random", k)
+        if trial.expect(op) is None:
+            with pytest.raises(ValueError, match="no definite value"):
+                frame.read(op)
+        else:
+            assert value(frame.read(op)) == (trial.expect(op) == -1)
+
+
+def test_collapse_program_is_one_block_for_both_states(tetra15, ctx):
+    """Every inner plaquette reads +1 on both encoded 3D states, so the
+    collapse program compiled from the plus state, on a fresh context whose
+    `states3` has zero and plus swapped, holds the same tables as the one
+    compiled from the zero state."""
+    swapped = make_context(tetra15, "rgb")
+    swapped.states3 = {"zero": ctx.states3["plus"], "plus": ctx.states3["zero"]}
+    for noisy in (False, True):
+        for flips in (False, True):
+            got = montecarlo.CollapsePlan(swapped).program(noisy, flips)
+            want = collapse_plan(ctx).program(noisy, flips)
+            assert np.array_equal(got.tables, want.tables)
+            assert np.array_equal(got.kinds, want.kinds)
+            for (bits, effect), (want_bits, want_effect) in zip(got.lookups, want.lookups):
+                assert bits == want_bits and np.array_equal(effect, want_effect)
+            assert len(got.lookups) == len(want.lookups)
+
+
 _DRAW_KINDS = (montecarlo._NOISE, montecarlo._OUTCOME, montecarlo._FLIP)  # at p, 1/2, q
 
 

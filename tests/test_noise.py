@@ -1,12 +1,14 @@
 """Noise model, RNG determinism, inclusion-tail bound, lattice constant."""
 
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from colexjump import noise
 from colexjump.noise import (
     NoiseSpec,
     TrialStream,
@@ -174,3 +176,39 @@ def test_measure_K_deterministic_and_stable(ctx):
 def test_measure_K_all_pairs_agree(ctx):
     ks = {pair: measure_K(ctx, pair, 4) for pair in ctx.pairs}
     assert len(set(ks.values())) == 1  # color symmetry of the instance
+
+
+def _stand_in(duals: int):
+    """A context with one pair of `duals` duals, and no 2D code."""
+    return types.SimpleNamespace(duals={"rg": tuple(range(duals))}, code2=None)
+
+
+@pytest.mark.parametrize("duals,cap", [(40, 16), (40, 6), (21, 16), (20, 17)])
+def test_measure_K_budget_counts_subsets_before_enumerating(monkeypatch, duals, cap):
+    """A pair of many duals is refused by the number of flux subsets it
+    would enumerate (40 duals at cap 16 would be about 1.5e11), and a cap
+    above 16 as before, before any flux or string correction is built."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("measure_K enumerated past its budget")
+
+    monkeypatch.setattr(noise, "string_correction", forbidden)
+    monkeypatch.setattr(noise, "FluxConfiguration", forbidden)
+    with pytest.raises(ValueError, match="enumeration budget exceeded"):
+        measure_K(_stand_in(duals), "rg", cap)
+
+
+def test_measure_K_budget_admits_twenty_duals_up_to_cap_16(monkeypatch):
+    """20 duals at every cap up to 16 pass the budget: the enumeration
+    starts (and is stopped at its first flux)."""
+
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(noise, "FluxConfiguration", started)
+    for cap in range(1, 17):
+        with pytest.raises(Started):
+            measure_K(_stand_in(20), "rg", cap)

@@ -27,7 +27,10 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   collapse --trace` and `simulate singleshot --kind 3d|inner` at
   `--workers` 1 and 2. A state is digested by its canonical signed
   stabilizer group, not by its tableau rows, so that two checkouts that
-  hold the same states in different rows digest alike;
+  hold the same states in different rows digest alike. A second digest
+  covers every compiled `FrameProgram` on tetra15 (collapse, and
+  single-shot on the inner and the tetrahedral code, under the four noise
+  structures), so `compare` shows whether the compile changed;
 - the stage split of a collapse-tableau trial (`tableau-stages`): per
   side, `--pairs` interleaved processes, each the median microseconds per
   trial of every step on fixed seeds, and the median of those medians;
@@ -126,7 +129,8 @@ METHOD = (
     "and 2 (workers 1 first on odd i), wall seconds per whole process; cli_speedup per "
     "side = workers-1 median / workers-2 median; no thread-count variable set. output_digest: sha256 of "
     "the outputs listed in the script's docstring, states by their canonical signed "
-    "stabilizer group, once per side in the same work directory. tableau_stages: tetra15 "
+    "stabilizer group (`outputs`), and of every compiled FrameProgram's arrays "
+    "(`programs`), once per side in the same work directory. tableau_stages: tetra15 "
     "rgb, NoiseSpec(0.05, 0.05, 808), one warm-up batch then 60 batches of 70 trials, "
     "each batch drawn as `_tableau_batch` draws it (the draw's time split evenly over its "
     "trials) and each trial run by `montecarlo._tableau_trial` with the functions of "
@@ -139,8 +143,9 @@ METHOD = (
 # -- one side ----------------------------------------------------------------------
 
 
-def digest(work: Path) -> str:
-    """sha256 over every output this benchmark must leave unchanged."""
+def digest(work: Path) -> dict:
+    """sha256 over every output this benchmark must leave unchanged
+    (`outputs`), and over every compiled frame program (`programs`)."""
     # the tests' canonical signed stabilizer group of a state, from this
     # script's own checkout, so both sides digest their states alike
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -233,6 +238,36 @@ def digest(work: Path) -> str:
             for f in sorted(out_dir.iterdir()):
                 feed(f.name, f.read_bytes())
             shutil.rmtree(out_dir)
+    return {"outputs": h.hexdigest(), "programs": program_digest(ctx)}
+
+
+def program_digest(ctx) -> str:
+    """sha256 over every compiled `FrameProgram` of the context: collapse,
+    then single-shot on its inner and its tetrahedral code, each under the
+    four noise structures (p > 0, q > 0), by their draw kinds, octet
+    tables, lookups, merged steps, failure table and |delta0| rows."""
+    from colexjump.montecarlo import collapse_plan, single_shot_plan
+
+    h = hashlib.sha256()
+
+    def feed(*arrays):
+        for a in arrays:
+            h.update(repr((a.dtype.str, a.shape)).encode())
+            h.update(a.tobytes())
+
+    plans = (collapse_plan(ctx), single_shot_plan(ctx.inner_code), single_shot_plan(ctx.code3))
+    for plan in plans:
+        for noisy in (False, True):
+            for flips in (False, True):
+                program = plan.program(noisy, flips)
+                feed(program.kinds, program.tables, program.fail)
+                for bits, effects in program.lookups:
+                    h.update(repr(bits).encode())
+                    feed(effects)
+                for bits, shifts, masks, effects in program.steps:
+                    h.update(repr(bits).encode())
+                    feed(shifts, masks, effects)
+                feed(program.size_rows, program.size_offsets)
     return h.hexdigest()
 
 
@@ -384,7 +419,9 @@ def compare(args) -> dict:
     }
 
     # one work directory for both sides: the output paths are in the outputs
-    digests = {side: _run(root, [me, "digest", str(work)]) for side, root in roots.items()}
+    digests = {
+        side: json.loads(_run(root, [me, "digest", str(work)])) for side, root in roots.items()
+    }
     result["output_digest"] = digests | {"equal": digests["parent"] == digests["change"]}
     print("digests", digests, flush=True)
 
@@ -475,7 +512,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     if args.mode == "digest":
-        print(digest(args.work))
+        print(json.dumps(digest(args.work)))
     elif args.mode == "jump-times":
         print(json.dumps(jump_times()))
     elif args.mode == "tableau-stages":
