@@ -1,21 +1,20 @@
 """Dimensional jumps on tableau states: collapse, blow-up, single-shot EC.
 
-Collapse pipeline, per slot (an operator type and a color pair, in
-`JumpContext.slots` order):
+Each protocol is written once, on a trial runner (see "the trial
+interface" below): `_collapse`, `_blow_up`, `_single_shot_ec` and the one
+"measure the checks, look the syndrome up, correct" decoder,
+`_decode_checks` on a `gf2.checks_table`. `TableauTrial` runs them on a
+tableau for the public `collapse`, `blow_up`, `single_shot_ec` and
+`decode_checks`; `montecarlo._Frame` runs them symbolically to compile
+frame programs.
 
-  1. measure every inner plaquette of the pair, destructively for the inner
-     block; record outcomes, flipping each with the measurement error rate
-  2. repair the observed flux by matching so it has no inner endpoints
-  3. read the outer syndrome off the repaired flux endpoints
-  4. clear it with a minimal string correction on the outer qubits
-
-Steps 2-4 are `repair_slot`, the one slot step. They depend only on the
-lattice and the observed pattern, so `JumpContext.slot_repairs` runs it
-once on every observed pattern of every slot, and the tableau collapse and
-`montecarlo.CollapsePlan` both read that table; no trial repairs. After
-all slots are measured the inner block factorizes, so the inner qubits are
-dropped by sign-tracked elimination and the corrections are applied to the
-surviving outer code state.
+Collapse, per slot (an operator type and a color pair, in
+`JumpContext.slots` order): measure every inner plaquette of the pair, and
+once all are measured draw the recorded flips; the inner block then
+factorizes and is dropped by sign-tracked elimination. The slot's observed
+pattern keys its row of `JumpContext.slot_repairs`, which `repair_slot`
+(matching repair, then a minimal string correction of the outer syndrome)
+fills once per pattern, and the row's string is applied to the outer code.
 
 Blow-up appends fresh inner qubits, runs single-shot error correction on the
 inner code (it encodes nothing, so correction alone initializes it), then
@@ -25,25 +24,16 @@ Single-shot EC on a standalone code measures one type of gauge plaquettes,
 reconciles the redundant per-pair cell estimates by majority, repairs each
 pair's flux against the reconciled estimate with the same T-join as the
 collapse repair (`flux.t_join`), and applies an exact minimum-weight
-correction for the resulting stabilizer syndrome.
-
-The static part of that decode (dual edges, cell color pairs, frozen region
-products, the stabilizer check table, and the layout of a round's decode
-key) is one `DualStructure` per code, built on first use and cached on the
-code. The key holds one parity per (color pair, cell) and one raw product
-per region, all that the decode reads of the outcomes, so the structure
-also holds the one single-shot decoder whole: a table of every key's decode.
-
-Every noiseless "measure the checks, look the syndrome up, correct" step on
-a tableau (the final 2D decode, the outer reconciliation of blow-up) is one
-`decode_checks` on a `gf2.checks_table`.
+correction for the resulting stabilizer syndrome. Its static part is one
+`DualStructure` per code, which holds the one single-shot decoder whole: a
+table of every decode key's result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +45,6 @@ from .colex import Colex, color_set, color_pairs
 from .flux import (
     SINK,
     FluxConfiguration,
-    extract_flux,
     plaquette_operator,
     repair_flux,
     string_correction,
@@ -64,6 +53,7 @@ from .flux import (
 # min_weight_table is re-exported: `jump.min_weight_table` is the name the
 # benchmark's tracer wraps
 from .gf2 import checks_table, min_weight_table  # noqa: F401
+from .noise import sample_qubit_noise
 from .pauli import PauliOperator
 from .split import SplitResult, dual_edges, split_colex
 from .tableau import Tableau, flip_columns, from_stabilizers
@@ -77,16 +67,14 @@ class JumpContext:
     """Everything derived from one colex + facet choice, built once.
 
     Besides the codes, it holds what every trial reads, built on first use:
-    the encoded `zero` and `plus` states that trials start from, in 2D
-    (`states2`) and 3D (`states3`, their stabilizer rows in the reduced form
-    that the collapse's discard leaves, see `encoded_3d`), which trials
-    copy and never change; the 2D code's logicals (`logicals2`, by type),
-    also placed on the outer qubits of the 3D state (`outer_logicals3`);
-    and its plaquette checks, compiled for readout on the 2D state
-    (`plaquettes2`) and on the outer qubits of the 3D state
-    (`outer_plaquettes3`). It also holds the collapse's slot table
-    (`slot_repairs`) and the slots' dual count (`dual_count`), the width of
-    a collapse's flip draw.
+    the encoded `zero` and `plus` states trials start from and never change,
+    in 2D (`states2`) and 3D (`states3`, in the reduced form of
+    `encoded_3d`); the 2D code's logicals (`logicals2`), also on the outer
+    qubits of the 3D state (`outer_logicals3`); its plaquette checks, for
+    readout on the 2D state (`plaquettes2`) and on the outer qubits of the
+    3D state (`outer_plaquettes3`); and the collapse's slot table
+    (`slot_repairs`, read as one `Lookup` per slot, `slot_lookups`).
+    `montecarlo` caches its compiled plans in `_plans`, by name.
     """
 
     colex3: Colex
@@ -97,7 +85,7 @@ class JumpContext:
     duals: dict[str, tuple]
     pairs: tuple[str, ...]
     _string_cache: dict = field(default_factory=dict)
-    _collapse_plan: object = None  # montecarlo.CollapsePlan, built on first use
+    _plans: dict = field(default_factory=dict)  # montecarlo's plans, built on first use
 
     @cached_property
     def states2(self) -> dict[str, Tableau]:
@@ -133,6 +121,14 @@ class JumpContext:
         return tuple((basis, pair, self.duals[pair]) for basis in ("Z", "X") for pair in self.pairs)
 
     @cached_property
+    def slot_ops(self) -> tuple[tuple[PauliOperator, ...], ...]:
+        """Per slot of `slots`, the plaquette operator of each of its duals."""
+        return tuple(
+            tuple(plaquette_operator(self.colex3, d.plaquette, basis) for d in duals)
+            for basis, _, duals in self.slots
+        )
+
+    @cached_property
     def slot_repairs(self) -> tuple[tuple[SlotRepair, ...], ...]:
         """`repair_slot` of every observed pattern, per slot of `slots`:
         entry [s][pattern] repairs slot s observed with pattern's bit i set
@@ -144,6 +140,19 @@ class JumpContext:
                 yield repair_slot(self, FluxConfiguration(pair, basis, edges, duals))
 
         return tuple(tuple(repairs(*slot)) for slot in self.slots)
+
+    @cached_property
+    def slot_lookups(self) -> tuple[Lookup, ...]:
+        """Per slot, its `slot_repairs` as a `Lookup`: each pattern's string
+        (of one type, so X | Z is its mask) on the outer qubits, |delta0|."""
+        return tuple(
+            Lookup(
+                [r.correction.x | r.correction.z for r in repairs],
+                self.n2,
+                np.array([[len(r.delta0)] for r in repairs], dtype=np.uint8),
+            )
+            for repairs in self.slot_repairs
+        )
 
     @cached_property
     def dual_count(self) -> int:
@@ -176,6 +185,111 @@ def make_context(colex3: Colex, facet="rgb") -> JumpContext:
     pairs = tuple(color_pairs(facet))
     duals = {pair: tuple(dual_edges(split, pair)) for pair in pairs}
     return JumpContext(colex3, split, code3, code2, inner_code, duals, pairs)
+
+
+# -- the trial interface ----------------------------------------------------------
+
+# Every step of a protocol that reads data goes through its trial runner:
+# rate draws (`noise`, `flips`), measurements and reads (`measure`, `read`),
+# table reads that apply their row (`look_up`, on a `Lookup`), and the
+# discard and blow-up surgery (`discard`, `blown_up`). A bit is an int that
+# XORs: 0 or 1 on `TableauTrial`, an affine form on `montecarlo._Frame`. No
+# protocol branches on a bit, so one run on a `_Frame` compiles a trial.
+
+
+class Lookup:
+    """A table a trial reads by a key of bits: row k's correction as an int
+    mask on `width` qubits (`masks[k]`), as the operator the concrete
+    runner applies (`operator`), as a dense 0/1 row (`bits`, built on first
+    use for the symbolic runner), and its |delta0| sizes (`sizes`, None
+    for a plain decode), which the batch statistics read."""
+
+    def __init__(self, masks: list[int], width: int, sizes=None, bits=None):
+        self.masks, self.width, self.sizes = masks, width, sizes
+        self._operators = {}
+        if bits is not None:
+            self.bits = bits
+
+    def operator(self, k: int, basis: str, n: int, positions=None) -> PauliOperator:
+        """Row k as a `basis`-type operator on n qubits, placed on
+        `positions` (None: qubits 0, 1, ...), built once."""
+        key = k, basis, n, positions
+        op = self._operators.get(key)
+        if op is None:
+            mask = self.masks[k]
+            if positions is not None:
+                mask = _spread(mask, _runs(list(positions)))
+            op = PauliOperator(n, mask, 0) if basis == "X" else PauliOperator(n, 0, mask)
+            self._operators[key] = op
+        return op
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        table = np.zeros((len(self.masks), self.width), dtype=np.uint8)
+        for k, mask in enumerate(self.masks):
+            table[k, _set_bits(mask)] = 1
+        return table
+
+
+class TableauTrial:
+    """The concrete trial runner: a `Tableau` (`state`) and what it draws
+    from (`rng`: a generator, a `noise.TrialStream`, or None for a trial
+    that draws nothing, where a random outcome raises). Bits are 0 or 1."""
+
+    __slots__ = ("state", "rng")
+
+    def __init__(self, state: Tableau, rng=None):
+        self.state, self.rng = state, rng
+
+    def noise(self, p: float) -> tuple[int, int]:
+        """Apply X then Z noise at rate p on every qubit; returns its masks."""
+        ex, ez = sample_qubit_noise(p, self.state.n, self.rng)
+        if ex or ez:
+            self.state.apply(PauliOperator(self.state.n, ex, ez))
+        return ex, ez
+
+    def flips(self, rate: float, count: int) -> list[int]:
+        """`count` bits at `rate`, one word each (one alone as a float, the
+        same word, cheaper); no draw at rate 0."""
+        if rate <= 0:
+            return [0] * count
+        if count == 1:
+            return [1 if self.rng.random() < rate else 0]
+        return [1 if u < rate else 0 for u in self.rng.random(count).tolist()]
+
+    def measure(self, op: PauliOperator) -> bool:
+        """The outcome bit (True for -1) of measuring op."""
+        return self.state.measure(op, self.rng) < 0
+
+    def read(self, op: PauliOperator) -> bool:
+        """The bit of a check that the state holds a value of."""
+        value = self.state.expect(op)
+        if value is None:
+            raise ValueError(f"check {op!r} has no definite value")
+        return value < 0
+
+    def look_up(self, key: list[int], table: Lookup, basis: str, positions=None) -> int:
+        """Apply row `key` (bit i = key[i]) of `table` as a `basis`-type
+        correction, placed on `positions` of the state; returns the row."""
+        k = 0
+        for i, bit in enumerate(key):
+            if bit:
+                k |= 1 << i
+        if table.masks[k]:
+            self.state.apply(table.operator(k, basis, self.state.n, positions))
+        return k
+
+    def discard(self, drop) -> "TableauTrial":
+        """The trial on the kept qubits, after `discard_qubits`."""
+        return TableauTrial(discard_qubits(self.state, list(drop)), self.rng)
+
+    def blown_up(self, ctx: JumpContext) -> "TableauTrial":
+        """The trial on the context's 3D qubits, fresh inner qubits added."""
+        return TableauTrial(_tensor_inner(ctx, self.state), self.rng)
+
+
+def _set_bits(mask: int) -> list[int]:
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
 # -- encoded states ---------------------------------------------------------------
@@ -229,25 +343,17 @@ def encoded_state(
 
 def inner_plaquette_priority(ctx: JumpContext) -> list[PauliOperator]:
     """Inner pair-plaquette operators, measured order, both types."""
-    return [
-        plaquette_operator(ctx.colex3, dual.plaquette, basis)
-        for basis, _, duals in ctx.slots
-        for dual in duals
-    ]
+    return [op for ops in ctx.slot_ops for op in ops]
 
 
 def encoded_3d(ctx: JumpContext, logical: str = "zero") -> Tableau:
-    """The encoded 3D state, its stabilizer rows in the reduced form that
-    the collapse's discard of the inner block leaves them in.
-
-    `encoded_state` builds it with the inner plaquettes fixed first. Then
-    the discard's own elimination (`_eliminate`) runs once here, over the
-    inner qubits' X and Z columns in `discard_qubits`' order, carrying each
-    destabilizer partner along (D_p <- D_p D_i for every S_i <- S_i S_p), so
-    the tableau holds the same state with every pivot column of that
-    discard held by its pivot row alone. Pauli noise and the collapse's
-    determinate flux measurements change only signs, so a trial's discard
-    then makes no row product.
+    """The encoded 3D state (`encoded_state`, inner plaquettes fixed first),
+    its stabilizer rows in the reduced form the collapse's discard leaves:
+    the discard's own elimination (`_eliminate`) runs once here, carrying
+    each destabilizer partner along, so every pivot column of that discard
+    is held by its pivot row alone. Pauli noise and the collapse's
+    determinate measurements change only signs, so a trial's discard then
+    makes no row product.
     """
     state = encoded_state(ctx.code3, logical, inner_plaquette_priority(ctx))
     n, drop = state.n, list(ctx.split.inner_vertices)
@@ -262,14 +368,12 @@ def encoded_3d(ctx: JumpContext, logical: str = "zero") -> Tableau:
 def _eliminate(state: Tableau, drop, drop_mask: int, partners=None) -> tuple:
     """Gauss-Jordan elimination of the dropped qubits' columns (x then z per
     qubit of `drop`, in order) on copies of the stabilizer rows of `state`;
-    returns the rows (xs, zs, signs) and the mask of the pivot rows.
-
-    The lowest unused row with the bit is the pivot, and every other row
-    with it becomes its product with the pivot (X-left sign rule, as in
-    `Tableau.measure`). A pivot that is its column's only row changes
-    nothing. With `partners`, lists of the destabilizer rows (xs, zs,
-    signs), each S_i <- S_i S_p also does D_p <- D_p D_i in them, which
-    keeps the pairing <D_j, S_k> = delta_jk.
+    returns the rows (xs, zs, signs) and the mask of the pivot rows. The
+    lowest unused row with the bit is the pivot, and every other row with
+    it becomes its product with the pivot (X-left sign rule, as in
+    `Tableau.measure`). With `partners`, lists of the destabilizer rows
+    (xs, zs, signs), each S_i <- S_i S_p also does D_p <- D_p D_i there,
+    keeping <D_j, S_k> = delta_jk.
     """
     n = state.n
     xs, zs, signs = state.xs[n:], state.zs[n:], state.signs[n:]
@@ -313,24 +417,13 @@ def discard_qubits(state: Tableau, drop: list[int]) -> Tableau:
     """Project out fully determined qubits by sign-tracked elimination.
 
     Requires the stabilizer group to factor as (group on dropped qubits) x
-    (group on the rest), which holds after the dropped block was measured
-    out completely. Every index in `drop` must lie in [0, n), and at least
-    one qubit must stay.
-
-    The elimination (`_eliminate`) runs on copies of the stabilizer rows'
-    (x, z, sign) ints, with the tableau's row product. On a state in the
-    form `encoded_3d` prepares, after noise and determinate measurements,
-    every pivot is the only row of its column and no row changes; any other
-    input runs the full elimination. The rows it leaves free of the dropped
-    qubits, restricted to the kept ones, are the new stabilizers, each
-    paired with its own destabilizer row, restricted too. That keeps the
-    pairing <D_j, S_k> = delta_jk: multiplying pivot S_p into S_i needs
-    only D_p to take on D_i, and pivot pairs are dropped; a survivor has no
-    dropped support, so the restriction keeps it too. The restriction can
-    break the destabilizers' mutual commutation, which a symplectic
-    Gram-Schmidt restores: for i < j, D_j <- D_j S_i where D_j anticommutes
-    with D_i. No synthesis runs, so `from_stabilizers` stays once per
-    context. Destabilizer signs, which nothing reads, are +1.
+    (group on the rest), as after the dropped block was measured out. Every
+    index in `drop` must lie in [0, n), and at least one qubit must stay.
+    The rows `_eliminate` leaves free of the dropped qubits, restricted to
+    the kept ones, are the new stabilizers, each with its destabilizer
+    restricted too; a symplectic Gram-Schmidt (D_j <- D_j S_i where D_j
+    anticommutes with D_i, i < j) restores the destabilizers' commutation.
+    No synthesis runs; destabilizer signs, which nothing reads, are +1.
     """
     n = state.n
     drop_mask, runs = _discard_layout(n, tuple(drop))
@@ -402,13 +495,9 @@ def _spread(mask: int, runs: list[tuple[int, int, int]]) -> int:
     return out
 
 
-def embed_operator(op: PauliOperator, n_total: int, positions: list[int]) -> PauliOperator:
+def embed_operator(op: PauliOperator, n_total: int, positions) -> PauliOperator:
     """op on qubits 0..op.n-1 placed on qubits positions[0..op.n-1] of n_total."""
-    return _embed_runs(op, n_total, _runs(positions))
-
-
-def _embed_runs(op: PauliOperator, n_total: int, runs) -> PauliOperator:
-    """op placed on an n_total-qubit state by the `_runs` of its positions."""
+    runs = _runs(list(positions))
     return PauliOperator(n_total, _spread(op.x, runs), _spread(op.z, runs), op.sign)
 
 
@@ -421,58 +510,54 @@ class CheckReadout:
 
     The checks live on `n` qubits, which `positions` places inside the
     state they read (None: the state is those n qubits). `ops[basis]` holds
-    every check as a `basis`-type operator on that state, and `table` is
-    the check set's `checks_table`. `corrections[(basis, syndrome, n_state)]`
-    holds the `basis`-type correction of a syndrome, on the n qubits and
-    placed on an n_state-qubit state, built on first use.
+    every check as a `basis`-type operator on that state, and `lookup` the
+    check set's `checks_table` as a `Lookup` keyed by the packed syndrome
+    (rows of no syndrome are 0).
     """
 
     n: int
-    table: dict
     ops: dict
-    positions: list | None
-    corrections: dict = field(default_factory=dict, compare=False, repr=False)
+    positions: tuple | None
+    lookup: Lookup = field(compare=False, repr=False)
 
 
 def check_readout(n: int, checks, n_state: int | None = None, positions=None) -> CheckReadout:
     """Compile `checks` on n qubits, placed on `positions` of n_state qubits."""
-    ops = {}
-    for basis in ("Z", "X"):
-        placed = []
-        for chk in checks:
-            op = PauliOperator.from_support(n, basis, chk)
-            placed.append(op if positions is None else embed_operator(op, n_state, positions))
-        ops[basis] = tuple(placed)
-    return CheckReadout(n, checks_table(n, checks), ops, positions)
+    where = range(n) if positions is None else positions
+    ops = {
+        basis: tuple(
+            embed_operator(PauliOperator.from_support(n, basis, chk), n_state or n, where)
+            for chk in checks
+        )
+        for basis in ("Z", "X")
+    }
+    masks = [0] * (1 << len(checks))
+    for syndrome, support in checks_table(n, checks).items():
+        masks[sum(bit << i for i, bit in enumerate(syndrome))] = sum(1 << q for q in support)
+    placed_on = None if positions is None else tuple(positions)
+    return CheckReadout(n, ops, placed_on, Lookup(masks, n))
 
 
-def _read_syndrome(state: Tableau, ops) -> tuple:
-    """Noiseless parities of the check operators `ops` (1 where one reads -1)."""
-    syndrome = []
-    for op in ops:
-        value = state.expect(op)
-        if value is None:
-            raise ValueError(f"check {op!r} has no definite value")
-        syndrome.append(0 if value == 1 else 1)
-    return tuple(syndrome)
+def _decode_checks(trial, readout: CheckReadout) -> list[int]:
+    """Read the Z then the X checks, and apply the correction each syndrome
+    looks up (X for Z checks); returns the two rows (None when symbolic)."""
+    return [
+        trial.look_up(
+            [trial.read(op) for op in readout.ops[meas_basis]],
+            readout.lookup,
+            corr_basis,
+            readout.positions,
+        )
+        for meas_basis, corr_basis in (("Z", "X"), ("X", "Z"))
+    ]
 
 
 def decode_checks(state: Tableau, readout: CheckReadout) -> tuple[PauliOperator, PauliOperator]:
     """Measure the Z then the X type of every compiled check, look each
     syndrome up in the check set's table and apply the correction; returns
     the (X, Z) corrections on the checks' n qubits."""
-    corrections = []
-    for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        key = (corr_basis, _read_syndrome(state, readout.ops[meas_basis]), state.n)
-        found = readout.corrections.get(key)
-        if found is None:
-            op = PauliOperator.from_support(readout.n, corr_basis, readout.table[key[1]])
-            positions = readout.positions
-            placed = op if positions is None else embed_operator(op, state.n, positions)
-            found = readout.corrections[key] = op, placed
-        state.apply(found[1])
-        corrections.append(found[0])
-    return corrections[0], corrections[1]
+    kx, kz = _decode_checks(TableauTrial(state), readout)
+    return readout.lookup.operator(kx, "X", readout.n), readout.lookup.operator(kz, "Z", readout.n)
 
 
 def plaquette_checks(code: CodeTriple) -> list[tuple]:
@@ -519,27 +604,26 @@ def repair_slot(ctx: JumpContext, observed: FluxConfiguration) -> SlotRepair:
     )
 
 
-def _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips=None) -> list:
-    """(true flux, observed pattern) of every slot in `ctx.slots` order; bit
-    i of a pattern is dual i's recorded -1. Every slot is measured before
-    any flip is drawn. The flips are then one draw of one word per dual of
-    every slot, in slot order: the same words, in the same order, as one
-    draw per slot."""
-    fluxes = [
-        extract_flux(state3, ctx.split, pair, basis, rng, duals)
-        for basis, pair, duals in ctx.slots
-    ]
-    flips = 0  # bit j: the j-th dual of all slots, in slot order, reads flipped
-    if meas_flip_prob > 0:
-        for j, u in enumerate(rng.random(ctx.dual_count).tolist()):
-            if u < meas_flip_prob:
-                flips |= 1 << j
-    measured = []
-    for (basis, pair, duals), flux in zip(ctx.slots, fluxes):
-        seen = flips & ((1 << len(duals)) - 1)
-        flips >>= len(duals)
-        for i in flux.edges:
-            seen ^= 1 << i
+def _measure_slots(ctx: JumpContext, trial) -> list[int]:
+    """The outcome bits of every slot's duals, in `ctx.slots` order."""
+    measure = trial.measure
+    return [measure(op) for ops in ctx.slot_ops for op in ops]
+
+
+def _collapse(ctx: JumpContext, trial, meas_flip_prob=0.0, injected_flips=None) -> tuple:
+    """The collapse protocol on a trial runner; returns the runner on the
+    outer qubits, the outcome bits of `_measure_slots`, and per slot the
+    row of its slot table it read (None on a symbolic trial). Every slot is
+    measured before the flips are drawn, one word per dual in slot order;
+    the inner block is discarded, then each slot's observed pattern keys
+    its `ctx.slot_lookups` row, whose string is applied to the outer code."""
+    measured = _measure_slots(ctx, trial)
+    flips = trial.flips(meas_flip_prob, ctx.dual_count)
+    seen = [bit ^ flip for bit, flip in zip(measured, flips)]
+    outer = trial.discard(ctx.split.inner_vertices)
+    rows, lo = [], 0
+    for (basis, pair, duals), table in zip(ctx.slots, ctx.slot_lookups):
+        key, lo = seen[lo : lo + len(duals)], lo + len(duals)
         if injected_flips and (pair, basis) in injected_flips:
             injected = set(injected_flips[(pair, basis)])
             if not injected <= set(range(len(duals))):
@@ -547,16 +631,20 @@ def _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips=None) -> lis
                     f"injected flips {sorted(injected)} of {pair}:{basis} leave its "
                     f"{len(duals)} duals"
                 )
-            seen ^= sum(1 << i for i in injected)
-        measured.append((flux, seen))
-    return measured
+            for i in injected:
+                key[i] ^= 1
+        rows.append(outer.look_up(key, table, "X" if basis == "Z" else "Z"))
+    return outer, measured, rows
 
 
 def _finish_collapse(ctx, outer_state, corrections, record, repairs) -> CollapseOutcome:
     for op in corrections.values():
         outer_state.apply(op)
-    flags = {kind: outer_state.expect(ctx.logicals2[kind]) for kind in ("Z", "X")}
-    return CollapseOutcome(outer_state, corrections, record, repairs, flags)
+    return CollapseOutcome(outer_state, corrections, record, repairs, _flags(ctx, outer_state))
+
+
+def _flags(ctx: JumpContext, outer_state: Tableau) -> dict:
+    return {kind: outer_state.expect(ctx.logicals2[kind]) for kind in ("Z", "X")}
 
 
 def collapse(
@@ -566,31 +654,27 @@ def collapse(
     rng: np.random.Generator | None = None,
     injected_flips: dict | None = None,
 ) -> CollapseOutcome:
-    """Fault-tolerant collapse: flux extraction, matching repair, strings.
-
-    Each slot's repair and string correction are read from
-    `ctx.slot_repairs` by its observed pattern. `injected_flips` maps
-    (pair, basis) to dual-edge indices whose recorded outcome is inverted,
-    for deterministic fault-injection studies.
-    """
+    """Fault-tolerant collapse (`_collapse` on a `TableauTrial`), reported
+    from `ctx.slot_repairs`. `injected_flips` maps (pair, basis) to
+    dual-edge indices whose recorded outcome is inverted, for deterministic
+    fault-injection studies."""
+    trial = TableauTrial(state3, rng)
+    outer, measured, rows = _collapse(ctx, trial, meas_flip_prob, injected_flips)
     record, repairs = {}, {}
     # string corrections are +1 strings of their slot's type, which commute,
     # so each type's product is the XOR of their masks, with sign +1
-    mask_x = mask_z = 0
-    measured = _measure_slots(ctx, state3, meas_flip_prob, rng, injected_flips)
-    for (flux, seen), table in zip(measured, ctx.slot_repairs):
-        r = table[seen]
-        key = flux.pair, flux.basis
-        record[key] = dict(r.record)  # the caller's own copy
-        true = tuple(sorted(flux.edges)) if flux.edges else ()
-        repairs[key] = r.delta0, r.gamma_eff, true
-        if r.kind == "X":
-            mask_x ^= r.correction.x
-        else:
-            mask_z ^= r.correction.z
-    corrections = {"X": PauliOperator(ctx.n2, x=mask_x), "Z": PauliOperator(ctx.n2, z=mask_z)}
-    outer_state = discard_qubits(state3, list(ctx.split.inner_vertices))
-    return _finish_collapse(ctx, outer_state, corrections, record, repairs)
+    applied = {"X": 0, "Z": 0}
+    lo = 0
+    for (basis, pair, duals), table, k in zip(ctx.slots, ctx.slot_repairs, rows):
+        r = table[k]
+        record[pair, basis] = dict(r.record)  # the caller's own copy
+        true = tuple(compress(range(len(duals)), measured[lo : lo + len(duals)]))
+        repairs[pair, basis] = r.delta0, r.gamma_eff, true
+        applied[r.kind] ^= r.correction.x | r.correction.z
+        lo += len(duals)
+    x, z = applied["X"], applied["Z"]
+    corrections = {"X": PauliOperator(ctx.n2, x=x), "Z": PauliOperator(ctx.n2, z=z)}
+    return CollapseOutcome(outer.state, corrections, record, repairs, _flags(ctx, outer.state))
 
 
 def ideal_collapse(
@@ -598,22 +682,26 @@ def ideal_collapse(
     state3: Tableau,
     rng: np.random.Generator | None = None,
 ) -> CollapseOutcome:
-    """Direct collapse: read the outer syndrome, apply one restricted-gauge op.
-
-    Not fault tolerant: a pre-existing outer error shifts the syndrome, and
-    the edge-operator correction that matches it generally differs from the
-    error by a logical operator.
-    """
-    record = {(f.pair, f.basis): f.record() for f, _ in _measure_slots(ctx, state3, 0.0, rng)}
-    outer_state = discard_qubits(state3, list(ctx.split.inner_vertices))
+    """Direct collapse: read the outer syndrome, apply one restricted-gauge
+    op. Not fault tolerant: a pre-existing outer error shifts the syndrome,
+    and the matching edge-operator correction generally differs from the
+    error by a logical operator."""
+    trial = TableauTrial(state3, rng)
+    bits = iter(_measure_slots(ctx, trial))
+    record = {
+        (pair, basis): {d.plaquette: -1 if next(bits) else 1 for d in duals}
+        for basis, pair, duals in ctx.slots
+    }
+    outer = trial.discard(ctx.split.inner_vertices)
     corrections = {}
     table = _edge_table(ctx.code2)
     for meas_basis, corr_basis in (("Z", "X"), ("X", "Z")):
-        support = table.get(_read_syndrome(outer_state, ctx.plaquettes2.ops[meas_basis]))
+        syndrome = tuple(outer.read(op) for op in ctx.plaquettes2.ops[meas_basis])
+        support = table.get(syndrome)
         if support is None:
             raise ValueError("no restricted gauge operator matches the syndrome")
         corrections[corr_basis] = PauliOperator.from_support(ctx.n2, corr_basis, support)
-    return _finish_collapse(ctx, outer_state, corrections, record, {})
+    return _finish_collapse(ctx, outer.state, corrections, record, {})
 
 
 def _edge_table(code2: CodeTriple) -> dict:
@@ -658,25 +746,16 @@ class DualStructure:
     region, over `region_plaquettes`; `table` is the minimum-weight table of
     the stabilizer checks (the cells, then those regions).
 
-    A round is measured in `order` (by color pair, then plaquette id), and
-    its decode key holds everything the decode reads: one bit per (pair,
-    cell) that a plaquette end touches (`cell_bits`), the product of that
-    pair's outcomes on the cell, then one bit per region, its raw product.
-    `key_masks[pi]` holds the bits that a -1 outcome of plaquette pi
-    toggles (a plaquette with both ends on one cell toggles that bit twice,
-    as its outcome cancels in the product), so a round's key is the XOR of
-    the key masks of its -1 outcomes, `key_bits` wide. Row `key` of the
-    decode table holds that key's correction bits (`corrections`), |delta0|
-    per sorted color pair (`delta0_sizes`) and syndrome (`syndromes`); keys
-    outside the span of the key masks, which no round produces, read zero.
-    `correction_masks[key]` is that key's correction row as an int, bit q
-    holding qubit q, the mask `single_shot_decode` builds its operator from.
-
-    `placed[(basis, n, positions)]` holds the `basis` plaquettes in `order`
-    placed on `positions` of an n-qubit state, as `single_shot_ec` measures
-    them, and the `_runs` of those positions, which spread its correction
-    onto the state; the key and the code that owns the structure name all
-    they depend on.
+    A round is measured in `order` (by color pair, then plaquette id). Its
+    `key_bits`-wide decode key holds all the decode reads: per (pair, cell)
+    that a plaquette end touches (`cell_bits`) that pair's outcome product
+    on the cell, then each region's raw product; a -1 outcome of plaquette
+    pi toggles `key_masks[pi]` (twice a bit of a cell holding both of its
+    ends, as its outcome cancels in the product). Row `key` of the decode
+    table holds its correction bits (`corrections`), |delta0| per sorted
+    color pair (`delta0_sizes`) and syndrome (`syndromes`), zero outside
+    the span of the key masks; `lookup` is the `Lookup` a round reads, and
+    `placed` each placement of the measured plaquettes.
     """
 
     by_pair: dict[str, list]
@@ -691,7 +770,7 @@ class DualStructure:
     corrections: np.ndarray = field(init=False)
     delta0_sizes: np.ndarray = field(init=False)
     syndromes: np.ndarray = field(init=False)
-    correction_masks: list[int] = field(init=False, repr=False)
+    lookup: Lookup = field(init=False, repr=False)
     placed: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
 
@@ -745,7 +824,8 @@ def _code_dual_structure(code: CodeTriple) -> DualStructure:
         )
         dual.corrections, dual.delta0_sizes, dual.syndromes = _decode_every_key(dual, code.n)
         packed = np.packbits(dual.corrections, axis=1, bitorder="little")
-        dual.correction_masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        dual.lookup = Lookup(masks, code.n, dual.delta0_sizes, dual.corrections)
         code._dual_structure = dual
     return code._dual_structure
 
@@ -809,6 +889,29 @@ def _decode_every_key(dual: DualStructure, n: int) -> tuple[np.ndarray, ...]:
     return dense(corrections[at]), dense(np.stack(sizes, axis=1)), dense(found)
 
 
+def _single_shot_ec(trial, code: CodeTriple, basis: str, meas_flip_prob, positions=None):
+    """One single-shot round on a trial runner: measure the code's `basis`
+    plaquettes, each followed by its flip draw, then apply the decode
+    table's correction (of the dual kind) for the round's key. The code
+    sits on `positions` of the trial's qubits (None: all of them, in
+    order). Returns the recorded bits, in `order`, and the row read."""
+    dual, n = _code_dual_structure(code), trial.state.n
+    placed = dual.placed.get((basis, n, positions))
+    if placed is None:
+        ops = (plaquette_operator(code.colex, pi, basis) for pi in dual.order)
+        placed = tuple(embed_operator(op, n, positions or range(code.n)) for op in ops)
+        dual.placed[basis, n, positions] = placed
+    key = [0] * dual.key_bits
+    bits = []
+    for pi, op in zip(dual.order, placed):
+        bit = trial.measure(op) ^ trial.flips(meas_flip_prob, 1)[0]
+        for b in _set_bits(dual.key_masks[pi]):
+            key[b] ^= bit
+        bits.append(bit)
+    # measuring Z plaquettes finds X errors: the correction is of the dual kind
+    return bits, trial.look_up(key, dual.lookup, "X" if basis == "Z" else "Z", positions)
+
+
 def single_shot_ec(
     state: Tableau,
     code: CodeTriple,
@@ -817,34 +920,15 @@ def single_shot_ec(
     rng: np.random.Generator | None = None,
     embed: list[int] | None = None,
 ):
-    """One round of noisy gauge measurements + global repair + correction.
-
+    """One round of noisy gauge measurements + global repair + correction
+    (`_single_shot_ec` on a `TableauTrial`, reported by `single_shot_decode`).
     `basis` is the measured plaquette type; the correction applied is of the
-    dual Pauli kind (X errors flip Z plaquettes, so measuring Z yields an X
-    correction). The plaquettes, placed on `embed` of the state's qubits,
-    and the runs of those qubits that place the correction, are built on
-    first use and kept in the code's `DualStructure.placed`.
-    """
+    dual Pauli kind (X errors flip Z plaquettes)."""
+    positions = None if embed is None else tuple(embed)
+    bits, _ = _single_shot_ec(TableauTrial(state, rng), code, basis, meas_flip_prob, positions)
     dual = _code_dual_structure(code)
-    positions = tuple(embed) if embed is not None else tuple(range(code.n))
-    key = (basis, state.n, positions)
-    placed = dual.placed.get(key)
-    if placed is None:
-        ops = tuple(
-            embed_operator(plaquette_operator(code.colex, pi, basis), state.n, positions)
-            for pi in dual.order
-        )
-        placed = dual.placed[key] = ops, _runs(positions)
-    ops, runs = placed
-    outcomes: dict[int, int] = {}
-    for pi, op in zip(dual.order, ops):
-        value = state.measure(op, rng)
-        if meas_flip_prob > 0 and rng.random() < meas_flip_prob:
-            value = -value
-        outcomes[pi] = value
-    report = single_shot_decode(code, dual, outcomes, basis)
-    state.apply(_embed_runs(report.correction, state.n, runs))
-    return state, report
+    outcomes = {pi: -1 if bit else 1 for pi, bit in zip(dual.order, bits)}
+    return state, single_shot_decode(code, dual, outcomes, basis)
 
 
 def single_shot_decode(
@@ -864,33 +948,18 @@ def single_shot_decode(
     syndrome = tuple(dual.syndromes[key].tolist())
     cells = {ci: -1 if bit else 1 for ci, bit in enumerate(syndrome[: len(dual.cell_pairs)])}
     delta0_sizes = dict(zip(sorted(dual.by_pair), dual.delta0_sizes[key].tolist()))
-    mask = dual.correction_masks[key]
-    if basis == "Z":
-        correction = PauliOperator(code.n, x=mask)
-    else:
-        correction = PauliOperator(code.n, z=mask)
+    correction = dual.lookup.operator(key, "X" if basis == "Z" else "Z", code.n)
     return SingleShotReport(outcomes, cells, delta0_sizes, correction, syndrome)
 
 
 # -- blow-up ------------------------------------------------------------------------
 
 
-def blow_up(
-    ctx: JumpContext,
-    state2: Tableau,
-    meas_flip_prob: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> Tableau:
-    """Inverse jump: append fresh inner qubits, correct the inner code, and
-    reconcile the outer syndrome so the joint state satisfies the 3D code;
-    returns the 3D state.
-
-    The joint state embed(state2) x |0...0> is a tensor product, and so is
-    its tableau (Aaronson & Gottesman, quant-ph/0406196): state2's
-    destabilizer and stabilizer rows placed on the outer qubits, with their
-    signs, then X_v and +Z_v as the destabilizer and stabilizer of each inner
-    qubit v. No synthesis runs, so `from_stabilizers` stays once per context.
-    """
+def _tensor_inner(ctx: JumpContext, state2: Tableau) -> Tableau:
+    """embed(state2) x |0...0> on the context's 3D qubits, a tensor product
+    and so is its tableau (Aaronson & Gottesman, quant-ph/0406196): state2's
+    rows, with their signs, on the outer qubits, then X_v and +Z_v as the
+    destabilizer and stabilizer of each inner qubit v. No synthesis runs."""
     n2, n3 = ctx.n2, ctx.n3
     outer, inner = ctx.split.outer_vertices, ctx.split.inner_vertices
     m = len(inner)
@@ -911,7 +980,7 @@ def blow_up(
     for j, v in enumerate(inner):
         xcol[v] = 1 << n2 + j
         zcol[v] = 1 << n3 + n2 + j
-    state3 = Tableau._of(
+    return Tableau._of(
         n3,
         xs[:n2] + fresh + xs[n2:] + none,
         zs[:n2] + none + zs[n2:] + fresh,
@@ -919,8 +988,27 @@ def blow_up(
         xcol,
         zcol,
     )
+
+
+def _blow_up(ctx: JumpContext, trial, meas_flip_prob=0.0):
+    """The blow-up protocol on a trial runner; returns the runner on the 3D
+    qubits: fresh inner qubits, one single-shot round of each type on the
+    inner code, then the outer reconciliation."""
+    trial, inner = trial.blown_up(ctx), tuple(ctx.split.inner_vertices)
     for basis in ("Z", "X"):
-        single_shot_ec(state3, ctx.inner_code, basis, meas_flip_prob, rng, embed=inner)
+        _single_shot_ec(trial, ctx.inner_code, basis, meas_flip_prob, inner)
     # outer reconciliation: noiseless syndrome readout + exact correction
-    decode_checks(state3, ctx.outer_plaquettes3)
-    return state3
+    _decode_checks(trial, ctx.outer_plaquettes3)
+    return trial
+
+
+def blow_up(
+    ctx: JumpContext,
+    state2: Tableau,
+    meas_flip_prob: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tableau:
+    """Inverse jump: append fresh inner qubits, correct the inner code, and
+    reconcile the outer syndrome so the joint state satisfies the 3D code;
+    returns the 3D state (`_blow_up` on a `TableauTrial`)."""
+    return _blow_up(ctx, TableauTrial(state2, rng), meas_flip_prob).state

@@ -1,51 +1,32 @@
-"""Seeded Monte Carlo harness for collapse and single-shot experiments.
+"""Seeded Monte Carlo harness for collapse, single-shot and jump experiments.
 
 Each trial is keyed by (seed, trial index) through a counter-based
 generator, so any partition of trials over workers reproduces identical
-statistics. Residual errors are tracked exactly: the harness knows the
-injected noise, the true flux, and the applied corrections, so the residual
+statistics. Residual errors are tracked exactly: a collapse's residual
 class (syndrome plus logical action) is computed algebraically and reduced
 to its minimum-weight representative for the histograms.
 
-Both batched engines run one program type, `FrameProgram`, in the manner
-of Stim's frame sampling (Gidney, arXiv 2103.02202). A trial tracks only
-its Pauli frame against a reference state, and between two decoder calls
-it is affine over GF(2) in its draw bits. So one pass over affine forms
-(`_Forms`) compiles it, once per noise structure (p > 0, q > 0), into
-byte-indexed tables of its draw bits' effect and precomposed lookup
-tables, and a batch of `BATCH_TRIALS` trials runs one vectorised Philox
-draw (`noise.philox_words`, the same words as each trial's own generator,
-compared as integers with `noise.word_threshold`), then table gathers
-only: no matrix product and no per-trial Python call. Both compilers run
-their trial on one frame state, `_Frame`: a copy of the encoded state
-with every random outcome forced to +1, and the frame as one form per
-qubit, which measures an operator (a random outcome is a draw, and the
-frame takes the replaced row) and reads a check that the reference holds.
+Every trial is the `jump` protocol code run on one of two trial runners.
+The concrete one, `jump.TableauTrial`, runs it on a tableau: the tableau
+trials here (`_tableau_trial`, `jump_trial`), the exact oracle. The
+symbolic one, `_Frame`, is Stim's reference sample plus Pauli frame
+(Gidney, arXiv 2103.02202) reached by symbolic execution: a copy of the
+encoded state with every random outcome forced to +1, and the frame as
+GF(2) affine forms (`_Forms`) over the trial's draw bits, where a draw is
+a column, a read a form and a table read a lookup. No protocol branches on
+a bit, so one run per reference state and noise structure (p > 0, q > 0)
+compiles a trial into a `FrameProgram`, whose runner does a batch of
+`BATCH_TRIALS` trials as one vectorised Philox draw (`noise.philox_words`,
+the same words as each trial's own generator) and table gathers only.
 
-Collapse trials run on a `CollapsePlan`, compiled once per context and
-cached on it: each residual coset's lightest member and its weight and
-largest component per residual key, the final 2D decode reduced to a
-per-coset logical flip, and the collapse program. That program has one
-lookup per slot into the context's slot table (`JumpContext.slot_repairs`,
-which the tableau collapse reads too); no slot's key reads another slot's
-correction, so the compile merges them into one lookup over all slots. The tableau engine, the exact
-oracle, runs its trials one by one through the tableau pipeline, but draws
-a batch with one `philox_words` call as the batched engines do; each trial
-reads its row through a `noise.TrialStream`, which returns what the
-trial's own generator would. Its trial and the blow-up and round-trip
-trials of `jump_trial` share one noise step and one collapse step, and
-copy the encoded states the context builds once. Both engines, and the
-single-shot trials below, fold their trials into the statistics through
-the same per-batch tally (`_tally`); the collapse residual accounting is a
-gather from a dense per-key table and `np.bincount` counts.
-
-Single-shot trials run on a `SingleShotPlan`, compiled once per code and
-cached on it. It builds each encoded state once, and its compile runs
-both rounds and the final checks on a `_Frame` of each; see `_Frame` for
-why a random outcome updates the frame by the replaced row. Its program
-has one lookup per round into the code's decode table
-(`jump.DualStructure`), which holds the one decoder's result for every
-key.
+A plan holds what its programs are compiled from and caches them: the
+collapse's `CollapsePlan`, once per context, with the residual-coset
+tables that both collapse engines count with; a code's `SingleShotPlan`;
+and the `JumpPlan` of `jump blowup` and `roundtrip` (`jump_trials`). The
+tableau collapse engine draws a batch with one `philox_words` call too,
+each trial reading its row through a `noise.TrialStream`. Both engines
+and the single-shot trials fold their trials into the statistics through
+one per-batch tally (`_tally`).
 """
 
 from __future__ import annotations
@@ -58,13 +39,20 @@ from typing import Callable
 
 import numpy as np
 
-from .flux import plaquette_operator
 from .gf2 import BitMatrix, checks_table
 from .jump import (
     JumpContext,
+    TableauTrial,
+    _blow_up,
     _code_dual_structure,
-    blow_up,
+    _collapse,
+    _decode_checks,
+    _set_bits,
+    _single_shot_ec,
+    _tensor_inner,
+    check_readout,
     collapse,
+    discard_qubits,
     encoded_state,
     ideal_decode_2d,
     logical_operator,
@@ -74,7 +62,6 @@ from .noise import (
     NoiseSpec,
     TrialStream,
     philox_words,
-    sample_qubit_noise,
     to_mask,
     trial_rng,
     uniforms,
@@ -139,10 +126,10 @@ class _Forms:
     """One trial run on affine forms over GF(2), as `FrameProgram` reads it.
 
     A form is an int mask over the trial's variables, bit j for variable j:
-    variable 0 is the constant 1 (`one`), and the trial adds the others in
-    the order it meets them, one per Philox column it reads (`draw`) and
-    one per correction bit a lookup applies (`look_up`). `outputs` holds
-    the key forms of every lookup, then those of the final key.
+    variable 0 is the constant 1 (`one`), then one per Philox column the
+    trial reads (`draw`) and per correction bit a lookup applies
+    (`look_up`), in order. `outputs` holds every lookup's key forms, then
+    the final key's.
     """
 
     def __init__(self):
@@ -159,9 +146,10 @@ class _Forms:
         self.vars += 1
         return 1 << self.vars - 1
 
-    def look_up(self, key: list[int], table: np.ndarray, sizes: np.ndarray) -> list[int]:
+    def look_up(self, key: list[int], table: np.ndarray, sizes=None) -> list[int]:
         """Output `key` (its bit i is key[i]); returns the forms of the 0/1
-        correction in row key of `table`. `sizes` holds each row's |delta0|."""
+        correction in row key of `table`. `sizes`, if given, holds each
+        row's |delta0|."""
         self.lookups.append((len(self.outputs), len(key), self.vars, table, sizes))
         self.outputs += key
         self.vars += table.shape[1]
@@ -169,26 +157,39 @@ class _Forms:
 
 
 class _Frame:
-    """One trial on affine forms (`forms`) against its reference state.
+    """The symbolic trial runner: one trial on affine forms (`forms`)
+    against its reference state.
 
     The reference is a copy of an encoded state on which every random
     outcome is forced to +1. The frame F = (fx, fz), one form per qubit, is
-    the Pauli that maps the reference onto the trial's state; it starts as
-    the X then the Z noise draw of every qubit when `noisy`, else the
-    identity, and corrections XOR into it. A determinate outcome of M is
-    the reference value times (-1)^<F, M>. A random one is an outcome draw
-    o: the reference was projected with (1 + M)/2, and (1 + oM) F =
-    F (1 + sM) with s = o (-1)^<F, M>; for s = -1 the row G that the
-    measurement replaces anticommutes with M and fixes the reference up to
-    sign, so (1 - M)|ref> = +-G (1 + M)|ref>, and the frame becomes F G.
-    Every operator measured or read must be Hermitian, as `Tableau`'s are.
+    the Pauli that maps the reference onto the trial's state; noise and
+    corrections XOR into it. A determinate outcome of M is the reference
+    value times (-1)^<F, M>. A random one is an outcome draw o: the
+    reference was projected with (1 + M)/2, and (1 + oM) F = F (1 + sM)
+    with s = o (-1)^<F, M>; for s = -1 the row G that the measurement
+    replaces anticommutes with M and fixes the reference up to sign, so
+    (1 - M)|ref> = +-G (1 + M)|ref>, and the frame becomes F G. Operators
+    measured or read must be Hermitian, as `Tableau`'s are. A draw is a
+    column (`_Forms.draw`), a table read a lookup (`_Forms.look_up`); the
+    discard and the blow-up run on the reference and restrict or spread the
+    frame. A rate is only tested for being nonzero.
     """
 
-    def __init__(self, forms: _Forms, state: Tableau, noisy: bool):
+    def __init__(self, forms: _Forms, state: Tableau, noisy: bool = False):
         self.forms, self.state = forms, state.copy()
-        n = state.n
-        frame = [forms.draw(_NOISE) if noisy else 0 for _ in range(2 * n)]
-        self.fx, self.fz = frame[:n], frame[n:]
+        self.fx, self.fz = [0] * state.n, [0] * state.n
+        self.noise(noisy)
+
+    def noise(self, noisy) -> None:
+        """Noise draws on every qubit, X then Z, when `noisy` (p > 0)."""
+        if noisy:
+            for half in (self.fx, self.fz):
+                for q in range(len(half)):
+                    half[q] ^= self.forms.draw(_NOISE)
+
+    def flips(self, rate, count: int) -> list[int]:
+        """`count` flip draws (at q) when `rate` is nonzero, else zeros."""
+        return [self.forms.draw(_FLIP) for _ in range(count)] if rate else [0] * count
 
     def _parity(self, op: PauliOperator) -> int:
         """<F, op>: the frame's X part reads op's Z part, and vice versa."""
@@ -217,11 +218,36 @@ class _Frame:
             raise ValueError(f"check {op!r} has no definite value")
         return self._parity(op) ^ (self.forms.one if value < 0 else 0)
 
+    def look_up(self, key: list[int], table, basis: str, positions=None) -> None:
+        """Look row `key` of the `jump.Lookup` up and XOR its correction
+        into the frame's `basis` half, on `positions` (None: in order)."""
+        bits = self.forms.look_up(key, table.bits, table.sizes)
+        half = self.fx if basis == "X" else self.fz
+        for q, bit in zip(range(len(bits)) if positions is None else positions, bits):
+            half[q] ^= bit
 
-# A run of consecutive lookups merges into one lookup over their joined key
-# while the merged table keeps at most 2^MERGED_KEY_BITS rows per block:
-# 4096 int64 rows are 32 KiB per block, about a core's L1 data cache, so
-# the one gather stays as cheap as each of the small ones it replaces.
+    def discard(self, drop) -> "_Frame":
+        """The frame on the kept qubits: the reference discards `drop`."""
+        self.state = discard_qubits(self.state, list(drop))
+        dropped = set(drop)
+        keep = [q for q in range(len(self.fx)) if q not in dropped]
+        self.fx, self.fz = [self.fx[q] for q in keep], [self.fz[q] for q in keep]
+        return self
+
+    def blown_up(self, ctx: JumpContext) -> "_Frame":
+        """The frame on the context's 3D qubits: the 2D frame on the outer
+        qubits, the identity on the fresh inner ones."""
+        self.state = _tensor_inner(ctx, self.state)
+        fx, fz = [0] * ctx.n3, [0] * ctx.n3
+        for q, v in enumerate(ctx.split.outer_vertices):
+            fx[v], fz[v] = self.fx[q], self.fz[q]
+        self.fx, self.fz = fx, fz
+        return self
+
+
+# Consecutive lookups merge while the merged table keeps at most
+# 2^MERGED_KEY_BITS rows per block: 4096 int64 rows are 32 KiB, about a
+# core's L1 data cache, so one gather costs what each small one did.
 MERGED_KEY_BITS = 12
 
 # the value of each of an octet's 8 draw bits in its byte
@@ -233,39 +259,25 @@ class FrameProgram:
 
     A trial's input is b, one bit per column of its Philox row: u < p on a
     noise column, u < 1/2 on an outcome draw, u < q on a flip draw (`kinds`).
-    Trial t reads failure row t mod rows (`zero` on even trials, `plus` on
-    odd ones) and runs block t mod rows mod `blocks`, one `_Forms` pass;
-    `blocks` is 1 or the number of rows. Every output form splits into a
-    constant, a part over b and a part over the corrections, each an int64
-    word of output bits. As in the Method of Four Russians (Albrecht, Bard
-    & Hart, arXiv 0811.1714), b's columns go 8 to an octet, and entry v of
-    an octet's table holds the XOR of the words that its columns at the set
-    bits of v toggle (`tables`). Entry k of lookup j holds the parity of
-    correction k with the correction part of every later output, from the
-    output after key j on (`lookups`, one (key bits, effects) per lookup of
-    the forms). A run of consecutive lookups none of whose keys reads a
-    correction of an earlier one in the run (the earlier effects are 0 on
-    those key bits in every block) merges into one step over the joined
-    key, up to `MERGED_KEY_BITS` (`steps`): its entry at the joined key is
-    the XOR of the parts' entries, each shifted to start after the joined
-    key. The tetra15 collapse's six slot lookups are one step of 4096 rows;
-    single-shot keeps two, as round 2 reads round 1's correction. A batch
-    runs table lookups only:
-
-    1. one `philox_words` draw, each raw word compared with its column's
-       threshold times 2^11 (`noise.word_threshold`), draws down and trials
-       across as the words come, so no array is transposed;
-    2. the draw bits packed into one byte per octet, and the XOR of one
-       table entry per octet, octet 0's holding the block's constant:
-       every output bit of a trial in one int64;
-    3. per step of `bits` key bits, key = packed & (2^bits - 1), split into
-       the key of every lookup it joins, then packed = packed >> bits ^
-       effects[key];
-    4. what is left is the final key, which indexes the failure table.
-
-    The compares, the table gathers and the effect lookups run once per
-    block on that block's trials (every `blocks`-th row), so no per-trial
-    block index is gathered.
+    Trial t reads failure row t mod rows of `fail` and runs block t mod
+    `blocks`, one `_Forms` pass (a plan compiles one per reference). Every
+    output form splits into a constant, a part over b and a part over the
+    corrections, each an int64 word of output bits. As in the Method of
+    Four Russians (Albrecht, Bard & Hart, arXiv 0811.1714), b's columns go
+    8 to an octet, and entry v of an octet's table holds the XOR of the
+    words its columns at the set bits of v toggle (`tables`). Entry k of
+    lookup j holds the parity of correction k with the correction part of
+    every output after key j (`lookups`: (key bits, effects) per lookup). A
+    run of consecutive lookups none of whose keys reads a correction of an
+    earlier one in the run merges into one step over the joined key, up to
+    `MERGED_KEY_BITS` (`steps`). A batch runs one `philox_words` draw, each
+    raw word compared with its column's threshold times 2^11
+    (`noise.word_threshold`); then the XOR of one table entry per octet of
+    draw bits, every output bit of a trial in one int64; then per step of
+    `bits` key bits, key = packed & (2^bits - 1) and packed = packed >> bits
+    ^ effects[key]; what is left is the final key, which indexes `fail`.
+    The blocks' tables lie end to end, so each gather is one, at block
+    offset + index.
     """
 
     def __init__(self, blocks: list[_Forms], fail: np.ndarray):
@@ -296,36 +308,42 @@ class FrameProgram:
         # block's table
         self.tables = np.bitwise_xor.reduce(toggles * byte_bits, axis=-1) ^ constant
         self.starts = np.arange(octets * 256, step=256)[:, None]
+        self.same_kinds = bool((self.kinds == self.kinds[0]).all())
         self.lookups = [(bits, effect) for (_, bits, *_), effect in zip(first.lookups, effects)]
         self.steps = [_merged_step(run) for run in _mergeable_runs(self.lookups)]
         self._limits = None, None  # the last (p, q) and what `_thresholds` returned
-        # every lookup's |delta0| rows, one after the other from its offset
-        self.size_rows = np.concatenate([sizes for *_, sizes in first.lookups])
-        self.size_offsets = np.cumsum([0] + [len(sizes) for *_, sizes in first.lookups[:-1]])
+        # the |delta0| rows of the lookups that carry them, one after the
+        # other from each one's offset; a round trip mixes widths and counts none
+        sized = [sizes for *_, sizes in first.lookups if sizes is not None]
+        if len({rows.shape[1] for rows in sized}) == 1:
+            self.size_rows = np.concatenate(sized)
+            self.size_offsets = np.cumsum([0] + [len(rows) for rows in sized[:-1]])
 
     def run(self, noise: NoiseSpec, first: int, count: int) -> tuple[np.ndarray, ...]:
         """(reference, draw bits, key of every lookup, final key, failed)
         of trials first, first + 1, ..., one row per trial."""
         thresholds, certain = self._thresholds(noise.p_qubit, noise.q_meas)
-        refs = len(self.fail)
+        refs, blocks = len(self.fail), self.blocks
         ref = np.arange(first % refs, first % refs + count) % refs  # zero on even trials
-        # the block-b trials, b = (first + i) mod blocks for trial first + i
-        rows = [slice((b - first) % self.blocks, None, self.blocks) for b in range(self.blocks)]
         # draws down, trials across, as the words come; the draw bits of
         # the columns past `width`, up to a whole octet, are 0
         words = philox_words(noise.seed, first, count, self.width).T
         bits = np.zeros((self.tables.shape[1], 8, count), dtype=bool)
         drawn = bits.reshape(-1, count)[: self.width]
-        for b, at in enumerate(rows):
+        for b in range(1 if self.same_kinds else blocks):
+            # the block-b trials, b = (first + i) mod blocks for trial first + i
+            at = slice(None) if self.same_kinds else slice((b - first) % blocks, None, blocks)
             np.less(words[:, at], thresholds[b], out=drawn[:, at])
             if certain is not None:
                 drawn[:, at] |= certain[b]
         # bit j of octet o's byte is draw column 8o + j; a block-b trial
         # reads that byte from row o of table b
         octets = np.einsum("ojt,j->ot", bits.view(np.uint8), _BIT_VALUES) + self.starts
-        packed = np.empty(count, dtype=np.int64)
-        for table, at in zip(self.tables, rows):
-            np.bitwise_xor.reduce(table.ravel()[octets[:, at]], axis=0, out=packed[at])
+        block = None
+        if blocks > 1:
+            block = np.arange(first % blocks, first % blocks + count) % blocks
+            octets += block * self.tables[0].size
+        packed = np.bitwise_xor.reduce(self.tables.ravel()[octets], axis=0)
         keys = np.empty((len(self.lookups), count), dtype=np.int64)
         j = 0
         for key_bits, shifts, masks, effects in self.steps:
@@ -338,16 +356,15 @@ class FrameProgram:
                 np.right_shift(key, shifts, out=parts)
                 parts &= masks
             packed >>= key_bits
-            for effect, at in zip(effects, rows):
-                packed[at] ^= effect[key[at]]
+            # the blocks' rows lie end to end: block b's entry k at b 2^bits + k
+            packed ^= effects.ravel()[key if block is None else key + (block << key_bits)]
         return ref, drawn.T, keys.T, packed, self.fail[ref, packed]
 
     def _thresholds(self, p: float, q: float) -> tuple:
         """Per block, each draw column's threshold times 2^11 as a (width,
-        1) uint64 column, compared with the raw words: (w >> 11) < T
-        exactly when w < T * 2^11. A rate of 1 (T = 2^53) would need 2^64,
-        so its columns compare with 0, and the second array, None unless
-        some rate is 1, marks the columns to set after the compare."""
+        1) uint64 column: (w >> 11) < T exactly when w < T * 2^11. A rate
+        of 1 would need 2^64, so its columns compare with 0, and the second
+        array (None unless some rate is 1) marks them to set after."""
         rates, got = self._limits
         if rates != (p, q):
             limits = [0] + [int(word_threshold(rate)) << 11 for rate in (p, 0.5, q)]
@@ -360,7 +377,9 @@ class FrameProgram:
         return got
 
     def sizes(self, keys: np.ndarray) -> np.ndarray:
-        """(trials, lookups, ...) |delta0| of every lookup's entry at its key."""
+        """(trials, lookups, ...) |delta0| of every sized lookup's entry at
+        its key, from `keys`, the keys of the lookups that carry |delta0|
+        rows, in order."""
         return self.size_rows[keys + self.size_offsets]
 
 
@@ -399,15 +418,29 @@ def _merged_step(run: list) -> tuple:
 
 
 class _Compiled:
-    """A plan that compiles its trials (`_forms`) into one `FrameProgram`
-    per noise structure: p > 0 (`noisy`) and q > 0 (`flips`) decide which
-    draws a trial makes, and nothing else about the noise enters it."""
+    """A plan whose trial compiles into one `FrameProgram` per noise
+    structure: p > 0 (`noisy`) and q > 0 (`flips`) decide which draws a
+    trial makes, and nothing else about the noise enters it. A plan holds
+    its `references` (trial t starts from reference t mod their number),
+    its failure table `fail` (rows by reference, columns by final key), and
+    `_trial(frame, i, noisy, flips)`: the `jump` protocol code run on a
+    `_Frame` of reference i, returning the final key's forms.
+    """
 
     def program(self, noisy: bool, flips: bool) -> FrameProgram:
         got = self._programs.get((noisy, flips))
         if got is None:
-            got = self._programs[noisy, flips] = FrameProgram(*self._forms(noisy, flips))
+            got = self._programs[noisy, flips] = self._compile(noisy, flips)
         return got
+
+    def _compile(self, noisy: bool, flips: bool) -> FrameProgram:
+        """The one compile: the trial run once per reference, one block each."""
+        blocks = []
+        for i, state in enumerate(self.references):
+            forms = _Forms()
+            forms.outputs += self._trial(_Frame(forms, state), i, noisy, flips)
+            blocks.append(forms)
+        return FrameProgram(blocks, self.fail)
 
 
 def _sum_forms(forms: list[int], mask: int) -> int:
@@ -422,59 +455,40 @@ def _sum_forms(forms: list[int], mask: int) -> int:
 
 
 class CollapsePlan(_Compiled):
-    """Static tables of one context's collapse trials, compiled once.
-
-    Everything a trial derives from the lattice alone lives here; trials only
-    index into it. `collapse_plan` builds the plan on first use and caches it
-    on the context, so both engines and every `run_collapse_trials` call on
-    that context share one copy.
+    """Static tables of one context's collapse trials, compiled once and
+    cached on the context (`collapse_plan`), which both engines share.
 
     A residual on one CSS side is an outer error vector modulo the plaquette
-    stabilizers. Its coset is named by a key: the plaquette syndrome bits,
-    then the weight parity (which separates the two logical classes, since
-    every plaquette has even weight and the logical odd weight). Keys pack
-    into integers, the X side in the low bits and the Z side above it.
-    Error and correction vectors are int masks, bit q holding qubit q.
-
-    Per residual key, 2^(2 side_bits) entries (256 on tetra15), dense
-    tables hold the weight and largest connected component of the lightest
-    residual (`residual_weight`, `residual_component`), filled on every key
-    whose two sides name cosets (all 256 on tetra15); no error reaches
-    another. That is 2 bytes per residual key: a d = 5 tetrahedral facet (8
-    plaquettes, 2^18 keys) would hold 0.5 MB. Whether the final decode
-    leaves the logical flipped depends on one side's key only, so
-    `decoded_flip` holds it per side key (2^side_bits entries, 16 on
-    tetra15), filled at construction; keys no error reaches read False.
-
-    `program` compiles the collapse trial (`_forms`) into the batched
-    engine's `FrameProgram`, once per noise structure.
+    stabilizers. Its coset key is the plaquette syndrome bits, then the
+    weight parity (which separates the two logical classes: plaquettes have
+    even weight, the logical odd); keys pack into ints, the X side in the
+    low bits. Dense tables over every residual key hold the weight and the
+    largest connected component of the coset's lightest member
+    (`residual_weight`, `residual_component`). A program's final key is
+    the residual key (`residual_bits` wide), then the tracked logical's
+    bit, which is the failure.
     """
 
     def __init__(self, ctx: JumpContext):
         n2, n3 = ctx.n2, ctx.n3
-        checks = plaquette_checks(ctx.code2)
-        m = len(checks)
+        checks = plaquette_checks(ctx.code2) + [tuple(range(n2))]
         outer = list(ctx.split.outer_vertices)
         # residual coset key bit j of one side is the parity of (3D error on
-        # that side | applied correction << n3) over key_masks[j]
+        # that side | applied correction << n3) over key_masks[j], or of the
+        # 2D frame after the collapse over side_masks[j]
         self.ctx, self.n3 = ctx, n3
         self.key_masks = [
-            sum(1 << outer[q] for q in chk) | sum(1 << q for q in chk) << n3
-            for chk in checks + [tuple(range(n2))]
+            sum(1 << outer[q] for q in chk) | sum(1 << q for q in chk) << n3 for chk in checks
         ]
-        self.side_bits = m + 1
+        self.side_masks = [sum(1 << q for q in chk) for chk in checks]
+        self.side_bits = len(checks)
+        self.residual_bits = 2 * self.side_bits
         # (syndrome, parity) -> lexicographically first minimum-weight member:
         # the (weight, lex) order of min_weight_table is the tie-break
-        cosets = checks_table(n2, checks + [tuple(range(n2))])
+        cosets = checks_table(n2, checks)
         self.coset_min = {_pack(key): support for key, support in cosets.items()}
-        # the final noiseless 2D decode, reduced to whether it leaves the
-        # logical flipped on each coset
-        decode = checks_table(n2, checks)
-        self.decoded_flip = np.zeros(1 << self.side_bits, dtype=bool)
-        for key in cosets:
-            self.decoded_flip[_pack(key)] = (key[m] + len(decode[key[:m]])) % 2 == 1
         adjacency = _outer_adjacency(ctx)
-        keys = 1 << 2 * self.side_bits
+        keys = 1 << self.residual_bits
         self.residual_weight = np.zeros(keys, dtype=np.uint8)
         self.residual_component = np.zeros(keys, dtype=np.uint8)
         for key_x, sx in self.coset_min.items():
@@ -482,6 +496,9 @@ class CollapsePlan(_Compiled):
                 key = key_x | key_z << self.side_bits
                 self.residual_weight[key] = len(sx) + len(sz)
                 self.residual_component[key] = _max_component(sx + sz, adjacency)
+        self.references = [ctx.states3[logical] for logical, _ in _TRACKED]
+        failed = (np.arange(2 << self.residual_bits) >> self.residual_bits).astype(bool)
+        self.fail = np.tile(failed, (len(_TRACKED), 1))
         self._programs = {}
 
     def residual_key(self, ex: int, ez: int, applied: dict) -> int:
@@ -500,52 +517,23 @@ class CollapsePlan(_Compiled):
         """(X-side key, Z-side key) of a packed residual key."""
         return key & ((1 << self.side_bits) - 1), key >> self.side_bits
 
-    def _forms(self, noisy: bool, flips: bool) -> tuple[list, np.ndarray]:
-        """The collapse trial on affine forms, one block for both encoded
-        states, and its failure table. Each inner plaquette is measured on a
-        `_Frame` of the zero state; it reads +1 there, as on the plus state,
-        so it reads <F, M> (X errors flip Z-type plaquettes) plus its flip
-        draw, the same form on both, and every slot is read before any
-        correction. Slot s is one lookup, keyed by its observed pattern (bit
-        i for dual i), of the outer string corrections of
-        `ctx.slot_repairs[s]`, which enter the frame half the slot reads.
-        The final key is the residual key, parities of the frame over
-        `key_masks`; the zero state fails by the final decode of its X side,
-        the plus state by that of its Z side."""
+    def _trial(self, frame, i: int, noisy: bool, flips: bool) -> list[int]:
+        """The collapse trial of reference i as `_tableau_trial` runs it; the
+        residual key reads the 2D frame between the collapse and the decode."""
         ctx = self.ctx
-        forms = _Forms()
-        frame = _Frame(forms, ctx.states3["zero"], noisy)
-        fx, fz = frame.fx, frame.fz
-        halves = [fx if basis == "Z" else fz for basis, _, _ in ctx.slots]
-        seen = [
-            [
-                frame.measure(plaquette_operator(ctx.colex3, d.plaquette, basis))
-                ^ (forms.draw(_FLIP) if flips else 0)
-                for d in duals
-            ]
-            for basis, _, duals in ctx.slots
-        ]
-        outer = ctx.split.outer_vertices
-        for half, key, repairs in zip(halves, seen, ctx.slot_repairs):
-            # a string correction is of one type, so the other mask is 0
-            masks = [r.correction.x | r.correction.z for r in repairs]
-            table = np.array([[mask >> q & 1 for q in range(ctx.n2)] for mask in masks])
-            sizes = np.array([[len(r.delta0)] for r in repairs], dtype=np.uint8)
-            for q, bit in zip(outer, forms.look_up(key, table, sizes)):
-                half[q] ^= bit
-        low = (1 << self.n3) - 1
-        for half in (fx, fz):
-            forms.outputs += [_sum_forms(half, mask & low) for mask in self.key_masks]
-        keys = np.arange(1 << 2 * self.side_bits)
-        side = (1 << self.side_bits) - 1
-        return [forms], self.decoded_flip[np.stack([keys & side, keys >> self.side_bits])]
+        frame.noise(noisy)
+        outer = _collapse(ctx, frame, flips)[0]
+        residual = [_sum_forms(half, m) for half in (outer.fx, outer.fz) for m in self.side_masks]
+        _decode_checks(outer, ctx.plaquettes2)
+        return residual + [outer.read(ctx.logicals2[_TRACKED[i][1]])]
 
 
 def collapse_plan(ctx: JumpContext) -> CollapsePlan:
     """The context's collapse plan, compiled on first use."""
-    if ctx._collapse_plan is None:
-        ctx._collapse_plan = CollapsePlan(ctx)
-    return ctx._collapse_plan
+    plan = ctx._plans.get("collapse")
+    if plan is None:
+        plan = ctx._plans["collapse"] = CollapsePlan(ctx)
+    return plan
 
 
 def _pack(bits) -> int:
@@ -611,23 +599,12 @@ class _Batch:
 
 
 class CollapseEngine:
-    """Batched classical fast path for collapse trials.
-
-    On a freshly prepared encoded state the whole trial is sign-linear:
-    plaquette bits never change, Pauli noise only toggles signs, and every
-    measured operator stays determinate. An inner plaquette therefore reads
-    its reference value (+1 on both encoded states) times the parity of the
-    injected error on its support, as a `_Frame` of the zero state measures
-    it; the outer plaquette value after discarding equals the parity on its
-    own support; logical flips are support parities of the accumulated
-    error. The engine runs that arithmetic as the context's collapse
-    `FrameProgram` (`CollapsePlan._forms`) on a batch of trials at once.
-    Its draw holds the words of each trial's own generator in the tableau
-    pipeline's order (qubit noise, then one flip per dual), and its slot
-    lookups read `ctx.slot_repairs` as the tableau collapse does, so both
-    engines produce identical trials (asserted in the test suite).
-    `run_trial` is a batch of one; `result` rebuilds a trial's error masks
-    and true patterns from the batch's draw bits and lookup keys.
+    """Batched fast path for collapse trials: the context's collapse
+    `FrameProgram` (`CollapsePlan._trial`) on a batch of trials at once. It
+    draws and looks up as the tableau collapse does, so both engines
+    produce identical trials (asserted in the test suite). `run_trial` is a
+    batch of one; `result` rebuilds a trial's error masks and true patterns
+    from the batch's draw bits and lookup keys.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -640,7 +617,8 @@ class CollapseEngine:
     def run_batch(self, noise: NoiseSpec, first: int, count: int) -> _Batch:
         ctx, plan = self.ctx, self.plan
         program = plan.program(noise.p_qubit > 0, noise.q_meas > 0)
-        ref, bits, seen_patterns, keys, failed = program.run(noise, first, count)
+        ref, bits, seen_patterns, final, failed = program.run(noise, first, count)
+        keys = final & (1 << plan.residual_bits) - 1
         n3 = ctx.n3
         noise_cols = 2 * n3 if noise.p_qubit > 0 else 0  # the X then the Z error of every qubit
 
@@ -669,18 +647,15 @@ class CollapseEngine:
                 logical, ex, ez, records, repairs, applied, flags, bool(failed[i]), key
             )
 
-        return _Batch(keys, program.sizes(seen_patterns), failed, result)
+        return _Batch(keys, program.sizes(seen_patterns[:, : len(ctx.slots)]), failed, result)
 
 
-# Trials per batch. Each batch pays a fixed cost for its numpy calls (the
-# Philox kernel alone about 0.15 ms), and past 1024 trials the kernel's cost
-# per trial rises again. Medians of 9 interleaved repetitions of the
-# frame-program runner with merged lookups on warm tables, 2 vCPUs
-# (us/trial at 256, 512, 1024 and 2048): 40,000-trial tetra15 collapse
-# calls at p = q = 0.05 took 2.44, 1.69, 1.71 and 2.29; 20,480-trial
-# single-shot calls at p = q = 0.02 took 2.86, 2.85, 3.66 and 4.42 on
-# tetra15 and 1.76, 1.67, 1.03 and 1.02 on the inner code. No size beats
-# 512 on both engines.
+# Trials per batch: each batch pays a fixed cost for its numpy calls, and
+# past 1024 trials the Philox kernel's cost per trial rises again. Medians
+# of 9 runs on warm tables, 2 vCPUs, us/trial at 256, 512, 1024 and 2048:
+# tetra15 collapse at p = q = 0.05 2.44, 1.69, 1.71, 2.29; single-shot at
+# p = q = 0.02 2.86, 2.85, 3.66, 4.42 on tetra15 and 1.76, 1.67, 1.03, 1.02
+# on the inner code. No size beats 512 on both engines.
 BATCH_TRIALS = 512
 
 
@@ -704,11 +679,9 @@ def run_collapse_trials(
 
     Logical states alternate between the Z and X basis by trial parity. A
     trial fails when the tracked logical expectation flips after the final
-    noiseless decode on the collapsed 2D state. `engine` selects the batched
-    sign-linear fast path (`CollapseEngine`) or the full tableau pipeline
-    run trial by trial on one draw per batch (`_tableau_batch`); both
-    produce bit-identical trials. Trial indices key the generator as
-    uint64 words, so they must lie in [0, 2^64).
+    noiseless decode on the collapsed 2D state. `engine` selects the frame
+    program (`CollapseEngine`) or the tableau pipeline (`_tableau_batch`);
+    both produce bit-identical trials. Trial indices must lie in [0, 2^64).
     """
     if engine not in ("fast", "tableau"):
         raise ValueError(f'unknown engine {engine!r}: use "fast" or "tableau"')
@@ -762,12 +735,10 @@ def _add_counts(counter: Counter, values: np.ndarray) -> None:
 def _tableau_batch(ctx, noise, first, count, keep: bool) -> _Batch:
     """Tableau-engine trials as a batch: the tally values of every trial,
     and the trial results themselves only when `keep` (a trace needs them).
-
-    The trials run one by one through the tableau pipeline, but their
-    draws are one `philox_words` call: each trial's row holds the words its
-    own generator would give, as many as the pipeline reads (the X then the
-    Z noise of every qubit when p > 0, then one flip per dual of every slot
-    when q > 0), and the trial reads it through a `TrialStream`."""
+    The trials run one by one, but draw with one `philox_words` call: each
+    trial reads its row, the words its own generator would give (the X then
+    the Z noise of every qubit when p > 0, then one flip per dual of every
+    slot when q > 0), through a `TrialStream`."""
     width = 2 * ctx.n3 if noise.p_qubit > 0 else 0
     if noise.q_meas > 0:
         width += ctx.dual_count
@@ -790,15 +761,6 @@ _TRACKED = (("zero", "Z"), ("plus", "X"))
 _TRACKED_KINDS = tuple(kind for _, kind in _TRACKED)
 
 
-def _apply_noise(state, p: float, rng) -> tuple[int, int]:
-    """Draw X then Z noise at rate p on every qubit of `state` and apply
-    it; returns the (X, Z) error masks."""
-    ex, ez = sample_qubit_noise(p, state.n, rng)
-    if ex or ez:
-        state.apply(PauliOperator(state.n, ex, ez))
-    return ex, ez
-
-
 def _collapse_step(ctx, state3, q: float, rng, kind: str, injected_flips=None):
     """Collapse `state3`, then decode the 2D state noiselessly; returns the
     collapse outcome and the value of the tracked `kind` logical."""
@@ -813,9 +775,9 @@ def _tableau_trial(ctx, noise, t, rng=None) -> _TrialResult:
     if rng is None:
         rng = trial_rng(noise.seed, t)
     logical, kind = _TRACKED[t % 2]
-    state = ctx.states3[logical].copy()
-    ex, ez = _apply_noise(state, noise.p_qubit, rng)
-    out, value = _collapse_step(ctx, state, noise.q_meas, rng, kind)
+    trial = TableauTrial(ctx.states3[logical].copy(), rng)
+    ex, ez = trial.noise(noise.p_qubit)
+    out, value = _collapse_step(ctx, trial.state, noise.q_meas, rng, kind)
     applied = {"X": out.applied_correction["X"].x, "Z": out.applied_correction["Z"].z}
     return _TrialResult(
         logical,
@@ -830,51 +792,68 @@ def _tableau_trial(ctx, noise, t, rng=None) -> _TrialResult:
     )
 
 
-def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int, rng=None):
-    """One tableau trial of a `blowup` or a `roundtrip` from the 2D `zero`
-    (t even) or `plus` state, drawing from `rng` (by default the trial's own
-    generator); returns the tracked logical's value.
-
-    A blow-up puts qubit noise on the 2D state and reads the logical on the
-    outer qubits after the blow-up. A round trip puts it on the 3D state
-    between the blow-up and the collapse step.
-    """
-    if rng is None:
-        rng = trial_rng(noise.seed, t)
-    logical, kind = _TRACKED[t % 2]
-    state2 = ctx.states2[logical].copy()
+def _jump(ctx: JumpContext, trial, action: str, kind: str, p, q) -> int:
+    """The `blowup` or `roundtrip` protocol on a 2D trial runner; returns
+    the tracked `kind` logical's bit. A blow-up puts qubit noise on the 2D
+    state and reads the logical on the outer qubits after it; a round trip
+    puts it on the 3D state, then collapses and decodes noiselessly."""
     if action == "blowup":
-        _apply_noise(state2, noise.p_qubit, rng)
-        state3 = blow_up(ctx, state2, noise.q_meas, rng)
-        return state3.expect(ctx.outer_logicals3[kind])
-    if action == "roundtrip":
-        state3 = blow_up(ctx, state2, noise.q_meas, rng)
-        _apply_noise(state3, noise.p_qubit, rng)
-        return _collapse_step(ctx, state3, noise.q_meas, rng, kind)[1]
-    raise ValueError(f'unknown jump action {action!r}: use "blowup" or "roundtrip"')
+        trial.noise(p)
+        return _blow_up(ctx, trial, q).read(ctx.outer_logicals3[kind])
+    if action != "roundtrip":
+        raise ValueError(f'unknown jump action {action!r}: use "blowup" or "roundtrip"')
+    state3 = _blow_up(ctx, trial, q)
+    state3.noise(p)
+    outer = _collapse(ctx, state3, q)[0]
+    _decode_checks(outer, ctx.plaquettes2)
+    return outer.read(ctx.logicals2[kind])
+
+
+def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int, rng=None):
+    """One tableau trial (`_jump` on a `TableauTrial`) of a `blowup` or a
+    `roundtrip` from the 2D `zero` (t even) or `plus` state, drawing from
+    `rng` (by default the trial's own generator); returns the tracked
+    logical's value."""
+    logical, kind = _TRACKED[t % 2]
+    state = ctx.states2[logical].copy()
+    trial = TableauTrial(state, trial_rng(noise.seed, t) if rng is None else rng)
+    return -1 if _jump(ctx, trial, action, kind, noise.p_qubit, noise.q_meas) else 1
+
+
+class JumpPlan(_Compiled):
+    """`jump_trial` of one action, `blowup` or `roundtrip`: `_jump` run on
+    a `_Frame` of the 2D `zero` and `plus` states; its final key is the
+    tracked logical's bit, the failure."""
+
+    def __init__(self, ctx: JumpContext, action: str):
+        if action not in ("blowup", "roundtrip"):
+            raise ValueError(f'unknown jump action {action!r}: use "blowup" or "roundtrip"')
+        self.ctx, self.action = ctx, action
+        self.references = [ctx.states2[logical] for logical, _ in _TRACKED]
+        self.fail = np.tile([False, True], (len(_TRACKED), 1))
+        self._programs = {}
+
+    def _trial(self, frame, i: int, noisy: bool, flips: bool) -> list[int]:
+        return [_jump(self.ctx, frame, self.action, _TRACKED[i][1], noisy, flips)]
+
+
+def jump_plan(ctx: JumpContext, action: str) -> JumpPlan:
+    """The context's compiled plan of a jump action, built on first use."""
+    plan = ctx._plans.get(action)
+    if plan is None:
+        plan = ctx._plans[action] = JumpPlan(ctx, action)
+    return plan
 
 
 def jump_trials(ctx: JumpContext, noise: NoiseSpec, action: str, trials: int):
-    """The values of `jump_trial` on trials 0, 1, ..., trials - 1, one
-    `philox_words` draw per `BATCH_TRIALS` trials.
-
-    Row t holds as many of trial t's words as a trial can read: the X then
-    the Z noise of every qubit of the noisy state when p > 0, an outcome
-    and (when q > 0) a flip draw per inner plaquette in each of the
-    blow-up's two rounds, and for a round trip one flip per dual of every
-    slot when q > 0. The trial reads its row through a `TrialStream`, so
-    its value equals `jump_trial(ctx, noise, action, t)`."""
+    """The values of `jump_trial(ctx, noise, action, t)` for t = 0, 1, ...,
+    trials - 1, run as the context's compiled jump program (`JumpPlan`),
+    one batch per `BATCH_TRIALS` trials."""
     _check_trial_range(0, trials)
-    rounds = 2 * len(_code_dual_structure(ctx.inner_code).order)
-    width = rounds * (2 if noise.q_meas > 0 else 1)
-    if noise.p_qubit > 0:
-        width += 2 * (ctx.n2 if action == "blowup" else ctx.n3)
-    if action == "roundtrip" and noise.q_meas > 0:
-        width += ctx.dual_count
+    program = jump_plan(ctx, action).program(noise.p_qubit > 0, noise.q_meas > 0)
     for first in range(0, trials, BATCH_TRIALS):
-        rows = uniforms(philox_words(noise.seed, first, min(BATCH_TRIALS, trials - first), width))
-        for t, row in enumerate(rows, first):
-            yield jump_trial(ctx, noise, action, t, TrialStream(noise.seed, t, row))
+        failed = program.run(noise, first, min(BATCH_TRIALS, trials - first))[-1]
+        yield from (-1 if bad else 1 for bad in failed.tolist())
 
 
 def _trace_line(noise: NoiseSpec, t: int, result: _TrialResult) -> str:
@@ -902,10 +881,6 @@ def _trace_line(noise: NoiseSpec, t: int, result: _TrialResult) -> str:
     )
 
 
-def _set_bits(mask: int) -> list[int]:
-    return [q for q in range(mask.bit_length()) if mask >> q & 1]
-
-
 def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
     """Every single fault (outer/inner qubit Pauli or one measurement flip),
     run with no generator: every measurement is determinate, and a random
@@ -920,12 +895,11 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
         kind = "Z" if logical == "zero" else "X"
         return _collapse_step(ctx, state, 0.0, None, kind, flips)[1]
 
-    singles = []
-    for q in range(ctx.n3):
-        for kind in ("X", "Z", "Y"):
-            x = 1 << q if kind in ("X", "Y") else 0
-            z = 1 << q if kind in ("Z", "Y") else 0
-            singles.append((f"{kind}{q}", PauliOperator(ctx.n3, x, z)))
+    singles = [
+        (f"{kind}{q}", PauliOperator(ctx.n3, (kind != "Z") << q, (kind != "X") << q))
+        for q in range(ctx.n3)
+        for kind in ("X", "Z", "Y")
+    ]
     for logical in ("zero", "plus"):
         for label, op in singles:
             if trial(logical, inject=op) != 1:
@@ -943,53 +917,39 @@ _ROUNDS = ("Z", "X")  # the bases of a trial's two rounds, in measurement order
 
 
 class SingleShotPlan(_Compiled):
-    """Static part of one code's single-shot trials, compiled once.
-
-    Pauli noise and Pauli corrections never change the unsigned stabilizer
-    group, and a tableau's x/z rows never depend on signs. So which
-    plaquette measurements are random, which stabilizer row each random one
-    replaces, and every deterministic outcome up to sign are the same in all
-    trials from one encoded state. The plan holds each encoded state once
-    (`states`: `zero` and `plus` for a tetrahedral code, `None` for the
-    inner code), the code's dual structure and its cells. `single_shot_plan`
-    caches it on the code, and `program` compiles one trial per state on a
-    `_Frame` (`_forms`), once per noise structure, into the `FrameProgram`
-    that batches run.
-
-    A round reaches the decoder only through its decode key, and the decode
-    does not depend on the measured basis, which only picks the frame half
-    that the correction enters. So the code's decode table (the
-    `jump.DualStructure` in `dual`, built whole with it), indexed by key,
-    serves both rounds: each round is one lookup of its correction bits
-    (`dual.corrections`) and |delta0| per color pair (`dual.delta0_sizes`),
-    the rows `single_shot_decode` reads. The table has 2^key_bits rows, far
-    fewer than the 2^n supports that the code's decoding table already
-    enumerates.
+    """Static part of one code's single-shot trials, compiled once and
+    cached on the code (`single_shot_plan`): each encoded state once
+    (`references`: `zero` and `plus` for a tetrahedral code, the inner
+    code's one state otherwise), the code's `jump.DualStructure` (`dual`),
+    whose decode table serves both rounds (a round reaches the decoder only
+    through its key), and on a tetrahedral code its cells compiled for the
+    final decode.
     """
 
     def __init__(self, code):
         self.code = code
         self.dual = _code_dual_structure(code)
-        self.cells = [tuple(vs) for vs, _ in code.colex.cells]
-        logicals = ("zero", "plus") if code.L.generators else (None,)
-        self.states = {logical: encoded_state(code, logical) for logical in logicals}
+        self.logicals = ("zero", "plus") if code.L.generators else (None,)
+        self.references = [encoded_state(code, logical) for logical in self.logicals]
+        if code.L.generators:
+            self.cells = check_readout(code.n, [tuple(vs) for vs, _ in code.colex.cells])
+            self.fail = np.tile([False, True], (len(self.logicals), 1))
+        else:
+            self.fail = (np.arange(1 << len(code.S.generators)) != 0)[None]
         self._programs = {}
 
-    def _forms(self, noisy: bool, flips: bool) -> tuple[list, np.ndarray]:
-        """One block per encoded state (`_single_shot_forms`) and the
-        failure table. A tetrahedral code's final key is its cell syndrome,
-        then the tracked logical's parity; a trial fails when that parity
-        differs from whether the final decode's correction at the syndrome
-        flips the logical. The inner code's holds one violation bit per
-        generator: any fails."""
-        blocks = [_single_shot_forms(self, logical, noisy, flips) for logical in self.states]
-        if None in self.states:
-            keys = np.arange(1 << len(self.code.S.generators))
-            return blocks, (keys != 0)[None]
-        flip = np.zeros(1 << len(self.cells), dtype=bool)
-        for syndrome, support in checks_table(self.code.n, self.cells).items():
-            flip[_pack(syndrome)] = len(support) & 1
-        return blocks, np.tile(np.concatenate([flip, ~flip]), (len(blocks), 1))
+    def _trial(self, frame, i: int, noisy: bool, flips: bool) -> list[int]:
+        """Noise, then one `_single_shot_ec` round of each type. The final
+        key is one violation bit per stabilizer generator on the inner code,
+        else the tracked logical's bit after the final decode of the cells."""
+        code = self.code
+        frame.noise(noisy)
+        for basis in _ROUNDS:
+            _single_shot_ec(frame, code, basis, flips)
+        if self.logicals[i] is None:
+            return [frame.read(op) for op in code.S.generators]
+        _decode_checks(frame, self.cells)
+        return [frame.read(logical_operator(code, _TRACKED[i][1]))]
 
 
 def single_shot_plan(code) -> SingleShotPlan:
@@ -999,73 +959,23 @@ def single_shot_plan(code) -> SingleShotPlan:
     return code._single_shot_plan
 
 
-def _single_shot_forms(plan, logical, noisy: bool, flips: bool) -> _Forms:
-    """One encoded state's trial on a `_Frame` of it. Each plaquette's
-    outcome bit, plus its flip draw, toggles the round's decode key by the
-    plaquette's key mask. Each round's key is one lookup into the code's
-    decode table, whose correction enters the frame half the round reads.
-    The final key reads the frame after both rounds: every stabilizer
-    generator on the inner code, else the tracked type's cells and logical
-    (see `SingleShotPlan._forms`)."""
-    code, dual = plan.code, plan.dual
-    forms = _Forms()
-    frame = _Frame(forms, plan.states[logical], noisy)
-    for basis in _ROUNDS:
-        key = [0] * dual.key_bits
-        for pi in dual.order:
-            bit = frame.measure(plaquette_operator(code.colex, pi, basis))
-            if flips:
-                bit ^= forms.draw(_FLIP)
-            for b in _set_bits(dual.key_masks[pi]):
-                key[b] ^= bit
-        # a Z round's correction enters the frame's X part; vice versa for X
-        half = frame.fx if basis == "Z" else frame.fz
-        for q, bit in enumerate(forms.look_up(key, dual.corrections, dual.delta0_sizes)):
-            half[q] ^= bit
-    if logical is None:
-        checks = code.S.generators
-    else:
-        kind = "Z" if logical == "zero" else "X"
-        checks = [PauliOperator.from_support(code.n, kind, cell) for cell in plan.cells]
-        checks.append(logical_operator(code, kind))
-    forms.outputs += [frame.read(op) for op in checks]
-    return forms
-
-
 def run_single_shot_trials(
     code,
     noise: NoiseSpec,
     trials: int,
     trial_offset: int = 0,
 ) -> TrialStats:
-    """Single-shot harness on the code's Pauli frame: inner codes count
-    stabilizer violations as failure (verified noiselessly); tetrahedral
-    codes count logical flips after a final ideal decode.
+    """Single-shot harness: inner codes count stabilizer violations as
+    failure (verified noiselessly); tetrahedral codes count logical flips
+    after a final ideal decode.
 
     A trial prepares the encoded state (`zero`/`plus` by trial parity on
     tetrahedral codes), injects qubit noise, runs one noisy single-shot
-    round of Z plaquettes and one of X plaquettes (`single_shot_decode`,
-    correction applied), then reads its failure. It keeps only the frame
-    F = (fx, fz), the Pauli that maps its encoded state, with every random
-    outcome forced to +1, onto the trial's state (`_Frame`): noise and
-    corrections XOR into it, a deterministic outcome and the final checks
-    read the reference value times (-1)^<F, M>, and a random measurement
-    draws its outcome as the tableau does and may take the replaced row.
-
-    Between two decoder calls all of this is affine over GF(2) in the
-    frame and the trial's draw bits, so the plan compiles the trial on a
-    `_Frame` into one `FrameProgram` (`SingleShotPlan.program`). Trials run
-    in batches of `BATCH_TRIALS`, with no Python loop over trials: one
-    `philox_words` draw, one gather per octet of draw bits, then per round
-    a lookup of the correction's precomposed effect on the later keys, and
-    a gather from the failure table. The random numbers of a trial are
-    drawn in the tableau harness's order: the X then the Z noise of every
-    qubit when p > 0, then per plaquette the outcome draw of a random
-    measurement and the flip draw when q > 0. Row i of the draw is a prefix
-    of trial i's own generator stream, as wide as the state that draws
-    most. Every trial and every statistic therefore equals the tableau
-    harness's bit for bit (asserted in the test suite), and no `Tableau`
-    method runs per trial. Trial indices must lie in [0, 2^64).
+    round of Z plaquettes and one of X plaquettes, then reads its failure:
+    `SingleShotPlan._trial`, run as the plan's `FrameProgram` in batches of
+    `BATCH_TRIALS`. Its draws come in the tableau harness's order, so every
+    trial equals the tableau harness's bit for bit (asserted in the test
+    suite). Trial indices must lie in [0, 2^64).
     """
     _check_trial_range(trial_offset, trials)
     plan = single_shot_plan(code)
@@ -1079,12 +989,12 @@ def run_single_shot_trials(
 
 def _single_shot_batches(plan: SingleShotPlan, noise: NoiseSpec, trial_offset: int, trials: int):
     """(first trial, decode key of every round, failed) per batch of
-    `BATCH_TRIALS` trials."""
+    `BATCH_TRIALS` trials; the rounds' lookups come first."""
     program = plan.program(noise.p_qubit > 0, noise.q_meas > 0)
     end = trial_offset + trials
     for first in range(trial_offset, end, BATCH_TRIALS):
         _, _, keys, _, failed = program.run(noise, first, min(BATCH_TRIALS, end - first))
-        yield first, keys, failed
+        yield first, keys[:, : len(_ROUNDS)], failed
 
 
 # -- output formats -------------------------------------------------------------------

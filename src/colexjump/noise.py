@@ -9,16 +9,15 @@ Every trial draws from its own counter-based generator keyed by
 (seed, trial). `philox_words` draws the raw words of many trials as one
 array, the same words as each trial's own generator, and every batch of
 trials draws through it once:
-- the frame programs of the fast collapse and single-shot engines test a
-  word against a probability with an integer compare (`word_threshold`),
-  so no array of doubles is built;
-- the tableau collapse engine and the CLI's `jump blowup` and `roundtrip`
-  loop (`montecarlo.jump_trials`) hand each trial the doubles of its row
-  (`uniforms`) as a `TrialStream`, which stands in for the trial's
-  generator.
+- the frame programs (the fast collapse engine, single-shot, and the CLI's
+  `jump blowup` and `roundtrip` loop) test a word against a probability
+  with an integer compare (`word_threshold`), so no array of doubles is
+  built;
+- the tableau collapse engine hands each trial the doubles of its row
+  (`uniforms`) as a `TrialStream`, which stands in for its generator.
 `trial_rng`, the generator itself, serves what runs one trial at a time:
-a single `montecarlo.jump_trial` or `montecarlo._tableau_trial` called
-without a stream, and library calls of `jump.collapse` and `jump.blow_up`.
+`montecarlo.jump_trial`, `montecarlo._tableau_trial` called without a
+stream, and library calls of `jump.collapse` and `jump.blow_up`.
 """
 
 from __future__ import annotations

@@ -57,6 +57,26 @@ def test_jump_roundtrip_noiseless(capsys):
     assert "seed 3" in out
 
 
+def test_jump_too_wide_a_program_exits_1(monkeypatch, capsys):
+    """A jump program packs a trial's output bits into one int64, so a
+    context whose round trip would need 64 or more exits 1 with the
+    program's refusal. A stand-in trial, the real one with 64 constant
+    outputs after it, stands for such a context: no large lattice runs."""
+    from colexjump import montecarlo
+
+    real = montecarlo.JumpPlan._trial
+
+    def wide(plan, frame, i, noisy, flips):
+        return real(plan, frame, i, noisy, flips) + [0] * 64
+
+    monkeypatch.setattr(montecarlo.JumpPlan, "_trial", wide)
+    code, _, err = run(
+        ["jump", "roundtrip", "--builtin", "tetra15", "--trials", "4", "--seed", "3"], capsys
+    )
+    assert code == 1
+    assert "output bits do not pack into one int64" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["code", "build", "--builtin", "tetra15"])  # missing --kind

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tableau_checks import assert_columns, assert_symplectic
 
 from colexjump.jump import (
+    TableauTrial,
     _code_dual_structure,
     blow_up,
     collapse,
@@ -25,7 +26,7 @@ from colexjump.jump import (
     single_shot_ec,
 )
 from colexjump.flux import extract_flux
-from colexjump.montecarlo import CollapseEngine, _apply_noise
+from colexjump.montecarlo import CollapseEngine
 from colexjump.noise import NoiseSpec, trial_rng
 from colexjump.pauli import PauliOperator
 from colexjump.tableau import Tableau, from_stabilizers
@@ -152,7 +153,7 @@ def test_collapse_matches_per_slot_oracle(ctx, seed, t, p, q, data):
     for run in (collapse, oracle_collapse):
         rng = trial_rng(seed, t)
         state = ctx.states3[("zero", "plus")[t % 2]].copy()
-        _apply_noise(state, p, rng)
+        TableauTrial(state, rng).noise(p)
         outcomes.append(_collapse_view(run(ctx, state, q, rng, flips)))
     assert outcomes[0] == outcomes[1]
 
@@ -243,11 +244,11 @@ def test_jumps_keep_the_symplectic_pairing(ctx, seed, t, p, q):
     and whose destabilizers commute, with columns the transpose of rows."""
     rng = trial_rng(seed, t)
     state2 = ctx.states2[("zero", "plus")[t % 2]].copy()
-    _apply_noise(state2, p, rng)
+    TableauTrial(state2, rng).noise(p)
     state3 = blow_up(ctx, state2, q, rng)
     assert_symplectic(state3)
     assert_columns(state3)
-    _apply_noise(state3, p, rng)
+    TableauTrial(state3, rng).noise(p)
     residual = collapse(ctx, state3, q, rng).residual_state
     assert_symplectic(residual)
     assert_columns(residual)

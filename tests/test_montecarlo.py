@@ -316,10 +316,13 @@ def _largest_cluster(ctx, support) -> int:
 def test_dense_tables_equal_their_fillers(tetra15):
     """Every residual entry of a fresh plan, and every slot lookup of its
     programs, equals its value recomputed here from the coset table,
-    `repair_flux` and an uncached string correction; `decoded_flip` holds,
-    per side key, whether the 2D decode of the coset's lightest member
-    leaves the logical flipped. A slot lookup's entry changes only the
-    residual key, by the key bits of its correction."""
+    `repair_flux` and an uncached string correction. Per side key, the 2D
+    decode that the collapse trial runs (`decode_checks` on the context's
+    plaquette readout) of the coset's lightest member leaves the logical
+    flipped exactly when the member and the decode's correction together
+    have odd weight. A slot lookup's entry toggles, in both blocks, the 2D
+    decode keys by the plaquette syndrome of its correction and the
+    residual key by the key bits of its correction."""
     ctx = make_context(tetra15, "rgb")
     plan = montecarlo.CollapsePlan(ctx)
     keys = 1 << 2 * plan.side_bits
@@ -329,18 +332,19 @@ def test_dense_tables_equal_their_fillers(tetra15):
         sx, sz = plan.coset_min[key_x], plan.coset_min[key_z]
         assert plan.residual_weight[key] == len(sx) + len(sz)
         assert plan.residual_component[key] == _largest_cluster(ctx, set(sx) | set(sz))
-    assert plan.decoded_flip.shape == (1 << plan.side_bits,) == (16,)
+    m = plan.side_bits - 1
     decode = gf2.checks_table(ctx.n2, jump.plaquette_checks(ctx.code2))
-    for key in range(1 << plan.side_bits):
-        member = plan.coset_min.get(key)
-        if member is None:
-            assert not plan.decoded_flip[key]
-            continue
-        syndrome = tuple(key >> j & 1 for j in range(plan.side_bits - 1))
-        assert plan.decoded_flip[key] == (len(member) + len(decode[syndrome])) % 2
+    for key, member in plan.coset_min.items():
+        state = ctx.states2["zero"].copy()
+        if member:
+            state.apply(PauliOperator.from_support(ctx.n2, "X", member))
+        decode_checks(state, ctx.plaquettes2)
+        syndrome = tuple(key >> j & 1 for j in range(m))
+        flipped = state.expect(ctx.logicals2["Z"]) == -1
+        assert flipped == ((len(member) + len(decode[syndrome])) % 2 == 1)
     programs = [plan.program(noisy, flips) for noisy in (False, True) for flips in (False, True)]
     for program in programs:
-        assert len(program.lookups) == len(ctx.slots)
+        assert len(program.lookups) == len(ctx.slots) + 2  # the slots, then the 2D decode
         assert program.size_rows.shape == (4 * len(ctx.slots), 1)
     for slot, (basis, pair, duals) in enumerate(ctx.slots):
         for pattern in range(2 ** len(duals)):
@@ -350,6 +354,9 @@ def test_dense_tables_equal_their_fillers(tetra15):
             corr = flux.string_correction(ctx.code2, gamma.outer_endpoints(), pair, kind)
             mask = corr.x if kind == "X" else corr.z
             key = plan.residual_key(0, 0, {"X": 0, "Z": 0} | {kind: mask})
+            key_x, key_z = plan.split_key(key)
+            # the 2D decode reads the plaquette syndromes, then the residual key
+            toggled = key_x & (1 << m) - 1 | (key_z & (1 << m) - 1) << m | key << 2 * m
             got = ctx.slot_repairs[slot][pattern]
             assert got.delta0 == tuple(sorted(delta0))
             assert got.gamma_eff == tuple(sorted(gamma.edges))
@@ -358,9 +365,12 @@ def test_dense_tables_equal_their_fillers(tetra15):
             later = sum(len(d) for *_, d in ctx.slots[slot + 1 :])  # the key bits after it
             for program in programs:
                 bits, effects = program.lookups[slot]
-                assert bits == len(duals) and effects.shape == (1, 2 ** len(duals))
+                assert bits == len(duals) and effects.shape == (2, 2 ** len(duals))
                 size = program.size_rows[program.size_offsets[slot] + pattern]
-                assert (effects[0, pattern], size) == (key << later, len(delta0))
+                assert size == len(delta0)
+                for effect in effects[:, pattern].tolist():
+                    assert effect & (1 << later) - 1 == 0  # no later slot key
+                    assert effect >> later & (1 << 2 * m + 2 * plan.side_bits) - 1 == toggled
 
 
 def test_plan_residual_table_matches_exhaustive_oracle(ctx):
@@ -393,8 +403,12 @@ def test_plan_tables_built_once_per_context(tetra15, monkeypatch):
     m = len(ctx.code2.colex.plaquettes)
     spec = NoiseSpec(0.05, 0.05, seed=3)
     run_collapse_trials(ctx, spec, 10)
-    assert built[:2] == [(ctx.n2, m + 1), (ctx.n2, m)]  # residual cosets, 2D decode
-    first = list(built)  # the plan's tables, then string corrections
+    # the residual cosets first, then the string corrections that fill the
+    # slot table, then the 2D decode, whose readout the compile builds when
+    # it first runs the decode
+    assert built[0] == (ctx.n2, m + 1) and built[-1] == (ctx.n2, m)
+    assert built.count((ctx.n2, m)) == 1
+    first = list(built)
     for engine in ("fast", "tableau"):
         run_collapse_trials(ctx, spec, 10, trial_offset=10, engine=engine)
     assert built == first
@@ -753,22 +767,23 @@ def test_frame_outcomes_match_a_forced_tableau(inner_code, code3, which, ops, no
             assert value(frame.read(op)) == (trial.expect(op) == -1)
 
 
-def test_collapse_program_is_one_block_for_both_states(tetra15, ctx):
+def test_collapse_blocks_draw_and_look_up_alike(ctx):
     """Every inner plaquette reads +1 on both encoded 3D states, so the
-    collapse program compiled from the plus state, on a fresh context whose
-    `states3` has zero and plus swapped, holds the same tables as the one
-    compiled from the zero state."""
-    swapped = make_context(tetra15, "rgb")
-    swapped.states3 = {"zero": ctx.states3["plus"], "plus": ctx.states3["zero"]}
+    collapse program's two blocks, compiled from the zero and the plus
+    state, draw the same columns, and each slot lookup toggles the same
+    output bits in both except the last, the tracked logical's bit."""
+    plan = collapse_plan(ctx)
     for noisy in (False, True):
         for flips in (False, True):
-            got = montecarlo.CollapsePlan(swapped).program(noisy, flips)
-            want = collapse_plan(ctx).program(noisy, flips)
-            assert np.array_equal(got.tables, want.tables)
-            assert np.array_equal(got.kinds, want.kinds)
-            for (bits, effect), (want_bits, want_effect) in zip(got.lookups, want.lookups):
-                assert bits == want_bits and np.array_equal(effect, want_effect)
-            assert len(got.lookups) == len(want.lookups)
+            program = plan.program(noisy, flips)
+            assert program.blocks == 2 and program.same_kinds
+            outs = sum(bits for bits, _ in program.lookups) + plan.residual_bits + 1
+            done = 0
+            for slot, (bits, effects) in enumerate(program.lookups[: len(ctx.slots)]):
+                done += bits
+                last = 1 << outs - done - 1  # the logical's bit, after this key
+                assert bits == len(ctx.slots[slot][2])
+                assert ((effects[0] ^ effects[1]) & ~last == 0).all()
 
 
 _DRAW_KINDS = (montecarlo._NOISE, montecarlo._OUTCOME, montecarlo._FLIP)  # at p, 1/2, q
@@ -902,42 +917,61 @@ def test_lookups_merge_up_to_the_row_bound(ctx, code3, inner_code):
     plan = collapse_plan(ctx)
     for noisy, flips in itertools.product((False, True), repeat=2):
         steps = plan.program(noisy, flips).steps
-        assert [len(shifts) for _, shifts, _, _ in steps] == [len(ctx.slots)]
-        assert steps[0][0] == 2 * len(ctx.slots) and steps[0][3].shape == (1, 1 << bound)
-    for code in (code3, inner_code):
+        # the slots, then the 2D decode's two lookups, whose keys read
+        # different frame halves
+        assert [len(shifts) for _, shifts, _, _ in steps] == [len(ctx.slots), 2]
+        assert steps[0][0] == 2 * len(ctx.slots) and steps[0][3].shape == (2, 1 << bound)
+    # single-shot's rounds, then on the tetrahedral code the final decode's
+    # two lookups as one step
+    for code, parts in ((code3, [1, 1, 2]), (inner_code, [1, 1])):
         steps = montecarlo.single_shot_plan(code).program(True, True).steps
-        assert [len(shifts) for _, shifts, _, _ in steps] == [1, 1]
+        assert [len(shifts) for _, shifts, _, _ in steps] == parts
     assert [s[0] for s in _two_lookups((bound - 5, 5)).steps] == [bound]
     assert [s[0] for s in _two_lookups((bound - 5, 6)).steps] == [bound - 5, 6]
 
 
+def test_frame_program_refuses_more_than_63_output_bits():
+    """Every output bit of a trial packs into one int64, so `FrameProgram`
+    takes 63 outputs and refuses 64 before it builds a table. Stand-in
+    `_Forms` of constant outputs and no draws stand for a trial that wide,
+    so no large lattice runs and the refusal allocates nothing."""
+    fail = np.zeros((1, 2), dtype=bool)
+    for outs in (63, 64):
+        forms = montecarlo._Forms()
+        forms.outputs = [forms.one] * outs
+        if outs == 63:
+            assert montecarlo.FrameProgram([forms], fail).tables.shape == (1, 1, 256)
+        else:
+            with pytest.raises(ValueError, match="64 output bits do not pack into one int64"):
+                montecarlo.FrameProgram([forms], fail)
+
+
 def test_jump_trials_are_the_jump_trial_values(ctx, monkeypatch):
-    """The batched jump loop reads, on every trial and across batch
-    boundaries, the value and the state that `jump_trial` on the trial's
-    own generator reads, for both actions."""
-    from tableau_checks import signed_group
-
-    for action in ("blowup", "roundtrip"):  # warm-up: states, tables
-        jump_trial(ctx, NoiseSpec(0.1, 0.1), action, 0)
-    read = []
-    expect = Tableau.expect
-
-    def recording(self, op):
-        value = expect(self, op)
-        read.append((value, signed_group(self, expect)))
-        return value
-
-    monkeypatch.setattr(Tableau, "expect", recording)
+    """The compiled jump loop reads, on every trial and across batch
+    boundaries, the value that `jump_trial` on the trial's own generator
+    reads, for both actions."""
     monkeypatch.setattr(montecarlo, "BATCH_TRIALS", 3)
     for action in ("blowup", "roundtrip"):
         for p, q in ((0.05, 0.1), (0.0, 0.0), (1.0, 1.0), (0.3, 0.0)):
             spec = NoiseSpec(p, q, seed=17)
             want = [jump_trial(ctx, spec, action, t) for t in range(8)]
-            alone, read[:] = read[:], []
-            got = list(montecarlo.jump_trials(ctx, spec, action, 8))
-            assert got == want and read == alone, (action, p, q)
-            read.clear()
+            assert list(montecarlo.jump_trials(ctx, spec, action, 8)) == want, (action, p, q)
     assert list(montecarlo.jump_trials(ctx, NoiseSpec(0.1, 0.1), "blowup", 0)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 13), p=_RATES, q=_RATES)
+@pytest.mark.parametrize("action", ["blowup", "roundtrip"])
+def test_jump_programs_match_the_tableau_oracle_fuzzed(ctx, action, seed, trials, p, q):
+    """`jump_trials` (the compiled program) equals `jump_trial` (the
+    tableau oracle) trial for trial from trial 0, so on both reference
+    states, with p and q in {0, 1, drawn} and batches of 4 trials, so most
+    runs cross a batch boundary."""
+    spec = NoiseSpec(p, q, seed=seed)
+    want = [jump_trial(ctx, spec, action, t) for t in range(trials)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "BATCH_TRIALS", 4)
+        assert list(montecarlo.jump_trials(ctx, spec, action, trials)) == want
 
 
 @pytest.mark.parametrize("kind", ["inner", "3d", "collapse"])
@@ -947,7 +981,7 @@ def test_single_shot_programs_cached_per_noise_structure(tetra15, split15, monke
     one code or context equal runs on fresh ones."""
 
     if kind == "collapse":
-        cls, plan_of = montecarlo.CollapsePlan, collapse_plan
+        plan_of = collapse_plan
 
         def make():
             return make_context(tetra15, "rgb")
@@ -958,7 +992,7 @@ def test_single_shot_programs_cached_per_noise_structure(tetra15, split15, monke
             return stats.as_dict(), trace.getvalue()
 
     else:
-        cls, plan_of = montecarlo.SingleShotPlan, montecarlo.single_shot_plan
+        plan_of = montecarlo.single_shot_plan
 
         def make():
             return build_inner(split15) if kind == "inner" else build_3d(tetra15)
@@ -967,13 +1001,13 @@ def test_single_shot_programs_cached_per_noise_structure(tetra15, split15, monke
             return run_single_shot_trials(code, spec, 600, trial_offset=5).as_dict()
 
     compiled = []
-    real = cls._forms
+    real = montecarlo._Compiled._compile
 
     def counting(plan, noisy, flips):
         compiled.append((plan, noisy, flips))
         return real(plan, noisy, flips)
 
-    monkeypatch.setattr(cls, "_forms", counting)
+    monkeypatch.setattr(montecarlo._Compiled, "_compile", counting)
     shared = make()
     specs = [
         NoiseSpec(0.1, 0, seed=7),
@@ -1200,8 +1234,12 @@ def test_single_shot_trials_decode_nothing_after_build(tetra15, split15, monkeyp
     for module in (jump, flux):
         monkeypatch.setattr(module, "t_join", forbidden)
     monkeypatch.setattr(jump, "_decode_every_key", forbidden)
-    for name in ("trial_rng", "sample_qubit_noise", "to_mask"):
-        monkeypatch.setattr(montecarlo, name, forbidden)
+    for module, name in (
+        (montecarlo, "trial_rng"),
+        (jump, "sample_qubit_noise"),
+        (montecarlo, "to_mask"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
     for code, plan in zip(codes, plans):
         for offset in (0, 3000):
             stats = run_single_shot_trials(code, spec, 3000, trial_offset=offset)

@@ -10,15 +10,16 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   on every workload (the parent runs first on odd pair indices, the change
   first on even ones), with per-metric medians, quartiles and pair wins;
 - `jump_trial` blow-up and round-trip CPU time per trial, as medians over
-  `--pairs` interleaved processes per side;
+  `--pairs` interleaved processes per side, and the same per trial of
+  `jump_trials`, the compiled program, at 10^4 trials;
 - one traced collapse-tableau run per side (`--trace 1`), its per-layer
   readings named in `TRACED`: repair and string-correction counts, the
   self time of extraction, measurement, generator set-up, discard and the
   final 2D decode, and Pauli products per trial;
 - one digest per side of outputs that must not change: both engines'
   collapse stats and traces, tableau collapses with the signed stabilizer
-  group of their residual 2D states, `jump_trial` with that of every 3D
-  state its blow-ups return, `exhaustive_weight1_collapse`,
+  group of their residual 2D states, `jump_trial`, `blow_up` with that of
+  the 3D state it returns, `exhaustive_weight1_collapse`,
   `run_single_shot_trials`
   stats on the inner and tetrahedral codes of tetra15 from trial 0 and
   from trial 2^64 - 1030, `philox_words` at the (trials, draws) shapes
@@ -27,10 +28,11 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   collapse --trace` and `simulate singleshot --kind 3d|inner` at
   `--workers` 1 and 2. A state is digested by its canonical signed
   stabilizer group, not by its tableau rows, so that two checkouts that
-  hold the same states in different rows digest alike. A second digest
-  covers every compiled `FrameProgram` on tetra15 (collapse, and
-  single-shot on the inner and the tetrahedral code, under the four noise
-  structures), so `compare` shows whether the compile changed;
+  hold the same states in different rows digest alike. A second digest,
+  one hash per plan, covers every compiled `FrameProgram` on tetra15
+  (collapse, single-shot on the inner and the tetrahedral code, and the
+  blow-up and round-trip programs, under the four noise structures), so
+  `compare` shows which compile changed;
 - the stage split of a collapse-tableau trial (`tableau-stages`): per
   side, `--pairs` interleaved processes, each the median microseconds per
   trial of every step on fixed seeds, and the median of those medians;
@@ -87,22 +89,31 @@ SINGLE_SHOT_TRIALS = 1030
 PHILOX_SHAPES = ((400, 42), (30, 28), (30, 75), (70, 42), (512, 75))
 PHILOX_SEEDS = (0, 808, 2**64 - 1)
 JUMP_TRIALS = 600
+JUMP_PROGRAM_TRIALS = 10**4
 # the steps of a collapse-tableau trial that `tableau_stages` times, each the
 # self time of a function wrapped at the one binding site the trial calls it
-# through: "slot lookup" is what `collapse` does between its callees, "logical
-# read" what `_collapse_step` does after its callees, "trial glue" what
-# `_tableau_trial` does around its callees
+# through: "slot lookup" is what `collapse` and the `_collapse` protocol it
+# runs do between their callees (flip draws, slot-table rows, corrections),
+# "finish" the logical flags the outcome reports, "logical read" what
+# `_collapse_step` does after its callees, "trial glue" what `_tableau_trial`
+# does around its callees
 STAGES = {
     "copy": ("tableau", "Tableau.copy"),
-    "noise": ("montecarlo", "_apply_noise"),
+    "noise": ("jump", "TableauTrial.noise"),
     "slot measurement": ("jump", "_measure_slots"),
     "slot lookup": ("montecarlo", "collapse"),
     "discard": ("jump", "discard_qubits"),
-    "finish": ("jump", "_finish_collapse"),
+    "finish": ("jump", "_flags"),
     "2D decode": ("montecarlo", "ideal_decode_2d"),
     "logical read": ("montecarlo", "_collapse_step"),
     "residual key": ("montecarlo", "CollapsePlan.residual_key"),
     "trial glue": ("montecarlo", "_tableau_trial"),
+}
+# the functions that ran the noise and finish steps before the collapse ran
+# on `jump.TableauTrial`, timed where a checkout lacks the names above
+STAGE_FALLBACKS = {
+    "noise": ("montecarlo", "_apply_noise"),
+    "finish": ("jump", "_finish_collapse"),
 }
 # collapse-tableau's noise and op size (perfbench's workload), and the
 # batches each `tableau-stages` process times after one warm-up batch
@@ -120,7 +131,9 @@ METHOD = (
     "i; each side from its own checkout with PYTHONDONTWRITEBYTECODE=1. Quartiles are "
     "statistics.quantiles(method='inclusive'). jump_trial_us: tetra15 rgb, "
     "NoiseSpec(0.02, 0.02, 5), one warm-up trial per action, then the CPU time "
-    "(time.process_time) of trials 0..599, median per process; one process per side "
+    "(time.process_time) of trials 0..599, median per process; `<action> jump_trials`: "
+    "the CPU time of one jump_trials call of 10^4 trials after a 1-trial warm-up call, "
+    "per trial; one process per side "
     "per pair, alternating as above; uncalibrated, not a perfbench workload. "
     "traced_collapse_tableau: perfbench/run.py --workload collapse-tableau --seed 2001 "
     "--trace 1, once per side. cli_times_s: for pair i in 1..pairs, one process per side, "
@@ -151,16 +164,15 @@ def digest(work: Path) -> dict:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from tableau_checks import signed_group
 
-    from colexjump import montecarlo
     from colexjump.cli import main as cli
-    from colexjump.jump import collapse, make_context
+    from colexjump.jump import blow_up, collapse, make_context
     from colexjump.montecarlo import (
         exhaustive_weight1_collapse,
         jump_trial,
         run_collapse_trials,
         run_single_shot_trials,
     )
-    from colexjump.noise import NoiseSpec, philox_words, trial_rng
+    from colexjump.noise import NoiseSpec, philox_words, sample_qubit_noise, trial_rng
     from colexjump.pauli import PauliOperator
     from colexjump.colex import minimal_colex
 
@@ -186,23 +198,16 @@ def digest(work: Path) -> dict:
         feed(t, out.measurement_record, out.repair_record, out.logical_flip_flags)
         feed({k: (op.x, op.z, op.sign) for k, op in out.applied_correction.items()})
         feed(signed_group(s))
-    blow_up, blown = montecarlo.blow_up, []
-
-    def recording(*args):  # the group of each 3D state a blow-up returns
-        state3 = blow_up(*args)
-        blown.append(signed_group(state3))
-        return state3
-
-    montecarlo.blow_up = recording
-    try:
-        for p, q, seed in JUMP_POINTS:
-            for action in ("blowup", "roundtrip"):
-                noise = NoiseSpec(p, q, seed)
-                feed(action, p, q, seed, [jump_trial(ctx, noise, action, t) for t in range(60)])
-                feed(blown)
-                blown.clear()
-    finally:
-        montecarlo.blow_up = blow_up
+    for p, q, seed in JUMP_POINTS:
+        noise = NoiseSpec(p, q, seed)
+        for action in ("blowup", "roundtrip"):
+            feed(action, p, q, seed, [jump_trial(ctx, noise, action, t) for t in range(60)])
+        for t in range(60):  # the group of the 3D state a blow-up of a noisy 2D state returns
+            rng = trial_rng(seed, t)
+            state2 = ctx.states2[("zero", "plus")[t % 2]].copy()
+            ex, ez = sample_qubit_noise(p, ctx.n2, rng)
+            state2.apply(PauliOperator(ctx.n2, ex, ez))
+            feed(signed_group(blow_up(ctx, state2, q, rng)))
     feed(exhaustive_weight1_collapse(ctx))
     for code in (ctx.inner_code, ctx.code3):
         for p, q in SINGLE_SHOT_POINTS:
@@ -241,22 +246,32 @@ def digest(work: Path) -> dict:
     return {"outputs": h.hexdigest(), "programs": program_digest(ctx)}
 
 
-def program_digest(ctx) -> str:
-    """sha256 over every compiled `FrameProgram` of the context: collapse,
-    then single-shot on its inner and its tetrahedral code, each under the
-    four noise structures (p > 0, q > 0), by their draw kinds, octet
-    tables, lookups, merged steps, failure table and |delta0| rows."""
-    from colexjump.montecarlo import collapse_plan, single_shot_plan
+def program_digest(ctx) -> dict:
+    """sha256 per compiled plan of the context (collapse, single-shot on
+    its inner and its tetrahedral code, and the blow-up and round-trip
+    programs where the checkout compiles them), over its `FrameProgram`
+    under each of the four noise structures (p > 0, q > 0): draw kinds,
+    octet tables, lookups, merged steps, failure table and |delta0| rows
+    (only the plans whose statistics count them)."""
+    from colexjump import montecarlo
 
-    h = hashlib.sha256()
+    plans = {  # name: (plan, whether its statistics read |delta0|)
+        "collapse": (montecarlo.collapse_plan(ctx), True),
+        "singleshot-inner": (montecarlo.single_shot_plan(ctx.inner_code), True),
+        "singleshot-3d": (montecarlo.single_shot_plan(ctx.code3), True),
+    }
+    if hasattr(montecarlo, "jump_plan"):
+        for action in ("blowup", "roundtrip"):
+            plans[action] = montecarlo.jump_plan(ctx, action), False
+    digests = {}
+    for name, (plan, sized) in plans.items():
+        h = hashlib.sha256()
 
-    def feed(*arrays):
-        for a in arrays:
-            h.update(repr((a.dtype.str, a.shape)).encode())
-            h.update(a.tobytes())
+        def feed(*arrays):
+            for a in arrays:
+                h.update(repr((a.dtype.str, a.shape)).encode())
+                h.update(a.tobytes())
 
-    plans = (collapse_plan(ctx), single_shot_plan(ctx.inner_code), single_shot_plan(ctx.code3))
-    for plan in plans:
         for noisy in (False, True):
             for flips in (False, True):
                 program = plan.program(noisy, flips)
@@ -267,29 +282,40 @@ def program_digest(ctx) -> str:
                 for bits, shifts, masks, effects in program.steps:
                     h.update(repr(bits).encode())
                     feed(shifts, masks, effects)
-                feed(program.size_rows, program.size_offsets)
-    return h.hexdigest()
+                if sized:
+                    feed(program.size_rows, program.size_offsets)
+        digests[name] = h.hexdigest()
+    return digests
 
 
 def jump_times() -> dict:
-    """CPU microseconds per `jump_trial`, median over the trials of one
-    process, per action."""
+    """CPU microseconds per `jump_trial` (the tableau trial), median over
+    the trials of one process, per action; and per `jump_trials` trial
+    (`<action> jump_trials`: its compiled program, where the checkout has
+    one, at `JUMP_PROGRAM_TRIALS` trials after one warm-up call that
+    compiles it)."""
+    from colexjump import montecarlo
     from colexjump.colex import minimal_colex
     from colexjump.jump import make_context
-    from colexjump.montecarlo import jump_trial
     from colexjump.noise import NoiseSpec
 
     ctx = make_context(minimal_colex(3), "rgb")
     noise = NoiseSpec(0.02, 0.02, 5)
     out = {}
     for action in ("blowup", "roundtrip"):
-        jump_trial(ctx, noise, action, 0)  # warm-up: states, tables
+        montecarlo.jump_trial(ctx, noise, action, 0)  # warm-up: states, tables
         times = []
         for t in range(JUMP_TRIALS):
             t0 = time.process_time()
-            jump_trial(ctx, noise, action, t)
+            montecarlo.jump_trial(ctx, noise, action, t)
             times.append(time.process_time() - t0)
         out[action] = statistics.median(times) * 1e6
+        if hasattr(montecarlo, "jump_plan"):
+            list(montecarlo.jump_trials(ctx, noise, action, 1))  # warm-up: the compile
+            t0 = time.process_time()
+            list(montecarlo.jump_trials(ctx, noise, action, JUMP_PROGRAM_TRIALS))
+            took = time.process_time() - t0
+            out[f"{action} jump_trials"] = took / JUMP_PROGRAM_TRIALS * 1e6
     return out
 
 
@@ -326,6 +352,10 @@ def tableau_stages() -> dict:
     for stage, (module, name) in STAGES.items():
         owner = importlib.import_module(f"colexjump.{module}")
         *path, attr = name.split(".")
+        if not hasattr(owner, path[0] if path else attr) and stage in STAGE_FALLBACKS:
+            module, name = STAGE_FALLBACKS[stage]
+            owner = importlib.import_module(f"colexjump.{module}")
+            *path, attr = name.split(".")
         for part in path:
             owner = getattr(owner, part)
         restore.append((owner, attr, owner.__dict__[attr]))
@@ -449,12 +479,15 @@ def compare(args) -> dict:
         for w, metrics in runs.items()
     }
 
-    times = {"blowup": {"parent": [], "change": []}, "roundtrip": {"parent": [], "change": []}}
+    times = {}
     for i in range(1, args.pairs + 1):
         for side in _order(i):
             for action, us in json.loads(_run(roots[side], [me, "jump-times"])).items():
-                times[action][side].append(us)
-    result["jump_trial_us"] = {a: _summary(v, "lower") for a, v in times.items()}
+                times.setdefault(action, {"parent": [], "change": []})[side].append(us)
+    # a side with no compiled jump program reports no `jump_trials` time
+    result["jump_trial_us"] = {
+        a: _summary(v, "lower") if all(v.values()) else v for a, v in times.items()
+    }
 
     stages = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
