@@ -660,6 +660,17 @@ def collapse(
     fault-injection studies."""
     trial = TableauTrial(state3, rng)
     outer, measured, rows = _collapse(ctx, trial, meas_flip_prob, injected_flips)
+    record, repairs, applied = _slot_report(ctx, measured, rows)
+    x, z = applied["X"], applied["Z"]
+    corrections = {"X": PauliOperator(ctx.n2, x=x), "Z": PauliOperator(ctx.n2, z=z)}
+    return CollapseOutcome(outer.state, corrections, record, repairs, _flags(ctx, outer.state))
+
+
+def _slot_report(ctx: JumpContext, measured, rows) -> tuple[dict, dict, dict]:
+    """A collapse's report from what `_collapse` returns, the outcome bits
+    and each slot's row: per (pair, basis) its record and its (delta0,
+    gamma_eff, true flux) repair, and per correction type the outer mask
+    of the strings applied."""
     record, repairs = {}, {}
     # string corrections are +1 strings of their slot's type, which commute,
     # so each type's product is the XOR of their masks, with sign +1
@@ -672,9 +683,7 @@ def collapse(
         repairs[pair, basis] = r.delta0, r.gamma_eff, true
         applied[r.kind] ^= r.correction.x | r.correction.z
         lo += len(duals)
-    x, z = applied["X"], applied["Z"]
-    corrections = {"X": PauliOperator(ctx.n2, x=x), "Z": PauliOperator(ctx.n2, z=z)}
-    return CollapseOutcome(outer.state, corrections, record, repairs, _flags(ctx, outer.state))
+    return record, repairs, applied
 
 
 def ideal_collapse(

@@ -8,7 +8,7 @@ to its minimum-weight representative for the histograms.
 
 Every trial is the `jump` protocol code run on one of two trial runners.
 The concrete one, `jump.TableauTrial`, runs it on a tableau: the tableau
-trials here (`_tableau_trial`, `jump_trial`), the exact oracle. The
+trials here (`_tableau_run`, `jump_trial`), the exact oracle. The
 symbolic one, `_Frame`, is Stim's reference sample plus Pauli frame
 (Gidney, arXiv 2103.02202) reached by symbolic execution: a copy of the
 encoded state with every random outcome forced to +1, and the frame as
@@ -24,9 +24,14 @@ collapse's `CollapsePlan`, once per context, with the residual-coset
 tables that both collapse engines count with; a code's `SingleShotPlan`;
 and the `JumpPlan` of `jump blowup` and `roundtrip` (`jump_trials`). The
 tableau collapse engine draws a batch with one `philox_words` call too,
-each trial reading its row through a `noise.TrialStream`. Both engines
-and the single-shot trials fold their trials into the statistics through
-one per-batch tally (`_tally`).
+each trial reading its row through a `noise.TrialStream`. A tableau
+collapse trial computes only what the tally and the residual key read: the
+3D error masks, the slot outcome bits and rows, and the failure. The
+collapse's report (records, repairs, applied strings, and the logical flags
+read off the tableau) is built only for a trace line, by the one builder
+both engines report through (`_trial_result`). Both engines and the
+single-shot trials fold their trials into the statistics through one
+per-batch tally (`_tally`).
 """
 
 from __future__ import annotations
@@ -49,12 +54,11 @@ from .jump import (
     _decode_checks,
     _set_bits,
     _single_shot_ec,
+    _slot_report,
     _tensor_inner,
     check_readout,
-    collapse,
     discard_qubits,
     encoded_state,
-    ideal_decode_2d,
     logical_operator,
     plaquette_checks,
 )
@@ -518,7 +522,7 @@ class CollapsePlan(_Compiled):
         return key & ((1 << self.side_bits) - 1), key >> self.side_bits
 
     def _trial(self, frame, i: int, noisy: bool, flips: bool) -> list[int]:
-        """The collapse trial of reference i as `_tableau_trial` runs it; the
+        """The collapse trial of reference i as `_tableau_run` runs it; the
         residual key reads the 2D frame between the collapse and the decode."""
         ctx = self.ctx
         frame.noise(noisy)
@@ -585,7 +589,14 @@ class _TrialResult:
     applied: dict  # correction type -> outer mask of the applied correction
     flags: dict
     failed: bool
-    key: int  # packed residual coset key (CollapsePlan.residual_key)
+
+
+def _trial_result(ctx, t, ex, ez, measured, rows, flags, failed) -> _TrialResult:
+    """Collapse trial t's report, built from its raw values, as both engines
+    hold them: the 3D error masks, the slot outcome bits and each slot's row
+    (`jump._collapse`), the logical flags and the failure."""
+    records, repairs, applied = _slot_report(ctx, measured, rows)
+    return _TrialResult(_TRACKED[t % 2][0], ex, ez, records, repairs, applied, flags, failed)
 
 
 @dataclass
@@ -603,8 +614,9 @@ class CollapseEngine:
     `FrameProgram` (`CollapsePlan._trial`) on a batch of trials at once. It
     draws and looks up as the tableau collapse does, so both engines
     produce identical trials (asserted in the test suite). `run_trial` is a
-    batch of one; `result` rebuilds a trial's error masks and true patterns
-    from the batch's draw bits and lookup keys.
+    batch of one; `result` rebuilds a trial's raw values from the batch's
+    draw bits and lookup keys, and its logical flag from the residual key,
+    and reports them as the tableau engine does (`_trial_result`).
     """
 
     def __init__(self, ctx: JumpContext):
@@ -621,33 +633,27 @@ class CollapseEngine:
         keys = final & (1 << plan.residual_bits) - 1
         n3 = ctx.n3
         noise_cols = 2 * n3 if noise.p_qubit > 0 else 0  # the X then the Z error of every qubit
+        rows = seen_patterns[:, : len(ctx.slots)]
 
         def result(i: int) -> _TrialResult:
-            err, flips = bits[i, :noise_cols], bits[i, noise_cols:]
-            records, repairs, applied = {}, {}, {"X": 0, "Z": 0}
-            lo = 0
-            for s, (basis, pair, duals) in enumerate(ctx.slots):
-                seen = int(seen_patterns[i, s])
-                r = ctx.slot_repairs[s][seen]
-                true = seen ^ to_mask(flips[lo : lo + len(duals)])
-                lo += len(duals)
-                records[(pair, basis)] = dict(r.record)  # the caller's own copy
-                repairs[(pair, basis)] = (r.delta0, r.gamma_eff, tuple(_set_bits(true)))
-                applied[r.kind] ^= r.correction.x | r.correction.z
-            key = int(keys[i])
-            key_x, key_z = plan.split_key(key)
-            logical, kind = _TRACKED[ref[i]]
+            err, row = bits[i, :noise_cols], rows[i].tolist()
+            # a dual's outcome bit is its bit of the slot's row, unflipped
+            flips = iter(bits[i, noise_cols:].tolist() or [0] * ctx.dual_count)
+            measured = [
+                k >> j & 1 ^ next(flips) for k, (_, _, duals) in zip(row, ctx.slots)
+                for j in range(len(duals))
+            ]
+            key_x, key_z = plan.split_key(int(keys[i]))
+            kind = _TRACKED[ref[i]][1]
             # the observable logical reads the parity of the residual on the
             # opposite side
             side_key = key_x if kind == "Z" else key_z
             flags = {"Z": None, "X": None}
             flags[kind] = -1 if side_key >> (plan.side_bits - 1) else 1
             ex, ez = to_mask(err[:n3]), to_mask(err[n3:])
-            return _TrialResult(
-                logical, ex, ez, records, repairs, applied, flags, bool(failed[i]), key
-            )
+            return _trial_result(ctx, first + i, ex, ez, measured, row, flags, bool(failed[i]))
 
-        return _Batch(keys, program.sizes(seen_patterns[:, : len(ctx.slots)]), failed, result)
+        return _Batch(keys, program.sizes(rows), failed, result)
 
 
 # Trials per batch: each batch pays a fixed cost for its numpy calls, and
@@ -734,26 +740,37 @@ def _add_counts(counter: Counter, values: np.ndarray) -> None:
 
 def _tableau_batch(ctx, noise, first, count, keep: bool) -> _Batch:
     """Tableau-engine trials as a batch: the tally values of every trial,
-    and the trial results themselves only when `keep` (a trace needs them).
-    The trials run one by one, but draw with one `philox_words` call: each
-    trial reads its row, the words its own generator would give (the X then
-    the Z noise of every qubit when p > 0, then one flip per dual of every
-    slot when q > 0), through a `TrialStream`."""
+    and the trial reports themselves only when `keep` (a trace needs them).
+
+    Each trial runs the protocol and nothing else (`_tableau_run`) and
+    keeps its raw values; its applied strings and |delta0| sizes come from
+    its slot rows of `ctx.slot_repairs`, and its residual key from those
+    (`CollapsePlan.residual_key`). Only a traced trial reads the logical
+    flags and has its report built (`_trial_result`). The trials run one
+    by one, but draw with one `philox_words` call: each trial reads its
+    row, the words its own generator would give (the X then the Z noise of
+    every qubit when p > 0, then one flip per dual of every slot when q >
+    0), through a `TrialStream`."""
+    plan = collapse_plan(ctx)
     width = 2 * ctx.n3 if noise.p_qubit > 0 else 0
     if noise.q_meas > 0:
         width += ctx.dual_count
-    rows = uniforms(philox_words(noise.seed, first, count, width))
+    draws = uniforms(philox_words(noise.seed, first, count, width))
     keys, sizes, failed, kept = [], [], [], []
-    for t, row in enumerate(rows, first):
-        r = _tableau_trial(ctx, noise, t, TrialStream(noise.seed, t, row))
-        keys.append(r.key)
-        sizes.append([len(d0) for d0, _, _ in r.repairs.values()])
-        failed.append(r.failed)
+    for t, row in enumerate(draws, first):
+        raw = _tableau_run(ctx, noise, t, TrialStream(noise.seed, t, row), keep)
+        ex, ez, _, rows, _, bad = raw
+        applied = {"X": 0, "Z": 0}
+        for table, k in zip(ctx.slot_repairs, rows):
+            r = table[k]
+            applied[r.kind] ^= r.correction.x | r.correction.z
+            sizes.append(len(r.delta0))
+        keys.append(plan.residual_key(ex, ez, applied))
+        failed.append(bad)
         if keep:
-            kept.append(r)
-    return _Batch(
-        np.array(keys, dtype=np.int64), np.array(sizes), np.array(failed), kept.__getitem__
-    )
+            kept.append(_trial_result(ctx, t, *raw))
+    sizes = np.array(sizes).reshape(count, len(ctx.slots))
+    return _Batch(np.array(keys, dtype=np.int64), sizes, np.array(failed), kept.__getitem__)
 
 
 # the encoded state and the tracked logical's type of even and odd trials
@@ -761,35 +778,35 @@ _TRACKED = (("zero", "Z"), ("plus", "X"))
 _TRACKED_KINDS = tuple(kind for _, kind in _TRACKED)
 
 
-def _collapse_step(ctx, state3, q: float, rng, kind: str, injected_flips=None):
-    """Collapse `state3`, then decode the 2D state noiselessly; returns the
-    collapse outcome and the value of the tracked `kind` logical."""
-    out = collapse(ctx, state3, q, rng, injected_flips=injected_flips)
-    ideal_decode_2d(ctx, out.residual_state)
-    return out, out.residual_state.expect(ctx.logicals2[kind])
+def _collapse_decode(ctx, trial, q: float, kind: str, flags: bool, injected_flips=None) -> tuple:
+    """Collapse the 3D trial runner, then decode the 2D state noiselessly;
+    returns the outcome bits and slot rows of `_collapse`, the values of
+    both 2D logicals on the collapsed state before the decode (None unless
+    `flags`), and whether the tracked `kind` logical then reads other than
+    +1."""
+    outer, measured, rows = _collapse(ctx, trial, q, injected_flips)
+    state = outer.state
+    seen = {k: state.expect(ctx.logicals2[k]) for k in ("Z", "X")} if flags else None
+    _decode_checks(outer, ctx.plaquettes2)
+    return measured, rows, seen, state.expect(ctx.logicals2[kind]) != 1
 
 
-def _tableau_trial(ctx, noise, t, rng=None) -> _TrialResult:
-    """Trial t on the tableau pipeline, drawing from `rng` (by default the
-    trial's own generator)."""
-    if rng is None:
-        rng = trial_rng(noise.seed, t)
+def _tableau_run(ctx, noise, t, rng, flags: bool) -> tuple:
+    """Collapse trial t on a `TableauTrial` drawing from `rng`: a copy of
+    its encoded state, qubit noise, then `_collapse_decode`. Returns its
+    raw values, (ex, ez, outcome bits, slot rows, flags, failed)."""
     logical, kind = _TRACKED[t % 2]
     trial = TableauTrial(ctx.states3[logical].copy(), rng)
     ex, ez = trial.noise(noise.p_qubit)
-    out, value = _collapse_step(ctx, trial.state, noise.q_meas, rng, kind)
-    applied = {"X": out.applied_correction["X"].x, "Z": out.applied_correction["Z"].z}
-    return _TrialResult(
-        logical,
-        ex,
-        ez,
-        out.measurement_record,
-        out.repair_record,
-        applied,
-        out.logical_flip_flags,
-        bool(value != 1),
-        collapse_plan(ctx).residual_key(ex, ez, applied),
-    )
+    return ex, ez, *_collapse_decode(ctx, trial, noise.q_meas, kind, flags)
+
+
+def _tableau_trial(ctx, noise, t, rng=None) -> _TrialResult:
+    """Trial t on the tableau pipeline, reported, drawing from `rng` (by
+    default the trial's own generator)."""
+    if rng is None:
+        rng = trial_rng(noise.seed, t)
+    return _trial_result(ctx, t, *_tableau_run(ctx, noise, t, rng, True))
 
 
 def _jump(ctx: JumpContext, trial, action: str, kind: str, p, q) -> int:
@@ -888,12 +905,12 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
     the design target is an empty list (distance-3 guarantee)."""
     failures = []
 
-    def trial(logical, inject=None, flips=None):
+    def failed(logical, inject=None, flips=None) -> bool:
         state = ctx.states3[logical].copy()
         if inject is not None:
             state.apply(inject)
         kind = "Z" if logical == "zero" else "X"
-        return _collapse_step(ctx, state, 0.0, None, kind, flips)[1]
+        return _collapse_decode(ctx, TableauTrial(state), 0.0, kind, False, flips)[-1]
 
     singles = [
         (f"{kind}{q}", PauliOperator(ctx.n3, (kind != "Z") << q, (kind != "X") << q))
@@ -902,11 +919,11 @@ def exhaustive_weight1_collapse(ctx: JumpContext) -> list:
     ]
     for logical in ("zero", "plus"):
         for label, op in singles:
-            if trial(logical, inject=op) != 1:
+            if failed(logical, inject=op):
                 failures.append(("pauli", logical, label))
         for basis, pair, duals in ctx.slots:
             for ei in range(len(duals)):
-                if trial(logical, flips={(pair, basis): {ei}}) != 1:
+                if failed(logical, flips={(pair, basis): {ei}}):
                     failures.append(("flip", logical, pair, basis, ei))
     return failures
 

@@ -16,8 +16,9 @@ trials draws through it once:
 - the tableau collapse engine hands each trial the doubles of its row
   (`uniforms`) as a `TrialStream`, which stands in for its generator.
 `trial_rng`, the generator itself, serves what runs one trial at a time:
-`montecarlo.jump_trial`, `montecarlo._tableau_trial` called without a
-stream, and library calls of `jump.collapse` and `jump.blow_up`.
+`montecarlo.jump_trial`, `montecarlo._tableau_trial` (one reported tableau
+collapse trial) called without a stream, and library calls of
+`jump.collapse` and `jump.blow_up`.
 """
 
 from __future__ import annotations

@@ -92,6 +92,32 @@ def test_tableau_batch_keeps_results_only_for_a_trace(ctx):
     assert run_collapse_trials(ctx, spec, 9, engine="tableau").as_dict() == traced.as_dict()
 
 
+def test_untraced_tableau_trials_build_no_report(ctx, monkeypatch):
+    """An untraced tableau run, over a batch boundary, runs the collapse
+    protocol and nothing else: no `collapse` outcome, no library 2D decode,
+    no logical flags and no trial report; its statistics are a traced
+    run's."""
+    spec = NoiseSpec(0.1, 0.1, seed=17)
+    trials = BATCH_TRIALS + 3
+    traced = run_collapse_trials(ctx, spec, trials, engine="tableau", trace_fh=io.StringIO())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an untraced tableau trial built a report")
+
+    for module, name in (
+        (montecarlo, "collapse"),
+        (montecarlo, "ideal_decode_2d"),
+        (montecarlo, "_trial_result"),
+        (jump, "collapse"),
+        (jump, "ideal_decode_2d"),
+        (jump, "_flags"),
+        (jump, "_slot_report"),
+    ):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    untraced = run_collapse_trials(ctx, spec, trials, engine="tableau")
+    assert untraced.as_dict() == traced.as_dict()
+
+
 _RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 

@@ -15,7 +15,7 @@ scratch directory for CLI outputs. On fixed seeds the script records:
 - one traced collapse-tableau run per side (`--trace 1`), its per-layer
   readings named in `TRACED`: repair and string-correction counts, the
   self time of extraction, measurement, generator set-up, discard and the
-  final 2D decode, and Pauli products per trial;
+  final 2D decode, and Pauli products and expectation reads per trial;
 - one digest per side of outputs that must not change: both engines'
   collapse stats and traces, tableau collapses with the signed stabilizer
   group of their residual 2D states, `jump_trial`, `blow_up` with that of
@@ -33,9 +33,10 @@ scratch directory for CLI outputs. On fixed seeds the script records:
   (collapse, single-shot on the inner and the tetrahedral code, and the
   blow-up and round-trip programs, under the four noise structures), so
   `compare` shows which compile changed;
-- the stage split of a collapse-tableau trial (`tableau-stages`): per
-  side, `--pairs` interleaved processes, each the median microseconds per
-  trial of every step on fixed seeds, and the median of those medians;
+- the stage split of an untraced collapse-tableau batch
+  (`tableau-stages`): per side, `--pairs` interleaved processes, each the
+  median over batches of every step's microseconds per trial on fixed
+  seeds, and the median of those medians;
 - whole `simulate collapse` and `simulate singleshot --kind 3d` processes
   on tetra15 at 10^5 and 10^6 trials with `--workers` 1 and 2, timed by
   wall clock (`cli-times`): per pair one process per side, the sides
@@ -75,6 +76,7 @@ TRACED = (
     "jump.discard_qubits.self_us_per_trial",
     "jump.ideal_decode_2d.self_us_per_trial",
     "pauli.PauliOperator.__mul__.calls_per_trial",
+    "tableau.Tableau.expect.calls_per_trial",
 )
 # (p, q, seed) of the digested collapse runs, p = q = 1 among them
 COLLAPSE_POINTS = ((0.05, 0.05, 7), (0.0, 0.2, 11), (0.15, 0.0, 3), (1.0, 1.0, 5))
@@ -90,30 +92,37 @@ PHILOX_SHAPES = ((400, 42), (30, 28), (30, 75), (70, 42), (512, 75))
 PHILOX_SEEDS = (0, 808, 2**64 - 1)
 JUMP_TRIALS = 600
 JUMP_PROGRAM_TRIALS = 10**4
-# the steps of a collapse-tableau trial that `tableau_stages` times, each the
-# self time of a function wrapped at the one binding site the trial calls it
-# through: "slot lookup" is what `collapse` and the `_collapse` protocol it
-# runs do between their callees (flip draws, slot-table rows, corrections),
-# "finish" the logical flags the outcome reports, "logical read" what
-# `_collapse_step` does after its callees, "trial glue" what `_tableau_trial`
-# does around its callees
+# the steps of an untraced collapse-tableau batch that `tableau_stages`
+# times, each the self time of a function wrapped at the one binding site
+# the batch calls it through: "slot lookup" is what the `_collapse` protocol
+# does between its callees (flip draws, slot-table rows, corrections),
+# "logical read" what `_collapse_decode` does around the collapse and the
+# decode (the tracked logical's read), "trial glue" what `_tableau_run` does
+# around its callees, and "batch glue" what `_tableau_batch` does around
+# its trials (the doubles of the draw, each trial's stream, the slot sums,
+# the result arrays)
 STAGES = {
+    "draw": ("montecarlo", "philox_words"),
     "copy": ("tableau", "Tableau.copy"),
     "noise": ("jump", "TableauTrial.noise"),
     "slot measurement": ("jump", "_measure_slots"),
-    "slot lookup": ("montecarlo", "collapse"),
+    "slot lookup": ("montecarlo", "_collapse"),
     "discard": ("jump", "discard_qubits"),
-    "finish": ("jump", "_flags"),
+    "2D decode": ("montecarlo", "_decode_checks"),
+    "logical read": ("montecarlo", "_collapse_decode"),
+    "residual key": ("montecarlo", "CollapsePlan.residual_key"),
+    "trial glue": ("montecarlo", "_tableau_run"),
+    "batch glue": ("montecarlo", "_tableau_batch"),
+}
+# where a checkout has no `montecarlo._tableau_run`, its tableau trial built
+# the collapse's report (`jump.collapse`, whose self time then holds the
+# logical flags too), decoded through `ideal_decode_2d` and read the logical
+# in `_collapse_step`: the same steps, timed at those sites
+STAGE_FALLBACKS = {
+    "slot lookup": ("montecarlo", "collapse"),
     "2D decode": ("montecarlo", "ideal_decode_2d"),
     "logical read": ("montecarlo", "_collapse_step"),
-    "residual key": ("montecarlo", "CollapsePlan.residual_key"),
     "trial glue": ("montecarlo", "_tableau_trial"),
-}
-# the functions that ran the noise and finish steps before the collapse ran
-# on `jump.TableauTrial`, timed where a checkout lacks the names above
-STAGE_FALLBACKS = {
-    "noise": ("montecarlo", "_apply_noise"),
-    "finish": ("jump", "_finish_collapse"),
 }
 # collapse-tableau's noise and op size (perfbench's workload), and the
 # batches each `tableau-stages` process times after one warm-up batch
@@ -145,11 +154,12 @@ METHOD = (
     "stabilizer group (`outputs`), and of every compiled FrameProgram's arrays "
     "(`programs`), once per side in the same work directory. tableau_stages: tetra15 "
     "rgb, NoiseSpec(0.05, 0.05, 808), one warm-up batch then 60 batches of 70 trials, "
-    "each batch drawn as `_tableau_batch` draws it (the draw's time split evenly over its "
-    "trials) and each trial run by `montecarlo._tableau_trial` with the functions of "
-    "STAGES wrapped by self-time timers (time.perf_counter_ns); per process the median "
-    "us/trial of each stage and of the whole trial, one process per side per pair, "
-    "alternating as above, and per side the median over processes."
+    "each an untraced `montecarlo._tableau_batch(ctx, noise, first, 70, False)` call "
+    "with the functions of STAGES (those of STAGE_FALLBACKS where the checkout has no "
+    "`montecarlo._tableau_run`) wrapped by self-time timers (time.perf_counter_ns); per "
+    "batch each stage's time and the whole call's over its 70 trials, per process the "
+    "median over batches, one process per side per pair, alternating as above, and per "
+    "side the median over processes."
 )
 
 
@@ -320,19 +330,21 @@ def jump_times() -> dict:
 
 
 def tableau_stages() -> dict:
-    """Median microseconds per trial of each step of a collapse-tableau
-    trial (`STAGES`, "draw" and "total"), over the trials of one process."""
+    """Microseconds per trial of each step of an untraced collapse-tableau
+    batch (`STAGES`, and "total", the whole batch): per batch the step's
+    time over the batch's trials, and the median over the batches of one
+    process."""
     import importlib
 
     from colexjump import montecarlo
     from colexjump.colex import minimal_colex
     from colexjump.jump import make_context
-    from colexjump.noise import NoiseSpec, TrialStream, philox_words, uniforms
+    from colexjump.noise import NoiseSpec
 
     ctx = make_context(minimal_colex(3), "rgb")
     noise = NoiseSpec(*STAGE_NOISE)
-    width = 2 * ctx.n3 + sum(len(duals) for _, _, duals in ctx.slots)
-    spent: dict[str, int] = {}  # stage -> self nanoseconds in the current trial
+    fallback = not hasattr(montecarlo, "_tableau_run")
+    spent: dict[str, int] = {}  # stage -> self nanoseconds in the current batch
     children = [0]  # per open span, the time its child spans took
 
     def timed(stage, fn):
@@ -350,31 +362,25 @@ def tableau_stages() -> dict:
 
     restore = []
     for stage, (module, name) in STAGES.items():
+        if fallback and stage in STAGE_FALLBACKS:
+            module, name = STAGE_FALLBACKS[stage]
         owner = importlib.import_module(f"colexjump.{module}")
         *path, attr = name.split(".")
-        if not hasattr(owner, path[0] if path else attr) and stage in STAGE_FALLBACKS:
-            module, name = STAGE_FALLBACKS[stage]
-            owner = importlib.import_module(f"colexjump.{module}")
-            *path, attr = name.split(".")
         for part in path:
             owner = getattr(owner, part)
         restore.append((owner, attr, owner.__dict__[attr]))
         setattr(owner, attr, timed(stage, getattr(owner, attr)))
-    samples: dict[str, list[float]] = {s: [] for s in ("draw", *STAGES, "total")}
+    samples: dict[str, list[float]] = {s: [] for s in (*STAGES, "total")}
     try:
         for b in range(STAGE_BATCHES + 1):
-            first = b * STAGE_BATCH
+            spent.clear()
             t0 = time.perf_counter_ns()
-            rows = uniforms(philox_words(noise.seed, first, STAGE_BATCH, width))
-            draw = (time.perf_counter_ns() - t0) / STAGE_BATCH
-            for t, row in enumerate(rows, first):
-                spent.clear()
-                montecarlo._tableau_trial(ctx, noise, t, TrialStream(noise.seed, t, row))
-                if b:  # the first batch warms up
-                    samples["draw"].append(draw / 1e3)
-                    for stage in STAGES:
-                        samples[stage].append(spent.get(stage, 0) / 1e3)
-                    samples["total"].append((draw + sum(spent.values())) / 1e3)
+            montecarlo._tableau_batch(ctx, noise, b * STAGE_BATCH, STAGE_BATCH, False)
+            took = time.perf_counter_ns() - t0
+            if b:  # the first batch warms up
+                for stage in STAGES:
+                    samples[stage].append(spent.get(stage, 0) / STAGE_BATCH / 1e3)
+                samples["total"].append(took / STAGE_BATCH / 1e3)
     finally:
         for owner, attr, fn in restore:
             setattr(owner, attr, fn)
