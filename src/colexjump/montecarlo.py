@@ -15,9 +15,12 @@ encoded state with every random outcome forced to +1, and the frame as
 GF(2) affine forms (`_Forms`) over the trial's draw bits, where a draw is
 a column, a read a form and a table read a lookup. No protocol branches on
 a bit, so one run per reference state and noise structure (p > 0, q > 0)
-compiles a trial into a `FrameProgram`, whose runner does a batch of
-`BATCH_TRIALS` trials as one vectorised Philox draw (`noise.philox_words`,
-the same words as each trial's own generator) and table gathers only.
+compiles a trial into a `FrameProgram`. The runs share every draw, lookup
+and output but the last, the reference's logical bit, so the program is
+one run with one logical bit per reference at its end. Its runner does a
+batch of `BATCH_TRIALS` trials as one vectorised Philox draw
+(`noise.philox_words`, the same words as each trial's own generator) and
+table gathers only.
 
 A plan holds what its programs are compiled from and caches them: the
 collapse's `CollapsePlan`, once per context, with the residual-coset
@@ -121,9 +124,8 @@ def wilson_interval(k: int, n: int, z: float = 3.0) -> tuple[float, float]:
 
 # -- frame programs -----------------------------------------------------------------
 
-# what a trial's Philox column is compared against: nothing (a column that
-# only another reference reads), p, 1/2 or q
-_UNREAD, _NOISE, _OUTCOME, _FLIP = range(4)
+# what a trial's Philox column is compared against: p, 1/2 or q
+_NOISE, _OUTCOME, _FLIP = range(3)
 
 
 class _Forms:
@@ -250,7 +252,7 @@ class _Frame:
 
 
 # Consecutive lookups merge while the merged table keeps at most
-# 2^MERGED_KEY_BITS rows per block: 4096 int64 rows are 32 KiB, about a
+# 2^MERGED_KEY_BITS rows: 4096 int64 rows are 32 KiB, about a
 # core's L1 data cache, so one gather costs what each small one did.
 MERGED_KEY_BITS = 12
 
@@ -259,96 +261,86 @@ _BIT_VALUES = (1 << np.arange(8)).astype(np.uint8)
 
 
 class FrameProgram:
-    """A plan's trials under one noise structure (p > 0, q > 0), compiled.
+    """A plan's trials under one noise structure (p > 0, q > 0), compiled
+    from one `_Forms` pass.
 
     A trial's input is b, one bit per column of its Philox row: u < p on a
     noise column, u < 1/2 on an outcome draw, u < q on a flip draw (`kinds`).
-    Trial t reads failure row t mod rows of `fail` and runs block t mod
-    `blocks`, one `_Forms` pass (a plan compiles one per reference). Every
-    output form splits into a constant, a part over b and a part over the
-    corrections, each an int64 word of output bits. As in the Method of
-    Four Russians (Albrecht, Bard & Hart, arXiv 0811.1714), b's columns go
-    8 to an octet, and entry v of an octet's table holds the XOR of the
-    words its columns at the set bits of v toggle (`tables`). Entry k of
+    Trial t reads row t mod rows of `fail`, its reference's row, at its
+    final key. Every output form splits into a constant, a part over b and
+    a part over the corrections, each an int64 word of output bits. As in
+    the Method of Four Russians (Albrecht, Bard & Hart, arXiv 0811.1714),
+    b's columns go 8 to an octet, and entry v of an octet's table holds the
+    XOR of the words its columns at the set bits of v toggle (`tables`,
+    octets by 256; octet 0's entries also hold the constant). Entry k of
     lookup j holds the parity of correction k with the correction part of
     every output after key j (`lookups`: (key bits, effects) per lookup). A
     run of consecutive lookups none of whose keys reads a correction of an
     earlier one in the run merges into one step over the joined key, up to
-    `MERGED_KEY_BITS` (`steps`). A batch runs one `philox_words` draw, each
-    raw word compared with its column's threshold times 2^11
-    (`noise.word_threshold`); then the XOR of one table entry per octet of
-    draw bits, every output bit of a trial in one int64; then per step of
-    `bits` key bits, key = packed & (2^bits - 1) and packed = packed >> bits
-    ^ effects[key]; what is left is the final key, which indexes `fail`.
-    The blocks' tables lie end to end, so each gather is one, at block
-    offset + index.
+    `MERGED_KEY_BITS` (`steps`). A batch (`run`) is the draw: one
+    `philox_words` call, each raw word compared with its column's threshold
+    times 2^11 (`noise.word_threshold`); then the core (`run_bits`): the
+    XOR of one table entry per octet of draw bits, every output bit of a
+    trial in one int64, then per step of `bits` key bits, key = packed &
+    (2^bits - 1) and packed = packed >> bits ^ effects[key]; what is left
+    is the final key, which indexes `fail`.
     """
 
-    def __init__(self, blocks: list[_Forms], fail: np.ndarray):
-        first = blocks[0]
-        outs = len(first.outputs)
+    def __init__(self, forms: _Forms, fail: np.ndarray):
+        outs = len(forms.outputs)
         if outs > 63:
             raise ValueError(f"{outs} output bits do not pack into one int64")
-        self.blocks, self.fail = len(blocks), fail
-        self.width = max(len(forms.kinds) for forms in blocks)
-        self.kinds = np.full((self.blocks, self.width), _UNREAD)
+        self.fail, self.kinds, self.width = fail, np.array(forms.kinds, int), len(forms.kinds)
         weights = 1 << np.arange(outs, dtype=np.int64)
-        effects = [np.empty((self.blocks, len(table)), np.int64) for *_, table, _ in first.lookups]
+        dense = BitMatrix(forms.outputs, forms.vars).to_dense().astype(np.int64)
         # the word each draw column toggles, 8 columns to an octet, and at
-        # least one octet, whose table also holds the block's constant
+        # least one octet, whose table also holds the constant
         octets = max(1, -(-self.width // 8))
-        toggles = np.zeros((self.blocks, octets, 1, 8), np.int64)
-        constant = np.zeros((self.blocks, octets, 1), np.int64)
-        for b, forms in enumerate(blocks):
-            self.kinds[b, : len(forms.kinds)] = forms.kinds
-            dense = BitMatrix(forms.outputs, forms.vars).to_dense().astype(np.int64)
-            constant[b, 0] = weights @ dense[:, 0]
-            toggles[b].flat[: len(forms.draws)] = weights @ dense[:, forms.draws]
-            for effect, (lo, bits, var, table, _) in zip(effects, forms.lookups):
-                part = dense[:, var : var + table.shape[1]]
-                effect[b] = (table.astype(np.int64) @ part.T & 1) @ weights >> lo + bits
+        toggles = np.zeros((octets, 1, 8), np.int64)
+        toggles.flat[: self.width] = weights @ dense[:, forms.draws]
         byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1
-        # (blocks, octets, 256), and where each octet's row starts in a
-        # block's table
-        self.tables = np.bitwise_xor.reduce(toggles * byte_bits, axis=-1) ^ constant
-        self.starts = np.arange(octets * 256, step=256)[:, None]
-        self.same_kinds = bool((self.kinds == self.kinds[0]).all())
-        self.lookups = [(bits, effect) for (_, bits, *_), effect in zip(first.lookups, effects)]
+        self.tables = np.bitwise_xor.reduce(toggles * byte_bits, axis=-1)
+        self.tables[0] ^= weights @ dense[:, 0]
+        self.starts = np.arange(octets * 256, step=256)[:, None]  # where octet o's row starts
+        self.lookups = []
+        for lo, bits, var, table, _ in forms.lookups:
+            part = dense[:, var : var + table.shape[1]]
+            effects = (table.astype(np.int64) @ part.T & 1) @ weights >> lo + bits
+            self.lookups.append((bits, effects))
         self.steps = [_merged_step(run) for run in _mergeable_runs(self.lookups)]
         self._limits = None, None  # the last (p, q) and what `_thresholds` returned
         # the |delta0| rows of the lookups that carry them, one after the
         # other from each one's offset; a round trip mixes widths and counts none
-        sized = [sizes for *_, sizes in first.lookups if sizes is not None]
+        sized = [sizes for *_, sizes in forms.lookups if sizes is not None]
         if len({rows.shape[1] for rows in sized}) == 1:
             self.size_rows = np.concatenate(sized)
             self.size_offsets = np.cumsum([0] + [len(rows) for rows in sized[:-1]])
 
     def run(self, noise: NoiseSpec, first: int, count: int) -> tuple[np.ndarray, ...]:
         """(reference, draw bits, key of every lookup, final key, failed)
-        of trials first, first + 1, ..., one row per trial."""
+        of trials first, first + 1, ..., one row per trial: the draw, then
+        `run_bits`."""
         thresholds, certain = self._thresholds(noise.p_qubit, noise.q_meas)
-        refs, blocks = len(self.fail), self.blocks
-        ref = np.arange(first % refs, first % refs + count) % refs  # zero on even trials
+        ref = (first % len(self.fail) + np.arange(count)) % len(self.fail)  # zero on even trials
         # draws down, trials across, as the words come; the draw bits of
         # the columns past `width`, up to a whole octet, are 0
         words = philox_words(noise.seed, first, count, self.width).T
-        bits = np.zeros((self.tables.shape[1], 8, count), dtype=bool)
-        drawn = bits.reshape(-1, count)[: self.width]
-        for b in range(1 if self.same_kinds else blocks):
-            # the block-b trials, b = (first + i) mod blocks for trial first + i
-            at = slice(None) if self.same_kinds else slice((b - first) % blocks, None, blocks)
-            np.less(words[:, at], thresholds[b], out=drawn[:, at])
-            if certain is not None:
-                drawn[:, at] |= certain[b]
-        # bit j of octet o's byte is draw column 8o + j; a block-b trial
-        # reads that byte from row o of table b
-        octets = np.einsum("ojt,j->ot", bits.view(np.uint8), _BIT_VALUES) + self.starts
-        block = None
-        if blocks > 1:
-            block = np.arange(first % blocks, first % blocks + count) % blocks
-            octets += block * self.tables[0].size
+        bits = np.zeros((8 * len(self.tables), count), dtype=bool)
+        np.less(words, thresholds, out=bits[: self.width])
+        if certain is not None:
+            bits[: self.width] |= certain
+        return ref, bits[: self.width].T, *self.run_bits(bits, ref)
+
+    def run_bits(self, bits: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(key of every lookup, final key, failed) of the trials whose draw
+        bits are the columns of `bits` (bool, 8 rows per octet of `tables`,
+        row j draw column j and 0 past `width`), trial i from reference
+        ref[i], one row per trial."""
+        # bit j of octet o's byte is draw column 8o + j, read from row o
+        octets = bits.view(np.uint8).reshape(len(self.tables), 8, -1)
+        octets = np.einsum("ojt,j->ot", octets, _BIT_VALUES) + self.starts
         packed = np.bitwise_xor.reduce(self.tables.ravel()[octets], axis=0)
-        keys = np.empty((len(self.lookups), count), dtype=np.int64)
+        keys = np.empty((len(self.lookups), len(packed)), dtype=np.int64)
         j = 0
         for key_bits, shifts, masks, effects in self.steps:
             parts = keys[j : j + len(shifts)]
@@ -360,18 +352,17 @@ class FrameProgram:
                 np.right_shift(key, shifts, out=parts)
                 parts &= masks
             packed >>= key_bits
-            # the blocks' rows lie end to end: block b's entry k at b 2^bits + k
-            packed ^= effects.ravel()[key if block is None else key + (block << key_bits)]
-        return ref, drawn.T, keys.T, packed, self.fail[ref, packed]
+            packed ^= effects[key]
+        return keys.T, packed, self.fail[ref, packed]
 
     def _thresholds(self, p: float, q: float) -> tuple:
-        """Per block, each draw column's threshold times 2^11 as a (width,
-        1) uint64 column: (w >> 11) < T exactly when w < T * 2^11. A rate
-        of 1 would need 2^64, so its columns compare with 0, and the second
-        array (None unless some rate is 1) marks them to set after."""
+        """Each draw column's threshold times 2^11 as a (width, 1) uint64
+        column: (w >> 11) < T exactly when w < T * 2^11. A rate of 1 would
+        need 2^64, so its columns compare with 0, and the second array
+        (None unless some rate is 1) marks them to set after."""
         rates, got = self._limits
         if rates != (p, q):
-            limits = [0] + [int(word_threshold(rate)) << 11 for rate in (p, 0.5, q)]
+            limits = [int(word_threshold(rate)) << 11 for rate in (p, 0.5, q)]
             columns = np.array([limit % 2**64 for limit in limits], np.uint64)[self.kinds, None]
             certain = None
             if 2**64 in limits:
@@ -415,9 +406,9 @@ def _merged_step(run: list) -> tuple:
     total = sum(bits)
     shifts = np.cumsum([0] + bits[:-1])
     key = np.arange(1 << total)
-    effects = np.zeros((run[0][1].shape[0], 1 << total), np.int64)
+    effects = np.zeros(1 << total, np.int64)
     for shift, (b, e) in zip(shifts, run):
-        effects ^= e[:, key >> shift & (1 << b) - 1] >> total - shift - b
+        effects ^= e[key >> shift & (1 << b) - 1] >> total - shift - b
     return total, shifts[:, None], (1 << np.array(bits))[:, None] - 1, effects
 
 
@@ -426,9 +417,11 @@ class _Compiled:
     structure: p > 0 (`noisy`) and q > 0 (`flips`) decide which draws a
     trial makes, and nothing else about the noise enters it. A plan holds
     its `references` (trial t starts from reference t mod their number),
-    its failure table `fail` (rows by reference, columns by final key), and
     `_trial(frame, i, noisy, flips)`: the `jump` protocol code run on a
-    `_Frame` of reference i, returning the final key's forms.
+    `_Frame` of reference i, returning the final key's forms, whose last is
+    the reference's logical bit, and its failure table `fail` (rows by
+    reference, columns by the program's final key: the first reference's
+    final key, then every later reference's logical bit).
     """
 
     def program(self, noisy: bool, flips: bool) -> FrameProgram:
@@ -438,13 +431,24 @@ class _Compiled:
         return got
 
     def _compile(self, noisy: bool, flips: bool) -> FrameProgram:
-        """The one compile: the trial run once per reference, one block each."""
-        blocks = []
+        """The one compile: the trial run once per reference, each pass on
+        its own `_Forms`. Every later pass must make the first's draws and
+        every output of it but the last (the lookup keys among them); the
+        program is the first pass with the later passes' last outputs after
+        its own. A key too wide for the program is refused before that."""
+        passes = []
         for i, state in enumerate(self.references):
             forms = _Forms()
             forms.outputs += self._trial(_Frame(forms, state), i, noisy, flips)
-            blocks.append(forms)
-        return FrameProgram(blocks, self.fail)
+            passes.append(forms)
+        first, *later = passes
+        shared = first.kinds, first.draws, first.outputs[:-1]
+        first.outputs += [forms.outputs[-1] for forms in later]
+        program = FrameProgram(first, self.fail)
+        for i, forms in enumerate(later, 1):
+            if (forms.kinds, forms.draws, forms.outputs[:-1]) != shared:
+                raise ValueError(f"reference {i} differs from reference 0 before its last output")
+        return program
 
 
 def _sum_forms(forms: list[int], mask: int) -> int:
@@ -469,8 +473,9 @@ class CollapsePlan(_Compiled):
     low bits. Dense tables over every residual key hold the weight and the
     largest connected component of the coset's lightest member
     (`residual_weight`, `residual_component`). A program's final key is
-    the residual key (`residual_bits` wide), then the tracked logical's
-    bit, which is the failure.
+    the residual key (`residual_bits` wide), then one logical bit per
+    reference after the decode: the Z logical's from `zero`, then the X
+    logical's from `plus`. Reference i fails on its own bit.
     """
 
     def __init__(self, ctx: JumpContext):
@@ -501,8 +506,7 @@ class CollapsePlan(_Compiled):
                 self.residual_weight[key] = len(sx) + len(sz)
                 self.residual_component[key] = _max_component(sx + sz, adjacency)
         self.references = [ctx.states3[logical] for logical, _ in _TRACKED]
-        failed = (np.arange(2 << self.residual_bits) >> self.residual_bits).astype(bool)
-        self.fail = np.tile(failed, (len(_TRACKED), 1))
+        self.fail = _own_bit_fails(self.residual_bits, len(_TRACKED))
         self._programs = {}
 
     def residual_key(self, ex: int, ez: int, applied: dict) -> int:
@@ -530,6 +534,12 @@ class CollapsePlan(_Compiled):
         residual = [_sum_forms(half, m) for half in (outer.fx, outer.fz) for m in self.side_masks]
         _decode_checks(outer, ctx.plaquettes2)
         return residual + [outer.read(ctx.logicals2[_TRACKED[i][1]])]
+
+
+def _own_bit_fails(low: int, refs: int) -> np.ndarray:
+    """The failure table of a final key whose bits from `low` on are one
+    logical bit per reference: reference i fails when its bit low + i is 1."""
+    return np.arange(1 << low + refs) >> low + np.arange(refs)[:, None] & 1 == 1
 
 
 def collapse_plan(ctx: JumpContext) -> CollapsePlan:
@@ -839,15 +849,16 @@ def jump_trial(ctx: JumpContext, noise: NoiseSpec, action: str, t: int, rng=None
 
 class JumpPlan(_Compiled):
     """`jump_trial` of one action, `blowup` or `roundtrip`: `_jump` run on
-    a `_Frame` of the 2D `zero` and `plus` states; its final key is the
-    tracked logical's bit, the failure."""
+    a `_Frame` of the 2D `zero` and `plus` states; its final key is one bit
+    per reference, its tracked logical's (Z from `zero`, X from `plus`),
+    and reference i fails on bit i."""
 
     def __init__(self, ctx: JumpContext, action: str):
         if action not in ("blowup", "roundtrip"):
             raise ValueError(f'unknown jump action {action!r}: use "blowup" or "roundtrip"')
         self.ctx, self.action = ctx, action
         self.references = [ctx.states2[logical] for logical, _ in _TRACKED]
-        self.fail = np.tile([False, True], (len(_TRACKED), 1))
+        self.fail = _own_bit_fails(0, len(_TRACKED))
         self._programs = {}
 
     def _trial(self, frame, i: int, noisy: bool, flips: bool) -> list[int]:
@@ -940,7 +951,10 @@ class SingleShotPlan(_Compiled):
     code's one state otherwise), the code's `jump.DualStructure` (`dual`),
     whose decode table serves both rounds (a round reaches the decoder only
     through its key), and on a tetrahedral code its cells compiled for the
-    final decode.
+    final decode. The final key of the inner code's program is one
+    violation bit per stabilizer generator, and any violation fails; that
+    of a tetrahedral code's is one logical bit per reference (Z from
+    `zero`, X from `plus`), and reference i fails on bit i.
     """
 
     def __init__(self, code):
@@ -950,7 +964,7 @@ class SingleShotPlan(_Compiled):
         self.references = [encoded_state(code, logical) for logical in self.logicals]
         if code.L.generators:
             self.cells = check_readout(code.n, [tuple(vs) for vs, _ in code.colex.cells])
-            self.fail = np.tile([False, True], (len(self.logicals), 1))
+            self.fail = _own_bit_fails(0, len(self.logicals))
         else:
             self.fail = (np.arange(1 << len(code.S.generators)) != 0)[None]
         self._programs = {}
@@ -958,7 +972,8 @@ class SingleShotPlan(_Compiled):
     def _trial(self, frame, i: int, noisy: bool, flips: bool) -> list[int]:
         """Noise, then one `_single_shot_ec` round of each type. The final
         key is one violation bit per stabilizer generator on the inner code,
-        else the tracked logical's bit after the final decode of the cells."""
+        else reference i's tracked logical's bit after the final decode of
+        the cells."""
         code = self.code
         frame.noise(noisy)
         for basis in _ROUNDS:

@@ -346,9 +346,9 @@ def test_dense_tables_equal_their_fillers(tetra15):
     decode that the collapse trial runs (`decode_checks` on the context's
     plaquette readout) of the coset's lightest member leaves the logical
     flipped exactly when the member and the decode's correction together
-    have odd weight. A slot lookup's entry toggles, in both blocks, the 2D
-    decode keys by the plaquette syndrome of its correction and the
-    residual key by the key bits of its correction."""
+    have odd weight. A slot lookup's entry toggles the 2D decode keys by
+    the plaquette syndrome of its correction and the residual key by the
+    key bits of its correction."""
     ctx = make_context(tetra15, "rgb")
     plan = montecarlo.CollapsePlan(ctx)
     keys = 1 << 2 * plan.side_bits
@@ -391,12 +391,12 @@ def test_dense_tables_equal_their_fillers(tetra15):
             later = sum(len(d) for *_, d in ctx.slots[slot + 1 :])  # the key bits after it
             for program in programs:
                 bits, effects = program.lookups[slot]
-                assert bits == len(duals) and effects.shape == (2, 2 ** len(duals))
+                assert bits == len(duals) and effects.shape == (2 ** len(duals),)
                 size = program.size_rows[program.size_offsets[slot] + pattern]
                 assert size == len(delta0)
-                for effect in effects[:, pattern].tolist():
-                    assert effect & (1 << later) - 1 == 0  # no later slot key
-                    assert effect >> later & (1 << 2 * m + 2 * plan.side_bits) - 1 == toggled
+                effect = int(effects[pattern])
+                assert effect & (1 << later) - 1 == 0  # no later slot key
+                assert effect >> later & (1 << 2 * m + 2 * plan.side_bits) - 1 == toggled
 
 
 def test_plan_residual_table_matches_exhaustive_oracle(ctx):
@@ -793,23 +793,140 @@ def test_frame_outcomes_match_a_forced_tableau(inner_code, code3, which, ops, no
             assert value(frame.read(op)) == (trial.expect(op) == -1)
 
 
-def test_collapse_blocks_draw_and_look_up_alike(ctx):
-    """Every inner plaquette reads +1 on both encoded 3D states, so the
-    collapse program's two blocks, compiled from the zero and the plus
-    state, draw the same columns, and each slot lookup toggles the same
-    output bits in both except the last, the tracked logical's bit."""
-    plan = collapse_plan(ctx)
-    for noisy in (False, True):
-        for flips in (False, True):
+def _plans(ctx) -> dict:
+    """A new plan of every compiled kind on the context, by name; none has
+    compiled a program yet."""
+    return {
+        "collapse": montecarlo.CollapsePlan(ctx),
+        "blowup": montecarlo.JumpPlan(ctx, "blowup"),
+        "roundtrip": montecarlo.JumpPlan(ctx, "roundtrip"),
+        "singleshot-3d": montecarlo.SingleShotPlan(ctx.code3),
+        "singleshot-inner": montecarlo.SingleShotPlan(ctx.inner_code),
+    }
+
+
+def test_programs_carry_one_logical_bit_per_reference(ctx, monkeypatch):
+    """Each plan compiles one `_Forms` per noise structure, whose final key
+    ends in one logical bit per reference. On tetra15 that is 28 output
+    bits for the collapse (12 slot dual bits, 6 2D-decode key bits, 8
+    residual bits, 2 logical bits), 26 for the blow-up, 44 for the round
+    trip and 34 for the tetrahedral single-shot; the inner code's program
+    (one violation bit per generator, any of which fails) keeps 26.
+    Reference i's failure row reads its own logical bit and nothing else."""
+    compiled = []
+    real = montecarlo.FrameProgram
+
+    def counting(forms, fail):
+        compiled.append(len(forms.outputs))
+        return real(forms, fail)
+
+    monkeypatch.setattr(montecarlo, "FrameProgram", counting)
+    outs = {
+        "collapse": 28, "blowup": 26, "roundtrip": 44, "singleshot-3d": 34, "singleshot-inner": 26
+    }
+    for name, plan in _plans(ctx).items():
+        for noisy, flips in itertools.product((False, True), repeat=2):
+            compiled.clear()
             program = plan.program(noisy, flips)
-            assert program.blocks == 2 and program.same_kinds
-            outs = sum(bits for bits, _ in program.lookups) + plan.residual_bits + 1
-            done = 0
-            for slot, (bits, effects) in enumerate(program.lookups[: len(ctx.slots)]):
-                done += bits
-                last = 1 << outs - done - 1  # the logical's bit, after this key
-                assert bits == len(ctx.slots[slot][2])
-                assert ((effects[0] ^ effects[1]) & ~last == 0).all()
+            assert compiled == [outs[name]], (name, noisy, flips)
+            final = outs[name] - sum(bits for bits, _ in program.lookups)
+            refs = len(plan.references)
+            assert program.fail is plan.fail and plan.fail.shape == (refs, 1 << final)
+        keys = np.arange(1 << final)
+        if name == "singleshot-inner":
+            assert refs == 1 and (plan.fail[0] == (keys != 0)).all()
+            continue
+        low = final - refs  # the first logical bit
+        assert refs == 2 and low == (plan.residual_bits if name == "collapse" else 0)
+        for i in range(refs):
+            assert (plan.fail[i] == (keys >> low + i & 1).astype(bool)).all(), (name, i)
+
+
+@pytest.mark.parametrize("differ", ["output", "draw"])
+def test_compile_refuses_references_that_differ_before_their_last_output(ctx, differ):
+    """Only a reference's last output, its logical bit, joins the program;
+    everything before it must be the first reference's. A stand-in trial
+    whose second reference outputs a constant 1 before the real key, or
+    draws one more column, does not compile."""
+    plan = montecarlo.JumpPlan(ctx, "blowup")
+    real = plan._trial
+
+    def stand_in(frame, i, noisy, flips):
+        extra = [frame.forms.one if i else 0] if differ == "output" else []
+        if differ == "draw" and i:
+            frame.flips(1.0, 1)
+        return extra + real(frame, i, noisy, flips)
+
+    plan._trial = stand_in
+    with pytest.raises(ValueError, match="reference 1 differs from reference 0 before its last"):
+        plan.program(True, True)
+
+
+class _Doubles:
+    """A stand-in draw stream: `random()` and `random(k)` read `values` in
+    order."""
+
+    def __init__(self, values: list):
+        self.values, self.at = values, 0
+
+    def random(self, size=None):
+        at = self.at
+        self.at += 1 if size is None else size
+        return self.values[at] if size is None else np.array(self.values[at : self.at])
+
+
+# (failing, all) weight-1 patterns of the noise and flip columns per
+# reference on tetra15; no weight-0 pattern fails
+_WEIGHT1_FAILURES = {
+    "collapse": (0, 42),
+    "blowup": (0, 26),
+    "roundtrip": (3, 54),
+    "singleshot-3d": (0, 66),
+    "singleshot-inner": (6, 28),
+}
+
+
+def test_weight_one_faults_fail_as_counted(ctx):
+    """Every weight-0 and weight-1 pattern of the noise and flip columns
+    runs through each program (p > 0, q > 0) from each reference, exactly,
+    with the outcome draws fixed four ways (all 0, all 1, two random), and
+    fails as `_WEIGHT1_FAILURES` counts: the malignant-set count of
+    Aliferis, Gottesman & Preskill (quant-ph/0504218) at weight 1. No
+    count depends on the outcomes. The collapse, blow-up and round trip
+    also run every pattern on the tableau, from a stream of doubles: 0.0
+    on the fault's column, 0.999 on the other noise and flip columns, and
+    0.25 (bit 1) or 0.75 (bit 0) on an outcome draw; each agrees with its
+    program pattern by pattern and reads exactly the program's columns."""
+    spec = NoiseSpec(0.1, 0.1)
+    tableau = {
+        "collapse": lambda i, rng: montecarlo._tableau_run(ctx, spec, i, rng, False)[-1],
+        "blowup": lambda i, rng: jump_trial(ctx, spec, "blowup", i, rng) == -1,
+        "roundtrip": lambda i, rng: jump_trial(ctx, spec, "roundtrip", i, rng) == -1,
+    }
+    rand = random.Random(31)
+    for name, plan in _plans(ctx).items():
+        program = plan.program(True, True)
+        is_outcome = program.kinds == montecarlo._OUTCOME
+        faults, outcomes = np.flatnonzero(~is_outcome), np.flatnonzero(is_outcome)
+        assert len(faults) == _WEIGHT1_FAILURES[name][1]
+        patterns = len(faults) + 1  # the fault-free pattern first
+        for way in (0, -1, rand.getrandbits(64), rand.getrandbits(64)):
+            bits = np.zeros((8 * len(program.tables), patterns), dtype=bool)
+            bits[outcomes] = np.array([way >> j & 1 for j in range(len(outcomes))], bool)[:, None]
+            bits[faults, np.arange(1, patterns)] = True
+            for i in range(len(plan.references)):
+                failed = program.run_bits(bits, np.full(patterns, i))[-1]
+                assert not failed[0] and failed.sum() == _WEIGHT1_FAILURES[name][0], (name, way, i)
+                if name not in tableau:
+                    continue
+                for k in range(patterns):
+                    column = bits[: program.width, k]
+                    stream = _Doubles([
+                        (0.25 if bit else 0.75) if outcome else (0.0 if bit else 0.999)
+                        for bit, outcome in zip(column.tolist(), is_outcome.tolist())
+                    ])
+                    assert tableau[name](i, stream) == failed[k], (name, way, i, k)
+                    assert stream.at == program.width
 
 
 _DRAW_KINDS = (montecarlo._NOISE, montecarlo._OUTCOME, montecarlo._FLIP)  # at p, 1/2, q
@@ -823,38 +940,35 @@ _MERGING = ((2, 3, "draws"), (3, 2, "draws"), (2, 2, "previous"))
 
 
 def _edge_program(rand, widths: tuple, refs: int, shapes: tuple = _CHAINED):
-    """A `FrameProgram` of one hand-made `_Forms` block per entry of
-    `widths` (its draw columns), on random forms: by default two lookups,
-    the second keyed partly by the first's correction, then a 3-bit final
-    key; `shapes` sets the lookups."""
+    """A `FrameProgram` of one hand-made `_Forms` on random forms: widths[j]
+    draw columns before lookup j (`widths` may be shorter than the
+    lookups), by default two lookups, the second keyed partly by the first's
+    correction, then a 3-bit final key; `shapes` sets the lookups. The
+    failure table has `refs` random rows."""
     tables = [
         (np.array([[rand.getrandbits(1) for _ in range(c)] for _ in range(1 << k)]),
          np.array([[rand.randrange(9)] for _ in range(1 << k)]))
         for k, c, _ in shapes
     ]
-    blocks = []
-    for width in widths:
-        forms = montecarlo._Forms()
-        for _ in range(width):
+    forms = montecarlo._Forms()
+    for j, ((bits, _, reads), (table, sizes)) in enumerate(zip(shapes, tables)):
+        for _ in range(widths[j] if j < len(widths) else 0):
             forms.draw(rand.choice(_DRAW_KINDS))
-        drawn = forms.vars
-        for (bits, _, reads), (table, sizes) in zip(shapes, tables):
-            span = drawn if reads == "draws" else forms.vars
-            key = [rand.getrandbits(span) for _ in range(bits)]
-            if reads == "previous":
-                key[0] |= 1 << forms.lookups[-1][2]
-            forms.look_up(key, table, sizes)
-        forms.outputs += [rand.getrandbits(forms.vars) for _ in range(3)]
-        blocks.append(forms)
+        if reads == "draws":
+            key = [sum(rand.getrandbits(1) << v for v in forms.draws) for _ in range(bits)]
+        else:
+            key = [rand.getrandbits(forms.vars) for _ in range(bits)]
+        if reads == "previous":
+            key[0] |= 1 << forms.lookups[-1][2]
+        forms.look_up(key, table, sizes)
+    forms.outputs += [rand.getrandbits(forms.vars) for _ in range(3)]
     fail = np.array([[rand.getrandbits(1) for _ in range(8)] for _ in range(refs)], dtype=bool)
-    return blocks, montecarlo.FrameProgram(blocks, fail)
+    return forms, montecarlo.FrameProgram(forms, fail)
 
 
-def _edge_trial(blocks, fail, noise, t):
-    """Trial t of `_edge_program`'s blocks, evaluated form by form on its
+def _edge_trial(forms, fail, noise, t):
+    """Trial t of `_edge_program`'s forms, evaluated form by form on its
     own generator's draws: (reference, draw bits, lookup keys, final key)."""
-    ref = t % len(fail)
-    forms = blocks[ref % len(blocks)]
     rates = dict(zip(_DRAW_KINDS, (noise.p_qubit, 0.5, noise.q_meas)))
     draws = trial_rng(noise.seed, t).random(len(forms.kinds))
     bits = [int(u < rates[kind]) for u, kind in zip(draws, forms.kinds)]
@@ -869,22 +983,23 @@ def _edge_trial(blocks, fail, noise, t):
         keys.append(key(lo, bits_))
         values |= sum(int(bit) << var + i for i, bit in enumerate(table[keys[-1]]))
     end = forms.lookups[-1][0] + forms.lookups[-1][1]
-    return ref, bits, keys, key(end, len(forms.outputs) - end)
+    return t % len(fail), bits, keys, key(end, len(forms.outputs) - end)
 
 
 @pytest.mark.parametrize(
     "widths,refs",
     [((0,), 1), ((7,), 2), ((8,), 1), ((9,), 2), ((64,), 1)]
-    + [((0, 7), 2), ((8, 9), 2), ((64, 8), 2), ((9, 64), 2)],
+    + [((0, 7), 2), ((8, 9), 2), ((64, 8), 2), ((9, 64), 2)]
+    + [((0,), 2), ((3, 4), 1), ((8,), 2), ((5, 4), 1), ((64,), 2)],
 )
 def test_frame_program_matches_its_forms_per_trial(widths, refs):
     """A frame program runs every trial of a batch as its forms do, at draw
-    widths on and beside octet edges, on one or two blocks of different
-    widths, for batches of 1, 8 and `BATCH_TRIALS` + 3 trials and p, q in
-    {0, 1, drawn}."""
+    widths on and beside octet edges (0, 7, 8, 9, 64, and 17, 72, 73 with
+    draws after a lookup too), for one and two references, for batches of
+    1, 8 and `BATCH_TRIALS` + 3 trials and p, q in {0, 1, drawn}."""
     rand = random.Random(repr((widths, refs)))
-    blocks, program = _edge_program(rand, widths, refs)
-    _assert_runs_as_its_forms(rand, blocks, program)
+    forms, program = _edge_program(rand, widths, refs)
+    _assert_runs_as_its_forms(rand, forms, program)
 
 
 @pytest.mark.parametrize("widths,refs", [((9,), 1), ((64, 8), 2)])
@@ -894,30 +1009,29 @@ def test_merged_lookups_match_their_forms_per_trial(widths, refs):
     correction, as a step of its own; every trial still runs as its forms
     do, with one key per lookup."""
     rand = random.Random(repr((widths, refs, _MERGING)))
-    blocks, program = _edge_program(rand, widths, refs, _MERGING)
+    forms, program = _edge_program(rand, widths, refs, _MERGING)
     assert [(bits, len(shifts)) for bits, shifts, _, _ in program.steps] == [(5, 2), (2, 1)]
-    _assert_runs_as_its_forms(rand, blocks, program)
+    _assert_runs_as_its_forms(rand, forms, program)
 
 
-def _assert_runs_as_its_forms(rand, blocks, program):
+def _assert_runs_as_its_forms(rand, forms, program):
     """Every trial of batches of 1, 8 and `BATCH_TRIALS` + 3 trials at p, q
     in {0, 1, drawn} runs as `_edge_trial` evaluates its forms."""
-    widths = [len(forms.kinds) for forms in blocks]
     drawn = rand.random()
     rates = (0.0, 1.0, drawn)
     for p, q, count in itertools.product(rates, rates, (1, 8, BATCH_TRIALS + 3)):
         noise = NoiseSpec(p, q, seed=rand.getrandbits(64))
         first = rand.randrange(2**64 - count)
         ref, bits, keys, final, failed = program.run(noise, first, count)
-        assert bits.shape == (count, max(widths))
+        assert bits.shape == (count, len(forms.kinds))
         sizes = program.sizes(keys)
         for i, t in enumerate(range(first, first + count)):
-            want_ref, want_bits, want_keys, want_final = _edge_trial(blocks, program.fail, noise, t)
+            want_ref, want_bits, want_keys, want_final = _edge_trial(forms, program.fail, noise, t)
             assert ref[i] == want_ref
-            assert bits[i].tolist() == want_bits + [0] * (bits.shape[1] - len(want_bits))
+            assert bits[i].tolist() == want_bits
             assert keys[i].tolist() == want_keys and final[i] == want_final
             assert failed[i] == program.fail[want_ref, want_final]
-            want_sizes = [look[4][k].tolist() for look, k in zip(blocks[0].lookups, want_keys)]
+            want_sizes = [look[4][k].tolist() for look, k in zip(forms.lookups, want_keys)]
             assert sizes[i].tolist() == want_sizes
 
 
@@ -930,7 +1044,7 @@ def _two_lookups(bits: tuple) -> montecarlo.FrameProgram:
         table = np.ones((1 << k, 1), dtype=np.uint8)
         forms.look_up([draw] * k, table, np.zeros((1 << k, 1), dtype=np.uint8))
     forms.outputs.append(forms.one)
-    return montecarlo.FrameProgram([forms], np.zeros((1, 2), dtype=bool))
+    return montecarlo.FrameProgram(forms, np.zeros((1, 2), dtype=bool))
 
 
 def test_lookups_merge_up_to_the_row_bound(ctx, code3, inner_code):
@@ -946,7 +1060,7 @@ def test_lookups_merge_up_to_the_row_bound(ctx, code3, inner_code):
         # the slots, then the 2D decode's two lookups, whose keys read
         # different frame halves
         assert [len(shifts) for _, shifts, _, _ in steps] == [len(ctx.slots), 2]
-        assert steps[0][0] == 2 * len(ctx.slots) and steps[0][3].shape == (2, 1 << bound)
+        assert steps[0][0] == 2 * len(ctx.slots) and steps[0][3].shape == (1 << bound,)
     # single-shot's rounds, then on the tetrahedral code the final decode's
     # two lookups as one step
     for code, parts in ((code3, [1, 1, 2]), (inner_code, [1, 1])):
@@ -966,10 +1080,10 @@ def test_frame_program_refuses_more_than_63_output_bits():
         forms = montecarlo._Forms()
         forms.outputs = [forms.one] * outs
         if outs == 63:
-            assert montecarlo.FrameProgram([forms], fail).tables.shape == (1, 1, 256)
+            assert montecarlo.FrameProgram(forms, fail).tables.shape == (1, 256)
         else:
             with pytest.raises(ValueError, match="64 output bits do not pack into one int64"):
-                montecarlo.FrameProgram([forms], fail)
+                montecarlo.FrameProgram(forms, fail)
 
 
 def test_jump_trials_are_the_jump_trial_values(ctx, monkeypatch):
